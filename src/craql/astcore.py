@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Union
+from typing import Any, Callable, Iterator, Union
 
 PropValue = Union[int, list, str]
 
@@ -49,7 +49,9 @@ class NodeTypeSchema:
     """Node-type lattice for one target language.
 
     Single-inheritance supertype edges; each type declares an ordered list of
-    (property, kind) pairs. Property lookup walks the supertype chain.
+    (property, kind) pairs and inherits its supertypes' properties. `validate`
+    compiles the lattice into the lookup tables `ancestry` (type name, virtual
+    ones included, to itself and all its supertypes) and `prop_kinds`.
     """
 
     def __init__(self, name: str):
@@ -59,6 +61,8 @@ class NodeTypeSchema:
         self.properties: dict[str, list[tuple[str, str]]] = {}
         self.abstract: dict[str, bool] = {}
         self.virtuals: dict[str, VirtualType] = {}
+        self.ancestry: dict[str, frozenset[str]] = {}
+        self.prop_kinds: dict[str, dict[str, str]] = {}
 
     def add_type(
         self,
@@ -90,21 +94,29 @@ class NodeTypeSchema:
         self.virtuals[name] = VirtualType(base, prop, token)
 
     def validate(self) -> None:
+        """Check the lattice and compile it into `ancestry` and `prop_kinds`."""
         for t, sup in self.supertype.items():
             if sup not in self.types:
                 raise SchemaError(f"supertype {sup} of {t} is not registered")
-        # Acyclicity of the supertype graph.
+        self.ancestry, self.prop_kinds = {}, {}
         for t in self.types:
-            seen = {t}
-            cur = t
-            while cur in self.supertype:
-                cur = self.supertype[cur]
-                if cur in seen:
+            chain = [t]
+            while chain[-1] in self.supertype:
+                sup = self.supertype[chain[-1]]
+                if sup in chain:
                     raise SchemaError(f"supertype cycle through {t}")
-                seen.add(cur)
-        for v in self.virtuals.values():
+                chain.append(sup)
+            self.ancestry[t] = frozenset(chain)
+            # Root first, so a subtype's redeclaration of a property wins.
+            kinds: dict[str, str] = {}
+            for cur in reversed(chain):
+                kinds.update(self.properties[cur])
+            self.prop_kinds[t] = kinds
+        for name, v in self.virtuals.items():
             if v.base not in self.types:
                 raise SchemaError(f"virtual base {v.base} is not registered")
+            self.ancestry[name] = self.ancestry[v.base] | {name}
+            self.prop_kinds[name] = self.prop_kinds[v.base]
 
     def knows(self, name: str) -> bool:
         return name in self.types or name in self.virtuals
@@ -113,24 +125,10 @@ class NodeTypeSchema:
         if not self.knows(name):
             raise SchemaError(f"unknown node type {name}")
 
-    def supertype_chain(self, t: str) -> Iterator[str]:
-        """Yield t and then each supertype up to the root of its hierarchy."""
-        self.require(t)
-        if t in self.virtuals:
-            yield t
-            t = self.virtuals[t].base
-        cur: str | None = t
-        while cur is not None:
-            yield cur
-            cur = self.supertype.get(cur)
-
     def prop_kind(self, t: str, prop: str) -> str | None:
         """Kind of `prop` on type t or its supertypes, or None."""
-        for cur in self.supertype_chain(t):
-            for pname, kind in self.properties.get(cur, ()):
-                if pname == prop:
-                    return kind
-        return None
+        self.require(t)
+        return self.prop_kinds[t].get(prop)
 
     def declares_property(self, prop: str) -> bool:
         return any(prop == p for plist in self.properties.values() for p, _ in plist)
@@ -155,7 +153,7 @@ def is_subtype(schema: NodeTypeSchema, t: str, ancestor: str) -> bool:
     """True iff t equals ancestor or reaches it via supertype edges."""
     schema.require(t)
     schema.require(ancestor)
-    return any(cur == ancestor for cur in schema.supertype_chain(t))
+    return ancestor in schema.ancestry[t]
 
 
 @dataclass
@@ -238,14 +236,12 @@ class ProjectAst:
     def matches_type(self, node_id: int, type_name: str) -> bool:
         """Subtype-aware type test, including virtual types."""
         node = self.nodes[node_id]
+        ancestry = self.schema.ancestry[node.type]
         v = self.schema.virtuals.get(type_name)
         if v is not None:
-            return (
-                is_subtype(self.schema, node.type, v.base)
-                and node.props.get(v.prop) == v.token
-            )
+            return v.base in ancestry and node.props.get(v.prop) == v.token
         self.schema.require(type_name)
-        return is_subtype(self.schema, node.type, type_name)
+        return type_name in ancestry
 
     def check_invariants(self) -> None:
         for n in self.nodes:
@@ -273,13 +269,22 @@ def child_ids(node: AstNode) -> Iterator[int]:
             yield from value
 
 
-def descendants_preorder(project: ProjectAst, root: int) -> Iterator[int]:
-    """Depth-first pre-order walk; children in property declaration order."""
+def descendants_preorder(
+    project: ProjectAst, root: int, prune: Callable[[int], bool] | None = None
+) -> Iterator[int]:
+    """Depth-first pre-order walk from root; children in property declaration order.
+
+    `prune(node)` is asked when the caller resumes the walk after `node`, so
+    it may depend on what the caller did with it; a true answer skips the
+    nodes below `node`.
+    """
+    nodes = project.nodes
     stack = [root]
     while stack:
         cur = stack.pop()
         yield cur
-        stack.extend(reversed(list(child_ids(project.node(cur)))))
+        if prune is None or not prune(cur):
+            stack.extend(reversed(list(child_ids(nodes[cur]))))
 
 
 def node_depth(project: ProjectAst, node_id: int) -> int:
@@ -358,7 +363,10 @@ def deserialize_project(document: str) -> ProjectAst:
     if not isinstance(doc, dict):
         raise AstFormatError("top level must be an object")
 
-    schema = lookup_schema(_expect_key(doc, "schema", "top level"))
+    try:
+        schema = lookup_schema(_expect_key(doc, "schema", "top level"))
+    except SchemaError as exc:
+        raise AstFormatError(str(exc), "schema") from exc
     project = ProjectAst(_expect_key(doc, "project", "top level"), schema)
 
     for i, f in enumerate(_expect_key(doc, "files", "top level")):
@@ -413,6 +421,8 @@ def deserialize_project(document: str) -> ProjectAst:
     bindings = doc.get("bindings", {})
     for kind, table in (("method", project.bindings.method), ("type", project.bindings.type)):
         for key, target in bindings.get(kind, {}).items():
+            if not key.isdecimal():
+                raise AstFormatError(f"non-integer key in {kind} bindings", f"{key} -> {target}")
             src = int(key)
             if not (0 <= src < count and isinstance(target, int) and 0 <= target < count):
                 raise AstFormatError(f"dangling node id in {kind} bindings", f"{key} -> {target}")
@@ -427,6 +437,16 @@ def deserialize_project(document: str) -> ProjectAst:
                     f"node {child} is owned by both {seen_child[child]} and {n.id}"
                 )
             seen_child[child] = n.id
+    # With single ownership, a node no parentless node reaches is on or under
+    # an ownership cycle, where every walk would go round forever.
+    reached = [False] * count
+    for nid in range(count):
+        if nid not in seen_child:
+            for d in descendants_preorder(project, nid):
+                reached[d] = True
+    if not all(reached):
+        nid = reached.index(False)
+        raise AstFormatError("node is on or under an ownership cycle", f"node {nid}")
     project.link_parents()
     project.check_invariants()
     project.files_parsed = len(project.files)

@@ -1,7 +1,6 @@
 """Command-line entry point.
 
-    craql -P <projectlist> -Q <querylist> [--dirs ROOT] [--jobs N]
-          [--recursion-limit N]
+    craql -P <projectlist> -Q <querylist> [--dirs ROOT] [--recursion-limit N]
     craql collate  [--dirs ROOT]
     craql genprops [--dirs ROOT]
 """
@@ -39,7 +38,6 @@ def build_run_parser() -> argparse.ArgumentParser:
     parser.add_argument("-Q", "--queries", type=Path, required=True, metavar="LIST",
                         help="file listing query file names, one per line")
     _add_dirs(parser)
-    parser.add_argument("--jobs", type=int, default=1, help="projects evaluated concurrently")
     parser.add_argument("--recursion-limit", type=int, default=512,
                         help="maximum callquery depth")
     return parser
@@ -71,7 +69,6 @@ def main(argv: list[str] | None = None) -> int:
         project_list=args.projects,
         query_list=args.queries,
         recursion_limit=args.recursion_limit,
-        jobs=args.jobs,
     )
     try:
         status, records = run_batch(config)

@@ -22,11 +22,13 @@ Selection semantics, in one place:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 from craql.astcore import (
     ProjectAst,
     child_ids,
+    descendants_preorder,
     node_depth,
     source_text,
 )
@@ -119,7 +121,7 @@ class Evaluator:
         self.sink = sink if sink is not None else OutputSink()
         self.recursion_limit = recursion_limit
         self.source = source
-        self.stats = ExecutionStats(files_parsed=getattr(project, "files_parsed", 0))
+        self.stats = ExecutionStats()
         self.trace: Callable[[SelectionCapture], None] | None = None
         self._doc: QueryDocument | None = None
 
@@ -162,7 +164,8 @@ class Evaluator:
             rs = self._select_single(q, input_nodes, include_root, directly, emit)
         else:
             rs = self._select_pair(q, input_nodes, include_root, directly, emit)
-        rs.stats.files_parsed = self.stats.files_parsed
+        self.stats.nodes_visited += rs.stats.nodes_visited
+        self.stats.rows_yielded += rs.stats.rows_yielded
         if capture is not None:
             capture.rows = [dict(r) for r in rs.rows]
             self.trace(capture)
@@ -187,14 +190,13 @@ class Evaluator:
         if not self.schema.knows(name):
             raise QueryRuntimeError(f"unknown node type {name}", self.source, pos)
 
+    def _shares_root_type(self, root: int, n: int) -> bool:
+        """The `directly` cut: n lies below root and has root's concrete type."""
+        return n != root and self.project.node(n).type == self.project.node(root).type
+
     def _has_descendant_of_type(self, node_id: int, type_name: str) -> bool:
-        stack = list(child_ids(self.project.node(node_id)))
-        while stack:
-            cur = stack.pop()
-            if self.project.matches_type(cur, type_name):
-                return True
-            stack.extend(child_ids(self.project.node(cur)))
-        return False
+        below = islice(descendants_preorder(self.project, node_id), 1, None)
+        return any(self.project.matches_type(n, type_name) for n in below)
 
     def _emit_row(self, node_id: int) -> None:
         node = self.project.node(node_id)
@@ -223,34 +225,32 @@ class Evaluator:
         seen: set[int] = set()
         try:
             for root in input_nodes:
-                root_type = self.project.node(root).type
-                stack: list[int] = [root]
-                while stack:
-                    n = stack.pop()
-                    self.stats.nodes_visited += 1
+                cut = False  # an outmost row was accepted at the node just handled
+
+                def prune(n: int) -> bool:
+                    return cut or (directly and self._shares_root_type(root, n))
+
+                for n in descendants_preorder(self.project, root, prune):
                     rs.stats.nodes_visited += 1
-                    prune = False
-                    is_candidate = (n != root or include_root) and self.project.matches_type(n, pat.type1)
-                    if is_candidate and q.modifier == MOD_INMOST:
-                        is_candidate = not self._has_descendant_of_type(n, pat.type1)
-                    if is_candidate:
-                        self.env.set(pat.var1, NodeRef(n))
-                        if q.where is None or truthy(self.eval(q.where)):
-                            if n not in seen:
-                                seen.add(n)
-                                rs.rows.append({pat.var1: n})
-                                counter.count += 1
-                                rs.stats.rows_yielded += 1
-                                self.stats.rows_yielded += 1
-                                if emit:
-                                    self._emit_row(n)
-                                self._exec_body(q.body)
-                            if q.modifier == MOD_OUTMOST:
-                                prune = True
-                    if not prune and directly and n != root and self.project.node(n).type == root_type:
-                        prune = True
-                    if not prune:
-                        stack.extend(reversed(list(child_ids(self.project.node(n)))))
+                    cut = False
+                    if n == root and not include_root:
+                        continue
+                    if not self.project.matches_type(n, pat.type1):
+                        continue
+                    if q.modifier == MOD_INMOST and self._has_descendant_of_type(n, pat.type1):
+                        continue
+                    self.env.set(pat.var1, NodeRef(n))
+                    if q.where is not None and not truthy(self.eval(q.where)):
+                        continue
+                    cut = q.modifier == MOD_OUTMOST
+                    if n not in seen:
+                        seen.add(n)
+                        rs.rows.append({pat.var1: n})
+                        counter.count += 1
+                        rs.stats.rows_yielded += 1
+                        if emit:
+                            self._emit_row(n)
+                        self._exec_body(q.body)
         finally:
             self.env.count_stack.pop()
         return rs
@@ -274,17 +274,13 @@ class Evaluator:
         seen: set[tuple[int, int]] = set()
         try:
             for root in input_nodes:
-                root_type = self.project.node(root).type
-                stack: list[int] = [root]
-                while stack:
-                    n1 = stack.pop()
-                    self.stats.nodes_visited += 1
+                def prune(n: int) -> bool:
+                    return directly and self._shares_root_type(root, n)
+
+                for n1 in descendants_preorder(self.project, root, prune):
                     rs.stats.nodes_visited += 1
                     if (n1 != root or include_root) and self.project.matches_type(n1, pat.type1):
                         self._pair_inner(q, n1, rs, counter, survivors, seen, emit)
-                    if directly and n1 != root and self.project.node(n1).type == root_type:
-                        continue
-                    stack.extend(reversed(list(child_ids(self.project.node(n1)))))
             if is_ellipsis and survivors:
                 best = max(
                     node_depth(self.project, n2) - node_depth(self.project, n1)
@@ -301,7 +297,6 @@ class Evaluator:
                     rs.rows.append(row)
                     counter.count += 1
                     rs.stats.rows_yielded += 1
-                    self.stats.rows_yielded += 1
                     self.env.set(pat.var1, NodeRef(n1))
                     self.env.set(pat.var2, NodeRef(n2))
                     if emit:
@@ -322,10 +317,7 @@ class Evaluator:
         emit: bool,
     ) -> None:
         pat = q.pattern
-        stack = list(reversed(list(child_ids(self.project.node(n1)))))
-        while stack:
-            n2 = stack.pop()
-            self.stats.nodes_visited += 1
+        for n2 in islice(descendants_preorder(self.project, n1), 1, None):
             rs.stats.nodes_visited += 1
             if self.project.matches_type(n2, pat.type2):
                 self.env.set(pat.var1, NodeRef(n1))
@@ -340,11 +332,9 @@ class Evaluator:
                             rs.rows.append({pat.var1: n1, pat.var2: n2})
                             counter.count += 1
                             rs.stats.rows_yielded += 1
-                            self.stats.rows_yielded += 1
                             if emit:
                                 self._emit_row(n1)
                             self._exec_body(q.body)
-            stack.extend(reversed(list(child_ids(self.project.node(n2)))))
 
     # ------------------------------------------------------------------
     # Statements
@@ -593,24 +583,19 @@ class Evaluator:
     def _contains(self, node_id: int, arg: Value, e: Call, direct_only: bool) -> bool:
         if arg is UNDEFINED:
             return False
-        own_type = self.project.node(node_id).type
         if isinstance(arg, TypeName):
-            stack = list(child_ids(self.project.node(node_id)))
-            while stack:
-                cur = stack.pop()
-                if self.project.matches_type(cur, arg.name):
-                    return True
-                if direct_only and self.project.node(cur).type == own_type:
-                    continue
-                stack.extend(child_ids(self.project.node(cur)))
-            return False
+            def prune(n: int) -> bool:
+                return direct_only and self._shares_root_type(node_id, n)
+
+            below = islice(descendants_preorder(self.project, node_id, prune), 1, None)
+            return any(self.project.matches_type(n, arg.name) for n in below)
         if isinstance(arg, NodeRef):
             cur = self.project.node(arg.id).parent
             interposed = False
             while cur is not None:
                 if cur == node_id:
                     return not (direct_only and interposed)
-                if self.project.node(cur).type == own_type:
+                if self._shares_root_type(node_id, cur):
                     interposed = True
                 cur = self.project.node(cur).parent
             return False

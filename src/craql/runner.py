@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,7 +46,6 @@ class RunConfig:
     project_list: Path
     query_list: Path
     recursion_limit: int = 512
-    jobs: int = 1
 
     @classmethod
     def from_root(cls, root: Path, project_list: Path, query_list: Path, **kw) -> "RunConfig":
@@ -128,13 +126,11 @@ def load_project_sources(project_dir: Path, name: str) -> tuple[ProjectAst, list
     if serialized.is_file():
         project = deserialize_project(serialized.read_text())
         project.name = name
-        project.files_parsed = len(project.files)
         return project, []
     sources = []
     for path in sorted(project_dir.rglob("*.mj")):
         sources.append((path.relative_to(project_dir).as_posix(), path.read_text()))
     project, diagnostics = load_project(name, sources)
-    project.files_parsed = len(project.roots)
     return project, [str(d) for d in diagnostics]
 
 
@@ -223,11 +219,7 @@ def run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
             raise RunnerError(f"unparseable query file {qname}: {exc}") from exc
         docs.append((qpath.stem, doc))
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(lambda n: run_project(n, config, docs), project_names))
-    else:
-        records = [run_project(name, config, docs) for name in project_names]
+    records = [run_project(name, config, docs) for name in project_names]
 
     for record in records:
         for line in record.print_lines:

@@ -6,6 +6,36 @@ from craql import Environment, Evaluator, OutputSink, load_project, parse_query_
 from craql.fixtures import fixture_text
 
 
+def _one_block_doc(**changes) -> dict:
+    doc = {
+        "schema": "minilang",
+        "project": "bad",
+        "files": [{"name": "f"}],
+        "nodes": [{"id": 0, "type": "Block", "file": 0, "span": [0, 0, 1], "props": {}}],
+        "roots": [0],
+    }
+    doc.update(changes)
+    return doc
+
+
+def _block(nid: int, *statements: int) -> dict:
+    return {"id": nid, "type": "Block", "file": 0, "span": [0, 0, 1],
+            "props": {"statements": list(statements)}}
+
+
+# Serialized ASTs that must be rejected with an AstFormatError: name ->
+# (document, message pattern, location).
+BAD_AST_DOCS = {
+    "unknown_schema": (_one_block_doc(schema="javalang"), "no registered schema", "schema"),
+    "non_integer_binding_key": (
+        _one_block_doc(bindings={"method": {"x": 0}}), "non-integer key", "x -> 0"),
+    "self_owned_root": (_one_block_doc(nodes=[_block(0, 0)]), "ownership cycle", "node 0"),
+    "cycle_off_the_roots": (
+        _one_block_doc(nodes=[_block(0), _block(1, 2), _block(2, 1, 3), _block(3)]),
+        "ownership cycle", "node 1"),
+}
+
+
 def load_fixture_project(name: str, *files: str):
     project, diagnostics = load_project(name, [(f, fixture_text(f)) for f in files])
     assert not diagnostics, diagnostics

@@ -9,11 +9,35 @@ from craql import (
     is_subtype,
     MINILANG_SCHEMA,
     node_depth,
+    ProjectAst,
     serialize_project,
     source_text,
+    Span,
 )
-from craql.astcore import SchemaError, child_ids
-from conftest import find_node
+from craql.astcore import CHILD_LIST, SINGLE, NodeTypeSchema, SchemaError, child_ids
+from conftest import BAD_AST_DOCS, find_node
+
+CONCRETE_TYPES = sorted(MINILANG_SCHEMA.types)
+KNOWN_TYPES = sorted(MINILANG_SCHEMA.types | MINILANG_SCHEMA.virtuals.keys())
+PROPERTIES = sorted({p for plist in MINILANG_SCHEMA.properties.values() for p, _ in plist})
+
+
+def reference_ancestors(t: str) -> list[str]:
+    """t, then each supertype, following the schema's edges one at a time."""
+    chain = [t]
+    if t in MINILANG_SCHEMA.virtuals:
+        chain.append(MINILANG_SCHEMA.virtuals[t].base)
+    while chain[-1] in MINILANG_SCHEMA.supertype:
+        chain.append(MINILANG_SCHEMA.supertype[chain[-1]])
+    return chain
+
+
+def reference_prop_kind(t: str, prop: str) -> str | None:
+    for cur in reference_ancestors(t):
+        for pname, kind in MINILANG_SCHEMA.properties.get(cur, ()):
+            if pname == prop:
+                return kind
+    return None
 
 
 class TestIsSubtype:
@@ -33,6 +57,31 @@ class TestIsSubtype:
     def test_virtual_types_sit_under_their_base(self):
         assert is_subtype(MINILANG_SCHEMA, "ClassDeclaration", "TypeDeclaration")
         assert not is_subtype(MINILANG_SCHEMA, "TypeDeclaration", "ClassDeclaration")
+
+    @pytest.mark.parametrize("t", KNOWN_TYPES)
+    def test_agrees_with_supertype_edges(self, t):
+        ancestors = reference_ancestors(t)
+        for name in KNOWN_TYPES:
+            assert is_subtype(MINILANG_SCHEMA, t, name) == (name in ancestors), name
+
+
+class TestPropKind:
+    @pytest.mark.parametrize("t", KNOWN_TYPES)
+    def test_agrees_with_supertype_edges(self, t):
+        for prop in PROPERTIES:
+            assert MINILANG_SCHEMA.prop_kind(t, prop) == reference_prop_kind(t, prop), prop
+
+    def test_unknown_type_raises(self):
+        with pytest.raises(SchemaError, match="Blok"):
+            MINILANG_SCHEMA.prop_kind("Blok", "statements")
+
+    def test_subtype_redeclaration_wins(self):
+        schema = NodeTypeSchema("redeclared")
+        schema.add_type("A", props=[("x", CHILD_LIST)])
+        schema.add_type("B", supertype="A", props=[("x", SINGLE)])
+        schema.validate()
+        assert schema.prop_kind("A", "x") == CHILD_LIST
+        assert schema.prop_kind("B", "x") == SINGLE
 
 
 class TestPreorder:
@@ -71,6 +120,27 @@ class TestPreorder:
                 ),
             )
             assert seq == by_offset
+
+    def test_prune_yields_pruned_node_but_nothing_below(self, sample_project):
+        root = sample_project.roots[0]
+        blocks = {n.id for n in sample_project.nodes if n.type == "Block"}
+        below = {
+            d for b in blocks for d in descendants_preorder(sample_project, b) if d != b
+        }
+        full = list(descendants_preorder(sample_project, root))
+        pruned = list(descendants_preorder(sample_project, root, lambda n: n in blocks))
+        assert blocks - below and blocks - below <= set(pruned)
+        assert pruned == [n for n in full if n not in below]
+
+    def test_prune_is_asked_after_the_node_is_handled(self, sample_project):
+        root = sample_project.roots[0]
+        events = []
+        for n in descendants_preorder(
+            sample_project, root, lambda n: events.append(("prune", n)) is not None
+        ):
+            events.append(("yield", n))
+        full = list(descendants_preorder(sample_project, root))
+        assert events == [e for n in full for e in (("yield", n), ("prune", n))]
 
 
 class TestNodeDepth:
@@ -208,6 +278,13 @@ class TestSerialization:
         with pytest.raises(AstFormatError, match="malformed JSON"):
             deserialize_project("{not json")
 
+    @pytest.mark.parametrize("name", sorted(BAD_AST_DOCS))
+    def test_bad_document_reports_location(self, name):
+        doc, message, location = BAD_AST_DOCS[name]
+        with pytest.raises(AstFormatError, match=message) as info:
+            deserialize_project(json.dumps(doc))
+        assert info.value.location == location
+
 
 class TestMatchesType:
     def test_virtual_class_declaration(self, sample_project):
@@ -228,3 +305,27 @@ class TestMatchesType:
     def test_abstract_statement_matches_concrete_kinds(self, sample_project):
         while_stmt = find_node(sample_project, "WhileStatement")
         assert sample_project.matches_type(while_stmt.id, "Statement")
+
+    @pytest.mark.parametrize("t", CONCRETE_TYPES)
+    def test_agrees_with_supertype_edges(self, t):
+        # One bare node, plus one carrying each virtual type's token.
+        project = ProjectAst("lattice", MINILANG_SCHEMA)
+        project.add_file("f")
+        nodes = [project.new_node(t, Span(0, 0, 0, 1))]
+        for v in MINILANG_SCHEMA.virtuals.values():
+            node = project.new_node(t, Span(0, 0, 0, 1))
+            node.props[v.prop] = v.token
+            nodes.append(node)
+        ancestors = reference_ancestors(t)
+        for node in nodes:
+            for name in KNOWN_TYPES:
+                v = MINILANG_SCHEMA.virtuals.get(name)
+                if v is None:
+                    expected = name in ancestors
+                else:
+                    expected = v.base in ancestors and node.props.get(v.prop) == v.token
+                assert project.matches_type(node.id, name) == expected, (node.props, name)
+
+    def test_unknown_type_raises(self, sample_project):
+        with pytest.raises(SchemaError, match="Blok"):
+            sample_project.matches_type(sample_project.roots[0], "Blok")

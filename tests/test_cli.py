@@ -64,11 +64,6 @@ def test_genprops_subcommand(tmp_path):
     assert (root / "properties" / "alpha.properties").read_text() == "tag=core\n"
 
 
-def test_jobs_flag(tmp_path):
-    root = make_root(tmp_path)
-    assert run_main(root, "--jobs", "2") == 0
-
-
 def test_recursion_limit_flag(tmp_path):
     root = make_root(tmp_path)
     (root / "queries" / "loop.craql").write_text(

@@ -1,3 +1,5 @@
+import pytest
+
 from craql import Environment, Evaluator, OutputSink, load_project
 from craql.engine.runtime import NodeList, NodeRef
 from craql.query.ast import (
@@ -233,6 +235,34 @@ class TestStatsAndPruning:
             InputSpec(INPUT_IN, VarRef("r")), env=env,
         )
         assert pruned.stats.nodes_visited < plain.stats.nodes_visited
+
+    # (nodes_visited, rows_yielded) on Sample.mj; a change to the walks that
+    # visits more or fewer nodes shows here first.
+    @pytest.mark.parametrize("pattern, modifier, directly_in_greet_body, expected", [
+        (single("Statement"), MOD_OUTMOST, False, (8, 2)),
+        (single("Block"), MOD_INMOST, False, (30, 2)),
+        (single("Statement"), MOD_NONE, True, (15, 5)),
+        (Pattern(STAR, "Block", "x", "Statement", "y"), MOD_NONE, False, (58, 8)),
+        (Pattern(ELLIPSIS, "MethodDeclaration", "m", "Block", "b"), MOD_NONE, False, (54, 1)),
+    ])
+    def test_pinned_counts(self, sample_project, pattern, modifier, directly_in_greet_body,
+                           expected):
+        input_spec, env = None, None
+        if directly_in_greet_body:
+            greet_body = find_node(sample_project, "Block", "int i = 0")
+            input_spec = InputSpec(INPUT_DIRECTLY_IN, VarRef("gb"))
+            env = Environment({"gb": NodeRef(greet_body.id)})
+        rs = select(sample_project, pattern, modifier, input_spec, env=env)
+        assert (rs.stats.nodes_visited, rs.stats.rows_yielded) == expected
+
+    def test_nested_selects_add_up_once(self, sample_project):
+        _, _, evaluator = run_document(
+            sample_project,
+            "select ({MethodDeclaration} m) { "
+            "select outmost ({Statement} s) in m "
+            "where s.isnodetype({ReturnStatement}) { print(s); } }",
+        )
+        assert (evaluator.stats.nodes_visited, evaluator.stats.rows_yielded) == (55, 3)
 
     def test_count_star_monotonic_and_final_equals_rows(self):
         project, _ = load_project("sea", [("Sea.mj", generate_block_sea(40))])

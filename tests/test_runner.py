@@ -1,16 +1,22 @@
+import hashlib
+import json
+
 import pytest
 
-from craql import load_project, serialize_project
-from craql.fixtures import fixture_text
+from craql import BUNDLED_QUERIES, bundled_query_path, load_project, serialize_project
+from craql.fixtures import fixture_text, generate_block_sea, generate_nested_blocks
 from craql.runner import (
     OUTPUT_CSV,
     RunConfig,
     RunnerError,
+    SERIALIZED_AST,
     collate_csv,
     generate_props,
     load_properties,
     run_batch,
 )
+
+from conftest import BAD_AST_DOCS
 
 
 def make_tree(tmp_path, projects: dict[str, dict[str, str]], queries: dict[str, str]):
@@ -202,6 +208,26 @@ class TestRunBatch:
         assert status == 0
         assert (tmp_path / "results" / "ingested.vars").read_text() == "num_blocks=3\n"
 
+    def test_bad_serialized_asts_skip_only_their_project(self, tmp_path):
+        config = make_tree(
+            tmp_path,
+            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")},
+                      **{name: {} for name in BAD_AST_DOCS}},
+            queries={"blocks.craql": COUNT_BLOCKS},
+        )
+        for name, (doc, message, location) in BAD_AST_DOCS.items():
+            (tmp_path / "projects" / name / SERIALIZED_AST).write_text(json.dumps(doc))
+        status, records = run_batch(config)
+        assert status == 1
+        assert (tmp_path / "results" / "alpha.vars").read_text() == "num_blocks=3\n"
+        for record in records:
+            assert record.aborted == (record.project in BAD_AST_DOCS)
+            assert (tmp_path / "results" / f"{record.project}.vars").exists() != record.aborted
+            if record.aborted:
+                _, message, location = BAD_AST_DOCS[record.project]
+                assert message in record.diagnostics[0]
+                assert f"({location})" in record.diagnostics[0]
+
     def test_rows_records_are_tab_separated(self, tmp_path):
         config = make_tree(
             tmp_path,
@@ -215,26 +241,6 @@ class TestRunBatch:
         assert file_name == "Sample.mj"
         assert node_type == "MethodDeclaration"
         assert "\n" not in text  # escaped
-
-    def test_parallel_jobs_match_serial(self, tmp_path, capsys):
-        query = "select ({Block} b) { n += 1; print(n); }"
-        projects = {
-            name: {"Sample.mj": fixture_text("Sample.mj")}
-            for name in ("p1", "p2", "p3", "p4")
-        }
-        serial = make_tree(tmp_path / "serial", projects=projects,
-                           queries={"blocks.craql": query})
-        run_batch(serial)
-        serial_stdout = capsys.readouterr().out
-        parallel = make_tree(tmp_path / "parallel", projects=projects,
-                             queries={"blocks.craql": query})
-        parallel.jobs = 3
-        run_batch(parallel)
-        assert capsys.readouterr().out == serial_stdout
-        for name in projects:
-            a = (tmp_path / "serial" / "results" / f"{name}.vars").read_bytes()
-            b = (tmp_path / "parallel" / "results" / f"{name}.vars").read_bytes()
-            assert a == b
 
     def test_determinism_byte_identical(self, tmp_path):
         outputs = []
@@ -255,3 +261,48 @@ class TestRunBatch:
             }
             outputs.append(tree)
         assert outputs[0] == outputs[1]
+
+    # sha256 of every output of the acceptance-7 bundle project under all
+    # bundled queries, recorded before the engine's walks and type tests were
+    # last rewritten; batch outputs must stay byte-identical.
+    BUNDLE_DIGESTS = {
+        "bundle.block_children.rows": "d20a5b2fc10fbf6eeb3b30ec68342b4d673b17aa7530c665110795301a4ec361",
+        "bundle.blocktop_declarations.rows": "d20a5b2fc10fbf6eeb3b30ec68342b4d673b17aa7530c665110795301a4ec361",
+        "bundle.bound_calls.rows": "ae8b8fcb143bc3e6d03e1cedcb51b7a6a19f32e5457f870bf69507730ac5801e",
+        "bundle.call_chains.rows": "1c321bece13d3b18f76fbb8e723c4a59abc4b7556fa0c898d2536b9b5e2b3c08",
+        "bundle.calls_in_out.rows": "4851a6cf49e569f1a2f48a528807a351c83930f073435860185eba841ce57478",
+        "bundle.capped_blocks.rows": "c6f82c3e6d00e71d4293885df8ec988ff78d7da1423a30a98aa3b26898cb3889",
+        "bundle.deepest_block.rows": "7279d0f6e75785231cf68543840782a6cec3a36e73a2909eb4610ee4314f2cd6",
+        "bundle.getters.rows": "797f995a7d71e6f39b183d6dd0c321f38ccdf3da09822df44ca150498e8e8768",
+        "bundle.nested_loops.rows": "3f4285e1c7503881a2901c0cc6a6f584673071825b67eeab64da14d2c7d04ad8",
+        "bundle.nested_types.rows": "4851a6cf49e569f1a2f48a528807a351c83930f073435860185eba841ce57478",
+        "bundle.recursive_methods.rows": "9aa5820c2a6e5426772824fe82001511f26cdc2873e4137700deebda04fa3e11",
+        "bundle.self_typed.rows": "4851a6cf49e569f1a2f48a528807a351c83930f073435860185eba841ce57478",
+        "bundle.throwing_catches.rows": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bundle.top_statements.rows": "ae8b8fcb143bc3e6d03e1cedcb51b7a6a19f32e5457f870bf69507730ac5801e",
+        "bundle.unreachable.rows": "d20a5b2fc10fbf6eeb3b30ec68342b4d673b17aa7530c665110795301a4ec361",
+        "bundle.vars": "4c77e18b2910b4196ed00db1315edde8dd9e71205520b0729d7acbb802542a87",
+        "craql_output.csv": "34a90f310dba6b361e8c647d2e1b6bc8887d2da0f3d681c0643e79b0098974d2",
+    }
+
+    def test_bundle_outputs_match_recorded_digests(self, tmp_path):
+        bundle = {
+            name: fixture_text(name)
+            for name in ("Sample.mj", "Fact.mj", "AB.mj", "Unreachable.mj", "Loops.mj", "Chain.mj")
+        }
+        bundle["Deep.mj"] = generate_nested_blocks(10)
+        bundle["Sea.mj"] = generate_block_sea(250)
+        config = make_tree(
+            tmp_path,
+            projects={"bundle": bundle},
+            queries={name: bundled_query_path(name).read_text() for name in BUNDLED_QUERIES},
+        )
+        status, records = run_batch(config)
+        collate_csv(config.results_dir)
+        assert status == 0
+        assert (records[0].stats.nodes_visited, records[0].stats.rows_yielded) == (41470, 1791)
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(config.results_dir.iterdir())
+        }
+        assert digests == self.BUNDLE_DIGESTS
