@@ -209,6 +209,8 @@ class ProjectAst:
         self.files_parsed = 0
         # Set when source_text had to fall back to a placeholder.
         self.degraded_output = False
+        # Built by link_parents once the arena is complete.
+        self.index: RegionIndex
 
     # -- construction helpers (single-threaded, before first read) --
 
@@ -226,10 +228,14 @@ class ProjectAst:
         return self.nodes[node_id]
 
     def link_parents(self) -> None:
-        """Materialize parent links from props. Call once after construction."""
+        """Materialize parent links from props and build the region index.
+
+        Call once, after the last node is added.
+        """
         for n in self.nodes:
             for child in child_ids(n):
                 self.nodes[child].parent = n.id
+        self.index = RegionIndex(self)
 
     # -- queries over the arena --
 
@@ -242,6 +248,31 @@ class ProjectAst:
             return v.base in ancestry and node.props.get(v.prop) == v.token
         self.schema.require(type_name)
         return type_name in ancestry
+
+    def type_ranks(self, type_name: str) -> list[int]:
+        """Sorted pre-order ranks of the nodes that match `type_name`.
+
+        Built on first use from the index's concrete-type buckets, then kept
+        in the index for the life of the project. Whether a node matches
+        depends only on its concrete type, except for a virtual type's
+        token, so one `matches_type` test decides a whole bucket and only a
+        virtual type tests each node.
+        """
+        index = self.index
+        ranks = index.ranks.get(type_name)
+        if ranks is None:
+            self.schema.require(type_name)
+            match, order = self.matches_type, index.order
+            virtual = type_name in self.schema.virtuals
+            ranks = []
+            for bucket in index.by_type.values():
+                if virtual:
+                    ranks += [r for r in bucket if match(order[r], type_name)]
+                elif match(order[bucket[0]], type_name):
+                    ranks += bucket
+            ranks.sort()
+            index.ranks[type_name] = ranks
+        return ranks
 
     def check_invariants(self) -> None:
         for n in self.nodes:
@@ -260,13 +291,16 @@ class ProjectAst:
                 )
 
 
-def child_ids(node: AstNode) -> Iterator[int]:
+def child_ids(node: AstNode) -> list[int]:
     """Node-valued property contents in declaration order."""
+    # A list rather than a generator: walks call this once per node.
+    out: list[int] = []
     for value in node.props.values():
         if isinstance(value, int):
-            yield value
+            out.append(value)
         elif isinstance(value, list):
-            yield from value
+            out += value
+    return out
 
 
 def descendants_preorder(
@@ -284,16 +318,55 @@ def descendants_preorder(
         cur = stack.pop()
         yield cur
         if prune is None or not prune(cur):
-            stack.extend(reversed(list(child_ids(nodes[cur]))))
+            stack.extend(reversed(child_ids(nodes[cur])))
+
+
+class RegionIndex:
+    """Pre-order region encoding of a project's arena.
+
+    This is the pre/post plane of Grust's XPath accelerator (SIGMOD 2002),
+    after Dietz's (1982) numbering. Ranks number the nodes of each parentless
+    tree in pre-order, trees in id order: `order[rank]` is a node id, and the
+    subtree of node `n` is exactly the ranks `[pre[n], end[n])`. `depth[n]`
+    counts the edges up to n's tree root. `by_type` maps each concrete type
+    to the sorted ranks of its nodes; `ranks` caches, per matched type name,
+    the sorted ranks of the nodes that match it (`ProjectAst.type_ranks`).
+
+    A node on or under an ownership cycle is reached by no walk from a
+    parentless node, so it gets no rank: its `pre` stays -1. The index holds
+    no reference to its project, so a finished project is freed by reference
+    counting alone.
+    """
+
+    def __init__(self, project: ProjectAst):
+        nodes = project.nodes
+        order: list[int] = []
+        for nid, node in enumerate(nodes):
+            if node.parent is None:
+                order.extend(descendants_preorder(project, nid))
+        pre = [-1] * len(nodes)
+        depth = [0] * len(nodes)
+        by_type: dict[str, list[int]] = {}
+        for rank, nid in enumerate(order):
+            node = nodes[nid]
+            pre[nid] = rank
+            if node.parent is not None:
+                depth[nid] = depth[node.parent] + 1
+            by_type.setdefault(node.type, []).append(rank)
+        # A child's region ends no later than its parent's, and the last
+        # child's end is the parent's end, so one reverse pass suffices.
+        end = [rank + 1 for rank in pre]
+        for nid in reversed(order):
+            parent = nodes[nid].parent
+            if parent is not None and end[nid] > end[parent]:
+                end[parent] = end[nid]
+        self.order, self.pre, self.end, self.depth = order, pre, end, depth
+        self.by_type = by_type
+        self.ranks: dict[str, list[int]] = {}
 
 
 def node_depth(project: ProjectAst, node_id: int) -> int:
-    depth = 0
-    cur = project.node(node_id)
-    while cur.parent is not None:
-        depth += 1
-        cur = project.node(cur.parent)
-    return depth
+    return project.index.depth[node_id]
 
 
 def source_text(project: ProjectAst, node_id: int) -> str:
@@ -349,10 +422,32 @@ def serialize_project(project: ProjectAst) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _expect_key(obj: dict, key: str, where: str) -> Any:
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _expect(value: Any, kind: type, what: str, where: str) -> Any:
+    """`value` if it is of JSON kind `kind`, else an AstFormatError.
+
+    Decoded JSON holds exact builtin types, so `true` is not an integer.
+    """
+    if type(value) is not kind:
+        raise AstFormatError(f"{what} must be {_KIND_NAMES[kind]}", where)
+    return value
+
+
+def _expect_key(obj: dict, key: str, where: str, kind: type) -> Any:
     if key not in obj:
         raise AstFormatError(f"missing key {key!r}", where)
-    return obj[key]
+    value = obj[key]
+    if type(value) is not kind:
+        raise AstFormatError(f"{key!r} must be {_KIND_NAMES[kind]}", where)
+    return value
+
+
+def _node_id(value: Any, count: int, what: str, where: str) -> int:
+    if not 0 <= _expect(value, int, what, where) < count:
+        raise AstFormatError(f"dangling {what} {value}", where)
+    return value
 
 
 def deserialize_project(document: str) -> ProjectAst:
@@ -360,24 +455,29 @@ def deserialize_project(document: str) -> ProjectAst:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise AstFormatError(f"malformed JSON: {exc.msg}", f"line {exc.lineno}") from exc
-    if not isinstance(doc, dict):
-        raise AstFormatError("top level must be an object")
+    _expect(doc, dict, "the top level", "top level")
 
     try:
-        schema = lookup_schema(_expect_key(doc, "schema", "top level"))
+        schema = lookup_schema(_expect_key(doc, "schema", "top level", str))
     except SchemaError as exc:
         raise AstFormatError(str(exc), "schema") from exc
-    project = ProjectAst(_expect_key(doc, "project", "top level"), schema)
+    project = ProjectAst(_expect_key(doc, "project", "top level", str), schema)
 
-    for i, f in enumerate(_expect_key(doc, "files", "top level")):
-        project.add_file(_expect_key(f, "name", f"files[{i}]"), f.get("text"))
+    for i, f in enumerate(_expect_key(doc, "files", "top level", list)):
+        where = f"files[{i}]"
+        _expect(f, dict, "a file entry", where)
+        text = f.get("text")
+        if text is not None:
+            _expect(text, str, "'text'", where)
+        project.add_file(_expect_key(f, "name", where, str), text)
 
-    raw_nodes = _expect_key(doc, "nodes", "top level")
+    raw_nodes = _expect_key(doc, "nodes", "top level", list)
     count = len(raw_nodes)
     by_id: dict[int, dict] = {}
     for i, rec in enumerate(raw_nodes):
-        nid = _expect_key(rec, "id", f"nodes[{i}]")
-        if not isinstance(nid, int) or nid < 0 or nid >= count:
+        _expect(rec, dict, "a node record", f"nodes[{i}]")
+        nid = _expect_key(rec, "id", f"nodes[{i}]", int)
+        if not 0 <= nid < count:
             raise AstFormatError("node ids must be dense integers from 0", f"nodes[{i}]")
         if nid in by_id:
             raise AstFormatError(f"duplicate node id {nid}", f"nodes[{i}]")
@@ -386,41 +486,45 @@ def deserialize_project(document: str) -> ProjectAst:
     for nid in range(count):
         rec = by_id[nid]
         where = f"node {nid}"
-        tname = _expect_key(rec, "type", where)
+        tname = _expect_key(rec, "type", where, str)
         if tname in schema.virtuals:
             raise AstFormatError(f"virtual type {tname} cannot be concrete", where)
         if tname not in schema.types:
             raise AstFormatError(f"unknown node type {tname}", where)
-        fidx = _expect_key(rec, "file", where)
+        fidx = _expect_key(rec, "file", where, int)
         if not 0 <= fidx < len(project.files):
             raise AstFormatError(f"bad file index {fidx}", where)
-        span = _expect_key(rec, "span", where)
-        if not (isinstance(span, list) and len(span) == 3):
+        span = _expect_key(rec, "span", where, list)
+        if len(span) != 3:
             raise AstFormatError("span must be [start, end, line]", where)
-        node = project.new_node(tname, Span(fidx, span[0], span[1], span[2]))
-        for pname, value in _expect_key(rec, "props", where).items():
-            if isinstance(value, dict):
-                node.props[pname] = _expect_key(value, "token", f"{where}.{pname}")
-            elif isinstance(value, int):
-                if not 0 <= value < count:
-                    raise AstFormatError(f"dangling node id {value}", f"{where}.{pname}")
-                node.props[pname] = value
-            elif isinstance(value, list):
-                for v in value:
-                    if not (isinstance(v, int) and 0 <= v < count):
-                        raise AstFormatError(f"dangling node id {v}", f"{where}.{pname}")
-                node.props[pname] = list(value)
+        start, end, line = span
+        if not type(start) is type(end) is type(line) is int:
+            raise AstFormatError("each span value must be an integer", where)
+        text = project.files[fidx].text
+        if not 0 <= start <= end <= (end if text is None else len(text)):
+            raise AstFormatError(f"span [{start}, {end}] is not a range in its file", where)
+        node = project.new_node(tname, Span(fidx, start, end, line))
+        for pname, value in _expect_key(rec, "props", where, dict).items():
+            pwhere = f"{where}.{pname}"
+            kind = schema.prop_kinds[tname].get(pname)
+            if kind == TOKEN:
+                token = _expect(value, dict, "a token property", pwhere)
+                node.props[pname] = _expect_key(token, "token", pwhere, str)
+            elif kind == SINGLE:
+                node.props[pname] = _node_id(value, count, "node id", pwhere)
+            elif kind == CHILD_LIST:
+                ids = _expect(value, list, "a child-list property", pwhere)
+                node.props[pname] = [_node_id(v, count, "node id", pwhere) for v in ids]
             else:
-                raise AstFormatError(f"bad prop value for {pname}", where)
+                raise AstFormatError(f"{tname} has no property {pname}", where)
 
-    for rid in _expect_key(doc, "roots", "top level"):
-        if not (isinstance(rid, int) and 0 <= rid < count):
-            raise AstFormatError(f"dangling root id {rid}", "roots")
-        project.roots.append(rid)
+    for rid in _expect_key(doc, "roots", "top level", list):
+        project.roots.append(_node_id(rid, count, "root id", "roots"))
 
-    bindings = doc.get("bindings", {})
+    bindings = _expect(doc.get("bindings", {}), dict, "'bindings'", "bindings")
     for kind, table in (("method", project.bindings.method), ("type", project.bindings.type)):
-        for key, target in bindings.get(kind, {}).items():
+        entries = _expect(bindings.get(kind, {}), dict, f"{kind} bindings", "bindings")
+        for key, target in entries.items():
             if not key.isdecimal():
                 raise AstFormatError(f"non-integer key in {kind} bindings", f"{key} -> {target}")
             src = int(key)
@@ -437,17 +541,13 @@ def deserialize_project(document: str) -> ProjectAst:
                     f"node {child} is owned by both {seen_child[child]} and {n.id}"
                 )
             seen_child[child] = n.id
-    # With single ownership, a node no parentless node reaches is on or under
-    # an ownership cycle, where every walk would go round forever.
-    reached = [False] * count
-    for nid in range(count):
-        if nid not in seen_child:
-            for d in descendants_preorder(project, nid):
-                reached[d] = True
-    if not all(reached):
-        nid = reached.index(False)
-        raise AstFormatError("node is on or under an ownership cycle", f"node {nid}")
     project.link_parents()
+    # With single ownership, a node no parentless node reaches is on or under
+    # an ownership cycle, where every walk would go round forever; the index
+    # leaves exactly those nodes without a rank.
+    if -1 in project.index.pre:
+        nid = project.index.pre.index(-1)
+        raise AstFormatError("node is on or under an ownership cycle", f"node {nid}")
     project.check_invariants()
     project.files_parsed = len(project.files)
     return project

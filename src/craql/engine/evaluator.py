@@ -17,13 +17,19 @@ Selection semantics, in one place:
 * `directly in` prunes the walk at any node whose concrete type equals the
   input node's concrete type; such a node is still processed as a candidate
   before the cut.
+
+No select walks the tree: `_scan` bisects the pattern type's pre-order rank
+list (see `craql.astcore.RegionIndex`) to the input node's region and skips
+the regions below pruned nodes, which yields exactly the candidates the
+pruned pre-order walk would reach, in the same order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable
+from typing import Callable, Iterator
 
 from craql.astcore import (
     ProjectAst,
@@ -195,8 +201,62 @@ class Evaluator:
         return n != root and self.project.node(n).type == self.project.node(root).type
 
     def _has_descendant_of_type(self, node_id: int, type_name: str) -> bool:
-        below = islice(descendants_preorder(self.project, node_id), 1, None)
-        return any(self.project.matches_type(n, type_name) for n in below)
+        ranks = self.project.type_ranks(type_name)
+        index = self.project.index
+        i = bisect_right(ranks, index.pre[node_id])
+        return i < len(ranks) and ranks[i] < index.end[node_id]
+
+    def _scan(
+        self,
+        type_name: str,
+        root: int,
+        include_root: bool,
+        directly: bool,
+        stats: ExecutionStats,
+        prune: Callable[[int], bool] | None = None,
+    ) -> Iterator[int]:
+        """The nodes matching `type_name` that the pruned pre-order walk of
+        root's subtree would reach, in walk order, without the walk.
+
+        Candidates come from the type's rank list over root's region; the
+        region of a pruned node is skipped. A node is pruned when it is a
+        `directly` cut (below root, with root's concrete type) or when
+        `prune(node)`, asked as the caller resumes after `node`, is true.
+        `stats.nodes_visited` gains what the walk would visit: root's region
+        less the strict interior of each pruned node the walk reaches.
+        """
+        index = self.project.index
+        order, end = index.order, index.end
+        ranks = self.project.type_ranks(type_name)
+        start, stop = index.pre[root], end[root]
+        cuts = index.by_type[self.project.node(root).type] if directly else []
+        stats.nodes_visited += stop - start
+        skip = start  # ranks below skip lie strictly inside a pruned node
+
+        def cut(rank: int) -> None:
+            nonlocal skip
+            skip = end[order[rank]]
+            stats.nodes_visited -= skip - rank - 1
+
+        # Both cursors stay at or past skip, so every rank they reach is
+        # reached by the walk; a cut at a candidate's rank applies after it.
+        i = bisect_left(ranks, start if include_root else start + 1)
+        j = bisect_right(cuts, start)
+        while True:
+            r = ranks[i] if i < len(ranks) and ranks[i] < stop else stop
+            if j < len(cuts) and cuts[j] < r:
+                cut(cuts[j])
+            elif r == stop:
+                return
+            else:
+                n = order[r]
+                yield n
+                i += 1
+                if prune is None or not prune(n):
+                    continue
+                cut(r)
+            i = bisect_left(ranks, skip, i)
+            j = bisect_left(cuts, skip, j)
 
     def _emit_row(self, node_id: int) -> None:
         node = self.project.node(node_id)
@@ -223,26 +283,22 @@ class Evaluator:
         counter = Counter()
         self.env.count_stack.append(counter)
         seen: set[int] = set()
+        accepted = False  # an outmost row was accepted at the node just handled
+
+        def prune(n: int) -> bool:
+            return accepted
+
         try:
             for root in input_nodes:
-                cut = False  # an outmost row was accepted at the node just handled
-
-                def prune(n: int) -> bool:
-                    return cut or (directly and self._shares_root_type(root, n))
-
-                for n in descendants_preorder(self.project, root, prune):
-                    rs.stats.nodes_visited += 1
-                    cut = False
-                    if n == root and not include_root:
-                        continue
-                    if not self.project.matches_type(n, pat.type1):
-                        continue
+                scan = self._scan(pat.type1, root, include_root, directly, rs.stats, prune)
+                for n in scan:
+                    accepted = False
                     if q.modifier == MOD_INMOST and self._has_descendant_of_type(n, pat.type1):
                         continue
                     self.env.set(pat.var1, NodeRef(n))
                     if q.where is not None and not truthy(self.eval(q.where)):
                         continue
-                    cut = q.modifier == MOD_OUTMOST
+                    accepted = q.modifier == MOD_OUTMOST
                     if n not in seen:
                         seen.add(n)
                         rs.rows.append({pat.var1: n})
@@ -274,23 +330,12 @@ class Evaluator:
         seen: set[tuple[int, int]] = set()
         try:
             for root in input_nodes:
-                def prune(n: int) -> bool:
-                    return directly and self._shares_root_type(root, n)
-
-                for n1 in descendants_preorder(self.project, root, prune):
-                    rs.stats.nodes_visited += 1
-                    if (n1 != root or include_root) and self.project.matches_type(n1, pat.type1):
-                        self._pair_inner(q, n1, rs, counter, survivors, seen, emit)
+                for n1 in self._scan(pat.type1, root, include_root, directly, rs.stats):
+                    self._pair_inner(q, n1, rs, counter, survivors, seen, emit)
             if is_ellipsis and survivors:
-                best = max(
-                    node_depth(self.project, n2) - node_depth(self.project, n1)
-                    for n1, n2 in survivors
-                )
-                kept = [
-                    (n1, n2)
-                    for n1, n2 in survivors
-                    if node_depth(self.project, n2) - node_depth(self.project, n1) == best
-                ]
+                depth = self.project.index.depth
+                best = max(depth[n2] - depth[n1] for n1, n2 in survivors)
+                kept = [(n1, n2) for n1, n2 in survivors if depth[n2] - depth[n1] == best]
                 counter.count = 0
                 for n1, n2 in kept:
                     row = {pat.var1: n1, pat.var2: n2}
@@ -317,24 +362,23 @@ class Evaluator:
         emit: bool,
     ) -> None:
         pat = q.pattern
-        for n2 in islice(descendants_preorder(self.project, n1), 1, None):
-            rs.stats.nodes_visited += 1
-            if self.project.matches_type(n2, pat.type2):
-                self.env.set(pat.var1, NodeRef(n1))
-                self.env.set(pat.var2, NodeRef(n2))
-                if q.where is None or truthy(self.eval(q.where)):
-                    if (n1, n2) not in seen:
-                        seen.add((n1, n2))
-                        if pat.kind == ELLIPSIS:
-                            survivors.append((n1, n2))
-                            counter.count += 1
-                        else:
-                            rs.rows.append({pat.var1: n1, pat.var2: n2})
-                            counter.count += 1
-                            rs.stats.rows_yielded += 1
-                            if emit:
-                                self._emit_row(n1)
-                            self._exec_body(q.body)
+        rs.stats.nodes_visited -= 1  # the outer scan has counted n1
+        for n2 in self._scan(pat.type2, n1, False, False, rs.stats):
+            self.env.set(pat.var1, NodeRef(n1))
+            self.env.set(pat.var2, NodeRef(n2))
+            if q.where is None or truthy(self.eval(q.where)):
+                if (n1, n2) not in seen:
+                    seen.add((n1, n2))
+                    if pat.kind == ELLIPSIS:
+                        survivors.append((n1, n2))
+                        counter.count += 1
+                    else:
+                        rs.rows.append({pat.var1: n1, pat.var2: n2})
+                        counter.count += 1
+                        rs.stats.rows_yielded += 1
+                        if emit:
+                            self._emit_row(n1)
+                        self._exec_body(q.body)
 
     # ------------------------------------------------------------------
     # Statements
@@ -569,11 +613,11 @@ class Evaluator:
         return self.project.matches_type(node_id, arg.name)
 
     def _isparent(self, node_id: int, arg: Value, e: Call) -> bool:
-        children = list(child_ids(self.project.node(node_id)))
         if isinstance(arg, TypeName):
+            children = child_ids(self.project.node(node_id))
             return any(self.project.matches_type(c, arg.name) for c in children)
         if isinstance(arg, NodeRef):
-            return arg.id in children
+            return self.project.node(arg.id).parent == node_id
         if arg is UNDEFINED:
             return False
         raise QueryRuntimeError(
@@ -584,21 +628,25 @@ class Evaluator:
         if arg is UNDEFINED:
             return False
         if isinstance(arg, TypeName):
+            if not direct_only:
+                return self._has_descendant_of_type(node_id, arg.name)
+
             def prune(n: int) -> bool:
-                return direct_only and self._shares_root_type(node_id, n)
+                return self._shares_root_type(node_id, n)
 
             below = islice(descendants_preorder(self.project, node_id, prune), 1, None)
             return any(self.project.matches_type(n, arg.name) for n in below)
         if isinstance(arg, NodeRef):
+            pre, end = self.project.index.pre, self.project.index.end
+            if not pre[node_id] < pre[arg.id] < end[node_id]:
+                return False
+            # directly_contains: no node of node_id's type may interpose.
             cur = self.project.node(arg.id).parent
-            interposed = False
-            while cur is not None:
-                if cur == node_id:
-                    return not (direct_only and interposed)
+            while direct_only and cur != node_id:
                 if self._shares_root_type(node_id, cur):
-                    interposed = True
+                    return False
                 cur = self.project.node(cur).parent
-            return False
+            return True
         raise QueryRuntimeError(
             f"{e.name}() expects a node type or a node", self.source, e.pos
         )

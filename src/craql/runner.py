@@ -147,12 +147,19 @@ def run_project(
         logger.error("skipping %s: no directory %s", name, project_dir)
         return record
 
+    # Any failure confined to one project skips only that project; the
+    # traceback of an unexpected one goes to the log.
     try:
         project, diagnostics = load_project_sources(project_dir, name)
     except AstFormatError as exc:
         record.aborted = True
         record.diagnostics.append(str(exc))
         logger.error("skipping %s: %s", name, exc)
+        return record
+    except Exception as exc:
+        record.aborted = True
+        record.diagnostics.append(f"loading {name} failed: {type(exc).__name__}: {exc}")
+        logger.exception("skipping %s", name)
         return record
     record.diagnostics.extend(diagnostics)
     record.stats.files_parsed = project.files_parsed
@@ -171,6 +178,13 @@ def run_project(
             record.aborted = True
             record.diagnostics.append(f"query {doc_name} failed on {name}: {exc}")
             logger.error("aborting %s: %s", name, exc)
+            return record
+        except Exception as exc:
+            record.aborted = True
+            record.diagnostics.append(
+                f"query {doc_name} failed on {name}: {type(exc).__name__}: {exc}"
+            )
+            logger.exception("aborting %s", name)
             return record
         record.row_counts[doc_name] = len(sink.rows)
         record.print_lines.extend(sink.prints)

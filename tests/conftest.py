@@ -33,6 +33,42 @@ BAD_AST_DOCS = {
     "cycle_off_the_roots": (
         _one_block_doc(nodes=[_block(0), _block(1, 2), _block(2, 1, 3), _block(3)]),
         "ownership cycle", "node 1"),
+    "node_under_a_cycle": (
+        _one_block_doc(nodes=[_block(0), _block(1), _block(2, 3), _block(3, 2, 1)]),
+        "ownership cycle", "node 1"),
+    "bindings_not_an_object": (
+        _one_block_doc(bindings=[]), "'bindings' must be an object", "bindings"),
+    "props_not_an_object": (
+        _one_block_doc(nodes=[dict(_block(0), props=[])]), "'props' must be an object", "node 0"),
+    "schema_not_a_string": (
+        _one_block_doc(schema=["x"]), "'schema' must be a string", "top level"),
+    "file_entry_not_an_object": (
+        _one_block_doc(files=[1]), "a file entry must be an object", "files[0]"),
+    "file_index_not_an_integer": (
+        _one_block_doc(nodes=[dict(_block(0), file="0")]), "'file' must be an integer", "node 0"),
+    "span_not_integers": (
+        _one_block_doc(nodes=[dict(_block(0), span=["a", "b", 1])]),
+        "each span value must be an integer", "node 0"),
+    "span_past_the_text": (
+        _one_block_doc(files=[{"name": "f", "text": "ab"}],
+                       nodes=[dict(_block(0), span=[0, 3, 1])]),
+        "is not a range in its file", "node 0"),
+    "span_reversed": (
+        _one_block_doc(nodes=[dict(_block(0), span=[2, 1, 1])]),
+        "is not a range in its file", "node 0"),
+    "token_in_a_child_list": (
+        _one_block_doc(nodes=[dict(_block(0), props={"statements": {"token": "x"}})]),
+        "a child-list property must be a list", "node 0.statements"),
+    "integer_in_a_token": (
+        _one_block_doc(nodes=[dict(_block(0), type="TypeDeclaration", props={"name": 0})]),
+        "a token property must be an object", "node 0.name"),
+    "child_list_in_a_single_child": (
+        _one_block_doc(nodes=[dict(_block(0), type="ReturnStatement",
+                                   props={"expression": [0]})]),
+        "node id must be an integer", "node 0.expression"),
+    "undeclared_property": (
+        _one_block_doc(nodes=[dict(_block(0), props={"body": 0})]),
+        "Block has no property body", "node 0"),
 }
 
 

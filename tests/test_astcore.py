@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -15,7 +17,7 @@ from craql import (
     Span,
 )
 from craql.astcore import CHILD_LIST, SINGLE, NodeTypeSchema, SchemaError, child_ids
-from conftest import BAD_AST_DOCS, find_node
+from conftest import BAD_AST_DOCS, find_node, load_fixture_project, run_document
 
 CONCRETE_TYPES = sorted(MINILANG_SCHEMA.types)
 KNOWN_TYPES = sorted(MINILANG_SCHEMA.types | MINILANG_SCHEMA.virtuals.keys())
@@ -164,6 +166,23 @@ class TestNodeDepth:
         for node in sample_project.nodes:
             if node.parent is not None:
                 assert node_depth(sample_project, node.parent) == node_depth(sample_project, node.id) - 1
+
+
+class TestRegionIndex:
+    def test_project_is_freed_without_the_cycle_collector(self):
+        # The index refers to nothing that refers back to its project, so a
+        # finished project is freed when its last reference goes rather than
+        # at a later collection.
+        gc.disable()
+        try:
+            project = load_fixture_project("freed", "Sample.mj")
+            run_document(project, "select ({Block} b) { select outmost ({Statement} s) in b { } }")
+            assert project.index.ranks
+            ref = weakref.ref(project)
+            del project
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestSourceText:

@@ -1,13 +1,33 @@
+import random
+import re
+
 import pytest
 
-from craql import Environment, Evaluator, OutputSink, load_project
+import craql.astcore
+import craql.engine.evaluator
+from craql import (
+    BUNDLED_QUERIES,
+    Environment,
+    Evaluator,
+    OutputSink,
+    ProjectAst,
+    bundled_query_path,
+    descendants_preorder,
+    load_project,
+    parse_query_document,
+)
+from craql.astcore import child_ids
 from craql.engine.runtime import NodeList, NodeRef
+from craql.oracle import compare, oracle_select, where_from_expr
 from craql.query.ast import (
+    Call,
     ELLIPSIS,
     INPUT_DEFAULT,
     INPUT_DIRECTLY_IN,
     INPUT_IN,
+    Infix,
     InputSpec,
+    IntLit,
     MOD_INMOST,
     MOD_NONE,
     MOD_OUTMOST,
@@ -15,9 +35,10 @@ from craql.query.ast import (
     SINGLE,
     STAR,
     SelectQuery,
+    TypeLit,
     VarRef,
 )
-from craql.fixtures import generate_block_sea, generate_nested_blocks
+from craql.fixtures import generate_block_sea, generate_nested_blocks, generate_random_source
 
 from conftest import find_node, run_document
 
@@ -330,3 +351,203 @@ class TestVirtualTypePatterns:
             project, bundled_query_path("getters.craql").read_text()
         )
         assert sink.prints == ["int getN() { return n; } is a getter"]
+
+
+# ---------------------------------------------------------------------------
+# The region scan against the oracle and against walks of the tree.
+# ---------------------------------------------------------------------------
+
+SCAN_TYPES = ("Statement", "Block", "MethodInvocation", "Expression", "ClassDeclaration")
+INPUT_CONTAINERS = ("CompilationUnit", "TypeDeclaration", "MethodDeclaration", "Block",
+                    "IfStatement", "WhileStatement", "ForStatement")
+
+
+@pytest.fixture(scope="module")
+def random_projects():
+    rng = random.Random(41)
+    projects = []
+    for i in range(4):
+        sources = [
+            (f"R{i}_{j}.mj",
+             generate_random_source(rng, classes=rng.randint(1, 2), max_depth=rng.randint(3, 5)))
+            for j in range(4)
+        ]
+        project, diagnostics = load_project(f"random{i}", sources)
+        assert not diagnostics
+        projects.append(project)
+    return projects
+
+
+def input_cases(project):
+    """(input spec, env, input nodes, include_root, directly) for each input kind."""
+    rng = random.Random(project.name)
+    containers = [n.id for n in project.nodes if n.type in INPUT_CONTAINERS]
+    picked = rng.sample(containers, min(8, len(containers)))
+    picked.append(picked[0])  # a repeated input node must not repeat rows
+    env = {"x": NodeList(tuple(picked))}
+    return [
+        (InputSpec(INPUT_DEFAULT), {}, list(project.roots), True, False),
+        (InputSpec(INPUT_IN, VarRef("x")), env, picked, False, False),
+        (InputSpec(INPUT_DIRECTLY_IN, VarRef("x")), env, picked, False, True),
+    ]
+
+
+def parent_chain(project, node_id):
+    """Proper ancestors of node_id, nearest first, by parent links."""
+    out, cur = [], project.node(node_id).parent
+    while cur is not None:
+        out.append(cur)
+        cur = project.node(cur).parent
+    return out
+
+
+def walk_visits(project, query, roots, include_root, directly, accepts):
+    """nodes_visited of the pruned pre-order walk that the scan replaces.
+
+    `accepts(n)` tells whether the where clause accepts a candidate n.
+    """
+    pat = query.pattern
+    visits = 0
+    for root in roots:
+        cut = False
+
+        def prune(n):
+            same_type = project.node(n).type == project.node(root).type
+            return cut or (directly and n != root and same_type)
+
+        for n in descendants_preorder(project, root, prune):
+            visits += 1
+            candidate = (n != root or include_root) and project.matches_type(n, pat.type1)
+            if pat.kind != SINGLE:
+                if candidate:
+                    visits += sum(1 for _ in descendants_preorder(project, n)) - 1
+            else:
+                cut = query.modifier == MOD_OUTMOST and candidate and accepts(n)
+    return visits
+
+
+def check_against_references(project, query, case):
+    spec, seed, roots, include_root, directly = case
+    rs = Evaluator(project, Environment(dict(seed)), OutputSink()).run_select(query)
+    pat = query.pattern
+    types = (pat.type1,) if pat.kind == SINGLE else (pat.type1, pat.type2)
+    where_fn = where_from_expr(project, query.where, dict(seed))
+    oracle = oracle_select(project, pat.kind, types, pat.variables(), query.modifier,
+                           roots, include_root, directly, where_fn)
+    label = (project.name, pat, query.modifier, spec.kind, query.where)
+    assert compare(project, rs.rows, oracle).empty, label
+    accepts = (lambda n: True) if where_fn is None else (lambda n: where_fn({pat.var1: n}, 0))
+    expected = walk_visits(project, query, roots, include_root, directly, accepts)
+    assert rs.stats.nodes_visited == expected, label
+    assert rs.stats.rows_yielded == len(rs.rows), label
+
+
+class TestRegionScan:
+    @pytest.mark.parametrize("input_kind", [0, 1, 2])
+    def test_single_patterns(self, random_projects, input_kind):
+        deep = Infix(">", Call("depth", VarRef("n"), []), IntLit(5))
+        for project in random_projects:
+            case = input_cases(project)[input_kind]
+            for type_name in SCAN_TYPES:
+                for modifier in (MOD_NONE, MOD_OUTMOST, MOD_INMOST):
+                    for where in (None, deep):
+                        query = SelectQuery(single(type_name), modifier, case[0], where, [])
+                        check_against_references(project, query, case)
+
+    @pytest.mark.parametrize("kind", [STAR, ELLIPSIS])
+    @pytest.mark.parametrize("input_kind", [0, 1, 2])
+    def test_pair_patterns(self, random_projects, kind, input_kind):
+        for project in random_projects[:2]:
+            case = input_cases(project)[input_kind]
+            for outer in SCAN_TYPES:
+                for inner in SCAN_TYPES:
+                    for modifier in (MOD_NONE, MOD_OUTMOST, MOD_INMOST):
+                        pattern = Pattern(kind, outer, "a", inner, "b")
+                        query = SelectQuery(pattern, modifier, case[0], None, [])
+                        check_against_references(project, query, case)
+
+    def test_node_functions_match_parent_walks(self, random_projects):
+        for project in random_projects:
+            rng = random.Random(project.name)
+            chains = {n.id: parent_chain(project, n.id) for n in project.nodes}
+            evaluator = Evaluator(project, Environment(), OutputSink())
+
+            def call(name, *args):
+                return evaluator.eval(Call(name, VarRef("a"), list(args)))
+
+            def directly_below(a, n):
+                chain = chains[n]
+                if a not in chain:
+                    return False
+                between = chain[: chain.index(a)]
+                return all(project.node(k).type != project.node(a).type for k in between)
+
+            for a in rng.sample(range(len(project.nodes)), 30):
+                evaluator.env.set("a", NodeRef(a))
+                assert call("depth") == len(chains[a])
+                below = [n for n in chains if a in chains[n]]
+                others = rng.sample(range(len(project.nodes)), 20)
+                for n in below[:40] + others:
+                    evaluator.env.set("n", NodeRef(n))
+                    assert call("contains", VarRef("n")) == (n in below), (a, n)
+                    assert call("directly_contains", VarRef("n")) == directly_below(a, n), (a, n)
+                    assert call("isparent", VarRef("n")) == (n in child_ids(project.node(a)))
+                for type_name in SCAN_TYPES + ("Block", "ReturnStatement", "Name"):
+                    matching = [n for n in below if project.matches_type(n, type_name)]
+                    assert call("contains", TypeLit(type_name)) == bool(matching)
+                    assert call("directly_contains", TypeLit(type_name)) == any(
+                        directly_below(a, n) for n in matching)
+
+    def test_region_index_invariants(self, random_projects):
+        for project in random_projects:
+            index = project.index
+            for n in range(len(project.nodes)):
+                assert index.order[index.pre[n]] == n
+                assert index.end[n] - index.pre[n] == sum(1 for _ in descendants_preorder(project, n))
+            for type_name in SCAN_TYPES + ("CompilationUnit", "InterfaceDeclaration"):
+                assert project.type_ranks(type_name) == sorted(
+                    index.pre[n] for n in range(len(project.nodes))
+                    if project.matches_type(n, type_name)
+                )
+
+
+class TestWalkGuard:
+    def test_bundled_queries_make_a_linear_number_of_steps(self, monkeypatch):
+        """Type tests plus walk steps stay within (query type names + 2) x nodes.
+
+        Selects that walked their whole input, once per outer row, made about
+        186 steps per node on this project; a deterministic count, not a
+        timing, so a return to per-select walks fails here.
+        """
+        steps = 0
+        matches_type = ProjectAst.matches_type
+        walk = craql.astcore.descendants_preorder
+
+        def counted_matches_type(project, node_id, type_name):
+            nonlocal steps
+            steps += 1
+            return matches_type(project, node_id, type_name)
+
+        def counted_walk(*args, **kwargs):
+            nonlocal steps
+            for n in walk(*args, **kwargs):
+                steps += 1
+                yield n
+
+        monkeypatch.setattr(ProjectAst, "matches_type", counted_matches_type)
+        monkeypatch.setattr(craql.astcore, "descendants_preorder", counted_walk)
+        monkeypatch.setattr(craql.engine.evaluator, "descendants_preorder", counted_walk)
+
+        rng = random.Random(5)
+        sources = [(f"G{i}.mj", generate_random_source(rng, classes=2, max_depth=4))
+                   for i in range(8)]
+        project, _ = load_project("guard", sources)
+        texts = [bundled_query_path(name).read_text() for name in BUNDLED_QUERIES]
+        code = [re.sub(r"//.*", "", text) for text in texts]
+        type_names = {t for text in code for t in re.findall(r"\{([A-Z]\w*)\}", text)}
+        env = Environment()
+        for name, text in zip(BUNDLED_QUERIES, texts):
+            doc = parse_query_document(text, source=name)
+            Evaluator(project, env, OutputSink(), source=name).execute_document(doc)
+        assert len(type_names) == 16
+        assert steps <= (len(type_names) + 2) * len(project.nodes)

@@ -3,7 +3,13 @@ import json
 
 import pytest
 
-from craql import BUNDLED_QUERIES, bundled_query_path, load_project, serialize_project
+from craql import (
+    BUNDLED_QUERIES,
+    Evaluator,
+    bundled_query_path,
+    load_project,
+    serialize_project,
+)
 from craql.fixtures import fixture_text, generate_block_sea, generate_nested_blocks
 from craql.runner import (
     OUTPUT_CSV,
@@ -176,6 +182,44 @@ class TestRunBatch:
         assert status == 1
         assert records[0].aborted
         assert not (tmp_path / "results" / "alpha.vars").exists()
+
+    def test_unexpected_error_aborts_only_its_project(self, tmp_path, monkeypatch):
+        config = make_tree(
+            tmp_path,
+            projects={
+                "alpha": {"Sample.mj": fixture_text("Sample.mj")},
+                "beta": {"AB.mj": fixture_text("AB.mj")},
+            },
+            queries={"blocks.craql": COUNT_BLOCKS},
+        )
+        execute_document = Evaluator.execute_document
+
+        def faulty(evaluator, doc):
+            if evaluator.project.name == "beta":
+                raise RuntimeError("evaluator fault")
+            return execute_document(evaluator, doc)
+
+        monkeypatch.setattr(Evaluator, "execute_document", faulty)
+        status, records = run_batch(config)
+        assert status == 1
+        assert (tmp_path / "results" / "alpha.vars").read_text() == "num_blocks=3\n"
+        assert not (tmp_path / "results" / "beta.vars").exists()
+        alpha, beta = records
+        assert not alpha.aborted and beta.aborted
+        assert "RuntimeError: evaluator fault" in beta.diagnostics[0]
+
+    def test_unreadable_source_skips_only_its_project(self, tmp_path):
+        config = make_tree(
+            tmp_path,
+            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")}, "odd": {}},
+            queries={"blocks.craql": COUNT_BLOCKS},
+        )
+        (tmp_path / "projects" / "odd" / "Dir.mj").mkdir()
+        status, records = run_batch(config)
+        assert status == 1
+        assert (tmp_path / "results" / "alpha.vars").read_text() == "num_blocks=3\n"
+        assert records[1].aborted
+        assert "IsADirectoryError" in records[1].diagnostics[0]
 
     def test_parse_once_across_query_counts(self, tmp_path):
         one = make_tree(
