@@ -439,8 +439,8 @@ def _expect_key(obj: dict, key: str, where: str, kind: type) -> Any:
     if key not in obj:
         raise AstFormatError(f"missing key {key!r}", where)
     value = obj[key]
-    if type(value) is not kind:
-        raise AstFormatError(f"{key!r} must be {_KIND_NAMES[kind]}", where)
+    if type(value) is not kind:  # checked here too: this runs for every field
+        _expect(value, kind, repr(key), where)
     return value
 
 
@@ -528,8 +528,11 @@ def deserialize_project(document: str) -> ProjectAst:
             if not key.isdecimal():
                 raise AstFormatError(f"non-integer key in {kind} bindings", f"{key} -> {target}")
             src = int(key)
-            if not (0 <= src < count and isinstance(target, int) and 0 <= target < count):
-                raise AstFormatError(f"dangling node id in {kind} bindings", f"{key} -> {target}")
+            if type(target) is not int or not (0 <= src < count and 0 <= target < count):
+                # One of these raises; the check above keeps the common case cheap.
+                where = f"{key} -> {target}"
+                _node_id(src, count, f"{kind} binding source", where)
+                _node_id(target, count, f"{kind} binding target", where)
             table[src] = target
 
     # Parents derive from props; a node owned twice is structurally invalid.

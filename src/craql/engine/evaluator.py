@@ -28,13 +28,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterator
 
 from craql.astcore import (
     ProjectAst,
     child_ids,
-    descendants_preorder,
     node_depth,
     source_text,
 )
@@ -630,12 +628,8 @@ class Evaluator:
         if isinstance(arg, TypeName):
             if not direct_only:
                 return self._has_descendant_of_type(node_id, arg.name)
-
-            def prune(n: int) -> bool:
-                return self._shares_root_type(node_id, n)
-
-            below = islice(descendants_preorder(self.project, node_id, prune), 1, None)
-            return any(self.project.matches_type(n, arg.name) for n in below)
+            scan = self._scan(arg.name, node_id, False, True, ExecutionStats())
+            return next(scan, None) is not None
         if isinstance(arg, NodeRef):
             pre, end = self.project.index.pre, self.project.index.end
             if not pre[node_id] < pre[arg.id] < end[node_id]:

@@ -29,6 +29,11 @@ BAD_AST_DOCS = {
     "unknown_schema": (_one_block_doc(schema="javalang"), "no registered schema", "schema"),
     "non_integer_binding_key": (
         _one_block_doc(bindings={"method": {"x": 0}}), "non-integer key", "x -> 0"),
+    "boolean_binding_target": (
+        _one_block_doc(bindings={"method": {"0": True}}),
+        "method binding target must be an integer", "0 -> True"),
+    "dangling_binding_target": (
+        _one_block_doc(bindings={"type": {"0": 1}}), "dangling type binding target 1", "0 -> 1"),
     "self_owned_root": (_one_block_doc(nodes=[_block(0, 0)]), "ownership cycle", "node 0"),
     "cycle_off_the_roots": (
         _one_block_doc(nodes=[_block(0), _block(1, 2), _block(2, 1, 3), _block(3)]),

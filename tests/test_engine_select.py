@@ -1,10 +1,10 @@
 import random
 import re
+import sys
 
 import pytest
 
 import craql.astcore
-import craql.engine.evaluator
 from craql import (
     BUNDLED_QUERIES,
     Environment,
@@ -535,8 +535,9 @@ class TestWalkGuard:
                 yield n
 
         monkeypatch.setattr(ProjectAst, "matches_type", counted_matches_type)
-        monkeypatch.setattr(craql.astcore, "descendants_preorder", counted_walk)
-        monkeypatch.setattr(craql.engine.evaluator, "descendants_preorder", counted_walk)
+        for module in list(sys.modules.values()):
+            if getattr(module, "descendants_preorder", None) is walk:
+                monkeypatch.setattr(module, "descendants_preorder", counted_walk)
 
         rng = random.Random(5)
         sources = [(f"G{i}.mj", generate_random_source(rng, classes=2, max_depth=4))
