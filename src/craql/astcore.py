@@ -230,12 +230,23 @@ class ProjectAst:
     def link_parents(self) -> None:
         """Materialize parent links from props and build the region index.
 
-        Call once, after the last node is added.
+        Call once, after the last node is added. Raises AstFormatError when
+        a node is owned twice or lies on or under an ownership cycle.
         """
-        for n in self.nodes:
+        nodes = self.nodes
+        for n in nodes:
             for child in child_ids(n):
-                self.nodes[child].parent = n.id
+                c = nodes[child]
+                if c.parent is not None:
+                    raise AstFormatError(f"node {child} is owned by both {c.parent} and {n.id}")
+                c.parent = n.id
         self.index = RegionIndex(self)
+        # With single ownership, a node no parentless node reaches is on or
+        # under an ownership cycle, where every walk would go round forever;
+        # the index leaves exactly those nodes without a rank.
+        if -1 in self.index.pre:
+            nid = self.index.pre.index(-1)
+            raise AstFormatError("node is on or under an ownership cycle", f"node {nid}")
 
     # -- queries over the arena --
 
@@ -273,22 +284,6 @@ class ProjectAst:
             ranks.sort()
             index.ranks[type_name] = ranks
         return ranks
-
-    def check_invariants(self) -> None:
-        for n in self.nodes:
-            for child in child_ids(n):
-                if child >= len(self.nodes):
-                    raise AstFormatError(f"dangling node id {child}", f"node {n.id}")
-        for inv, decl in self.bindings.method.items():
-            if self.nodes[decl].type != "MethodDeclaration":
-                raise AstFormatError(
-                    "binding target type mismatch", f"method binding {inv} -> {decl}"
-                )
-        for expr, decl in self.bindings.type.items():
-            if self.nodes[decl].type != "TypeDeclaration":
-                raise AstFormatError(
-                    "binding target type mismatch", f"type binding {expr} -> {decl}"
-                )
 
 
 def child_ids(node: AstNode) -> list[int]:
@@ -489,6 +484,8 @@ def deserialize_project(document: str) -> ProjectAst:
         tname = _expect_key(rec, "type", where, str)
         if tname in schema.virtuals:
             raise AstFormatError(f"virtual type {tname} cannot be concrete", where)
+        if schema.abstract.get(tname):
+            raise AstFormatError(f"abstract type {tname} cannot be concrete", where)
         if tname not in schema.types:
             raise AstFormatError(f"unknown node type {tname}", where)
         fidx = _expect_key(rec, "file", where, int)
@@ -522,7 +519,10 @@ def deserialize_project(document: str) -> ProjectAst:
         project.roots.append(_node_id(rid, count, "root id", "roots"))
 
     bindings = _expect(doc.get("bindings", {}), dict, "'bindings'", "bindings")
-    for kind, table in (("method", project.bindings.method), ("type", project.bindings.type)):
+    for kind, table, decl_type in (
+        ("method", project.bindings.method, "MethodDeclaration"),
+        ("type", project.bindings.type, "TypeDeclaration"),
+    ):
         entries = _expect(bindings.get(kind, {}), dict, f"{kind} bindings", "bindings")
         for key, target in entries.items():
             if not key.isdecimal():
@@ -533,24 +533,12 @@ def deserialize_project(document: str) -> ProjectAst:
                 where = f"{key} -> {target}"
                 _node_id(src, count, f"{kind} binding source", where)
                 _node_id(target, count, f"{kind} binding target", where)
+            if project.nodes[target].type != decl_type:
+                raise AstFormatError(
+                    "binding target type mismatch", f"{kind} binding {src} -> {target}"
+                )
             table[src] = target
 
-    # Parents derive from props; a node owned twice is structurally invalid.
-    seen_child: dict[int, int] = {}
-    for n in project.nodes:
-        for child in child_ids(n):
-            if child in seen_child:
-                raise AstFormatError(
-                    f"node {child} is owned by both {seen_child[child]} and {n.id}"
-                )
-            seen_child[child] = n.id
     project.link_parents()
-    # With single ownership, a node no parentless node reaches is on or under
-    # an ownership cycle, where every walk would go round forever; the index
-    # leaves exactly those nodes without a rank.
-    if -1 in project.index.pre:
-        nid = project.index.pre.index(-1)
-        raise AstFormatError("node is on or under an ownership cycle", f"node {nid}")
-    project.check_invariants()
     project.files_parsed = len(project.files)
     return project

@@ -9,6 +9,10 @@ Selection semantics, in one place:
 * Candidates are enumerated pre-order. A candidate that matches the pattern
   type has the where clause evaluated against it; a passing candidate becomes
   a row and its body runs immediately (count(*) sees rows collected so far).
+  A candidate reached again through an overlapping input list is no new row.
+* An ellipsis select keeps, of the pairs that pass, those with the greatest
+  depth difference. count(*) counts the passing pairs in the where clause,
+  then restarts and counts the kept rows as their bodies run.
 * `outmost` stops descent below a yielded row, so a deeper same-type node is
   excluded only when an *accepted* ancestor interposes; a candidate that
   fails the where clause does not shadow anything below it.
@@ -17,6 +21,14 @@ Selection semantics, in one place:
 * `directly in` prunes the walk at any node whose concrete type equals the
   input node's concrete type; such a node is still processed as a candidate
   before the cut.
+
+One loop, `run_select`, runs every select. `_candidates` yields the
+candidates in row order with the pattern variables bound: the outer scan for
+a single pattern, with the `outmost` prune and the `inmost` filter; the outer
+and inner scans for a pair. The loop evaluates the where clause, sets the flag
+the `outmost` prune reads and drops candidates already seen; `_add_row`
+records each accepted row, emits it and runs the body. An ellipsis select
+defers its rows to a replay through `_add_row` once the deepest are known.
 
 No select walks the tree: `_scan` bisects the pattern type's pre-order rank
 list (see `craql.astcore.RegionIndex`) to the input node's region and skips
@@ -138,9 +150,12 @@ class Evaluator:
         prev = self._doc
         self._doc = doc
         self.source = doc.source
+        entry = doc.queries[0][1]
         try:
-            entry = doc.queries[0][1]
             self.run_select(entry, emit=True)
+        except RecursionError:
+            # A deep where clause or body exhausts the interpreter's stack.
+            raise QueryRuntimeError("query nested too deeply", self.source, entry.pos) from None
         finally:
             self._doc = prev
 
@@ -164,10 +179,47 @@ class Evaluator:
         else:
             capture = None
 
-        if q.pattern.kind == SINGLE:
-            rs = self._select_single(q, input_nodes, include_root, directly, emit)
-        else:
-            rs = self._select_pair(q, input_nodes, include_root, directly, emit)
+        pat = q.pattern
+        self._require_type(pat.type1, pat.pos)
+        if pat.kind != SINGLE:
+            self._require_type(pat.type2, pat.pos)
+        rs = ResultSet()
+        counter = Counter()
+        self.env.count_stack.append(counter)
+        accepted = False  # the candidate just handled passed the where clause
+
+        def prune(n: int) -> bool:
+            return accepted
+
+        candidates = self._candidates(
+            q, input_nodes, include_root, directly, rs.stats,
+            prune if q.modifier == MOD_OUTMOST else None,
+        )
+        where = q.where
+        deferred: list[tuple[int, int]] = []  # ellipsis rows wait for the depth test
+        seen: set[int | tuple[int, int]] = set()
+        try:
+            for key in candidates:
+                accepted = where is None or truthy(self.eval(where))
+                if not accepted or key in seen:
+                    continue
+                seen.add(key)
+                if pat.kind == ELLIPSIS:
+                    deferred.append(key)
+                    counter.count += 1
+                else:
+                    self._add_row(q, key, rs, counter, emit)
+            if deferred:
+                depth = self.project.index.depth
+                best = max(depth[n2] - depth[n1] for n1, n2 in deferred)
+                counter.count = 0
+                for n1, n2 in deferred:
+                    if depth[n2] - depth[n1] == best:
+                        self.env.set(pat.var1, NodeRef(n1))
+                        self.env.set(pat.var2, NodeRef(n2))
+                        self._add_row(q, (n1, n2), rs, counter, emit)
+        finally:
+            self.env.count_stack.pop()
         self.stats.nodes_visited += rs.stats.nodes_visited
         self.stats.rows_yielded += rs.stats.rows_yielded
         if capture is not None:
@@ -193,10 +245,6 @@ class Evaluator:
     def _require_type(self, name: str, pos: tuple[int, int]) -> None:
         if not self.schema.knows(name):
             raise QueryRuntimeError(f"unknown node type {name}", self.source, pos)
-
-    def _shares_root_type(self, root: int, n: int) -> bool:
-        """The `directly` cut: n lies below root and has root's concrete type."""
-        return n != root and self.project.node(n).type == self.project.node(root).type
 
     def _has_descendant_of_type(self, node_id: int, type_name: str) -> bool:
         ranks = self.project.type_ranks(type_name)
@@ -256,127 +304,61 @@ class Evaluator:
             i = bisect_left(ranks, skip, i)
             j = bisect_left(cuts, skip, j)
 
-    def _emit_row(self, node_id: int) -> None:
-        node = self.project.node(node_id)
-        self.sink.result_row(
-            RowRecord(
-                self.project.files[node.span.file].name,
-                node.span.line,
-                node.type,
-                source_text(self.project, node_id),
-            )
-        )
-
-    def _select_single(
+    def _candidates(
         self,
         q: SelectQuery,
         input_nodes: list[int],
         include_root: bool,
         directly: bool,
-        emit: bool,
-    ) -> ResultSet:
+        stats: ExecutionStats,
+        prune: Callable[[int], bool] | None,
+    ) -> Iterator[int | tuple[int, int]]:
+        """The select's candidates in row order, each with its pattern
+        variables bound: a node for a single pattern, a pair of nodes for
+        `*` and `...`. Modifiers apply to single patterns only."""
         pat = q.pattern
-        self._require_type(pat.type1, pat.pos)
-        rs = ResultSet(variables=[pat.var1])
-        counter = Counter()
-        self.env.count_stack.append(counter)
-        seen: set[int] = set()
-        accepted = False  # an outmost row was accepted at the node just handled
-
-        def prune(n: int) -> bool:
-            return accepted
-
-        try:
-            for root in input_nodes:
-                scan = self._scan(pat.type1, root, include_root, directly, rs.stats, prune)
-                for n in scan:
-                    accepted = False
-                    if q.modifier == MOD_INMOST and self._has_descendant_of_type(n, pat.type1):
+        var1, var2 = pat.var1, pat.var2
+        inmost = q.modifier == MOD_INMOST
+        variables = self.env.variables  # set directly: this runs per candidate
+        for root in input_nodes:
+            if pat.kind == SINGLE:
+                for n in self._scan(pat.type1, root, include_root, directly, stats, prune):
+                    if inmost and self._has_descendant_of_type(n, pat.type1):
                         continue
-                    self.env.set(pat.var1, NodeRef(n))
-                    if q.where is not None and not truthy(self.eval(q.where)):
-                        continue
-                    accepted = q.modifier == MOD_OUTMOST
-                    if n not in seen:
-                        seen.add(n)
-                        rs.rows.append({pat.var1: n})
-                        counter.count += 1
-                        rs.stats.rows_yielded += 1
-                        if emit:
-                            self._emit_row(n)
-                        self._exec_body(q.body)
-        finally:
-            self.env.count_stack.pop()
-        return rs
+                    variables[var1] = NodeRef(n)
+                    yield n
+                continue
+            for n1 in self._scan(pat.type1, root, include_root, directly, stats):
+                stats.nodes_visited -= 1  # the outer scan has counted n1
+                for n2 in self._scan(pat.type2, n1, False, False, stats):
+                    variables[var1] = NodeRef(n1)
+                    variables[var2] = NodeRef(n2)
+                    yield n1, n2
 
-    def _select_pair(
+    def _add_row(
         self,
         q: SelectQuery,
-        input_nodes: list[int],
-        include_root: bool,
-        directly: bool,
-        emit: bool,
-    ) -> ResultSet:
-        pat = q.pattern
-        self._require_type(pat.type1, pat.pos)
-        self._require_type(pat.type2, pat.pos)
-        rs = ResultSet(variables=[pat.var1, pat.var2])
-        counter = Counter()
-        self.env.count_stack.append(counter)
-        is_ellipsis = pat.kind == ELLIPSIS
-        survivors: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        try:
-            for root in input_nodes:
-                for n1 in self._scan(pat.type1, root, include_root, directly, rs.stats):
-                    self._pair_inner(q, n1, rs, counter, survivors, seen, emit)
-            if is_ellipsis and survivors:
-                depth = self.project.index.depth
-                best = max(depth[n2] - depth[n1] for n1, n2 in survivors)
-                kept = [(n1, n2) for n1, n2 in survivors if depth[n2] - depth[n1] == best]
-                counter.count = 0
-                for n1, n2 in kept:
-                    row = {pat.var1: n1, pat.var2: n2}
-                    rs.rows.append(row)
-                    counter.count += 1
-                    rs.stats.rows_yielded += 1
-                    self.env.set(pat.var1, NodeRef(n1))
-                    self.env.set(pat.var2, NodeRef(n2))
-                    if emit:
-                        self._emit_row(n1)
-                    self._exec_body(q.body)
-        finally:
-            self.env.count_stack.pop()
-        return rs
-
-    def _pair_inner(
-        self,
-        q: SelectQuery,
-        n1: int,
+        key: int | tuple[int, int],
         rs: ResultSet,
         counter: Counter,
-        survivors: list[tuple[int, int]],
-        seen: set[tuple[int, int]],
         emit: bool,
     ) -> None:
+        """Record an accepted candidate as a row, then run the body on it."""
         pat = q.pattern
-        rs.stats.nodes_visited -= 1  # the outer scan has counted n1
-        for n2 in self._scan(pat.type2, n1, False, False, rs.stats):
-            self.env.set(pat.var1, NodeRef(n1))
-            self.env.set(pat.var2, NodeRef(n2))
-            if q.where is None or truthy(self.eval(q.where)):
-                if (n1, n2) not in seen:
-                    seen.add((n1, n2))
-                    if pat.kind == ELLIPSIS:
-                        survivors.append((n1, n2))
-                        counter.count += 1
-                    else:
-                        rs.rows.append({pat.var1: n1, pat.var2: n2})
-                        counter.count += 1
-                        rs.stats.rows_yielded += 1
-                        if emit:
-                            self._emit_row(n1)
-                        self._exec_body(q.body)
+        if pat.kind == SINGLE:
+            first, row = key, {pat.var1: key}
+        else:
+            first, row = key[0], {pat.var1: key[0], pat.var2: key[1]}
+        rs.rows.append(row)
+        counter.count += 1
+        rs.stats.rows_yielded += 1
+        if emit:
+            node = self.project.node(first)
+            self.sink.result_row(RowRecord(
+                self.project.files[node.span.file].name, node.span.line, node.type,
+                source_text(self.project, first),
+            ))
+        self._exec_body(q.body)
 
     # ------------------------------------------------------------------
     # Statements
@@ -635,9 +617,10 @@ class Evaluator:
             if not pre[node_id] < pre[arg.id] < end[node_id]:
                 return False
             # directly_contains: no node of node_id's type may interpose.
+            root_type = self.project.node(node_id).type
             cur = self.project.node(arg.id).parent
             while direct_only and cur != node_id:
-                if self._shares_root_type(node_id, cur):
+                if self.project.node(cur).type == root_type:
                     return False
                 cur = self.project.node(cur).parent
             return True

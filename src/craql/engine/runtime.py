@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from craql.astcore import ProjectAst, source_text
@@ -130,7 +131,6 @@ class ExecutionStats:
 class ResultSet:
     """Ordered variable bindings produced by one select."""
 
-    variables: list[str]
     rows: list[dict[str, int]] = field(default_factory=list)
     stats: ExecutionStats = field(default_factory=ExecutionStats)
 
@@ -145,13 +145,26 @@ class RowRecord:
     text: str
 
     def to_line(self) -> str:
-        escaped = (
-            self.text.replace("\\", "\\\\")
-            .replace("\t", "\\t")
-            .replace("\n", "\\n")
-            .replace("\r", "\\r")
-        )
-        return f"{self.file}\t{self.line}\t{self.node_type}\t{escaped}"
+        return f"{self.file}\t{self.line}\t{self.node_type}\t{escape_text(self.text)}"
+
+
+def escape_text(text: str) -> str:
+    r"""`text` on one line: backslash, tab, newline and CR become `\\`, `\t`,
+    `\n` and `\r`; `unescape_text` reverses it."""
+    return (
+        text.replace("\\", "\\\\")
+        .replace("\t", "\\t")
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+    )
+
+
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE = re.compile(r"\\(.)")
+
+
+def unescape_text(text: str) -> str:
+    return _ESCAPE.sub(lambda m: _UNESCAPES.get(m.group(1), m.group(0)), text)
 
 
 class OutputSink:

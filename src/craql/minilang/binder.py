@@ -45,8 +45,6 @@ def ensure_builtins(project: ProjectAst) -> dict[str, int]:
         offset = start + len(name)
     unit = project.new_node("CompilationUnit", Span(file_id, 0, len(text), 1))
     unit.props["types"] = decls
-    for d in decls:
-        project.node(d).parent = unit.id
     return surrogates
 
 
@@ -184,11 +182,6 @@ class _Binder:
             return "boolean" if node.props["operator"] == "!" else "int"
         return None
 
-    def _supertype_order(self, tid: int) -> list[int]:
-        # MiniLang has no extends clause, so the chain is just the type itself;
-        # kept as a list so a richer frontend can extend resolution.
-        return [tid]
-
     def resolve_invocation(self, inv_id: int) -> int | None:
         if inv_id in self._invocation_cache:
             return self._invocation_cache[inv_id]
@@ -203,13 +196,9 @@ class _Binder:
             tid = self.type_decls.get(rtype) if rtype else None
         decl: int | None = None
         if tid is not None:
-            for candidate_tid in self._supertype_order(tid):
-                matches = self.methods.get(candidate_tid, {}).get(key, [])
-                if len(matches) == 1:
-                    decl = matches[0]
-                    break
-                if matches:
-                    break  # same-name same-arity twins: not uniquely resolvable
+            matches = self.methods.get(tid, {}).get(key, [])
+            if len(matches) == 1:  # same-name same-arity twins are not resolvable
+                decl = matches[0]
         self._invocation_cache[inv_id] = decl
         return decl
 

@@ -595,5 +595,11 @@ def parse_minilang(project: ProjectAst, file_name: str, text: str) -> tuple[int,
     Raises MiniLangParseError when no tree can be produced.
     """
     parser = Parser(project, file_name, text)
-    root = parser.parse_compilation_unit()
+    try:
+        root = parser.parse_compilation_unit()
+    except RecursionError:
+        tok = parser.peek()  # where the interpreter's stack ran out
+        raise MiniLangParseError(
+            Diagnostic(file_name, tok.line, tok.col, "source nested too deeply")
+        ) from None
     return root, parser.diagnostics

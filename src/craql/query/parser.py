@@ -347,4 +347,9 @@ class _Parser:
 
 
 def parse_query_document(text: str, source: str = "<string>") -> QueryDocument:
-    return _Parser(tokenize(text, source), source).parse_document()
+    parser = _Parser(tokenize(text, source), source)
+    try:
+        return parser.parse_document()
+    except RecursionError:
+        tok = parser.peek()  # where the interpreter's stack ran out
+        raise QuerySyntaxError("query nested too deeply", source, tok.line, tok.col) from None

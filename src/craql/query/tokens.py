@@ -13,10 +13,6 @@ KEYWORDS = {
 _MULTI_OPS = ("...", "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=")
 _SINGLE_OPS = "(){};:,.*+-=<>!"
 
-TOKEN_NAMES = {
-    "...": "ellipsis",
-}
-
 
 class QuerySyntaxError(Exception):
     def __init__(self, message: str, source: str, line: int, col: int,

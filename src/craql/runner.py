@@ -20,7 +20,13 @@ from pathlib import Path
 
 from craql.astcore import AstFormatError, deserialize_project, ProjectAst
 from craql.engine.evaluator import Evaluator, QueryRuntimeError
-from craql.engine.runtime import Environment, ExecutionStats, OutputSink
+from craql.engine.runtime import (
+    Environment,
+    ExecutionStats,
+    OutputSink,
+    escape_text,
+    unescape_text,
+)
 from craql.minilang import load_project
 from craql.query.ast import QueryDocument
 from craql.query.parser import parse_query_document
@@ -202,7 +208,7 @@ def _write_outputs(
     record: ProjectRunRecord, config: RunConfig, sinks: list[tuple[str, OutputSink]]
 ) -> None:
     vars_path = config.results_dir / f"{record.project}.vars"
-    lines = [f"{key}={record.variables[key]}" for key in sorted(record.variables)]
+    lines = [f"{key}={escape_text(record.variables[key])}" for key in sorted(record.variables)]
     vars_path.write_text("\n".join(lines) + ("\n" if lines else ""))
     for doc_name, sink in sinks:
         rows_path = config.results_dir / f"{record.project}.{doc_name}.rows"
@@ -250,10 +256,11 @@ def collate_csv(results_dir: Path, output_name: str = OUTPUT_CSV) -> Path:
     projects: dict[str, dict[str, str]] = {}
     for path in vars_files:
         values: dict[str, str] = {}
-        for line in path.read_text().splitlines():
+        # Values are escaped onto one line; other line breaks are text.
+        for line in path.read_text().split("\n"):
             if "=" in line:
                 key, _, value = line.partition("=")
-                values[key] = value
+                values[key] = unescape_text(value)
         projects[path.stem] = values
     columns = sorted({key for values in projects.values() for key in values})
     out_path = results_dir / output_name

@@ -34,6 +34,9 @@ BAD_AST_DOCS = {
         "method binding target must be an integer", "0 -> True"),
     "dangling_binding_target": (
         _one_block_doc(bindings={"type": {"0": 1}}), "dangling type binding target 1", "0 -> 1"),
+    "abstract_type_node": (
+        _one_block_doc(nodes=[dict(_block(0), type="Expression", props={})]),
+        "abstract type Expression cannot be concrete", "node 0"),
     "self_owned_root": (_one_block_doc(nodes=[_block(0, 0)]), "ownership cycle", "node 0"),
     "cycle_off_the_roots": (
         _one_block_doc(nodes=[_block(0), _block(1, 2), _block(2, 1, 3), _block(3)]),

@@ -1,3 +1,5 @@
+import re
+
 from craql.cli import main
 from craql.fixtures import fixture_text
 
@@ -71,3 +73,14 @@ def test_recursion_limit_flag(tmp_path):
     )
     (root / "queries.txt").write_text("loop.craql\n")
     assert run_main(root, "--recursion-limit", "8") == 1
+
+
+def test_deeply_nested_query_exits_two(tmp_path, capsys):
+    root = make_root(tmp_path)
+    nested = "(" * 3000 + "true" + ")" * 3000
+    (root / "queries" / "deep.craql").write_text(f"select ({{Block}} b) where {nested} {{ }}")
+    (root / "queries.txt").write_text("deep.craql\n")
+    assert run_main(root) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"unparseable query file deep\.craql: deep\.craql:1:\d+: ", err), err
+    assert "nested too deeply" in err

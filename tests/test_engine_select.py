@@ -125,6 +125,23 @@ class TestSelectSingle:
         ids = [r["s"] for r in rows]
         assert len(ids) == len(set(ids))
 
+    def test_overlapping_node_list_input_yields_each_row_once(self, sample_project):
+        # The greet body lies inside the greet method: its statements are
+        # reached from both inputs but become rows only the first time.
+        greet = find_node(sample_project, "MethodDeclaration", "void greet")
+        greet_body = find_node(sample_project, "Block", "int i = 0")
+        _, sink, evaluator = run_document(
+            sample_project,
+            'select ({Statement} s) in xs { print(s.nodetype() + " " + s.linenumber()); }',
+            seed={"xs": NodeList((greet.id, greet_body.id))},
+        )
+        assert sink.prints == [
+            "Block 4", "VariableDeclarationStatement 5", "ExpressionStatement 6",
+            "VariableDeclarationStatement 7", "WhileStatement 8", "Block 8",
+            "ExpressionStatement 9",
+        ]
+        assert (evaluator.stats.nodes_visited, evaluator.stats.rows_yielded) == (43, 7)
+
     def test_undefined_input_is_empty(self, sample_project):
         rows = select(
             sample_project, single("Block"),
@@ -169,6 +186,22 @@ class TestWhereGatedOutmost:
             InputSpec(INPUT_IN, VarRef("m")), env=env,
         ).rows
         assert [sample_project.node(r["s"]).type for r in rows] == ["Block"]
+
+
+    def test_seen_accepted_row_still_prunes(self, sample_project):
+        # The second copy of the input reaches the while statement again: it
+        # is no new row, but the nodes below it stay hidden all the same.
+        greet_body = find_node(sample_project, "Block", "int i = 0")
+        _, sink, evaluator = run_document(
+            sample_project,
+            'select outmost ({Statement} s) in xs { print(s.nodetype() + " " + s.linenumber()); }',
+            seed={"xs": NodeList((greet_body.id, greet_body.id))},
+        )
+        assert sink.prints == [
+            "VariableDeclarationStatement 5", "ExpressionStatement 6",
+            "VariableDeclarationStatement 7", "WhileStatement 8",
+        ]
+        assert (evaluator.stats.nodes_visited, evaluator.stats.rows_yielded) == (10, 4)
 
 
 class TestSelectStar:
@@ -226,6 +259,19 @@ class TestSelectEllipsis:
         )
         rows = select(project, Pattern(ELLIPSIS, "MethodDeclaration", "m", "Block", "b")).rows
         assert len(rows) == 2
+
+    def test_count_star_counts_survivors_then_kept_rows(self, sample_project):
+        # In the where clause count(*) is the number of pairs that passed so
+        # far; in the body it restarts and counts the deepest pairs kept.
+        _, sink, evaluator = run_document(
+            sample_project,
+            "select ({MethodDeclaration} m ... {Statement} s) "
+            "where print(count(*)) || count(*) < 4 "
+            '{ print("body " + count(*) + " " + s.linenumber()); }',
+        )
+        assert sink.prints == ["0", "1", "2", "3", "4", "4", "4", "4", "4",
+                               "body 1 3", "body 2 5"]
+        assert (evaluator.stats.nodes_visited, evaluator.stats.rows_yielded) == (54, 2)
 
     def test_empty_when_no_pairs(self, sample_project):
         rows = select(

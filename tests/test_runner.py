@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -183,6 +185,32 @@ class TestRunBatch:
         assert records[0].aborted
         assert not (tmp_path / "results" / "alpha.vars").exists()
 
+    def test_long_expression_chain_aborts_without_traceback(self, tmp_path, caplog):
+        chain = "+".join(["1"] * 3000)
+        config = make_tree(
+            tmp_path,
+            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")}},
+            queries={"chain.craql": f"select ({{Block}} b) {{ x = {chain}; }}"},
+        )
+        status, records = run_batch(config)
+        assert status == 1
+        assert records[0].aborted
+        assert "chain.craql:1:1: query nested too deeply" in records[0].diagnostics[0]
+        assert not any(r.exc_info for r in caplog.records)
+
+    def test_deeply_nested_source_skips_only_its_file(self, tmp_path):
+        nested = "(" * 3000 + "1" + ")" * 3000
+        config = make_tree(
+            tmp_path,
+            projects={"alpha": {"Deep.mj": f"class D {{ void f() {{ x = {nested}; }} }}",
+                                "Sample.mj": fixture_text("Sample.mj")}},
+            queries={"blocks.craql": COUNT_BLOCKS},
+        )
+        status, records = run_batch(config)
+        assert status == 0
+        assert (tmp_path / "results" / "alpha.vars").read_text() == "num_blocks=3\n"
+        assert re.match(r"Deep\.mj:1:\d+: .*nested too deeply", records[0].diagnostics[0])
+
     def test_unexpected_error_aborts_only_its_project(self, tmp_path, monkeypatch):
         config = make_tree(
             tmp_path,
@@ -285,6 +313,22 @@ class TestRunBatch:
         assert file_name == "Sample.mj"
         assert node_type == "MethodDeclaration"
         assert "\n" not in text  # escaped
+
+    def test_vars_values_round_trip_through_collate(self, tmp_path):
+        # Escapes in the query string give a newline, a backslash and a tab;
+        # the form feed and line separator are literal and need no escape.
+        config = make_tree(
+            tmp_path,
+            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")}},
+            queries={"s.craql": 'select ({CompilationUnit} u) '
+                                '{ s = "a\\nb\\\\c\\td\x0ce\u2028f"; }'},
+        )
+        assert run_batch(config)[0] == 0
+        vars_text = (tmp_path / "results" / "alpha.vars").read_text()
+        assert vars_text == "s=a\\nb\\\\c\\td\x0ce\u2028f\n"
+        with collate_csv(tmp_path / "results").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [["project", "s"], ["alpha", "a\nb\\c\td\x0ce\u2028f"]]
 
     def test_determinism_byte_identical(self, tmp_path):
         outputs = []
