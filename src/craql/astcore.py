@@ -285,6 +285,24 @@ class ProjectAst:
             index.ranks[type_name] = ranks
         return ranks
 
+    def bound_ranks(self, table: str, target: int) -> list[int]:
+        """Sorted pre-order ranks of the nodes whose `table` binding
+        ("method" or "type") resolves to `target`.
+
+        The reverse of the binding table, built on first use and kept in the
+        index: call it only once the bindings are complete.
+        """
+        reverse = self.index.bound.get(table)
+        if reverse is None:
+            pre = self.index.pre
+            reverse = {}
+            for source, decl in getattr(self.bindings, table).items():
+                reverse.setdefault(decl, []).append(pre[source])
+            for ranks in reverse.values():
+                ranks.sort()
+            self.index.bound[table] = reverse
+        return reverse.get(target, [])
+
 
 def child_ids(node: AstNode) -> list[int]:
     """Node-valued property contents in declaration order."""
@@ -325,7 +343,9 @@ class RegionIndex:
     subtree of node `n` is exactly the ranks `[pre[n], end[n])`. `depth[n]`
     counts the edges up to n's tree root. `by_type` maps each concrete type
     to the sorted ranks of its nodes; `ranks` caches, per matched type name,
-    the sorted ranks of the nodes that match it (`ProjectAst.type_ranks`).
+    the sorted ranks of the nodes that match it (`ProjectAst.type_ranks`), and
+    `bound`, per binding table, the sorted ranks of the nodes bound to each
+    target (`ProjectAst.bound_ranks`).
 
     A node on or under an ownership cycle is reached by no walk from a
     parentless node, so it gets no rank: its `pre` stays -1. The index holds
@@ -358,6 +378,7 @@ class RegionIndex:
         self.order, self.pre, self.end, self.depth = order, pre, end, depth
         self.by_type = by_type
         self.ranks: dict[str, list[int]] = {}
+        self.bound: dict[str, dict[int, list[int]]] = {}
 
 
 def node_depth(project: ProjectAst, node_id: int) -> int:
@@ -450,6 +471,8 @@ def deserialize_project(document: str) -> ProjectAst:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise AstFormatError(f"malformed JSON: {exc.msg}", f"line {exc.lineno}") from exc
+    except RecursionError:
+        raise AstFormatError("malformed JSON: nested too deeply", "top level") from None
     _expect(doc, dict, "the top level", "top level")
 
     try:

@@ -34,6 +34,13 @@ No select walks the tree: `_scan` bisects the pattern type's pre-order rank
 list (see `craql.astcore.RegionIndex`) to the input node's region and skips
 the regions below pruned nodes, which yields exactly the candidates the
 pruned pre-order walk would reach, in the same order.
+
+A select whose where clause holds a link key (see `craql.engine.links`),
+such as `m == i.methodbinding()` with `m` fixed for the whole select, takes
+its candidates from `_linked` instead: the nodes the key links to that node,
+in the scan's order. The where clause still runs on each of them; the scan's
+other candidates are the ones the key rejects, and rejecting them has no
+effect a later candidate or the output could see.
 """
 
 from __future__ import annotations
@@ -79,6 +86,7 @@ from craql.query.ast import (
     VarRef,
     While,
 )
+from craql.engine.links import LINK_CHILD, LINK_METHOD_CHILD, LinkKey, find_link_key
 from craql.engine.runtime import (
     Counter,
     Environment,
@@ -115,6 +123,10 @@ class SelectionCapture:
     rows: list[dict[str, int]] = field(default_factory=list)
 
 
+# A while statement aborts its query when its condition holds once more
+# after this many runs of its body.
+MAX_WHILE_STEPS = 1_000_000
+
 NODE_FUNCTIONS = frozenset({
     "contains", "directly_contains", "isparent", "parent", "isnodetype",
     "position", "linenumber", "filename", "depth", "nodetype",
@@ -140,6 +152,8 @@ class Evaluator:
         self.stats = ExecutionStats()
         self.trace: Callable[[SelectionCapture], None] | None = None
         self._doc: QueryDocument | None = None
+        # id(select) -> (select, its link key): each select is analysed once.
+        self._link_keys: dict[int, tuple[SelectQuery, LinkKey | None]] = {}
 
     # ------------------------------------------------------------------
     # Document execution
@@ -191,10 +205,17 @@ class Evaluator:
         def prune(n: int) -> bool:
             return accepted
 
-        candidates = self._candidates(
-            q, input_nodes, include_root, directly, rs.stats,
-            prune if q.modifier == MOD_OUTMOST else None,
-        )
+        link_key = None if directly else self._link_key(q)
+        fixed = None if link_key is None else link_key.fixed_node(self.env.variables)
+        if fixed is not None:
+            candidates = self._linked(
+                pat.var1, pat.type1, link_key.link, fixed, input_nodes, include_root, rs.stats
+            )
+        else:
+            candidates = self._candidates(
+                q, input_nodes, include_root, directly, rs.stats,
+                prune if q.modifier == MOD_OUTMOST else None,
+            )
         where = q.where
         deferred: list[tuple[int, int]] = []  # ellipsis rows wait for the depth test
         seen: set[int | tuple[int, int]] = set()
@@ -335,6 +356,58 @@ class Evaluator:
                     variables[var2] = NodeRef(n2)
                     yield n1, n2
 
+    def _link_key(self, q: SelectQuery) -> LinkKey | None:
+        entry = self._link_keys.get(id(q))
+        if entry is None:
+            entry = self._link_keys[id(q)] = (q, find_link_key(q, self.schema))
+        return entry[1]
+
+    def _linked(
+        self,
+        var: str,
+        type_name: str,
+        link: str,
+        fixed: int,
+        input_nodes: list[int],
+        include_root: bool,
+        stats: ExecutionStats,
+    ) -> Iterator[int]:
+        """The candidates of a single-pattern select, without modifier or
+        `directly in`, that `link` ties to node `fixed`, in `_candidates`'
+        order and with the pattern variable bound the same way.
+
+        The linked nodes' ranks are bisected to each input root's region and
+        tested against the pattern type's rank list. Each root adds its
+        region to `stats.nodes_visited`, as the unpruned scan does, and the
+        pattern variable is left bound to the scan's last candidate.
+        """
+        project = self.project
+        index = project.index
+        if link == LINK_CHILD:
+            linked = [index.pre[c] for c in child_ids(project.node(fixed))]
+        elif link == LINK_METHOD_CHILD:
+            linked = sorted(r for c in child_ids(project.node(fixed))
+                            for r in project.bound_ranks("method", c))
+        else:
+            linked = project.bound_ranks(link, fixed)
+        order, variables = index.order, self.env.variables
+        last = None  # the scan's last candidate so far
+        for root in input_nodes:
+            ranks = project.type_ranks(type_name)
+            start, stop = index.pre[root], index.end[root]
+            first = start if include_root else start + 1
+            stats.nodes_visited += stop - start
+            for r in linked[bisect_left(linked, first):bisect_left(linked, stop)]:
+                i = bisect_left(ranks, r)
+                if i < len(ranks) and ranks[i] == r:
+                    variables[var] = NodeRef(order[r])
+                    yield order[r]
+            i = bisect_left(ranks, stop)
+            if i and ranks[i - 1] >= first:
+                last = order[ranks[i - 1]]
+        if last is not None:
+            variables[var] = NodeRef(last)
+
     def _add_row(
         self,
         q: SelectQuery,
@@ -393,7 +466,13 @@ class Evaluator:
             elif s.else_body is not None:
                 self._exec_body(s.else_body)
         elif isinstance(s, While):
+            steps = 0
             while truthy(self.eval(s.cond)):
+                if steps == MAX_WHILE_STEPS:
+                    raise QueryRuntimeError(
+                        f"while loop exceeded {MAX_WHILE_STEPS} steps", self.source, s.pos
+                    )
+                steps += 1
                 self._exec_body(s.body)
         elif isinstance(s, SelectStmt):
             self.run_select(s.query)

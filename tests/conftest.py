@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from craql import Environment, Evaluator, OutputSink, load_project, parse_query_document, source_text
@@ -77,7 +79,13 @@ BAD_AST_DOCS = {
     "undeclared_property": (
         _one_block_doc(nodes=[dict(_block(0), props={"body": 0})]),
         "Block has no property body", "node 0"),
+    "json_nested_too_deeply": ("[" * 100000, "nested too deeply", "top level"),
 }
+
+
+def ast_document(doc: dict | str) -> str:
+    """A `BAD_AST_DOCS` document as JSON text; a string is the text itself."""
+    return doc if isinstance(doc, str) else json.dumps(doc)
 
 
 def load_fixture_project(name: str, *files: str):

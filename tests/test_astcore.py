@@ -17,7 +17,7 @@ from craql import (
     Span,
 )
 from craql.astcore import CHILD_LIST, SINGLE, NodeTypeSchema, SchemaError, child_ids
-from conftest import BAD_AST_DOCS, find_node, load_fixture_project, run_document
+from conftest import BAD_AST_DOCS, ast_document, find_node, load_fixture_project, run_document
 
 CONCRETE_TYPES = sorted(MINILANG_SCHEMA.types)
 KNOWN_TYPES = sorted(MINILANG_SCHEMA.types | MINILANG_SCHEMA.virtuals.keys())
@@ -301,7 +301,7 @@ class TestSerialization:
     def test_bad_document_reports_location(self, name):
         doc, message, location = BAD_AST_DOCS[name]
         with pytest.raises(AstFormatError, match=message) as info:
-            deserialize_project(json.dumps(doc))
+            deserialize_project(ast_document(doc))
         assert info.value.location == location
 
 

@@ -17,6 +17,7 @@ from craql import (
     parse_query_document,
 )
 from craql.astcore import child_ids
+from craql.engine.evaluator import QueryRuntimeError
 from craql.engine.runtime import NodeList, NodeRef
 from craql.oracle import compare, oracle_select, where_from_expr
 from craql.query.ast import (
@@ -38,7 +39,12 @@ from craql.query.ast import (
     TypeLit,
     VarRef,
 )
-from craql.fixtures import generate_block_sea, generate_nested_blocks, generate_random_source
+from craql.fixtures import (
+    fixture_text,
+    generate_block_sea,
+    generate_nested_blocks,
+    generate_random_source,
+)
 
 from conftest import find_node, run_document
 
@@ -598,3 +604,249 @@ class TestWalkGuard:
             Evaluator(project, env, OutputSink(), source=name).execute_document(doc)
         assert len(type_names) == 16
         assert steps <= (len(type_names) + 2) * len(project.nodes)
+
+
+# ---------------------------------------------------------------------------
+# Link-keyed selects: candidates looked up through a binding or parent link
+# must be the scan's candidates that the link key accepts.
+# ---------------------------------------------------------------------------
+
+# Generated sources make no call the binder resolves, so the fixtures with
+# resolved calls join them.
+CALL_FIXTURES = ("AB.mj", "Chain.mj", "Fact.mj", "Linked.mj")
+
+# (pattern type, where clause over pattern variable n and fixed node v,
+# which nodes v is drawn from).
+LINK_FORMS = [
+    ("MethodInvocation", "v == n.methodbinding()", "method target"),
+    ("Expression", "n.methodbinding() == v", "method target"),
+    ("Expression", "v == n.typebinding()", "type target"),
+    ("Name", "n.typebinding() == v", "type target"),
+    ("MethodInvocation", "v.isparent(n.methodbinding())", "method owner"),
+    ("Statement", "v.isparent(n)", "container"),
+    ("Expression", "v == n.parent()", "container"),
+    ("Block", "n.parent() == v", "container"),
+    ("MethodInvocation",
+     "!v.contains(n) && v.isparent(n.methodbinding()) && n.depth() > 3", "method owner"),
+    ("Statement", "!n.isnodetype({Block}) && v.isparent(n) && n.position() > 40", "container"),
+]
+
+
+@pytest.fixture(scope="module")
+def bound_projects():
+    rng = random.Random(43)
+    projects = []
+    for i in range(3):
+        sources = [(f"L{i}_{j}.mj", generate_random_source(rng, classes=2, max_depth=4))
+                   for j in range(3)]
+        sources += [(name, fixture_text(name)) for name in CALL_FIXTURES]
+        project, diagnostics = load_project(f"bound{i}", sources)
+        assert not diagnostics
+        assert project.bindings.method
+        projects.append(project)
+    return projects
+
+
+def fixed_nodes(project, kind):
+    """Up to five nodes for v, plus one that nothing links to."""
+    rng = random.Random(f"{project.name} {kind}")
+    if kind == "method target":
+        pool = sorted(set(project.bindings.method.values()))
+    elif kind == "type target":
+        pool = sorted(set(project.bindings.type.values()))
+    elif kind == "method owner":
+        pool = sorted({project.node(d).parent for d in project.bindings.method.values()})
+    else:
+        pool = [n.id for n in project.nodes if n.type in INPUT_CONTAINERS]
+    leaf = next(n.id for n in project.nodes if n.type == "NumberLiteral")
+    return rng.sample(pool, min(5, len(pool))) + [leaf]
+
+
+def where_clause(text):
+    return parse_query_document(f"select ({{Block}} n) where {text} {{ }}").entry.where
+
+
+class TestLinkKeys:
+    @pytest.mark.parametrize("input_kind", [0, 1, 2])
+    def test_lookup_matches_oracle_and_walk(self, bound_projects, input_kind, monkeypatch):
+        # Default and `in x` inputs (x lists overlapping nodes and one node
+        # twice) take the lookup, which never scans; `directly in` scans.
+        scan = Evaluator._scan
+        scans = []
+
+        def counted_scan(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(Evaluator, "_scan", counted_scan)
+        for project in bound_projects:
+            spec, seed, roots, include_root, directly = input_cases(project)[input_kind]
+            for type_name, text, kind in LINK_FORMS:
+                query = SelectQuery(single(type_name), MOD_NONE, spec, where_clause(text), [])
+                for v in fixed_nodes(project, kind):
+                    case = (spec, {**seed, "v": NodeRef(v)}, roots, include_root, directly)
+                    check_against_references(project, query, case)
+        assert bool(scans) == directly
+
+    @pytest.mark.parametrize("in_x", [False, True])
+    def test_lookup_matches_scan_with_body(self, bound_projects, in_x):
+        # `true && ...` has no link key, so it runs the same select by scan:
+        # prints, rows, count(*), counters and the variables left behind
+        # (the pattern variable included) must all agree.
+        for project in bound_projects:
+            spec, seed, *_ = input_cases(project)[int(in_x)]
+            source = " in x" if in_x else ""
+            for type_name, text, kind in LINK_FORMS:
+                for v in fixed_nodes(project, kind):
+                    outputs = []
+                    for where in (text, f"true && {text}"):
+                        env, sink, evaluator = run_document(
+                            project,
+                            f"select ({{{type_name}}} n){source} where {where} "
+                            '{ hits++; print(n.linenumber() + " " + count(*)); }',
+                            seed={**seed, "v": NodeRef(v)},
+                        )
+                        outputs.append((sink.prints, sink.rows, env.variables,
+                                        evaluator.stats))
+                    assert outputs[0] == outputs[1], (project.name, text, v)
+
+    def test_reverse_index_is_built_on_first_lookup(self):
+        project, _ = load_project("fact", [("Fact.mj", fixture_text("Fact.mj"))])
+        decl = find_node(project, "MethodDeclaration", "int fact")
+        call = find_node(project, "MethodInvocation", "fact(n - 1)")
+        run_document(project, "select ({MethodDeclaration} m) { select ({Block} b) { } }")
+        assert project.index.bound == {}
+        _, sink, _ = run_document(
+            project, "select ({MethodDeclaration} m) { "
+            "select ({MethodInvocation} i) where m == i.methodbinding() { print(i); } }")
+        assert sink.prints == ["fact(n - 1)"]
+        assert project.index.bound == {"method": {decl.id: [project.index.pre[call.id]]}}
+
+
+CALLS = """class C {
+  void a() {
+  }
+  void b() {
+    a();
+    a();
+    b();
+    log("x");
+  }
+}
+"""
+
+IN_A = 'select ({MethodDeclaration} m) where m.name == "a" { %s }'
+
+
+class TestLinkKeyFallbacks:
+    """Selects that must scan, though their where clause has a link key.
+
+    Each case gives what the scan gives. A lookup from m's first value would
+    print 5 and 6, the lines of the two calls of a(), where m is a(); where
+    m is class C, which no call is bound to, it would give no row and raise
+    nothing.
+    """
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        project, diagnostics = load_project("calls", [("C.mj", CALLS)])
+        assert not diagnostics
+        return project
+
+    def run(self, project, text, **seed):
+        return run_document(project, text, seed=seed)[1].prints
+
+    def test_lookup_when_nothing_interferes(self, calls):
+        text = IN_A % "select ({MethodInvocation} i) where m == i.methodbinding() " \
+                      "{ print(i.linenumber()); }"
+        assert self.run(calls, text) == ["5", "6"]
+
+    def test_undefined_variable_selects_unbound_calls(self, calls):
+        # undefined == undefined: the rows are the calls with no binding.
+        text = "select ({MethodInvocation} i) where nothing == i.methodbinding() " \
+               "{ print(i.linenumber()); }"
+        assert self.run(calls, text) == ["8"]
+        query = parse_query_document(text).entry
+        check_against_references(calls, query, (query.input, {}, list(calls.roots), True, False))
+
+    def test_string_variable(self, calls):
+        text = 'select ({MethodInvocation} i) where s == i.methodbinding() { print("row"); }'
+        assert self.run(calls, text, s="a") == []
+        with pytest.raises(QueryRuntimeError, match=r":1:39: isparent\(\) receiver is a string"):
+            self.run(calls, 'select ({MethodInvocation} i) where s.isparent(i) { }', s="a")
+
+    def test_body_assigns_the_variable(self, calls):
+        text = IN_A % "select ({MethodInvocation} i) where m == i.methodbinding() " \
+                      "{ print(i.linenumber()); m = i.parent().parent().parent(); }"
+        assert self.run(calls, text) == ["5", "7"]
+
+    def test_nested_select_rebinds_the_variable(self, calls):
+        # The nested select leaves m bound to b(), whose call then matches.
+        a = find_node(calls, "MethodDeclaration", "void a")
+        text = "select ({MethodInvocation} i) where m == i.methodbinding() " \
+               "{ print(i.linenumber()); select ({MethodDeclaration} m) { } }"
+        assert self.run(calls, text, m=NodeRef(a.id)) == ["5", "7"]
+
+    def test_callquery_in_the_body(self, calls):
+        text = IN_A % "select ({MethodInvocation} i) where m == i.methodbinding() " \
+                      "{ print(i.linenumber()); callquery(last); }"
+        text += "\nlast : select ({MethodDeclaration} m) { }"
+        assert self.run(calls, text) == ["5", "7"]
+
+    def test_prefix_that_prints(self, calls):
+        text = IN_A % "select ({MethodInvocation} i) " \
+                      "where (print(i.linenumber()) || true) && m == i.methodbinding() " \
+                      '{ print("row"); }'
+        assert self.run(calls, text) == ["5", "row", "6", "row", "7", "8"]
+
+    @pytest.mark.parametrize("prefix, seed, error", [
+        ("i.position() < m", {}, ":1:81: arithmetic on a node"),
+        ("!s.contains(i)", {"s": "a"}, r":1:71: contains\(\) receiver is a string"),
+        ("i.isnodetype(m)", {}, r":1:70: isnodetype\(\) expects a node type"),
+        ("!i.isnodetype({Blok})", {}, ":1:82: unknown node type Blok"),
+    ])
+    def test_prefix_that_raises(self, calls, prefix, seed, error):
+        text = "select ({TypeDeclaration} m) { select ({MethodInvocation} i) " \
+               f"where {prefix} && m == i.methodbinding() {{ }} }}"
+        with pytest.raises(QueryRuntimeError, match=error):
+            self.run(calls, text, **seed)
+
+    def test_body_assigns_a_probed_variable(self, calls):
+        # After the last call of a(), s is a string: the next candidate the
+        # scan reaches raises.
+        text = IN_A % "select ({MethodInvocation} i) " \
+                      "where !s.contains(i) && m == i.methodbinding() " \
+                      '{ if (i.linenumber() == 6) { s = "x"; } }'
+        with pytest.raises(QueryRuntimeError, match=r"contains\(\) receiver is a string"):
+            self.run(calls, text)
+
+
+class TestJoinGuard:
+    def test_link_keyed_queries_make_a_linear_number_of_probes(self, monkeypatch):
+        """Binding and parent probes in four join queries stay within the
+        node count.
+
+        Evaluating the where clause on every inner candidate of every outer
+        row made about 3.8 probes per node on this project.
+        """
+        probes = 0
+        eval_call = Evaluator._eval_call
+
+        def counted_eval_call(evaluator, e):
+            nonlocal probes
+            if e.name in ("methodbinding", "typebinding", "isparent"):
+                probes += 1
+            return eval_call(evaluator, e)
+
+        monkeypatch.setattr(Evaluator, "_eval_call", counted_eval_call)
+        rng = random.Random(5)
+        sources = [(f"G{i}.mj", generate_random_source(rng, classes=2, max_depth=4))
+                   for i in range(8)]
+        project, _ = load_project("guard", sources)
+        env = Environment()
+        for name in ("bound_calls.craql", "calls_in_out.craql", "self_typed.craql",
+                     "block_children.craql"):
+            doc = parse_query_document(bundled_query_path(name).read_text(), source=name)
+            Evaluator(project, env, OutputSink(), source=name).execute_document(doc)
+        assert env.variables["num_child_statements"] > 0
+        assert probes <= len(project.nodes)

@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import json
 import re
 
 import pytest
@@ -24,7 +23,7 @@ from craql.runner import (
     run_batch,
 )
 
-from conftest import BAD_AST_DOCS
+from conftest import BAD_AST_DOCS, ast_document
 
 
 def make_tree(tmp_path, projects: dict[str, dict[str, str]], queries: dict[str, str]):
@@ -198,6 +197,22 @@ class TestRunBatch:
         assert "chain.craql:1:1: query nested too deeply" in records[0].diagnostics[0]
         assert not any(r.exc_info for r in caplog.records)
 
+    def test_endless_while_aborts_only_its_project(self, tmp_path):
+        config = make_tree(
+            tmp_path,
+            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")},
+                      "beta": {"I.mj": "interface I { int ping(); }"}},
+            queries={"spin.craql": "select ({Block} b) { while (true) { x++; } }",
+                     "blocks.craql": COUNT_BLOCKS},
+        )
+        status, records = run_batch(config)
+        assert status == 1
+        alpha, beta = records
+        assert alpha.aborted and not beta.aborted
+        assert "spin.craql:1:22: while loop exceeded 1000000 steps" in alpha.diagnostics[0]
+        assert not (tmp_path / "results" / "alpha.vars").exists()
+        assert (tmp_path / "results" / "beta.vars").read_text() == ""
+
     def test_deeply_nested_source_skips_only_its_file(self, tmp_path):
         nested = "(" * 3000 + "1" + ")" * 3000
         config = make_tree(
@@ -288,7 +303,7 @@ class TestRunBatch:
             queries={"blocks.craql": COUNT_BLOCKS},
         )
         for name, (doc, message, location) in BAD_AST_DOCS.items():
-            (tmp_path / "projects" / name / SERIALIZED_AST).write_text(json.dumps(doc))
+            (tmp_path / "projects" / name / SERIALIZED_AST).write_text(ast_document(doc))
         status, records = run_batch(config)
         assert status == 1
         assert (tmp_path / "results" / "alpha.vars").read_text() == "num_blocks=3\n"
