@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    craql -P <projectlist> -Q <querylist> [--dirs ROOT] [--recursion-limit N]
+    craql -P <projectlist> -Q <querylist> [--dirs ROOT]
     craql collate  [--dirs ROOT]
     craql genprops [--dirs ROOT]
 """
@@ -38,8 +38,6 @@ def build_run_parser() -> argparse.ArgumentParser:
     parser.add_argument("-Q", "--queries", type=Path, required=True, metavar="LIST",
                         help="file listing query file names, one per line")
     _add_dirs(parser)
-    parser.add_argument("--recursion-limit", type=int, default=512,
-                        help="maximum callquery depth")
     return parser
 
 
@@ -64,12 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     args = build_run_parser().parse_args(argv)
-    config = RunConfig.from_root(
-        args.dirs,
-        project_list=args.projects,
-        query_list=args.queries,
-        recursion_limit=args.recursion_limit,
-    )
+    config = RunConfig.from_root(args.dirs, project_list=args.projects, query_list=args.queries)
     try:
         status, records = run_batch(config)
     except RunnerError as exc:

@@ -127,6 +127,11 @@ class SelectionCapture:
 # after this many runs of its body.
 MAX_WHILE_STEPS = 1_000_000
 
+# A callquery aborts its query when this many calls are already open. Each
+# level costs the interpreter at least 5 frames, so a much deeper bound
+# would run out of stack before it was reached.
+MAX_CALL_DEPTH = 100
+
 NODE_FUNCTIONS = frozenset({
     "contains", "directly_contains", "isparent", "parent", "isnodetype",
     "position", "linenumber", "filename", "depth", "nodetype",
@@ -140,14 +145,12 @@ class Evaluator:
         project: ProjectAst,
         env: Environment | None = None,
         sink: OutputSink | None = None,
-        recursion_limit: int = 512,
         source: str = "<query>",
     ):
         self.project = project
         self.schema = project.schema
         self.env = env if env is not None else Environment()
         self.sink = sink if sink is not None else OutputSink()
-        self.recursion_limit = recursion_limit
         self.source = source
         self.stats = ExecutionStats()
         self.trace: Callable[[SelectionCapture], None] | None = None
@@ -491,7 +494,7 @@ class Evaluator:
         target = self._doc.labels().get(s.label)
         if target is None:
             raise QueryRuntimeError(f"unresolved query label {s.label}", self.source, s.pos)
-        if self.env.call_depth >= self.recursion_limit:
+        if self.env.call_depth >= MAX_CALL_DEPTH:
             raise QueryRuntimeError("query recursion limit", self.source, s.pos)
         self.env.call_depth += 1
         try:
@@ -799,9 +802,8 @@ def execute_document(
     project: ProjectAst,
     env: Environment,
     sink: OutputSink | None = None,
-    recursion_limit: int = 512,
 ) -> Evaluator:
     """Convenience wrapper: run a document and return the evaluator used."""
-    ev = Evaluator(project, env, sink, recursion_limit, source=doc.source)
+    ev = Evaluator(project, env, sink, source=doc.source)
     ev.execute_document(doc)
     return ev

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for MiniLang (`.mj` files).
+"""Parser for MiniLang (`.mj` files): a regex lexer, recursive descent for
+declarations and statements, and precedence climbing for expressions.
 
 Builds nodes directly into a shared :class:`ProjectAst` arena. Statement and
 member level errors are recovered by skipping to the next `;` or `}` and
@@ -8,6 +9,7 @@ recorded as diagnostics; junk at the top level is unrecoverable and raises
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from craql.astcore import ProjectAst, Span
@@ -18,11 +20,22 @@ KEYWORDS = {
     "break", "continue", "throw", "try", "catch", "true", "false",
 }
 
-PUNCT2 = ("==", "!=", "<=", ">=", "&&", "||")
-PUNCT1 = "{}()[];,.=<>!+-*/"
+# One alternative per token class, in the "Writing a Tokenizer" idiom of the
+# `re` docs. `\w` admits digits such as "²" that start no identifier, so an
+# identifier's first character is checked again in `lex`.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[^\S\n]+|//[^\n]*)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<number>[0-9]+)
+  | (?P<string>"(?:[^"\\\n]|\\.)*")
+  | (?P<punct>==|!=|<=|>=|&&|\|\||[{}()\[\];,.=<>!+\-*/])
+  | (?P<unterminated>")
+  | (?P<stray>.)
+""", re.VERBOSE)
 
 
-@dataclass
+@dataclass(slots=True)
 class Tok:
     kind: str  # ident | keyword | number | string | punct | eof
     text: str
@@ -40,68 +53,49 @@ class MiniLangParseError(Exception):
 
 def lex(file_name: str, text: str) -> list[Tok]:
     toks: list[Tok] = []
-    i, n = 0, len(text)
     line, line_start = 1, 0
-
-    def col(pos: int) -> int:
-        return pos - line_start + 1
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        start = m.start()
+        if kind == "newline":
             line += 1
-            i += 1
-            line_start = i
+            line_start = start + 1
             continue
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = i
-        if c.isalpha() or c == "_":
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            toks.append(Tok(kind, word, start, i, line, col(start)))
-            continue
-        if c.isdigit():
-            while i < n and text[i].isdigit():
-                i += 1
-            toks.append(Tok("number", text[start:i], start, i, line, col(start)))
-            continue
-        if c == '"':
-            i += 1
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n:
-                    i += 1
-                if text[i] == "\n":
-                    break
-                i += 1
-            if i >= n or text[i] != '"':
-                raise MiniLangParseError(
-                    Diagnostic(file_name, line, col(start), "unterminated string literal")
-                )
-            i += 1
-            toks.append(Tok("string", text[start:i], start, i, line, col(start)))
-            continue
-        two = text[i : i + 2]
-        if two in PUNCT2:
-            toks.append(Tok("punct", two, start, i + 2, line, col(start)))
-            i += 2
-            continue
-        if c in PUNCT1:
-            toks.append(Tok("punct", c, start, i + 1, line, col(start)))
-            i += 1
-            continue
-        raise MiniLangParseError(
-            Diagnostic(file_name, line, col(start), f"stray character {c!r}")
-        )
-    toks.append(Tok("eof", "", n, n, line, col(n)))
+        word = m.group()
+        if kind == "ident":
+            if word in KEYWORDS:
+                kind = "keyword"
+            elif not (word[0].isalpha() or word[0] == "_"):
+                kind = "stray"
+        col = start - line_start + 1
+        if kind == "stray" or kind == "unterminated":
+            message = (
+                "unterminated string literal" if kind == "unterminated"
+                else f"stray character {word[0]!r}"
+            )
+            raise MiniLangParseError(Diagnostic(file_name, line, col, message))
+        toks.append(Tok(kind, word, start, m.end(), line, col))
+    n = len(text)
+    toks.append(Tok("eof", "", n, n, line, n - line_start + 1))
     return toks
+
+
+# How tightly each binary operator binds. `=` binds loosest, is
+# right-associative and takes only a name or a field access on its left.
+BINARY_PRECEDENCE = {
+    "=": 0, "||": 1, "&&": 2, "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4, "+": 5, "-": 5, "*": 6, "/": 6,
+}
+# A prefix operator's operand binds tighter than any binary operator.
+PREFIX_PRECEDENCE = 7
+
+# Node type of each literal token, by kind (or by text, for keywords).
+_LITERALS = {
+    "number": "NumberLiteral", "string": "StringLiteral",
+    "true": "BooleanLiteral", "false": "BooleanLiteral",
+}
 
 
 class Parser:
@@ -116,7 +110,9 @@ class Parser:
     # -- token plumbing --
 
     def peek(self, ahead: int = 0) -> Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        # The list ends in `eof` and `advance` never moves past it, so a
+        # lookahead of 1 is only taken from a token that is not `eof`.
+        return self.toks[self.pos + ahead]
 
     def advance(self) -> Tok:
         tok = self.toks[self.pos]
@@ -125,7 +121,8 @@ class Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("punct", "keyword")
+        tok = self.toks[self.pos]
+        return tok.text == text and tok.kind in ("punct", "keyword")
 
     def expect(self, text: str) -> Tok:
         if self.at(text):
@@ -146,9 +143,13 @@ class Parser:
             )
         return self.advance()
 
-    def make(self, type_name: str, start: Tok, end: Tok) -> int:
-        span = Span(self.file_id, start.start, end.end, start.line)
-        return self.project.new_node(type_name, span).id
+    def node(self, type_name: str, start: Tok, end: Tok | None = None, **props) -> int:
+        """Add a node spanning `start` to `end`, by default the last token
+        consumed. Props given as None are left out."""
+        end = end or self.toks[self.pos - 1]
+        node = self.project.new_node(type_name, Span(self.file_id, start.start, end.end, start.line))
+        node.props = {name: value for name, value in props.items() if value is not None}
+        return node.id
 
     # -- error recovery --
 
@@ -202,13 +203,11 @@ class Parser:
             except MiniLangParseError as exc:
                 self.diagnostics.append(exc.diagnostic)
                 self.recover_to_statement_end()
-        end = self.expect("}")
-        node_id = self.make("TypeDeclaration", start, end)
-        node = self.project.node(node_id)
-        node.props["interface"] = "true" if is_interface else "false"
-        node.props["name"] = name.text
-        node.props["bodyDeclarations"] = members
-        return node_id
+        self.expect("}")
+        return self.node(
+            "TypeDeclaration", start, interface="true" if is_interface else "false",
+            name=name.text, bodyDeclarations=members,
+        )
 
     def parse_member(self, in_interface: bool) -> int:
         type_tok = self.expect_ident()
@@ -224,54 +223,37 @@ class Parser:
             while True:
                 ptype = self.expect_ident()
                 pname = self.expect_ident()
-                pid = self.make("SingleVariableDeclaration", ptype, pname)
-                pnode = self.project.node(pid)
-                pnode.props["type"] = ptype.text
-                pnode.props["name"] = pname.text
-                params.append(pid)
+                params.append(
+                    self.node("SingleVariableDeclaration", ptype, type=ptype.text, name=pname.text)
+                )
                 if not self.at(","):
                     break
                 self.advance()
         self.expect(")")
         body: int | None = None
         if self.at(";"):
-            end = self.advance()
+            self.advance()
         else:
             body = self.parse_block()
-            end = self.toks[self.pos - 1]
-        node_id = self.make("MethodDeclaration", type_tok, end)
-        node = self.project.node(node_id)
-        node.props["returnType"] = type_tok.text
-        node.props["name"] = name.text
-        node.props["parameters"] = params
-        if body is not None:
-            node.props["body"] = body
-        return node_id
+        return self.node(
+            "MethodDeclaration", type_tok, returnType=type_tok.text, name=name.text,
+            parameters=params, body=body,
+        )
 
     def parse_field(self, type_tok: Tok, first_name: Tok) -> int:
         fragments = [self.parse_fragment(first_name)]
         while self.at(","):
             self.advance()
             fragments.append(self.parse_fragment(self.expect_ident()))
-        end = self.expect(";")
-        node_id = self.make("FieldDeclaration", type_tok, end)
-        node = self.project.node(node_id)
-        node.props["type"] = type_tok.text
-        node.props["fragments"] = fragments
-        return node_id
+        self.expect(";")
+        return self.node("FieldDeclaration", type_tok, type=type_tok.text, fragments=fragments)
 
     def parse_fragment(self, name: Tok) -> int:
         init: int | None = None
         if self.at("="):
             self.advance()
             init = self.parse_expression()
-        end = self.toks[self.pos - 1] if init is not None else name
-        node_id = self.make("VariableDeclaration", name, end)
-        node = self.project.node(node_id)
-        node.props["name"] = name.text
-        if init is not None:
-            node.props["initializer"] = init
-        return node_id
+        return self.node("VariableDeclaration", name, name=name.text, initializer=init)
 
     # -- statements --
 
@@ -284,10 +266,8 @@ class Parser:
             except MiniLangParseError as exc:
                 self.diagnostics.append(exc.diagnostic)
                 self.recover_to_statement_end()
-        end = self.expect("}")
-        node_id = self.make("Block", start, end)
-        self.project.node(node_id).props["statements"] = statements
-        return node_id
+        self.expect("}")
+        return self.node("Block", start, statements=statements)
 
     def parse_statement(self) -> int:
         tok = self.peek()
@@ -300,35 +280,26 @@ class Parser:
         if tok.text == "for":
             return self.parse_for()
         if tok.text == "return":
-            start = self.advance()
+            self.advance()
             expr = None if self.at(";") else self.parse_expression()
-            end = self.expect(";")
-            node_id = self.make("ReturnStatement", start, end)
-            if expr is not None:
-                self.project.node(node_id).props["expression"] = expr
-            return node_id
+            self.expect(";")
+            return self.node("ReturnStatement", tok, expression=expr)
         if tok.text in ("break", "continue"):
-            start = self.advance()
-            end = self.expect(";")
-            kind = "BreakStatement" if tok.text == "break" else "ContinueStatement"
-            return self.make(kind, start, end)
+            self.advance()
+            self.expect(";")
+            return self.node("BreakStatement" if tok.text == "break" else "ContinueStatement", tok)
         if tok.text == "throw":
-            start = self.advance()
+            self.advance()
             expr = self.parse_expression()
-            end = self.expect(";")
-            node_id = self.make("ThrowStatement", start, end)
-            self.project.node(node_id).props["expression"] = expr
-            return node_id
+            self.expect(";")
+            return self.node("ThrowStatement", tok, expression=expr)
         if tok.text == "try":
             return self.parse_try()
         if tok.kind == "ident" and self.peek(1).kind == "ident":
             return self.parse_local_declaration()
-        start = self.peek()
         expr = self.parse_expression()
-        end = self.expect(";")
-        node_id = self.make("ExpressionStatement", start, end)
-        self.project.node(node_id).props["expression"] = expr
-        return node_id
+        self.expect(";")
+        return self.node("ExpressionStatement", tok, expression=expr)
 
     def parse_local_declaration(self, *, consume_semi: bool = True) -> int:
         type_tok = self.expect_ident()
@@ -336,12 +307,11 @@ class Parser:
         while self.at(","):
             self.advance()
             fragments.append(self.parse_fragment(self.expect_ident()))
-        end = self.expect(";") if consume_semi else self.toks[self.pos - 1]
-        node_id = self.make("VariableDeclarationStatement", type_tok, end)
-        node = self.project.node(node_id)
-        node.props["type"] = type_tok.text
-        node.props["fragments"] = fragments
-        return node_id
+        if consume_semi:
+            self.expect(";")
+        return self.node(
+            "VariableDeclarationStatement", type_tok, type=type_tok.text, fragments=fragments
+        )
 
     def parse_if(self) -> int:
         start = self.expect("if")
@@ -353,13 +323,9 @@ class Parser:
         if self.at("else"):
             self.advance()
             els = self.parse_statement()
-        node_id = self.make("IfStatement", start, self.toks[self.pos - 1])
-        node = self.project.node(node_id)
-        node.props["expression"] = cond
-        node.props["thenStatement"] = then
-        if els is not None:
-            node.props["elseStatement"] = els
-        return node_id
+        return self.node(
+            "IfStatement", start, expression=cond, thenStatement=then, elseStatement=els
+        )
 
     def parse_while(self) -> int:
         start = self.expect("while")
@@ -367,11 +333,7 @@ class Parser:
         cond = self.parse_expression()
         self.expect(")")
         body = self.parse_statement()
-        node_id = self.make("WhileStatement", start, self.toks[self.pos - 1])
-        node = self.project.node(node_id)
-        node.props["expression"] = cond
-        node.props["body"] = body
-        return node_id
+        return self.node("WhileStatement", start, expression=cond, body=body)
 
     def parse_for(self) -> int:
         start = self.expect("for")
@@ -396,14 +358,10 @@ class Parser:
                 updaters.append(self.parse_expression())
         self.expect(")")
         body = self.parse_statement()
-        node_id = self.make("ForStatement", start, self.toks[self.pos - 1])
-        node = self.project.node(node_id)
-        node.props["initializers"] = initializers
-        if cond is not None:
-            node.props["expression"] = cond
-        node.props["updaters"] = updaters
-        node.props["body"] = body
-        return node_id
+        return self.node(
+            "ForStatement", start, initializers=initializers, expression=cond,
+            updaters=updaters, body=body,
+        )
 
     def parse_try(self) -> int:
         start = self.expect("try")
@@ -415,94 +373,56 @@ class Parser:
             etype = self.expect_ident()
             ename = self.expect_ident()
             self.expect(")")
-            exc_id = self.make("SingleVariableDeclaration", etype, ename)
-            enode = self.project.node(exc_id)
-            enode.props["type"] = etype.text
-            enode.props["name"] = ename.text
+            exc_id = self.node(
+                "SingleVariableDeclaration", etype, ename, type=etype.text, name=ename.text
+            )
             cbody = self.parse_block()
-            cid = self.make("CatchClause", cstart, self.toks[self.pos - 1])
-            cnode = self.project.node(cid)
-            cnode.props["exception"] = exc_id
-            cnode.props["body"] = cbody
-            clauses.append(cid)
+            clauses.append(self.node("CatchClause", cstart, exception=exc_id, body=cbody))
         if not clauses:
             tok = self.peek()
             raise MiniLangParseError(
                 Diagnostic(self.file_name, tok.line, tok.col, "try requires at least one catch")
             )
-        node_id = self.make("TryStatement", start, self.toks[self.pos - 1])
-        node = self.project.node(node_id)
-        node.props["body"] = body
-        node.props["catchClauses"] = clauses
-        return node_id
+        return self.node("TryStatement", start, body=body, catchClauses=clauses)
 
     # -- expressions --
 
-    def parse_expression(self) -> int:
-        return self.parse_assignment()
+    def parse_expression(self, min_prec: int = 0) -> int:
+        """Precedence climbing: an expression whose binary operators all bind
+        at least as tightly as `min_prec`."""
+        start = self.toks[self.pos]
+        if start.kind == "punct" and start.text in ("!", "-"):
+            left = self.parse_prefix()
+        else:
+            left = self.parse_postfix()
+        while True:
+            op = self.toks[self.pos]
+            # Only punctuation tokens can spell an operator's text.
+            prec = BINARY_PRECEDENCE.get(op.text, -1)
+            if prec < min_prec:
+                return left
+            if prec == 0 and self.project.node(left).type not in ("Name", "FieldAccess"):
+                return left
+            self.pos += 1
+            # `=` is right-associative: its right side starts at its own level.
+            right = self.parse_expression(prec + 1 if prec else 0)
+            if prec:
+                left = self.node(
+                    "InfixExpression", start, leftOperand=left, operator=op.text,
+                    rightOperand=right,
+                )
+            else:
+                left = self.node(
+                    "Assignment", start, leftHandSide=left, operator="=", rightHandSide=right
+                )
 
-    def parse_assignment(self) -> int:
-        start = self.peek()
-        lhs = self.parse_or()
-        if self.at("=") and self.project.node(lhs).type in ("Name", "FieldAccess"):
-            self.advance()
-            rhs = self.parse_assignment()
-            node_id = self.make("Assignment", start, self.toks[self.pos - 1])
-            node = self.project.node(node_id)
-            node.props["leftHandSide"] = lhs
-            node.props["operator"] = "="
-            node.props["rightHandSide"] = rhs
-            return node_id
-        return lhs
-
-    def _infix_level(self, ops: tuple[str, ...], next_level) -> int:
-        start = self.peek()
-        left = next_level()
-        while self.peek().kind == "punct" and self.peek().text in ops:
-            op = self.advance().text
-            right = next_level()
-            node_id = self.make("InfixExpression", start, self.toks[self.pos - 1])
-            node = self.project.node(node_id)
-            node.props["leftOperand"] = left
-            node.props["operator"] = op
-            node.props["rightOperand"] = right
-            left = node_id
-        return left
-
-    def parse_or(self) -> int:
-        return self._infix_level(("||",), self.parse_and)
-
-    def parse_and(self) -> int:
-        return self._infix_level(("&&",), self.parse_equality)
-
-    def parse_equality(self) -> int:
-        return self._infix_level(("==", "!="), self.parse_relational)
-
-    def parse_relational(self) -> int:
-        return self._infix_level(("<", "<=", ">", ">="), self.parse_additive)
-
-    def parse_additive(self) -> int:
-        return self._infix_level(("+", "-"), self.parse_multiplicative)
-
-    def parse_multiplicative(self) -> int:
-        return self._infix_level(("*", "/"), self.parse_unary)
-
-    def parse_unary(self) -> int:
-        tok = self.peek()
-        if tok.text in ("!", "-") and tok.kind == "punct":
-            op = self.advance()
-            if op.text == "-" and self.peek().kind == "number":
-                num = self.advance()
-                node_id = self.make("NumberLiteral", op, num)
-                self.project.node(node_id).props["token"] = "-" + num.text
-                return node_id
-            operand = self.parse_unary()
-            node_id = self.make("PrefixExpression", op, self.toks[self.pos - 1])
-            node = self.project.node(node_id)
-            node.props["operator"] = op.text
-            node.props["operand"] = operand
-            return node_id
-        return self.parse_postfix()
+    def parse_prefix(self) -> int:
+        op = self.advance()
+        if op.text == "-" and self.peek().kind == "number":
+            num = self.advance()
+            return self.node("NumberLiteral", op, token="-" + num.text)
+        operand = self.parse_expression(PREFIX_PRECEDENCE)
+        return self.node("PrefixExpression", op, operator=op.text, operand=operand)
 
     def parse_postfix(self) -> int:
         start = self.peek()
@@ -512,18 +432,11 @@ class Parser:
             name = self.expect_ident()
             if self.at("("):
                 args = self.parse_arguments()
-                node_id = self.make("MethodInvocation", start, self.toks[self.pos - 1])
-                node = self.project.node(node_id)
-                node.props["expression"] = expr
-                node.props["name"] = name.text
-                node.props["arguments"] = args
-                expr = node_id
+                expr = self.node(
+                    "MethodInvocation", start, expression=expr, name=name.text, arguments=args
+                )
             else:
-                node_id = self.make("FieldAccess", start, name)
-                node = self.project.node(node_id)
-                node.props["expression"] = expr
-                node.props["name"] = name.text
-                expr = node_id
+                expr = self.node("FieldAccess", start, expression=expr, name=name.text)
         return expr
 
     def parse_arguments(self) -> list[int]:
@@ -545,41 +458,20 @@ class Parser:
             self.expect(")")
             return inner
         if tok.text == "new":
-            start = self.advance()
+            self.advance()
             cls = self.expect_ident()
             args = self.parse_arguments()
-            node_id = self.make("ClassInstanceCreation", start, self.toks[self.pos - 1])
-            node = self.project.node(node_id)
-            node.props["type"] = cls.text
-            node.props["arguments"] = args
-            return node_id
-        if tok.kind == "number":
+            return self.node("ClassInstanceCreation", tok, type=cls.text, arguments=args)
+        literal = _LITERALS.get(tok.kind if tok.kind != "keyword" else tok.text)
+        if literal is not None:
             self.advance()
-            node_id = self.make("NumberLiteral", tok, tok)
-            self.project.node(node_id).props["token"] = tok.text
-            return node_id
-        if tok.kind == "string":
-            self.advance()
-            node_id = self.make("StringLiteral", tok, tok)
-            self.project.node(node_id).props["token"] = tok.text
-            return node_id
-        if tok.text in ("true", "false"):
-            self.advance()
-            node_id = self.make("BooleanLiteral", tok, tok)
-            self.project.node(node_id).props["token"] = tok.text
-            return node_id
+            return self.node(literal, tok, token=tok.text)
         if tok.kind == "ident":
             self.advance()
             if self.at("("):
                 args = self.parse_arguments()
-                node_id = self.make("MethodInvocation", tok, self.toks[self.pos - 1])
-                node = self.project.node(node_id)
-                node.props["name"] = tok.text
-                node.props["arguments"] = args
-                return node_id
-            node_id = self.make("Name", tok, tok)
-            self.project.node(node_id).props["identifier"] = tok.text
-            return node_id
+                return self.node("MethodInvocation", tok, name=tok.text, arguments=args)
+            return self.node("Name", tok, identifier=tok.text)
         raise MiniLangParseError(
             Diagnostic(
                 self.file_name, tok.line, tok.col,

@@ -210,13 +210,17 @@ _PRECEDENCE = {
     "+": 5, "-": 5,
     "*": 6,
 }
+# Prefix operators bind tighter than every infix operator; property access
+# and calls (PREFIX_PRECEDENCE + 2) bind tighter still.
+PREFIX_PRECEDENCE = 8
 
 
 def unparse_expr(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, IntLit):
         return str(e.value)
     if isinstance(e, StrLit):
-        return '"' + e.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        escaped = e.value.replace("\\", "\\\\").replace('"', '\\"')
+        return '"' + escaped.replace("\n", "\\n").replace("\t", "\\t") + '"'
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
     if isinstance(e, VarRef):
@@ -226,16 +230,17 @@ def unparse_expr(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, CountStar):
         return "count(*)"
     if isinstance(e, PropAccess):
-        base = unparse_expr(e.base, 10)
+        base = unparse_expr(e.base, PREFIX_PRECEDENCE + 2)
         return f"{base}.{{{e.name}}}" if e.braced else f"{base}.{e.name}"
     if isinstance(e, Call):
         args = ", ".join(unparse_expr(a) for a in e.args)
         if e.receiver is None:
             return f"{e.name}({args})"
-        return f"{unparse_expr(e.receiver, 10)}.{e.name}({args})"
+        return f"{unparse_expr(e.receiver, PREFIX_PRECEDENCE + 2)}.{e.name}({args})"
     if isinstance(e, Prefix):
-        text = e.op + unparse_expr(e.operand, 9)
-        return f"({text})" if parent_prec > 8 else text
+        # A nested prefix is parenthesized: `--` would lex as one operator.
+        text = e.op + unparse_expr(e.operand, PREFIX_PRECEDENCE + 1)
+        return f"({text})" if parent_prec > PREFIX_PRECEDENCE else text
     if isinstance(e, Infix):
         prec = _PRECEDENCE[e.op]
         text = f"{unparse_expr(e.lhs, prec)} {e.op} {unparse_expr(e.rhs, prec + 1)}"

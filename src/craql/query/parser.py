@@ -1,8 +1,10 @@
-"""Recursive-descent parser for query documents."""
+"""Recursive-descent parser for query documents, with precedence climbing for expressions."""
 
 from __future__ import annotations
 
 from craql.query.ast import (
+    _PRECEDENCE,
+    PREFIX_PRECEDENCE,
     Assign,
     BoolLit,
     Call,
@@ -48,7 +50,9 @@ class _Parser:
         self.scope_vars: list[str] = []  # pattern variables of enclosing selects
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        # The list ends in `eof` and `advance` never moves past it, so a
+        # lookahead of 1 is only taken from a token that is not `eof`.
+        return self.toks[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.toks[self.pos]
@@ -244,41 +248,22 @@ class _Parser:
 
     # -- expressions --
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def _infix(self, ops: tuple[str, ...], next_level) -> Expr:
-        left = next_level()
-        while self.peek().kind == "op" and self.peek().value in ops:
-            tok = self.advance()
-            right = next_level()
-            left = Infix(tok.value, left, right, pos=(tok.line, tok.col))
-        return left
-
-    def parse_or(self) -> Expr:
-        return self._infix(("||",), self.parse_and)
-
-    def parse_and(self) -> Expr:
-        return self._infix(("&&",), self.parse_equality)
-
-    def parse_equality(self) -> Expr:
-        return self._infix(("==", "!="), self.parse_relational)
-
-    def parse_relational(self) -> Expr:
-        return self._infix(("<", "<=", ">", ">="), self.parse_additive)
-
-    def parse_additive(self) -> Expr:
-        return self._infix(("+", "-"), self.parse_multiplicative)
-
-    def parse_multiplicative(self) -> Expr:
-        return self._infix(("*",), self.parse_unary)
-
-    def parse_unary(self) -> Expr:
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing over `_PRECEDENCE`, the unparser's table: an
+        expression whose infix operators all bind at least `min_prec`."""
         tok = self.peek()
         if tok.kind == "op" and tok.value in ("!", "-"):
             self.advance()
-            return Prefix(tok.value, self.parse_unary(), pos=(tok.line, tok.col))
-        return self.parse_postfix()
+            left = Prefix(tok.value, self.parse_expr(PREFIX_PRECEDENCE), pos=(tok.line, tok.col))
+        else:
+            left = self.parse_postfix()
+        while True:
+            tok = self.peek()
+            prec = _PRECEDENCE.get(tok.value, 0) if tok.kind == "op" else 0
+            if prec < min_prec:
+                return left
+            self.advance()
+            left = Infix(tok.value, left, self.parse_expr(prec + 1), pos=(tok.line, tok.col))
 
     def parse_postfix(self) -> Expr:
         expr = self.parse_primary()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 KEYWORDS = {
@@ -9,9 +10,25 @@ KEYWORDS = {
     "if", "else", "while", "callquery", "print", "true", "false",
 }
 
-# Longest first: the scanner tries these before single-character operators.
-_MULTI_OPS = ("...", "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=")
-_SINGLE_OPS = "(){};:,.*+-=<>!"
+# One alternative per token class, in the "Writing a Tokenizer" idiom of the
+# `re` docs. `{Name}` is one braced-type token; any other brace is an operator.
+# Multi-character operators come before their prefixes. `\w` admits digits
+# such as "²" that start no identifier, so `tokenize` checks an identifier's
+# first character again.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[^\S\n]+|//[^\n]*)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<int>[0-9]+)
+  | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+  | (?P<braced>\{[ \t]*\w+[ \t]*\})
+  | (?P<op>\.\.\.|==|!=|<=|>=|&&|\|\||\+\+|--|\+=|-=|[(){};:,.*+\-=<>!])
+  | (?P<unterminated>")
+  | (?P<stray>.)
+""", re.VERBOSE)
+
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
 class QuerySyntaxError(Exception):
@@ -35,91 +52,35 @@ class Token:
 
 def tokenize(text: str, source: str = "<string>") -> list[Token]:
     toks: list[Token] = []
-    i, n = 0, len(text)
     line, line_start = 1, 0
-
-    def col(pos: int) -> int:
-        return pos - line_start + 1
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        start = m.start()
+        if kind == "newline":
             line += 1
-            i += 1
-            line_start = i
+            line_start = start + 1
             continue
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = i
-        if c.isalpha() or c == "_":
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, col(start)))
-            continue
-        if c.isdigit():
-            while i < n and text[i].isdigit():
-                i += 1
-            toks.append(Token("int", text[start:i], line, col(start)))
-            continue
-        if c == '"':
-            i += 1
-            parts: list[str] = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    break
-                if text[i] == "\\" and i + 1 < n:
-                    i += 1
-                    parts.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(text[i], text[i]))
-                else:
-                    parts.append(text[i])
-                i += 1
-            if i >= n or text[i] != '"':
-                raise QuerySyntaxError("unterminated string literal", source, line, col(start))
-            i += 1
-            toks.append(Token("string", "".join(parts), line, col(start)))
-            continue
-        if c == "{":
-            # `{Name}` is a single braced-type token; anything else is a block brace.
-            j = i + 1
-            while j < n and text[j] in " \t":
-                j += 1
-            k = j
-            while k < n and (text[k].isalnum() or text[k] == "_"):
-                k += 1
-            m = k
-            while m < n and text[m] in " \t":
-                m += 1
-            if k > j and m < n and text[m] == "}":
-                toks.append(Token("braced", text[j:k], line, col(start)))
-                i = m + 1
-                continue
-            toks.append(Token("op", "{", line, col(start)))
-            i += 1
-            continue
-        if c == "}":
-            toks.append(Token("op", "}", line, col(start)))
-            i += 1
-            continue
-        matched = False
-        for op in _MULTI_OPS:
-            if text.startswith(op, i):
-                toks.append(Token("op", op, line, col(start)))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if c in _SINGLE_OPS:
-            toks.append(Token("op", c, line, col(start)))
-            i += 1
-            continue
-        raise QuerySyntaxError(f"stray character {c!r}", source, line, col(start))
-    toks.append(Token("eof", "", line, col(n)))
+        word = m.group()
+        col = start - line_start + 1
+        value = word
+        if kind == "ident":
+            if word in KEYWORDS:
+                kind = "keyword"
+            elif not (word[0].isalpha() or word[0] == "_"):
+                kind = "stray"
+        elif kind == "string":
+            value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), word[1:-1])
+        elif kind == "braced":
+            value = word[1:-1].strip(" \t")
+        if kind == "stray":
+            raise QuerySyntaxError(f"stray character {word[0]!r}", source, line, col)
+        if kind == "unterminated":
+            raise QuerySyntaxError("unterminated string literal", source, line, col)
+        toks.append(Token(kind, value, line, col))
+        if "\n" in word:  # a string continued by backslash-newline
+            line += word.count("\n")
+            line_start = start + word.rindex("\n") + 1
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks

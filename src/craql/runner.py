@@ -51,10 +51,9 @@ class RunConfig:
     results_dir: Path
     project_list: Path
     query_list: Path
-    recursion_limit: int = 512
 
     @classmethod
-    def from_root(cls, root: Path, project_list: Path, query_list: Path, **kw) -> "RunConfig":
+    def from_root(cls, root: Path, project_list: Path, query_list: Path) -> "RunConfig":
         return cls(
             projects_dir=root / "projects",
             queries_dir=root / "queries",
@@ -62,7 +61,6 @@ class RunConfig:
             results_dir=root / "results",
             project_list=project_list,
             query_list=query_list,
-            **kw,
         )
 
     def validate(self) -> None:
@@ -175,9 +173,7 @@ def run_project(
     for doc_name, doc in docs:
         sink = OutputSink()
         sinks.append((doc_name, sink))
-        evaluator = Evaluator(
-            project, env, sink, recursion_limit=config.recursion_limit, source=doc.source
-        )
+        evaluator = Evaluator(project, env, sink, source=doc.source)
         try:
             evaluator.execute_document(doc)
         except QueryRuntimeError as exc:

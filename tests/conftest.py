@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -106,6 +107,31 @@ def find_node(project, type_name: str, contains: str | None = None):
         if contains is None or contains in source_text(project, node.id):
             return node
     raise AssertionError(f"no {type_name} node containing {contains!r}")
+
+
+def frames_per_level(parse, nested) -> float:
+    """Python frames that each level of `nested(depth)`, an input nested
+    `depth` levels deep, adds to the deepest call stack of `parse`."""
+
+    def deepest(depth: int) -> int:
+        peak = 0
+
+        def profile(frame, event, arg):
+            nonlocal peak
+            if event == "call":
+                size = 0
+                while frame is not None:
+                    size, frame = size + 1, frame.f_back
+                peak = max(peak, size)
+
+        sys.setprofile(profile)
+        try:
+            parse(nested(depth))
+        finally:
+            sys.setprofile(None)
+        return peak
+
+    return (deepest(30) - deepest(10)) / 20
 
 
 def run_document(project, text: str, seed: dict | None = None, source: str = "<test>"):

@@ -66,13 +66,23 @@ def test_genprops_subcommand(tmp_path):
     assert (root / "properties" / "alpha.properties").read_text() == "tag=core\n"
 
 
-def test_recursion_limit_flag(tmp_path):
+def test_recursion_limit_exits_one(tmp_path, caplog):
     root = make_root(tmp_path)
     (root / "queries" / "loop.craql").write_text(
         "q1 : select ({CompilationUnit} u) { callquery(q1); }"
     )
     (root / "queries.txt").write_text("loop.craql\n")
-    assert run_main(root, "--recursion-limit", "8") == 1
+    assert run_main(root) == 1
+    assert "aborting alpha: loop.craql:1:37: query recursion limit" in caplog.text
+
+
+def test_non_ascii_digit_in_query_exits_two(tmp_path, capsys):
+    root = make_root(tmp_path)
+    (root / "queries" / "digit.craql").write_text("select ({Block} b) where 1 < ² { }")
+    (root / "queries.txt").write_text("digit.craql\n")
+    assert run_main(root) == 2
+    err = capsys.readouterr().err
+    assert "unparseable query file digit.craql: digit.craql:1:30: stray character '²'" in err
 
 
 def test_deeply_nested_query_exits_two(tmp_path, capsys):

@@ -9,6 +9,8 @@ from craql import (
     parse_query_document,
 )
 
+from craql.engine.evaluator import MAX_CALL_DEPTH
+
 from conftest import load_fixture_project, run_document
 
 
@@ -85,13 +87,15 @@ class TestCallQuery:
         assert "nested_for_count" not in env.variables
 
     def test_recursion_limit(self, sample_project):
-        text = "q1 : select ({CompilationUnit} u) { callquery(q1); }"
+        text = "q1 : select ({CompilationUnit} u) { runs += 1; callquery(q1); }"
         doc = parse_query_document(text, "loop.craql")
-        evaluator = Evaluator(
-            sample_project, Environment(), OutputSink(), recursion_limit=16, source="loop.craql"
-        )
-        with pytest.raises(QueryRuntimeError, match="query recursion limit"):
+        env = Environment()
+        evaluator = Evaluator(sample_project, env, OutputSink(), source="loop.craql")
+        with pytest.raises(QueryRuntimeError, match="loop.craql:1:48: query recursion limit"):
             evaluator.execute_document(doc)
+        # The entry query and MAX_CALL_DEPTH nested calls ran; the next call aborted.
+        assert env.variables["runs"] == MAX_CALL_DEPTH + 1
+        assert env.call_depth == 0
 
     def test_called_query_shares_environment(self, sample_project):
         text = (

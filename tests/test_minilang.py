@@ -3,7 +3,7 @@ import pytest
 from craql import ProjectAst, MINILANG_SCHEMA, load_project, source_text
 from craql.minilang.parser import MiniLangParseError, parse_minilang
 
-from conftest import find_node, load_fixture_project
+from conftest import find_node, frames_per_level, load_fixture_project
 
 
 def parse_one(text: str, name: str = "T.mj"):
@@ -130,6 +130,109 @@ class TestParser:
         field = find_node(project, "FieldDeclaration")
         assert field.span.start == text.index("int")
         assert field.span.line == 2
+
+
+def expression_shape(project, node_id):
+    """An expression subtree as nested tuples of node type, operator (if
+    any), source text and operands, so spans are pinned with the shape."""
+    node = project.node(node_id)
+    text = source_text(project, node_id)
+    if node.type == "InfixExpression":
+        operands = (node.props["leftOperand"], node.props["rightOperand"])
+    elif node.type == "Assignment":
+        operands = (node.props["leftHandSide"], node.props["rightHandSide"])
+    elif node.type == "PrefixExpression":
+        operands = (node.props["operand"],)
+    else:
+        return (node.type, text)
+    return (node.type, node.props["operator"], text,
+            *(expression_shape(project, child) for child in operands))
+
+
+def statement_shape(text: str):
+    project, _, diagnostics = parse_one(f"class A {{ void m() {{ {text}; }} }}")
+    assert diagnostics == []
+    return expression_shape(project, find_node(project, "ExpressionStatement").props["expression"])
+
+
+def name(text):
+    return ("Name", text)
+
+
+class TestPrecedence:
+    """Tree shapes and spans, recorded from the recursive-descent parser
+    that precedence climbing replaced."""
+
+    def test_subtraction_is_left_associative(self):
+        assert statement_shape("a - b - c") == (
+            "InfixExpression", "-", "a - b - c",
+            ("InfixExpression", "-", "a - b", name("a"), name("b")),
+            name("c"),
+        )
+
+    def test_assignment_is_right_associative(self):
+        assert statement_shape("a = b = c") == (
+            "Assignment", "=", "a = b = c",
+            name("a"),
+            ("Assignment", "=", "b = c", name("b"), name("c")),
+        )
+
+    def test_every_level_in_one_chain(self):
+        rhs = "a || b && c == d < e + f * g / h"
+        assert statement_shape(f"x = {rhs}") == (
+            "Assignment", "=", f"x = {rhs}", name("x"),
+            ("InfixExpression", "||", rhs, name("a"),
+             ("InfixExpression", "&&", "b && c == d < e + f * g / h", name("b"),
+              ("InfixExpression", "==", "c == d < e + f * g / h", name("c"),
+               ("InfixExpression", "<", "d < e + f * g / h", name("d"),
+                ("InfixExpression", "+", "e + f * g / h", name("e"),
+                 ("InfixExpression", "/", "f * g / h",
+                  ("InfixExpression", "*", "f * g", name("f"), name("g")),
+                  name("h"))))))),
+        )
+
+    def test_negative_literal_and_prefix_minus(self):
+        assert statement_shape("-1 - -x") == (
+            "InfixExpression", "-", "-1 - -x",
+            ("NumberLiteral", "-1"),
+            ("PrefixExpression", "-", "-x", name("x")),
+        )
+
+    def test_parenthesized_operand_starts_the_span(self):
+        assert statement_shape("(a + b) * c") == (
+            "InfixExpression", "*", "(a + b) * c",
+            ("InfixExpression", "+", "a + b", name("a"), name("b")),
+            name("c"),
+        )
+
+    def test_assignment_needs_a_name_or_field_on_its_left(self):
+        _, _, diagnostics = parse_one("class A { void m() { a + b = c; } }")
+        assert [d.message for d in diagnostics] == ["expected ';', found '='"]
+
+
+class TestNesting:
+    @staticmethod
+    def nested_source(depth: int) -> str:
+        return f"class D {{ void f() {{ x = {'(' * depth}1{')' * depth}; }} }}"
+
+    def test_each_parenthesis_costs_at_most_four_frames(self):
+        assert frames_per_level(parse_one, self.nested_source) <= 4
+
+    def test_165_nested_parentheses_parse(self):
+        project, _, diagnostics = parse_one(self.nested_source(165))
+        assert diagnostics == []
+        assert find_node(project, "NumberLiteral").props["token"] == "1"
+
+    def test_non_ascii_digit_is_a_stray_character(self):
+        with pytest.raises(MiniLangParseError, match=r"T\.mj:1:28: .*stray character '²'"):
+            parse_one("class A { int f() { return ²; } }")
+
+    def test_file_with_non_ascii_digit_is_skipped(self):
+        project, diagnostics = load_project(
+            "digits", [("Bad.mj", "class B {\n  int f() { return 1²; }\n}"), ("Good.mj", "class G { }")]
+        )
+        assert project.files_parsed == 1
+        assert [str(d) for d in diagnostics] == ["Bad.mj:2:21: error: stray character '²'"]
 
 
 class TestLoadProject:

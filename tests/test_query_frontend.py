@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from craql import MINILANG_SCHEMA, BUNDLED_QUERIES, bundled_query_path
+from craql.query import ast as query_ast, parser as query_parser
 from craql.query import (
     parse_query_document,
     QuerySyntaxError,
@@ -9,15 +12,27 @@ from craql.query import (
     validate_against_schema,
 )
 from craql.query.ast import (
+    BoolLit,
+    Call,
     CallQuery,
+    CountStar,
     ELLIPSIS,
     If,
+    Infix,
     INPUT_DIRECTLY_IN,
+    IntLit,
     MOD_OUTMOST,
+    Prefix,
+    PropAccess,
     STAR,
     SelectStmt,
+    StrLit,
+    TypeLit,
     VarRef,
+    unparse_expr,
 )
+
+from conftest import frames_per_level
 
 
 class TestTokenize:
@@ -64,6 +79,18 @@ class TestTokenize:
     def test_tokens_carry_position(self):
         tok = tokenize("\n  select")[0]
         assert (tok.line, tok.col) == (2, 3)
+
+    def test_non_ascii_digit_is_a_stray_character(self):
+        with pytest.raises(QuerySyntaxError, match="^<string>:1:5: stray character '²'$"):
+            tokenize("1 < ²")
+
+    def test_escaped_newline_in_string_counts_its_line(self):
+        toks = tokenize('x = "a\\\nb";\ny = 1;')
+        assert [(t.kind, t.value, t.line, t.col) for t in toks[2:5]] == [
+            ("string", "a\nb", 1, 5),
+            ("op", ";", 2, 3),
+            ("ident", "y", 3, 1),
+        ]
 
 
 class TestParse:
@@ -135,6 +162,10 @@ class TestParse:
         with pytest.raises(QuerySyntaxError, match="expected"):
             parse_query_document("select {Block} b) { }")
 
+    def test_non_ascii_digit_in_where_clause(self):
+        with pytest.raises(QuerySyntaxError, match=r"^q\.craql:1:30: stray character '²'$"):
+            parse_query_document("select ({Block} b) where 1 < ² { }", "q.craql")
+
     def test_empty_document_rejected(self):
         with pytest.raises(QuerySyntaxError, match="empty"):
             parse_query_document("// only a comment\n")
@@ -152,6 +183,66 @@ class TestUnparse:
         text = "select ({Block} b) { x = (1 + 2) * 3 - -4; y = !(a && b) || c; }"
         doc = parse_query_document(text)
         assert parse_query_document(unparse_document(doc)) == doc
+
+    def test_string_escapes_round_trip(self):
+        doc = parse_query_document('select ({Block} b) { print("a\\nb\\tc\\"d\\\\"); }')
+        assert doc.entry.body[0].value == StrLit('a\nb\tc"d\\')
+        text = unparse_document(doc)
+        assert 'print("a\\nb\\tc\\"d\\\\");' in text
+        assert parse_query_document(text) == doc
+
+    def test_parser_reads_the_unparser_precedence_table(self):
+        assert query_parser._PRECEDENCE is query_ast._PRECEDENCE
+        assert query_parser.PREFIX_PRECEDENCE is query_ast.PREFIX_PRECEDENCE
+
+    def test_random_expressions_round_trip(self):
+        rng = random.Random(20240)
+        for _ in range(400):
+            expr = random_expr(rng, 4)
+            text = f"select ({{Block}} b) where {unparse_expr(expr)} {{ }}"
+            assert parse_query_document(text).entry.where == expr, text
+
+
+def random_expr(rng: random.Random, depth: int):
+    """A random expression over every infix and prefix operator, literals,
+    calls and property access."""
+    if depth == 0 or rng.random() < 0.25:
+        leaf = rng.randrange(6)
+        if leaf == 0:
+            return IntLit(rng.randrange(1000))
+        if leaf == 1:
+            return StrLit("".join(rng.choice('ab "\\\n\t') for _ in range(rng.randrange(5))))
+        if leaf == 2:
+            return BoolLit(rng.random() < 0.5)
+        if leaf == 3:
+            return VarRef(rng.choice(["a", "count", "x1"]))
+        if leaf == 4:
+            return TypeLit(rng.choice(["Block", "Statement"]))
+        return CountStar()
+    kind = rng.randrange(5)
+    if kind <= 1:
+        op = rng.choice(sorted(query_ast._PRECEDENCE))
+        return Infix(op, random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+    if kind == 2:
+        return Prefix(rng.choice("!-"), random_expr(rng, depth - 1))
+    if kind == 3:
+        receiver = random_expr(rng, depth - 1) if rng.random() < 0.5 else None
+        args = [random_expr(rng, depth - 1) for _ in range(rng.randrange(3))]
+        return Call(rng.choice(["f", "parent"]), receiver, args)
+    braced = rng.random() < 0.5
+    return PropAccess(random_expr(rng, depth - 1), "Block" if braced else "name", braced)
+
+
+class TestNesting:
+    @staticmethod
+    def nested_where(depth: int) -> str:
+        return f"select ({{Block}} b) where {'(' * depth}true{')' * depth} {{ }}"
+
+    def test_each_parenthesis_costs_at_most_four_frames(self):
+        assert frames_per_level(parse_query_document, self.nested_where) <= 4
+
+    def test_200_nested_parentheses_parse(self):
+        assert parse_query_document(self.nested_where(200)).entry.where == BoolLit(True)
 
 
 class TestValidate:
