@@ -1,5 +1,5 @@
-"""The query evaluator: set selection with pruning, expression evaluation,
-the builtin function library, and the imperative statement interpreter.
+"""The query evaluator: set selection with pruning, and the compiler that
+turns where clauses, bodies and the builtin function library into closures.
 
 Selection semantics, in one place:
 
@@ -41,10 +41,21 @@ its candidates from `_linked` instead: the nodes the key links to that node,
 in the scan's order. The where clause still runs on each of them; the scan's
 other candidates are the ones the key rejects, and rejecting them has no
 effect a later candidate or the output could see.
+
+Queries are compiled once per evaluator, not interpreted node by node: on a
+select's first run, `_plan` turns its where clause and body into Python
+closures (Feeley and Lapalme, "Using Closures for Code Generation", 1987),
+each holding its operator or builtin, its child closures and the variables
+and tables it reads. Compiling decides nothing that depends on a value, so
+evaluation order and errors stay those of the query text: the receiver runs
+before the arguments and both operands before either is coerced, `&&` and
+`||` short-circuit, and an unknown `{Type}` or function, a wrong arity or a
+`count(*)` outside a select raises only when evaluation reaches it.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -128,15 +139,31 @@ class SelectionCapture:
 MAX_WHILE_STEPS = 1_000_000
 
 # A callquery aborts its query when this many calls are already open. Each
-# level costs the interpreter at least 5 frames, so a much deeper bound
+# level costs the interpreter at least 3 frames, so a much deeper bound
 # would run out of stack before it was reached.
 MAX_CALL_DEPTH = 100
 
-NODE_FUNCTIONS = frozenset({
-    "contains", "directly_contains", "isparent", "parent", "isnodetype",
-    "position", "linenumber", "filename", "depth", "nodetype",
-    "methodbinding", "typebinding",
-})
+# Node function -> (its arity, its value on an undefined receiver or None
+# when that is an error).
+_NODE_FUNCTIONS = {
+    "parent": (0, UNDEFINED), "methodbinding": (0, UNDEFINED), "typebinding": (0, UNDEFINED),
+    "isnodetype": (1, False), "contains": (1, False), "directly_contains": (1, False),
+    "isparent": (1, False),
+    "position": (0, None), "linenumber": (0, None), "filename": (0, None), "depth": (0, None),
+    "nodetype": (0, None),
+}
+# The node functions that return a boolean, and those that take their node
+# as the sole argument too.
+_PROBES = frozenset({"isnodetype", "contains", "directly_contains", "isparent"})
+_FREE_FORMS = frozenset({"depth", "nodetype", "position", "linenumber", "filename"})
+_BOOLEAN_OPS = frozenset({"==", "!=", "<", "<=", ">", ">=", "&&", "||"})
+_ARITHMETIC = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "-": operator.sub, "*": operator.mul,
+}
+
+# A compiled expression or statement: call it to evaluate or run it.
+Thunk = Callable[[], Value]
 
 
 class Evaluator:
@@ -155,8 +182,9 @@ class Evaluator:
         self.stats = ExecutionStats()
         self.trace: Callable[[SelectionCapture], None] | None = None
         self._doc: QueryDocument | None = None
-        # id(select) -> (select, its link key): each select is analysed once.
-        self._link_keys: dict[int, tuple[SelectQuery, LinkKey | None]] = {}
+        # id(node) -> (node, its closure), or for a select (select, its
+        # plan): each query node is compiled once, on first use.
+        self._plans: dict[int, tuple[object, object]] = {}
 
     # ------------------------------------------------------------------
     # Document execution
@@ -175,6 +203,10 @@ class Evaluator:
             raise QueryRuntimeError("query nested too deeply", self.source, entry.pos) from None
         finally:
             self._doc = prev
+            # The closures refer to this evaluator; dropping them once the
+            # document has run lets reference counting free the evaluator
+            # and its project.
+            self._plans.clear()
 
     # ------------------------------------------------------------------
     # Selection
@@ -197,6 +229,7 @@ class Evaluator:
             capture = None
 
         pat = q.pattern
+        where, body, link_key = self._plan(q)
         self._require_type(pat.type1, pat.pos)
         if pat.kind != SINGLE:
             self._require_type(pat.type2, pat.pos)
@@ -208,8 +241,7 @@ class Evaluator:
         def prune(n: int) -> bool:
             return accepted
 
-        link_key = None if directly else self._link_key(q)
-        fixed = None if link_key is None else link_key.fixed_node(self.env.variables)
+        fixed = None if directly or link_key is None else link_key.fixed_node(self.env.variables)
         if fixed is not None:
             candidates = self._linked(
                 pat.var1, pat.type1, link_key.link, fixed, input_nodes, include_root, rs.stats
@@ -219,12 +251,11 @@ class Evaluator:
                 q, input_nodes, include_root, directly, rs.stats,
                 prune if q.modifier == MOD_OUTMOST else None,
             )
-        where = q.where
         deferred: list[tuple[int, int]] = []  # ellipsis rows wait for the depth test
         seen: set[int | tuple[int, int]] = set()
         try:
             for key in candidates:
-                accepted = where is None or truthy(self.eval(where))
+                accepted = where is None or where()
                 if not accepted or key in seen:
                     continue
                 seen.add(key)
@@ -232,7 +263,7 @@ class Evaluator:
                     deferred.append(key)
                     counter.count += 1
                 else:
-                    self._add_row(q, key, rs, counter, emit)
+                    self._add_row(q, key, rs, counter, emit, body)
             if deferred:
                 depth = self.project.index.depth
                 best = max(depth[n2] - depth[n1] for n1, n2 in deferred)
@@ -241,7 +272,7 @@ class Evaluator:
                     if depth[n2] - depth[n1] == best:
                         self.env.set(pat.var1, NodeRef(n1))
                         self.env.set(pat.var2, NodeRef(n2))
-                        self._add_row(q, (n1, n2), rs, counter, emit)
+                        self._add_row(q, (n1, n2), rs, counter, emit, body)
         finally:
             self.env.count_stack.pop()
         self.stats.nodes_visited += rs.stats.nodes_visited
@@ -359,12 +390,6 @@ class Evaluator:
                     variables[var2] = NodeRef(n2)
                     yield n1, n2
 
-    def _link_key(self, q: SelectQuery) -> LinkKey | None:
-        entry = self._link_keys.get(id(q))
-        if entry is None:
-            entry = self._link_keys[id(q)] = (q, find_link_key(q, self.schema))
-        return entry[1]
-
     def _linked(
         self,
         var: str,
@@ -418,6 +443,7 @@ class Evaluator:
         rs: ResultSet,
         counter: Counter,
         emit: bool,
+        body: Thunk,
     ) -> None:
         """Record an accepted candidate as a row, then run the body on it."""
         pat = q.pattern
@@ -434,116 +460,203 @@ class Evaluator:
                 self.project.files[node.span.file].name, node.span.line, node.type,
                 source_text(self.project, first),
             ))
-        self._exec_body(q.body)
+        body()
+
+    # ------------------------------------------------------------------
+    # Compilation
+    # ------------------------------------------------------------------
+
+    def eval(self, e: Expr) -> Value:
+        """The value of `e` now: `e` is compiled on first use, then its
+        closure is called."""
+        entry = self._plans.get(id(e))
+        if entry is None:
+            entry = self._plans[id(e)] = (e, self._compile(e))
+        return entry[1]()
+
+    def _plan(self, q: SelectQuery) -> tuple[Thunk | None, Thunk, LinkKey | None]:
+        """The select's compiled where clause (None without one), its
+        compiled body and its link key, built on the select's first run."""
+        entry = self._plans.get(id(q))
+        if entry is None:
+            where = None if q.where is None else self._test(q.where)
+            plan = (where, self._block(q.body), find_link_key(q, self.schema))
+            entry = self._plans[id(q)] = (q, plan)
+        return entry[1]
+
+    def _compile(self, e: Expr) -> Thunk:
+        compile_ = _EXPRESSIONS.get(type(e))
+        if compile_ is None:
+            return self._raiser(f"unknown expression {type(e).__name__}",
+                                getattr(e, "pos", (0, 0)))
+        return compile_(self, e)
+
+    def _test(self, e: Expr) -> Callable[[], bool]:
+        """A closure that gives the truth value of `e`."""
+        value = self._compile(e)
+        if type(e) is BoolLit or (type(e) is Infix and e.op in _BOOLEAN_OPS) or (
+                type(e) is Prefix and e.op == "!") or (type(e) is Call and e.name in _PROBES):
+            return value
+        return lambda: truthy(value())
+
+    def _block(self, body: list[Stmt]) -> Thunk:
+        steps = []
+        for s in body:
+            compile_ = _STATEMENTS.get(type(s))
+            steps.append(compile_(self, s) if compile_ is not None else
+                         self._raiser(f"unknown statement {type(s).__name__}", s.pos))
+        if len(steps) == 1:
+            return steps[0]
+
+        def block() -> None:
+            for step in steps:
+                step()
+
+        return block
+
+    def _raiser(self, message: str, pos: tuple[int, int], operands: list[Thunk] = ()) -> Thunk:
+        """A closure that evaluates `operands`, then raises `message`."""
+
+        def fail() -> Value:
+            for operand in operands:
+                operand()
+            raise QueryRuntimeError(message, self.source, pos)
+
+        return fail
 
     # ------------------------------------------------------------------
     # Statements
     # ------------------------------------------------------------------
 
-    def _exec_body(self, body: list[Stmt]) -> None:
-        for s in body:
-            self._exec_stmt(s)
+    def _assign(self, s: Assign) -> Thunk:
+        value_of, target, pos = self._compile(s.value), s.target, s.pos
+        variables, number, plus = self.env.variables, self._as_number, self._plus
 
-    def _exec_stmt(self, s: Stmt) -> None:
-        if isinstance(s, Assign):
-            value = self.eval(s.value)
-            if s.op == "=":
-                self.env.set(s.target, value)
-            else:
-                old = self.env.get(s.target)
-                if old is UNDEFINED:
-                    old = "" if isinstance(value, str) and s.op == "+=" else 0
-                if s.op == "+=":
-                    self.env.set(s.target, self._plus(old, value, s.pos))
-                else:
-                    self.env.set(
-                        s.target,
-                        self._as_number(old, s.pos) - self._as_number(value, s.pos),
-                    )
-        elif isinstance(s, IncrDecr):
-            old = self._as_number(self.env.get(s.target), s.pos)
-            self.env.set(s.target, old + 1 if s.op == "++" else old - 1)
-        elif isinstance(s, If):
-            if truthy(self.eval(s.cond)):
-                self._exec_body(s.then_body)
-            elif s.else_body is not None:
-                self._exec_body(s.else_body)
-        elif isinstance(s, While):
+        def assign() -> None:
+            variables[target] = value_of()
+
+        def add() -> None:
+            value = value_of()
+            old = variables.get(target, UNDEFINED)
+            if old is UNDEFINED:
+                old = "" if isinstance(value, str) else 0
+            variables[target] = plus(old, value, pos)
+
+        def subtract() -> None:
+            value = value_of()
+            # An undefined variable reads as 0.
+            old = number(variables.get(target, UNDEFINED), pos)
+            variables[target] = old - number(value, pos)
+
+        return assign if s.op == "=" else add if s.op == "+=" else subtract
+
+    def _incr_decr(self, s: IncrDecr) -> Thunk:
+        variables, target, pos, number = self.env.variables, s.target, s.pos, self._as_number
+        step = 1 if s.op == "++" else -1
+
+        def incr_decr() -> None:
+            old = variables.get(target, UNDEFINED)
+            variables[target] = (old if type(old) is int else number(old, pos)) + step
+
+        return incr_decr
+
+    def _if(self, s: If) -> Thunk:
+        cond, then = self._test(s.cond), self._block(s.then_body)
+        orelse = None if s.else_body is None else self._block(s.else_body)
+
+        def if_() -> None:
+            if cond():
+                then()
+            elif orelse is not None:
+                orelse()
+
+        return if_
+
+    def _while(self, s: While) -> Thunk:
+        cond, body, pos = self._test(s.cond), self._block(s.body), s.pos
+
+        def while_() -> None:
             steps = 0
-            while truthy(self.eval(s.cond)):
+            while cond():
                 if steps == MAX_WHILE_STEPS:
                     raise QueryRuntimeError(
-                        f"while loop exceeded {MAX_WHILE_STEPS} steps", self.source, s.pos
+                        f"while loop exceeded {MAX_WHILE_STEPS} steps", self.source, pos
                     )
                 steps += 1
-                self._exec_body(s.body)
-        elif isinstance(s, SelectStmt):
-            self.run_select(s.query)
-        elif isinstance(s, CallQuery):
-            self._exec_callquery(s)
-        elif isinstance(s, PrintStmt):
-            self.sink.print_line(render_value(self.eval(s.value), self.project))
-        elif isinstance(s, ExprStmt):
-            self.eval(s.value)
-        else:
-            raise QueryRuntimeError(f"unknown statement {type(s).__name__}", self.source, s.pos)
+                body()
 
-    def _exec_callquery(self, s: CallQuery) -> None:
-        if self._doc is None:
-            raise QueryRuntimeError("callquery outside a document", self.source, s.pos)
-        target = self._doc.labels().get(s.label)
-        if target is None:
-            raise QueryRuntimeError(f"unresolved query label {s.label}", self.source, s.pos)
-        if self.env.call_depth >= MAX_CALL_DEPTH:
-            raise QueryRuntimeError("query recursion limit", self.source, s.pos)
-        self.env.call_depth += 1
-        try:
-            # A called query is a top-level query of the document: its rows emit.
-            self.run_select(target, emit=True, input_override=s.input)
-        finally:
-            self.env.call_depth -= 1
+        return while_
+
+    def _select(self, s: SelectStmt) -> Thunk:
+        q = s.query
+        return lambda: self.run_select(q)
+
+    def _callquery(self, s: CallQuery) -> Thunk:
+        env, pos = self.env, s.pos
+
+        def callquery() -> None:
+            if self._doc is None:
+                raise QueryRuntimeError("callquery outside a document", self.source, pos)
+            target = self._doc.labels().get(s.label)
+            if target is None:
+                raise QueryRuntimeError(f"unresolved query label {s.label}", self.source, pos)
+            if env.call_depth >= MAX_CALL_DEPTH:
+                raise QueryRuntimeError("query recursion limit", self.source, pos)
+            env.call_depth += 1
+            try:
+                # A called query is a top-level query of the document: its rows emit.
+                self.run_select(target, emit=True, input_override=s.input)
+            finally:
+                env.call_depth -= 1
+
+        return callquery
+
+    def _print(self, s: PrintStmt) -> Thunk:
+        return self._library_call("print", s.pos, None, [self._compile(s.value)])
+
+    def _expr_stmt(self, s: ExprStmt) -> Thunk:
+        return self._compile(s.value)
 
     # ------------------------------------------------------------------
     # Expressions
     # ------------------------------------------------------------------
 
-    def eval(self, e: Expr) -> Value:
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, StrLit):
-            return e.value
-        if isinstance(e, BoolLit):
-            return e.value
-        if isinstance(e, VarRef):
-            return self.env.get(e.name)
-        if isinstance(e, TypeLit):
-            self._require_type(e.name, e.pos)
-            return TypeName(e.name)
-        if isinstance(e, CountStar):
-            if not self.env.count_stack:
+    def _literal(self, e: IntLit | StrLit | BoolLit) -> Thunk:
+        value = e.value
+        return lambda: value
+
+    def _var_ref(self, e: VarRef) -> Thunk:
+        get, name = self.env.variables.get, e.name
+        return lambda: get(name, UNDEFINED)
+
+    def _type_lit(self, e: TypeLit) -> Thunk:
+        if not self.schema.knows(e.name):
+            return self._raiser(f"unknown node type {e.name}", e.pos)
+        value = TypeName(e.name)
+        return lambda: value
+
+    def _count_star(self, e: CountStar) -> Thunk:
+        stack = self.env.count_stack
+
+        def count() -> int:
+            if not stack:
                 raise QueryRuntimeError("count(*) outside a select", self.source, e.pos)
-            return self.env.count_stack[-1].count
-        if isinstance(e, PropAccess):
-            base = self.eval(e.base)
-            if base is UNDEFINED:
+            return stack[-1].count
+
+        return count
+
+    def _prop_access(self, e: PropAccess) -> Thunk:
+        base_of, name, pos = self._compile(e.base), e.name, e.pos
+
+        def access() -> Value:
+            base = base_of()
+            if type(base) is not NodeRef:
                 raise QueryRuntimeError(
-                    f"property access .{e.name} on undefined", self.source, e.pos
+                    f"property access .{name} on {_kind_name(base)}", self.source, pos
                 )
-            if not isinstance(base, NodeRef):
-                raise QueryRuntimeError(
-                    f"property access .{e.name} on {_kind_name(base)}", self.source, e.pos
-                )
-            return self.eval_accessor(base.id, e.name, e.pos)
-        if isinstance(e, Call):
-            return self._eval_call(e)
-        if isinstance(e, Prefix):
-            if e.op == "!":
-                return not truthy(self.eval(e.operand))
-            return -self._as_number(self.eval(e.operand), e.pos)
-        if isinstance(e, Infix):
-            return self._eval_infix(e)
-        raise QueryRuntimeError(f"unknown expression {type(e).__name__}", self.source,
-                                getattr(e, "pos", (0, 0)))
+            return self.eval_accessor(base.id, name, pos)
+
+        return access
 
     def eval_accessor(self, node_id: int, name: str, pos: tuple[int, int]) -> Value:
         """Resolve `.name` / `.{name}`: property first, then child-by-type."""
@@ -570,196 +683,50 @@ class Evaluator:
                 )
         return UNDEFINED
 
-    # -- builtin functions --
+    def _prefix(self, e: Prefix) -> Thunk:
+        if e.op == "!":
+            test = self._test(e.operand)
+            return lambda: not test()
+        operand, pos, number = self._compile(e.operand), e.pos, self._as_number
+        return lambda: -number(operand(), pos)
 
-    def _eval_call(self, e: Call) -> Value:
-        recv = self.eval(e.receiver) if e.receiver is not None else None
-        args = [self.eval(a) for a in e.args]
+    def _infix(self, e: Infix) -> Thunk:
+        op, pos = e.op, e.pos
+        if op == "&&" or op == "||":
+            left, right = self._test(e.lhs), self._test(e.rhs)
+            if op == "&&":
+                return lambda: left() and right()
+            return lambda: left() or right()
+        # Both operands are evaluated before either is coerced.
+        left, right = self._compile(e.lhs), self._compile(e.rhs)
+        if op == "==":
+            return lambda: _values_equal(left(), right())
+        if op == "!=":
+            return lambda: not _values_equal(left(), right())
+        number, plus = self._as_number, self._plus
+        if op == "+":
+            def add() -> Value:
+                a, b = left(), right()
+                if type(a) is int and type(b) is int:
+                    return a + b
+                return plus(a, b, pos)
 
-        if e.name in ("max", "min"):
-            self._check_arity(e, 2)
-            a = self._as_number(args[0], e.pos, allow_literal_node=True)
-            b = self._as_number(args[1], e.pos, allow_literal_node=True)
-            return max(a, b) if e.name == "max" else min(a, b)
-        if e.name == "print":
-            self._check_arity(e, 1)
-            self.sink.print_line(render_value(args[0], self.project))
-            return UNDEFINED
+            return add
+        apply = _ARITHMETIC.get(op)
+        if apply is None:
+            return self._raiser(f"unknown operator {op}", pos, [left, right])
 
-        if e.name not in NODE_FUNCTIONS:
-            raise QueryRuntimeError(f"unknown function {e.name}", self.source, e.pos)
+        def arithmetic() -> Value:
+            a, b = left(), right()
+            return apply(a if type(a) is int else number(a, pos),
+                         b if type(b) is int else number(b, pos))
 
-        # Node functions accept the node as receiver or as the sole argument
-        # (the free forms depth(n) and nodetype(n)).
-        if recv is None:
-            if e.name in ("depth", "nodetype", "position", "linenumber", "filename") and len(args) == 1:
-                recv, args = args[0], []
-            else:
-                raise QueryRuntimeError(f"{e.name}() needs a node receiver", self.source, e.pos)
-        if recv is UNDEFINED:
-            # Probes on an absent node degrade instead of aborting, so where
-            # clauses can test optional children and unresolved bindings.
-            if e.name in ("isnodetype", "contains", "directly_contains", "isparent"):
-                self._check_arity(e, 1)
-                return False
-            if e.name in ("parent", "methodbinding", "typebinding"):
-                self._check_arity(e, 0)
-                return UNDEFINED
-        if not isinstance(recv, NodeRef):
-            raise QueryRuntimeError(
-                f"{e.name}() receiver is {_kind_name(recv)}, not a node", self.source, e.pos
-            )
-        node_id = recv.id
-        node = self.project.node(node_id)
-
-        if e.name == "parent":
-            self._check_arity(e, 0)
-            parent = node.parent
-            return UNDEFINED if parent is None else NodeRef(parent)
-        if e.name == "position":
-            self._check_arity_already_bound(e, args)
-            return node.span.start
-        if e.name == "linenumber":
-            self._check_arity_already_bound(e, args)
-            return node.span.line
-        if e.name == "filename":
-            self._check_arity_already_bound(e, args)
-            return self.project.files[node.span.file].name
-        if e.name == "depth":
-            self._check_arity_already_bound(e, args)
-            return node_depth(self.project, node_id)
-        if e.name == "nodetype":
-            self._check_arity_already_bound(e, args)
-            return node.type
-        if e.name == "isnodetype":
-            self._check_arity(e, 1)
-            return self._type_arg_match(node_id, args[0], e)
-        if e.name == "methodbinding":
-            self._check_arity(e, 0)
-            target = self.project.bindings.method.get(node_id)
-            return UNDEFINED if target is None else NodeRef(target)
-        if e.name == "typebinding":
-            self._check_arity(e, 0)
-            target = self.project.bindings.type.get(node_id)
-            return UNDEFINED if target is None else NodeRef(target)
-        if e.name == "isparent":
-            self._check_arity(e, 1)
-            return self._isparent(node_id, args[0], e)
-        if e.name == "contains":
-            self._check_arity(e, 1)
-            return self._contains(node_id, args[0], e, direct_only=False)
-        if e.name == "directly_contains":
-            self._check_arity(e, 1)
-            return self._contains(node_id, args[0], e, direct_only=True)
-        raise QueryRuntimeError(f"unknown function {e.name}", self.source, e.pos)
-
-    def _check_arity(self, e: Call, n: int) -> None:
-        if len(e.args) != n:
-            raise QueryRuntimeError(
-                f"{e.name}() takes {n} argument{'s' if n != 1 else ''}, got {len(e.args)}",
-                self.source, e.pos,
-            )
-
-    def _check_arity_already_bound(self, e: Call, args: list[Value]) -> None:
-        # Free-form usage moved the single argument into the receiver slot.
-        if args:
-            raise QueryRuntimeError(
-                f"{e.name}() takes no arguments beyond the node", self.source, e.pos
-            )
-
-    def _type_arg_match(self, node_id: int, arg: Value, e: Call) -> bool:
-        if not isinstance(arg, TypeName):
-            raise QueryRuntimeError(
-                f"{e.name}() expects a node type like {{Block}}", self.source, e.pos
-            )
-        return self.project.matches_type(node_id, arg.name)
-
-    def _isparent(self, node_id: int, arg: Value, e: Call) -> bool:
-        if isinstance(arg, TypeName):
-            children = child_ids(self.project.node(node_id))
-            return any(self.project.matches_type(c, arg.name) for c in children)
-        if isinstance(arg, NodeRef):
-            return self.project.node(arg.id).parent == node_id
-        if arg is UNDEFINED:
-            return False
-        raise QueryRuntimeError(
-            "isparent() expects a node type or a node", self.source, e.pos
-        )
-
-    def _contains(self, node_id: int, arg: Value, e: Call, direct_only: bool) -> bool:
-        if arg is UNDEFINED:
-            return False
-        if isinstance(arg, TypeName):
-            if not direct_only:
-                return self._has_descendant_of_type(node_id, arg.name)
-            scan = self._scan(arg.name, node_id, False, True, ExecutionStats())
-            return next(scan, None) is not None
-        if isinstance(arg, NodeRef):
-            pre, end = self.project.index.pre, self.project.index.end
-            if not pre[node_id] < pre[arg.id] < end[node_id]:
-                return False
-            # directly_contains: no node of node_id's type may interpose.
-            root_type = self.project.node(node_id).type
-            cur = self.project.node(arg.id).parent
-            while direct_only and cur != node_id:
-                if self.project.node(cur).type == root_type:
-                    return False
-                cur = self.project.node(cur).parent
-            return True
-        raise QueryRuntimeError(
-            f"{e.name}() expects a node type or a node", self.source, e.pos
-        )
-
-    # -- operators --
-
-    def _eval_infix(self, e: Infix) -> Value:
-        if e.op == "&&":
-            return truthy(self.eval(e.lhs)) and truthy(self.eval(e.rhs))
-        if e.op == "||":
-            return truthy(self.eval(e.lhs)) or truthy(self.eval(e.rhs))
-        left = self.eval(e.lhs)
-        right = self.eval(e.rhs)
-        if e.op in ("==", "!="):
-            eq = self._values_equal(left, right)
-            return eq if e.op == "==" else not eq
-        if e.op in ("<", "<=", ">", ">="):
-            a = self._as_number(left, e.pos)
-            b = self._as_number(right, e.pos)
-            return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[e.op]
-        if e.op == "+":
-            return self._plus(left, right, e.pos)
-        if e.op == "-":
-            return self._as_number(left, e.pos) - self._as_number(right, e.pos)
-        if e.op == "*":
-            return self._as_number(left, e.pos) * self._as_number(right, e.pos)
-        raise QueryRuntimeError(f"unknown operator {e.op}", self.source, e.pos)
+        return arithmetic
 
     def _plus(self, left: Value, right: Value, pos: tuple[int, int]) -> Value:
         if isinstance(left, str) or isinstance(right, str):
             return render_value(left, self.project) + render_value(right, self.project)
         return self._as_number(left, pos) + self._as_number(right, pos)
-
-    def _values_equal(self, a: Value, b: Value) -> bool:
-        if isinstance(a, NodeRef) or isinstance(b, NodeRef):
-            return isinstance(a, NodeRef) and isinstance(b, NodeRef) and a.id == b.id
-        if isinstance(a, NodeList) and isinstance(b, NodeList):
-            return a.ids == b.ids
-        # A node list compared with a number compares the list's length.
-        if isinstance(a, NodeList) and isinstance(b, int) and not isinstance(b, bool):
-            return len(a) == b
-        if isinstance(b, NodeList) and isinstance(a, int) and not isinstance(a, bool):
-            return len(b) == a
-        if a is UNDEFINED or b is UNDEFINED:
-            return a is b
-        if isinstance(a, TypeName) or isinstance(b, TypeName):
-            aname = a.name if isinstance(a, TypeName) else a
-            bname = b.name if isinstance(b, TypeName) else b
-            return isinstance(aname, str) and isinstance(bname, str) and aname == bname
-        if isinstance(a, bool) != isinstance(b, bool):
-            return False
-        if isinstance(a, (int, str, bool)) and isinstance(b, (int, str, bool)):
-            return type(a) is type(b) and a == b
-        return False
 
     def _as_number(self, v: Value, pos: tuple[int, int], allow_literal_node: bool = False) -> int:
         if isinstance(v, bool):
@@ -777,6 +744,216 @@ class Evaluator:
         raise QueryRuntimeError(
             f"arithmetic on {_kind_name(v)}", self.source, pos
         )
+
+    # -- builtin functions --
+
+    def _call(self, e: Call) -> Thunk:
+        """Calls evaluate the receiver, then the arguments, then check them."""
+        name, pos = e.name, e.pos
+        receiver = None if e.receiver is None else self._compile(e.receiver)
+        args = [self._compile(a) for a in e.args]
+        operands = args if receiver is None else [receiver] + args
+        if name == "print" or name == "max" or name == "min":
+            arity = 1 if name == "print" else 2
+            if len(args) != arity:
+                return self._raiser(_arity_message(name, arity, len(args)), pos, operands)
+            return self._library_call(name, pos, receiver, args)
+        if name not in _NODE_FUNCTIONS:
+            return self._raiser(f"unknown function {name}", pos, operands)
+
+        # Node functions accept the node as receiver or as the sole argument
+        # (the free forms depth(n) and nodetype(n)).
+        if receiver is None:
+            if name not in _FREE_FORMS or len(args) != 1:
+                return self._raiser(f"{name}() needs a node receiver", pos, operands)
+            receiver, args = args[0], []
+        arity, on_undefined = _NODE_FUNCTIONS[name]
+        # Probes on an absent node degrade instead of aborting, so where
+        # clauses can test optional children and unresolved bindings.
+        degrades = on_undefined is not None
+
+        def not_a_node(recv: Value) -> Value:
+            if recv is UNDEFINED and degrades:
+                return on_undefined
+            raise QueryRuntimeError(
+                f"{name}() receiver is {_kind_name(recv)}, not a node", self.source, pos
+            )
+
+        if len(args) != arity:
+            message = (f"{name}() takes no arguments beyond the node" if not degrades
+                       else _arity_message(name, arity, len(e.args)))
+            arity_error = self._raiser(message, pos)
+
+            def wrong_arity() -> Value:
+                recv = receiver()
+                for arg in args:
+                    arg()
+                if type(recv) is not NodeRef:
+                    not_a_node(recv)
+                return arity_error()
+
+            return wrong_arity
+
+        apply = self._node_function(name, pos)
+        if not args:
+            def call() -> Value:
+                recv = receiver()
+                if type(recv) is NodeRef:
+                    return apply(recv.id)
+                return not_a_node(recv)
+
+            return call
+        arg = args[0]
+
+        def call_with_arg() -> Value:
+            recv = receiver()
+            value = arg()
+            if type(recv) is NodeRef:
+                return apply(recv.id, value)
+            return not_a_node(recv)
+
+        return call_with_arg
+
+    def _library_call(self, name: str, pos: tuple[int, int], receiver: Thunk | None,
+                      args: list[Thunk]) -> Thunk:
+        """`print(v)`, `max(a, b)` and `min(a, b)`; a receiver is evaluated
+        and ignored."""
+        if name == "print":
+            (value_of,) = args
+
+            def print_() -> Value:
+                if receiver is not None:
+                    receiver()
+                self.sink.print_line(render_value(value_of(), self.project))
+                return UNDEFINED
+
+            return print_
+        (first, second), number = args, self._as_number
+        pick = max if name == "max" else min
+
+        def extreme() -> int:
+            if receiver is not None:
+                receiver()
+            a, b = first(), second()
+            return pick(number(a, pos, True), number(b, pos, True))
+
+        return extreme
+
+    def _node_function(self, name: str, pos: tuple[int, int]) -> Callable[..., Value]:
+        """Node function `name` as a function of the receiver's node id and
+        the argument's value, if it takes one."""
+        project = self.project
+        nodes, bindings = project.nodes, project.bindings
+
+        def parent(n: int) -> Value:
+            p = nodes[n].parent
+            return UNDEFINED if p is None else NodeRef(p)
+
+        def binding(table: dict[int, int]) -> Callable[[int], Value]:
+            def bound(n: int) -> Value:
+                target = table.get(n)
+                return UNDEFINED if target is None else NodeRef(target)
+
+            return bound
+
+        def isnodetype(n: int, arg: Value) -> bool:
+            if type(arg) is not TypeName:
+                raise QueryRuntimeError(
+                    f"{name}() expects a node type like {{Block}}", self.source, pos
+                )
+            return project.matches_type(n, arg.name)
+
+        def isparent(n: int, arg: Value) -> bool:
+            if type(arg) is NodeRef:
+                return nodes[arg.id].parent == n
+            if type(arg) is TypeName:
+                return any(project.matches_type(c, arg.name) for c in child_ids(nodes[n]))
+            if arg is UNDEFINED:
+                return False
+            raise QueryRuntimeError(
+                "isparent() expects a node type or a node", self.source, pos
+            )
+
+        direct = name == "directly_contains"
+
+        def contains(n: int, arg: Value) -> bool:
+            if arg is UNDEFINED:
+                return False
+            if type(arg) is TypeName:
+                if not direct:
+                    return self._has_descendant_of_type(n, arg.name)
+                scan = self._scan(arg.name, n, False, True, ExecutionStats())
+                return next(scan, None) is not None
+            if type(arg) is not NodeRef:
+                raise QueryRuntimeError(
+                    f"{name}() expects a node type or a node", self.source, pos
+                )
+            pre, end = project.index.pre, project.index.end
+            if not pre[n] < pre[arg.id] < end[n]:
+                return False
+            # directly_contains: no node of n's type may interpose.
+            root_type = nodes[n].type
+            cur = nodes[arg.id].parent
+            while direct and cur != n:
+                if nodes[cur].type == root_type:
+                    return False
+                cur = nodes[cur].parent
+            return True
+
+        return {
+            "parent": parent,
+            "position": lambda n: nodes[n].span.start,
+            "linenumber": lambda n: nodes[n].span.line,
+            "filename": lambda n: project.files[nodes[n].span.file].name,
+            "depth": lambda n: node_depth(project, n),
+            "nodetype": lambda n: nodes[n].type,
+            "methodbinding": binding(bindings.method),
+            "typebinding": binding(bindings.type),
+            "isnodetype": isnodetype,
+            "isparent": isparent,
+            "contains": contains,
+            "directly_contains": contains,
+        }[name]
+
+
+_EXPRESSIONS = {
+    IntLit: Evaluator._literal, StrLit: Evaluator._literal, BoolLit: Evaluator._literal,
+    VarRef: Evaluator._var_ref, TypeLit: Evaluator._type_lit, CountStar: Evaluator._count_star,
+    PropAccess: Evaluator._prop_access, Call: Evaluator._call, Prefix: Evaluator._prefix,
+    Infix: Evaluator._infix,
+}
+_STATEMENTS = {
+    Assign: Evaluator._assign, IncrDecr: Evaluator._incr_decr, If: Evaluator._if,
+    While: Evaluator._while, SelectStmt: Evaluator._select, CallQuery: Evaluator._callquery,
+    PrintStmt: Evaluator._print, ExprStmt: Evaluator._expr_stmt,
+}
+
+
+def _values_equal(a: Value, b: Value) -> bool:
+    if isinstance(a, NodeRef) or isinstance(b, NodeRef):
+        return isinstance(a, NodeRef) and isinstance(b, NodeRef) and a.id == b.id
+    if isinstance(a, NodeList) and isinstance(b, NodeList):
+        return a.ids == b.ids
+    # A node list compared with a number compares the list's length.
+    if isinstance(a, NodeList) and isinstance(b, int) and not isinstance(b, bool):
+        return len(a) == b
+    if isinstance(b, NodeList) and isinstance(a, int) and not isinstance(a, bool):
+        return len(b) == a
+    if a is UNDEFINED or b is UNDEFINED:
+        return a is b
+    if isinstance(a, TypeName) or isinstance(b, TypeName):
+        aname = a.name if isinstance(a, TypeName) else a
+        bname = b.name if isinstance(b, TypeName) else b
+        return isinstance(aname, str) and isinstance(bname, str) and aname == bname
+    if isinstance(a, bool) != isinstance(b, bool):
+        return False
+    if isinstance(a, (int, str, bool)) and isinstance(b, (int, str, bool)):
+        return type(a) is type(b) and a == b
+    return False
+
+
+def _arity_message(name: str, n: int, got: int) -> str:
+    return f"{name}() takes {n} argument{'s' if n != 1 else ''}, got {got}"
 
 
 def _kind_name(v: Value) -> str:

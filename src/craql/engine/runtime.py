@@ -100,9 +100,6 @@ class Environment:
         self.count_stack: list[Counter] = []
         self.call_depth = 0
 
-    def get(self, name: str) -> Value:
-        return self.variables.get(name, UNDEFINED)
-
     def set(self, name: str, value: Value) -> None:
         self.variables[name] = value
 

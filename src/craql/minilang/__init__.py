@@ -22,8 +22,8 @@ def load_project(name: str, sources: list[tuple[str, str]]) -> tuple[ProjectAst,
     """Parse and bind a whole project from (file name, text) pairs.
 
     Files with unrecoverable syntax errors are skipped and reported as
-    diagnostics with severity "error"; recovered statement-level problems come
-    back as warnings attached to a best-effort tree.
+    diagnostics; recovered statement-level problems are reported the same
+    way beside a best-effort tree.
     """
     project = ProjectAst(name, MINILANG_SCHEMA)
     diagnostics: list[Diagnostic] = []

@@ -4,7 +4,9 @@ declarations and statements, and precedence climbing for expressions.
 Builds nodes directly into a shared :class:`ProjectAst` arena. Statement and
 member level errors are recovered by skipping to the next `;` or `}` and
 recorded as diagnostics; junk at the top level is unrecoverable and raises
-:class:`MiniLangParseError` (the runner then skips the file).
+:class:`MiniLangParseError` (the runner then skips the file). Text the lexer
+cannot read, a stray character or an unterminated string, becomes a token
+that no rule accepts, so it is such an error at the place it appears.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ _TOKEN = re.compile(r"""
 
 @dataclass(slots=True)
 class Tok:
-    kind: str  # ident | keyword | number | string | punct | eof
+    kind: str  # ident | keyword | number | string | punct | stray | unterminated | eof
     text: str
     start: int
     end: int
@@ -51,7 +53,7 @@ class MiniLangParseError(Exception):
         super().__init__(str(diagnostic))
 
 
-def lex(file_name: str, text: str) -> list[Tok]:
+def lex(text: str) -> list[Tok]:
     toks: list[Tok] = []
     line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
@@ -69,14 +71,7 @@ def lex(file_name: str, text: str) -> list[Tok]:
                 kind = "keyword"
             elif not (word[0].isalpha() or word[0] == "_"):
                 kind = "stray"
-        col = start - line_start + 1
-        if kind == "stray" or kind == "unterminated":
-            message = (
-                "unterminated string literal" if kind == "unterminated"
-                else f"stray character {word[0]!r}"
-            )
-            raise MiniLangParseError(Diagnostic(file_name, line, col, message))
-        toks.append(Tok(kind, word, start, m.end(), line, col))
+        toks.append(Tok(kind, word, start, m.end(), line, start - line_start + 1))
     n = len(text)
     toks.append(Tok("eof", "", n, n, line, n - line_start + 1))
     return toks
@@ -103,7 +98,7 @@ class Parser:
         self.project = project
         self.file_name = file_name
         self.file_id = project.add_file(file_name, text)
-        self.toks = lex(file_name, text)
+        self.toks = lex(text)
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
 
@@ -124,23 +119,27 @@ class Parser:
         tok = self.toks[self.pos]
         return tok.text == text and tok.kind in ("punct", "keyword")
 
+    def error(self, message: str) -> MiniLangParseError:
+        """A parse error at the next token; at a token the lexer could not
+        read, the error says what the lexer found there."""
+        tok = self.peek()
+        if tok.kind == "stray":
+            message = f"stray character {tok.text[0]!r}"
+        elif tok.kind == "unterminated":
+            message = "unterminated string literal"
+        return MiniLangParseError(Diagnostic(self.file_name, tok.line, tok.col, message))
+
     def expect(self, text: str) -> Tok:
         if self.at(text):
             return self.advance()
-        tok = self.peek()
-        raise MiniLangParseError(
-            Diagnostic(
-                self.file_name, tok.line, tok.col,
-                f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}, found end of file",
-            )
+        found = self.peek().text
+        raise self.error(
+            f"expected {text!r}, found {found!r}" if found else f"expected {text!r}, found end of file"
         )
 
     def expect_ident(self) -> Tok:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise MiniLangParseError(
-                Diagnostic(self.file_name, tok.line, tok.col, f"expected identifier, found {tok.text!r}")
-            )
+        if self.peek().kind != "ident":
+            raise self.error(f"expected identifier, found {self.peek().text!r}")
         return self.advance()
 
     def node(self, type_name: str, start: Tok, end: Tok | None = None, **props) -> int:
@@ -178,13 +177,7 @@ class Parser:
             if self.at("class") or self.at("interface"):
                 types.append(self.parse_type_declaration())
             else:
-                tok = self.peek()
-                raise MiniLangParseError(
-                    Diagnostic(
-                        self.file_name, tok.line, tok.col,
-                        f"expected type declaration, found {tok.text!r}",
-                    )
-                )
+                raise self.error(f"expected type declaration, found {self.peek().text!r}")
         unit = self.project.new_node(
             "CompilationUnit", Span(self.file_id, 0, self.toks[-1].end, 1)
         )
@@ -379,10 +372,7 @@ class Parser:
             cbody = self.parse_block()
             clauses.append(self.node("CatchClause", cstart, exception=exc_id, body=cbody))
         if not clauses:
-            tok = self.peek()
-            raise MiniLangParseError(
-                Diagnostic(self.file_name, tok.line, tok.col, "try requires at least one catch")
-            )
+            raise self.error("try requires at least one catch")
         return self.node("TryStatement", start, body=body, catchClauses=clauses)
 
     # -- expressions --
@@ -472,11 +462,8 @@ class Parser:
                 args = self.parse_arguments()
                 return self.node("MethodInvocation", tok, name=tok.text, arguments=args)
             return self.node("Name", tok, identifier=tok.text)
-        raise MiniLangParseError(
-            Diagnostic(
-                self.file_name, tok.line, tok.col,
-                f"expected expression, found {tok.text!r}" if tok.text else "expected expression, found end of file",
-            )
+        raise self.error(
+            f"expected expression, found {tok.text!r}" if tok.text else "expected expression, found end of file"
         )
 
 

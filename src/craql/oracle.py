@@ -163,15 +163,19 @@ def where_from_expr(
     """
     if where is None:
         return None
+    # One evaluator, so the where clause is compiled once for all calls.
+    evaluator = Evaluator(project, Environment(), OutputSink())
+    env = evaluator.env
 
     def fn(bindings: dict[str, int], count: int) -> bool:
-        env = Environment(dict(env_snapshot))
+        env.variables.clear()
+        env.variables.update(env_snapshot)
         counter = Counter()
         counter.count = count
-        env.count_stack.append(counter)
+        env.count_stack[:] = [counter]
         for var, node_id in bindings.items():
             env.set(var, NodeRef(node_id))
-        return truthy(Evaluator(project, env, OutputSink()).eval(where))
+        return truthy(evaluator.eval(where))
 
     return fn
 

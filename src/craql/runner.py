@@ -166,6 +166,8 @@ def run_project(
         logger.exception("skipping %s", name)
         return record
     record.diagnostics.extend(diagnostics)
+    for diagnostic in diagnostics:
+        logger.warning("%s: %s", name, diagnostic)
     record.stats.files_parsed = project.files_parsed
 
     env = Environment(load_properties(config.properties_dir, name))
@@ -196,6 +198,10 @@ def run_project(
     record.variables = {
         key: render_variable(value) for key, value in env.exported().items()
     }
+    if project.degraded_output:
+        message = "source text missing: rows and prints show <Type@file:line> placeholders"
+        record.diagnostics.append(message)
+        logger.warning("%s: %s", name, message)
     _write_outputs(record, config, sinks)
     return record
 

@@ -1,5 +1,7 @@
+import json
 import re
 
+from craql import load_project, serialize_project
 from craql.cli import main
 from craql.fixtures import fixture_text
 
@@ -94,3 +96,37 @@ def test_deeply_nested_query_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.search(r"unparseable query file deep\.craql: deep\.craql:1:\d+: ", err), err
     assert "nested too deeply" in err
+
+
+def test_skipped_file_is_logged_and_changes_no_output(tmp_path, capsys, caplog):
+    clean = make_root(tmp_path / "clean")
+    assert run_main(clean) == 0
+    clean_out = capsys.readouterr().out
+    root = make_root(tmp_path / "skip")
+    (root / "projects" / "alpha" / "Bad.mj").write_text("not java at all")
+    assert run_main(root) == 0
+    assert capsys.readouterr().out == clean_out
+    assert (root / "results" / "alpha.vars").read_bytes() == \
+        (clean / "results" / "alpha.vars").read_bytes()
+    assert (root / "results" / "alpha.blocks.rows").read_bytes() == \
+        (clean / "results" / "alpha.blocks.rows").read_bytes()
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["alpha: Bad.mj:1:1: error: expected type declaration, found 'not'"]
+
+
+def test_missing_source_text_is_logged(tmp_path, capsys, caplog):
+    root = make_root(tmp_path)
+    project, _ = load_project("alpha", [("Sample.mj", fixture_text("Sample.mj"))])
+    document = json.loads(serialize_project(project))
+    for entry in document["files"]:
+        del entry["text"]
+    pdir = root / "projects" / "alpha"
+    (pdir / "Sample.mj").unlink()
+    (pdir / "project.ast.json").write_text(json.dumps(document))
+    (root / "queries" / "blocks.craql").write_text("select ({Block} b) { print(b.statements); }")
+    assert run_main(root) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "[<ReturnStatement@Sample.mj:3>]"
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [
+        "alpha: source text missing: rows and prints show <Type@file:line> placeholders"
+    ]

@@ -830,15 +830,22 @@ class TestJoinGuard:
         row made about 3.8 probes per node on this project.
         """
         probes = 0
-        eval_call = Evaluator._eval_call
+        compile_ = Evaluator._compile
 
-        def counted_eval_call(evaluator, e):
-            nonlocal probes
-            if e.name in ("methodbinding", "typebinding", "isparent"):
+        def counted_compile(evaluator, e):
+            # Each probe call runs the closure compiled for its Call node.
+            run = compile_(evaluator, e)
+            if not (isinstance(e, Call) and e.name in ("methodbinding", "typebinding", "isparent")):
+                return run
+
+            def counted():
+                nonlocal probes
                 probes += 1
-            return eval_call(evaluator, e)
+                return run()
 
-        monkeypatch.setattr(Evaluator, "_eval_call", counted_eval_call)
+            return counted
+
+        monkeypatch.setattr(Evaluator, "_compile", counted_compile)
         rng = random.Random(5)
         sources = [(f"G{i}.mj", generate_random_source(rng, classes=2, max_depth=4))
                    for i in range(8)]
@@ -849,4 +856,4 @@ class TestJoinGuard:
             doc = parse_query_document(bundled_query_path(name).read_text(), source=name)
             Evaluator(project, env, OutputSink(), source=name).execute_document(doc)
         assert env.variables["num_child_statements"] > 0
-        assert probes <= len(project.nodes)
+        assert 0 < probes <= len(project.nodes)

@@ -224,15 +224,37 @@ class TestNesting:
         assert find_node(project, "NumberLiteral").props["token"] == "1"
 
     def test_non_ascii_digit_is_a_stray_character(self):
-        with pytest.raises(MiniLangParseError, match=r"T\.mj:1:28: .*stray character '²'"):
-            parse_one("class A { int f() { return ²; } }")
+        _, _, diagnostics = parse_one("class A { int f() { return ²; } }")
+        assert [str(d) for d in diagnostics] == ["T.mj:1:28: error: stray character '²'"]
 
-    def test_file_with_non_ascii_digit_is_skipped(self):
+    def test_file_with_non_ascii_digit_keeps_its_other_statements(self):
         project, diagnostics = load_project(
             "digits", [("Bad.mj", "class B {\n  int f() { return 1²; }\n}"), ("Good.mj", "class G { }")]
         )
-        assert project.files_parsed == 1
+        assert project.files_parsed == 2
         assert [str(d) for d in diagnostics] == ["Bad.mj:2:21: error: stray character '²'"]
+
+
+class TestLexErrorRecovery:
+    """Text the lexer cannot read loses the statement it is in, not the file."""
+
+    def test_stray_character_loses_one_statement(self):
+        project, _, diagnostics = parse_one(
+            "class A { void m() { x = 1 # 2; y = 3; } void n() { y = 2; } }", "A.mj")
+        assert [str(d) for d in diagnostics] == ["A.mj:1:28: error: stray character '#'"]
+        methods = [n for n in project.nodes if n.type == "MethodDeclaration"]
+        assert [m.props["name"] for m in methods] == ["m", "n"]
+        assert [len(project.node(m.props["body"]).props["statements"]) for m in methods] == [1, 1]
+
+    def test_unterminated_string_loses_one_statement(self):
+        project, _, diagnostics = parse_one(
+            'class A { void m() { x = "ab;\n y = 3; } void n() { } }', "A.mj")
+        assert [str(d) for d in diagnostics] == ["A.mj:1:26: error: unterminated string literal"]
+        assert len([n for n in project.nodes if n.type == "MethodDeclaration"]) == 2
+
+    def test_stray_character_at_the_top_level_skips_the_file(self):
+        with pytest.raises(MiniLangParseError, match="^A.mj:1:11: error: stray character '@'$"):
+            parse_one("class A {}@", "A.mj")
 
 
 class TestLoadProject:
