@@ -7,13 +7,11 @@ from craql.engine.evaluator import (
     execute_document,
 )
 from craql.engine.runtime import (
-    Counter,
     Environment,
     ExecutionStats,
     NodeList,
     NodeRef,
     OutputSink,
-    ResultSet,
     RowRecord,
     TypeName,
     UNDEFINED,
@@ -22,7 +20,6 @@ from craql.engine.runtime import (
 )
 
 __all__ = [
-    "Counter",
     "Environment",
     "Evaluator",
     "ExecutionStats",
@@ -30,7 +27,6 @@ __all__ = [
     "NodeRef",
     "OutputSink",
     "QueryRuntimeError",
-    "ResultSet",
     "RowRecord",
     "SelectionCapture",
     "TypeName",

@@ -22,30 +22,36 @@ Selection semantics, in one place:
   input node's concrete type; such a node is still processed as a candidate
   before the cut.
 
-One loop, `run_select`, runs every select. `_candidates` yields the
-candidates in row order with the pattern variables bound: the outer scan for
-a single pattern, with the `outmost` prune and the `inmost` filter; the outer
-and inner scans for a pair. The loop evaluates the where clause, sets the flag
-the `outmost` prune reads and drops candidates already seen; `_add_row`
-records each accepted row, emits it and runs the body. An ellipsis select
-defers its rows to a replay through `_add_row` once the deepest are known.
+One loop, `run_select`, runs every select and returns its rows.
+`_candidates` yields the candidates in row order with the pattern variables
+bound: the outer scan for a single pattern, with the `outmost` prune and the
+`inmost` filter; the outer and inner scans for a pair. The loop evaluates the
+where clause, sets the flag the `outmost` prune reads and drops candidates
+already seen; `_add_row` appends each accepted row, emits it and runs the
+body. An ellipsis select defers its rows to a replay through `_add_row` once
+the deepest are known. count(*) is the length of the list the innermost open
+select appends to (the top of `Environment.count_stack`): its rows, or for
+an ellipsis select its passing pairs until the depth test, then its rows.
+The scans add `nodes_visited` and `_add_row` adds `rows_yielded` straight to
+`Evaluator.stats`.
 
-No select walks the tree: `_scan` bisects the pattern type's pre-order rank
-list (see `craql.astcore.RegionIndex`) to the input node's region and skips
-the regions below pruned nodes, which yields exactly the candidates the
-pruned pre-order walk would reach, in the same order.
+No select walks the tree: `_scan` bisects a sorted pre-order rank list, the
+pattern type's (see `craql.astcore.RegionIndex`), to the input node's region
+and skips the regions below pruned nodes, which yields exactly the
+candidates the pruned pre-order walk would reach, in the same order.
 
 A select whose where clause holds a link key (see `craql.engine.links`),
-such as `m == i.methodbinding()` with `m` fixed for the whole select, takes
-its candidates from `_linked` instead: the nodes the key links to that node,
-in the scan's order. The where clause still runs on each of them; the scan's
-other candidates are the ones the key rejects, and rejecting them has no
-effect a later candidate or the output could see.
+such as `m == i.methodbinding()` with `m` fixed for the whole select, scans
+a narrower rank list: `_link_ranks` keeps the pattern type's ranks of the
+nodes the key links to that node. The where clause still runs on each of
+them; the other candidates are the ones the key rejects, and rejecting them
+has no effect a later candidate or the output could see. Only the pattern
+variable would be left bound to another node, so `run_select` rebinds it.
 
 Queries are compiled once per evaluator, not interpreted node by node: on a
-select's first run, `_plan` turns its where clause and body into Python
-closures (Feeley and Lapalme, "Using Closures for Code Generation", 1987),
-each holding its operator or builtin, its child closures and the variables
+select's first run, `_plan` checks its pattern types and turns its where
+clause and body into Python closures (Feeley and Lapalme, "Using Closures
+for Code Generation", 1987), each holding its operator or builtin, its child closures and the variables
 and tables it reads. Compiling decides nothing that depends on a value, so
 evaluation order and errors stay those of the query text: the receiver runs
 before the arguments and both operands before either is coerced, `&&` and
@@ -97,15 +103,13 @@ from craql.query.ast import (
     VarRef,
     While,
 )
-from craql.engine.links import LINK_CHILD, LINK_METHOD_CHILD, LinkKey, find_link_key
+from craql.engine.links import LINK_CHILD, LINK_METHOD_CHILD, PROBES, LinkKey, find_link_key
 from craql.engine.runtime import (
-    Counter,
     Environment,
     ExecutionStats,
     NodeList,
     NodeRef,
     OutputSink,
-    ResultSet,
     RowRecord,
     TypeName,
     UNDEFINED,
@@ -152,9 +156,7 @@ _NODE_FUNCTIONS = {
     "position": (0, None), "linenumber": (0, None), "filename": (0, None), "depth": (0, None),
     "nodetype": (0, None),
 }
-# The node functions that return a boolean, and those that take their node
-# as the sole argument too.
-_PROBES = frozenset({"isnodetype", "contains", "directly_contains", "isparent"})
+# The node functions that take their node as the sole argument too.
 _FREE_FORMS = frozenset({"depth", "nodetype", "position", "linenumber", "filename"})
 _BOOLEAN_OPS = frozenset({"==", "!=", "<", "<=", ">", ">=", "&&", "||"})
 _ARITHMETIC = {
@@ -217,7 +219,8 @@ class Evaluator:
         q: SelectQuery,
         emit: bool = False,
         input_override: InputSpec | None = None,
-    ) -> ResultSet:
+    ) -> list[dict[str, int]]:
+        """Run the select and return its rows."""
         spec = input_override if input_override is not None else q.input
         input_nodes, include_root = self._resolve_input(spec)
         directly = spec.kind == INPUT_DIRECTLY_IN
@@ -230,28 +233,24 @@ class Evaluator:
 
         pat = q.pattern
         where, body, link_key = self._plan(q)
-        self._require_type(pat.type1, pat.pos)
-        if pat.kind != SINGLE:
-            self._require_type(pat.type2, pat.pos)
-        rs = ResultSet()
-        counter = Counter()
-        self.env.count_stack.append(counter)
+        ranks = type_ranks = self.project.type_ranks(pat.type1)
+        fixed = None if directly or link_key is None else link_key.fixed_node(self.env.variables)
+        if fixed is not None:
+            ranks = self._link_ranks(link_key.link, fixed, ranks)
+        rows: list[dict[str, int]] = []
+        deferred: list[tuple[int, int]] = []  # ellipsis rows wait for the depth test
+        # count(*) is the length of the list the select appends to now.
+        count_stack = self.env.count_stack
+        count_stack.append(deferred if pat.kind == ELLIPSIS else rows)
         accepted = False  # the candidate just handled passed the where clause
 
         def prune(n: int) -> bool:
             return accepted
 
-        fixed = None if directly or link_key is None else link_key.fixed_node(self.env.variables)
-        if fixed is not None:
-            candidates = self._linked(
-                pat.var1, pat.type1, link_key.link, fixed, input_nodes, include_root, rs.stats
-            )
-        else:
-            candidates = self._candidates(
-                q, input_nodes, include_root, directly, rs.stats,
-                prune if q.modifier == MOD_OUTMOST else None,
-            )
-        deferred: list[tuple[int, int]] = []  # ellipsis rows wait for the depth test
+        candidates = self._candidates(
+            q, ranks, input_nodes, include_root, directly,
+            prune if q.modifier == MOD_OUTMOST else None,
+        )
         seen: set[int | tuple[int, int]] = set()
         try:
             for key in candidates:
@@ -261,26 +260,32 @@ class Evaluator:
                 seen.add(key)
                 if pat.kind == ELLIPSIS:
                     deferred.append(key)
-                    counter.count += 1
                 else:
-                    self._add_row(q, key, rs, counter, emit, body)
+                    self._add_row(q, key, rows, emit, body)
+            if fixed is not None:
+                # Bind the pattern variable as the scan of all type_ranks
+                # leaves it: to the input's last node of the pattern type.
+                index = self.project.index
+                last = [type_ranks[i - 1] for root in input_nodes
+                        if (i := bisect_left(type_ranks, index.end[root]))
+                        and type_ranks[i - 1] >= index.pre[root] + (not include_root)]
+                if last:
+                    self.env.set(pat.var1, NodeRef(index.order[last[-1]]))
             if deferred:
                 depth = self.project.index.depth
                 best = max(depth[n2] - depth[n1] for n1, n2 in deferred)
-                counter.count = 0
+                count_stack[-1] = rows
                 for n1, n2 in deferred:
                     if depth[n2] - depth[n1] == best:
                         self.env.set(pat.var1, NodeRef(n1))
                         self.env.set(pat.var2, NodeRef(n2))
-                        self._add_row(q, (n1, n2), rs, counter, emit, body)
+                        self._add_row(q, (n1, n2), rows, emit, body)
         finally:
-            self.env.count_stack.pop()
-        self.stats.nodes_visited += rs.stats.nodes_visited
-        self.stats.rows_yielded += rs.stats.rows_yielded
+            count_stack.pop()
         if capture is not None:
-            capture.rows = [dict(r) for r in rs.rows]
+            capture.rows = rows
             self.trace(capture)
-        return rs
+        return rows
 
     def _resolve_input(self, spec: InputSpec) -> tuple[list[int], bool]:
         if spec.kind == INPUT_DEFAULT:
@@ -297,10 +302,6 @@ class Evaluator:
             self.source, spec.pos,
         )
 
-    def _require_type(self, name: str, pos: tuple[int, int]) -> None:
-        if not self.schema.knows(name):
-            raise QueryRuntimeError(f"unknown node type {name}", self.source, pos)
-
     def _has_descendant_of_type(self, node_id: int, type_name: str) -> bool:
         ranks = self.project.type_ranks(type_name)
         index = self.project.index
@@ -309,26 +310,26 @@ class Evaluator:
 
     def _scan(
         self,
-        type_name: str,
+        ranks: list[int],
         root: int,
         include_root: bool,
         directly: bool,
         stats: ExecutionStats,
         prune: Callable[[int], bool] | None = None,
     ) -> Iterator[int]:
-        """The nodes matching `type_name` that the pruned pre-order walk of
-        root's subtree would reach, in walk order, without the walk.
+        """The nodes of the sorted pre-order rank list `ranks` that the
+        pruned pre-order walk of root's subtree would reach, in walk order,
+        without the walk.
 
-        Candidates come from the type's rank list over root's region; the
-        region of a pruned node is skipped. A node is pruned when it is a
-        `directly` cut (below root, with root's concrete type) or when
-        `prune(node)`, asked as the caller resumes after `node`, is true.
+        Candidates come from the rank list over root's region; the region of
+        a pruned node is skipped. A node is pruned when it is a `directly`
+        cut (below root, with root's concrete type) or when `prune(node)`,
+        asked as the caller resumes after `node`, is true.
         `stats.nodes_visited` gains what the walk would visit: root's region
         less the strict interior of each pruned node the walk reaches.
         """
         index = self.project.index
         order, end = index.order, index.end
-        ranks = self.project.type_ranks(type_name)
         start, stop = index.pre[root], end[root]
         cuts = index.by_type[self.project.node(root).type] if directly else []
         stats.nodes_visited += stop - start
@@ -362,53 +363,39 @@ class Evaluator:
     def _candidates(
         self,
         q: SelectQuery,
+        ranks: list[int],
         input_nodes: list[int],
         include_root: bool,
         directly: bool,
-        stats: ExecutionStats,
         prune: Callable[[int], bool] | None,
     ) -> Iterator[int | tuple[int, int]]:
         """The select's candidates in row order, each with its pattern
-        variables bound: a node for a single pattern, a pair of nodes for
-        `*` and `...`. Modifiers apply to single patterns only."""
+        variables bound: a node of `ranks` for a single pattern, a pair of
+        nodes for `*` and `...`. Modifiers apply to single patterns only."""
         pat = q.pattern
         var1, var2 = pat.var1, pat.var2
         inmost = q.modifier == MOD_INMOST
         variables = self.env.variables  # set directly: this runs per candidate
+        stats = self.stats
         for root in input_nodes:
             if pat.kind == SINGLE:
-                for n in self._scan(pat.type1, root, include_root, directly, stats, prune):
+                for n in self._scan(ranks, root, include_root, directly, stats, prune):
                     if inmost and self._has_descendant_of_type(n, pat.type1):
                         continue
                     variables[var1] = NodeRef(n)
                     yield n
                 continue
-            for n1 in self._scan(pat.type1, root, include_root, directly, stats):
+            inner = self.project.type_ranks(pat.type2)
+            for n1 in self._scan(ranks, root, include_root, directly, stats):
                 stats.nodes_visited -= 1  # the outer scan has counted n1
-                for n2 in self._scan(pat.type2, n1, False, False, stats):
+                for n2 in self._scan(inner, n1, False, False, stats):
                     variables[var1] = NodeRef(n1)
                     variables[var2] = NodeRef(n2)
                     yield n1, n2
 
-    def _linked(
-        self,
-        var: str,
-        type_name: str,
-        link: str,
-        fixed: int,
-        input_nodes: list[int],
-        include_root: bool,
-        stats: ExecutionStats,
-    ) -> Iterator[int]:
-        """The candidates of a single-pattern select, without modifier or
-        `directly in`, that `link` ties to node `fixed`, in `_candidates`'
-        order and with the pattern variable bound the same way.
-
-        The linked nodes' ranks are bisected to each input root's region and
-        tested against the pattern type's rank list. Each root adds its
-        region to `stats.nodes_visited`, as the unpruned scan does, and the
-        pattern variable is left bound to the scan's last candidate.
-        """
+    def _link_ranks(self, link: str, fixed: int, ranks: list[int]) -> list[int]:
+        """The ranks in `ranks` of the nodes that `link` ties to node
+        `fixed`, sorted."""
         project = self.project
         index = project.index
         if link == LINK_CHILD:
@@ -418,30 +405,14 @@ class Evaluator:
                             for r in project.bound_ranks("method", c))
         else:
             linked = project.bound_ranks(link, fixed)
-        order, variables = index.order, self.env.variables
-        last = None  # the scan's last candidate so far
-        for root in input_nodes:
-            ranks = project.type_ranks(type_name)
-            start, stop = index.pre[root], index.end[root]
-            first = start if include_root else start + 1
-            stats.nodes_visited += stop - start
-            for r in linked[bisect_left(linked, first):bisect_left(linked, stop)]:
-                i = bisect_left(ranks, r)
-                if i < len(ranks) and ranks[i] == r:
-                    variables[var] = NodeRef(order[r])
-                    yield order[r]
-            i = bisect_left(ranks, stop)
-            if i and ranks[i - 1] >= first:
-                last = order[ranks[i - 1]]
-        if last is not None:
-            variables[var] = NodeRef(last)
+        return [r for r in linked
+                if (i := bisect_left(ranks, r)) < len(ranks) and ranks[i] == r]
 
     def _add_row(
         self,
         q: SelectQuery,
         key: int | tuple[int, int],
-        rs: ResultSet,
-        counter: Counter,
+        rows: list[dict[str, int]],
         emit: bool,
         body: Thunk,
     ) -> None:
@@ -451,9 +422,8 @@ class Evaluator:
             first, row = key, {pat.var1: key}
         else:
             first, row = key[0], {pat.var1: key[0], pat.var2: key[1]}
-        rs.rows.append(row)
-        counter.count += 1
-        rs.stats.rows_yielded += 1
+        rows.append(row)
+        self.stats.rows_yielded += 1
         if emit:
             node = self.project.node(first)
             self.sink.result_row(RowRecord(
@@ -476,11 +446,16 @@ class Evaluator:
 
     def _plan(self, q: SelectQuery) -> tuple[Thunk | None, Thunk, LinkKey | None]:
         """The select's compiled where clause (None without one), its
-        compiled body and its link key, built on the select's first run."""
+        compiled body and its link key, built on the select's first run.
+        A pattern type the schema does not know raises, and no plan is kept."""
         entry = self._plans.get(id(q))
         if entry is None:
             where = None if q.where is None else self._test(q.where)
             plan = (where, self._block(q.body), find_link_key(q, self.schema))
+            pat = q.pattern
+            for name in (pat.type1,) if pat.kind == SINGLE else (pat.type1, pat.type2):
+                if not self.schema.knows(name):
+                    raise QueryRuntimeError(f"unknown node type {name}", self.source, pat.pos)
             entry = self._plans[id(q)] = (q, plan)
         return entry[1]
 
@@ -495,7 +470,7 @@ class Evaluator:
         """A closure that gives the truth value of `e`."""
         value = self._compile(e)
         if type(e) is BoolLit or (type(e) is Infix and e.op in _BOOLEAN_OPS) or (
-                type(e) is Prefix and e.op == "!") or (type(e) is Call and e.name in _PROBES):
+                type(e) is Prefix and e.op == "!") or (type(e) is Call and e.name in PROBES):
             return value
         return lambda: truthy(value())
 
@@ -641,7 +616,7 @@ class Evaluator:
         def count() -> int:
             if not stack:
                 raise QueryRuntimeError("count(*) outside a select", self.source, e.pos)
-            return stack[-1].count
+            return len(stack[-1])
 
         return count
 
@@ -882,7 +857,7 @@ class Evaluator:
             if type(arg) is TypeName:
                 if not direct:
                     return self._has_descendant_of_type(n, arg.name)
-                scan = self._scan(arg.name, n, False, True, ExecutionStats())
+                scan = self._scan(project.type_ranks(arg.name), n, False, True, ExecutionStats())
                 return next(scan, None) is not None
             if type(arg) is not NodeRef:
                 raise QueryRuntimeError(

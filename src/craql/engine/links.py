@@ -1,12 +1,13 @@
 """Link keys: where-clause conjuncts that let a select take its candidates
-from a lookup instead of a scan.
+from a lookup instead of the pattern type's whole rank list.
 
 A link key ties the pattern variable p to a node V that stays fixed for the
-whole select, as in `V == p.methodbinding()`. The evaluator then takes as
-candidates only the nodes linked to V (`Evaluator._linked`) and still runs
-the whole where clause on each. `find_link_key` decides, from the query's
-text alone, whether a select may do so, and `LinkKey.fixed_node` the rest
-(that V holds a node) when the select starts.
+whole select, as in `V == p.methodbinding()`. The evaluator then scans only
+the nodes linked to V (`Evaluator._link_ranks` narrows the pattern type's
+rank list to them) and still runs the whole where clause on each.
+`find_link_key` decides, from the query's text alone, whether a select may
+do so, and `LinkKey.fixed_node` the rest (that V holds a node) when the
+select starts.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ LINK_CHILD = "child"  # V.isparent(p), V == p.parent()
 LINK_METHOD_CHILD = "method-child"  # V.isparent(p.methodbinding())
 
 _EQUAL_LINKS = {"methodbinding": LINK_METHOD, "typebinding": LINK_TYPE, "parent": LINK_CHILD}
-_PROBES = frozenset({"contains", "directly_contains", "isparent", "isnodetype"})
+# The node functions that return a boolean.
+PROBES = frozenset({"contains", "directly_contains", "isparent", "isnodetype"})
 
 
 class LinkKey:
@@ -129,13 +131,13 @@ def _accessor_of(e: Expr, var: str) -> str | None:
 
 
 def _is_probe(e: Expr, schema: NodeTypeSchema, reads: set[str]) -> bool:
-    """Whether `e` is `x.f(y)` or its negation, with `f` one of `_PROBES`,
+    """Whether `e` is `x.f(y)` or its negation, with `f` one of `PROBES`,
     `x` a variable and `y` a variable or a known type; adds the variables
     to `reads`. Such a probe returns a boolean when they hold nodes or
     nothing."""
     if isinstance(e, Prefix) and e.op == "!":
         return _is_probe(e.operand, schema, reads)
-    if not (isinstance(e, Call) and e.name in _PROBES and isinstance(e.receiver, VarRef)
+    if not (isinstance(e, Call) and e.name in PROBES and isinstance(e.receiver, VarRef)
             and len(e.args) == 1):
         return False
     arg = e.args[0]

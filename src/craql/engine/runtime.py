@@ -1,9 +1,10 @@
-"""Runtime values, environments, result sets, and output sinks."""
+"""Runtime values, environments, and output sinks."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sized
+from dataclasses import dataclass
 
 from craql.astcore import ProjectAst, source_text
 
@@ -83,21 +84,13 @@ def render_value(v: Value, project: ProjectAst) -> str:
     return "undefined"
 
 
-class Counter:
-    """Mutable row counter backing count(*) for one active select."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-
 class Environment:
     """Per-project variable store, shared by nested and called queries."""
 
     def __init__(self, seed: dict[str, Value] | None = None):
         self.variables: dict[str, Value] = dict(seed or {})
-        self.count_stack: list[Counter] = []
+        # Per open select, the list whose length count(*) reads.
+        self.count_stack: list[Sized] = []
         self.call_depth = 0
 
     def set(self, name: str, value: Value) -> None:
@@ -122,14 +115,6 @@ class ExecutionStats:
     nodes_visited: int = 0
     rows_yielded: int = 0
     files_parsed: int = 0
-
-
-@dataclass
-class ResultSet:
-    """Ordered variable bindings produced by one select."""
-
-    rows: list[dict[str, int]] = field(default_factory=list)
-    stats: ExecutionStats = field(default_factory=ExecutionStats)
 
 
 @dataclass(frozen=True)

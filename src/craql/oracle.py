@@ -15,7 +15,7 @@ from typing import Callable
 
 from craql.astcore import ProjectAst, child_ids
 from craql.engine.evaluator import Evaluator, SelectionCapture
-from craql.engine.runtime import Counter, Environment, NodeRef, OutputSink, truthy
+from craql.engine.runtime import Environment, NodeRef, OutputSink, truthy
 from craql.query.ast import (
     ELLIPSIS,
     Expr,
@@ -170,9 +170,7 @@ def where_from_expr(
     def fn(bindings: dict[str, int], count: int) -> bool:
         env.variables.clear()
         env.variables.update(env_snapshot)
-        counter = Counter()
-        counter.count = count
-        env.count_stack[:] = [counter]
+        env.count_stack[:] = [range(count)]
         for var, node_id in bindings.items():
             env.set(var, NodeRef(node_id))
         return truthy(evaluator.eval(where))

@@ -13,12 +13,14 @@ Directory conventions (under one root):
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from craql.astcore import AstFormatError, deserialize_project, ProjectAst
+from craql.diagnostics import Diagnostic
 from craql.engine.evaluator import Evaluator, QueryRuntimeError
 from craql.engine.runtime import (
     Environment,
@@ -84,9 +86,26 @@ class ProjectRunRecord:
     aborted: bool = False
 
 
+def read_text(path: Path, name: str) -> str:
+    """The file's UTF-8 text, with `\\r\\n` and `\\r` read as `\\n` as
+    `Path.read_text` reads them. A file that is not UTF-8 raises
+    `RunnerError` with the diagnostic `name:line:column` at the first byte
+    that does not decode, giving its value and offset."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        start = exc.start
+        line_start = data.rfind(b"\n", 0, start) + 1
+        raise RunnerError(str(Diagnostic(
+            name, data.count(b"\n", 0, start) + 1, len(data[line_start:start].decode()) + 1,
+            f"not UTF-8: byte 0x{data[start]:02x} at offset {start}",
+        ))) from None
+
+
 def read_list(path: Path) -> list[str]:
     names = []
-    for raw in path.read_text().splitlines():
+    for raw in read_text(path, str(path)).splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             names.append(line)
@@ -99,7 +118,7 @@ def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
     seed: dict[str, object] = {}
     if not path.is_file():
         return seed
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, str(path)).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -125,17 +144,26 @@ def render_variable(value: object) -> str:
 
 
 def load_project_sources(project_dir: Path, name: str) -> tuple[ProjectAst, list[str]]:
-    """Parse the project once: `.mj` sources, or a serialized-AST document."""
+    """Parse the project once: `.mj` sources, or a serialized-AST document.
+    A source that is not UTF-8 is skipped with a diagnostic."""
     serialized = project_dir / SERIALIZED_AST
     if serialized.is_file():
-        project = deserialize_project(serialized.read_text())
+        try:
+            text = read_text(serialized, SERIALIZED_AST)
+        except RunnerError as exc:
+            raise AstFormatError(str(exc)) from None
+        project = deserialize_project(text)
         project.name = name
         return project, []
-    sources = []
+    sources, skipped = [], []
     for path in sorted(project_dir.rglob("*.mj")):
-        sources.append((path.relative_to(project_dir).as_posix(), path.read_text()))
+        file_name = path.relative_to(project_dir).as_posix()
+        try:
+            sources.append((file_name, read_text(path, file_name)))
+        except RunnerError as exc:
+            skipped.append(str(exc))
     project, diagnostics = load_project(name, sources)
-    return project, [str(d) for d in diagnostics]
+    return project, skipped + [str(d) for d in diagnostics]
 
 
 def run_project(
@@ -145,7 +173,9 @@ def run_project(
 ) -> ProjectRunRecord:
     record = ProjectRunRecord(project=name)
     project_dir = config.projects_dir / name
-    if not project_dir.is_dir():
+    # A name with a separator (an absolute one too), `.` or `..` would reach
+    # outside projects/ and results/: it names no project directory.
+    if "/" in name or "\\" in name or name in (".", "..") or not project_dir.is_dir():
         record.aborted = True
         record.diagnostics.append(f"project directory missing: {project_dir}")
         logger.error("skipping %s: no directory %s", name, project_dir)
@@ -155,7 +185,8 @@ def run_project(
     # traceback of an unexpected one goes to the log.
     try:
         project, diagnostics = load_project_sources(project_dir, name)
-    except AstFormatError as exc:
+        seed = load_properties(config.properties_dir, name)
+    except (AstFormatError, RunnerError) as exc:
         record.aborted = True
         record.diagnostics.append(str(exc))
         logger.error("skipping %s: %s", name, exc)
@@ -170,7 +201,7 @@ def run_project(
         logger.warning("%s: %s", name, diagnostic)
     record.stats.files_parsed = project.files_parsed
 
-    env = Environment(load_properties(config.properties_dir, name))
+    env = Environment(seed)
     sinks: list[tuple[str, OutputSink]] = []
     for doc_name, doc in docs:
         sink = OutputSink()
@@ -236,7 +267,7 @@ def run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
         if not qpath.is_file():
             raise RunnerError(f"missing query file: {qpath}")
         try:
-            doc = parse_query_document(qpath.read_text(), source=qname)
+            doc = parse_query_document(read_text(qpath, str(qpath)), source=qname)
         except QuerySyntaxError as exc:
             raise RunnerError(f"unparseable query file {qname}: {exc}") from exc
         docs.append((qpath.stem, doc))
@@ -279,8 +310,7 @@ def generate_props(properties_dir: Path) -> list[Path]:
     tags_path = properties_dir / PROJECT_TAGS
     if not tags_path.is_file():
         raise RunnerError(f"missing {tags_path}")
-    with tags_path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
+    rows = list(csv.reader(io.StringIO(read_text(tags_path, str(tags_path)))))
     if not rows:
         raise RunnerError(f"{tags_path} is empty")
     header = rows[0]

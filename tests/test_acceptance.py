@@ -227,7 +227,7 @@ def test_criterion_3_oracle_equivalence(fixture_projects, parsed_queries):
 def _rows(project, type_name, modifier, input_spec, env=None):
     query = SelectQuery(Pattern(SINGLE, type_name, "n"), modifier, input_spec, None, [])
     evaluator = Evaluator(project, env or Environment(), OutputSink())
-    return [r["n"] for r in evaluator.run_select(query).rows]
+    return [r["n"] for r in evaluator.run_select(query)]
 
 
 def test_criterion_4_modifier_laws():
@@ -274,12 +274,14 @@ def test_criterion_5_pruning_effectiveness(fixture_projects):
         Pattern(SINGLE, "Block", "b"), MOD_OUTMOST,
         InputSpec(INPUT_DIRECTLY_IN, VarRef("r")), None, [],
     )
-    pruned = Evaluator(project, env, OutputSink()).run_select(query)
+    pruned = Evaluator(project, env, OutputSink())
+    pruned.run_select(query)
     env = Environment({"r": NodeRef(body.id)})
     query = SelectQuery(
         Pattern(SINGLE, "Block", "b"), MOD_NONE, InputSpec(INPUT_IN, VarRef("r")), None, [],
     )
-    plain = Evaluator(project, env, OutputSink()).run_select(query)
+    plain = Evaluator(project, env, OutputSink())
+    plain.run_select(query)
     assert pruned.stats.nodes_visited < plain.stats.nodes_visited
     print(
         f"\nACCEPTANCE 5 PASS: pruned select visited {pruned.stats.nodes_visited} nodes"

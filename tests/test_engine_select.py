@@ -49,10 +49,16 @@ from craql.fixtures import (
 from conftest import find_node, run_document
 
 
-def select(project, pattern, modifier=MOD_NONE, input_spec=None, where=None, env=None):
+def select_with_stats(project, pattern, modifier=MOD_NONE, input_spec=None, where=None,
+                      env=None):
+    """The select's rows and the evaluator's counters once it has run."""
     query = SelectQuery(pattern, modifier, input_spec or InputSpec(INPUT_DEFAULT), where, [])
     evaluator = Evaluator(project, env or Environment(), OutputSink())
-    return evaluator.run_select(query)
+    return evaluator.run_select(query), evaluator.stats
+
+
+def select(*args, **kwargs):
+    return select_with_stats(*args, **kwargs)[0]
 
 
 def single(type_name, var="n"):
@@ -61,11 +67,11 @@ def single(type_name, var="n"):
 
 class TestSelectSingle:
     def test_all_blocks_in_sample(self, sample_project):
-        rows = select(sample_project, single("Block")).rows
+        rows = select(sample_project, single("Block"))
         assert len(rows) == 3
 
     def test_inmost_blocks_in_sample(self, sample_project):
-        rows = select(sample_project, single("Block"), MOD_INMOST).rows
+        rows = select(sample_project, single("Block"), MOD_INMOST)
         assert len(rows) == 2
         getcount_body = find_node(sample_project, "Block", "return count")
         while_body = find_node(sample_project, "Block", "i = i + 1;\n    }")
@@ -80,7 +86,7 @@ class TestSelectSingle:
             MOD_OUTMOST,
             InputSpec(INPUT_DIRECTLY_IN, VarRef("gb")),
             env=env,
-        ).rows
+        )
         kinds = [sample_project.node(r["s"]).type for r in rows]
         assert kinds == [
             "VariableDeclarationStatement",
@@ -94,13 +100,13 @@ class TestSelectSingle:
         env = Environment({"gb": NodeRef(greet_body.id)})
         rows = select(
             sample_project, single("Block"), input_spec=InputSpec(INPUT_IN, VarRef("gb")), env=env
-        ).rows
+        )
         ids = [r["n"] for r in rows]
         assert greet_body.id not in ids
         assert len(ids) == 1  # the while body
 
     def test_default_input_includes_matching_root(self, sample_project):
-        rows = select(sample_project, single("CompilationUnit")).rows
+        rows = select(sample_project, single("CompilationUnit"))
         assert [r["n"] for r in rows] == list(sample_project.roots)
 
     def test_count_star_cap(self):
@@ -113,13 +119,13 @@ class TestSelectSingle:
         assert sink.prints == [str(i) for i in range(1, 101)]
 
     def test_rows_enumerate_in_preorder(self, sample_project):
-        rows = select(sample_project, single("Statement")).rows
+        rows = select(sample_project, single("Statement"))
         starts = [sample_project.node(r["n"]).span.start for r in rows]
         assert starts == sorted(starts)
 
     def test_empty_project_yields_nothing(self):
         project, _ = load_project("empty", [])
-        assert select(project, single("Block")).rows == []
+        assert select(project, single("Block")) == []
 
     def test_node_list_input_deduplicates_rows(self, sample_project):
         greet_body = find_node(sample_project, "Block", "int i = 0")
@@ -127,7 +133,7 @@ class TestSelectSingle:
         rows = select(
             sample_project, single("Statement", "s"),
             input_spec=InputSpec(INPUT_IN, VarRef("pair")), env=env,
-        ).rows
+        )
         ids = [r["s"] for r in rows]
         assert len(ids) == len(set(ids))
 
@@ -152,7 +158,7 @@ class TestSelectSingle:
         rows = select(
             sample_project, single("Block"),
             input_spec=InputSpec(INPUT_IN, VarRef("nothing")),
-        ).rows
+        )
         assert rows == []
 
     def test_directly_in_prunes_nested_same_type(self, sample_project):
@@ -165,7 +171,7 @@ class TestSelectSingle:
             single("VariableDeclaration", "v"),
             input_spec=InputSpec(INPUT_DIRECTLY_IN, VarRef("gb")),
             env=env,
-        ).rows
+        )
         names = [sample_project.node(r["v"]).props["name"] for r in rows]
         assert names == ["i", "j"]
 
@@ -190,7 +196,7 @@ class TestWhereGatedOutmost:
         rows = select(
             sample_project, single("Statement", "s"), MOD_OUTMOST,
             InputSpec(INPUT_IN, VarRef("m")), env=env,
-        ).rows
+        )
         assert [sample_project.node(r["s"]).type for r in rows] == ["Block"]
 
 
@@ -216,11 +222,11 @@ class TestSelectStar:
         while_body = find_node(sample_project, "Block", "i = i + 1;\n    }")
         rows = select(
             sample_project, Pattern(STAR, "Block", "x", "Block", "y")
-        ).rows
+        )
         assert [(r["x"], r["y"]) for r in rows] == [(greet_body.id, while_body.id)]
 
     def test_no_self_pairing(self, sample_project):
-        rows = select(sample_project, Pattern(STAR, "Block", "x", "Block", "y")).rows
+        rows = select(sample_project, Pattern(STAR, "Block", "x", "Block", "y"))
         assert all(r["x"] != r["y"] for r in rows)
 
     def test_recursion_pair_on_fact(self, fact_project):
@@ -242,7 +248,7 @@ class TestSelectStar:
     def test_pair_order_is_lexicographic_preorder(self, sample_project):
         rows = select(
             sample_project, Pattern(STAR, "Block", "x", "Statement", "y")
-        ).rows
+        )
         keys = [
             (sample_project.node(r["x"]).span.start, sample_project.node(r["y"]).span.start)
             for r in rows
@@ -256,14 +262,14 @@ class TestSelectEllipsis:
         while_body = find_node(sample_project, "Block", "i = i + 1;\n    }")
         rows = select(
             sample_project, Pattern(ELLIPSIS, "MethodDeclaration", "m", "Block", "b")
-        ).rows
+        )
         assert [(r["m"], r["b"]) for r in rows] == [(greet.id, while_body.id)]
 
     def test_all_ties_returned(self):
         project, _ = load_project(
             "tie", [("T.mj", 'class T { void a() { log("x"); } void b() { log("y"); } }')]
         )
-        rows = select(project, Pattern(ELLIPSIS, "MethodDeclaration", "m", "Block", "b")).rows
+        rows = select(project, Pattern(ELLIPSIS, "MethodDeclaration", "m", "Block", "b"))
         assert len(rows) == 2
 
     def test_count_star_counts_survivors_then_kept_rows(self, sample_project):
@@ -282,14 +288,14 @@ class TestSelectEllipsis:
     def test_empty_when_no_pairs(self, sample_project):
         rows = select(
             sample_project, Pattern(ELLIPSIS, "WhileStatement", "w", "ForStatement", "f")
-        ).rows
+        )
         assert rows == []
 
 
 class TestStatsAndPruning:
     def test_visited_at_least_rows(self, sample_project):
-        rs = select(sample_project, single("Statement"))
-        assert rs.stats.nodes_visited >= rs.stats.rows_yielded
+        _, stats = select_with_stats(sample_project, single("Statement"))
+        assert stats.nodes_visited >= stats.rows_yielded
 
     def test_pruning_reduces_visits_on_deep_nesting(self):
         project, _ = load_project("deep", [("Deep.mj", generate_nested_blocks(10))])
@@ -298,16 +304,16 @@ class TestStatsAndPruning:
             if n.type == "Block" and project.node(n.parent).type == "MethodDeclaration"
         )
         env = Environment({"r": NodeRef(body.id)})
-        pruned = select(
+        _, pruned = select_with_stats(
             project, single("Block", "b"), MOD_OUTMOST,
             InputSpec(INPUT_DIRECTLY_IN, VarRef("r")), env=env,
         )
         env = Environment({"r": NodeRef(body.id)})
-        plain = select(
+        _, plain = select_with_stats(
             project, single("Block", "b"), MOD_NONE,
             InputSpec(INPUT_IN, VarRef("r")), env=env,
         )
-        assert pruned.stats.nodes_visited < plain.stats.nodes_visited
+        assert pruned.nodes_visited < plain.nodes_visited
 
     # (nodes_visited, rows_yielded) on Sample.mj; a change to the walks that
     # visits more or fewer nodes shows here first.
@@ -325,8 +331,8 @@ class TestStatsAndPruning:
             greet_body = find_node(sample_project, "Block", "int i = 0")
             input_spec = InputSpec(INPUT_DIRECTLY_IN, VarRef("gb"))
             env = Environment({"gb": NodeRef(greet_body.id)})
-        rs = select(sample_project, pattern, modifier, input_spec, env=env)
-        assert (rs.stats.nodes_visited, rs.stats.rows_yielded) == expected
+        _, stats = select_with_stats(sample_project, pattern, modifier, input_spec, env=env)
+        assert (stats.nodes_visited, stats.rows_yielded) == expected
 
     def test_nested_selects_add_up_once(self, sample_project):
         _, _, evaluator = run_document(
@@ -344,10 +350,61 @@ class TestStatsAndPruning:
         assert observed == sorted(observed)
         assert observed[-1] == 40
 
+    def test_count_star_after_nested_select_counts_outer_rows(self, sample_project):
+        # A nested select counts its own rows; once it ends, count(*) in the
+        # outer body reads the outer select's rows again.
+        _, sink, _ = run_document(
+            sample_project,
+            'select ({MethodDeclaration} m) { print("before " + count(*)); '
+            'select ({Statement} s) in m { print("inner " + count(*)); } '
+            'print("after " + count(*)); }',
+        )
+        assert sink.prints == [
+            "before 1", "inner 1", "inner 2", "after 1",
+            "before 2", "inner 1", "inner 2", "inner 3", "inner 4", "inner 5", "inner 6",
+            "inner 7", "after 2",
+        ]
+        # The same for an ellipsis select, whose body runs after its where
+        # clause has counted every passing pair.
+        project, _ = load_project(
+            "tie", [("T.mj", 'class T { void a() { log("x"); } void b() { log("y"); } }')]
+        )
+        _, sink, _ = run_document(
+            project,
+            "select ({MethodDeclaration} m ... {Block} b) { "
+            'select ({Statement} s) in b { } print("after " + count(*)); }',
+        )
+        assert sink.prints == ["after 1", "after 2"]
+
+    def test_candidate_reached_twice_does_not_advance_count_star(self, sample_project):
+        # The greet body lies inside the greet method, so its six statements
+        # are reached twice: the where clause runs again, but no row is added.
+        greet = find_node(sample_project, "MethodDeclaration", "void greet")
+        greet_body = find_node(sample_project, "Block", "int i = 0")
+        _, sink, _ = run_document(
+            sample_project,
+            'select ({Statement} s) in xs where print("where " + count(*)) || true '
+            '{ print("body " + count(*)); }',
+            seed={"xs": NodeList((greet.id, greet_body.id))},
+        )
+        assert sink.prints == [
+            line for i in range(7) for line in (f"where {i}", f"body {i + 1}")
+        ] + ["where 7"] * 6
+        # An ellipsis select counts each passing pair once, the pairs of a
+        # repeated input node included.
+        root = sample_project.roots[0]
+        _, sink, _ = run_document(
+            sample_project,
+            "select ({MethodDeclaration} m ... {Statement} s) in xs "
+            'where print("where " + count(*)) || true { print("body " + count(*)); }',
+            seed={"xs": NodeList((root, root))},
+        )
+        assert sink.prints == [f"where {i}" for i in range(9)] + ["where 9"] * 9 + ["body 1"]
+
     def test_modifier_rows_are_subsets(self, sample_project):
-        base = {r["n"] for r in select(sample_project, single("Statement")).rows}
-        outer = {r["n"] for r in select(sample_project, single("Statement"), MOD_OUTMOST).rows}
-        inner = {r["n"] for r in select(sample_project, single("Statement"), MOD_INMOST).rows}
+        base = {r["n"] for r in select(sample_project, single("Statement"))}
+        outer = {r["n"] for r in select(sample_project, single("Statement"), MOD_OUTMOST)}
+        inner = {r["n"] for r in select(sample_project, single("Statement"), MOD_INMOST)}
         assert outer <= base and inner <= base
 
 
@@ -374,7 +431,7 @@ class TestComposability:
 
             star_rows = select(
                 project, Pattern(STAR, "MethodDeclaration", "m", "Statement", "s")
-            ).rows
+            )
             assert captured == [(r["m"], r["s"]) for r in star_rows]
 
 
@@ -382,9 +439,9 @@ class TestVirtualTypePatterns:
     def test_class_and_interface_selection(self):
         text = "class A { }\ninterface I { int ping(); }\nclass B { }"
         project, _ = load_project("mixed", [("M.mj", text)])
-        classes = select(project, single("ClassDeclaration", "c")).rows
-        interfaces = select(project, single("InterfaceDeclaration", "i")).rows
-        both = select(project, single("TypeDeclaration", "t")).rows
+        classes = select(project, single("ClassDeclaration", "c"))
+        interfaces = select(project, single("InterfaceDeclaration", "i"))
+        both = select(project, single("TypeDeclaration", "t"))
         names = lambda rows, var: [
             project.node(r[var]).props["name"] for r in rows
         ]
@@ -480,18 +537,19 @@ def walk_visits(project, query, roots, include_root, directly, accepts):
 
 def check_against_references(project, query, case):
     spec, seed, roots, include_root, directly = case
-    rs = Evaluator(project, Environment(dict(seed)), OutputSink()).run_select(query)
+    evaluator = Evaluator(project, Environment(dict(seed)), OutputSink())
+    rows = evaluator.run_select(query)
     pat = query.pattern
     types = (pat.type1,) if pat.kind == SINGLE else (pat.type1, pat.type2)
     where_fn = where_from_expr(project, query.where, dict(seed))
     oracle = oracle_select(project, pat.kind, types, pat.variables(), query.modifier,
                            roots, include_root, directly, where_fn)
     label = (project.name, pat, query.modifier, spec.kind, query.where)
-    assert compare(project, rs.rows, oracle).empty, label
+    assert compare(project, rows, oracle).empty, label
     accepts = (lambda n: True) if where_fn is None else (lambda n: where_fn({pat.var1: n}, 0))
     expected = walk_visits(project, query, roots, include_root, directly, accepts)
-    assert rs.stats.nodes_visited == expected, label
-    assert rs.stats.rows_yielded == len(rs.rows), label
+    assert evaluator.stats.nodes_visited == expected, label
+    assert evaluator.stats.rows_yielded == len(rows), label
 
 
 class TestRegionScan:
@@ -670,15 +728,16 @@ class TestLinkKeys:
     @pytest.mark.parametrize("input_kind", [0, 1, 2])
     def test_lookup_matches_oracle_and_walk(self, bound_projects, input_kind, monkeypatch):
         # Default and `in x` inputs (x lists overlapping nodes and one node
-        # twice) take the lookup, which never scans; `directly in` scans.
-        scan = Evaluator._scan
-        scans = []
+        # twice) take the lookup once per select; `directly in` never does.
+        link_ranks = Evaluator._link_ranks
+        lookups = []
 
-        def counted_scan(*args):
-            scans.append(args)
-            return scan(*args)
+        def counted_link_ranks(*args):
+            lookups.append(args)
+            return link_ranks(*args)
 
-        monkeypatch.setattr(Evaluator, "_scan", counted_scan)
+        monkeypatch.setattr(Evaluator, "_link_ranks", counted_link_ranks)
+        selects = 0
         for project in bound_projects:
             spec, seed, roots, include_root, directly = input_cases(project)[input_kind]
             for type_name, text, kind in LINK_FORMS:
@@ -686,7 +745,8 @@ class TestLinkKeys:
                 for v in fixed_nodes(project, kind):
                     case = (spec, {**seed, "v": NodeRef(v)}, roots, include_root, directly)
                     check_against_references(project, query, case)
-        assert bool(scans) == directly
+                    selects += 1
+        assert len(lookups) == (0 if directly else selects) and selects > 0
 
     @pytest.mark.parametrize("in_x", [False, True])
     def test_lookup_matches_scan_with_body(self, bound_projects, in_x):

@@ -17,7 +17,7 @@ from craql.query.ast import (
 
 def engine_rows(project, query, env=None):
     evaluator = Evaluator(project, env or Environment(), OutputSink())
-    return evaluator.run_select(query).rows
+    return evaluator.run_select(query)
 
 
 def run_with_trace(project, text):

@@ -90,6 +90,70 @@ class TestGenerateProps:
         assert load_properties(tmp_path, "alpha") == {"platform": "android", "stars": 1200}
 
 
+# 0xff is never UTF-8; here it follows "ab" and a two-byte "é" on line 2,
+# so it is at column 4 and byte offset 10.
+NOT_UTF8 = b"x = 1\nab\xc3\xa9\xff\n"
+NOT_UTF8_AT = ":2:4: error: not UTF-8: byte 0xff at offset 10"
+
+
+class TestUndecodableFiles:
+    @pytest.fixture
+    def config(self, tmp_path):
+        return make_tree(
+            tmp_path,
+            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")},
+                      "beta": {"AB.mj": fixture_text("AB.mj")}},
+            queries={"blocks.craql": COUNT_BLOCKS},
+        )
+
+    @pytest.mark.parametrize("list_file", ["projects.txt", "queries.txt"])
+    def test_list_file_is_a_config_error(self, config, tmp_path, list_file):
+        (tmp_path / list_file).write_bytes(NOT_UTF8)
+        with pytest.raises(RunnerError, match=re.escape(str(tmp_path / list_file) + NOT_UTF8_AT)):
+            run_batch(config)
+
+    def test_query_file_is_a_config_error(self, config, tmp_path):
+        (tmp_path / "queries" / "blocks.craql").write_bytes(NOT_UTF8)
+        path = tmp_path / "queries" / "blocks.craql"
+        with pytest.raises(RunnerError, match=re.escape(str(path) + NOT_UTF8_AT)):
+            run_batch(config)
+        assert list((tmp_path / "results").iterdir()) == []
+
+    def test_project_tags_are_a_config_error(self, tmp_path):
+        (tmp_path / "projecttags.csv").write_bytes(b"project,x\n" + NOT_UTF8)
+        with pytest.raises(RunnerError, match=r"projecttags\.csv:3:4: .* offset 20"):
+            generate_props(tmp_path)
+
+    def test_properties_file_aborts_only_its_project(self, config, tmp_path):
+        path = tmp_path / "properties" / "alpha.properties"
+        path.write_bytes(NOT_UTF8)
+        status, records = run_batch(config)
+        assert status == 1
+        alpha, beta = records
+        assert alpha.aborted and not beta.aborted
+        assert alpha.diagnostics == [str(path) + NOT_UTF8_AT]
+        assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
+            "beta.blocks.rows", "beta.vars"]
+
+    def test_source_file_is_skipped(self, config, tmp_path, caplog):
+        (tmp_path / "projects" / "alpha" / "Bad.mj").write_bytes(NOT_UTF8)
+        status, records = run_batch(config)
+        assert status == 0
+        assert records[0].diagnostics == ["Bad.mj" + NOT_UTF8_AT]
+        assert records[0].stats.files_parsed == 1
+        assert (tmp_path / "results" / "alpha.vars").read_text() == "num_blocks=3\n"
+        assert not any(r.exc_info for r in caplog.records)
+
+    def test_serialized_ast_is_a_format_error(self, config, tmp_path, caplog):
+        (tmp_path / "projects" / "alpha" / SERIALIZED_AST).write_bytes(NOT_UTF8)
+        status, records = run_batch(config)
+        assert status == 1
+        alpha, beta = records
+        assert alpha.aborted and not beta.aborted
+        assert alpha.diagnostics == [SERIALIZED_AST + NOT_UTF8_AT]
+        assert not any(r.exc_info for r in caplog.records)
+
+
 class TestCollate:
     def test_union_header_and_missing_cells(self, tmp_path):
         (tmp_path / "A.vars").write_text("x=1\n")
@@ -162,6 +226,47 @@ class TestRunBatch:
         assert not (tmp_path / "results" / "ghost.vars").exists()
         ghost = next(r for r in records if r.project == "ghost")
         assert ghost.aborted
+
+    def test_project_names_with_paths_are_missing_projects(self, tmp_path):
+        # Both names reach a real directory of sources, and both would write
+        # outside results/: neither is read, and nothing is written for it.
+        config = make_tree(
+            tmp_path,
+            projects={"real": {"Sample.mj": fixture_text("Sample.mj")}},
+            queries={"blocks.craql": COUNT_BLOCKS},
+        )
+        for where in ("projects/sub/proj", "escape"):
+            (tmp_path / where).mkdir(parents=True)
+            (tmp_path / where / "Sample.mj").write_text(fixture_text("Sample.mj"))
+        (tmp_path / "projects.txt").write_text("sub/proj\nreal\n../escape\n")
+        status, records = run_batch(config)
+        assert status == 1
+        assert [(r.project, r.aborted) for r in records] == [
+            ("sub/proj", True), ("real", False), ("../escape", True)]
+        for record in records[0], records[2]:
+            assert record.diagnostics[0].startswith("project directory missing: ")
+            assert record.stats.files_parsed == 0
+        assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
+            "real.blocks.rows", "real.vars"]
+        assert not list(tmp_path.glob("escape.*"))
+
+    def test_crlf_files_read_as_lf(self, tmp_path):
+        outputs = []
+        for newline in ("\n", "\r\n"):
+            config = make_tree(
+                tmp_path / repr(newline),
+                projects={"alpha": {}},
+                queries={"show.craql": "select ({Statement} s) {\n  print(s);\n}\n"},
+            )
+            for path in (config.projects_dir / "alpha" / "Sample.mj",
+                         config.queries_dir / "show.craql", config.project_list):
+                text = fixture_text("Sample.mj") if path.suffix == ".mj" else path.read_text()
+                path.write_bytes(text.replace("\n", newline).encode())
+            _, records = run_batch(config)
+            outputs.append((records[0].print_lines,
+                            (config.results_dir / "alpha.show.rows").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert "\\r" not in outputs[0][1].decode()
 
     def test_unparseable_query_aborts_before_any_project(self, tmp_path):
         config = make_tree(
