@@ -8,6 +8,7 @@ from any number of concurrent evaluators.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Union
 
@@ -51,7 +52,8 @@ class NodeTypeSchema:
     Single-inheritance supertype edges; each type declares an ordered list of
     (property, kind) pairs and inherits its supertypes' properties. `validate`
     compiles the lattice into the lookup tables `ancestry` (type name, virtual
-    ones included, to itself and all its supertypes) and `prop_kinds`.
+    ones included, to itself and all its supertypes), `prop_kinds` and
+    `concrete`, the types a node may have.
     """
 
     def __init__(self, name: str):
@@ -63,6 +65,7 @@ class NodeTypeSchema:
         self.virtuals: dict[str, VirtualType] = {}
         self.ancestry: dict[str, frozenset[str]] = {}
         self.prop_kinds: dict[str, dict[str, str]] = {}
+        self.concrete: frozenset[str] = frozenset()
 
     def add_type(
         self,
@@ -94,7 +97,7 @@ class NodeTypeSchema:
         self.virtuals[name] = VirtualType(base, prop, token)
 
     def validate(self) -> None:
-        """Check the lattice and compile it into `ancestry` and `prop_kinds`."""
+        """Check the lattice and compile it into its lookup tables."""
         for t, sup in self.supertype.items():
             if sup not in self.types:
                 raise SchemaError(f"supertype {sup} of {t} is not registered")
@@ -117,6 +120,7 @@ class NodeTypeSchema:
                 raise SchemaError(f"virtual base {v.base} is not registered")
             self.ancestry[name] = self.ancestry[v.base] | {name}
             self.prop_kinds[name] = self.prop_kinds[v.base]
+        self.concrete = frozenset(t for t in self.types if not self.abstract[t])
 
     def knows(self, name: str) -> bool:
         return name in self.types or name in self.virtuals
@@ -218,9 +222,10 @@ class ProjectAst:
         self.files.append(FileInfo(name, text))
         return len(self.files) - 1
 
-    def new_node(self, type_name: str, span: Span) -> AstNode:
-        self.schema.require(type_name)
-        node = AstNode(id=len(self.nodes), type=type_name, span=span)
+    def new_node(self, type_name: str, span: Span, props: dict | None = None) -> AstNode:
+        if type_name not in self.schema.ancestry:
+            raise SchemaError(f"unknown node type {type_name}")
+        node = AstNode(len(self.nodes), type_name, span, {} if props is None else props)
         self.nodes.append(node)
         return node
 
@@ -228,19 +233,25 @@ class ProjectAst:
         return self.nodes[node_id]
 
     def link_parents(self) -> None:
-        """Materialize parent links from props and build the region index.
+        """Link each node to its parent and build the region index.
 
-        Call once, after the last node is added. Raises AstFormatError when
-        a node is owned twice or lies on or under an ownership cycle.
+        Both loaders call this once, last, after the last node is added. It
+        reads each node's child list once: one loop sets the children's
+        parents, raising AstFormatError when a node is owned twice, and
+        `RegionIndex` numbers the nodes from the same lists. A node on or
+        under an ownership cycle gets no rank and is an AstFormatError too.
         """
         nodes = self.nodes
-        for n in nodes:
-            for child in child_ids(n):
+        children: list[list[int] | None] = []
+        for nid, node in enumerate(nodes):
+            ids = child_ids(node)
+            children.append(ids)
+            for child in ids:
                 c = nodes[child]
                 if c.parent is not None:
-                    raise AstFormatError(f"node {child} is owned by both {c.parent} and {n.id}")
-                c.parent = n.id
-        self.index = RegionIndex(self)
+                    raise AstFormatError(f"node {child} is owned by both {c.parent} and {nid}")
+                c.parent = nid
+        self.index = RegionIndex(nodes, children)
         # With single ownership, a node no parentless node reaches is on or
         # under an ownership cycle, where every walk would go round forever;
         # the index leaves exactly those nodes without a rank.
@@ -347,27 +358,42 @@ class RegionIndex:
     `bound`, per binding table, the sorted ranks of the nodes bound to each
     target (`ProjectAst.bound_ranks`).
 
-    A node on or under an ownership cycle is reached by no walk from a
-    parentless node, so it gets no rank: its `pre` stays -1. The index holds
-    no reference to its project, so a finished project is freed by reference
-    counting alone.
+    `ProjectAst.link_parents` builds it from the child lists it has just
+    linked. A node on or under an ownership cycle is reached by no walk from
+    a parentless node, so it gets no rank: its `pre` stays -1. The index
+    holds no reference to its project, so a finished project is freed by
+    reference counting alone.
     """
 
-    def __init__(self, project: ProjectAst):
-        nodes = project.nodes
+    def __init__(self, nodes: list[AstNode], children: list[list[int] | None]):
+        """Index `nodes`, whose parents are linked, from `children[n]`, the
+        child ids of node n in declaration order: one iterative pre-order
+        pass numbers the nodes and fills `order`, `pre`, `depth` and
+        `by_type`, and a reverse pass over `order` fills `end`.
+
+        The pass consumes `children`: it drops each list once it has walked
+        it, so the index's own lists reuse their memory as they grow.
+        """
         order: list[int] = []
-        for nid, node in enumerate(nodes):
-            if node.parent is None:
-                order.extend(descendants_preorder(project, nid))
         pre = [-1] * len(nodes)
         depth = [0] * len(nodes)
         by_type: dict[str, list[int]] = {}
-        for rank, nid in enumerate(order):
-            node = nodes[nid]
-            pre[nid] = rank
+        for root, node in enumerate(nodes):
             if node.parent is not None:
-                depth[nid] = depth[node.parent] + 1
-            by_type.setdefault(node.type, []).append(rank)
+                continue
+            stack = [root]
+            while stack:
+                nid = stack.pop()
+                rank = pre[nid] = len(order)
+                order.append(nid)
+                by_type.setdefault(nodes[nid].type, []).append(rank)
+                kids = children[nid]
+                children[nid] = None
+                if kids:
+                    below = depth[nid] + 1
+                    for child in kids:
+                        depth[child] = below
+                    stack += reversed(kids)
         # A child's region ends no later than its parent's, and the last
         # child's end is the parent's end, so one reverse pass suffices.
         end = [rank + 1 for rank in pre]
@@ -439,6 +465,7 @@ def serialize_project(project: ProjectAst) -> str:
 
 
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+_ABSENT = object()
 
 
 def _expect(value: Any, kind: type, what: str, where: str) -> Any:
@@ -454,10 +481,7 @@ def _expect(value: Any, kind: type, what: str, where: str) -> Any:
 def _expect_key(obj: dict, key: str, where: str, kind: type) -> Any:
     if key not in obj:
         raise AstFormatError(f"missing key {key!r}", where)
-    value = obj[key]
-    if type(value) is not kind:  # checked here too: this runs for every field
-        _expect(value, kind, repr(key), where)
-    return value
+    return _expect(obj[key], kind, repr(key), where)
 
 
 def _node_id(value: Any, count: int, what: str, where: str) -> int:
@@ -489,54 +513,84 @@ def deserialize_project(document: str) -> ProjectAst:
             _expect(text, str, "'text'", where)
         project.add_file(_expect_key(f, "name", where, str), text)
 
+    # The node loops test each field inline and build a location only to
+    # raise: the helpers above are reached only by a field that fails.
     raw_nodes = _expect_key(doc, "nodes", "top level", list)
     count = len(raw_nodes)
-    by_id: dict[int, dict] = {}
+    by_id: list[Any] = [None] * count
     for i, rec in enumerate(raw_nodes):
-        _expect(rec, dict, "a node record", f"nodes[{i}]")
-        nid = _expect_key(rec, "id", f"nodes[{i}]", int)
-        if not 0 <= nid < count:
-            raise AstFormatError("node ids must be dense integers from 0", f"nodes[{i}]")
-        if nid in by_id:
-            raise AstFormatError(f"duplicate node id {nid}", f"nodes[{i}]")
+        nid = rec.get("id") if type(rec) is dict else None
+        if type(nid) is not int or not 0 <= nid < count or by_id[nid] is not None:
+            where = f"nodes[{i}]"
+            nid = _expect_key(_expect(rec, dict, "a node record", where), "id", where, int)
+            if not 0 <= nid < count:
+                raise AstFormatError("node ids must be dense integers from 0", where)
+            raise AstFormatError(f"duplicate node id {nid}", where)
         by_id[nid] = rec
 
-    for nid in range(count):
-        rec = by_id[nid]
-        where = f"node {nid}"
-        tname = _expect_key(rec, "type", where, str)
-        if tname in schema.virtuals:
-            raise AstFormatError(f"virtual type {tname} cannot be concrete", where)
-        if schema.abstract.get(tname):
-            raise AstFormatError(f"abstract type {tname} cannot be concrete", where)
-        if tname not in schema.types:
+    # A file without text bounds no span.
+    limits = [math.inf if f.text is None else len(f.text) for f in project.files]
+    concrete, prop_kinds, append = schema.concrete, schema.prop_kinds, project.nodes.append
+    for nid, rec in enumerate(by_id):
+        tname = rec.get("type")
+        if type(tname) is not str or tname not in concrete:
+            where = f"node {nid}"
+            _expect_key(rec, "type", where, str)
+            if tname in schema.virtuals:
+                raise AstFormatError(f"virtual type {tname} cannot be concrete", where)
+            if tname in schema.types:
+                raise AstFormatError(f"abstract type {tname} cannot be concrete", where)
             raise AstFormatError(f"unknown node type {tname}", where)
-        fidx = _expect_key(rec, "file", where, int)
-        if not 0 <= fidx < len(project.files):
+        fidx = rec.get("file")
+        if type(fidx) is not int or not 0 <= fidx < len(limits):
+            where = f"node {nid}"
+            _expect_key(rec, "file", where, int)
             raise AstFormatError(f"bad file index {fidx}", where)
-        span = _expect_key(rec, "span", where, list)
-        if len(span) != 3:
+        span = rec.get("span")
+        if type(span) is not list or len(span) != 3:
+            where = f"node {nid}"
+            _expect_key(rec, "span", where, list)
             raise AstFormatError("span must be [start, end, line]", where)
         start, end, line = span
-        if not type(start) is type(end) is type(line) is int:
-            raise AstFormatError("each span value must be an integer", where)
-        text = project.files[fidx].text
-        if not 0 <= start <= end <= (end if text is None else len(text)):
+        if not (type(start) is type(end) is type(line) is int
+                and 0 <= start <= end <= limits[fidx]):
+            where = f"node {nid}"
+            if not type(start) is type(end) is type(line) is int:
+                raise AstFormatError("each span value must be an integer", where)
             raise AstFormatError(f"span [{start}, {end}] is not a range in its file", where)
-        node = project.new_node(tname, Span(fidx, start, end, line))
-        for pname, value in _expect_key(rec, "props", where, dict).items():
-            pwhere = f"{where}.{pname}"
-            kind = schema.prop_kinds[tname].get(pname)
-            if kind == TOKEN:
-                token = _expect(value, dict, "a token property", pwhere)
-                node.props[pname] = _expect_key(token, "token", pwhere, str)
-            elif kind == SINGLE:
-                node.props[pname] = _node_id(value, count, "node id", pwhere)
-            elif kind == CHILD_LIST:
-                ids = _expect(value, list, "a child-list property", pwhere)
-                node.props[pname] = [_node_id(v, count, "node id", pwhere) for v in ids]
+        raw_props = rec.get("props")
+        if type(raw_props) is not dict:
+            _expect_key(rec, "props", f"node {nid}", dict)
+        # Props go in schema declaration order, as MiniLang builds them, so
+        # walks see a node's children in the same order whichever loader
+        # made it: the document's key order carries no meaning.
+        props: dict[str, PropValue] = {}
+        for pname, kind in prop_kinds[tname].items():
+            value = raw_props.get(pname, _ABSENT)
+            if value is _ABSENT:
+                continue
+            if kind == CHILD_LIST and type(value) is list:
+                for child in value:
+                    if type(child) is not int or not 0 <= child < count:
+                        _node_id(child, count, "node id", f"node {nid}.{pname}")
+            elif kind == SINGLE and type(value) is int and 0 <= value < count:
+                pass
+            elif kind == TOKEN and type(value) is dict and type(value.get("token")) is str:
+                value = value["token"]
             else:
-                raise AstFormatError(f"{tname} has no property {pname}", where)
+                where = f"node {nid}.{pname}"
+                if kind == TOKEN:
+                    token = _expect(value, dict, "a token property", where)
+                    _expect_key(token, "token", where, str)
+                elif kind == SINGLE:
+                    _node_id(value, count, "node id", where)
+                else:
+                    _expect(value, list, "a child-list property", where)
+            props[pname] = value
+        if len(props) != len(raw_props):
+            pname = next(p for p in raw_props if p not in props)
+            raise AstFormatError(f"{tname} has no property {pname}", f"node {nid}")
+        append(AstNode(nid, tname, Span(fidx, start, end, line), props))
 
     for rid in _expect_key(doc, "roots", "top level", list):
         project.roots.append(_node_id(rid, count, "root id", "roots"))

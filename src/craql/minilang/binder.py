@@ -33,18 +33,14 @@ def ensure_builtins(project: ProjectAst) -> dict[str, int]:
     file_id = project.add_file(BUILTINS_FILE, text)
     surrogates: dict[str, int] = {}
     offset = 0
-    decls = []
     for name in BUILTIN_TYPE_NAMES:
         start = text.index(name, offset)
-        node = project.new_node("TypeDeclaration", Span(file_id, start, start + len(name), 1))
-        node.props["interface"] = "false"
-        node.props["name"] = name
-        node.props["bodyDeclarations"] = []
-        surrogates[name] = node.id
-        decls.append(node.id)
+        span = Span(file_id, start, start + len(name), 1)
+        props = {"interface": "false", "name": name, "bodyDeclarations": []}
+        surrogates[name] = project.new_node("TypeDeclaration", span, props).id
         offset = start + len(name)
-    unit = project.new_node("CompilationUnit", Span(file_id, 0, len(text), 1))
-    unit.props["types"] = decls
+    unit_span = Span(file_id, 0, len(text), 1)
+    project.new_node("CompilationUnit", unit_span, {"types": list(surrogates.values())})
     return surrogates
 
 

@@ -146,9 +146,9 @@ class Parser:
         """Add a node spanning `start` to `end`, by default the last token
         consumed. Props given as None are left out."""
         end = end or self.toks[self.pos - 1]
-        node = self.project.new_node(type_name, Span(self.file_id, start.start, end.end, start.line))
-        node.props = {name: value for name, value in props.items() if value is not None}
-        return node.id
+        span = Span(self.file_id, start.start, end.end, start.line)
+        props = {name: value for name, value in props.items() if value is not None}
+        return self.project.new_node(type_name, span, props).id
 
     # -- error recovery --
 
@@ -178,11 +178,8 @@ class Parser:
                 types.append(self.parse_type_declaration())
             else:
                 raise self.error(f"expected type declaration, found {self.peek().text!r}")
-        unit = self.project.new_node(
-            "CompilationUnit", Span(self.file_id, 0, self.toks[-1].end, 1)
-        )
-        unit.props["types"] = types
-        return unit.id
+        span = Span(self.file_id, 0, self.toks[-1].end, 1)
+        return self.project.new_node("CompilationUnit", span, {"types": types}).id
 
     def parse_type_declaration(self) -> int:
         start = self.advance()  # class | interface

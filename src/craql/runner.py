@@ -166,6 +166,13 @@ def load_project_sources(project_dir: Path, name: str) -> tuple[ProjectAst, list
     return project, skipped + [str(d) for d in diagnostics]
 
 
+def is_project_name(name: str) -> bool:
+    """Whether `name` can name a project: a name with a separator (an
+    absolute one too), `.` or `..` would reach outside the directories
+    that project files are read from and written to."""
+    return not ("/" in name or "\\" in name or name in (".", ".."))
+
+
 def run_project(
     name: str,
     config: RunConfig,
@@ -173,9 +180,7 @@ def run_project(
 ) -> ProjectRunRecord:
     record = ProjectRunRecord(project=name)
     project_dir = config.projects_dir / name
-    # A name with a separator (an absolute one too), `.` or `..` would reach
-    # outside projects/ and results/: it names no project directory.
-    if "/" in name or "\\" in name or name in (".", "..") or not project_dir.is_dir():
+    if not is_project_name(name) or not project_dir.is_dir():
         record.aborted = True
         record.diagnostics.append(f"project directory missing: {project_dir}")
         logger.error("skipping %s: no directory %s", name, project_dir)
@@ -315,20 +320,23 @@ def generate_props(properties_dir: Path) -> list[Path]:
         raise RunnerError(f"{tags_path} is empty")
     header = rows[0]
     props = header[1:]
-    written: list[Path] = []
-    seen: set[str] = set()
+    # Every row is checked before the first file is written.
+    contents: dict[str, list[str]] = {}
     for row in rows[1:]:
         if not row or not row[0].strip():
             continue
         project = row[0].strip()
-        if project in seen:
+        if not is_project_name(project):
+            raise RunnerError(f"bad project name in {tags_path}: {project!r}")
+        if project in contents:
             raise RunnerError(f"duplicate project row: {project}")
-        seen.add(project)
-        lines = [
+        contents[project] = [
             f"{key}={value.strip()}"
             for key, value in zip(props, row[1:])
             if value.strip() != ""
         ]
+    written: list[Path] = []
+    for project, lines in contents.items():
         path = properties_dir / f"{project}.properties"
         path.write_text("\n".join(lines) + ("\n" if lines else ""))
         written.append(path)

@@ -27,7 +27,7 @@ def _block(nid: int, *statements: int) -> dict:
 
 
 # Serialized ASTs that must be rejected with an AstFormatError: name ->
-# (document, message pattern, location).
+# (document, part of the message, location).
 BAD_AST_DOCS = {
     "unknown_schema": (_one_block_doc(schema="javalang"), "no registered schema", "schema"),
     "non_integer_binding_key": (
@@ -81,6 +81,38 @@ BAD_AST_DOCS = {
         _one_block_doc(nodes=[dict(_block(0), props={"body": 0})]),
         "Block has no property body", "node 0"),
     "json_nested_too_deeply": ("[" * 100000, "nested too deeply", "top level"),
+    "node_record_not_an_object": (
+        _one_block_doc(nodes=[1]), "a node record must be an object", "nodes[0]"),
+    "node_without_an_id": (
+        _one_block_doc(nodes=[{k: v for k, v in _block(0).items() if k != "id"}]),
+        "missing key 'id'", "nodes[0]"),
+    "node_id_out_of_range": (
+        _one_block_doc(nodes=[_block(1)]), "node ids must be dense integers from 0", "nodes[0]"),
+    "duplicate_node_id": (
+        _one_block_doc(nodes=[_block(0), _block(0)]), "duplicate node id 0", "nodes[1]"),
+    "type_not_a_string": (
+        _one_block_doc(nodes=[dict(_block(0), type=["Block"])]),
+        "'type' must be a string", "node 0"),
+    "file_index_out_of_range": (
+        _one_block_doc(nodes=[dict(_block(0), file=3)]), "bad file index 3", "node 0"),
+    "span_of_two_values": (
+        _one_block_doc(nodes=[dict(_block(0), span=[0, 0])]),
+        "span must be [start, end, line]", "node 0"),
+    "span_not_a_list": (
+        _one_block_doc(nodes=[dict(_block(0), span={"start": 0})]),
+        "'span' must be a list", "node 0"),
+    "span_starting_below_zero": (
+        _one_block_doc(nodes=[dict(_block(0), span=[-1, 0, 1])]),
+        "is not a range", "node 0"),
+    "boolean_in_a_child_list": (
+        _one_block_doc(nodes=[_block(0, 1), dict(_block(1), props={"statements": [True]})]),
+        "node id must be an integer", "node 1.statements"),
+    "token_without_a_token": (
+        _one_block_doc(nodes=[dict(_block(0), type="TypeDeclaration", props={"name": {}})]),
+        "missing key 'token'", "node 0.name"),
+    "node_without_props": (
+        _one_block_doc(nodes=[{k: v for k, v in _block(0).items() if k != "props"}]),
+        "missing key 'props'", "node 0"),
 }
 
 

@@ -68,6 +68,14 @@ def test_genprops_subcommand(tmp_path):
     assert (root / "properties" / "alpha.properties").read_text() == "tag=core\n"
 
 
+def test_genprops_with_a_path_name_exits_two(tmp_path, capsys):
+    root = make_root(tmp_path)
+    (root / "properties" / "projecttags.csv").write_text("project,tag\nsub/p,core\n")
+    assert main(["genprops", "--dirs", str(root)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad project name")
+    assert sorted(p.name for p in (root / "properties").iterdir()) == ["projecttags.csv"]
+
+
 def test_recursion_limit_exits_one(tmp_path, caplog):
     root = make_root(tmp_path)
     (root / "queries" / "loop.craql").write_text(

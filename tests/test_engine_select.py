@@ -13,8 +13,10 @@ from craql import (
     ProjectAst,
     bundled_query_path,
     descendants_preorder,
+    deserialize_project,
     load_project,
     parse_query_document,
+    serialize_project,
 )
 from craql.astcore import child_ids
 from craql.engine.evaluator import QueryRuntimeError
@@ -610,8 +612,28 @@ class TestRegionScan:
 
     def test_region_index_invariants(self, random_projects):
         for project in random_projects:
-            index = project.index
-            for n in range(len(project.nodes)):
+            index, count = project.index, len(project.nodes)
+            # Naive references: parents from the child lists, each node's
+            # depth as the number of walks from other nodes that reach it, and
+            # ranks from one walk per parentless node.
+            parents = [None] * count
+            for node in project.nodes:
+                for child in child_ids(node):
+                    parents[child] = node.id
+            depth = [0] * count
+            for n in range(count):
+                for below in descendants_preorder(project, n):
+                    depth[below] += below != n
+            order = [below for n in range(count) if parents[n] is None
+                     for below in descendants_preorder(project, n)]
+            by_type = {}
+            for rank, n in enumerate(order):
+                by_type.setdefault(project.node(n).type, []).append(rank)
+            assert [node.parent for node in project.nodes] == parents
+            assert index.order == order
+            assert index.depth == depth
+            assert index.by_type == by_type
+            for n in range(count):
                 assert index.order[index.pre[n]] == n
                 assert index.end[n] - index.pre[n] == sum(1 for _ in descendants_preorder(project, n))
             for type_name in SCAN_TYPES + ("CompilationUnit", "InterfaceDeclaration"):
@@ -619,6 +641,20 @@ class TestRegionScan:
                     index.pre[n] for n in range(len(project.nodes))
                     if project.matches_type(n, type_name)
                 )
+
+    def test_serialized_round_trip_keeps_links_index_and_rows(self, random_projects):
+        texts = {name: bundled_query_path(name).read_text() for name in BUNDLED_QUERIES}
+        for project in random_projects:
+            clone = deserialize_project(serialize_project(project))
+            assert [n.parent for n in clone.nodes] == [n.parent for n in project.nodes]
+            for table in ("order", "pre", "end", "depth", "by_type"):
+                assert getattr(clone.index, table) == getattr(project.index, table), table
+            for type_name in SCAN_TYPES:
+                assert select(clone, single(type_name)) == select(project, single(type_name))
+            for name, text in texts.items():
+                _, sink, _ = run_document(project, text, source=name)
+                _, clone_sink, _ = run_document(clone, text, source=name)
+                assert (clone_sink.prints, clone_sink.rows) == (sink.prints, sink.rows), name
 
 
 class TestWalkGuard:
@@ -662,6 +698,34 @@ class TestWalkGuard:
             Evaluator(project, env, OutputSink(), source=name).execute_document(doc)
         assert len(type_names) == 16
         assert steps <= (len(type_names) + 2) * len(project.nodes)
+
+
+class TestLoadGuard:
+    def test_each_loader_reads_each_child_list_once(self, monkeypatch):
+        """Both loaders call `child_ids` exactly once per node.
+
+        Linking parents in one walk and building the region index in another
+        read every child list twice; a deterministic count, not a timing, so
+        a return to two walks fails here.
+        """
+        rng = random.Random(6)
+        sources = [(f"G{i}.mj", generate_random_source(rng, classes=2, max_depth=4))
+                   for i in range(4)]
+        document = serialize_project(load_project("guard", sources)[0])
+        calls = 0
+        child_ids = craql.astcore.child_ids
+
+        def counted_child_ids(node):
+            nonlocal calls
+            calls += 1
+            return child_ids(node)
+
+        monkeypatch.setattr(craql.astcore, "child_ids", counted_child_ids)
+        project, _ = load_project("guard", sources)
+        assert calls == len(project.nodes)
+        calls = 0
+        project = deserialize_project(document)
+        assert calls == len(project.nodes)
 
 
 # ---------------------------------------------------------------------------

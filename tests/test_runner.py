@@ -82,6 +82,16 @@ class TestGenerateProps:
         with pytest.raises(RunnerError, match="duplicate project row: a"):
             generate_props(tmp_path)
 
+    @pytest.mark.parametrize("name", ["../evil", "sub/p", "sub\\p", ".", ".."])
+    def test_path_names_are_rejected_before_any_write(self, tmp_path, name):
+        properties = tmp_path / "properties"
+        properties.mkdir()
+        (properties / "projecttags.csv").write_text(f"project,x\nalpha,1\n{name},2\n")
+        with pytest.raises(RunnerError, match=re.escape(f"bad project name in {properties}")):
+            generate_props(properties)
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "properties", "properties/projecttags.csv"]
+
     def test_round_trip_with_load_properties(self, tmp_path):
         (tmp_path / "projecttags.csv").write_text(
             "project,platform,stars\nalpha,android,1200\n"
