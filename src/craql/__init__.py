@@ -6,27 +6,51 @@ evaluator with tree-pruning modifiers, a brute-force reference oracle, and a
 batch runner that collates per-project output variables into a CSV.
 """
 
+from importlib import import_module
 from pathlib import Path
 
-from craql.astcore import (
-    AstFormatError,
-    AstNode,
-    BindingTable,
-    NodeTypeSchema,
-    ProjectAst,
-    SchemaError,
-    Span,
-    descendants_preorder,
-    deserialize_project,
-    is_subtype,
-    node_depth,
-    register_schema,
-    serialize_project,
-    source_text,
-)
-from craql.engine import Environment, Evaluator, OutputSink, QueryRuntimeError, execute_document
-from craql.minilang import MINILANG_SCHEMA, load_project
-from craql.query import parse_query_document, unparse_document, validate_against_schema
+# Each export's home module, imported on the export's first use (PEP 562), so
+# that `import craql` alone, and a launch that needs none of them, such as
+# `craql collate`, loads no submodule.
+_EXPORTS = {
+    "AstFormatError": "craql.astcore",
+    "AstNode": "craql.astcore",
+    "BindingTable": "craql.astcore",
+    "NodeTypeSchema": "craql.astcore",
+    "ProjectAst": "craql.astcore",
+    "SchemaError": "craql.astcore",
+    "Span": "craql.astcore",
+    "descendants_preorder": "craql.astcore",
+    "deserialize_project": "craql.astcore",
+    "is_subtype": "craql.astcore",
+    "node_depth": "craql.astcore",
+    "register_schema": "craql.astcore",
+    "serialize_project": "craql.astcore",
+    "source_text": "craql.astcore",
+    "Environment": "craql.engine",
+    "Evaluator": "craql.engine",
+    "OutputSink": "craql.engine",
+    "QueryRuntimeError": "craql.engine",
+    "execute_document": "craql.engine",
+    "MINILANG_SCHEMA": "craql.minilang",
+    "load_project": "craql.minilang",
+    "parse_query_document": "craql.query",
+    "unparse_document": "craql.query",
+    "validate_against_schema": "craql.query",
+}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "0.1.0"
 
@@ -59,31 +83,4 @@ def bundled_query_path(name: str) -> Path:
     return path
 
 
-__all__ = [
-    "AstFormatError",
-    "AstNode",
-    "BUNDLED_QUERIES",
-    "BindingTable",
-    "Environment",
-    "Evaluator",
-    "MINILANG_SCHEMA",
-    "NodeTypeSchema",
-    "OutputSink",
-    "ProjectAst",
-    "QueryRuntimeError",
-    "SchemaError",
-    "Span",
-    "bundled_query_path",
-    "descendants_preorder",
-    "deserialize_project",
-    "execute_document",
-    "is_subtype",
-    "load_project",
-    "node_depth",
-    "parse_query_document",
-    "register_schema",
-    "serialize_project",
-    "source_text",
-    "unparse_document",
-    "validate_against_schema",
-]
+__all__ = sorted([*_EXPORTS, "BUNDLED_QUERIES", "bundled_query_path"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Any, Callable, Iterator, Union
 
 PropValue = Union[int, list, str]
@@ -140,6 +141,11 @@ class NodeTypeSchema:
 
 _REGISTRY: dict[str, NodeTypeSchema] = {}
 
+# Bundled schemas by name, with the module whose import registers each, so
+# that deserializing a document loads its schema without `import craql`
+# having loaded any frontend.
+_BUILTIN_SCHEMAS = {"minilang": "craql.minilang.schema"}
+
 
 def register_schema(schema: NodeTypeSchema) -> NodeTypeSchema:
     schema.validate()
@@ -148,6 +154,8 @@ def register_schema(schema: NodeTypeSchema) -> NodeTypeSchema:
 
 
 def lookup_schema(name: str) -> NodeTypeSchema:
+    if name not in _REGISTRY and name in _BUILTIN_SCHEMAS:
+        import_module(_BUILTIN_SCHEMAS[name])
     if name not in _REGISTRY:
         raise SchemaError(f"no registered schema named {name}")
     return _REGISTRY[name]

@@ -12,13 +12,15 @@ import logging
 import sys
 from pathlib import Path
 
-from craql.runner import (
-    RunConfig,
-    RunnerError,
-    collate_csv,
-    generate_props,
-    run_batch,
-)
+from craql.results import RunConfig, RunnerError, collate_csv, generate_props
+
+
+def run_batch(config: RunConfig):
+    """`craql.runner.run_batch`, imported only when a batch runs: `collate`
+    and `genprops` need none of the engine, the parsers or the binder."""
+    from craql import runner
+
+    return runner.run_batch(config)
 
 
 def _add_dirs(parser: argparse.ArgumentParser) -> None:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import re
 from collections.abc import Sized
 from dataclasses import dataclass
 
 from craql.astcore import ProjectAst, source_text
+from craql.results import escape_text, unescape_text  # unescape_text: re-exported
 
 
 class Undefined:
@@ -128,25 +128,6 @@ class RowRecord:
 
     def to_line(self) -> str:
         return f"{self.file}\t{self.line}\t{self.node_type}\t{escape_text(self.text)}"
-
-
-def escape_text(text: str) -> str:
-    r"""`text` on one line: backslash, tab, newline and CR become `\\`, `\t`,
-    `\n` and `\r`; `unescape_text` reverses it."""
-    return (
-        text.replace("\\", "\\\\")
-        .replace("\t", "\\t")
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-    )
-
-
-_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
-_ESCAPE = re.compile(r"\\(.)")
-
-
-def unescape_text(text: str) -> str:
-    return _ESCAPE.sub(lambda m: _UNESCAPES.get(m.group(1), m.group(0)), text)
 
 
 class OutputSink:

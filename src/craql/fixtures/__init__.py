@@ -66,10 +66,12 @@ def generate_block_sea(count: int) -> str:
 class RandomMiniLang:
     """Seeded random MiniLang source generator.
 
-    Emits parseable programs with nested statements, field/local usage, and
-    project-local calls so the binder has work to do. Class methods always
-    return a value (never a bare `return;`) and only interfaces declare
-    bodiless methods; the getter query's strict accessors rely on that.
+    Emits parseable programs with nested statements and field/local usage.
+    Its only calls are `log(...)` and `work(n)`, which no declaration
+    matches, so the binder binds no method invocation in what it emits.
+    Class methods always return a value (never a bare `return;`) and only
+    interfaces declare bodiless methods; the getter query's strict
+    accessors rely on that.
     """
 
     TYPES = ("int", "boolean", "String")

@@ -1,78 +1,40 @@
-"""Batch executor: project/query lists, properties, per-project outputs,
-result records, CSV collation, and the properties generator.
-
-Directory conventions (under one root):
-
-    projects/<name>/**.mj     source files, or projects/<name>/project.ast.json
-    queries/<file>.craql      query documents
-    properties/<name>.properties
-    properties/projecttags.csv
-    results/<name>.vars, <name>.<query>.rows, craql_output.csv
+"""Batch executor: loads each listed project once, runs the query documents
+over it and writes its result files. `craql.results` owns the directory
+layout and the file formats.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from craql.astcore import AstFormatError, deserialize_project, ProjectAst
-from craql.diagnostics import Diagnostic
 from craql.engine.evaluator import Evaluator, QueryRuntimeError
-from craql.engine.runtime import (
-    Environment,
-    ExecutionStats,
-    OutputSink,
-    escape_text,
-    unescape_text,
-)
+from craql.engine.runtime import Environment, ExecutionStats, OutputSink
 from craql.minilang import load_project
 from craql.query.ast import QueryDocument
 from craql.query.parser import parse_query_document
 from craql.query.tokens import QuerySyntaxError
+# Also re-exports the names that lived here before `craql.results` took them.
+from craql.results import (
+    OUTPUT_CSV,
+    PROJECT_TAGS,
+    RunConfig,
+    RunnerError,
+    collate_csv,
+    escape_text,
+    generate_props,
+    is_project_name,
+    read_list,
+    read_text,
+    unescape_text,
+)
 
 logger = logging.getLogger("craql")
 
-OUTPUT_CSV = "craql_output.csv"
-PROJECT_TAGS = "projecttags.csv"
 SERIALIZED_AST = "project.ast.json"
-
-
-class RunnerError(Exception):
-    """Configuration or batch-level failure (bad lists, unparseable queries)."""
-
-
-@dataclass
-class RunConfig:
-    projects_dir: Path
-    queries_dir: Path
-    properties_dir: Path
-    results_dir: Path
-    project_list: Path
-    query_list: Path
-
-    @classmethod
-    def from_root(cls, root: Path, project_list: Path, query_list: Path) -> "RunConfig":
-        return cls(
-            projects_dir=root / "projects",
-            queries_dir=root / "queries",
-            properties_dir=root / "properties",
-            results_dir=root / "results",
-            project_list=project_list,
-            query_list=query_list,
-        )
-
-    def validate(self) -> None:
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        for path in (self.projects_dir, self.queries_dir, self.properties_dir):
-            if not path.is_dir():
-                raise RunnerError(f"missing directory: {path}")
-        for path in (self.project_list, self.query_list):
-            if not path.is_file():
-                raise RunnerError(f"missing list file: {path}")
 
 
 @dataclass
@@ -84,32 +46,6 @@ class ProjectRunRecord:
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     print_lines: list[str] = field(default_factory=list)
     aborted: bool = False
-
-
-def read_text(path: Path, name: str) -> str:
-    """The file's UTF-8 text, with `\\r\\n` and `\\r` read as `\\n` as
-    `Path.read_text` reads them. A file that is not UTF-8 raises
-    `RunnerError` with the diagnostic `name:line:column` at the first byte
-    that does not decode, giving its value and offset."""
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    except UnicodeDecodeError as exc:
-        start = exc.start
-        line_start = data.rfind(b"\n", 0, start) + 1
-        raise RunnerError(str(Diagnostic(
-            name, data.count(b"\n", 0, start) + 1, len(data[line_start:start].decode()) + 1,
-            f"not UTF-8: byte 0x{data[start]:02x} at offset {start}",
-        ))) from None
-
-
-def read_list(path: Path) -> list[str]:
-    names = []
-    for raw in read_text(path, str(path)).splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            names.append(line)
-    return names
 
 
 def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
@@ -164,13 +100,6 @@ def load_project_sources(project_dir: Path, name: str) -> tuple[ProjectAst, list
             skipped.append(str(exc))
     project, diagnostics = load_project(name, sources)
     return project, skipped + [str(d) for d in diagnostics]
-
-
-def is_project_name(name: str) -> bool:
-    """Whether `name` can name a project: a name with a separator (an
-    absolute one too), `.` or `..` would reach outside the directories
-    that project files are read from and written to."""
-    return not ("/" in name or "\\" in name or name in (".", ".."))
 
 
 def run_project(
@@ -247,10 +176,10 @@ def _write_outputs(
 ) -> None:
     vars_path = config.results_dir / f"{record.project}.vars"
     lines = [f"{key}={escape_text(record.variables[key])}" for key in sorted(record.variables)]
-    vars_path.write_text("\n".join(lines) + ("\n" if lines else ""))
+    vars_path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     for doc_name, sink in sinks:
         rows_path = config.results_dir / f"{record.project}.{doc_name}.rows"
-        rows_path.write_text("".join(rec.to_line() + "\n" for rec in sink.rows))
+        rows_path.write_text("".join(rec.to_line() + "\n" for rec in sink.rows), encoding="utf-8")
 
 
 def run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
@@ -279,65 +208,15 @@ def run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
 
     records = [run_project(name, config, docs) for name in project_names]
 
-    for record in records:
-        for line in record.print_lines:
-            sys.stdout.write(line + "\n")
+    # UTF-8 bytes whatever encoding the locale gave sys.stdout.
+    # A text stream with no byte buffer (io.StringIO, say) takes the text.
+    text = "".join(line + "\n" for record in records for line in record.print_lines)
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        buffer.write(text.encode("utf-8"))
+        buffer.flush()
     status = 1 if any(r.aborted for r in records) else 0
     return status, records
-
-
-def collate_csv(results_dir: Path, output_name: str = OUTPUT_CSV) -> Path:
-    """Collate all `.vars` files into one RFC-4180 CSV."""
-    vars_files = sorted(results_dir.glob("*.vars"))
-    if not vars_files:
-        raise RunnerError(f"no .vars files under {results_dir}")
-    projects: dict[str, dict[str, str]] = {}
-    for path in vars_files:
-        values: dict[str, str] = {}
-        # Values are escaped onto one line; other line breaks are text.
-        for line in path.read_text().split("\n"):
-            if "=" in line:
-                key, _, value = line.partition("=")
-                values[key] = unescape_text(value)
-        projects[path.stem] = values
-    columns = sorted({key for values in projects.values() for key in values})
-    out_path = results_dir / output_name
-    with out_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["project"] + columns)
-        for name in sorted(projects):
-            writer.writerow([name] + [projects[name].get(col, "") for col in columns])
-    return out_path
-
-
-def generate_props(properties_dir: Path) -> list[Path]:
-    """Expand properties/projecttags.csv into per-project properties files."""
-    tags_path = properties_dir / PROJECT_TAGS
-    if not tags_path.is_file():
-        raise RunnerError(f"missing {tags_path}")
-    rows = list(csv.reader(io.StringIO(read_text(tags_path, str(tags_path)))))
-    if not rows:
-        raise RunnerError(f"{tags_path} is empty")
-    header = rows[0]
-    props = header[1:]
-    # Every row is checked before the first file is written.
-    contents: dict[str, list[str]] = {}
-    for row in rows[1:]:
-        if not row or not row[0].strip():
-            continue
-        project = row[0].strip()
-        if not is_project_name(project):
-            raise RunnerError(f"bad project name in {tags_path}: {project!r}")
-        if project in contents:
-            raise RunnerError(f"duplicate project row: {project}")
-        contents[project] = [
-            f"{key}={value.strip()}"
-            for key, value in zip(props, row[1:])
-            if value.strip() != ""
-        ]
-    written: list[Path] = []
-    for project, lines in contents.items():
-        path = properties_dir / f"{project}.properties"
-        path.write_text("\n".join(lines) + ("\n" if lines else ""))
-        written.append(path)
-    return written

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import re
 
 import pytest
@@ -134,6 +136,13 @@ class TestUndecodableFiles:
         with pytest.raises(RunnerError, match=r"projecttags\.csv:3:4: .* offset 20"):
             generate_props(tmp_path)
 
+    def test_vars_file_is_a_config_error(self, tmp_path):
+        (tmp_path / "A.vars").write_text("x=1\n")
+        (tmp_path / "B.vars").write_bytes(NOT_UTF8)
+        with pytest.raises(RunnerError, match=re.escape(str(tmp_path / "B.vars") + NOT_UTF8_AT)):
+            collate_csv(tmp_path)
+        assert not (tmp_path / OUTPUT_CSV).exists()
+
     def test_properties_file_aborts_only_its_project(self, config, tmp_path):
         path = tmp_path / "properties" / "alpha.properties"
         path.write_bytes(NOT_UTF8)
@@ -213,6 +222,18 @@ class TestRunBatch:
         assert (results / "beta.vars").read_text() == (
             "num_blocks=3\nnum_methods=3\nnum_types=2\n"
         )
+
+    def test_print_lines_go_to_a_text_stream_without_a_buffer(self, tmp_path):
+        config = make_tree(
+            tmp_path,
+            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")}},
+            queries={"t.craql": 'select ({TypeDeclaration} t) { print("type é"); }'},
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status, _ = run_batch(config)
+        assert status == 0
+        assert out.getvalue() == "type é\n"
 
     def test_zero_source_project_keeps_seed_only(self, tmp_path):
         config = make_tree(
@@ -524,3 +545,15 @@ class TestRunBatch:
             for p in sorted(config.results_dir.iterdir())
         }
         assert digests == self.BUNDLE_DIGESTS
+
+
+def test_runner_keeps_the_names_results_took_over():
+    import craql.engine.runtime
+    import craql.results
+    import craql.runner
+
+    for name in ("OUTPUT_CSV", "PROJECT_TAGS", "RunConfig", "RunnerError", "collate_csv",
+                 "escape_text", "generate_props", "is_project_name", "read_list",
+                 "read_text", "unescape_text"):
+        assert getattr(craql.runner, name) is getattr(craql.results, name), name
+    assert craql.engine.runtime.unescape_text is craql.results.unescape_text
