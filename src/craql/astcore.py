@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, Callable, Iterator, Union
@@ -498,6 +499,29 @@ def _node_id(value: Any, count: int, what: str, where: str) -> int:
     return value
 
 
+# A lone surrogate, which UTF-8 cannot encode, reaches a decoded string only
+# through a \uD800-\uDFFF escape.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _require_utf8(project: ProjectAst) -> None:
+    """Raise at the first string of `project` that UTF-8 cannot encode:
+    its name, a file's name or text, or a token."""
+    strings = [(project.name, "top level", "the project name")]
+    for i, f in enumerate(project.files):
+        strings += [(f.name, f"files[{i}]", "the file name"),
+                    (f.text or "", f"files[{i}]", "the text")]
+    strings += [(value, f"node {node.id}.{name}", "the token") for node in project.nodes
+                for name, value in node.props.items() if type(value) is str]
+    for value, where, what in strings:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise AstFormatError(
+                f"{what} holds a lone surrogate at {exc.start}, which UTF-8 cannot encode",
+                where) from None
+
+
 def deserialize_project(document: str) -> ProjectAst:
     try:
         doc = json.loads(document)
@@ -624,6 +648,8 @@ def deserialize_project(document: str) -> ProjectAst:
                 )
             table[src] = target
 
+    if _SURROGATE_ESCAPE.search(document):
+        _require_utf8(project)
     project.link_parents()
     project.files_parsed = len(project.files)
     return project

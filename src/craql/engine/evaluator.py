@@ -22,41 +22,33 @@ Selection semantics, in one place:
   input node's concrete type; such a node is still processed as a candidate
   before the cut.
 
-One loop, `run_select`, runs every select and returns its rows.
-`_candidates` yields the candidates in row order with the pattern variables
-bound: the outer scan for a single pattern, with the `outmost` prune and the
-`inmost` filter; the outer and inner scans for a pair. The loop evaluates the
-where clause, sets the flag the `outmost` prune reads and drops candidates
-already seen; `_add_row` appends each accepted row, emits it and runs the
-body. An ellipsis select defers its rows to a replay through `_add_row` once
-the deepest are known. count(*) is the length of the list the innermost open
-select appends to (the top of `Environment.count_stack`): its rows, or for
-an ellipsis select its passing pairs until the depth test, then its rows.
-The scans add `nodes_visited` and `_add_row` adds `rows_yielded` straight to
-`Evaluator.stats`.
+Every select enters through `run_select` and runs as one push loop
+(produce/consume, after Neumann, VLDB 2011). On its first run, `_plan`
+compiles the select's input, where clause and body into closures (Feeley
+and Lapalme, "Using Closures for Code Generation", 1987) and builds a `run`
+closure that resolves the input, tests the hoisted conjuncts and calls the
+loop `_loop` chose for the select's shape. The loop binds each candidate,
+tests the where clause and appends, emits and runs the body on each row in
+place. It bisects a sorted pre-order rank list, the pattern type's (see
+`craql.astcore.RegionIndex`), to the input node's region and past the
+regions below pruned nodes, so it reaches exactly the candidates of the
+pruned pre-order walk, in order, without the walk, and adds the walk's
+`nodes_visited` and its own `rows_yielded` to `Evaluator.stats`. count(*)
+is the length of the list the innermost open select appends to (the top of
+`Environment.count_stack`): its rows, or an ellipsis select's passing pairs
+until the depth test.
 
-No select walks the tree: `_scan` bisects a sorted pre-order rank list, the
-pattern type's (see `craql.astcore.RegionIndex`), to the input node's region
-and skips the regions below pruned nodes, which yields exactly the
-candidates the pruned pre-order walk would reach, in the same order.
-
-A select whose where clause holds a link key (see `craql.engine.links`),
-such as `m == i.methodbinding()` with `m` fixed for the whole select, scans
-a narrower rank list: `_link_ranks` keeps the pattern type's ranks of the
-nodes the key links to that node. The where clause still runs on each of
-them; the other candidates are the ones the key rejects, and rejecting them
-has no effect a later candidate or the output could see. Only the pattern
-variable would be left bound to another node, so `run_select` rebinds it.
-
-Queries are compiled once per evaluator, not interpreted node by node: on a
-select's first run, `_plan` checks its pattern types and turns its where
-clause and body into Python closures (Feeley and Lapalme, "Using Closures
-for Code Generation", 1987), each holding its operator or builtin, its child closures and the variables
-and tables it reads. Compiling decides nothing that depends on a value, so
-evaluation order and errors stay those of the query text: the receiver runs
-before the arguments and both operands before either is coerced, `&&` and
-`||` short-circuit, and an unknown `{Type}` or function, a wrong arity or a
-`count(*)` outside a select raises only when evaluation reaches it.
+The plan splits the where clause (see `craql.engine.links`). A link key,
+such as `m == i.methodbinding()` with `m` fixed for the select, narrows the
+rank list to the nodes linked to `m` (`_link_ranks`), and the clause still
+runs on each. Invariant conjuncts are tested once as the select starts:
+when they hold, each candidate runs the rest of the clause; when they fail,
+no clause runs and the loop only adds the walk's `nodes_visited` and binds
+its last candidate. Compiling decides nothing that depends on a value, so
+evaluation order and errors stay those of the query text: the receiver
+runs before the arguments and both operands before either is coerced, `&&`
+and `||` short-circuit, and an unknown `{Type}` or function, a wrong arity
+or a `count(*)` outside a select raises only when evaluation reaches it.
 """
 
 from __future__ import annotations
@@ -64,7 +56,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from craql.astcore import (
     ProjectAst,
@@ -103,7 +95,7 @@ from craql.query.ast import (
     VarRef,
     While,
 )
-from craql.engine.links import LINK_CHILD, LINK_METHOD_CHILD, PROBES, LinkKey, find_link_key
+from craql.engine.links import LINK_CHILD, LINK_METHOD_CHILD, PROBES, find_hoist, find_link_key
 from craql.engine.runtime import (
     Environment,
     ExecutionStats,
@@ -113,6 +105,7 @@ from craql.engine.runtime import (
     RowRecord,
     TypeName,
     UNDEFINED,
+    Undefined,
     Value,
     render_value,
     truthy,
@@ -184,9 +177,10 @@ class Evaluator:
         self.stats = ExecutionStats()
         self.trace: Callable[[SelectionCapture], None] | None = None
         self._doc: QueryDocument | None = None
-        # id(node) -> (node, its closure), or for a select (select, its
-        # plan): each query node is compiled once, on first use.
-        self._plans: dict[int, tuple[object, object]] = {}
+        # id(node) -> (node, its closure), or for a select run with emit or
+        # an input override (id, emit, id(override)) -> ((select, its
+        # input), its plan): each query node is compiled once, on first use.
+        self._plans: dict[object, tuple[object, object]] = {}
 
     # ------------------------------------------------------------------
     # Document execution
@@ -214,184 +208,224 @@ class Evaluator:
     # Selection
     # ------------------------------------------------------------------
 
-    def run_select(
-        self,
-        q: SelectQuery,
-        emit: bool = False,
-        input_override: InputSpec | None = None,
-    ) -> list[dict[str, int]]:
+    def run_select(self, q: SelectQuery, emit: bool = False,
+                   input_override: InputSpec | None = None) -> list[dict[str, int]]:
         """Run the select and return its rows."""
-        spec = input_override if input_override is not None else q.input
-        input_nodes, include_root = self._resolve_input(spec)
-        directly = spec.kind == INPUT_DIRECTLY_IN
-        if self.trace is not None:
-            capture = SelectionCapture(
-                q, list(input_nodes), include_root, directly, dict(self.env.variables)
-            )
-        else:
-            capture = None
+        key = id(q) if not emit and input_override is None else (id(q), emit, id(input_override))
+        entry = self._plans.get(key)
+        if entry is None:
+            spec = input_override if input_override is not None else q.input
+            entry = self._plans[key] = ((q, spec), self._plan(q, spec, emit))
+        return entry[1]()
 
-        pat = q.pattern
-        where, body, link_key = self._plan(q)
-        ranks = type_ranks = self.project.type_ranks(pat.type1)
-        fixed = None if directly or link_key is None else link_key.fixed_node(self.env.variables)
-        if fixed is not None:
-            ranks = self._link_ranks(link_key.link, fixed, ranks)
-        rows: list[dict[str, int]] = []
-        deferred: list[tuple[int, int]] = []  # ellipsis rows wait for the depth test
-        # count(*) is the length of the list the select appends to now.
+    def _plan(self, q: SelectQuery, spec: InputSpec, emit: bool) -> Callable[[], list]:
+        """The select's run from input `spec`: a closure that resolves the
+        input, tests the hoisted conjuncts, runs the push loop built for the
+        select's shape and returns the rows."""
+        pat, project, variables = q.pattern, self.project, self.env.variables
         count_stack = self.env.count_stack
-        count_stack.append(deferred if pat.kind == ELLIPSIS else rows)
-        accepted = False  # the candidate just handled passed the where clause
+        default, directly = spec.kind == INPUT_DEFAULT, spec.kind == INPUT_DIRECTLY_IN
+        input_of = None if default else self._compile(spec.expr)
 
-        def prune(n: int) -> bool:
-            return accepted
+        def resolve() -> list[int] | tuple[int, ...]:
+            if input_of is None:
+                return project.roots
+            value = input_of()
+            if type(value) is NodeRef:
+                return (value.id,)
+            if value is UNDEFINED:
+                return ()
+            if type(value) is NodeList:
+                return value.ids
+            raise QueryRuntimeError(f"query input must be a node or node list, not "
+                                    f"{_kind_name(value)}", self.source, spec.pos)
 
-        candidates = self._candidates(
-            q, ranks, input_nodes, include_root, directly,
-            prune if q.modifier == MOD_OUTMOST else None,
-        )
-        seen: set[int | tuple[int, int]] = set()
-        try:
-            for key in candidates:
-                accepted = where is None or where()
-                if not accepted or key in seen:
-                    continue
-                seen.add(key)
-                if pat.kind == ELLIPSIS:
-                    deferred.append(key)
-                else:
-                    self._add_row(q, key, rows, emit, body)
-            if fixed is not None:
-                # Bind the pattern variable as the scan of all type_ranks
-                # leaves it: to the input's last node of the pattern type.
-                index = self.project.index
-                last = [type_ranks[i - 1] for root in input_nodes
-                        if (i := bisect_left(type_ranks, index.end[root]))
-                        and type_ranks[i - 1] >= index.pre[root] + (not include_root)]
+        for name in (pat.type1,) if pat.kind == SINGLE else (pat.type1, pat.type2):
+            if not self.schema.knows(name):
+                return self._raiser(f"unknown node type {name}", pat.pos, [resolve])
+        where = None if q.where is None else self._test(q.where)
+        hoist = find_hoist(q, self.schema)
+        if hoist is not None:
+            invariant = self._test(hoist.invariant)
+            residual = None if hoist.residual is None else self._test(hoist.residual)
+        link_key = None if directly else find_link_key(q, self.schema)
+        body = self._block(q.body)
+        loop = self._loop(q, directly, default, body, emit)
+        type_ranks, stats = project.type_ranks(pat.type1), self.stats
+
+        def run() -> list:
+            roots, trace = resolve(), self.trace
+            if trace is not None:
+                capture = SelectionCapture(q, list(roots), default, directly, dict(variables))
+            clause, ranks, fixed = where, type_ranks, None
+            if hoist is not None and hoist.ready(variables):
+                # Every candidate fails when the invariant part does.
+                clause = residual if invariant() else _reject
+            if link_key is not None and clause is not _reject:
+                fixed = link_key.fixed_node(variables)
+                if fixed is not None:
+                    ranks = self._link_ranks(link_key.link, fixed, ranks)
+            rows: list = []
+            count_stack.append(rows)
+            try:
+                loop(roots, clause, ranks, rows)
+                if fixed is not None:
+                    # Bind the pattern variable as the scan of all type_ranks
+                    # leaves it, and count that scan's visits only once.
+                    visited = stats.nodes_visited
+                    loop(roots, _reject, type_ranks, rows)
+                    stats.nodes_visited = visited
+            finally:
+                count_stack.pop()
+            if trace is not None:
+                capture.rows = rows
+                trace(capture)
+            return rows
+
+        return run
+
+    def _loop(self, q: SelectQuery, directly: bool, include_root: bool, body: Thunk,
+              emit: bool) -> Callable[..., None]:
+        """`loop(roots, where, ranks, rows)`: bind each node of `ranks` the
+        walk of each root's region reaches, or each pair, and append, emit
+        and run the body on each `where` (None for none) accepts, once. A
+        `directly` cut (a node of the root's type) or an `outmost` row
+        prunes the walk; `nodes_visited` loses the pruned region."""
+        pat, stats, variables, project = q.pattern, self.stats, self.env.variables, self.project
+        var1, var2, emit_row = pat.var1, pat.var2, self._emit_row
+        outmost, inmost = q.modifier == MOD_OUTMOST, q.modifier == MOD_INMOST
+        index, offset = project.index, 0 if include_root else 1
+        order, pre, end, by_type = index.order, index.pre, index.end, index.by_type
+        own = project.type_ranks(pat.type1)
+
+        def runs(root: int, ranks: list[int]) -> list[tuple[int, int]]:
+            """The bounds of the runs of `ranks` that the walk of root's
+            region, pruned by `directly` cuts only, reaches in turn; adds
+            the nodes it visits to `nodes_visited`."""
+            start, stop = pre[root], end[root]
+            stats.nodes_visited += stop - start
+            i = bisect_left(ranks, start + offset)
+            if not directly:
+                return [(i, bisect_left(ranks, stop, i))]
+            cuts, bounds = by_type[project.nodes[root].type], []
+            j = bisect_right(cuts, start)
+            while True:
+                cut = cuts[j] if j < len(cuts) and cuts[j] < stop else stop
+                # The candidate at a cut's own rank comes before the cut.
+                k = bisect_left(ranks, cut + (cut < stop), i)
+                bounds.append((i, k))
+                if cut == stop:
+                    return bounds
+                skip = end[order[cut]]
+                stats.nodes_visited -= skip - cut - 1
+                i, j = bisect_left(ranks, skip, k), bisect_left(cuts, skip, j)
+
+        def sweep(roots, where, ranks, rows) -> None:
+            if where is _reject and not inmost:
+                # Only the last candidate stays bound.
+                last = [ranks[k - 1] for root in roots for i, k in runs(root, ranks) if i < k]
                 if last:
-                    self.env.set(pat.var1, NodeRef(index.order[last[-1]]))
-            if deferred:
-                depth = self.project.index.depth
-                best = max(depth[n2] - depth[n1] for n1, n2 in deferred)
-                count_stack[-1] = rows
-                for n1, n2 in deferred:
-                    if depth[n2] - depth[n1] == best:
-                        self.env.set(pat.var1, NodeRef(n1))
-                        self.env.set(pat.var2, NodeRef(n2))
-                        self._add_row(q, (n1, n2), rows, emit, body)
-        finally:
-            count_stack.pop()
-        if capture is not None:
-            capture.rows = rows
-            self.trace(capture)
-        return rows
-
-    def _resolve_input(self, spec: InputSpec) -> tuple[list[int], bool]:
-        if spec.kind == INPUT_DEFAULT:
-            return list(self.project.roots), True
-        value = self.eval(spec.expr)
-        if value is UNDEFINED:
-            return [], False
-        if isinstance(value, NodeRef):
-            return [value.id], False
-        if isinstance(value, NodeList):
-            return list(value.ids), False
-        raise QueryRuntimeError(
-            f"query input must be a node or node list, not {_kind_name(value)}",
-            self.source, spec.pos,
-        )
-
-    def _has_descendant_of_type(self, node_id: int, type_name: str) -> bool:
-        ranks = self.project.type_ranks(type_name)
-        index = self.project.index
-        i = bisect_right(ranks, index.pre[node_id])
-        return i < len(ranks) and ranks[i] < index.end[node_id]
-
-    def _scan(
-        self,
-        ranks: list[int],
-        root: int,
-        include_root: bool,
-        directly: bool,
-        stats: ExecutionStats,
-        prune: Callable[[int], bool] | None = None,
-    ) -> Iterator[int]:
-        """The nodes of the sorted pre-order rank list `ranks` that the
-        pruned pre-order walk of root's subtree would reach, in walk order,
-        without the walk.
-
-        Candidates come from the rank list over root's region; the region of
-        a pruned node is skipped. A node is pruned when it is a `directly`
-        cut (below root, with root's concrete type) or when `prune(node)`,
-        asked as the caller resumes after `node`, is true.
-        `stats.nodes_visited` gains what the walk would visit: root's region
-        less the strict interior of each pruned node the walk reaches.
-        """
-        index = self.project.index
-        order, end = index.order, index.end
-        start, stop = index.pre[root], end[root]
-        cuts = index.by_type[self.project.node(root).type] if directly else []
-        stats.nodes_visited += stop - start
-        skip = start  # ranks below skip lie strictly inside a pruned node
-
-        def cut(rank: int) -> None:
-            nonlocal skip
-            skip = end[order[rank]]
-            stats.nodes_visited -= skip - rank - 1
-
-        # Both cursors stay at or past skip, so every rank they reach is
-        # reached by the walk; a cut at a candidate's rank applies after it.
-        i = bisect_left(ranks, start if include_root else start + 1)
-        j = bisect_right(cuts, start)
-        while True:
-            r = ranks[i] if i < len(ranks) and ranks[i] < stop else stop
-            if j < len(cuts) and cuts[j] < r:
-                cut(cuts[j])
-            elif r == stop:
+                    variables[var1] = NodeRef(order[last[-1]])
                 return
-            else:
-                n = order[r]
-                yield n
-                i += 1
-                if prune is None or not prune(n):
-                    continue
-                cut(r)
-            i = bisect_left(ranks, skip, i)
-            j = bisect_left(cuts, skip, j)
+            seen = set() if len(roots) > 1 else None
+            for root in roots:
+                for i, k in runs(root, ranks):
+                    for r in ranks[i:k]:
+                        n = order[r]
+                        if inmost and (b := bisect_right(own, r)) < len(own) and own[b] < end[n]:
+                            continue  # a node of the type lies below n
+                        variables[var1] = NodeRef(n)
+                        if where is not None and not where():
+                            continue
+                        if seen is not None and (n in seen or seen.add(n)):
+                            continue  # an earlier root gave this row
+                        rows.append({var1: n})
+                        stats.rows_yielded += 1
+                        if emit:
+                            emit_row(n)
+                        body()
 
-    def _candidates(
-        self,
-        q: SelectQuery,
-        ranks: list[int],
-        input_nodes: list[int],
-        include_root: bool,
-        directly: bool,
-        prune: Callable[[int], bool] | None,
-    ) -> Iterator[int | tuple[int, int]]:
-        """The select's candidates in row order, each with its pattern
-        variables bound: a node of `ranks` for a single pattern, a pair of
-        nodes for `*` and `...`. Modifiers apply to single patterns only."""
-        pat = q.pattern
-        var1, var2 = pat.var1, pat.var2
-        inmost = q.modifier == MOD_INMOST
-        variables = self.env.variables  # set directly: this runs per candidate
-        stats = self.stats
-        for root in input_nodes:
-            if pat.kind == SINGLE:
-                for n in self._scan(ranks, root, include_root, directly, stats, prune):
-                    if inmost and self._has_descendant_of_type(n, pat.type1):
-                        continue
-                    variables[var1] = NodeRef(n)
-                    yield n
-                continue
-            inner = self.project.type_ranks(pat.type2)
-            for n1 in self._scan(ranks, root, include_root, directly, stats):
-                stats.nodes_visited -= 1  # the outer scan has counted n1
-                for n2 in self._scan(inner, n1, False, False, stats):
-                    variables[var1] = NodeRef(n1)
-                    variables[var2] = NodeRef(n2)
-                    yield n1, n2
+        def walk(roots, where, ranks, rows) -> None:
+            """`sweep` for `outmost`, whose rows prune as they are found."""
+            if where is _reject:
+                return sweep(roots, where, ranks, rows)
+            seen = set() if len(roots) > 1 else None
+            for root in roots:
+                start, stop = pre[root], end[root]
+                stats.nodes_visited += stop - start
+                cuts = by_type[project.nodes[root].type] if directly else ()
+                i, j = bisect_left(ranks, start + offset), bisect_right(cuts, start)
+                # Both cursors stay past the last pruned region.
+                while True:
+                    r = ranks[i] if i < len(ranks) and ranks[i] < stop else stop
+                    if j < len(cuts) and cuts[j] < r:
+                        r = cuts[j]
+                    elif r == stop:
+                        break
+                    else:
+                        i += 1
+                        n = order[r]
+                        variables[var1] = NodeRef(n)
+                        if where is not None and not where():
+                            continue
+                        if seen is None or n not in seen:
+                            if seen is not None:
+                                seen.add(n)
+                            rows.append({var1: n})
+                            stats.rows_yielded += 1
+                            if emit:
+                                emit_row(n)
+                            body()
+                    skip = end[order[r]]
+                    stats.nodes_visited -= skip - r - 1
+                    i, j = bisect_left(ranks, skip, i), bisect_left(cuts, skip, j)
+
+        def add(n1: int, n2: int, rows: list) -> None:
+            rows.append({var1: n1, var2: n2})
+            stats.rows_yielded += 1
+            if emit:
+                emit_row(n1)
+            body()
+
+        def pairs(roots, where, ranks, rows) -> None:
+            """Each pair of a candidate n1 and a node n2 of the second type
+            below it. An ellipsis select appends the pairs that pass, then
+            replaces them with the rows of the deepest."""
+            seen = set() if len(roots) > 1 else None
+            for root in roots:
+                inner = project.type_ranks(pat.type2)
+                for i, k in runs(root, ranks):
+                    for r in ranks[i:k]:
+                        n1, below = order[r], end[order[r]]
+                        stats.nodes_visited += below - r - 1
+                        for r2 in inner[bisect_right(inner, r):bisect_left(inner, below)]:
+                            n2 = order[r2]
+                            variables[var1], variables[var2] = NodeRef(n1), NodeRef(n2)
+                            if where is not None and not where():
+                                continue
+                            if seen is not None and ((n1, n2) in seen or seen.add((n1, n2))):
+                                continue
+                            if pat.kind == ELLIPSIS:
+                                rows.append((n1, n2))
+                            else:
+                                add(n1, n2, rows)
+            if pat.kind == ELLIPSIS and rows:
+                found, depth = rows[:], index.depth
+                rows.clear()
+                best = max(depth[n2] - depth[n1] for n1, n2 in found)
+                for n1, n2 in found:
+                    if depth[n2] - depth[n1] == best:
+                        variables[var1], variables[var2] = NodeRef(n1), NodeRef(n2)
+                        add(n1, n2, rows)
+
+        return pairs if pat.kind != SINGLE else walk if outmost else sweep
+
+    def _emit_row(self, n: int) -> None:
+        node = self.project.nodes[n]
+        self.sink.result_row(RowRecord(
+            self.project.files[node.span.file].name, node.span.line, node.type,
+            source_text(self.project, n),
+        ))
 
     def _link_ranks(self, link: str, fixed: int, ranks: list[int]) -> list[int]:
         """The ranks in `ranks` of the nodes that `link` ties to node
@@ -408,30 +442,6 @@ class Evaluator:
         return [r for r in linked
                 if (i := bisect_left(ranks, r)) < len(ranks) and ranks[i] == r]
 
-    def _add_row(
-        self,
-        q: SelectQuery,
-        key: int | tuple[int, int],
-        rows: list[dict[str, int]],
-        emit: bool,
-        body: Thunk,
-    ) -> None:
-        """Record an accepted candidate as a row, then run the body on it."""
-        pat = q.pattern
-        if pat.kind == SINGLE:
-            first, row = key, {pat.var1: key}
-        else:
-            first, row = key[0], {pat.var1: key[0], pat.var2: key[1]}
-        rows.append(row)
-        self.stats.rows_yielded += 1
-        if emit:
-            node = self.project.node(first)
-            self.sink.result_row(RowRecord(
-                self.project.files[node.span.file].name, node.span.line, node.type,
-                source_text(self.project, first),
-            ))
-        body()
-
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
@@ -443,21 +453,6 @@ class Evaluator:
         if entry is None:
             entry = self._plans[id(e)] = (e, self._compile(e))
         return entry[1]()
-
-    def _plan(self, q: SelectQuery) -> tuple[Thunk | None, Thunk, LinkKey | None]:
-        """The select's compiled where clause (None without one), its
-        compiled body and its link key, built on the select's first run.
-        A pattern type the schema does not know raises, and no plan is kept."""
-        entry = self._plans.get(id(q))
-        if entry is None:
-            where = None if q.where is None else self._test(q.where)
-            plan = (where, self._block(q.body), find_link_key(q, self.schema))
-            pat = q.pattern
-            for name in (pat.type1,) if pat.kind == SINGLE else (pat.type1, pat.type2):
-                if not self.schema.knows(name):
-                    raise QueryRuntimeError(f"unknown node type {name}", self.source, pat.pos)
-            entry = self._plans[id(q)] = (q, plan)
-        return entry[1]
 
     def _compile(self, e: Expr) -> Thunk:
         compile_ = _EXPRESSIONS.get(type(e))
@@ -818,7 +813,8 @@ class Evaluator:
         """Node function `name` as a function of the receiver's node id and
         the argument's value, if it takes one."""
         project = self.project
-        nodes, bindings = project.nodes, project.bindings
+        nodes, bindings, index = project.nodes, project.bindings, project.index
+        pre, end = index.pre, index.end
 
         def parent(n: int) -> Value:
             p = nodes[n].parent
@@ -855,15 +851,21 @@ class Evaluator:
             if arg is UNDEFINED:
                 return False
             if type(arg) is TypeName:
-                if not direct:
-                    return self._has_descendant_of_type(n, arg.name)
-                scan = self._scan(project.type_ranks(arg.name), n, False, True, ExecutionStats())
-                return next(scan, None) is not None
+                # Whether the walk of n's region, for directly_contains pruned
+                # at nodes of n's type, reaches a node of the type.
+                ranks = project.type_ranks(arg.name)
+                cuts = index.by_type[nodes[n].type] if direct else ()
+                i, j = bisect_right(ranks, pre[n]), bisect_right(cuts, pre[n])
+                while i < len(ranks) and ranks[i] < end[n]:
+                    if not (j < len(cuts) and cuts[j] < ranks[i]):
+                        return True
+                    skip = end[index.order[cuts[j]]]
+                    i, j = bisect_left(ranks, skip, i), bisect_left(cuts, skip, j)
+                return False
             if type(arg) is not NodeRef:
                 raise QueryRuntimeError(
                     f"{name}() expects a node type or a node", self.source, pos
                 )
-            pre, end = project.index.pre, project.index.end
             if not pre[n] < pre[arg.id] < end[n]:
                 return False
             # directly_contains: no node of n's type may interpose.
@@ -927,26 +929,22 @@ def _values_equal(a: Value, b: Value) -> bool:
     return False
 
 
+def _reject() -> bool:
+    return False
+
+
 def _arity_message(name: str, n: int, got: int) -> str:
     return f"{name}() takes {n} argument{'s' if n != 1 else ''}, got {got}"
 
 
+_KIND_NAMES = {
+    Undefined: "undefined", bool: "a boolean", int: "a number", str: "a string",
+    NodeRef: "a node", NodeList: "a node list", TypeName: "a node type",
+}
+
+
 def _kind_name(v: Value) -> str:
-    if v is UNDEFINED:
-        return "undefined"
-    if isinstance(v, bool):
-        return "a boolean"
-    if isinstance(v, int):
-        return "a number"
-    if isinstance(v, str):
-        return "a string"
-    if isinstance(v, NodeRef):
-        return "a node"
-    if isinstance(v, NodeList):
-        return "a node list"
-    if isinstance(v, TypeName):
-        return "a node type"
-    return type(v).__name__
+    return _KIND_NAMES.get(type(v), type(v).__name__)
 
 
 def execute_document(

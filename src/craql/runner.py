@@ -5,6 +5,7 @@ layout and the file formats.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import sys
 from dataclasses import dataclass, field
@@ -167,19 +168,38 @@ def run_project(
         message = "source text missing: rows and prints show <Type@file:line> placeholders"
         record.diagnostics.append(message)
         logger.warning("%s: %s", name, message)
-    _write_outputs(record, config, sinks)
+    try:
+        _write_outputs(record, config, sinks)
+    except Exception as exc:
+        # The project's results go whole: its prints too, which the batch's
+        # stdout might not be able to encode either.
+        record.aborted = True
+        record.print_lines.clear()
+        record.diagnostics.append(f"writing {name}'s results failed: {type(exc).__name__}: {exc}")
+        logger.exception("aborting %s", name)
     return record
 
 
 def _write_outputs(
     record: ProjectRunRecord, config: RunConfig, sinks: list[tuple[str, OutputSink]]
 ) -> None:
-    vars_path = config.results_dir / f"{record.project}.vars"
+    """Write the project's `.vars` and `.rows` files: all of them, or, when
+    one cannot be encoded or written, none."""
     lines = [f"{key}={escape_text(record.variables[key])}" for key in sorted(record.variables)]
-    vars_path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    texts = {config.results_dir / f"{record.project}.vars":
+             "\n".join(lines) + ("\n" if lines else "")}
     for doc_name, sink in sinks:
-        rows_path = config.results_dir / f"{record.project}.{doc_name}.rows"
-        rows_path.write_text("".join(rec.to_line() + "\n" for rec in sink.rows), encoding="utf-8")
+        texts[config.results_dir / f"{record.project}.{doc_name}.rows"] = "".join(
+            rec.to_line() + "\n" for rec in sink.rows)
+    encoded = {path: text.encode("utf-8") for path, text in texts.items()}
+    try:
+        for path, data in encoded.items():
+            path.write_bytes(data)
+    except OSError:
+        for path in encoded:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
 
 
 def run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:

@@ -110,6 +110,16 @@ BAD_AST_DOCS = {
     "token_without_a_token": (
         _one_block_doc(nodes=[dict(_block(0), type="TypeDeclaration", props={"name": {}})]),
         "missing key 'token'", "node 0.name"),
+    "lone_surrogate_in_the_project_name": (
+        _one_block_doc(project="p\ud800"), "the project name holds a lone surrogate at 1",
+        "top level"),
+    "lone_surrogate_in_a_file_name": (
+        _one_block_doc(files=[{"name": "\udfff.mj"}]), "the file name holds a lone surrogate at 0",
+        "files[0]"),
+    "lone_surrogate_in_a_token": (
+        _one_block_doc(nodes=[dict(_block(0), type="TypeDeclaration",
+                                   props={"name": {"token": "A\udc80"}})]),
+        "the token holds a lone surrogate at 1", "node 0.name"),
     "node_without_props": (
         _one_block_doc(nodes=[{k: v for k, v in _block(0).items() if k != "props"}]),
         "missing key 'props'", "node 0"),

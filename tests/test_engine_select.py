@@ -945,6 +945,121 @@ class TestLinkKeyFallbacks:
             self.run(calls, text)
 
 
+def unsplit(text):
+    """`text` with its first where clause `W` as `true && (W)`, which no
+    plan splits into a link key, hoisted conjuncts and the rest."""
+    return re.sub(r"where (.*?) \{", r"where true && (\1) {", text, count=1)
+
+
+class TestHoistFallbacks:
+    """Conjuncts that mention no pattern variable but must still run per
+    candidate, and selects whose hoisted conjunct fails.
+
+    Each case gives what the unsplit clause gives: prints, errors (but for
+    their column), `nodes_visited` and the variables left behind, the
+    pattern variable's last binding included. In `ret()` of Unreachable.mj,
+    `in m` reaches its body block (line 2), `return 1;` (3) and the `log`
+    call (4); r starts as that return statement.
+    """
+
+    @pytest.fixture(scope="class")
+    def escapes(self):
+        project, diagnostics = load_project("escapes", [("U.mj", fixture_text("Unreachable.mj"))])
+        assert not diagnostics
+        return project
+
+    def seed(self, project):
+        return {"r": NodeRef(find_node(project, "ReturnStatement").id),
+                "m": NodeRef(find_node(project, "MethodDeclaration", "int ret").id)}
+
+    def run(self, project, text, **seed):
+        seed = {**self.seed(project), **seed}
+        outcomes = []
+        for version in (text, unsplit(text)):
+            try:
+                env, sink, evaluator = run_document(project, version, seed=seed)
+                outcomes.append((sink.prints, evaluator.stats.nodes_visited, env.variables))
+            except QueryRuntimeError as exc:
+                outcomes.append(re.sub(r":\d+:\d+:", ":", str(exc)))
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], str):
+            raise QueryRuntimeError(outcomes[0])
+        return outcomes[0][0]
+
+    def test_body_assigns_the_variable(self, escapes):
+        text = "select ({Statement} s) in m where r.isnodetype({ReturnStatement}) " \
+               "{ print(s.linenumber()); r = s; }"
+        assert self.run(escapes, text) == ["2"]
+
+    def test_nested_select_rebinds_the_variable(self, escapes):
+        text = "select ({Statement} s) in m where r.isnodetype({ReturnStatement}) " \
+               "{ print(s.linenumber()); select ({Statement} r) in s { } }"
+        assert self.run(escapes, text) == ["2"]
+
+    def test_callquery_in_the_body(self, escapes):
+        text = "select ({Statement} s) in m where r.isnodetype({ReturnStatement}) " \
+               "{ print(s.linenumber()); callquery(last) in s; }\n" \
+               "last : select ({Statement} r) { }"
+        assert self.run(escapes, text) == ["2"]
+
+    def test_conjunct_that_prints(self, escapes):
+        text = 'select ({Statement} s) in m where print("w") == 1 { }'
+        assert self.run(escapes, text) == ["w", "w", "w"]
+
+    def test_conjunct_that_raises_only_on_a_candidate(self, escapes):
+        text = 'select ({Statement} s) in %s where r.position() < "a" { }'
+        assert self.run(escapes, text % "r") == []
+        with pytest.raises(QueryRuntimeError, match="arithmetic on a string"):
+            self.run(escapes, text % "m")
+
+    @pytest.mark.parametrize("prefix, seed, error", [
+        ("v.position() < s.position()", {"v": "a"}, r"position\(\) receiver is a string"),
+        ("v.position() < s.position()", {}, r"position\(\) receiver is undefined"),
+        ("!v.contains(s)", {"v": "a"}, r"contains\(\) receiver is a string"),
+        ("!v.contains(s)", {"v": NodeList((1,))}, r"contains\(\) receiver is a node list"),
+    ])
+    def test_earlier_conjunct_that_can_raise(self, escapes, prefix, seed, error):
+        text = f"select ({{Statement}} s) in m where {prefix} && r.isnodetype({{IfStatement}}) {{ }}"
+        with pytest.raises(QueryRuntimeError, match=error):
+            self.run(escapes, text, **seed)
+
+    def test_count_star(self, escapes):
+        text = "select ({Statement} s) in m where count(*) < 2 { print(s.linenumber()); }"
+        assert self.run(escapes, text) == ["2", "3"]
+
+    @pytest.mark.parametrize("select, prints", [
+        ("select outmost ({Statement} s) directly in m where r.isnodetype({IfStatement})",
+         ["4", "11", "16", "21", "26"]),
+        ("select outmost ({Statement} s) in b where r.isnodetype({IfStatement})",
+         ["4", "11", "9", "16", "16", "21", "26", "26"]),
+        ("select inmost ({Statement} s) directly in m where r.isnodetype({IfStatement})",
+         ["4", "11", "16", "21", "26"]),
+        ("select inmost ({Statement} s) directly in b where !r.isnodetype({ReturnStatement})",
+         ["4", "11", "9", "9", "16", "21", "24", "26"]),
+    ])
+    def test_failed_hoist_leaves_the_walk(self, escapes, select, prints, monkeypatch):
+        # Each select accepts nothing; s stays bound to the last candidate
+        # its walk reached, which the outer body prints.
+        source = "b" if " in b " in select else "m"
+        outer = "{Block} b" if source == "b" else "{MethodDeclaration} m"
+        text = f"select ({outer}) {{ {select} {{ }} print(s.linenumber()); }}"
+        assert self.run(escapes, text) == prints
+        tests = 0
+        matches_type = ProjectAst.matches_type
+
+        def counted(project, node_id, type_name):
+            nonlocal tests
+            tests += 1
+            return matches_type(project, node_id, type_name)
+
+        monkeypatch.setattr(ProjectAst, "matches_type", counted)
+        for version in (text, unsplit(text)):
+            tests = 0
+            run_document(escapes, version, seed=self.seed(escapes))
+            # Hoisted, the probe runs once per inner select.
+            assert (tests == len(prints)) == (version == text)
+
+
 class TestJoinGuard:
     def test_link_keyed_queries_make_a_linear_number_of_probes(self, monkeypatch):
         """Binding and parent probes in four join queries stay within the
@@ -981,3 +1096,42 @@ class TestJoinGuard:
             Evaluator(project, env, OutputSink(), source=name).execute_document(doc)
         assert env.variables["num_child_statements"] > 0
         assert 0 < probes <= len(project.nodes)
+
+    def test_invariant_probes_run_once_per_select(self, monkeypatch):
+        """unreachable.craql tests `s1.isnodetype(...)` at most four times
+        per s1, so its probes stay linear in the number of statements.
+
+        Testing them for every s2 made 1344 probes for the 277 rows of s1
+        on this project, against 1060 once per select, and the gap grows
+        with the square of block length; a deterministic count, not a
+        timing, so a return to per-candidate tests fails here.
+        """
+        probes = 0
+        compile_ = Evaluator._compile
+
+        def counted_compile(evaluator, e):
+            run = compile_(evaluator, e)
+            if not (isinstance(e, Call) and e.name == "isnodetype"):
+                return run
+
+            def counted():
+                nonlocal probes
+                probes += 1
+                return run()
+
+            return counted
+
+        monkeypatch.setattr(Evaluator, "_compile", counted_compile)
+        rng = random.Random(5)
+        sources = [(f"G{i}.mj", generate_random_source(rng, classes=2, max_depth=4))
+                   for i in range(8)]
+        project, _ = load_project("guard", sources)
+        doc = parse_query_document(bundled_query_path("unreachable.craql").read_text())
+        evaluator = Evaluator(project, Environment(), OutputSink())
+        captures = []
+        evaluator.trace = captures.append
+        evaluator.execute_document(doc)
+        outer = sum(len(c.rows) for c in captures if c.query.pattern.var1 == "s1")
+        statements = len(project.type_ranks("Statement"))
+        assert 0 < outer <= statements
+        assert 0 < probes <= 4 * outer, (probes, outer)

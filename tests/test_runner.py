@@ -6,6 +6,8 @@ import re
 
 import pytest
 
+import craql.astcore
+
 from craql import (
     BUNDLED_QUERIES,
     Evaluator,
@@ -171,6 +173,60 @@ class TestUndecodableFiles:
         assert alpha.aborted and not beta.aborted
         assert alpha.diagnostics == [SERIALIZED_AST + NOT_UTF8_AT]
         assert not any(r.exc_info for r in caplog.records)
+
+
+class TestUnencodableText:
+    """A lone surrogate escape in a serialized AST, which `json.loads`
+    accepts and UTF-8 cannot encode, costs only its own project."""
+
+    QUERY = "select ({TypeDeclaration} c) { print(c); }"
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        project, _ = load_project("p1", [("Sample.mj", fixture_text("Sample.mj"))])
+        document = serialize_project(project)
+        assert document.count("class ") == 1
+        config = make_tree(
+            tmp_path,
+            projects={"p1": {SERIALIZED_AST: document.replace("class ", "c\\ud800ass ")},
+                      "p2": {"AB.mj": fixture_text("AB.mj")}},
+            queries={"q.craql": self.QUERY},
+        )
+        return config
+
+    def run(self, tmp_path, config):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status, records = run_batch(config)
+        assert status == 1
+        assert [r.aborted for r in records] == [True, False]
+        assert sorted(p.name for p in (tmp_path / "results").iterdir()) == ["p2.q.rows", "p2.vars"]
+        assert out.getvalue().startswith("class A")
+        return records[0].diagnostics
+
+    def test_load_rejects_the_project(self, tmp_path, config):
+        assert self.run(tmp_path, config) == [
+            "the text holds a lone surrogate at 1, which UTF-8 cannot encode (files[0])"]
+
+    def test_unwritable_results_abort_only_their_project(self, tmp_path, config, monkeypatch):
+        # Past the load check, the rows cannot be encoded: nothing of p1 is
+        # written, and its prints are dropped with it.
+        monkeypatch.setattr(craql.astcore, "_require_utf8", lambda project: None)
+        (diagnostic,) = self.run(tmp_path, config)
+        assert diagnostic.startswith("writing p1's results failed: UnicodeEncodeError")
+
+    def test_write_error_leaves_no_partial_files(self, tmp_path, config):
+        (tmp_path / "projects" / "p1" / SERIALIZED_AST).unlink()
+        (tmp_path / "projects" / "p1" / "Sample.mj").write_text(fixture_text("Sample.mj"))
+        (tmp_path / "results" / "p1.q.rows").mkdir()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status, records = run_batch(config)
+        assert status == 1
+        assert records[0].aborted and not records[1].aborted
+        assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
+            "p1.q.rows", "p2.q.rows", "p2.vars"]
+        assert (tmp_path / "results" / "p1.q.rows").is_dir()
 
 
 class TestCollate:
