@@ -277,8 +277,11 @@ class ProjectAst:
         v = self.schema.virtuals.get(type_name)
         if v is not None:
             return v.base in ancestry and node.props.get(v.prop) == v.token
-        self.schema.require(type_name)
-        return type_name in ancestry
+        if type_name in ancestry:
+            return True
+        if type_name not in self.schema.ancestry:  # it holds every known name
+            raise SchemaError(f"unknown node type {type_name}")
+        return False
 
     def type_ranks(self, type_name: str) -> list[int]:
         """Sorted pre-order ranks of the nodes that match `type_name`.

@@ -15,7 +15,8 @@ Selection semantics, in one place:
   then restarts and counts the kept rows as their bodies run.
 * `outmost` stops descent below a yielded row, so a deeper same-type node is
   excluded only when an *accepted* ancestor interposes; a candidate that
-  fails the where clause does not shadow anything below it.
+  fails the where clause does not shadow anything below it. A row that an
+  earlier input node gave prunes again, whatever the clause says then.
 * `inmost` drops any candidate with a same-type node anywhere below it,
   regardless of where outcomes.
 * `directly in` prunes the walk at any node whose concrete type equals the
@@ -38,13 +39,13 @@ is the length of the list the innermost open select appends to (the top of
 `Environment.count_stack`): its rows, or an ellipsis select's passing pairs
 until the depth test.
 
-The plan splits the where clause (see `craql.engine.links`). A link key,
-such as `m == i.methodbinding()` with `m` fixed for the select, narrows the
-rank list to the nodes linked to `m` (`_link_ranks`), and the clause still
-runs on each. Invariant conjuncts are tested once as the select starts:
-when they hold, each candidate runs the rest of the clause; when they fail,
-no clause runs and the loop only adds the walk's `nodes_visited` and binds
-its last candidate. Compiling decides nothing that depends on a value, so
+The plan reads the where clause once (`craql.engine.links.split_where`).
+When the split is ready as the select starts, its invariant conjuncts are
+tested once. If they fail, no clause runs and the loop only adds the walk's
+`nodes_visited` and binds its last candidate. If they hold, each candidate
+runs the rest of the clause, and a link key such as `m == i.methodbinding()`
+(`m` holding a node) narrows the rank list to the nodes linked to `m`
+(`_link_ranks`). Compiling decides nothing that depends on a value, so
 evaluation order and errors stay those of the query text: the receiver
 runs before the arguments and both operands before either is coerced, `&&`
 and `||` short-circuit, and an unknown `{Type}` or function, a wrong arity
@@ -95,7 +96,7 @@ from craql.query.ast import (
     VarRef,
     While,
 )
-from craql.engine.links import LINK_CHILD, LINK_METHOD_CHILD, PROBES, find_hoist, find_link_key
+from craql.engine.links import LINK_CHILD, LINK_METHOD_CHILD, PROBES, split_where
 from craql.engine.runtime import (
     Environment,
     ExecutionStats,
@@ -244,11 +245,12 @@ class Evaluator:
             if not self.schema.knows(name):
                 return self._raiser(f"unknown node type {name}", pat.pos, [resolve])
         where = None if q.where is None else self._test(q.where)
-        hoist = find_hoist(q, self.schema)
-        if hoist is not None:
-            invariant = self._test(hoist.invariant)
-            residual = None if hoist.residual is None else self._test(hoist.residual)
-        link_key = None if directly else find_link_key(q, self.schema)
+        split = split_where(q, self.schema, directly)
+        if split is not None:
+            link, invariant, residual = split.link, None, where
+            if split.invariant is not None:
+                invariant = self._test(split.invariant)
+                residual = None if split.residual is None else self._test(split.residual)
         body = self._block(q.body)
         loop = self._loop(q, directly, default, body, emit)
         type_ranks, stats = project.type_ranks(pat.type1), self.stats
@@ -257,19 +259,18 @@ class Evaluator:
             roots, trace = resolve(), self.trace
             if trace is not None:
                 capture = SelectionCapture(q, list(roots), default, directly, dict(variables))
-            clause, ranks, fixed = where, type_ranks, None
-            if hoist is not None and hoist.ready(variables):
+            clause, ranks = where, type_ranks
+            if split is not None and split.ready(variables):
                 # Every candidate fails when the invariant part does.
-                clause = residual if invariant() else _reject
-            if link_key is not None and clause is not _reject:
-                fixed = link_key.fixed_node(variables)
-                if fixed is not None:
-                    ranks = self._link_ranks(link_key.link, fixed, ranks)
+                clause = residual if invariant is None or invariant() else _reject
+                if (clause is not _reject and link is not None
+                        and type(fixed := variables.get(link[0])) is NodeRef):
+                    ranks = self._link_ranks(link[1], fixed.id, ranks)
             rows: list = []
             count_stack.append(rows)
             try:
                 loop(roots, clause, ranks, rows)
-                if fixed is not None:
+                if ranks is not type_ranks:
                     # Bind the pattern variable as the scan of all type_ranks
                     # leaves it, and count that scan's visits only once.
                     visited = stats.nodes_visited
@@ -365,10 +366,12 @@ class Evaluator:
                     else:
                         i += 1
                         n = order[r]
+                        fresh = seen is None or n not in seen
                         variables[var1] = NodeRef(n)
-                        if where is not None and not where():
+                        # An earlier root's row prunes whatever the clause says.
+                        if where is not None and not where() and fresh:
                             continue
-                        if seen is None or n not in seen:
+                        if fresh:
                             if seen is not None:
                                 seen.add(n)
                             rows.append({var1: n})

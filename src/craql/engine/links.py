@@ -1,28 +1,33 @@
 """Where-clause splits: which conjuncts let a select's plan look up its
 candidates, and which it may test once instead of once per candidate.
 
-A where clause `C1 && C2 && ...` splits three ways:
+`split_where` reads a where clause `C1 && C2 && ...` once, through its
+*safe prefix*: the leading conjuncts that can neither print nor raise while
+the variables they read hold nodes. From that one pass it takes two plans:
 
+* The *invariant* conjuncts cannot change within the select, such as
+  `s1.isnodetype({ReturnStatement}) || ...` in a select over s2: node
+  probes in the safe prefix that read no pattern variable and no variable
+  the body can write. The *residual* is the clause without them. When the
+  invariant part holds, the residual gives each candidate the outcome and
+  the effects of the whole clause; when it fails, every candidate fails
+  and no conjunct would have printed or raised.
 * The *link key* ties the pattern variable p to a node V that stays fixed
   for the whole select, as in `V == p.methodbinding()`. The evaluator then
   scans only the nodes linked to V (`Evaluator._link_ranks` narrows the
   pattern type's rank list to them) and still runs the rest of the clause
-  on each. `find_link_key` decides from the query's text alone whether a
-  select may do so, and `LinkKey.fixed_node` the rest (that V holds a
-  node) when the select starts.
-* The *invariant* conjuncts cannot change within the select, such as
-  `s1.isnodetype({ReturnStatement}) || ...` in a select over s2: they
-  mention no pattern variable, they are node probes the body cannot
-  change, and no conjunct before them can print or raise. `find_hoist`
-  finds them, and `Hoist.ready` checks, as the select starts, that the
-  variables they and the conjuncts before them read hold nodes.
-* The *residual* is the clause without the invariant conjuncts. When the
-  invariant part holds, it gives each candidate the outcome and the
-  effects of the whole clause; when it fails, every candidate fails and no
-  conjunct would have printed or raised.
+  on each. Every conjunct before the key is in the safe prefix, so the
+  candidates the lookup skips would neither print nor raise there.
+
+`Split.ready` checks, as the select starts, that the variables the safe
+prefix reads up to the last conjunct either plan uses hold nodes; the key
+also needs V to hold a node, which the evaluator tests apart, so a key
+that cannot be used leaves the hoist in place.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from craql.astcore import NodeTypeSchema
 from craql.engine.runtime import NodeRef, UNDEFINED, Value
@@ -61,131 +66,82 @@ _MEASURES = frozenset({"position", "linenumber", "depth"})
 _COMPARISONS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 
 
-class LinkKey:
-    """A where-clause conjunct that ties the pattern variable to the node in
-    variable `var` by `link`; `reads` names the other variables the
-    conjuncts before it read."""
+class Split:
+    """A where clause read for a plan: its invariant conjuncts (`invariant`,
+    joined by `&&`, None when there are none), the clause without them
+    (`residual`, None when nothing is left) and its link key (`link`, the
+    pair (V, how V ties the pattern variable), or None). Before either is
+    used, each variable in `reads` must hold a node or nothing and each in
+    `nodes` a node; the key also needs V to hold a node."""
 
     # A plain class: a dataclass would add its set-up to every CLI launch.
-    __slots__ = ("var", "link", "reads")
+    __slots__ = ("invariant", "residual", "link", "reads", "nodes")
 
-    def __init__(self, var: str, link: str, reads: frozenset[str]):
-        self.var, self.link, self.reads = var, link, reads
-
-    def fixed_node(self, variables: dict[str, Value]) -> int | None:
-        """The node `var` holds, if the key can be used now: `var` holds a
-        node and every variable in `reads` holds a node or nothing, so no
-        conjunct before the key can raise."""
-        fixed = variables.get(self.var)
-        return fixed.id if _hold_nodes(variables, self.reads, (self.var,)) else None
-
-
-def _hold_nodes(variables: dict[str, Value], reads: frozenset[str],
-                nodes: frozenset[str] | tuple[str, ...] = ()) -> bool:
-    """Whether each variable in `reads` holds a node or nothing and each in
-    `nodes` a node."""
-    for name in nodes:
-        if not isinstance(variables.get(name), NodeRef):
-            return False
-    for name in reads:
-        value = variables.get(name, UNDEFINED)
-        if value is not UNDEFINED and not isinstance(value, NodeRef):
-            return False
-    return True
-
-
-def find_link_key(q: SelectQuery, schema: NodeTypeSchema) -> LinkKey | None:
-    """The select's link key, if its candidates may come from it.
-
-    The select must have a single pattern and no modifier. The key is the
-    first conjunct of the where clause in one of the `LINK_*` forms, with V
-    a variable other than the pattern's. Every conjunct before it must be a
-    node probe (`_is_probe`), which cannot print, and which cannot raise
-    while the variables it reads hold nodes. The body must not be able to
-    write V, the pattern variable or a probed variable: no assignment, no
-    nested select that binds it and no callquery.
-    """
-    pat = q.pattern
-    written: set[str] = set()
-    if (pat.kind != SINGLE or q.modifier != MOD_NONE or q.where is None
-            or not _writes(q.body, written) or pat.var1 in written):
-        return None
-    reads: set[str] = set()
-    for conjunct in _conjuncts(q.where):
-        key = _link(conjunct, pat.var1)
-        if key is not None:
-            var, link = key
-            if var in written or reads & written:
-                return None
-            return LinkKey(var, link, frozenset(reads - {pat.var1}))
-        if not _is_probe(conjunct, schema, reads):
-            return None
-    return None
-
-
-class Hoist:
-    """The invariant conjuncts of a where clause (`invariant`, joined by
-    `&&`) and the clause without them (`residual`, None when nothing is
-    left). Before the invariant part is tested, each variable in `reads`
-    must hold a node or nothing and each in `nodes` a node."""
-
-    __slots__ = ("invariant", "residual", "reads", "nodes")
-
-    def __init__(self, invariant: Expr, residual: Expr | None, reads: frozenset[str],
-                 nodes: frozenset[str]):
-        self.invariant, self.residual = invariant, residual
+    def __init__(self, invariant: Expr | None, residual: Expr | None,
+                 link: tuple[str, str] | None, reads: frozenset[str], nodes: frozenset[str]):
+        self.invariant, self.residual, self.link = invariant, residual, link
         self.reads, self.nodes = reads, nodes
 
     def ready(self, variables: dict[str, Value]) -> bool:
-        """Whether no conjunct up to the last invariant one can raise now."""
-        return _hold_nodes(variables, self.reads, self.nodes)
+        """Whether no conjunct before the last one the plan uses can raise now."""
+        for name in self.nodes:
+            if not isinstance(variables.get(name), NodeRef):
+                return False
+        for name in self.reads:
+            value = variables.get(name, UNDEFINED)
+            if value is not UNDEFINED and not isinstance(value, NodeRef):
+                return False
+        return True
 
 
-def find_hoist(q: SelectQuery, schema: NodeTypeSchema) -> Hoist | None:
-    """The select's invariant conjuncts, if it has any.
+def split_where(q: SelectQuery, schema: NodeTypeSchema, directly: bool) -> Split | None:
+    """The select's split, or None when it has neither invariant conjuncts
+    nor a link key.
 
-    A conjunct is invariant when it is a node probe (`_is_probe`) that
-    reads no pattern variable and no variable the body can write, and every
-    conjunct before it is a probe or a comparison of numbers that node
-    functions and literals give (`_is_safe`): neither can print, and
-    neither can raise while the variables it reads hold nodes. A pattern
-    variable always does while the clause runs; the others are checked
-    when the select starts, and the body cannot run before the invariant
-    part holds.
+    The safe prefix is the longest run of leading conjuncts that are probes
+    (`_is_probe`) or comparisons of measures (`_is_comparison`). The key
+    needs a single pattern, no modifier and no `directly in`, and a body
+    that can write neither V, the pattern variable nor a variable read
+    before the key. A body that can run a callquery, whose query can write
+    any variable, gets no split.
     """
     written: set[str] = set()
     if q.where is None or not _writes(q.body, written):
         return None
-    pattern = set(q.pattern.variables())
+    pat = q.pattern
+    pattern = set(pat.variables())
+    keyed = (pat.kind == SINGLE and q.modifier == MOD_NONE and not directly
+             and pat.var1 not in written)
     invariant: list[Expr] = []
     residual: list[Expr] = []
     reads: set[str] = set()
     nodes: set[str] = set()
+    link = used = None
     conjuncts = _conjuncts(q.where)
     for i, conjunct in enumerate(conjuncts):
+        if keyed and (link := _link(conjunct, pat.var1)) is not None:
+            keyed = False  # only the first key counts
+            if link[0] in written or (reads | nodes) & written:
+                link = None
+            else:
+                used = frozenset(reads - pattern), frozenset(nodes - pattern)
         probed: set[str] = set()
-        if _is_probe(conjunct, schema, probed) and not probed & (pattern | written):
-            invariant.append(conjunct)
-            reads |= probed
-        elif _is_safe(conjunct, schema, probed, nodes):
-            residual.append(conjunct)
-            reads |= probed
-        else:
+        if not (_is_probe(conjunct, schema, probed) or _is_comparison(conjunct, nodes)):
             residual += conjuncts[i:]
             break
-    if not invariant:
+        reads |= probed
+        if probed and not probed & (pattern | written):
+            invariant.append(conjunct)
+            used = frozenset(reads - pattern), frozenset(nodes - pattern)
+        else:
+            residual.append(conjunct)
+    if used is None:
         return None
-    return Hoist(_join(invariant), _join(residual), frozenset(reads - pattern),
-                 frozenset(nodes - pattern))
+    return Split(_join(invariant), _join(residual), link, *used)
 
 
 def _join(conjuncts: list[Expr]) -> Expr | None:
-    if not conjuncts:
-        return None
-    joined = conjuncts[0]
-    for conjunct in conjuncts[1:]:
-        joined = Infix("&&", joined, conjunct)
-    return joined
+    return reduce(lambda joined, e: Infix("&&", joined, e), conjuncts) if conjuncts else None
 
 
 def _conjuncts(e: Expr) -> list[Expr]:
@@ -241,14 +197,10 @@ def _is_probe(e: Expr, schema: NodeTypeSchema, reads: set[str]) -> bool:
     return False
 
 
-def _is_safe(e: Expr, schema: NodeTypeSchema, reads: set[str], nodes: set[str]) -> bool:
-    """Whether `e` is a probe, adding its variables to `reads`, or compares
-    two numbers that are literals or `x.f()` with `f` one of `_MEASURES`,
-    adding each such x to `nodes`. Neither can print, and neither raises
-    while the variables in `reads` hold nodes or nothing and those in
-    `nodes` hold nodes."""
-    if _is_probe(e, schema, reads):
-        return True
+def _is_comparison(e: Expr, nodes: set[str]) -> bool:
+    """Whether `e` compares two numbers that are literals or `x.f()` with
+    `f` one of `_MEASURES`; adds each such x to `nodes`. Such a comparison
+    returns a boolean when they hold nodes."""
     return (isinstance(e, Infix) and e.op in _COMPARISONS
             and _is_measure(e.lhs, nodes) and _is_measure(e.rhs, nodes))
 

@@ -68,12 +68,12 @@ class QueryGenerator:
         modifier = rng.choice(("", "", "outmost ", "inmost ")) if kind == "single" else ""
         source = rng.choice(["", "x", "y"] + outer[-1:] * 3)
         given = f" {rng.choice(('in', 'directly in'))} {source}" if source else ""
-        conjuncts = [self.conjunct(names, outer, source == "x")
+        conjuncts = [self.conjunct(names, outer)
                      for _ in range(rng.choice((0, 1, 2, 2, 3)))]
         where = f" where <<{' && '.join(conjuncts)}>>" if conjuncts else ""
         return f"select {modifier}({pattern}){given}{where} {{ {self.body(level, names, outer)} }}"
 
-    def conjunct(self, names: list[str], outer: list[str], listed: bool) -> str:
+    def conjunct(self, names: list[str], outer: list[str]) -> str:
         rng = self.rng
         p, o = rng.choice(names), rng.choice(outer + ["y"])
         fixed = rng.choice(outer + ["y", "y", "u"] + ["x"] * (rng.random() < 0.1))
@@ -90,11 +90,7 @@ class QueryGenerator:
             forms = [f"{p}.depth() > {rng.randint(2, 9)}", f"!{p}.isnodetype({{{t}}})",
                      f"{p}.isnodetype({{{t}}})", f"{p}.position() > {rng.randint(0, 600)}",
                      f"{o}.position() < {p}.position()", f"{o}.contains({p})",
-                     f"!{o}.directly_contains({p})"]
-            if not listed:
-                # A duplicate of a list input runs the clause again, under
-                # another count(*): the oracle does not model that.
-                forms.append(f"count(*) < {rng.randint(1, 6)}")
+                     f"!{o}.directly_contains({p})", f"count(*) < {rng.randint(1, 6)}"]
         else:
             forms = ['(print("w") || true)', f"{fixed}.position() >= 0"]
         return rng.choice(forms)
@@ -160,14 +156,17 @@ def generated_projects():
 
 
 def test_generated_documents_agree(generated_projects, monkeypatch):
-    splits = {"find_link_key": 0, "find_hoist": 0}
-    for name in splits:
-        def counted(q, schema, find=getattr(evaluator_module, name), name=name):
-            found = find(q, schema)
-            splits[name] += found is not None
-            return found
+    splits = {"invariant": 0, "link": 0}
+    split_where = evaluator_module.split_where
 
-        monkeypatch.setattr(evaluator_module, name, counted)
+    def counted(q, schema, directly):
+        split = split_where(q, schema, directly)
+        if split is not None:
+            splits["invariant"] += split.invariant is not None
+            splits["link"] += split.link is not None
+        return split
+
+    monkeypatch.setattr(evaluator_module, "split_where", counted)
     rng = random.Random(11)
     generator = QueryGenerator(rng)
     selects = errors = 0
@@ -193,5 +192,6 @@ def test_generated_documents_agree(generated_projects, monkeypatch):
             assert visits == outcome[4], text
             assert sum(len(c.rows) for c in captures) == outcome[5], text
     # The documents reach every plan: link keys, hoists, errors, many selects.
-    assert splits["find_link_key"] >= 20 and splits["find_hoist"] >= 50, splits
+    print(splits)
+    assert splits["link"] >= 20 and splits["invariant"] >= 50, splits
     assert 0 < errors < DOCUMENTS_PER_PROJECT and selects > 1000, (errors, selects)

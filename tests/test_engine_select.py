@@ -21,7 +21,7 @@ from craql import (
 from craql.astcore import child_ids
 from craql.engine.evaluator import QueryRuntimeError
 from craql.engine.runtime import NodeList, NodeRef
-from craql.oracle import compare, oracle_select, where_from_expr
+from craql.oracle import compare, oracle_select, replay_capture, where_from_expr
 from craql.query.ast import (
     Call,
     ELLIPSIS,
@@ -216,6 +216,23 @@ class TestWhereGatedOutmost:
             "VariableDeclarationStatement 7", "WhileStatement 8",
         ]
         assert (evaluator.stats.nodes_visited, evaluator.stats.rows_yielded) == (10, 4)
+
+    def test_seen_row_prunes_whatever_the_clause_says_now(self):
+        # The second copy of brk() reaches its body block (line 6) again,
+        # now with count(*) at 1, so the clause fails there; the block was
+        # a row, so the statements below it stay hidden, as in the oracle.
+        project, _ = load_project("escapes", [("U.mj", fixture_text("Unreachable.mj"))])
+        brk = find_node(project, "MethodDeclaration", "void brk").id
+        doc = parse_query_document(
+            "select outmost ({Statement} s) in x "
+            "where count(*) < 1 || s.linenumber() > 7 { print(s.linenumber()); }")
+        sink, captures = OutputSink(), []
+        evaluator = Evaluator(project, Environment({"x": NodeList((brk, brk))}), sink)
+        evaluator.trace = captures.append
+        evaluator.execute_document(doc)
+        assert sink.prints == ["6"]
+        (capture,) = captures
+        assert compare(project, capture.rows, replay_capture(project, capture)).empty
 
 
 class TestSelectStar:
@@ -751,6 +768,7 @@ LINK_FORMS = [
     ("MethodInvocation",
      "!v.contains(n) && v.isparent(n.methodbinding()) && n.depth() > 3", "method owner"),
     ("Statement", "!n.isnodetype({Block}) && v.isparent(n) && n.position() > 40", "container"),
+    ("MethodInvocation", "n.depth() > 3 && v == n.methodbinding()", "method target"),
 ]
 
 
