@@ -14,13 +14,10 @@ from pathlib import Path
 # `craql collate`, loads no submodule.
 _EXPORTS = {
     "AstFormatError": "craql.astcore",
-    "AstNode": "craql.astcore",
     "BindingTable": "craql.astcore",
     "NodeTypeSchema": "craql.astcore",
     "ProjectAst": "craql.astcore",
     "SchemaError": "craql.astcore",
-    "Span": "craql.astcore",
-    "descendants_preorder": "craql.astcore",
     "deserialize_project": "craql.astcore",
     "is_subtype": "craql.astcore",
     "node_depth": "craql.astcore",

@@ -1,5 +1,6 @@
-"""Language-agnostic AST store: node-type schemas, node arenas, traversal,
-and a JSON serialization format for ingesting externally produced trees.
+"""Language-agnostic AST store: node-type schemas, columnar node arenas with
+a pre-order region index, and a JSON serialization format for ingesting
+externally produced trees.
 
 A loaded :class:`ProjectAst` is immutable after construction and may be read
 from any number of concurrent evaluators.
@@ -10,9 +11,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Any, Callable, Iterator, Union
+from typing import Any, NamedTuple, Union
 
 PropValue = Union[int, list, str]
 
@@ -169,23 +171,20 @@ def is_subtype(schema: NodeTypeSchema, t: str, ancestor: str) -> bool:
     return ancestor in schema.ancestry[t]
 
 
-@dataclass
-class Span:
-    """Source extent: 0-based character offsets, 1-based start line."""
+class NodeView(NamedTuple):
+    """One node's columns, read together: what `ProjectAst.node` returns.
 
+    Built when read and never stored: the project keeps only its columns.
+    """
+
+    id: int
+    type: str
     file: int
     start: int
     end: int
     line: int
-
-
-@dataclass
-class AstNode:
-    id: int
-    type: str
-    span: Span
-    props: dict[str, PropValue] = field(default_factory=dict)
-    parent: int | None = None
+    parent: int | None
+    props: dict[str, PropValue]
 
 
 @dataclass
@@ -205,6 +204,15 @@ class BindingTable:
 class ProjectAst:
     """One project's parsed trees: a node arena, query-input roots, bindings.
 
+    The arena is a set of parallel lists, one per node field, after the
+    pre/size/level storage of MonetDB/XQuery (Boncz et al., SIGMOD 2006):
+    node n's fields are the n-th entries of `type`, `file`, `start`, `end`
+    and `line` (its source extent: 0-based character offsets into file
+    `file`, 1-based start line), `props` (its property values by name:
+    tokens as text, children as ids), `kids` (its child ids, in the order
+    its type declares its properties; leaves share one empty tuple) and
+    `parent` (None for a tree's root; filled by `link_parents`).
+
     `roots` lists the compilation units that form the default query input.
     The arena may contain additional parentless trees (e.g. built-in type
     surrogates) that are reachable through bindings but never enumerated by
@@ -215,7 +223,14 @@ class ProjectAst:
         self.name = name
         self.schema = schema
         self.files: list[FileInfo] = []
-        self.nodes: list[AstNode] = []
+        self.type: list[str] = []
+        self.file: list[int] = []
+        self.start: list[int] = []
+        self.end: list[int] = []
+        self.line: list[int] = []
+        self.props: list[dict[str, PropValue]] = []
+        self.kids: list[list[int] | tuple[()]] = []
+        self.parent: list[int | None] = []
         self.roots: list[int] = []
         self.bindings = BindingTable()
         # Number of source files actually parsed or loaded; set by frontends.
@@ -231,36 +246,39 @@ class ProjectAst:
         self.files.append(FileInfo(name, text))
         return len(self.files) - 1
 
-    def new_node(self, type_name: str, span: Span, props: dict | None = None) -> AstNode:
+    def add_node(self, type_name: str, file: int, start: int, end: int, line: int,
+                 props: dict[str, PropValue], kids: list[int] | tuple[()]) -> int:
+        """Append a node of type `type_name` and return its id; `kids`
+        lists the node ids in `props`, in the same order."""
         if type_name not in self.schema.ancestry:
             raise SchemaError(f"unknown node type {type_name}")
-        node = AstNode(len(self.nodes), type_name, span, {} if props is None else props)
-        self.nodes.append(node)
-        return node
-
-    def node(self, node_id: int) -> AstNode:
-        return self.nodes[node_id]
+        self.type.append(type_name)
+        self.file.append(file)
+        self.start.append(start)
+        self.end.append(end)
+        self.line.append(line)
+        self.props.append(props)
+        self.kids.append(kids)
+        return len(self.type) - 1
 
     def link_parents(self) -> None:
-        """Link each node to its parent and build the region index.
+        """Set each node's parent and build the region index.
 
-        Both loaders call this once, last, after the last node is added. It
-        reads each node's child list once: one loop sets the children's
-        parents, raising AstFormatError when a node is owned twice, and
-        `RegionIndex` numbers the nodes from the same lists. A node on or
-        under an ownership cycle gets no rank and is an AstFormatError too.
+        Both loaders call this once, last, after the last node is added. One
+        loop over `kids` sets the children's parents, raising AstFormatError
+        when a node is owned twice, and `RegionIndex` numbers the nodes from
+        the same lists. A node on or under an ownership cycle gets no rank
+        and is an AstFormatError too.
         """
-        nodes = self.nodes
-        children: list[list[int] | None] = []
-        for nid, node in enumerate(nodes):
-            ids = child_ids(node)
-            children.append(ids)
+        kids = self.kids
+        parent: list[int | None] = [None] * len(kids)
+        for nid, ids in enumerate(kids):
             for child in ids:
-                c = nodes[child]
-                if c.parent is not None:
-                    raise AstFormatError(f"node {child} is owned by both {c.parent} and {nid}")
-                c.parent = nid
-        self.index = RegionIndex(nodes, children)
+                if parent[child] is not None:
+                    raise AstFormatError(f"node {child} is owned by both {parent[child]} and {nid}")
+                parent[child] = nid
+        self.parent = parent
+        self.index = RegionIndex(self.type, parent, kids)
         # With single ownership, a node no parentless node reaches is on or
         # under an ownership cycle, where every walk would go round forever;
         # the index leaves exactly those nodes without a rank.
@@ -268,15 +286,27 @@ class ProjectAst:
             nid = self.index.pre.index(-1)
             raise AstFormatError("node is on or under an ownership cycle", f"node {nid}")
 
+    # -- a read-only view of the arena, for callers outside the program --
+
+    def node(self, node_id: int) -> NodeView:
+        """Node `node_id`'s columns; call it once the parents are linked."""
+        return NodeView(node_id, self.type[node_id], self.file[node_id], self.start[node_id],
+                        self.end[node_id], self.line[node_id], self.parent[node_id],
+                        self.props[node_id])
+
+    @property
+    def nodes(self) -> Sequence[NodeView]:
+        """The arena as a sequence of `NodeView`s, each built when read."""
+        return _NodeSequence(self)
+
     # -- queries over the arena --
 
     def matches_type(self, node_id: int, type_name: str) -> bool:
         """Subtype-aware type test, including virtual types."""
-        node = self.nodes[node_id]
-        ancestry = self.schema.ancestry[node.type]
+        ancestry = self.schema.ancestry[self.type[node_id]]
         v = self.schema.virtuals.get(type_name)
         if v is not None:
-            return v.base in ancestry and node.props.get(v.prop) == v.token
+            return v.base in ancestry and self.props[node_id].get(v.prop) == v.token
         if type_name in ancestry:
             return True
         if type_name not in self.schema.ancestry:  # it holds every known name
@@ -327,34 +357,22 @@ class ProjectAst:
         return reverse.get(target, [])
 
 
-def child_ids(node: AstNode) -> list[int]:
-    """Node-valued property contents in declaration order."""
-    # A list rather than a generator: walks call this once per node.
-    out: list[int] = []
-    for value in node.props.values():
-        if isinstance(value, int):
-            out.append(value)
-        elif isinstance(value, list):
-            out += value
-    return out
+class _NodeSequence(Sequence):
+    """`ProjectAst.nodes`: node views built on access, none of them kept."""
 
+    __slots__ = ("_project",)
 
-def descendants_preorder(
-    project: ProjectAst, root: int, prune: Callable[[int], bool] | None = None
-) -> Iterator[int]:
-    """Depth-first pre-order walk from root; children in property declaration order.
+    def __init__(self, project: ProjectAst):
+        self._project = project
 
-    `prune(node)` is asked when the caller resumes the walk after `node`, so
-    it may depend on what the caller did with it; a true answer skips the
-    nodes below `node`.
-    """
-    nodes = project.nodes
-    stack = [root]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        if prune is None or not prune(cur):
-            stack.extend(reversed(child_ids(nodes[cur])))
+    def __len__(self) -> int:
+        return len(self._project.type)
+
+    def __getitem__(self, node_id: int) -> NodeView:
+        return self._project.node(range(len(self))[node_id])
+
+    def __iter__(self) -> Iterator[NodeView]:
+        return map(self._project.node, range(len(self)))
 
 
 class RegionIndex:
@@ -370,49 +388,44 @@ class RegionIndex:
     `bound`, per binding table, the sorted ranks of the nodes bound to each
     target (`ProjectAst.bound_ranks`).
 
-    `ProjectAst.link_parents` builds it from the child lists it has just
-    linked. A node on or under an ownership cycle is reached by no walk from
-    a parentless node, so it gets no rank: its `pre` stays -1. The index
-    holds no reference to its project, so a finished project is freed by
-    reference counting alone.
+    `ProjectAst.link_parents` builds it from the `kids` column it has just
+    linked, and leaves that column as it was. A node on or under an
+    ownership cycle is reached by no walk from a parentless node, so it gets
+    no rank: its `pre` stays -1. The index holds no reference to its
+    project, so a finished project is freed by reference counting alone.
     """
 
-    def __init__(self, nodes: list[AstNode], children: list[list[int] | None]):
-        """Index `nodes`, whose parents are linked, from `children[n]`, the
-        child ids of node n in declaration order: one iterative pre-order
-        pass numbers the nodes and fills `order`, `pre`, `depth` and
-        `by_type`, and a reverse pass over `order` fills `end`.
-
-        The pass consumes `children`: it drops each list once it has walked
-        it, so the index's own lists reuse their memory as they grow.
-        """
+    def __init__(self, types: list[str], parent: list[int | None],
+                 kids: list[list[int] | tuple[()]]):
+        """Index the nodes of the `types`, `parent` and `kids` columns: one
+        iterative pre-order pass numbers the nodes and fills `order`, `pre`,
+        `depth` and `by_type`, and a reverse pass over `order` fills `end`."""
         order: list[int] = []
-        pre = [-1] * len(nodes)
-        depth = [0] * len(nodes)
+        pre = [-1] * len(types)
+        depth = [0] * len(types)
         by_type: dict[str, list[int]] = {}
-        for root, node in enumerate(nodes):
-            if node.parent is not None:
+        for root, up in enumerate(parent):
+            if up is not None:
                 continue
             stack = [root]
             while stack:
                 nid = stack.pop()
                 rank = pre[nid] = len(order)
                 order.append(nid)
-                by_type.setdefault(nodes[nid].type, []).append(rank)
-                kids = children[nid]
-                children[nid] = None
-                if kids:
+                by_type.setdefault(types[nid], []).append(rank)
+                ids = kids[nid]
+                if ids:
                     below = depth[nid] + 1
-                    for child in kids:
+                    for child in ids:
                         depth[child] = below
-                    stack += reversed(kids)
+                    stack += reversed(ids)
         # A child's region ends no later than its parent's, and the last
         # child's end is the parent's end, so one reverse pass suffices.
         end = [rank + 1 for rank in pre]
         for nid in reversed(order):
-            parent = nodes[nid].parent
-            if parent is not None and end[nid] > end[parent]:
-                end[parent] = end[nid]
+            up = parent[nid]
+            if up is not None and end[nid] > end[up]:
+                end[up] = end[nid]
         self.order, self.pre, self.end, self.depth = order, pre, end, depth
         self.by_type = by_type
         self.ranks: dict[str, list[int]] = {}
@@ -425,12 +438,11 @@ def node_depth(project: ProjectAst, node_id: int) -> int:
 
 def source_text(project: ProjectAst, node_id: int) -> str:
     """Exact source slice for the node, or a placeholder if text is gone."""
-    node = project.node(node_id)
-    info = project.files[node.span.file]
+    info = project.files[project.file[node_id]]
     if info.text is None:
         project.degraded_output = True
-        return f"<{node.type}@{info.name}:{node.span.line}>"
-    return info.text[node.span.start : node.span.end]
+        return f"<{project.type[node_id]}@{info.name}:{project.line[node_id]}>"
+    return info.text[project.start[node_id] : project.end[node_id]]
 
 
 # ---------------------------------------------------------------------------
@@ -445,23 +457,19 @@ def serialize_project(project: ProjectAst) -> str:
         if f.text is not None:
             entry["text"] = f.text
         files.append(entry)
-    nodes = []
-    for n in project.nodes:
-        props: dict[str, Any] = {}
-        for pname, value in n.props.items():
-            if isinstance(value, str):
-                props[pname] = {"token": value}
-            else:
-                props[pname] = value
-        nodes.append(
-            {
-                "id": n.id,
-                "type": n.type,
-                "file": n.span.file,
-                "span": [n.span.start, n.span.end, n.span.line],
-                "props": props,
-            }
-        )
+    columns = zip(project.type, project.file, project.start, project.end, project.line,
+                  project.props)
+    nodes = [
+        {
+            "id": nid,
+            "type": tname,
+            "file": fidx,
+            "span": [start, end, line],
+            "props": {pname: {"token": value} if type(value) is str else value
+                      for pname, value in props.items()},
+        }
+        for nid, (tname, fidx, start, end, line, props) in enumerate(columns)
+    ]
     doc = {
         "schema": project.schema.name,
         "project": project.name,
@@ -514,8 +522,9 @@ def _require_utf8(project: ProjectAst) -> None:
     for i, f in enumerate(project.files):
         strings += [(f.name, f"files[{i}]", "the file name"),
                     (f.text or "", f"files[{i}]", "the text")]
-    strings += [(value, f"node {node.id}.{name}", "the token") for node in project.nodes
-                for name, value in node.props.items() if type(value) is str]
+    strings += [(value, f"node {nid}.{name}", "the token")
+                for nid, props in enumerate(project.props)
+                for name, value in props.items() if type(value) is str]
     for value, where, what in strings:
         try:
             value.encode("utf-8")
@@ -565,7 +574,9 @@ def deserialize_project(document: str) -> ProjectAst:
 
     # A file without text bounds no span.
     limits = [math.inf if f.text is None else len(f.text) for f in project.files]
-    concrete, prop_kinds, append = schema.concrete, schema.prop_kinds, project.nodes.append
+    concrete, prop_kinds = schema.concrete, schema.prop_kinds
+    types, files, starts, ends = project.type, project.file, project.start, project.end
+    lines, props_column, kids_column = project.line, project.props, project.kids
     for nid, rec in enumerate(by_id):
         tname = rec.get("type")
         if type(tname) is not str or tname not in concrete:
@@ -596,22 +607,26 @@ def deserialize_project(document: str) -> ProjectAst:
         raw_props = rec.get("props")
         if type(raw_props) is not dict:
             _expect_key(rec, "props", f"node {nid}", dict)
-        # Props go in schema declaration order, as MiniLang builds them, so
+        # Kids go in schema declaration order, as MiniLang builds them, so
         # walks see a node's children in the same order whichever loader
-        # made it: the document's key order carries no meaning.
-        props: dict[str, PropValue] = {}
+        # made it: the document's key order carries no meaning. The props
+        # are the record's own, with each token object replaced by its text.
+        kids: list[int] = []
+        found = 0
         for pname, kind in prop_kinds[tname].items():
             value = raw_props.get(pname, _ABSENT)
             if value is _ABSENT:
                 continue
+            found += 1
             if kind == CHILD_LIST and type(value) is list:
                 for child in value:
                     if type(child) is not int or not 0 <= child < count:
                         _node_id(child, count, "node id", f"node {nid}.{pname}")
+                kids += value
             elif kind == SINGLE and type(value) is int and 0 <= value < count:
-                pass
+                kids.append(value)
             elif kind == TOKEN and type(value) is dict and type(value.get("token")) is str:
-                value = value["token"]
+                raw_props[pname] = value["token"]
             else:
                 where = f"node {nid}.{pname}"
                 if kind == TOKEN:
@@ -621,11 +636,16 @@ def deserialize_project(document: str) -> ProjectAst:
                     _node_id(value, count, "node id", where)
                 else:
                     _expect(value, list, "a child-list property", where)
-            props[pname] = value
-        if len(props) != len(raw_props):
-            pname = next(p for p in raw_props if p not in props)
+        if found != len(raw_props):
+            pname = next(p for p in raw_props if p not in prop_kinds[tname])
             raise AstFormatError(f"{tname} has no property {pname}", f"node {nid}")
-        append(AstNode(nid, tname, Span(fidx, start, end, line), props))
+        types.append(tname)
+        files.append(fidx)
+        starts.append(start)
+        ends.append(end)
+        lines.append(line)
+        props_column.append(raw_props)
+        kids_column.append(kids or ())
 
     for rid in _expect_key(doc, "roots", "top level", list):
         project.roots.append(_node_id(rid, count, "root id", "roots"))
@@ -645,7 +665,7 @@ def deserialize_project(document: str) -> ProjectAst:
                 where = f"{key} -> {target}"
                 _node_id(src, count, f"{kind} binding source", where)
                 _node_id(target, count, f"{kind} binding target", where)
-            if project.nodes[target].type != decl_type:
+            if types[target] != decl_type:
                 raise AstFormatError(
                     "binding target type mismatch", f"{kind} binding {src} -> {target}"
                 )

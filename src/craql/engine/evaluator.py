@@ -59,12 +59,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
-from craql.astcore import (
-    ProjectAst,
-    child_ids,
-    node_depth,
-    source_text,
-)
+from craql.astcore import ProjectAst, node_depth, source_text
 from craql.query.ast import (
     Assign,
     BoolLit,
@@ -308,7 +303,7 @@ class Evaluator:
             i = bisect_left(ranks, start + offset)
             if not directly:
                 return [(i, bisect_left(ranks, stop, i))]
-            cuts, bounds = by_type[project.nodes[root].type], []
+            cuts, bounds = by_type[project.type[root]], []
             j = bisect_right(cuts, start)
             while True:
                 cut = cuts[j] if j < len(cuts) and cuts[j] < stop else stop
@@ -354,7 +349,7 @@ class Evaluator:
             for root in roots:
                 start, stop = pre[root], end[root]
                 stats.nodes_visited += stop - start
-                cuts = by_type[project.nodes[root].type] if directly else ()
+                cuts = by_type[project.type[root]] if directly else ()
                 i, j = bisect_left(ranks, start + offset), bisect_right(cuts, start)
                 # Both cursors stay past the last pruned region.
                 while True:
@@ -424,10 +419,10 @@ class Evaluator:
         return pairs if pat.kind != SINGLE else walk if outmost else sweep
 
     def _emit_row(self, n: int) -> None:
-        node = self.project.nodes[n]
+        project = self.project
         self.sink.result_row(RowRecord(
-            self.project.files[node.span.file].name, node.span.line, node.type,
-            source_text(self.project, n),
+            project.files[project.file[n]].name, project.line[n], project.type[n],
+            source_text(project, n),
         ))
 
     def _link_ranks(self, link: str, fixed: int, ranks: list[int]) -> list[int]:
@@ -436,9 +431,9 @@ class Evaluator:
         project = self.project
         index = project.index
         if link == LINK_CHILD:
-            linked = [index.pre[c] for c in child_ids(project.node(fixed))]
+            linked = [index.pre[c] for c in project.kids[fixed]]
         elif link == LINK_METHOD_CHILD:
-            linked = sorted(r for c in child_ids(project.node(fixed))
+            linked = sorted(r for c in project.kids[fixed]
                             for r in project.bound_ranks("method", c))
         else:
             linked = project.bound_ranks(link, fixed)
@@ -633,26 +628,22 @@ class Evaluator:
 
     def eval_accessor(self, node_id: int, name: str, pos: tuple[int, int]) -> Value:
         """Resolve `.name` / `.{name}`: property first, then child-by-type."""
-        node = self.project.node(node_id)
-        kind = self.schema.prop_kind(node.type, name)
-        if kind is not None:
-            if name not in node.props:
-                return UNDEFINED
-            value = node.props[name]
-            if isinstance(value, str):
-                return value
-            if isinstance(value, int):
+        project = self.project
+        tname = project.type[node_id]
+        if name in self.schema.prop_kinds[tname]:
+            value = project.props[node_id].get(name, UNDEFINED)
+            if type(value) is int:
                 return NodeRef(value)
-            return NodeList(tuple(value))
+            if type(value) is list:
+                return NodeList(tuple(value))
+            return value  # a token, or UNDEFINED for an absent property
         if self.schema.knows(name):
-            matches = [
-                c for c in child_ids(node) if self.project.matches_type(c, name)
-            ]
+            matches = [c for c in project.kids[node_id] if project.matches_type(c, name)]
             if len(matches) == 1:
                 return NodeRef(matches[0])
             if len(matches) > 1:
                 raise QueryRuntimeError(
-                    f"ambiguous child access {{{name}}} on {node.type}", self.source, pos
+                    f"ambiguous child access {{{name}}} on {tname}", self.source, pos
                 )
         return UNDEFINED
 
@@ -711,9 +702,8 @@ class Evaluator:
         if v is UNDEFINED:
             return 0
         if allow_literal_node and isinstance(v, NodeRef):
-            node = self.project.node(v.id)
-            if node.type == "NumberLiteral":
-                return int(node.props["token"])
+            if self.project.type[v.id] == "NumberLiteral":
+                return int(self.project.props[v.id]["token"])
         raise QueryRuntimeError(
             f"arithmetic on {_kind_name(v)}", self.source, pos
         )
@@ -816,11 +806,12 @@ class Evaluator:
         """Node function `name` as a function of the receiver's node id and
         the argument's value, if it takes one."""
         project = self.project
-        nodes, bindings, index = project.nodes, project.bindings, project.index
+        types, parents = project.type, project.parent
+        bindings, index = project.bindings, project.index
         pre, end = index.pre, index.end
 
         def parent(n: int) -> Value:
-            p = nodes[n].parent
+            p = parents[n]
             return UNDEFINED if p is None else NodeRef(p)
 
         def binding(table: dict[int, int]) -> Callable[[int], Value]:
@@ -839,9 +830,9 @@ class Evaluator:
 
         def isparent(n: int, arg: Value) -> bool:
             if type(arg) is NodeRef:
-                return nodes[arg.id].parent == n
+                return parents[arg.id] == n
             if type(arg) is TypeName:
-                return any(project.matches_type(c, arg.name) for c in child_ids(nodes[n]))
+                return any(project.matches_type(c, arg.name) for c in project.kids[n])
             if arg is UNDEFINED:
                 return False
             raise QueryRuntimeError(
@@ -857,7 +848,7 @@ class Evaluator:
                 # Whether the walk of n's region, for directly_contains pruned
                 # at nodes of n's type, reaches a node of the type.
                 ranks = project.type_ranks(arg.name)
-                cuts = index.by_type[nodes[n].type] if direct else ()
+                cuts = index.by_type[types[n]] if direct else ()
                 i, j = bisect_right(ranks, pre[n]), bisect_right(cuts, pre[n])
                 while i < len(ranks) and ranks[i] < end[n]:
                     if not (j < len(cuts) and cuts[j] < ranks[i]):
@@ -872,21 +863,21 @@ class Evaluator:
             if not pre[n] < pre[arg.id] < end[n]:
                 return False
             # directly_contains: no node of n's type may interpose.
-            root_type = nodes[n].type
-            cur = nodes[arg.id].parent
+            root_type = types[n]
+            cur = parents[arg.id]
             while direct and cur != n:
-                if nodes[cur].type == root_type:
+                if types[cur] == root_type:
                     return False
-                cur = nodes[cur].parent
+                cur = parents[cur]
             return True
 
         return {
             "parent": parent,
-            "position": lambda n: nodes[n].span.start,
-            "linenumber": lambda n: nodes[n].span.line,
-            "filename": lambda n: project.files[nodes[n].span.file].name,
+            "position": lambda n: project.start[n],
+            "linenumber": lambda n: project.line[n],
+            "filename": lambda n: project.files[project.file[n]].name,
             "depth": lambda n: node_depth(project, n),
-            "nodetype": lambda n: nodes[n].type,
+            "nodetype": lambda n: types[n],
             "methodbinding": binding(bindings.method),
             "typebinding": binding(bindings.type),
             "isnodetype": isnodetype,

@@ -8,56 +8,54 @@ simply absent from the binding table.
 
 from __future__ import annotations
 
-from craql.astcore import BindingTable, ProjectAst, Span
+from craql.astcore import BindingTable, ProjectAst
 from craql.minilang.schema import BUILTIN_TYPE_NAMES
 
 BUILTINS_FILE = "<builtins>"
 
 
-def ensure_builtins(project: ProjectAst) -> dict[str, int]:
-    """Create surrogate TypeDeclarations for primitive types (idempotent).
+def ensure_builtins(project: ProjectAst) -> None:
+    """Add surrogate TypeDeclarations for primitive types, unless the
+    project has them already; call it before `link_parents`.
 
     The surrogate compilation unit lives in the arena but is deliberately
     absent from project.roots, so default query input never enumerates it.
     """
-    existing = {
-        n.props["name"]: n.id
-        for n in project.nodes
-        if n.type == "TypeDeclaration"
-        and project.files[n.span.file].name == BUILTINS_FILE
-    }
-    if existing:
-        return existing
-
+    if any(info.name == BUILTINS_FILE for info in project.files):
+        return
     text = " ".join(BUILTIN_TYPE_NAMES)
     file_id = project.add_file(BUILTINS_FILE, text)
-    surrogates: dict[str, int] = {}
+    types: list[int] = []
     offset = 0
     for name in BUILTIN_TYPE_NAMES:
         start = text.index(name, offset)
-        span = Span(file_id, start, start + len(name), 1)
         props = {"interface": "false", "name": name, "bodyDeclarations": []}
-        surrogates[name] = project.new_node("TypeDeclaration", span, props).id
+        types.append(project.add_node(
+            "TypeDeclaration", file_id, start, start + len(name), 1, props, ()))
         offset = start + len(name)
-    unit_span = Span(file_id, 0, len(text), 1)
-    project.new_node("CompilationUnit", unit_span, {"types": list(surrogates.values())})
-    return surrogates
+    project.add_node("CompilationUnit", file_id, 0, len(text), 1, {"types": types}, types)
 
 
 class _Binder:
     def __init__(self, project: ProjectAst):
         self.project = project
-        self.surrogates = ensure_builtins(project)
-        # User-declared types; a duplicated name is unresolvable.
+        self.types, self.props, self.parent = project.type, project.props, project.parent
+        # Declared types, from the index's TypeDeclaration bucket: those in
+        # the builtins file are the surrogates, and a user type whose name
+        # is declared twice is unresolvable.
+        self.surrogates: dict[str, int] = {}
         self.type_decls: dict[str, int] = {}
         dupes: set[str] = set()
-        for n in project.nodes:
-            if n.type == "TypeDeclaration" and project.files[n.span.file].name != BUILTINS_FILE:
-                name = n.props["name"]
-                if name in self.type_decls:
-                    dupes.add(name)
-                else:
-                    self.type_decls[name] = n.id
+        order = project.index.order
+        for rank in project.index.by_type.get("TypeDeclaration", ()):
+            n = order[rank]
+            name = self.props[n]["name"]
+            if project.files[project.file[n]].name == BUILTINS_FILE:
+                self.surrogates[name] = n
+            elif name in self.type_decls:
+                dupes.add(name)
+            else:
+                self.type_decls[name] = n
         for name in dupes:
             del self.type_decls[name]
         self.methods = self._index_methods()
@@ -66,82 +64,79 @@ class _Binder:
 
     def _index_methods(self) -> dict[int, dict[tuple[str, int], list[int]]]:
         out: dict[int, dict[tuple[str, int], list[int]]] = {}
-        for tname, tid in self.type_decls.items():
+        types, props = self.types, self.props
+        for tid in self.type_decls.values():
             table: dict[tuple[str, int], list[int]] = {}
-            for mid in self.project.node(tid).props["bodyDeclarations"]:
-                m = self.project.node(mid)
-                if m.type == "MethodDeclaration":
-                    key = (m.props["name"], len(m.props["parameters"]))
+            for mid in props[tid]["bodyDeclarations"]:
+                if types[mid] == "MethodDeclaration":
+                    key = (props[mid]["name"], len(props[mid]["parameters"]))
                     table.setdefault(key, []).append(mid)
             out[tid] = table
         return out
 
     def _index_fields(self) -> dict[int, dict[str, str]]:
         out: dict[int, dict[str, str]] = {}
+        types, props = self.types, self.props
         for tid in self.type_decls.values():
             table: dict[str, str] = {}
-            for fid in self.project.node(tid).props["bodyDeclarations"]:
-                f = self.project.node(fid)
-                if f.type == "FieldDeclaration":
-                    for frag in f.props["fragments"]:
-                        table[self.project.node(frag).props["name"]] = f.props["type"]
+            for fid in props[tid]["bodyDeclarations"]:
+                if types[fid] == "FieldDeclaration":
+                    for frag in props[fid]["fragments"]:
+                        table[props[frag]["name"]] = props[fid]["type"]
             out[tid] = table
         return out
 
     # -- scope walk --
 
     def enclosing(self, node_id: int, type_name: str) -> int | None:
-        cur = self.project.node(node_id).parent
+        cur = self.parent[node_id]
         while cur is not None:
-            if self.project.node(cur).type == type_name:
+            if self.types[cur] == type_name:
                 return cur
-            cur = self.project.node(cur).parent
+            cur = self.parent[cur]
         return None
 
     def variable_type(self, use_id: int, name: str) -> str | None:
         """Declared type of the local, parameter, or field `name` visible at use_id."""
-        use_start = self.project.node(use_id).span.start
-        cur = self.project.node(use_id).parent
+        types, props, starts = self.types, self.props, self.project.start
+        use_start = starts[use_id]
+        cur = self.parent[use_id]
         while cur is not None:
-            node = self.project.node(cur)
-            if node.type == "Block":
-                for sid in node.props["statements"]:
-                    stmt = self.project.node(sid)
-                    if stmt.type != "VariableDeclarationStatement":
+            t = types[cur]
+            if t == "Block":
+                for sid in props[cur]["statements"]:
+                    if types[sid] != "VariableDeclarationStatement":
                         continue
-                    if stmt.span.start >= use_start:
+                    if starts[sid] >= use_start:
                         break
-                    for frag in stmt.props["fragments"]:
-                        if self.project.node(frag).props["name"] == name:
-                            return stmt.props["type"]
-            elif node.type == "ForStatement":
-                for init in node.props.get("initializers", []):
-                    stmt = self.project.node(init)
-                    if stmt.type == "VariableDeclarationStatement":
-                        for frag in stmt.props["fragments"]:
-                            if self.project.node(frag).props["name"] == name:
-                                return stmt.props["type"]
-            elif node.type == "CatchClause":
-                exc = self.project.node(node.props["exception"])
-                if exc.props["name"] == name:
-                    return exc.props["type"]
-            elif node.type == "MethodDeclaration":
-                for pid in node.props["parameters"]:
-                    p = self.project.node(pid)
-                    if p.props["name"] == name:
-                        return p.props["type"]
-            elif node.type == "TypeDeclaration":
-                ftype = self.fields.get(node.id, {}).get(name)
+                    for frag in props[sid]["fragments"]:
+                        if props[frag]["name"] == name:
+                            return props[sid]["type"]
+            elif t == "ForStatement":
+                for init in props[cur].get("initializers", []):
+                    if types[init] == "VariableDeclarationStatement":
+                        for frag in props[init]["fragments"]:
+                            if props[frag]["name"] == name:
+                                return props[init]["type"]
+            elif t == "CatchClause":
+                exc = props[props[cur]["exception"]]
+                if exc["name"] == name:
+                    return exc["type"]
+            elif t == "MethodDeclaration":
+                for pid in props[cur]["parameters"]:
+                    if props[pid]["name"] == name:
+                        return props[pid]["type"]
+            elif t == "TypeDeclaration":
+                ftype = self.fields.get(cur, {}).get(name)
                 if ftype is not None:
                     return ftype
-            cur = node.parent
+            cur = self.parent[cur]
         return None
 
     # -- static expression types --
 
     def static_type(self, expr_id: int) -> str | None:
-        node = self.project.node(expr_id)
-        t = node.type
+        t, props = self.types[expr_id], self.props[expr_id]
         if t == "NumberLiteral":
             return "int"
         if t == "StringLiteral":
@@ -149,7 +144,7 @@ class _Binder:
         if t == "BooleanLiteral":
             return "boolean"
         if t == "Name":
-            name = node.props["identifier"]
+            name = props["identifier"]
             vtype = self.variable_type(expr_id, name)
             if vtype is not None:
                 return vtype
@@ -157,34 +152,34 @@ class _Binder:
                 return name
             return None
         if t == "FieldAccess":
-            base = self.static_type(node.props["expression"])
+            base = self.static_type(props["expression"])
             tid = self.type_decls.get(base) if base else None
             if tid is None:
                 return None
-            return self.fields.get(tid, {}).get(node.props["name"])
+            return self.fields.get(tid, {}).get(props["name"])
         if t == "MethodInvocation":
             decl = self.resolve_invocation(expr_id)
             if decl is None:
                 return None
-            return self.project.node(decl).props["returnType"]
+            return self.props[decl]["returnType"]
         if t == "ClassInstanceCreation":
-            return node.props["type"]
+            return props["type"]
         if t == "Assignment":
-            return self.static_type(node.props["leftHandSide"])
+            return self.static_type(props["leftHandSide"])
         if t == "InfixExpression":
-            op = node.props["operator"]
+            op = props["operator"]
             return "boolean" if op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||") else "int"
         if t == "PrefixExpression":
-            return "boolean" if node.props["operator"] == "!" else "int"
+            return "boolean" if props["operator"] == "!" else "int"
         return None
 
     def resolve_invocation(self, inv_id: int) -> int | None:
         if inv_id in self._invocation_cache:
             return self._invocation_cache[inv_id]
         self._invocation_cache[inv_id] = None  # cut recursive resolution cycles
-        node = self.project.node(inv_id)
-        key = (node.props["name"], len(node.props["arguments"]))
-        receiver = node.props.get("expression")
+        props = self.props[inv_id]
+        key = (props["name"], len(props["arguments"]))
+        receiver = props.get("expression")
         if receiver is None:
             tid = self.enclosing(inv_id, "TypeDeclaration")
         else:
@@ -207,32 +202,36 @@ class _Binder:
 
     def run(self) -> BindingTable:
         table = BindingTable()
-        for node in self.project.nodes:
-            if node.type == "MethodInvocation":
-                decl = self.resolve_invocation(node.id)
+        for n, t in enumerate(self.types):
+            if t == "MethodInvocation":
+                decl = self.resolve_invocation(n)
                 if decl is not None:
-                    table.method[node.id] = decl
-                rt = self.static_type(node.id)
+                    table.method[n] = decl
+                rt = self.static_type(n)
                 target = self.type_decl_node(rt)
                 if target is not None:
-                    table.type[node.id] = target
-            elif node.type == "Name":
-                vtype = self.variable_type(node.id, node.props["identifier"])
+                    table.type[n] = target
+            elif t == "Name":
+                vtype = self.variable_type(n, self.props[n]["identifier"])
                 target = self.type_decl_node(vtype)
                 if target is not None:
-                    table.type[node.id] = target
-            elif node.type == "ClassInstanceCreation":
-                target = self.type_decl_node(node.props["type"])
+                    table.type[n] = target
+            elif t == "ClassInstanceCreation":
+                target = self.type_decl_node(self.props[n]["type"])
                 if target is not None:
-                    table.type[node.id] = target
-            elif node.type in ("NumberLiteral", "StringLiteral", "BooleanLiteral"):
-                lit_type = {"NumberLiteral": "int", "StringLiteral": "String", "BooleanLiteral": "boolean"}[node.type]
-                table.type[node.id] = self.surrogates[lit_type]
+                    table.type[n] = target
+            elif t in ("NumberLiteral", "StringLiteral", "BooleanLiteral"):
+                lit_type = {"NumberLiteral": "int", "StringLiteral": "String", "BooleanLiteral": "boolean"}[t]
+                target = self.surrogates.get(lit_type)
+                if target is not None:
+                    table.type[n] = target
         return table
 
 
 def bind_project(project: ProjectAst) -> BindingTable:
-    """Compute and install the project's binding table (parents must be linked)."""
+    """Compute and install the project's binding table (parents must be
+    linked). Literals bind to the surrogates `ensure_builtins` made before
+    linking; a project without them leaves literals unbound."""
     table = _Binder(project).run()
     project.bindings = table
     return table

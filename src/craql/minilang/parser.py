@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from craql.astcore import ProjectAst, Span
+from craql.astcore import ProjectAst
 from craql.diagnostics import Diagnostic
 
 KEYWORDS = {
@@ -144,11 +144,20 @@ class Parser:
 
     def node(self, type_name: str, start: Tok, end: Tok | None = None, **props) -> int:
         """Add a node spanning `start` to `end`, by default the last token
-        consumed. Props given as None are left out."""
+        consumed. Props, given in schema declaration order, as None are left
+        out."""
         end = end or self.toks[self.pos - 1]
-        span = Span(self.file_id, start.start, end.end, start.line)
-        props = {name: value for name, value in props.items() if value is not None}
-        return self.project.new_node(type_name, span, props).id
+        kept: dict = {}
+        kids: list[int] = []
+        for name, value in props.items():
+            if value is not None:
+                kept[name] = value
+                if type(value) is int:
+                    kids.append(value)
+                elif type(value) is list:
+                    kids += value
+        return self.project.add_node(type_name, self.file_id, start.start, end.end, start.line,
+                                     kept, kids or ())
 
     # -- error recovery --
 
@@ -178,8 +187,8 @@ class Parser:
                 types.append(self.parse_type_declaration())
             else:
                 raise self.error(f"expected type declaration, found {self.peek().text!r}")
-        span = Span(self.file_id, 0, self.toks[-1].end, 1)
-        return self.project.new_node("CompilationUnit", span, {"types": types}).id
+        return self.project.add_node("CompilationUnit", self.file_id, 0, self.toks[-1].end, 1,
+                                     {"types": types}, types or ())
 
     def parse_type_declaration(self) -> int:
         start = self.advance()  # class | interface
@@ -388,7 +397,7 @@ class Parser:
             prec = BINARY_PRECEDENCE.get(op.text, -1)
             if prec < min_prec:
                 return left
-            if prec == 0 and self.project.node(left).type not in ("Name", "FieldAccess"):
+            if prec == 0 and self.project.type[left] not in ("Name", "FieldAccess"):
                 return left
             self.pos += 1
             # `=` is right-associative: its right side starts at its own level.

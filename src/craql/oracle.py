@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from craql.astcore import ProjectAst, child_ids
+from craql.astcore import ProjectAst
 from craql.engine.evaluator import Evaluator, SelectionCapture
 from craql.engine.runtime import Environment, NodeRef, OutputSink, truthy
 from craql.query.ast import (
@@ -41,7 +41,7 @@ class OracleResult:
 
 def _subtree(project: ProjectAst, root: int) -> list[int]:
     out = [root]
-    for child in child_ids(project.node(root)):
+    for child in project.kids[root]:
         out.extend(_subtree(project, child))
     return out
 
@@ -49,19 +49,19 @@ def _subtree(project: ProjectAst, root: int) -> list[int]:
 def _ancestors_between(project: ProjectAst, node: int, root: int) -> list[int]:
     """Nodes strictly between root and node on the parent path (both excluded)."""
     out: list[int] = []
-    cur = project.node(node).parent
+    cur = project.parent[node]
     while cur is not None and cur != root:
         out.append(cur)
-        cur = project.node(cur).parent
+        cur = project.parent[cur]
     return out
 
 
 def _depth(project: ProjectAst, node: int) -> int:
     d = 0
-    cur = project.node(node).parent
+    cur = project.parent[node]
     while cur is not None:
         d += 1
-        cur = project.node(cur).parent
+        cur = project.parent[cur]
     return d
 
 
@@ -88,7 +88,7 @@ def oracle_select(
     for root_idx, root in enumerate(input_nodes):
         everything = _subtree(project, root)
         rank = {n: i for i, n in enumerate(everything)}
-        root_type = project.node(root).type
+        root_type = project.type[root]
 
         def t1_candidates() -> list[int]:
             out = [n for n in everything if project.matches_type(n, types[0])]
@@ -99,7 +99,7 @@ def oracle_select(
                     n
                     for n in out
                     if not any(
-                        project.node(a).type == root_type
+                        project.type[a] == root_type
                         for a in _ancestors_between(project, n, root)
                     )
                 ]
@@ -218,9 +218,8 @@ class DiffReport:
 def _describe(project: ProjectAst, binding: dict[str, int]) -> str:
     parts = []
     for var, node_id in binding.items():
-        node = project.node(node_id)
-        fname = project.files[node.span.file].name
-        parts.append(f"{var}={node.type}@{fname}:{node.span.line}")
+        fname = project.files[project.file[node_id]].name
+        parts.append(f"{var}={project.type[node_id]}@{fname}:{project.line[node_id]}")
     return ", ".join(parts)
 
 

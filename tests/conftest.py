@@ -141,6 +141,34 @@ def node_text(project, node_id: int) -> str:
     return source_text(project, node_id)
 
 
+def child_ids(project, node_id: int) -> list[int]:
+    """Reference child list: node-valued props of node_id, flattened in
+    schema declaration order, independent of the `kids` column."""
+    props, out = project.props[node_id], []
+    for name in project.schema.prop_kinds[project.type[node_id]]:
+        value = props.get(name)
+        if type(value) is int:
+            out.append(value)
+        elif type(value) is list:
+            out += value
+    return out
+
+
+def descendants_preorder(project, root: int, prune=None):
+    """Reference depth-first pre-order walk from root over `child_ids`.
+
+    `prune(node)` is asked when the caller resumes the walk after `node`, so
+    it may depend on what the caller did with it; a true answer skips the
+    nodes below `node`.
+    """
+    stack = [root]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        if prune is None or not prune(cur):
+            stack.extend(reversed(child_ids(project, cur)))
+
+
 def find_node(project, type_name: str, contains: str | None = None):
     """First node of the given concrete type whose source contains `contains`."""
     for node in project.nodes:

@@ -7,7 +7,6 @@ import pytest
 
 from craql import (
     AstFormatError,
-    descendants_preorder,
     deserialize_project,
     is_subtype,
     MINILANG_SCHEMA,
@@ -15,10 +14,16 @@ from craql import (
     ProjectAst,
     serialize_project,
     source_text,
-    Span,
 )
-from craql.astcore import CHILD_LIST, SINGLE, NodeTypeSchema, SchemaError, child_ids
-from conftest import BAD_AST_DOCS, ast_document, find_node, load_fixture_project, run_document
+from craql.astcore import CHILD_LIST, SINGLE, NodeTypeSchema, SchemaError
+from conftest import (
+    BAD_AST_DOCS,
+    ast_document,
+    descendants_preorder,
+    find_node,
+    load_fixture_project,
+    run_document,
+)
 
 CONCRETE_TYPES = sorted(MINILANG_SCHEMA.types)
 KNOWN_TYPES = sorted(MINILANG_SCHEMA.types | MINILANG_SCHEMA.virtuals.keys())
@@ -103,8 +108,8 @@ class TestPreorder:
     def test_root_walk_covers_whole_file_tree(self, sample_project):
         root = sample_project.roots[0]
         seq = list(descendants_preorder(sample_project, root))
-        file_id = sample_project.node(root).span.file
-        in_file = [n.id for n in sample_project.nodes if n.span.file == file_id]
+        file_id = sample_project.file[root]
+        in_file = [n for n, f in enumerate(sample_project.file) if f == file_id]
         assert sorted(seq) == sorted(in_file)
 
     def test_each_node_exactly_once(self, sample_project):
@@ -117,10 +122,7 @@ class TestPreorder:
             seq = list(descendants_preorder(sample_project, root))
             by_offset = sorted(
                 seq,
-                key=lambda n: (
-                    sample_project.node(n).span.start,
-                    -sample_project.node(n).span.end,
-                ),
+                key=lambda n: (sample_project.start[n], -sample_project.end[n]),
             )
             assert seq == by_offset
 
@@ -192,11 +194,11 @@ class TestSourceText:
         assert source_text(sample_project, ret.id) == "return count;"
 
     def test_child_span_inside_parent_span(self, sample_project):
-        for node in sample_project.nodes:
-            for child in child_ids(node):
-                cspan = sample_project.node(child).span
-                assert node.span.start <= cspan.start
-                assert cspan.end <= node.span.end
+        starts, ends = sample_project.start, sample_project.end
+        for n, kids in enumerate(sample_project.kids):
+            for child in kids:
+                assert starts[n] <= starts[child]
+                assert ends[child] <= ends[n]
 
     def test_missing_text_uses_placeholder_and_flags(self):
         doc = {
@@ -218,10 +220,7 @@ class TestSerialization:
     def test_round_trip_node_for_node(self, sample_project):
         clone = deserialize_project(serialize_project(sample_project))
         assert len(clone.nodes) == len(sample_project.nodes)
-        for a, b in zip(sample_project.nodes, clone.nodes):
-            assert (a.type, a.props, a.parent) == (b.type, b.props, b.parent)
-            assert (a.span.file, a.span.start, a.span.end, a.span.line) == (
-                b.span.file, b.span.start, b.span.end, b.span.line)
+        assert list(clone.nodes) == list(sample_project.nodes)
         assert clone.roots == sample_project.roots
         assert clone.bindings.method == sample_project.bindings.method
         assert clone.bindings.type == sample_project.bindings.type
@@ -331,20 +330,19 @@ class TestMatchesType:
         # One bare node, plus one carrying each virtual type's token.
         project = ProjectAst("lattice", MINILANG_SCHEMA)
         project.add_file("f")
-        nodes = [project.new_node(t, Span(0, 0, 0, 1))]
+        nodes = [project.add_node(t, 0, 0, 0, 1, {}, ())]
         for v in MINILANG_SCHEMA.virtuals.values():
-            node = project.new_node(t, Span(0, 0, 0, 1))
-            node.props[v.prop] = v.token
-            nodes.append(node)
+            nodes.append(project.add_node(t, 0, 0, 0, 1, {v.prop: v.token}, ()))
         ancestors = reference_ancestors(t)
-        for node in nodes:
+        for n in nodes:
+            props = project.props[n]
             for name in KNOWN_TYPES:
                 v = MINILANG_SCHEMA.virtuals.get(name)
                 if v is None:
                     expected = name in ancestors
                 else:
-                    expected = v.base in ancestors and node.props.get(v.prop) == v.token
-                assert project.matches_type(node.id, name) == expected, (node.props, name)
+                    expected = v.base in ancestors and props.get(v.prop) == v.token
+                assert project.matches_type(n, name) == expected, (props, name)
 
     def test_unknown_type_raises(self, sample_project):
         with pytest.raises(SchemaError, match="Blok"):

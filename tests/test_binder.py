@@ -1,4 +1,6 @@
-from craql import load_project
+import json
+
+from craql import deserialize_project, load_project
 from craql.minilang.binder import BUILTINS_FILE, bind_project
 
 from conftest import find_node, load_fixture_project
@@ -8,7 +10,7 @@ def builtin_decl(project, name):
     for node in project.nodes:
         if (
             node.type == "TypeDeclaration"
-            and project.files[node.span.file].name == BUILTINS_FILE
+            and project.files[node.file].name == BUILTINS_FILE
             and node.props["name"] == name
         ):
             return node
@@ -105,7 +107,7 @@ class TestBinderHousekeeping:
         }
         assert builtin_files
         for root in sample_project.roots:
-            assert sample_project.node(root).span.file not in builtin_files
+            assert sample_project.node(root).file not in builtin_files
 
     def test_rebinding_is_deterministic(self, ab_project):
         first_method = dict(ab_project.bindings.method)
@@ -119,3 +121,15 @@ class TestBinderHousekeeping:
             assert ab_project.node(decl_id).type == "MethodDeclaration"
         for decl_id in ab_project.bindings.type.values():
             assert ab_project.node(decl_id).type == "TypeDeclaration"
+
+    def test_binding_adds_no_node_to_a_linked_project(self):
+        # A project without surrogates keeps its literals unbound rather
+        # than gaining nodes that linking never saw.
+        doc = {"schema": "minilang", "project": "bare", "files": [{"name": "f", "text": "1"}],
+               "nodes": [{"id": 0, "type": "NumberLiteral", "file": 0, "span": [0, 1, 1],
+                          "props": {"token": {"token": "1"}}}],
+               "roots": [0]}
+        project = deserialize_project(json.dumps(doc))
+        table = bind_project(project)
+        assert (table.method, table.type) == ({}, {})
+        assert len(project.type) == len(project.parent) == len(project.index.pre) == 1

@@ -150,7 +150,7 @@ class TestBuiltins:
         project, _ = load_project("deep", [("Deep.mj", generate_nested_blocks(3))])
         blocks = sorted(
             (n for n in project.nodes if n.type == "Block"),
-            key=lambda n: n.span.start,
+            key=lambda n: n.start,
         )
         outer, first, second = blocks[0], blocks[1], blocks[2]
         env = Environment({"o": NodeRef(outer.id), "a": NodeRef(first.id), "b": NodeRef(second.id)})
@@ -189,7 +189,7 @@ class TestBuiltins:
     def test_position_linenumber_filename(self, sample_project):
         ret = find_node(sample_project, "ReturnStatement", "count")
         env = Environment({"s": NodeRef(ret.id)})
-        text = sample_project.files[ret.span.file].text
+        text = sample_project.files[ret.file].text
         assert eval_expr(sample_project, "s.position()", env) == text.index("return count;")
         assert eval_expr(sample_project, "s.linenumber()", env) == 3
         assert eval_expr(sample_project, "s.filename()", env) == "Sample.mj"

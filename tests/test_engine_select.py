@@ -1,10 +1,8 @@
 import random
 import re
-import sys
 
 import pytest
 
-import craql.astcore
 from craql import (
     BUNDLED_QUERIES,
     Environment,
@@ -12,13 +10,11 @@ from craql import (
     OutputSink,
     ProjectAst,
     bundled_query_path,
-    descendants_preorder,
     deserialize_project,
     load_project,
     parse_query_document,
     serialize_project,
 )
-from craql.astcore import child_ids
 from craql.engine.evaluator import QueryRuntimeError
 from craql.engine.runtime import NodeList, NodeRef
 from craql.oracle import compare, oracle_select, replay_capture, where_from_expr
@@ -42,13 +38,14 @@ from craql.query.ast import (
     VarRef,
 )
 from craql.fixtures import (
+    STATIC_FIXTURES,
     fixture_text,
     generate_block_sea,
     generate_nested_blocks,
     generate_random_source,
 )
 
-from conftest import find_node, run_document
+from conftest import child_ids, descendants_preorder, find_node, run_document
 
 
 def select_with_stats(project, pattern, modifier=MOD_NONE, input_spec=None, where=None,
@@ -122,7 +119,7 @@ class TestSelectSingle:
 
     def test_rows_enumerate_in_preorder(self, sample_project):
         rows = select(sample_project, single("Statement"))
-        starts = [sample_project.node(r["n"]).span.start for r in rows]
+        starts = [sample_project.node(r["n"]).start for r in rows]
         assert starts == sorted(starts)
 
     def test_empty_project_yields_nothing(self):
@@ -269,7 +266,7 @@ class TestSelectStar:
             sample_project, Pattern(STAR, "Block", "x", "Statement", "y")
         )
         keys = [
-            (sample_project.node(r["x"]).span.start, sample_project.node(r["y"]).span.start)
+            (sample_project.node(r["x"]).start, sample_project.node(r["y"]).start)
             for r in rows
         ]
         assert keys == sorted(keys)
@@ -620,7 +617,7 @@ class TestRegionScan:
                     evaluator.env.set("n", NodeRef(n))
                     assert call("contains", VarRef("n")) == (n in below), (a, n)
                     assert call("directly_contains", VarRef("n")) == directly_below(a, n), (a, n)
-                    assert call("isparent", VarRef("n")) == (n in child_ids(project.node(a)))
+                    assert call("isparent", VarRef("n")) == (n in child_ids(project, a))
                 for type_name in SCAN_TYPES + ("Block", "ReturnStatement", "Name"):
                     matching = [n for n in below if project.matches_type(n, type_name)]
                     assert call("contains", TypeLit(type_name)) == bool(matching)
@@ -634,9 +631,9 @@ class TestRegionScan:
             # depth as the number of walks from other nodes that reach it, and
             # ranks from one walk per parentless node.
             parents = [None] * count
-            for node in project.nodes:
-                for child in child_ids(node):
-                    parents[child] = node.id
+            for n in range(count):
+                for child in child_ids(project, n):
+                    parents[child] = n
             depth = [0] * count
             for n in range(count):
                 for below in descendants_preorder(project, n):
@@ -646,7 +643,7 @@ class TestRegionScan:
             by_type = {}
             for rank, n in enumerate(order):
                 by_type.setdefault(project.node(n).type, []).append(rank)
-            assert [node.parent for node in project.nodes] == parents
+            assert project.parent == parents
             assert index.order == order
             assert index.depth == depth
             assert index.by_type == by_type
@@ -663,7 +660,7 @@ class TestRegionScan:
         texts = {name: bundled_query_path(name).read_text() for name in BUNDLED_QUERIES}
         for project in random_projects:
             clone = deserialize_project(serialize_project(project))
-            assert [n.parent for n in clone.nodes] == [n.parent for n in project.nodes]
+            assert clone.parent == project.parent
             for table in ("order", "pre", "end", "depth", "by_type"):
                 assert getattr(clone.index, table) == getattr(project.index, table), table
             for type_name in SCAN_TYPES:
@@ -676,31 +673,22 @@ class TestRegionScan:
 
 class TestWalkGuard:
     def test_bundled_queries_make_a_linear_number_of_steps(self, monkeypatch):
-        """Type tests plus walk steps stay within (query type names + 2) x nodes.
+        """Type tests stay within (query type names + 2) x nodes.
 
         Selects that walked their whole input, once per outer row, made about
-        186 steps per node on this project; a deterministic count, not a
-        timing, so a return to per-select walks fails here.
+        186 type tests and walk steps per node on this project; a
+        deterministic count, not a timing, so a return to per-select type
+        tests fails here.
         """
         steps = 0
         matches_type = ProjectAst.matches_type
-        walk = craql.astcore.descendants_preorder
 
         def counted_matches_type(project, node_id, type_name):
             nonlocal steps
             steps += 1
             return matches_type(project, node_id, type_name)
 
-        def counted_walk(*args, **kwargs):
-            nonlocal steps
-            for n in walk(*args, **kwargs):
-                steps += 1
-                yield n
-
         monkeypatch.setattr(ProjectAst, "matches_type", counted_matches_type)
-        for module in list(sys.modules.values()):
-            if getattr(module, "descendants_preorder", None) is walk:
-                monkeypatch.setattr(module, "descendants_preorder", counted_walk)
 
         rng = random.Random(5)
         sources = [(f"G{i}.mj", generate_random_source(rng, classes=2, max_depth=4))
@@ -717,32 +705,36 @@ class TestWalkGuard:
         assert steps <= (len(type_names) + 2) * len(project.nodes)
 
 
-class TestLoadGuard:
-    def test_each_loader_reads_each_child_list_once(self, monkeypatch):
-        """Both loaders call `child_ids` exactly once per node.
+class TestColumns:
+    """Both loaders fill the same node columns, and `kids` is what the
+    props say."""
 
-        Linking parents in one walk and building the region index in another
-        read every child list twice; a deterministic count, not a timing, so
-        a return to two walks fails here.
-        """
+    COLUMNS = ("type", "file", "start", "end", "line", "parent", "kids", "props")
+
+    @staticmethod
+    def projects():
+        for name in STATIC_FIXTURES:
+            yield load_project(name, [(name, fixture_text(name))])[0]
         rng = random.Random(6)
-        sources = [(f"G{i}.mj", generate_random_source(rng, classes=2, max_depth=4))
-                   for i in range(4)]
-        document = serialize_project(load_project("guard", sources)[0])
-        calls = 0
-        child_ids = craql.astcore.child_ids
+        for i in range(3):
+            sources = [(f"G{i}_{j}.mj", generate_random_source(rng, classes=2, max_depth=4))
+                       for j in range(4)]
+            yield load_project(f"random{i}", sources)[0]
 
-        def counted_child_ids(node):
-            nonlocal calls
-            calls += 1
-            return child_ids(node)
+    def test_both_loaders_fill_equal_columns(self):
+        for project in self.projects():
+            clone = deserialize_project(serialize_project(project))
+            for column in self.COLUMNS:
+                assert getattr(clone, column) == getattr(project, column), (project.name, column)
+            for table in ("order", "pre", "end", "depth", "by_type"):
+                assert getattr(clone.index, table) == getattr(project.index, table), table
 
-        monkeypatch.setattr(craql.astcore, "child_ids", counted_child_ids)
-        project, _ = load_project("guard", sources)
-        assert calls == len(project.nodes)
-        calls = 0
-        project = deserialize_project(document)
-        assert calls == len(project.nodes)
+    def test_kids_flatten_the_props_in_schema_order(self):
+        for project in self.projects():
+            clone = deserialize_project(serialize_project(project))
+            for loaded in (project, clone):
+                assert loaded.kids == [child_ids(loaded, n) or () for n in range(len(loaded.type))]
+                assert len({id(kids) for kids in loaded.kids if not kids}) == 1
 
 
 # ---------------------------------------------------------------------------

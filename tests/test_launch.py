@@ -1,7 +1,7 @@
 """What each `craql` launch imports, writes and traces, each in a fresh
 interpreter: `collate` and `genprops` load no engine, outputs are UTF-8
 whatever the locale, and the benchmark's trace shim still finds the calls
-it wraps."""
+it wraps and counts what they load, parse and bind."""
 
 from __future__ import annotations
 
@@ -114,8 +114,8 @@ HOMES = {"BUNDLED_QUERIES": "craql", "MINILANG_SCHEMA": "craql.minilang.schema"}
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("craql."))
 
-craql.Span
-after_span = loaded()
+craql.ProjectAst
+after_first = loaded()
 star = {}
 exec("from craql import *", star)
 wrong = []
@@ -124,15 +124,15 @@ for name in craql.__all__:
     home = sys.modules[HOMES.get(name) or value.__module__]
     if star[name] is not value or getattr(home, name) is not value:
         wrong.append(name)
-print(json.dumps([after_span, wrong, sorted(set(craql.__all__) - set(dir(craql)))]))
+print(json.dumps([after_first, wrong, sorted(set(craql.__all__) - set(dir(craql)))]))
 """
 
 
 def test_exports_resolve_on_first_use_to_their_home_objects():
     proc = python(["-c", RESOLVE_EXPORTS])
     assert proc.returncode == 0, proc.stderr.decode()
-    after_span, wrong, undiscoverable = json.loads(proc.stdout.splitlines()[-1])
-    assert after_span == ["craql.astcore"]
+    after_first, wrong, undiscoverable = json.loads(proc.stdout.splitlines()[-1])
+    assert after_first == ["craql.astcore"]
     assert wrong == []
     assert undiscoverable == []
 
@@ -160,11 +160,47 @@ def test_serialized_ast_round_trips_in_a_fresh_interpreter(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) is True
 
 
-def test_trace_shim_spans_every_layer(tmp_path):
+def in_process_counts(root: Path, names: list[str], query: str, monkeypatch) -> dict[str, int]:
+    """The trace shim's counts for a batch over `names`, computed in this
+    process from the node columns rather than through `ProjectAst.nodes`."""
+    from craql.astcore import ProjectAst
+    from craql.minilang.binder import BUILTINS_FILE
+    from craql.runner import SERIALIZED_AST, load_project_sources
+
+    from conftest import run_document
+
+    counts = dict.fromkeys(("nodes_loaded", "nodes_parsed", "method_invocations",
+                            "method_bindings", "matches_type_calls"), 0)
+    matches_type = ProjectAst.matches_type
+
+    def counted_matches_type(project, node_id, type_name):
+        counts["matches_type_calls"] += 1
+        return matches_type(project, node_id, type_name)
+
+    monkeypatch.setattr(ProjectAst, "matches_type", counted_matches_type)
+    for name in names:
+        project, _ = load_project_sources(root / "projects" / name, name)
+        counts["nodes_loaded"] += len(project.type)
+        if not (root / "projects" / name / SERIALIZED_AST).exists():
+            builtins = [f.name for f in project.files].index(BUILTINS_FILE)
+            counts["nodes_parsed"] += sum(1 for f in project.file if f != builtins)
+            counts["method_invocations"] += project.type.count("MethodInvocation")
+            counts["method_bindings"] += len(project.bindings.method)
+        run_document(project, query)
+    return counts
+
+
+def test_trace_shim_spans_every_layer(tmp_path, monkeypatch):
+    from craql import load_project, serialize_project
+
+    fact, _ = load_project("gamma", [("Fact.mj", fixture_text("Fact.mj"))])
+    query = "select ({Block} b) { n += 1; }\n"
     root = make_root(
         tmp_path,
-        {"alpha": {"Sample.mj": fixture_text("Sample.mj")}, "beta": {"AB.mj": fixture_text("AB.mj")}},
-        "select ({Block} b) { n += 1; }\n",
+        {"alpha": {"Sample.mj": fixture_text("Sample.mj"), "Chain.mj": fixture_text("Chain.mj")},
+         "beta": {"AB.mj": fixture_text("AB.mj")},
+         "gamma": {"project.ast.json": serialize_project(fact)}},
+        query,
     )
     run_spans, collate_spans = tmp_path / "run.json", tmp_path / "collate.json"
     run = python([str(SHIM), str(run_spans), *run_args(root)])
@@ -172,12 +208,18 @@ def test_trace_shim_spans_every_layer(tmp_path):
     collate = python([str(SHIM), str(collate_spans), "collate", "--dirs", str(root)])
     assert collate.returncode == 0, collate.stderr.decode()
 
-    spans = json.loads(run_spans.read_text())["spans"]
+    trace = json.loads(run_spans.read_text())
+    spans = trace["spans"]
     names = {span[0] for span in spans}
     assert {"runner.run_batch", "runner.run_project", "query.parse_query_document",
-            "minilang.parse_minilang", "engine.execute_document"} <= names
+            "minilang.parse_minilang", "astcore.deserialize_project",
+            "engine.execute_document"} <= names
     projects = [span for span in spans if span[0] == "runner.run_project"]
-    assert [span[4] for span in projects] == ["alpha", "beta"]
+    assert [span[4] for span in projects] == ["alpha", "beta", "gamma"]
     assert all(spans[span[3]][0] == "runner.run_batch" for span in projects)
     collated = json.loads(collate_spans.read_text())["spans"]
     assert [span[0] for span in collated] == ["runner.collate_csv"]
+
+    expected = in_process_counts(root, ["alpha", "beta", "gamma"], query, monkeypatch)
+    assert expected["nodes_parsed"] and expected["method_bindings"]
+    assert {key: trace["counts"][key] for key in expected} == expected

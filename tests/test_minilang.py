@@ -19,7 +19,7 @@ class TestParser:
         file_id = next(
             i for i, f in enumerate(sample_project.files) if f.name == "Sample.mj"
         )
-        in_file = [n for n in sample_project.nodes if n.span.file == file_id]
+        in_file = [n for n in sample_project.nodes if n.file == file_id]
         assert sum(1 for n in in_file if n.type == "Block") == 3
         assert sum(1 for n in in_file if n.type == "MethodDeclaration") == 2
 
@@ -128,8 +128,8 @@ class TestParser:
         text = "class A {\n  int f;\n}"
         project, _, _ = parse_one(text)
         field = find_node(project, "FieldDeclaration")
-        assert field.span.start == text.index("int")
-        assert field.span.line == 2
+        assert field.start == text.index("int")
+        assert field.line == 2
 
 
 def expression_shape(project, node_id):
