@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from importlib import import_module
@@ -233,8 +234,6 @@ class ProjectAst:
         self.parent: list[int | None] = []
         self.roots: list[int] = []
         self.bindings = BindingTable()
-        # Number of source files actually parsed or loaded; set by frontends.
-        self.files_parsed = 0
         # Set when source_text had to fall back to a placeholder.
         self.degraded_output = False
         # Built by link_parents once the arena is complete.
@@ -261,6 +260,14 @@ class ProjectAst:
         self.kids.append(kids)
         return len(self.type) - 1
 
+    def truncate(self, nodes: int, files: int) -> None:
+        """Drop the nodes from id `nodes` on and the files from index
+        `files` on; call it before `link_parents`."""
+        for column in (self.type, self.file, self.start, self.end, self.line, self.props,
+                       self.kids):
+            del column[nodes:]
+        del self.files[files:]
+
     def link_parents(self) -> None:
         """Set each node's parent and build the region index.
 
@@ -285,6 +292,11 @@ class ProjectAst:
         if -1 in self.index.pre:
             nid = self.index.pre.index(-1)
             raise AstFormatError("node is on or under an ownership cycle", f"node {nid}")
+
+    @property
+    def files_parsed(self) -> int:
+        """The number of source files parsed or loaded: one per root."""
+        return len(self.roots)
 
     # -- a read-only view of the arena, for callers outside the program --
 
@@ -403,7 +415,7 @@ class RegionIndex:
         order: list[int] = []
         pre = [-1] * len(types)
         depth = [0] * len(types)
-        by_type: dict[str, list[int]] = {}
+        by_type: defaultdict[str, list[int]] = defaultdict(list)
         for root, up in enumerate(parent):
             if up is not None:
                 continue
@@ -412,7 +424,7 @@ class RegionIndex:
                 nid = stack.pop()
                 rank = pre[nid] = len(order)
                 order.append(nid)
-                by_type.setdefault(types[nid], []).append(rank)
+                by_type[types[nid]].append(rank)
                 ids = kids[nid]
                 if ids:
                     below = depth[nid] + 1
@@ -427,7 +439,7 @@ class RegionIndex:
             if up is not None and end[nid] > end[up]:
                 end[up] = end[nid]
         self.order, self.pre, self.end, self.depth = order, pre, end, depth
-        self.by_type = by_type
+        self.by_type = dict(by_type)
         self.ranks: dict[str, list[int]] = {}
         self.bound: dict[str, dict[int, list[int]]] = {}
 
@@ -674,5 +686,4 @@ def deserialize_project(document: str) -> ProjectAst:
     if _SURROGATE_ESCAPE.search(document):
         _require_utf8(project)
     project.link_parents()
-    project.files_parsed = len(project.files)
     return project

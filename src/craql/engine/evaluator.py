@@ -28,28 +28,32 @@ Every select enters through `run_select` and runs as one push loop
 compiles the select's input, where clause and body into closures (Feeley
 and Lapalme, "Using Closures for Code Generation", 1987) and builds a `run`
 closure that resolves the input, tests the hoisted conjuncts and calls the
-loop `_loop` chose for the select's shape. The loop binds each candidate,
-tests the where clause and appends, emits and runs the body on each row in
-place. It bisects a sorted pre-order rank list, the pattern type's (see
-`craql.astcore.RegionIndex`), to the input node's region and past the
-regions below pruned nodes, so it reaches exactly the candidates of the
-pruned pre-order walk, in order, without the walk, and adds the walk's
-`nodes_visited` and its own `rows_yielded` to `Evaluator.stats`. count(*)
-is the length of the list the innermost open select appends to (the top of
-`Environment.count_stack`): its rows, or an ellipsis select's passing pairs
-until the depth test.
+select's loop (`_loop`). The loop is one pruned pre-order walk, whatever
+the pattern and modifier. It bisects a sorted pre-order rank list, the
+pattern type's (see `craql.astcore.RegionIndex`), to each input node's
+region, reads the candidates up to the next prune point (a `directly in`
+cut or an `outmost` row) as one slice, and jumps past the pruned node's
+region, the region skip of Grust's XPath accelerator (SIGMOD 2002). So it
+reaches exactly the candidates of the walk, in order, without the walk. It
+binds each candidate, or each pair a candidate heads, tests the where
+clause and appends, emits and runs the body on each row in place, and adds
+the walk's `nodes_visited` and its own `rows_yielded` to `Evaluator.stats`.
+count(*) is the length of the list the innermost open select appends to
+(the top of `Environment.count_stack`): its rows, or an ellipsis select's
+passing pairs until the depth test.
 
 The plan reads the where clause once (`craql.engine.links.split_where`).
 When the split is ready as the select starts, its invariant conjuncts are
-tested once. If they fail, no clause runs and the loop only adds the walk's
-`nodes_visited` and binds its last candidate. If they hold, each candidate
-runs the rest of the clause, and a link key such as `m == i.methodbinding()`
-(`m` holding a node) narrows the rank list to the nodes linked to `m`
-(`_link_ranks`). Compiling decides nothing that depends on a value, so
-evaluation order and errors stay those of the query text: the receiver
-runs before the arguments and both operands before either is coerced, `&&`
-and `||` short-circuit, and an unknown `{Type}` or function, a wrong arity
-or a `count(*)` outside a select raises only when evaluation reaches it.
+tested once. If they fail, no clause runs, and for a single pattern that
+is not `inmost` the loop only adds the walk's `nodes_visited` and binds its
+last candidate. If they hold, each candidate runs the rest of the clause,
+and a link key such as `m == i.methodbinding()` (`m` holding a node)
+narrows the rank list to the nodes linked to `m` (`_link_ranks`).
+Compiling decides nothing that depends on a value, so evaluation order and
+errors stay those of the query text: the receiver runs before the
+arguments and both operands before either is coerced, `&&` and `||`
+short-circuit, and an unknown `{Type}` or function, a wrong arity or a
+`count(*)` outside a select raises only when evaluation reaches it.
 """
 
 from __future__ import annotations
@@ -216,8 +220,8 @@ class Evaluator:
 
     def _plan(self, q: SelectQuery, spec: InputSpec, emit: bool) -> Callable[[], list]:
         """The select's run from input `spec`: a closure that resolves the
-        input, tests the hoisted conjuncts, runs the push loop built for the
-        select's shape and returns the rows."""
+        input, tests the hoisted conjuncts, runs the select's loop and
+        returns the rows."""
         pat, project, variables = q.pattern, self.project, self.env.variables
         count_stack = self.env.count_stack
         default, directly = spec.kind == INPUT_DEFAULT, spec.kind == INPUT_DIRECTLY_IN
@@ -282,141 +286,101 @@ class Evaluator:
 
     def _loop(self, q: SelectQuery, directly: bool, include_root: bool, body: Thunk,
               emit: bool) -> Callable[..., None]:
-        """`loop(roots, where, ranks, rows)`: bind each node of `ranks` the
-        walk of each root's region reaches, or each pair, and append, emit
-        and run the body on each `where` (None for none) accepts, once. A
-        `directly` cut (a node of the root's type) or an `outmost` row
-        prunes the walk; `nodes_visited` loses the pruned region."""
+        """`loop(roots, where, ranks, rows)`: the pruned pre-order walk of
+        each root's region. It reads the nodes of `ranks` it reaches a run
+        at a time, up to and with the next prune point: the next `directly`
+        cut (a node of the root's type) or the `outmost` row just taken.
+        Each candidate, or each pair it heads, that `where` (None for none)
+        accepts is appended, emitted and has the body run, once.
+        `nodes_visited` gains each root's region and each pair's outer
+        region, and loses each pruned region once. Under `_reject`, a single
+        pattern that is not `inmost` only binds its last candidate."""
         pat, stats, variables, project = q.pattern, self.stats, self.env.variables, self.project
         var1, var2, emit_row = pat.var1, pat.var2, self._emit_row
         outmost, inmost = q.modifier == MOD_OUTMOST, q.modifier == MOD_INMOST
-        index, offset = project.index, 0 if include_root else 1
+        single, ellipsis = pat.kind == SINGLE, pat.kind == ELLIPSIS
+        index, types, offset = project.index, project.type, 0 if include_root else 1
         order, pre, end, by_type = index.order, index.pre, index.end, index.by_type
         own = project.type_ranks(pat.type1)
 
-        def runs(root: int, ranks: list[int]) -> list[tuple[int, int]]:
-            """The bounds of the runs of `ranks` that the walk of root's
-            region, pruned by `directly` cuts only, reaches in turn; adds
-            the nodes it visits to `nodes_visited`."""
-            start, stop = pre[root], end[root]
-            stats.nodes_visited += stop - start
-            i = bisect_left(ranks, start + offset)
-            if not directly:
-                return [(i, bisect_left(ranks, stop, i))]
-            cuts, bounds = by_type[project.type[root]], []
-            j = bisect_right(cuts, start)
-            while True:
-                cut = cuts[j] if j < len(cuts) and cuts[j] < stop else stop
-                # The candidate at a cut's own rank comes before the cut.
-                k = bisect_left(ranks, cut + (cut < stop), i)
-                bounds.append((i, k))
-                if cut == stop:
-                    return bounds
-                skip = end[order[cut]]
-                stats.nodes_visited -= skip - cut - 1
-                i, j = bisect_left(ranks, skip, k), bisect_left(cuts, skip, j)
-
-        def sweep(roots, where, ranks, rows) -> None:
-            if where is _reject and not inmost:
-                # Only the last candidate stays bound.
-                last = [ranks[k - 1] for root in roots for i, k in runs(root, ranks) if i < k]
-                if last:
-                    variables[var1] = NodeRef(order[last[-1]])
-                return
-            seen = set() if len(roots) > 1 else None
-            for root in roots:
-                for i, k in runs(root, ranks):
-                    for r in ranks[i:k]:
-                        n = order[r]
-                        if inmost and (b := bisect_right(own, r)) < len(own) and own[b] < end[n]:
-                            continue  # a node of the type lies below n
-                        variables[var1] = NodeRef(n)
-                        if where is not None and not where():
-                            continue
-                        if seen is not None and (n in seen or seen.add(n)):
-                            continue  # an earlier root gave this row
-                        rows.append({var1: n})
-                        stats.rows_yielded += 1
-                        if emit:
-                            emit_row(n)
-                        body()
-
-        def walk(roots, where, ranks, rows) -> None:
-            """`sweep` for `outmost`, whose rows prune as they are found."""
-            if where is _reject:
-                return sweep(roots, where, ranks, rows)
-            seen = set() if len(roots) > 1 else None
-            for root in roots:
-                start, stop = pre[root], end[root]
-                stats.nodes_visited += stop - start
-                cuts = by_type[project.type[root]] if directly else ()
-                i, j = bisect_left(ranks, start + offset), bisect_right(cuts, start)
-                # Both cursors stay past the last pruned region.
-                while True:
-                    r = ranks[i] if i < len(ranks) and ranks[i] < stop else stop
-                    if j < len(cuts) and cuts[j] < r:
-                        r = cuts[j]
-                    elif r == stop:
-                        break
-                    else:
-                        i += 1
-                        n = order[r]
-                        fresh = seen is None or n not in seen
-                        variables[var1] = NodeRef(n)
-                        # An earlier root's row prunes whatever the clause says.
-                        if where is not None and not where() and fresh:
-                            continue
-                        if fresh:
-                            if seen is not None:
-                                seen.add(n)
-                            rows.append({var1: n})
-                            stats.rows_yielded += 1
-                            if emit:
-                                emit_row(n)
-                            body()
-                    skip = end[order[r]]
-                    stats.nodes_visited -= skip - r - 1
-                    i, j = bisect_left(ranks, skip, i), bisect_left(cuts, skip, j)
-
-        def add(n1: int, n2: int, rows: list) -> None:
-            rows.append({var1: n1, var2: n2})
+        def add(n1: int, row: dict[str, int], rows: list) -> None:
+            rows.append(row)
             stats.rows_yielded += 1
             if emit:
                 emit_row(n1)
             body()
 
-        def pairs(roots, where, ranks, rows) -> None:
-            """Each pair of a candidate n1 and a node n2 of the second type
-            below it. An ellipsis select appends the pairs that pass, then
-            replaces them with the rows of the deepest."""
+        def loop(roots, where, ranks, rows) -> None:
+            # Every candidate fails: a single pattern that is not `inmost`
+            # only binds the last.
+            last_only = where is _reject and single and not inmost
             seen = set() if len(roots) > 1 else None
+            inner = None if single or not roots else project.type_ranks(pat.type2)
+            last = None
             for root in roots:
-                inner = project.type_ranks(pat.type2)
-                for i, k in runs(root, ranks):
+                start, stop = pre[root], end[root]
+                stats.nodes_visited += stop - start
+                cuts = by_type[types[root]] if directly else ()
+                # Both cursors stay past the last pruned region.
+                i, j = bisect_left(ranks, start + offset), bisect_right(cuts, start)
+                while True:
+                    cut = cuts[j] if j < len(cuts) and cuts[j] < stop else stop
+                    # The candidate at a cut's own rank comes before the cut.
+                    k = bisect_left(ranks, cut + (cut < stop), i)
+                    if last_only:
+                        if i < k:
+                            last = ranks[k - 1]
+                        i = k
                     for r in ranks[i:k]:
-                        n1, below = order[r], end[order[r]]
-                        stats.nodes_visited += below - r - 1
-                        for r2 in inner[bisect_right(inner, r):bisect_left(inner, below)]:
-                            n2 = order[r2]
-                            variables[var1], variables[var2] = NodeRef(n1), NodeRef(n2)
-                            if where is not None and not where():
-                                continue
-                            if seen is not None and ((n1, n2) in seen or seen.add((n1, n2))):
-                                continue
-                            if pat.kind == ELLIPSIS:
-                                rows.append((n1, n2))
-                            else:
-                                add(n1, n2, rows)
-            if pat.kind == ELLIPSIS and rows:
+                        n = order[r]
+                        if not single:
+                            below = end[n]
+                            stats.nodes_visited += below - r - 1
+                            for r2 in inner[bisect_right(inner, r):bisect_left(inner, below)]:
+                                n2 = order[r2]
+                                variables[var1], variables[var2] = NodeRef(n), NodeRef(n2)
+                                if where is not None and not where():
+                                    continue
+                                if seen is not None and ((n, n2) in seen or seen.add((n, n2))):
+                                    continue
+                                if ellipsis:
+                                    rows.append((n, n2))
+                                else:
+                                    add(n, {var1: n, var2: n2}, rows)
+                            continue
+                        if inmost and (b := bisect_right(own, r)) < len(own) and own[b] < end[n]:
+                            continue  # a node of the type lies below n
+                        variables[var1] = NodeRef(n)
+                        fresh = seen is None or n not in seen
+                        if where is None or where():
+                            if fresh:
+                                if seen is not None:
+                                    seen.add(n)
+                                add(n, {var1: n}, rows)
+                        elif fresh:
+                            continue
+                        if outmost:
+                            # A row prunes below it, an earlier root's
+                            # whatever the clause says now.
+                            cut = r
+                            break
+                    if cut == stop:
+                        break
+                    skip = end[order[cut]]
+                    stats.nodes_visited -= skip - cut - 1
+                    i, j = bisect_left(ranks, skip, i), bisect_left(cuts, skip, j)
+            if last is not None:
+                variables[var1] = NodeRef(order[last])
+            if ellipsis and rows:
                 found, depth = rows[:], index.depth
                 rows.clear()
                 best = max(depth[n2] - depth[n1] for n1, n2 in found)
                 for n1, n2 in found:
                     if depth[n2] - depth[n1] == best:
                         variables[var1], variables[var2] = NodeRef(n1), NodeRef(n2)
-                        add(n1, n2, rows)
+                        add(n1, {var1: n1, var2: n2}, rows)
 
-        return pairs if pat.kind != SINGLE else walk if outmost else sweep
+        return loop
 
     def _emit_row(self, n: int) -> None:
         project = self.project

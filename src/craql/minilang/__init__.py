@@ -38,5 +38,4 @@ def load_project(name: str, sources: list[tuple[str, str]]) -> tuple[ProjectAst,
     ensure_builtins(project)
     project.link_parents()
     bind_project(project)
-    project.files_parsed = len(project.roots)
     return project, diagnostics

@@ -477,14 +477,20 @@ def parse_minilang(project: ProjectAst, file_name: str, text: str) -> tuple[int,
     """Parse one source file into the project arena.
 
     Returns the compilation-unit node id and any recovered diagnostics.
-    Raises MiniLangParseError when no tree can be produced.
+    Raises MiniLangParseError when no tree can be produced, and then leaves
+    the arena as it found it.
     """
+    nodes, files = len(project.type), len(project.files)
     parser = Parser(project, file_name, text)
     try:
         root = parser.parse_compilation_unit()
     except RecursionError:
         tok = parser.peek()  # where the interpreter's stack ran out
+        project.truncate(nodes, files)
         raise MiniLangParseError(
             Diagnostic(file_name, tok.line, tok.col, "source nested too deeply")
         ) from None
+    except MiniLangParseError:
+        project.truncate(nodes, files)
+        raise
     return root, parser.diagnostics

@@ -222,6 +222,7 @@ class TestSerialization:
         assert len(clone.nodes) == len(sample_project.nodes)
         assert list(clone.nodes) == list(sample_project.nodes)
         assert clone.roots == sample_project.roots
+        assert clone.files_parsed == sample_project.files_parsed == 1
         assert clone.bindings.method == sample_project.bindings.method
         assert clone.bindings.type == sample_project.bindings.type
 

@@ -267,6 +267,38 @@ class TestLoadProject:
         assert any("Bad.mj" in str(d) for d in diagnostics)
         assert project.files_parsed == 1
 
+    def test_skipped_file_leaves_no_declaration_behind(self):
+        # The skipped Z.mj declares a second A before its error: that A is
+        # no duplicate, so the call x.h() still binds.
+        project, diagnostics = load_project("p", [
+            ("A.mj", "class A { void f() { A x = new A(); x.h(); } void h() {} }"),
+            ("Z.mj", "class A { } junk"),
+        ])
+        assert [str(d) for d in diagnostics] == [
+            "Z.mj:1:13: error: expected type declaration, found 'junk'"]
+        assert [f.name for f in project.files] == ["A.mj", "<builtins>"]
+        assert {project.file[n] for n in range(len(project.type))} == {0, 1}
+        call = find_node(project, "MethodInvocation", "x.h()").id
+        h = find_node(project, "MethodDeclaration", "void h()").id
+        assert project.bindings.method == {call: h}
+
+    def test_call_does_not_bind_into_a_skipped_file(self):
+        project, diagnostics = load_project("p", [
+            ("A.mj", "class A { void f() { B.g(); } }"),
+            ("B.mj", "class B { int g() { return 1; } } junk"),
+        ])
+        assert len(diagnostics) == 1
+        assert project.bindings.method == project.bindings.type == {}
+
+    def test_file_nested_too_deeply_leaves_nothing_behind(self):
+        nested = "(" * 3000 + "1" + ")" * 3000
+        alone, _ = load_project("p", [("G.mj", "class G { }")])
+        project, diagnostics = load_project("p", [
+            ("Deep.mj", f"class D {{ void f() {{ x = {nested}; }} }}"), ("G.mj", "class G { }")])
+        assert "nested too deeply" in str(diagnostics[0])
+        assert [f.name for f in project.files] == [f.name for f in alone.files]
+        assert project.type == alone.type
+
     def test_fixture_files_all_parse_clean(self):
         load_fixture_project(
             "all",
