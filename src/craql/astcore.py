@@ -2,8 +2,10 @@
 a pre-order region index, and a JSON serialization format for ingesting
 externally produced trees.
 
-A loaded :class:`ProjectAst` is immutable after construction and may be read
-from any number of concurrent evaluators.
+A loaded :class:`ProjectAst` keeps its node columns, roots and bindings as
+loaded. Reading it still writes: `type_ranks` and `bound_ranks` build their
+rank lists on first use and keep them in the project's `RegionIndex`, and
+`source_text` sets `degraded_output` when a file's text is gone.
 """
 
 from __future__ import annotations
@@ -133,11 +135,6 @@ class NodeTypeSchema:
     def require(self, name: str) -> None:
         if not self.knows(name):
             raise SchemaError(f"unknown node type {name}")
-
-    def prop_kind(self, t: str, prop: str) -> str | None:
-        """Kind of `prop` on type t or its supertypes, or None."""
-        self.require(t)
-        return self.prop_kinds[t].get(prop)
 
     def declares_property(self, prop: str) -> bool:
         return any(prop == p for plist in self.properties.values() for p, _ in plist)

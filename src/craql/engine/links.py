@@ -36,7 +36,6 @@ from craql.query.ast import (
     Call,
     CallQuery,
     Expr,
-    If,
     IncrDecr,
     Infix,
     IntLit,
@@ -44,11 +43,10 @@ from craql.query.ast import (
     Prefix,
     SINGLE,
     SelectQuery,
-    SelectStmt,
     Stmt,
     TypeLit,
     VarRef,
-    While,
+    walk,
 )
 
 # How a link key ties the pattern variable p to the fixed node V. The two
@@ -218,19 +216,11 @@ def _is_measure(e: Expr, nodes: set[str]) -> bool:
 def _writes(body: list[Stmt], written: set[str]) -> bool:
     """Add the variables `body` can write to `written`; False if it can run
     a callquery, whose query can write any."""
-    for s in body:
-        if isinstance(s, (Assign, IncrDecr)):
-            written.add(s.target)
-        elif isinstance(s, If):
-            if not (_writes(s.then_body, written) and _writes(s.else_body or [], written)):
-                return False
-        elif isinstance(s, While):
-            if not _writes(s.body, written):
-                return False
-        elif isinstance(s, SelectStmt):
-            written.update(s.query.pattern.variables())
-            if not _writes(s.query.body, written):
-                return False
-        elif isinstance(s, CallQuery):
+    for node in walk(body):
+        if isinstance(node, (Assign, IncrDecr)):
+            written.add(node.target)
+        elif isinstance(node, SelectQuery):
+            written.update(node.pattern.variables())
+        elif isinstance(node, CallQuery):
             return False
     return True

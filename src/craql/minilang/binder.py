@@ -12,6 +12,8 @@ from craql.astcore import BindingTable, ProjectAst
 from craql.minilang.schema import BUILTIN_TYPE_NAMES
 
 BUILTINS_FILE = "<builtins>"
+# The built-in type of each literal node type.
+_LITERAL_TYPES = {"NumberLiteral": "int", "StringLiteral": "String", "BooleanLiteral": "boolean"}
 
 
 def ensure_builtins(project: ProjectAst) -> None:
@@ -137,12 +139,8 @@ class _Binder:
 
     def static_type(self, expr_id: int) -> str | None:
         t, props = self.types[expr_id], self.props[expr_id]
-        if t == "NumberLiteral":
-            return "int"
-        if t == "StringLiteral":
-            return "String"
-        if t == "BooleanLiteral":
-            return "boolean"
+        if t in _LITERAL_TYPES:
+            return _LITERAL_TYPES[t]
         if t == "Name":
             name = props["identifier"]
             vtype = self.variable_type(expr_id, name)
@@ -220,9 +218,8 @@ class _Binder:
                 target = self.type_decl_node(self.props[n]["type"])
                 if target is not None:
                     table.type[n] = target
-            elif t in ("NumberLiteral", "StringLiteral", "BooleanLiteral"):
-                lit_type = {"NumberLiteral": "int", "StringLiteral": "String", "BooleanLiteral": "boolean"}[t]
-                target = self.surrogates.get(lit_type)
+            elif t in _LITERAL_TYPES:
+                target = self.surrogates.get(_LITERAL_TYPES[t])
                 if target is not None:
                     table.type[n] = target
         return table

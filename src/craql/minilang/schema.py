@@ -4,33 +4,6 @@ from __future__ import annotations
 
 from craql.astcore import CHILD_LIST, SINGLE, TOKEN, NodeTypeSchema, register_schema
 
-STATEMENT_TYPES = (
-    "Block",
-    "IfStatement",
-    "WhileStatement",
-    "ForStatement",
-    "ReturnStatement",
-    "BreakStatement",
-    "ContinueStatement",
-    "ThrowStatement",
-    "TryStatement",
-    "ExpressionStatement",
-    "VariableDeclarationStatement",
-)
-
-EXPRESSION_TYPES = (
-    "MethodInvocation",
-    "Name",
-    "FieldAccess",
-    "Assignment",
-    "InfixExpression",
-    "PrefixExpression",
-    "ClassInstanceCreation",
-    "NumberLiteral",
-    "StringLiteral",
-    "BooleanLiteral",
-)
-
 # Primitive-ish types that get surrogate TypeDeclaration nodes so that
 # typebinding() is total over literals and void-returning calls.
 BUILTIN_TYPE_NAMES = ("int", "boolean", "String", "void")

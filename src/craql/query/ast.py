@@ -1,4 +1,5 @@
-"""Query IR: patterns, expressions, statements, documents, and the unparser.
+"""Query IR: patterns, expressions, statements, documents, their one walk,
+and the unparser.
 
 Position fields never participate in equality, so a document compares equal
 to the reparse of its own unparse.
@@ -6,7 +7,8 @@ to the reparse of its own unparse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, fields
 
 Pos = tuple[int, int]
 
@@ -197,6 +199,41 @@ class QueryDocument:
     @property
     def entry(self) -> SelectQuery:
         return self.queries[0][1]
+
+
+Node = Expr | Stmt | InputSpec | Pattern | SelectQuery | QueryDocument
+
+# The fields of each node class that can hold nodes or lists of them: all
+# but `pos` and those annotated as plain values. Reversed, so that `walk`
+# pushes the last one first and pops the first one first.
+_SCALARS = frozenset({"str", "int", "bool", "str | None"})
+_FIELDS = {
+    cls: tuple(f.name for f in reversed(fields(cls)) if f.name != "pos" and f.type not in _SCALARS)
+    for cls in (*Expr.__subclasses__(), *Stmt.__subclasses__(),
+                InputSpec, Pattern, SelectQuery, QueryDocument)
+}
+
+
+def walk(node: Node | list) -> Iterator[Node]:
+    """Every IR node in `node`, itself first, in pre-order and source order.
+
+    A list stands for its items, and a document's `(label, select)` pairs
+    for their selects. The walk keeps its own stack, so no depth of nesting
+    exhausts Python's.
+    """
+    stack = [node]
+    pop, push = stack.pop, stack.append
+    while stack:
+        item = pop()
+        names = _FIELDS.get(type(item))
+        if names is not None:
+            yield item
+            for name in names:
+                push(getattr(item, name))
+        elif isinstance(item, (list, tuple)):
+            stack += item[::-1]
+        elif item is not None and not isinstance(item, str):
+            raise TypeError(f"unknown query node {item!r}")
 
 
 # ---------------------------------------------------------------------------

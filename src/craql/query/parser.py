@@ -38,6 +38,7 @@ from craql.query.ast import (
     TypeLit,
     VarRef,
     While,
+    walk,
 )
 from craql.query.tokens import QuerySyntaxError, Token, tokenize
 
@@ -104,24 +105,11 @@ class _Parser:
         return doc
 
     def _check_labels(self, doc: QueryDocument, labels: set[str]) -> None:
-        def walk(body: list[Stmt]):
-            for s in body:
-                if isinstance(s, CallQuery):
-                    if s.label not in labels:
-                        raise QuerySyntaxError(
-                            f"unresolved query label {s.label}", self.source, s.pos[0], s.pos[1]
-                        )
-                elif isinstance(s, SelectStmt):
-                    walk(s.query.body)
-                elif isinstance(s, If):
-                    walk(s.then_body)
-                    if s.else_body is not None:
-                        walk(s.else_body)
-                elif isinstance(s, While):
-                    walk(s.body)
-
-        for _, q in doc.queries:
-            walk(q.body)
+        for node in walk(doc):
+            if isinstance(node, CallQuery) and node.label not in labels:
+                raise QuerySyntaxError(
+                    f"unresolved query label {node.label}", self.source, node.pos[0], node.pos[1]
+                )
 
     # -- select --
 

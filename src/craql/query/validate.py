@@ -10,24 +10,7 @@ from __future__ import annotations
 
 from craql.astcore import NodeTypeSchema
 from craql.diagnostics import Diagnostic
-from craql.query.ast import (
-    Call,
-    CallQuery,
-    Expr,
-    ExprStmt,
-    If,
-    Infix,
-    Assign,
-    Prefix,
-    PrintStmt,
-    PropAccess,
-    QueryDocument,
-    SelectQuery,
-    SelectStmt,
-    Stmt,
-    TypeLit,
-    While,
-)
+from craql.query.ast import Pattern, PropAccess, QueryDocument, TypeLit, walk
 
 
 def validate_against_schema(doc: QueryDocument, schema: NodeTypeSchema) -> list[Diagnostic]:
@@ -36,63 +19,15 @@ def validate_against_schema(doc: QueryDocument, schema: NodeTypeSchema) -> list[
     def warn(pos: tuple[int, int], message: str) -> None:
         out.append(Diagnostic(doc.source, pos[0], pos[1], message, severity="warning"))
 
-    def check_type(name: str, pos: tuple[int, int]) -> None:
-        if not schema.knows(name):
-            warn(pos, f"unknown node type {name}")
-
-    def check_accessor(name: str, pos: tuple[int, int]) -> None:
-        if not schema.declares_property(name) and not schema.knows(name):
-            warn(pos, f"no type declares property {name}")
-
-    def walk_expr(e: Expr) -> None:
-        if isinstance(e, TypeLit):
-            check_type(e.name, e.pos)
-        elif isinstance(e, PropAccess):
-            check_accessor(e.name, e.pos)
-            walk_expr(e.base)
-        elif isinstance(e, Call):
-            if e.receiver is not None:
-                walk_expr(e.receiver)
-            for a in e.args:
-                walk_expr(a)
-        elif isinstance(e, Infix):
-            walk_expr(e.lhs)
-            walk_expr(e.rhs)
-        elif isinstance(e, Prefix):
-            walk_expr(e.operand)
-
-    def walk_stmt(s: Stmt) -> None:
-        if isinstance(s, SelectStmt):
-            walk_select(s.query)
-        elif isinstance(s, If):
-            walk_expr(s.cond)
-            for t in s.then_body:
-                walk_stmt(t)
-            for t in s.else_body or []:
-                walk_stmt(t)
-        elif isinstance(s, While):
-            walk_expr(s.cond)
-            for t in s.body:
-                walk_stmt(t)
-        elif isinstance(s, (PrintStmt, ExprStmt)):
-            walk_expr(s.value)
-        elif isinstance(s, Assign):
-            walk_expr(s.value)
-        elif isinstance(s, CallQuery):
-            if s.input is not None and s.input.expr is not None:
-                walk_expr(s.input.expr)
-
-    def walk_select(q: SelectQuery) -> None:
-        check_type(q.pattern.type1, q.pattern.pos)
-        if q.pattern.type2 is not None:
-            check_type(q.pattern.type2, q.pattern.pos)
-        if q.input.expr is not None:
-            walk_expr(q.input.expr)
-        if q.where is not None:
-            walk_expr(q.where)
-        for s in q.body:
-            walk_stmt(s)
-
-    for _, q in doc.queries:
-        walk_select(q)
+    for node in walk(doc):
+        if isinstance(node, Pattern):
+            for name in (node.type1, node.type2):
+                if name is not None and not schema.knows(name):
+                    warn(node.pos, f"unknown node type {name}")
+        elif isinstance(node, TypeLit):
+            if not schema.knows(node.name):
+                warn(node.pos, f"unknown node type {node.name}")
+        elif isinstance(node, PropAccess):
+            if not schema.declares_property(node.name) and not schema.knows(node.name):
+                warn(node.pos, f"no type declares property {node.name}")
     return out

@@ -77,19 +77,15 @@ class TestPropKind:
     @pytest.mark.parametrize("t", KNOWN_TYPES)
     def test_agrees_with_supertype_edges(self, t):
         for prop in PROPERTIES:
-            assert MINILANG_SCHEMA.prop_kind(t, prop) == reference_prop_kind(t, prop), prop
-
-    def test_unknown_type_raises(self):
-        with pytest.raises(SchemaError, match="Blok"):
-            MINILANG_SCHEMA.prop_kind("Blok", "statements")
+            assert MINILANG_SCHEMA.prop_kinds[t].get(prop) == reference_prop_kind(t, prop), prop
 
     def test_subtype_redeclaration_wins(self):
         schema = NodeTypeSchema("redeclared")
         schema.add_type("A", props=[("x", CHILD_LIST)])
         schema.add_type("B", supertype="A", props=[("x", SINGLE)])
         schema.validate()
-        assert schema.prop_kind("A", "x") == CHILD_LIST
-        assert schema.prop_kind("B", "x") == SINGLE
+        assert schema.prop_kinds["A"].get("x") == CHILD_LIST
+        assert schema.prop_kinds["B"].get("x") == SINGLE
 
 
 class TestPreorder:

@@ -5,6 +5,7 @@ import pytest
 
 from craql import (
     BUNDLED_QUERIES,
+    MINILANG_SCHEMA,
     Environment,
     Evaluator,
     OutputSink,
@@ -16,6 +17,7 @@ from craql import (
     serialize_project,
 )
 from craql.engine.evaluator import QueryRuntimeError
+from craql.engine.links import split_where
 from craql.engine.runtime import NodeList, NodeRef
 from craql.oracle import compare, oracle_select, replay_capture, where_from_expr
 from craql.query.ast import (
@@ -1068,6 +1070,28 @@ class TestHoistFallbacks:
             run_document(escapes, version, seed=self.seed(escapes))
             # Hoisted, the probe runs once per inner select.
             assert (tests == len(prints)) == (version == text)
+
+    @pytest.mark.parametrize("body, prints", [
+        ("while (s.linenumber() > 9) { r += 1; }", ["2", "3", "4"]),
+        ("if (s.linenumber() == 2) { select ({ReturnStatement} t) in s "
+         "{ select ({Statement} r) in s { } } }", ["2"]),
+    ])
+    def test_body_writes_the_probed_variable_at_depth(self, escapes, body, prints):
+        # A `+=` inside a while, and a pattern variable of a select nested
+        # inside another select inside an if, both count as written.
+        text = "select ({Statement} s) in m where r.isnodetype({ReturnStatement}) " \
+               f"{{ print(s.linenumber()); {body} }}"
+        assert self.run(escapes, text) == prints
+        assert split_where(parse_query_document(text).entry, MINILANG_SCHEMA, False) is None
+        free = parse_query_document(text.replace("r +=", "n +=").replace("{Statement} r", "{Statement} u"))
+        assert split_where(free.entry, MINILANG_SCHEMA, False).invariant is not None
+
+    def test_callquery_inside_an_if(self, escapes):
+        text = "select ({Statement} s) in m where r.isnodetype({ReturnStatement}) " \
+               "{ print(s.linenumber()); if (s.linenumber() == 2) { callquery(last) in s; } }\n" \
+               "last : select ({Statement} r) { }"
+        assert self.run(escapes, text) == ["2"]
+        assert split_where(parse_query_document(text).entry, MINILANG_SCHEMA, False) is None
 
 
 class TestJoinGuard:

@@ -119,6 +119,18 @@ class TestParse:
         with pytest.raises(QuerySyntaxError, match="unresolved query label q2"):
             parse_query_document(text)
 
+    def test_unresolved_callquery_label_at_depth(self):
+        # In the else of an if, inside a while, inside a nested select.
+        text = ("q1 : select ({Block} b) {\n"
+                "  select ({Statement} s) in b {\n"
+                "    while (x < 3) {\n"
+                "      if (x == 1) { x++; } else { callquery(q2); }\n"
+                "    }\n"
+                "  }\n"
+                "}\n")
+        with pytest.raises(QuerySyntaxError, match=r"^q\.craql:4:35: unresolved query label q2$"):
+            parse_query_document(text, "q.craql")
+
     def test_duplicate_label(self):
         text = "q1 : select ({Block} b) { }\nq1 : select ({Block} c) { }"
         with pytest.raises(QuerySyntaxError, match="duplicate query label"):
@@ -270,3 +282,60 @@ class TestValidate:
     def test_bundled_queries_validate_clean(self, name):
         doc = parse_query_document(bundled_query_path(name).read_text(), name)
         assert validate_against_schema(doc, MINILANG_SCHEMA) == []
+
+    def test_warnings_come_in_source_order(self):
+        text = ("select ({Blok} b) where b.bodyy.isnodetype({Stmt}) {\n"
+                "  select ({Statement} s * {Expresion} e) in b.{Nope} {\n"
+                "    if (s.linenumber() > 1) { print(e.{Bar}); } else { x = {Blk}; }\n"
+                "  }\n"
+                "}\n")
+        warnings = validate_against_schema(parse_query_document(text, "q.craql"), MINILANG_SCHEMA)
+        assert [str(d) for d in warnings] == [
+            "q.craql:1:8: warning: unknown node type Blok",
+            "q.craql:1:27: warning: no type declares property bodyy",
+            "q.craql:1:44: warning: unknown node type Stmt",
+            "q.craql:2:10: warning: unknown node type Expresion",
+            "q.craql:2:47: warning: no type declares property Nope",
+            "q.craql:3:39: warning: no type declares property Bar",
+            "q.craql:3:60: warning: unknown node type Blk",
+        ]
+
+    def test_3000_link_accessor_chain(self):
+        # The parser reads a postfix chain in a loop; the lint must not
+        # recurse once per link either.
+        doc = parse_query_document("select ({Block} b) where b" + ".a" * 3000 + " == 1 { }")
+        warnings = validate_against_schema(doc, MINILANG_SCHEMA)
+        assert len(warnings) == 3000
+        assert {d.message for d in warnings} == {"no type declares property a"}
+        # The outermost accessor, the chain's last link, comes first.
+        assert [d.column for d in warnings[:2]] == [6026, 6024]
+
+
+class TestWalk:
+    def test_pre_order_in_source_order(self):
+        doc = parse_query_document(
+            "q : select ({Block} b) in x where !b.g.f({T}) { if (c) { n++; } else { callquery(q); } }"
+        )
+        kinds = [type(node).__name__ for node in query_ast.walk(doc)]
+        assert kinds == [
+            "QueryDocument", "SelectQuery", "Pattern", "InputSpec", "VarRef",
+            "Prefix", "Call", "PropAccess", "VarRef", "TypeLit",
+            "If", "VarRef", "IncrDecr", "CallQuery",
+        ]
+
+    def test_every_node_kind_is_known(self):
+        """A node kind that `walk` does not know would escape the label
+        check, the schema lint and the hoist's write check; one that the
+        evaluator cannot compile would fail only when a query uses it."""
+        from craql.engine import evaluator
+
+        def kinds(base):
+            return {cls for cls in vars(query_ast).values()
+                    if isinstance(cls, type) and issubclass(cls, base) and cls is not base}
+
+        expressions, statements = kinds(query_ast.Expr), kinds(query_ast.Stmt)
+        others = {query_ast.SelectQuery, query_ast.Pattern, query_ast.InputSpec,
+                  query_ast.QueryDocument}
+        assert expressions | statements | others <= set(query_ast._FIELDS)
+        assert expressions == set(evaluator._EXPRESSIONS)
+        assert statements == set(evaluator._STATEMENTS)
