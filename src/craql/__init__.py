@@ -49,6 +49,68 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
 
 
+# Records: plain `__slots__` classes with a dataclass's constructor, equality
+# and `repr`, without importing `dataclasses` or running the `exec` it runs
+# per class, which every launch would pay for. They live here rather than in
+# a submodule, so that loading one module (`craql.astcore`, say) loads no
+# other.
+
+class _RecordType(type):
+    def __new__(mcls, name, bases, ns):
+        fields = ns["__slots__"] = ns["_fields"] = tuple(ns.get("__annotations__", ()))
+        ns["_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
+        ns["_compared"] = tuple(f for f in fields if f not in ("pos", "source"))
+        return super().__new__(mcls, name, bases, ns)
+
+
+class Record(metaclass=_RecordType):
+    """A record class declares its fields as annotations, in constructor
+    order, optionally with a default: `name: str` or `pos: Pos = (0, 0)`.
+    They become its `__slots__` (its module must use `from __future__ import
+    annotations`, which keeps them in the class body). Equality compares the
+    class and every field but `pos` and `source`. A `Record` is unhashable;
+    a `Frozen` one hashes by those fields and refuses assignment. A hot
+    record class defines its own `__init__`.
+    """
+
+    __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or not kwargs.keys() <= set(names[len(args):])
+                or len(values) < len(names)):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
 __version__ = "0.1.0"
 
 QUERY_DIR = Path(__file__).parent / "queries"

@@ -15,9 +15,10 @@ import math
 import re
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, NamedTuple, Union
+
+from craql import Frozen, Record
 
 PropValue = Union[int, list, str]
 
@@ -40,8 +41,7 @@ CHILD_LIST = "child-list"
 TOKEN = "token"
 
 
-@dataclass(frozen=True)
-class VirtualType:
+class VirtualType(Frozen):
     """A matchable type that never appears as a node's concrete type.
 
     A node matches when its concrete type is under `base` and its `prop`
@@ -185,18 +185,20 @@ class NodeView(NamedTuple):
     props: dict[str, PropValue]
 
 
-@dataclass
-class FileInfo:
+class FileInfo(Record):
     name: str
     text: str | None = None
 
 
-@dataclass
-class BindingTable:
+class BindingTable(Record):
     """Statically resolved use→declaration links; unresolvable uses absent."""
 
-    method: dict[int, int] = field(default_factory=dict)
-    type: dict[int, int] = field(default_factory=dict)
+    method: dict[int, int]
+    type: dict[int, int]
+
+    def __init__(self, method: dict[int, int] | None = None, type: dict[int, int] | None = None):
+        self.method = {} if method is None else method
+        self.type = {} if type is None else type
 
 
 class ProjectAst:

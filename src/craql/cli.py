@@ -8,7 +8,6 @@
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
@@ -17,9 +16,11 @@ from craql.results import RunConfig, RunnerError, collate_csv, generate_props
 
 def run_batch(config: RunConfig):
     """`craql.runner.run_batch`, imported only when a batch runs: `collate`
-    and `genprops` need none of the engine, the parsers or the binder."""
+    and `genprops` need none of the engine, the parsers or the binder. The
+    runner's log records go to stderr as `LEVEL message`."""
     from craql import runner
 
+    runner.log_format = "%(levelname)s %(message)s"
     return runner.run_batch(config)
 
 
@@ -45,8 +46,6 @@ def build_run_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    logging.basicConfig(format="%(levelname)s %(message)s")
-
     if argv and argv[0] in ("collate", "genprops"):
         sub = argparse.ArgumentParser(prog=f"craql {argv[0]}")
         _add_dirs(sub)

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from craql import Record
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(Record):
     file: str
     line: int
     column: int

@@ -60,9 +60,9 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import Callable
 
+from craql import Record
 from craql.astcore import ProjectAst, node_depth, source_text
 from craql.query.ast import (
     Assign,
@@ -119,8 +119,7 @@ class QueryRuntimeError(Exception):
         super().__init__(f"{source}:{pos[0]}:{pos[1]}: {message}")
 
 
-@dataclass
-class SelectionCapture:
+class SelectionCapture(Record):
     """Everything needed to replay one select against an independent oracle."""
 
     query: SelectQuery
@@ -128,12 +127,23 @@ class SelectionCapture:
     include_root: bool
     directly: bool
     env_snapshot: dict[str, Value]
-    rows: list[dict[str, int]] = field(default_factory=list)
+    rows: list[dict[str, int]]
+
+    def __init__(self, query: SelectQuery, input_nodes: list[int], include_root: bool,
+                 directly: bool, env_snapshot: dict[str, Value],
+                 rows: list[dict[str, int]] | None = None):
+        self.query, self.input_nodes, self.include_root = query, input_nodes, include_root
+        self.directly, self.env_snapshot = directly, env_snapshot
+        self.rows = [] if rows is None else rows
 
 
 # A while statement aborts its query when its condition holds once more
 # after this many runs of its body.
 MAX_WHILE_STEPS = 1_000_000
+
+# A string `+` whose result would be longer than this many characters aborts
+# its query: `s = s + s` in a while loop doubles a string at each step.
+MAX_STRING_CHARS = 10_000_000
 
 # A callquery aborts its query when this many calls are already open. Each
 # level costs the interpreter at least 3 frames, so a much deeper bound
@@ -653,7 +663,11 @@ class Evaluator:
 
     def _plus(self, left: Value, right: Value, pos: tuple[int, int]) -> Value:
         if isinstance(left, str) or isinstance(right, str):
-            return render_value(left, self.project) + render_value(right, self.project)
+            left, right = render_value(left, self.project), render_value(right, self.project)
+            if len(left) + len(right) > MAX_STRING_CHARS:
+                raise QueryRuntimeError(
+                    f"string longer than {MAX_STRING_CHARS} characters", self.source, pos)
+            return left + right
         return self._as_number(left, pos) + self._as_number(right, pos)
 
     def _as_number(self, v: Value, pos: tuple[int, int], allow_literal_node: bool = False) -> int:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from collections.abc import Sized
-from dataclasses import dataclass
 
+from craql import Frozen, Record
 from craql.astcore import ProjectAst, source_text
 from craql.results import escape_text, unescape_text  # unescape_text: re-exported
 
@@ -26,26 +26,38 @@ class Undefined:
 UNDEFINED = Undefined()
 
 
-@dataclass(frozen=True)
-class NodeRef:
+# The hot values below fill their slots through the slot descriptors, since
+# a frozen record's own `__setattr__` refuses every assignment.
+
+class NodeRef(Frozen):
     """Handle to a node in the current project's arena."""
 
     id: int
 
+    def __init__(self, id: int):
+        _set_id(self, id)
 
-@dataclass(frozen=True)
-class NodeList:
+
+class NodeList(Frozen):
     ids: tuple[int, ...]
+
+    def __init__(self, ids: tuple[int, ...]):
+        _set_ids(self, ids)
 
     def __len__(self) -> int:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
-class TypeName:
+class TypeName(Frozen):
     """Internal value of a braced type literal; never stored in variables."""
 
     name: str
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+
+
+_set_id, _set_ids, _set_name = NodeRef.id.__set__, NodeList.ids.__set__, TypeName.name.__set__
 
 
 Value = object  # int | str | bool | NodeRef | NodeList | TypeName | Undefined
@@ -110,15 +122,13 @@ class Environment:
         }
 
 
-@dataclass
-class ExecutionStats:
+class ExecutionStats(Record):
     nodes_visited: int = 0
     rows_yielded: int = 0
     files_parsed: int = 0
 
 
-@dataclass(frozen=True)
-class RowRecord:
+class RowRecord(Frozen):
     """One emitted result-subtree record."""
 
     file: str
@@ -126,8 +136,18 @@ class RowRecord:
     node_type: str
     text: str
 
+    def __init__(self, file: str, line: int, node_type: str, text: str):
+        _set_file(self, file)
+        _set_line(self, line)
+        _set_node_type(self, node_type)
+        _set_text(self, text)
+
     def to_line(self) -> str:
         return f"{self.file}\t{self.line}\t{self.node_type}\t{escape_text(self.text)}"
+
+
+_set_file, _set_line = RowRecord.file.__set__, RowRecord.line.__set__
+_set_node_type, _set_text = RowRecord.node_type.__set__, RowRecord.text.__set__
 
 
 class OutputSink:

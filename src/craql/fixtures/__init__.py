@@ -66,12 +66,17 @@ def generate_block_sea(count: int) -> str:
 class RandomMiniLang:
     """Seeded random MiniLang source generator.
 
-    Emits parseable programs with nested statements and field/local usage.
-    Its only calls are `log(...)` and `work(n)`, which no declaration
-    matches, so the binder binds no method invocation in what it emits.
-    Class methods always return a value (never a bare `return;`) and only
-    interfaces declare bodiless methods; the getter query's strict
-    accessors rely on that.
+    Emits parseable programs: classes with `int` fields and methods whose
+    bodies nest blocks, `if`/`else`, `while`, `for` and `try`/`catch` around
+    local declarations and calls, and now and then an interface. It declares
+    fields, parameters and locals but reads none of them, only each `for`
+    loop's own counter; conditions compare integer literals. Its only calls
+    are `log(...)` and `work(n)`, which no declaration matches, so the binder
+    binds no method invocation in what it emits. It emits no `break`,
+    `continue` or `throw`, and no `return` but the one that ends each
+    non-void method. Class methods always return a value (never a bare
+    `return;`) and only interfaces declare bodiless methods; the getter
+    query's strict accessors rely on that.
     """
 
     TYPES = ("int", "boolean", "String")

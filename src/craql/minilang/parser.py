@@ -12,8 +12,8 @@ that no rule accepts, so it is such an error at the place it appears.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from craql import Record
 from craql.astcore import ProjectAst
 from craql.diagnostics import Diagnostic
 
@@ -37,14 +37,21 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(slots=True)
-class Tok:
+class Tok(Record):
     kind: str  # ident | keyword | number | string | punct | stray | unterminated | eof
     text: str
     start: int
     end: int
     line: int
     col: int
+
+    def __init__(self, kind: str, text: str, start: int, end: int, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.start = start
+        self.end = end
+        self.line = line
+        self.col = col
 
 
 class MiniLangParseError(Exception):

@@ -8,7 +8,8 @@ to the reparse of its own unparse.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
+
+from craql import Record
 
 Pos = tuple[int, int]
 
@@ -25,173 +26,151 @@ STAR = "star"
 ELLIPSIS = "ellipsis"
 
 
-class Expr:
+class Expr(Record):
     pass
 
 
-@dataclass(eq=True)
 class IntLit(Expr):
     value: int
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class StrLit(Expr):
     value: str
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class BoolLit(Expr):
     value: bool
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class VarRef(Expr):
     name: str
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class TypeLit(Expr):
     """A braced node-type reference in argument position, e.g. contains({X})."""
 
     name: str
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class CountStar(Expr):
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class PropAccess(Expr):
     """base.name or base.{name}; resolution is late (property, then type)."""
 
     base: Expr
     name: str
     braced: bool
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class Call(Expr):
     name: str
     receiver: Expr | None
     args: list[Expr]
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class Infix(Expr):
     op: str
     lhs: Expr
     rhs: Expr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class Prefix(Expr):
     op: str
     operand: Expr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-class Stmt:
+class Stmt(Record):
     pass
 
 
-@dataclass(eq=True)
 class Assign(Stmt):
     target: str
     op: str  # = | += | -=
     value: Expr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class IncrDecr(Stmt):
     target: str
     op: str  # ++ | --
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class If(Stmt):
     cond: Expr
     then_body: list[Stmt]
     else_body: list[Stmt] | None
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class While(Stmt):
     cond: Expr
     body: list[Stmt]
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
-class InputSpec:
+class InputSpec(Record):
     kind: str  # default | in | directly-in
     expr: Expr | None = None
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
-class Pattern:
+class Pattern(Record):
     kind: str  # single | star | ellipsis
     type1: str
     var1: str
     type2: str | None = None
     var2: str | None = None
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
     def variables(self) -> list[str]:
         return [self.var1] if self.kind == SINGLE else [self.var1, self.var2]
 
 
-@dataclass(eq=True)
-class SelectQuery:
+class SelectQuery(Record):
     pattern: Pattern
     modifier: str
     input: InputSpec
     where: Expr | None
     body: list[Stmt]
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class SelectStmt(Stmt):
     query: SelectQuery
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class CallQuery(Stmt):
     label: str
     input: InputSpec | None
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class PrintStmt(Stmt):
     value: Expr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
 class ExprStmt(Stmt):
     value: Expr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(eq=True)
-class QueryDocument:
+class QueryDocument(Record):
     queries: list[tuple[str | None, SelectQuery]]
-    source: str = field(default="<string>", compare=False)
+    source: str = "<string>"
 
     def labels(self) -> dict[str, SelectQuery]:
         return {label: q for label, q in self.queries if label is not None}
@@ -208,7 +187,8 @@ Node = Expr | Stmt | InputSpec | Pattern | SelectQuery | QueryDocument
 # pushes the last one first and pops the first one first.
 _SCALARS = frozenset({"str", "int", "bool", "str | None"})
 _FIELDS = {
-    cls: tuple(f.name for f in reversed(fields(cls)) if f.name != "pos" and f.type not in _SCALARS)
+    cls: tuple(name for name, kind in reversed(cls.__annotations__.items())
+               if name != "pos" and kind not in _SCALARS)
     for cls in (*Expr.__subclasses__(), *Stmt.__subclasses__(),
                 InputSpec, Pattern, SelectQuery, QueryDocument)
 }
@@ -253,36 +233,54 @@ PREFIX_PRECEDENCE = 8
 
 
 def unparse_expr(e: Expr, parent_prec: int = 0) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, StrLit):
-        escaped = e.value.replace("\\", "\\\\").replace('"', '\\"')
-        return '"' + escaped.replace("\n", "\\n").replace("\t", "\\t") + '"'
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, VarRef):
-        return e.name
-    if isinstance(e, TypeLit):
-        return "{" + e.name + "}"
-    if isinstance(e, CountStar):
-        return "count(*)"
-    if isinstance(e, PropAccess):
-        base = unparse_expr(e.base, PREFIX_PRECEDENCE + 2)
-        return f"{base}.{{{e.name}}}" if e.braced else f"{base}.{e.name}"
-    if isinstance(e, Call):
-        args = ", ".join(unparse_expr(a) for a in e.args)
-        if e.receiver is None:
-            return f"{e.name}({args})"
-        return f"{unparse_expr(e.receiver, PREFIX_PRECEDENCE + 2)}.{e.name}({args})"
-    if isinstance(e, Prefix):
-        # A nested prefix is parenthesized: `--` would lex as one operator.
-        text = e.op + unparse_expr(e.operand, PREFIX_PRECEDENCE + 1)
-        return f"({text})" if parent_prec > PREFIX_PRECEDENCE else text
-    if isinstance(e, Infix):
-        prec = _PRECEDENCE[e.op]
-        text = f"{unparse_expr(e.lhs, prec)} {e.op} {unparse_expr(e.rhs, prec + 1)}"
-        return f"({text})" if parent_prec > prec else text
-    raise TypeError(f"unknown expression {e!r}")
+    """`e` as query text, in parentheses when an operator of precedence
+    `parent_prec` would otherwise bind into it. Keeps its own stack, as
+    `walk` does: text on it is output, `(expr, precedence)` is expanded."""
+    parts: list[str] = []
+    stack: list = [(e, parent_prec)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        e, parent_prec = item
+        if isinstance(e, IntLit):
+            parts.append(str(e.value))
+        elif isinstance(e, StrLit):
+            escaped = e.value.replace("\\", "\\\\").replace('"', '\\"')
+            parts.append('"' + escaped.replace("\n", "\\n").replace("\t", "\\t") + '"')
+        elif isinstance(e, BoolLit):
+            parts.append("true" if e.value else "false")
+        elif isinstance(e, VarRef):
+            parts.append(e.name)
+        elif isinstance(e, TypeLit):
+            parts.append("{" + e.name + "}")
+        elif isinstance(e, CountStar):
+            parts.append("count(*)")
+        elif isinstance(e, PropAccess):
+            name = f"{{{e.name}}}" if e.braced else e.name
+            stack += ("." + name, (e.base, PREFIX_PRECEDENCE + 2))
+        elif isinstance(e, Call):
+            pieces = [] if e.receiver is None else [(e.receiver, PREFIX_PRECEDENCE + 2), "."]
+            pieces.append(e.name + "(")
+            for i, arg in enumerate(e.args):
+                pieces += [", ", (arg, 0)] if i else [(arg, 0)]
+            stack += (")", *reversed(pieces))
+        elif isinstance(e, Prefix):
+            # A nested prefix is parenthesized: `--` would lex as one operator.
+            pieces = [e.op, (e.operand, PREFIX_PRECEDENCE + 1)]
+            if parent_prec > PREFIX_PRECEDENCE:
+                pieces = ["(", *pieces, ")"]
+            stack += reversed(pieces)
+        elif isinstance(e, Infix):
+            prec = _PRECEDENCE[e.op]
+            pieces = [(e.lhs, prec), f" {e.op} ", (e.rhs, prec + 1)]
+            if parent_prec > prec:
+                pieces = ["(", *pieces, ")"]
+            stack += reversed(pieces)
+        else:
+            raise TypeError(f"unknown expression {e!r}")
+    return "".join(parts)
 
 
 def _unparse_input(spec: InputSpec | None) -> str:

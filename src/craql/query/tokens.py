@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from craql import Frozen
 
 KEYWORDS = {
     "select", "outmost", "inmost", "directly", "in", "where",
@@ -42,12 +43,21 @@ class QuerySyntaxError(Exception):
         super().__init__(f"{source}:{line}:{col}: {message}{hint}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Frozen):
     kind: str  # ident | keyword | braced | int | string | op | eof
     value: str
     line: int
     col: int
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        _set_kind(self, kind)
+        _set_value(self, value)
+        _set_line(self, line)
+        _set_col(self, col)
+
+
+_set_kind, _set_value = Token.kind.__set__, Token.value.__set__
+_set_line, _set_col = Token.line.__set__, Token.col.__set__
 
 
 def tokenize(text: str, source: str = "<string>") -> list[Token]:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
+from craql import Record
 from craql.diagnostics import Diagnostic
 
 OUTPUT_CSV = "craql_output.csv"
@@ -32,8 +32,7 @@ class RunnerError(Exception):
     """Configuration or batch-level failure (bad lists, unparseable queries)."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     projects_dir: Path
     queries_dir: Path
     properties_dir: Path

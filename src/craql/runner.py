@@ -6,11 +6,10 @@ layout and the file formats.
 from __future__ import annotations
 
 import contextlib
-import logging
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from craql import Record
 from craql.astcore import AstFormatError, deserialize_project, ProjectAst
 from craql.engine.evaluator import Evaluator, QueryRuntimeError
 from craql.engine.runtime import Environment, ExecutionStats, OutputSink
@@ -33,20 +32,37 @@ from craql.results import (
     unescape_text,
 )
 
-logger = logging.getLogger("craql")
-
 SERIALIZED_AST = "project.ast.json"
 
+# The format of the stderr handler that the first log record sets up
+# (`logging.basicConfig`); None leaves logging's set-up to the caller. The
+# CLI sets it.
+log_format: str | None = None
 
-@dataclass
-class ProjectRunRecord:
+
+def _log(level: str, message: str, *args, exc_info: bool = False) -> None:
+    """Log to the `craql` logger at `level` ("warning", "error"). `logging`
+    is imported on first use, so a batch that logs nothing never loads it."""
+    import logging
+
+    if log_format is not None:
+        logging.basicConfig(format=log_format)
+    getattr(logging.getLogger("craql"), level)(message, *args, exc_info=exc_info)
+
+
+class ProjectRunRecord(Record):
     project: str
-    variables: dict[str, str] = field(default_factory=dict)
-    row_counts: dict[str, int] = field(default_factory=dict)
-    diagnostics: list[str] = field(default_factory=list)
-    stats: ExecutionStats = field(default_factory=ExecutionStats)
-    print_lines: list[str] = field(default_factory=list)
-    aborted: bool = False
+    variables: dict[str, str]
+    row_counts: dict[str, int]
+    diagnostics: list[str]
+    stats: ExecutionStats
+    print_lines: list[str]
+    aborted: bool
+
+    def __init__(self, project: str):
+        self.project = project
+        self.variables, self.row_counts, self.diagnostics = {}, {}, []
+        self.stats, self.print_lines, self.aborted = ExecutionStats(), [], False
 
 
 def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
@@ -60,7 +76,7 @@ def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
         if not line:
             continue
         if "=" not in line:
-            logger.warning("%s:%d: skipping malformed line %r", path, lineno, line)
+            _log("warning", "%s:%d: skipping malformed line %r", path, lineno, line)
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
@@ -113,7 +129,7 @@ def run_project(
     if not is_project_name(name) or not project_dir.is_dir():
         record.aborted = True
         record.diagnostics.append(f"project directory missing: {project_dir}")
-        logger.error("skipping %s: no directory %s", name, project_dir)
+        _log("error", "skipping %s: no directory %s", name, project_dir)
         return record
 
     # Any failure confined to one project skips only that project; the
@@ -124,16 +140,16 @@ def run_project(
     except (AstFormatError, RunnerError) as exc:
         record.aborted = True
         record.diagnostics.append(str(exc))
-        logger.error("skipping %s: %s", name, exc)
+        _log("error", "skipping %s: %s", name, exc)
         return record
     except Exception as exc:
         record.aborted = True
         record.diagnostics.append(f"loading {name} failed: {type(exc).__name__}: {exc}")
-        logger.exception("skipping %s", name)
+        _log("error", "skipping %s", name, exc_info=True)
         return record
     record.diagnostics.extend(diagnostics)
     for diagnostic in diagnostics:
-        logger.warning("%s: %s", name, diagnostic)
+        _log("warning", "%s: %s", name, diagnostic)
     record.stats.files_parsed = project.files_parsed
 
     env = Environment(seed)
@@ -147,14 +163,14 @@ def run_project(
         except QueryRuntimeError as exc:
             record.aborted = True
             record.diagnostics.append(f"query {doc_name} failed on {name}: {exc}")
-            logger.error("aborting %s: %s", name, exc)
+            _log("error", "aborting %s: %s", name, exc)
             return record
         except Exception as exc:
             record.aborted = True
             record.diagnostics.append(
                 f"query {doc_name} failed on {name}: {type(exc).__name__}: {exc}"
             )
-            logger.exception("aborting %s", name)
+            _log("error", "aborting %s", name, exc_info=True)
             return record
         record.row_counts[doc_name] = len(sink.rows)
         record.print_lines.extend(sink.prints)
@@ -167,7 +183,7 @@ def run_project(
     if project.degraded_output:
         message = "source text missing: rows and prints show <Type@file:line> placeholders"
         record.diagnostics.append(message)
-        logger.warning("%s: %s", name, message)
+        _log("warning", "%s: %s", name, message)
     try:
         _write_outputs(record, config, sinks)
     except Exception as exc:
@@ -176,7 +192,7 @@ def run_project(
         record.aborted = True
         record.print_lines.clear()
         record.diagnostics.append(f"writing {name}'s results failed: {type(exc).__name__}: {exc}")
-        logger.exception("aborting %s", name)
+        _log("error", "aborting %s", name, exc_info=True)
     return record
 
 

@@ -98,6 +98,46 @@ def test_collate_and_genprops_load_no_engine(tmp_path):
     assert (tmp_path / "properties" / "p.properties").read_text() == "tag=core\n"
 
 
+# What no launch imports until it logs: `logging`, and `dataclasses` with the
+# modules it pulls in.
+HEAVY_MODULES = {"dataclasses", "logging", "inspect", "traceback"}
+
+
+def imported(proc: subprocess.CompletedProcess) -> set[str]:
+    """The modules a launch run under `-X importtime` imported, when it
+    started or later."""
+    lines = proc.stderr.decode().splitlines()
+    return {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+
+
+def test_quiet_launches_import_no_logging_or_dataclasses(tmp_path):
+    root = make_root(tmp_path, {"p": {"A.mj": "class A { void m() { x = 1; } }\n"}},
+                     "select ({Block} b) { n += 1; }\n")
+    cli = ["-X", "importtime", "-m", "craql.cli"]
+    batch = python(cli + run_args(root))
+    assert batch.returncode == 0, batch.stderr.decode()
+    assert not [line for line in batch.stderr.decode().splitlines()
+                if not line.startswith("import time:") and "projects completed" not in line]
+    collate = python(cli + ["collate", "--dirs", str(root)])
+    assert collate.returncode == 0, collate.stderr.decode()
+    assert "craql.engine.evaluator" in imported(batch)
+    assert imported(batch) & HEAVY_MODULES == set()
+    assert imported(collate) & HEAVY_MODULES == set()
+
+
+def test_skipped_file_is_logged_in_the_cli_format(tmp_path):
+    root = make_root(tmp_path, {"p": {"A.mj": "class A { void m() { x = 1; } }\n",
+                                      "Bad.mj": "class {\n"}},
+                     "select ({Block} b) { n += 1; }\n")
+    batch = python(["-m", "craql.cli"] + run_args(root))
+    assert batch.returncode == 0, batch.stderr.decode()
+    assert batch.stderr.decode().splitlines() == [
+        "WARNING p: Bad.mj:1:7: error: expected identifier, found '{'",
+        f"1/1 projects completed; results in {root / 'results'}",
+    ]
+    assert (root / "results" / "p.vars").read_text() == "n=1\n"
+
+
 def test_import_craql_loads_no_submodule():
     proc = python(["-c", "import sys, craql; print([m for m in sys.modules if m.startswith('craql.')])"])
     assert proc.returncode == 0, proc.stderr.decode()

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -206,6 +207,19 @@ class TestUnparse:
     def test_parser_reads_the_unparser_precedence_table(self):
         assert query_parser._PRECEDENCE is query_ast._PRECEDENCE
         assert query_parser.PREFIX_PRECEDENCE is query_ast.PREFIX_PRECEDENCE
+
+    def test_3000_link_accessor_chain_round_trips(self):
+        doc = parse_query_document("select ({Block} b) where b" + ".a" * 3000 + " == 1 { }")
+        text = unparse_document(doc)
+        assert text == "select ({Block} b)\nwhere b" + ".a" * 3000 + " == 1 {\n}\n"
+        again = parse_query_document(text)
+        # The IR's `==` takes one frame per link, the unparser none.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            assert again == doc
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_random_expressions_round_trip(self):
         rng = random.Random(20240)

@@ -7,6 +7,7 @@ import re
 import pytest
 
 import craql.astcore
+import craql.engine.evaluator
 
 from craql import (
     BUNDLED_QUERIES,
@@ -402,6 +403,24 @@ class TestRunBatch:
         alpha, beta = records
         assert alpha.aborted and not beta.aborted
         assert "spin.craql:1:22: while loop exceeded 1000000 steps" in alpha.diagnostics[0]
+        assert not (tmp_path / "results" / "alpha.vars").exists()
+        assert (tmp_path / "results" / "beta.vars").read_text() == ""
+
+    def test_overlong_string_aborts_only_its_project(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(craql.engine.evaluator, "MAX_STRING_CHARS", 9)
+        config = make_tree(
+            tmp_path,
+            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")},
+                      "beta": {"I.mj": "interface I { int ping(); }"}},
+            queries={"grow.craql": 'select ({Block} b) { s = s + "ab"; }'},
+        )
+        # Three blocks: "abcde" grows to 7 and 9 characters, then fails at 11.
+        (tmp_path / "properties" / "alpha.properties").write_text("s=abcde\n")
+        status, records = run_batch(config)
+        assert status == 1
+        alpha, beta = records
+        assert alpha.aborted and not beta.aborted
+        assert "grow.craql:1:28: string longer than 9 characters" in alpha.diagnostics[0]
         assert not (tmp_path / "results" / "alpha.vars").exists()
         assert (tmp_path / "results" / "beta.vars").read_text() == ""
 
