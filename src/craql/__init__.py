@@ -90,7 +90,25 @@ class Record(metaclass=_RecordType):
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        # An explicit stack of pairs still to compare, so that a deeply
+        # nested IR takes no frame per level.
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                if a != b:
+                    return False
+            elif type(a).__eq__ is Record.__eq__:
+                pairs += zip(a._values(), b._values())
+            elif type(a) is list or type(a) is tuple:
+                if len(a) != len(b):
+                    return False
+                pairs += zip(a, b)
+            elif a != b:
+                return False
+        return True
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -98,6 +116,11 @@ class Record(metaclass=_RecordType):
 
 
 class Frozen(Record):
+    def __eq__(self, other):  # one tuple compare: frozen values are flat
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
     def __hash__(self) -> int:
         return hash(self._values())
 

@@ -1,5 +1,6 @@
-"""Parser for MiniLang (`.mj` files): a regex lexer, recursive descent for
-declarations and statements, and precedence climbing for expressions.
+"""Parser for MiniLang (`.mj` files): a columnar regex lexer, recursive
+descent for declarations and statements, and precedence climbing for
+expressions.
 
 Builds nodes directly into a shared :class:`ProjectAst` arena. Statement and
 member level errors are recovered by skipping to the next `;` or `}` and
@@ -12,8 +13,10 @@ that no rule accepts, so it is such an error at the place it appears.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from itertools import accumulate, chain
+from operator import itemgetter
 
-from craql import Record
 from craql.astcore import ProjectAst
 from craql.diagnostics import Diagnostic
 
@@ -21,37 +24,52 @@ KEYWORDS = {
     "class", "interface", "new", "if", "else", "while", "for", "return",
     "break", "continue", "throw", "try", "catch", "true", "false",
 }
+PUNCTUATORS = {"==", "!=", "<=", ">=", "&&", "||", *"{}()[];,.=<>!+-*/"}
 
-# One alternative per token class, in the "Writing a Tokenizer" idiom of the
-# `re` docs. `\w` admits digits such as "²" that start no identifier, so an
-# identifier's first character is checked again in `lex`.
+# Each match is one token: group 1 is the whitespace and `//` comments
+# before it, group 2 the token, tried in order. A lone `"` is an
+# unterminated string, and `.` takes any other character but a newline as a
+# stray one. `\Z` matches the empty `eof` token; after trailing whitespace
+# `findall` also returns a second, empty match there, which `lex` drops.
+# After the greedy group 1 the token always matches, so nothing backtracks.
 _TOKEN = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<space>[^\S\n]+|//[^\n]*)
-  | (?P<ident>[^\W\d]\w*)
-  | (?P<number>[0-9]+)
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
-  | (?P<punct>==|!=|<=|>=|&&|\|\||[{}()\[\];,.=<>!+\-*/])
-  | (?P<unterminated>")
-  | (?P<stray>.)
+    ((?:\s+|//[^\n]*)*)
+    ( [^\W\d]\w*
+    | [0-9]+
+    | "(?:[^"\\\n]|\\.)*"
+    | ==|!=|<=|>=|&&|\|\||[{}()\[\];,.=<>!+\-*/]
+    | .
+    | \Z
+    )
 """, re.VERBOSE)
+_NEWLINE = re.compile("\n")
+
+# Token kinds: ident | keyword | number | string | punct | stray |
+# unterminated | eof. A token's full text gives the kind of keywords,
+# punctuators and the lone `"`; any other token's first character gives it.
+# `\w` admits digits such as "²" that start no identifier, so such a
+# "word" is a stray token.
+_KIND_BY_TEXT = {
+    **dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(PUNCTUATORS, "punct"),
+    '"': "unterminated",
+}
+_FIRST = itemgetter(slice(0, 1))
 
 
-class Tok(Record):
-    kind: str  # ident | keyword | number | string | punct | stray | unterminated | eof
-    text: str
-    start: int
-    end: int
-    line: int
-    col: int
+class _KindByFirst(dict):
+    """Token kind by first character, filled in on a character's first
+    lookup, so that `lex` looks kinds up without a Python call per token."""
 
-    def __init__(self, kind: str, text: str, start: int, end: int, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.start = start
-        self.end = end
-        self.line = line
-        self.col = col
+    def __missing__(self, first: str) -> str:
+        kind = self[first] = (
+            "eof" if not first else "string" if first == '"'
+            else "number" if "0" <= first <= "9"
+            else "ident" if first.isalpha() or first == "_" else "stray"
+        )
+        return kind
+
+
+_KIND_BY_FIRST = _KindByFirst()
 
 
 class MiniLangParseError(Exception):
@@ -60,28 +78,30 @@ class MiniLangParseError(Exception):
         super().__init__(str(diagnostic))
 
 
-def lex(text: str) -> list[Tok]:
-    toks: list[Tok] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        start = m.start()
-        if kind == "newline":
-            line += 1
-            line_start = start + 1
-            continue
-        word = m.group()
-        if kind == "ident":
-            if word in KEYWORDS:
-                kind = "keyword"
-            elif not (word[0].isalpha() or word[0] == "_"):
-                kind = "stray"
-        toks.append(Tok(kind, word, start, m.end(), line, start - line_start + 1))
-    n = len(text)
-    toks.append(Tok("eof", "", n, n, line, n - line_start + 1))
-    return toks
+def lex(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """The tokens of `text` as parallel columns: kinds, texts, and start and
+    end offsets. The last token is `eof`, an empty one at the end of text."""
+    pieces = _TOKEN.findall(text)
+    if len(pieces) > 1 and pieces[-2][1] == "":
+        pieces.pop()
+    flat = list(chain.from_iterable(pieces))  # space, token, space, token, ...
+    texts = flat[1::2]
+    bounds = list(accumulate(map(len, flat), initial=0))
+    by_first = map(_KIND_BY_FIRST.__getitem__, map(_FIRST, texts))
+    kinds = list(map(_KIND_BY_TEXT.get, texts, by_first))
+    return kinds, texts, bounds[1::2], bounds[2::2]
+
+
+def newline_offsets(text: str) -> list[int]:
+    """The offset of each newline in `text`, in order."""
+    return [m.start() for m in _NEWLINE.finditer(text)]
+
+
+def line_and_column(newlines: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based line and column of `offset`, given the offsets of the
+    text's newlines."""
+    line = bisect_left(newlines, offset)
+    return line + 1, offset - newlines[line - 1] if line else offset + 1
 
 
 # How tightly each binary operator binds. `=` binds loosest, is
@@ -105,55 +125,57 @@ class Parser:
         self.project = project
         self.file_name = file_name
         self.file_id = project.add_file(file_name, text)
-        self.toks = lex(text)
+        # A token is its index into these columns.
+        self.kinds, self.texts, self.starts, self.ends = lex(text)
+        self.newlines = newline_offsets(text)
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
 
     # -- token plumbing --
 
-    def peek(self, ahead: int = 0) -> Tok:
-        # The list ends in `eof` and `advance` never moves past it, so a
-        # lookahead of 1 is only taken from a token that is not `eof`.
-        return self.toks[self.pos + ahead]
-
-    def advance(self) -> Tok:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
+    def advance(self) -> int:
+        # `eof` is the last token and is never consumed, so the token after
+        # the next one exists whenever the next one is not `eof`.
+        tok = self.pos
+        if self.kinds[tok] != "eof":
             self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.toks[self.pos]
-        return tok.text == text and tok.kind in ("punct", "keyword")
+        # No ident, number, string or stray token spells a keyword or
+        # punctuator, so the text alone tells.
+        return self.texts[self.pos] == text
 
     def error(self, message: str) -> MiniLangParseError:
         """A parse error at the next token; at a token the lexer could not
         read, the error says what the lexer found there."""
-        tok = self.peek()
-        if tok.kind == "stray":
-            message = f"stray character {tok.text[0]!r}"
-        elif tok.kind == "unterminated":
+        tok = self.pos
+        if self.kinds[tok] == "stray":
+            message = f"stray character {self.texts[tok][0]!r}"
+        elif self.kinds[tok] == "unterminated":
             message = "unterminated string literal"
-        return MiniLangParseError(Diagnostic(self.file_name, tok.line, tok.col, message))
+        line, col = line_and_column(self.newlines, self.starts[tok])
+        return MiniLangParseError(Diagnostic(self.file_name, line, col, message))
 
-    def expect(self, text: str) -> Tok:
+    def expect(self, text: str) -> int:
         if self.at(text):
             return self.advance()
-        found = self.peek().text
+        found = self.texts[self.pos]
         raise self.error(
             f"expected {text!r}, found {found!r}" if found else f"expected {text!r}, found end of file"
         )
 
-    def expect_ident(self) -> Tok:
-        if self.peek().kind != "ident":
-            raise self.error(f"expected identifier, found {self.peek().text!r}")
+    def expect_ident(self) -> int:
+        if self.kinds[self.pos] != "ident":
+            raise self.error(f"expected identifier, found {self.texts[self.pos]!r}")
         return self.advance()
 
-    def node(self, type_name: str, start: Tok, end: Tok | None = None, **props) -> int:
-        """Add a node spanning `start` to `end`, by default the last token
-        consumed. Props, given in schema declaration order, as None are left
-        out."""
-        end = end or self.toks[self.pos - 1]
+    def node(self, type_name: str, start: int, end: int | None = None, **props) -> int:
+        """Add a node spanning tokens `start` to `end`, by default the last
+        token consumed. Props, given in schema declaration order, as None
+        are left out."""
+        if end is None:
+            end = self.pos - 1
         kept: dict = {}
         kids: list[int] = []
         for name, value in props.items():
@@ -163,24 +185,25 @@ class Parser:
                     kids.append(value)
                 elif type(value) is list:
                     kids += value
-        return self.project.add_node(type_name, self.file_id, start.start, end.end, start.line,
-                                     kept, kids or ())
+        offset = self.starts[start]
+        return self.project.add_node(type_name, self.file_id, offset, self.ends[end],
+                                     bisect_left(self.newlines, offset) + 1, kept, kids or ())
 
     # -- error recovery --
 
     def recover_to_statement_end(self) -> None:
         depth = 0
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            if self.kinds[self.pos] == "eof":
                 return
-            if tok.text == "{":
+            text = self.texts[self.pos]
+            if text == "{":
                 depth += 1
-            elif tok.text == "}":
+            elif text == "}":
                 if depth == 0:
                     return
                 depth -= 1
-            elif tok.text == ";" and depth == 0:
+            elif text == ";" and depth == 0:
                 self.advance()
                 return
             self.advance()
@@ -189,21 +212,21 @@ class Parser:
 
     def parse_compilation_unit(self) -> int:
         types: list[int] = []
-        while self.peek().kind != "eof":
+        while self.kinds[self.pos] != "eof":
             if self.at("class") or self.at("interface"):
                 types.append(self.parse_type_declaration())
             else:
-                raise self.error(f"expected type declaration, found {self.peek().text!r}")
-        return self.project.add_node("CompilationUnit", self.file_id, 0, self.toks[-1].end, 1,
+                raise self.error(f"expected type declaration, found {self.texts[self.pos]!r}")
+        return self.project.add_node("CompilationUnit", self.file_id, 0, self.ends[-1], 1,
                                      {"types": types}, types or ())
 
     def parse_type_declaration(self) -> int:
         start = self.advance()  # class | interface
-        is_interface = start.text == "interface"
+        is_interface = self.texts[start] == "interface"
         name = self.expect_ident()
         self.expect("{")
         members: list[int] = []
-        while not self.at("}") and self.peek().kind != "eof":
+        while not self.at("}") and self.kinds[self.pos] != "eof":
             try:
                 members.append(self.parse_member(is_interface))
             except MiniLangParseError as exc:
@@ -212,7 +235,7 @@ class Parser:
         self.expect("}")
         return self.node(
             "TypeDeclaration", start, interface="true" if is_interface else "false",
-            name=name.text, bodyDeclarations=members,
+            name=self.texts[name], bodyDeclarations=members,
         )
 
     def parse_member(self, in_interface: bool) -> int:
@@ -222,16 +245,17 @@ class Parser:
             return self.parse_method(type_tok, name)
         return self.parse_field(type_tok, name)
 
-    def parse_method(self, type_tok: Tok, name: Tok) -> int:
+    def parse_method(self, type_tok: int, name: int) -> int:
         self.expect("(")
         params: list[int] = []
         if not self.at(")"):
             while True:
                 ptype = self.expect_ident()
                 pname = self.expect_ident()
-                params.append(
-                    self.node("SingleVariableDeclaration", ptype, type=ptype.text, name=pname.text)
-                )
+                params.append(self.node(
+                    "SingleVariableDeclaration", ptype, type=self.texts[ptype],
+                    name=self.texts[pname],
+                ))
                 if not self.at(","):
                     break
                 self.advance()
@@ -242,31 +266,33 @@ class Parser:
         else:
             body = self.parse_block()
         return self.node(
-            "MethodDeclaration", type_tok, returnType=type_tok.text, name=name.text,
-            parameters=params, body=body,
+            "MethodDeclaration", type_tok, returnType=self.texts[type_tok],
+            name=self.texts[name], parameters=params, body=body,
         )
 
-    def parse_field(self, type_tok: Tok, first_name: Tok) -> int:
+    def parse_field(self, type_tok: int, first_name: int) -> int:
         fragments = [self.parse_fragment(first_name)]
         while self.at(","):
             self.advance()
             fragments.append(self.parse_fragment(self.expect_ident()))
         self.expect(";")
-        return self.node("FieldDeclaration", type_tok, type=type_tok.text, fragments=fragments)
+        return self.node(
+            "FieldDeclaration", type_tok, type=self.texts[type_tok], fragments=fragments
+        )
 
-    def parse_fragment(self, name: Tok) -> int:
+    def parse_fragment(self, name: int) -> int:
         init: int | None = None
         if self.at("="):
             self.advance()
             init = self.parse_expression()
-        return self.node("VariableDeclaration", name, name=name.text, initializer=init)
+        return self.node("VariableDeclaration", name, name=self.texts[name], initializer=init)
 
     # -- statements --
 
     def parse_block(self) -> int:
         start = self.expect("{")
         statements: list[int] = []
-        while not self.at("}") and self.peek().kind != "eof":
+        while not self.at("}") and self.kinds[self.pos] != "eof":
             try:
                 statements.append(self.parse_statement())
             except MiniLangParseError as exc:
@@ -276,32 +302,33 @@ class Parser:
         return self.node("Block", start, statements=statements)
 
     def parse_statement(self) -> int:
-        tok = self.peek()
-        if tok.text == "{":
+        tok = self.pos
+        text = self.texts[tok]
+        if text == "{":
             return self.parse_block()
-        if tok.text == "if":
+        if text == "if":
             return self.parse_if()
-        if tok.text == "while":
+        if text == "while":
             return self.parse_while()
-        if tok.text == "for":
+        if text == "for":
             return self.parse_for()
-        if tok.text == "return":
+        if text == "return":
             self.advance()
             expr = None if self.at(";") else self.parse_expression()
             self.expect(";")
             return self.node("ReturnStatement", tok, expression=expr)
-        if tok.text in ("break", "continue"):
+        if text in ("break", "continue"):
             self.advance()
             self.expect(";")
-            return self.node("BreakStatement" if tok.text == "break" else "ContinueStatement", tok)
-        if tok.text == "throw":
+            return self.node("BreakStatement" if text == "break" else "ContinueStatement", tok)
+        if text == "throw":
             self.advance()
             expr = self.parse_expression()
             self.expect(";")
             return self.node("ThrowStatement", tok, expression=expr)
-        if tok.text == "try":
+        if text == "try":
             return self.parse_try()
-        if tok.kind == "ident" and self.peek(1).kind == "ident":
+        if self.kinds[tok] == "ident" and self.kinds[tok + 1] == "ident":
             return self.parse_local_declaration()
         expr = self.parse_expression()
         self.expect(";")
@@ -316,7 +343,8 @@ class Parser:
         if consume_semi:
             self.expect(";")
         return self.node(
-            "VariableDeclarationStatement", type_tok, type=type_tok.text, fragments=fragments
+            "VariableDeclarationStatement", type_tok, type=self.texts[type_tok],
+            fragments=fragments,
         )
 
     def parse_if(self) -> int:
@@ -346,7 +374,7 @@ class Parser:
         self.expect("(")
         initializers: list[int] = []
         if not self.at(";"):
-            if self.peek().kind == "ident" and self.peek(1).kind == "ident":
+            if self.kinds[self.pos] == "ident" and self.kinds[self.pos + 1] == "ident":
                 initializers.append(self.parse_local_declaration(consume_semi=False))
             else:
                 initializers.append(self.parse_expression())
@@ -380,7 +408,8 @@ class Parser:
             ename = self.expect_ident()
             self.expect(")")
             exc_id = self.node(
-                "SingleVariableDeclaration", etype, ename, type=etype.text, name=ename.text
+                "SingleVariableDeclaration", etype, ename, type=self.texts[etype],
+                name=self.texts[ename],
             )
             cbody = self.parse_block()
             clauses.append(self.node("CatchClause", cstart, exception=exc_id, body=cbody))
@@ -393,15 +422,14 @@ class Parser:
     def parse_expression(self, min_prec: int = 0) -> int:
         """Precedence climbing: an expression whose binary operators all bind
         at least as tightly as `min_prec`."""
-        start = self.toks[self.pos]
-        if start.kind == "punct" and start.text in ("!", "-"):
+        start = self.pos
+        if self.texts[start] in ("!", "-"):
             left = self.parse_prefix()
         else:
             left = self.parse_postfix()
         while True:
-            op = self.toks[self.pos]
-            # Only punctuation tokens can spell an operator's text.
-            prec = BINARY_PRECEDENCE.get(op.text, -1)
+            op = self.texts[self.pos]
+            prec = BINARY_PRECEDENCE.get(op, -1)
             if prec < min_prec:
                 return left
             if prec == 0 and self.project.type[left] not in ("Name", "FieldAccess"):
@@ -411,8 +439,7 @@ class Parser:
             right = self.parse_expression(prec + 1 if prec else 0)
             if prec:
                 left = self.node(
-                    "InfixExpression", start, leftOperand=left, operator=op.text,
-                    rightOperand=right,
+                    "InfixExpression", start, leftOperand=left, operator=op, rightOperand=right,
                 )
             else:
                 left = self.node(
@@ -421,25 +448,25 @@ class Parser:
 
     def parse_prefix(self) -> int:
         op = self.advance()
-        if op.text == "-" and self.peek().kind == "number":
+        if self.texts[op] == "-" and self.kinds[self.pos] == "number":
             num = self.advance()
-            return self.node("NumberLiteral", op, token="-" + num.text)
+            return self.node("NumberLiteral", op, token="-" + self.texts[num])
         operand = self.parse_expression(PREFIX_PRECEDENCE)
-        return self.node("PrefixExpression", op, operator=op.text, operand=operand)
+        return self.node("PrefixExpression", op, operator=self.texts[op], operand=operand)
 
     def parse_postfix(self) -> int:
-        start = self.peek()
+        start = self.pos
         expr = self.parse_primary()
         while self.at("."):
             self.advance()
-            name = self.expect_ident()
+            name = self.texts[self.expect_ident()]
             if self.at("("):
                 args = self.parse_arguments()
                 expr = self.node(
-                    "MethodInvocation", start, expression=expr, name=name.text, arguments=args
+                    "MethodInvocation", start, expression=expr, name=name, arguments=args
                 )
             else:
-                expr = self.node("FieldAccess", start, expression=expr, name=name.text)
+                expr = self.node("FieldAccess", start, expression=expr, name=name)
         return expr
 
     def parse_arguments(self) -> list[int]:
@@ -454,29 +481,30 @@ class Parser:
         return args
 
     def parse_primary(self) -> int:
-        tok = self.peek()
-        if tok.text == "(":
+        tok = self.pos
+        kind, text = self.kinds[tok], self.texts[tok]
+        if text == "(":
             self.advance()
             inner = self.parse_expression()
             self.expect(")")
             return inner
-        if tok.text == "new":
+        if text == "new":
             self.advance()
             cls = self.expect_ident()
             args = self.parse_arguments()
-            return self.node("ClassInstanceCreation", tok, type=cls.text, arguments=args)
-        literal = _LITERALS.get(tok.kind if tok.kind != "keyword" else tok.text)
+            return self.node("ClassInstanceCreation", tok, type=self.texts[cls], arguments=args)
+        literal = _LITERALS.get(kind if kind != "keyword" else text)
         if literal is not None:
             self.advance()
-            return self.node(literal, tok, token=tok.text)
-        if tok.kind == "ident":
+            return self.node(literal, tok, token=text)
+        if kind == "ident":
             self.advance()
             if self.at("("):
                 args = self.parse_arguments()
-                return self.node("MethodInvocation", tok, name=tok.text, arguments=args)
-            return self.node("Name", tok, identifier=tok.text)
+                return self.node("MethodInvocation", tok, name=text, arguments=args)
+            return self.node("Name", tok, identifier=text)
         raise self.error(
-            f"expected expression, found {tok.text!r}" if tok.text else "expected expression, found end of file"
+            f"expected expression, found {text!r}" if text else "expected expression, found end of file"
         )
 
 
@@ -492,10 +520,11 @@ def parse_minilang(project: ProjectAst, file_name: str, text: str) -> tuple[int,
     try:
         root = parser.parse_compilation_unit()
     except RecursionError:
-        tok = parser.peek()  # where the interpreter's stack ran out
+        # where the interpreter's stack ran out
+        line, col = line_and_column(parser.newlines, parser.starts[parser.pos])
         project.truncate(nodes, files)
         raise MiniLangParseError(
-            Diagnostic(file_name, tok.line, tok.col, "source nested too deeply")
+            Diagnostic(file_name, line, col, "source nested too deeply")
         ) from None
     except MiniLangParseError:
         project.truncate(nodes, files)

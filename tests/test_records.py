@@ -13,7 +13,6 @@ from craql.astcore import BindingTable, FileInfo, VirtualType
 from craql.diagnostics import Diagnostic
 from craql.engine.evaluator import SelectionCapture
 from craql.engine.runtime import ExecutionStats, NodeList, NodeRef, RowRecord, TypeName
-from craql.minilang.parser import Tok
 from craql.query import ast
 from craql.query.ast import (
     Assign, BoolLit, Call, CallQuery, CountStar, ExprStmt, If, IncrDecr, Infix,
@@ -59,7 +58,6 @@ FROZEN_FIELDS = {
 }
 MUTABLE_FIELDS = {
     Diagnostic: ("file", "line", "column", "message", "severity"),
-    Tok: ("kind", "text", "start", "end", "line", "col"),
     ExecutionStats: ("nodes_visited", "rows_yielded", "files_parsed"),
     FileInfo: ("name", "text"),
     BindingTable: ("method", "type"),
@@ -143,11 +141,26 @@ def test_position_takes_no_part_in_equality():
 
 def test_equality_reads_every_other_field():
     assert Diagnostic("f", 1, 2, "m") != Diagnostic("f", 1, 2, "m", "warning")
-    assert Tok("ident", "x", 0, 1, 1, 1) == Tok("ident", "x", 0, 1, 1, 1)
-    assert Tok("ident", "x", 0, 1, 1, 1) != Tok("ident", "x", 0, 1, 1, 2)
+    assert Diagnostic("f", 1, 2, "m") == Diagnostic("f", 1, 2, "m")
+    assert Diagnostic("f", 1, 2, "m") != Diagnostic("f", 1, 3, "m")
     assert NodeRef(1) == NodeRef(1) and NodeRef(1) != NodeRef(2) and NodeRef(1) != 1
     assert NodeList((1, 2)) == NodeList((1, 2)) != NodeList((2, 1))
     assert RowRecord("A.mj", 1, "Block", "{}") == RowRecord("A.mj", 1, "Block", "{}")
+
+
+def test_equality_compares_nested_fields_without_a_frame_per_level():
+    def chain(leaf, depth=5000):
+        for _ in range(depth):
+            leaf = Prefix("-", leaf)
+        return leaf
+
+    assert chain(IntLit(1)) == chain(IntLit(1, (7, 7)))
+    assert chain(IntLit(1)) != chain(IntLit(2))
+    assert chain(IntLit(1)) != chain(StrLit(1))
+    assert Call("f", None, [IntLit(1)]) != Call("f", None, [IntLit(1), IntLit(2)])
+    assert Call("f", None, [IntLit(1)]) != Call("f", None, (IntLit(1),))
+    assert Call("f", None, [NodeRef(1)]) == Call("f", None, [NodeRef(1)])
+    assert Call("f", None, [NodeRef(1)]) != Call("f", None, [NodeRef(2)])
 
 
 @pytest.mark.parametrize("cls", {**IR_FIELDS, **MUTABLE_FIELDS}, ids=lambda cls: cls.__name__)
