@@ -246,10 +246,10 @@ class ProjectAst:
 
     def add_node(self, type_name: str, file: int, start: int, end: int, line: int,
                  props: dict[str, PropValue], kids: list[int] | tuple[()]) -> int:
-        """Append a node of type `type_name` and return its id; `kids`
-        lists the node ids in `props`, in the same order."""
-        if type_name not in self.schema.ancestry:
-            raise SchemaError(f"unknown node type {type_name}")
+        """Append a node of concrete type `type_name` and return its id;
+        `kids` lists the node ids in `props`, in the same order."""
+        if type_name not in self.schema.concrete:
+            raise SchemaError(f"{type_name} is not a concrete node type")
         self.type.append(type_name)
         self.file.append(file)
         self.start.append(start)

@@ -46,25 +46,19 @@ def build_run_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in ("collate", "genprops"):
-        sub = argparse.ArgumentParser(prog=f"craql {argv[0]}")
-        _add_dirs(sub)
-        args = sub.parse_args(argv[1:])
-        try:
+    try:
+        if argv and argv[0] in ("collate", "genprops"):
+            sub = argparse.ArgumentParser(prog=f"craql {argv[0]}")
+            _add_dirs(sub)
+            args = sub.parse_args(argv[1:])
             if argv[0] == "collate":
-                out = collate_csv(args.dirs / "results")
-                print(f"wrote {out}")
+                print(f"wrote {collate_csv(args.dirs / 'results')}")
             else:
                 written = generate_props(args.dirs / "properties")
                 print(f"wrote {len(written)} properties files")
-        except RunnerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
-
-    args = build_run_parser().parse_args(argv)
-    config = RunConfig.from_root(args.dirs, project_list=args.projects, query_list=args.queries)
-    try:
+            return 0
+        args = build_run_parser().parse_args(argv)
+        config = RunConfig.from_root(args.dirs, project_list=args.projects, query_list=args.queries)
         status, records = run_batch(config)
     except RunnerError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -145,6 +145,13 @@ MAX_WHILE_STEPS = 1_000_000
 # its query: `s = s + s` in a while loop doubles a string at each step.
 MAX_STRING_CHARS = 10_000_000
 
+# An integer result of more than this many decimal digits aborts its query:
+# `x = x * x` in a while loop doubles the digits at each step, and Python
+# renders no integer of more than 4,300 digits by default. A `++` or `--`
+# past a bounded value still renders.
+MAX_INT_DIGITS = 4000
+_INT_BOUND = 10 ** MAX_INT_DIGITS
+
 # A callquery aborts its query when this many calls are already open. Each
 # level costs the interpreter at least 3 frames, so a much deeper bound
 # would run out of stack before it was reached.
@@ -473,6 +480,7 @@ class Evaluator:
     def _assign(self, s: Assign) -> Thunk:
         value_of, target, pos = self._compile(s.value), s.target, s.pos
         variables, number, plus = self.env.variables, self._as_number, self._plus
+        bounded = self._bounded
 
         def assign() -> None:
             variables[target] = value_of()
@@ -488,7 +496,7 @@ class Evaluator:
             value = value_of()
             # An undefined variable reads as 0.
             old = number(variables.get(target, UNDEFINED), pos)
-            variables[target] = old - number(value, pos)
+            variables[target] = bounded(old - number(value, pos), pos)
 
         return assign if s.op == "=" else add if s.op == "+=" else subtract
 
@@ -625,8 +633,9 @@ class Evaluator:
         if e.op == "!":
             test = self._test(e.operand)
             return lambda: not test()
-        operand, pos, number = self._compile(e.operand), e.pos, self._as_number
-        return lambda: -number(operand(), pos)
+        operand, pos = self._compile(e.operand), e.pos
+        number, bounded = self._as_number, self._bounded
+        return lambda: bounded(-number(operand(), pos), pos)
 
     def _infix(self, e: Infix) -> Thunk:
         op, pos = e.op, e.pos
@@ -641,12 +650,12 @@ class Evaluator:
             return lambda: _values_equal(left(), right())
         if op == "!=":
             return lambda: not _values_equal(left(), right())
-        number, plus = self._as_number, self._plus
+        number, plus, bounded = self._as_number, self._plus, self._bounded
         if op == "+":
             def add() -> Value:
                 a, b = left(), right()
                 if type(a) is int and type(b) is int:
-                    return a + b
+                    return bounded(a + b, pos)
                 return plus(a, b, pos)
 
             return add
@@ -659,6 +668,8 @@ class Evaluator:
             return apply(a if type(a) is int else number(a, pos),
                          b if type(b) is int else number(b, pos))
 
+        if op == "-" or op == "*":
+            return lambda: bounded(arithmetic(), pos)
         return arithmetic
 
     def _plus(self, left: Value, right: Value, pos: tuple[int, int]) -> Value:
@@ -668,7 +679,13 @@ class Evaluator:
                 raise QueryRuntimeError(
                     f"string longer than {MAX_STRING_CHARS} characters", self.source, pos)
             return left + right
-        return self._as_number(left, pos) + self._as_number(right, pos)
+        return self._bounded(self._as_number(left, pos) + self._as_number(right, pos), pos)
+
+    def _bounded(self, value: int, pos: tuple[int, int]) -> int:
+        if -_INT_BOUND < value < _INT_BOUND:
+            return value
+        raise QueryRuntimeError(
+            f"integer longer than {MAX_INT_DIGITS} digits", self.source, pos)
 
     def _as_number(self, v: Value, pos: tuple[int, int], allow_literal_node: bool = False) -> int:
         if isinstance(v, bool):
@@ -681,7 +698,12 @@ class Evaluator:
             return 0
         if allow_literal_node and isinstance(v, NodeRef):
             if self.project.type[v.id] == "NumberLiteral":
-                return int(self.project.props[v.id]["token"])
+                try:
+                    return self._bounded(int(self.project.props[v.id]["token"]), pos)
+                except ValueError:
+                    raise QueryRuntimeError(
+                        f"number literal is not an integer of at most {MAX_INT_DIGITS} digits",
+                        self.source, pos) from None
         raise QueryRuntimeError(
             f"arithmetic on {_kind_name(v)}", self.source, pos
         )

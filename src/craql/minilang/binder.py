@@ -17,14 +17,12 @@ _LITERAL_TYPES = {"NumberLiteral": "int", "StringLiteral": "String", "BooleanLit
 
 
 def ensure_builtins(project: ProjectAst) -> None:
-    """Add surrogate TypeDeclarations for primitive types, unless the
-    project has them already; call it before `link_parents`.
+    """Add surrogate TypeDeclarations for primitive types to a project that
+    has none yet; call it before `link_parents`.
 
     The surrogate compilation unit lives in the arena but is deliberately
     absent from project.roots, so default query input never enumerates it.
     """
-    if any(info.name == BUILTINS_FILE for info in project.files):
-        return
     text = " ".join(BUILTIN_TYPE_NAMES)
     file_id = project.add_file(BUILTINS_FILE, text)
     types: list[int] = []

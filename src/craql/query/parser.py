@@ -290,7 +290,10 @@ class _Parser:
             return inner
         if tok.kind == "int":
             self.advance()
-            return IntLit(int(tok.value), pos=(tok.line, tok.col))
+            try:
+                return IntLit(int(tok.value), pos=(tok.line, tok.col))
+            except ValueError:  # more digits than `int` converts
+                self.error("integer literal too long", tok)
         if tok.kind == "string":
             self.advance()
             return StrLit(tok.value, pos=(tok.line, tok.col))

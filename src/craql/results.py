@@ -52,13 +52,14 @@ class RunConfig(Record):
         )
 
     def validate(self) -> None:
-        self.results_dir.mkdir(parents=True, exist_ok=True)
+        """Check the directories and list files, then make `results/`."""
         for path in (self.projects_dir, self.queries_dir, self.properties_dir):
             if not path.is_dir():
                 raise RunnerError(f"missing directory: {path}")
         for path in (self.project_list, self.query_list):
             if not path.is_file():
                 raise RunnerError(f"missing list file: {path}")
+        self.results_dir.mkdir(parents=True, exist_ok=True)
 
 
 def read_text(path: Path, name: str) -> str:
@@ -113,7 +114,7 @@ def unescape_text(text: str) -> str:
     return _ESCAPE.sub(lambda m: _UNESCAPES.get(m.group(1), m.group(0)), text)
 
 
-def collate_csv(results_dir: Path, output_name: str = OUTPUT_CSV) -> Path:
+def collate_csv(results_dir: Path) -> Path:
     """Collate all `.vars` files into one RFC-4180 CSV."""
     vars_files = sorted(results_dir.glob("*.vars"))
     if not vars_files:
@@ -128,7 +129,7 @@ def collate_csv(results_dir: Path, output_name: str = OUTPUT_CSV) -> Path:
                 values[key] = unescape_text(value)
         projects[path.stem] = values
     columns = sorted({key for values in projects.values() for key in values})
-    out_path = results_dir / output_name
+    out_path = results_dir / OUTPUT_CSV
     with out_path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["project"] + columns)

@@ -98,14 +98,11 @@ def render_variable(value: object) -> str:
 
 def load_project_sources(project_dir: Path, name: str) -> tuple[ProjectAst, list[str]]:
     """Parse the project once: `.mj` sources, or a serialized-AST document.
-    A source that is not UTF-8 is skipped with a diagnostic."""
+    A `.mj` source that is not UTF-8 is skipped with a diagnostic; a
+    serialized document that is not UTF-8 raises `RunnerError`."""
     serialized = project_dir / SERIALIZED_AST
     if serialized.is_file():
-        try:
-            text = read_text(serialized, SERIALIZED_AST)
-        except RunnerError as exc:
-            raise AstFormatError(str(exc)) from None
-        project = deserialize_project(text)
+        project = deserialize_project(read_text(serialized, SERIALIZED_AST))
         project.name = name
         return project, []
     sources, skipped = [], []
@@ -126,73 +123,54 @@ def run_project(
 ) -> ProjectRunRecord:
     record = ProjectRunRecord(project=name)
     project_dir = config.projects_dir / name
-    if not is_project_name(name) or not project_dir.is_dir():
-        record.aborted = True
-        record.diagnostics.append(f"project directory missing: {project_dir}")
-        _log("error", "skipping %s: no directory %s", name, project_dir)
-        return record
-
-    # Any failure confined to one project skips only that project; the
+    # Any failure confined to one project aborts only that project, with one
+    # diagnostic that `doing` prefixes with the stage it interrupted; the
     # traceback of an unexpected one goes to the log.
+    doing = ""
     try:
+        if not is_project_name(name) or not project_dir.is_dir():
+            raise RunnerError(f"project directory missing: {project_dir}")
         project, diagnostics = load_project_sources(project_dir, name)
         seed = load_properties(config.properties_dir, name)
-    except (AstFormatError, RunnerError) as exc:
-        record.aborted = True
-        record.diagnostics.append(str(exc))
-        _log("error", "skipping %s: %s", name, exc)
-        return record
-    except Exception as exc:
-        record.aborted = True
-        record.diagnostics.append(f"loading {name} failed: {type(exc).__name__}: {exc}")
-        _log("error", "skipping %s", name, exc_info=True)
-        return record
-    record.diagnostics.extend(diagnostics)
-    for diagnostic in diagnostics:
-        _log("warning", "%s: %s", name, diagnostic)
-    record.stats.files_parsed = project.files_parsed
+        record.diagnostics.extend(diagnostics)
+        for diagnostic in diagnostics:
+            _log("warning", "%s: %s", name, diagnostic)
+        record.stats.files_parsed = project.files_parsed
 
-    env = Environment(seed)
-    sinks: list[tuple[str, OutputSink]] = []
-    for doc_name, doc in docs:
-        sink = OutputSink()
-        sinks.append((doc_name, sink))
-        evaluator = Evaluator(project, env, sink, source=doc.source)
-        try:
+        env = Environment(seed)
+        sinks: list[tuple[str, OutputSink]] = []
+        for doc_name, doc in docs:
+            doing = f"query {doc_name} failed on {name}: "
+            sink = OutputSink()
+            sinks.append((doc_name, sink))
+            evaluator = Evaluator(project, env, sink, source=doc.source)
             evaluator.execute_document(doc)
-        except QueryRuntimeError as exc:
-            record.aborted = True
-            record.diagnostics.append(f"query {doc_name} failed on {name}: {exc}")
-            _log("error", "aborting %s: %s", name, exc)
-            return record
-        except Exception as exc:
-            record.aborted = True
-            record.diagnostics.append(
-                f"query {doc_name} failed on {name}: {type(exc).__name__}: {exc}"
-            )
-            _log("error", "aborting %s", name, exc_info=True)
-            return record
-        record.row_counts[doc_name] = len(sink.rows)
-        record.print_lines.extend(sink.prints)
-        record.stats.nodes_visited += evaluator.stats.nodes_visited
-        record.stats.rows_yielded += evaluator.stats.rows_yielded
+            record.row_counts[doc_name] = len(sink.rows)
+            record.print_lines.extend(sink.prints)
+            record.stats.nodes_visited += evaluator.stats.nodes_visited
+            record.stats.rows_yielded += evaluator.stats.rows_yielded
 
-    record.variables = {
-        key: render_variable(value) for key, value in env.exported().items()
-    }
-    if project.degraded_output:
-        message = "source text missing: rows and prints show <Type@file:line> placeholders"
-        record.diagnostics.append(message)
-        _log("warning", "%s: %s", name, message)
-    try:
+        doing = f"writing {name}'s results failed: "
+        record.variables = {
+            key: render_variable(value) for key, value in env.exported().items()
+        }
+        if project.degraded_output:
+            message = "source text missing: rows and prints show <Type@file:line> placeholders"
+            record.diagnostics.append(message)
+            _log("warning", "%s: %s", name, message)
         _write_outputs(record, config, sinks)
     except Exception as exc:
-        # The project's results go whole: its prints too, which the batch's
-        # stdout might not be able to encode either.
         record.aborted = True
-        record.print_lines.clear()
-        record.diagnostics.append(f"writing {name}'s results failed: {type(exc).__name__}: {exc}")
-        _log("error", "aborting %s", name, exc_info=True)
+        if isinstance(exc, (AstFormatError, RunnerError, QueryRuntimeError)):
+            record.diagnostics.append(f"{doing}{exc}")
+            _log("error", "aborting %s: %s", name, exc)
+        else:
+            record.diagnostics.append(f"{doing}{type(exc).__name__}: {exc}")
+            _log("error", "aborting %s", name, exc_info=True)
+        if doing.startswith("writing"):
+            # The project's results go whole: its prints too, which the
+            # batch's stdout might not be able to encode either.
+            record.print_lines.clear()
     return record
 
 
@@ -230,12 +208,18 @@ def run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
     if not project_names or not query_names:
         raise RunnerError("project and query lists must be non-empty")
 
-    # An unparseable query aborts the batch before any project runs.
+    # An unparseable query, or two whose results would share a name, aborts
+    # the batch before any project runs.
     docs: list[tuple[str, QueryDocument]] = []
+    query_files: dict[str, str] = {}  # result name -> query file
     for qname in query_names:
         qpath = config.queries_dir / qname
         if not qpath.is_file():
             raise RunnerError(f"missing query file: {qpath}")
+        if qpath.stem in query_files:
+            raise RunnerError(f"query files {query_files[qpath.stem]} and {qname} both write "
+                              f"results named {qpath.stem}")
+        query_files[qpath.stem] = qname
         try:
             doc = parse_query_document(read_text(qpath, str(qpath)), source=qname)
         except QuerySyntaxError as exc:

@@ -25,7 +25,7 @@ from conftest import (
     run_document,
 )
 
-CONCRETE_TYPES = sorted(MINILANG_SCHEMA.types)
+CONCRETE_TYPES = sorted(MINILANG_SCHEMA.concrete)
 KNOWN_TYPES = sorted(MINILANG_SCHEMA.types | MINILANG_SCHEMA.virtuals.keys())
 PROPERTIES = sorted({p for plist in MINILANG_SCHEMA.properties.values() for p, _ in plist})
 
@@ -344,3 +344,13 @@ class TestMatchesType:
     def test_unknown_type_raises(self, sample_project):
         with pytest.raises(SchemaError, match="Blok"):
             sample_project.matches_type(sample_project.roots[0], "Blok")
+
+    @pytest.mark.parametrize("t", ["Statement", "ClassDeclaration", "Blok"])
+    def test_add_node_rejects_abstract_and_virtual_types(self, t):
+        # As the deserializer does: a `ClassDeclaration` node would match
+        # `{TypeDeclaration}` without the `interface` token its base carries.
+        project = ProjectAst("lattice", MINILANG_SCHEMA)
+        project.add_file("f")
+        with pytest.raises(SchemaError, match=f"{t} is not a concrete node type"):
+            project.add_node(t, 0, 0, 0, 1, {}, ())
+        assert project.type == []

@@ -86,6 +86,35 @@ def test_recursion_limit_exits_one(tmp_path, caplog):
     assert "aborting alpha: loop.craql:1:37: query recursion limit" in caplog.text
 
 
+def test_squaring_past_the_integer_bound_aborts_only_its_project(tmp_path, capsys, caplog):
+    root = make_root(tmp_path)
+    (root / "projects" / "beta").mkdir()
+    (root / "projects" / "beta" / "AB.mj").write_text(fixture_text("AB.mj"))
+    (root / "projects.txt").write_text("alpha\nbeta\n")
+    query = "select ({CompilationUnit} u) { x = 2; i = 0; while (i < n) { x = x * x; i++; } }"
+    (root / "queries" / "sq.craql").write_text(query)
+    (root / "queries.txt").write_text("sq.craql\n")
+    (root / "properties" / "alpha.properties").write_text("n=14\n")
+    assert run_main(root) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "1/2 projects completed" in err
+    assert (root / "results" / "beta.vars").read_text() == "i=0\nx=2\n"
+    assert not (root / "results" / "alpha.vars").exists()
+    assert f"aborting alpha: sq.craql:1:{query.index('*') + 1}: integer longer than" \
+        in caplog.text
+    assert not any(r.exc_info for r in caplog.records)
+
+
+def test_integer_literal_too_long_to_convert_exits_two(tmp_path, capsys):
+    root = make_root(tmp_path)
+    (root / "queries" / "big.craql").write_text(f"select ({{Block}} b) {{ x = {'9' * 5000}; }}")
+    (root / "queries.txt").write_text("big.craql\n")
+    assert run_main(root) == 2
+    err = capsys.readouterr().err
+    assert "unparseable query file big.craql: big.craql:1:26: integer literal too long" in err
+
+
 def test_non_ascii_digit_in_query_exits_two(tmp_path, capsys):
     root = make_root(tmp_path)
     (root / "queries" / "digit.craql").write_text("select ({Block} b) where 1 < ² { }")

@@ -1,11 +1,21 @@
+import re
+
 import pytest
 
-from craql import Environment, Evaluator, OutputSink, QueryRuntimeError, parse_query_document
+from craql import (
+    Environment,
+    Evaluator,
+    OutputSink,
+    QueryRuntimeError,
+    load_project,
+    parse_query_document,
+)
+from craql.engine.evaluator import MAX_INT_DIGITS
 from craql.engine.runtime import NodeList, NodeRef, UNDEFINED
 from craql.query.parser import _Parser
 from craql.query.tokens import tokenize
 
-from conftest import find_node, load_fixture_project
+from conftest import find_node, load_fixture_project, run_document
 
 
 def eval_expr(project, text, env=None, sink=None):
@@ -268,3 +278,42 @@ class TestRuntimeErrorReporting:
         with pytest.raises(QueryRuntimeError) as exc:
             evaluator.execute_document(doc)
         assert "boom.craql:3" in str(exc.value)
+
+
+class TestIntegerBound:
+    """Every arithmetic result stays renderable: one past the bound aborts
+    the query at its operator."""
+
+    BIG = 10 ** MAX_INT_DIGITS - 1
+
+    @pytest.mark.parametrize("stmt, col", [
+        ("x = big + 1;", 40),
+        ("x = 0 - big - 1;", 44),
+        ("x = big * 10;", 40),
+        ("x = u.types + big;", 44),
+        ("big += 1;", 32),
+        ("x = 0 - big; x -= 1;", 45),
+        ("x = -huge;", 36),
+    ])
+    def test_result_past_the_bound_raises_at_its_operator(self, sample_project, stmt, col):
+        text = f"select ({{CompilationUnit}} u) {{ {stmt} }}"
+        with pytest.raises(QueryRuntimeError, match=re.escape(
+                f"<test>:1:{col}: integer longer than {MAX_INT_DIGITS} digits")):
+            run_document(sample_project, text, {"big": self.BIG, "huge": self.BIG + 1})
+
+    def test_values_at_the_bound_render_one_step_on(self, sample_project):
+        env, _, _ = run_document(
+            sample_project, "select ({CompilationUnit} u) { x = big; x++; y = 0 - big; y--; }",
+            {"big": self.BIG})
+        assert str(env.variables["x"]) == "1" + "0" * MAX_INT_DIGITS
+        assert str(env.variables["y"]) == "-1" + "0" * MAX_INT_DIGITS
+
+    @pytest.mark.parametrize("token", ["0x1F", "1" * (MAX_INT_DIGITS + 1), "9" * 5000],
+                             ids=["hex", "past-bound", "past-int-limit"])
+    def test_number_literal_that_is_no_bounded_integer_raises(self, token):
+        project, _ = load_project("lit", [("A.mj", "class A { int f() { return 7; } }")])
+        (literal,) = (n for n in range(len(project.type)) if project.type[n] == "NumberLiteral")
+        project.props[literal] = {"token": token}
+        env = Environment({"n": NodeRef(literal)})
+        with pytest.raises(QueryRuntimeError, match=f"<query>:1:1: .*{MAX_INT_DIGITS} digits"):
+            eval_expr(project, "max(n, 0)", env)

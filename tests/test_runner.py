@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import re
+import shutil
 
 import pytest
 
@@ -632,3 +633,110 @@ def test_runner_keeps_the_names_results_took_over():
                  "read_text", "unescape_text"):
         assert getattr(craql.runner, name) is getattr(craql.results, name), name
     assert craql.engine.runtime.unescape_text is craql.results.unescape_text
+
+
+# One query for the failure matrix: `n` squarings of 2, then one `m++`. A
+# project without properties exports i=0, m=1 and x=2.
+SQUARINGS = "select ({CompilationUnit} u) { x = 2; i = 0; while (i < n) { x = x * x; i++; } m++; }"
+
+# Stage -> (how the first project fails there, the start of its diagnostic).
+STAGE_FAILURES = {
+    "directory": (lambda root: shutil.rmtree(root / "projects" / "alpha"),
+                  "project directory missing: {root}/projects/alpha"),
+    "load": (lambda root: (root / "projects" / "alpha" / SERIALIZED_AST).write_bytes(NOT_UTF8),
+             SERIALIZED_AST + NOT_UTF8_AT),
+    "properties": (lambda root: (root / "properties" / "alpha.properties").write_bytes(NOT_UTF8),
+                   "{root}/properties/alpha.properties" + NOT_UTF8_AT),
+    # Fourteen squarings make a 4,933-digit integer.
+    "query": (lambda root: (root / "properties" / "alpha.properties").write_text("n=14\n"),
+              f"query sq failed on alpha: sq.craql:1:{SQUARINGS.index('*') + 1}: "
+              "integer longer than 4000 digits"),
+    # A seeded integer of 4,300 nines converts; one step on, it does not render.
+    "export": (lambda root: (root / "properties" / "alpha.properties").write_text(
+                   "m=" + "9" * 4300 + "\n"),
+               "writing alpha's results failed: ValueError: "),
+    "write": (lambda root: (root / "results" / "alpha.sq.rows").mkdir(),
+              "writing alpha's results failed: IsADirectoryError: "),
+}
+
+
+@pytest.mark.parametrize("stage", STAGE_FAILURES)
+def test_a_failure_at_any_stage_aborts_only_its_project(tmp_path, caplog, stage):
+    config = make_tree(
+        tmp_path,
+        projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")},
+                  "beta": {"AB.mj": fixture_text("AB.mj")}},
+        queries={"sq.craql": SQUARINGS},
+    )
+    fail, expected = STAGE_FAILURES[stage]
+    fail(tmp_path)
+    status, records = run_batch(config)
+    assert status == 1
+    alpha, beta = records
+    assert alpha.aborted and not beta.aborted
+    (diagnostic,) = alpha.diagnostics
+    assert diagnostic.startswith(expected.format(root=tmp_path))
+    assert not (tmp_path / "results" / "alpha.vars").exists()
+    assert (tmp_path / "results" / "beta.vars").read_text() == "i=0\nm=1\nx=2\n"
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == ["aborting alpha"]
+
+
+class TestNumberLiteralTokens:
+    """A number literal whose token is no bounded integer aborts its project
+    where the query reads it, with no traceback."""
+
+    QUERY = "select ({NumberLiteral} n) { top = max(n, top); }"
+
+    def run(self, tmp_path, caplog, files):
+        config = make_tree(
+            tmp_path,
+            projects={"alpha": files, "beta": {"Sample.mj": fixture_text("Sample.mj")}},
+            queries={"top.craql": self.QUERY},
+        )
+        status, records = run_batch(config)
+        assert status == 1
+        assert [r.aborted for r in records] == [True, False]
+        assert (tmp_path / "results" / "beta.vars").read_text() == "top=2\n"
+        assert not any(r.exc_info for r in caplog.records)
+        return records[0].diagnostics
+
+    def test_serialized_token_that_is_not_a_number(self, tmp_path, caplog):
+        project, _ = load_project("donor", [("A.mj", "class A { int f() { return 7; } }")])
+        document = serialize_project(project)
+        assert document.count('{"token":"7"}') == 1
+        files = {SERIALIZED_AST: document.replace('{"token":"7"}', '{"token":"0x1F"}')}
+        assert self.run(tmp_path, caplog, files) == [
+            "query top failed on alpha: top.craql:1:36: "
+            "number literal is not an integer of at most 4000 digits"]
+
+    def test_minilang_literal_of_5000_digits(self, tmp_path, caplog):
+        files = {"A.mj": f"class A {{ int f() {{ return {'9' * 5000}; }} }}"}
+        assert self.run(tmp_path, caplog, files) == [
+            "query top failed on alpha: top.craql:1:36: "
+            "number literal is not an integer of at most 4000 digits"]
+
+
+def test_query_files_with_one_result_name_are_a_config_error(tmp_path):
+    config = make_tree(
+        tmp_path,
+        projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")}},
+        queries={},
+    )
+    for where in ("x", "y"):
+        (tmp_path / "queries" / where).mkdir()
+        (tmp_path / "queries" / where / "q.craql").write_text(COUNT_BLOCKS)
+    (tmp_path / "queries.txt").write_text("x/q.craql\ny/q.craql\n")
+    with pytest.raises(RunnerError, match=re.escape(
+            "query files x/q.craql and y/q.craql both write results named q")):
+        run_batch(config)
+    assert list((tmp_path / "results").iterdir()) == []
+
+
+def test_validate_creates_nothing_when_a_check_fails(tmp_path):
+    (tmp_path / "projects.txt").write_text("alpha\n")
+    (tmp_path / "queries.txt").write_text("q.craql\n")
+    config = RunConfig.from_root(
+        tmp_path / "nope" / "deeper", tmp_path / "projects.txt", tmp_path / "queries.txt")
+    with pytest.raises(RunnerError, match="missing directory: "):
+        run_batch(config)
+    assert not (tmp_path / "nope").exists()
