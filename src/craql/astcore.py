@@ -60,7 +60,8 @@ class NodeTypeSchema:
     (property, kind) pairs and inherits its supertypes' properties. `validate`
     compiles the lattice into the lookup tables `ancestry` (type name, virtual
     ones included, to itself and all its supertypes), `prop_kinds` and
-    `concrete`, the types a node may have.
+    `children`: each type a node may have to its child-valued properties, in
+    declaration order, the order of the node's kids.
     """
 
     def __init__(self, name: str):
@@ -72,7 +73,7 @@ class NodeTypeSchema:
         self.virtuals: dict[str, VirtualType] = {}
         self.ancestry: dict[str, frozenset[str]] = {}
         self.prop_kinds: dict[str, dict[str, str]] = {}
-        self.concrete: frozenset[str] = frozenset()
+        self.children: dict[str, tuple[str, ...]] = {}
 
     def add_type(
         self,
@@ -127,7 +128,8 @@ class NodeTypeSchema:
                 raise SchemaError(f"virtual base {v.base} is not registered")
             self.ancestry[name] = self.ancestry[v.base] | {name}
             self.prop_kinds[name] = self.prop_kinds[v.base]
-        self.concrete = frozenset(t for t in self.types if not self.abstract[t])
+        self.children = {t: tuple(p for p, kind in self.prop_kinds[t].items() if kind != TOKEN)
+                         for t in self.types if not self.abstract[t]}
 
     def knows(self, name: str) -> bool:
         return name in self.types or name in self.virtuals
@@ -245,18 +247,32 @@ class ProjectAst:
         return len(self.files) - 1
 
     def add_node(self, type_name: str, file: int, start: int, end: int, line: int,
-                 props: dict[str, PropValue], kids: list[int] | tuple[()]) -> int:
-        """Append a node of concrete type `type_name` and return its id;
-        `kids` lists the node ids in `props`, in the same order."""
-        if type_name not in self.schema.concrete:
+                 props: dict[str, PropValue]) -> int:
+        """Append a node of concrete type `type_name` and return its id.
+
+        The node keeps `props`, less any child given as None, which is
+        absent. Its kids are the child ids in `props`, in the order the
+        schema declares the type's properties.
+        """
+        children = self.schema.children.get(type_name)
+        if children is None:
             raise SchemaError(f"{type_name} is not a concrete node type")
+        kids: list[int] = []
+        for name in children:
+            value = props.get(name)
+            if type(value) is int:
+                kids.append(value)
+            elif value is not None:
+                kids += value
+            elif name in props:
+                del props[name]
         self.type.append(type_name)
         self.file.append(file)
         self.start.append(start)
         self.end.append(end)
         self.line.append(line)
         self.props.append(props)
-        self.kids.append(kids)
+        self.kids.append(kids or ())
         return len(self.type) - 1
 
     def truncate(self, nodes: int, files: int) -> None:
@@ -585,12 +601,12 @@ def deserialize_project(document: str) -> ProjectAst:
 
     # A file without text bounds no span.
     limits = [math.inf if f.text is None else len(f.text) for f in project.files]
-    concrete, prop_kinds = schema.concrete, schema.prop_kinds
+    children, prop_kinds = schema.children, schema.prop_kinds
     types, files, starts, ends = project.type, project.file, project.start, project.end
     lines, props_column, kids_column = project.line, project.props, project.kids
     for nid, rec in enumerate(by_id):
         tname = rec.get("type")
-        if type(tname) is not str or tname not in concrete:
+        if type(tname) is not str or tname not in children:
             where = f"node {nid}"
             _expect_key(rec, "type", where, str)
             if tname in schema.virtuals:
@@ -618,7 +634,7 @@ def deserialize_project(document: str) -> ProjectAst:
         raw_props = rec.get("props")
         if type(raw_props) is not dict:
             _expect_key(rec, "props", f"node {nid}", dict)
-        # Kids go in schema declaration order, as MiniLang builds them, so
+        # Kids go in schema declaration order, as `add_node` orders them, so
         # walks see a node's children in the same order whichever loader
         # made it: the document's key order carries no meaning. The props
         # are the record's own, with each token object replaced by its text.

@@ -60,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_run_parser().parse_args(argv)
         config = RunConfig.from_root(args.dirs, project_list=args.projects, query_list=args.queries)
         status, records = run_batch(config)
-    except RunnerError as exc:
+    except (RunnerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ok = sum(1 for r in records if not r.aborted)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections.abc import Callable
 from itertools import accumulate, chain
 from operator import itemgetter
 
@@ -170,24 +171,20 @@ class Parser:
             raise self.error(f"expected identifier, found {self.texts[self.pos]!r}")
         return self.advance()
 
-    def node(self, type_name: str, start: int, end: int | None = None, **props) -> int:
-        """Add a node spanning tokens `start` to `end`, by default the last
-        token consumed. Props, given in schema declaration order, as None
-        are left out."""
-        if end is None:
-            end = self.pos - 1
-        kept: dict = {}
-        kids: list[int] = []
-        for name, value in props.items():
-            if value is not None:
-                kept[name] = value
-                if type(value) is int:
-                    kids.append(value)
-                elif type(value) is list:
-                    kids += value
+    def node(self, type_name: str, start: int, **props) -> int:
+        """Add a node spanning token `start` to the last token consumed.
+        `add_node` takes the props as given: a child given as None is absent."""
         offset = self.starts[start]
-        return self.project.add_node(type_name, self.file_id, offset, self.ends[end],
-                                     bisect_left(self.newlines, offset) + 1, kept, kids or ())
+        return self.project.add_node(type_name, self.file_id, offset, self.ends[self.pos - 1],
+                                     bisect_left(self.newlines, offset) + 1, props)
+
+    def commas(self, item: Callable[[], int]) -> list[int]:
+        """One or more nodes parsed by `item`, separated by commas."""
+        items = [item()]
+        while self.at(","):
+            self.advance()
+            items.append(item())
+        return items
 
     # -- error recovery --
 
@@ -218,7 +215,7 @@ class Parser:
             else:
                 raise self.error(f"expected type declaration, found {self.texts[self.pos]!r}")
         return self.project.add_node("CompilationUnit", self.file_id, 0, self.ends[-1], 1,
-                                     {"types": types}, types or ())
+                                     {"types": types})
 
     def parse_type_declaration(self) -> int:
         start = self.advance()  # class | interface
@@ -228,7 +225,7 @@ class Parser:
         members: list[int] = []
         while not self.at("}") and self.kinds[self.pos] != "eof":
             try:
-                members.append(self.parse_member(is_interface))
+                members.append(self.parse_member())
             except MiniLangParseError as exc:
                 self.diagnostics.append(exc.diagnostic)
                 self.recover_to_statement_end()
@@ -238,27 +235,17 @@ class Parser:
             name=self.texts[name], bodyDeclarations=members,
         )
 
-    def parse_member(self, in_interface: bool) -> int:
+    def parse_member(self) -> int:
         type_tok = self.expect_ident()
         name = self.expect_ident()
         if self.at("("):
             return self.parse_method(type_tok, name)
-        return self.parse_field(type_tok, name)
+        self.pos = type_tok  # a field: read its type again as a declaration's
+        return self.parse_declaration("FieldDeclaration")
 
     def parse_method(self, type_tok: int, name: int) -> int:
         self.expect("(")
-        params: list[int] = []
-        if not self.at(")"):
-            while True:
-                ptype = self.expect_ident()
-                pname = self.expect_ident()
-                params.append(self.node(
-                    "SingleVariableDeclaration", ptype, type=self.texts[ptype],
-                    name=self.texts[pname],
-                ))
-                if not self.at(","):
-                    break
-                self.advance()
+        params = [] if self.at(")") else self.commas(self.parse_parameter)
         self.expect(")")
         body: int | None = None
         if self.at(";"):
@@ -270,17 +257,24 @@ class Parser:
             name=self.texts[name], parameters=params, body=body,
         )
 
-    def parse_field(self, type_tok: int, first_name: int) -> int:
-        fragments = [self.parse_fragment(first_name)]
-        while self.at(","):
-            self.advance()
-            fragments.append(self.parse_fragment(self.expect_ident()))
-        self.expect(";")
+    def parse_parameter(self) -> int:
+        type_tok = self.expect_ident()
+        name = self.expect_ident()
         return self.node(
-            "FieldDeclaration", type_tok, type=self.texts[type_tok], fragments=fragments
+            "SingleVariableDeclaration", type_tok, type=self.texts[type_tok],
+            name=self.texts[name],
         )
 
-    def parse_fragment(self, name: int) -> int:
+    def parse_declaration(self, type_name: str, *, consume_semi: bool = True) -> int:
+        """A field or local declaration: a type and one or more fragments."""
+        type_tok = self.expect_ident()
+        fragments = self.commas(self.parse_fragment)
+        if consume_semi:
+            self.expect(";")
+        return self.node(type_name, type_tok, type=self.texts[type_tok], fragments=fragments)
+
+    def parse_fragment(self) -> int:
+        name = self.expect_ident()
         init: int | None = None
         if self.at("="):
             self.advance()
@@ -329,23 +323,10 @@ class Parser:
         if text == "try":
             return self.parse_try()
         if self.kinds[tok] == "ident" and self.kinds[tok + 1] == "ident":
-            return self.parse_local_declaration()
+            return self.parse_declaration("VariableDeclarationStatement")
         expr = self.parse_expression()
         self.expect(";")
         return self.node("ExpressionStatement", tok, expression=expr)
-
-    def parse_local_declaration(self, *, consume_semi: bool = True) -> int:
-        type_tok = self.expect_ident()
-        fragments = [self.parse_fragment(self.expect_ident())]
-        while self.at(","):
-            self.advance()
-            fragments.append(self.parse_fragment(self.expect_ident()))
-        if consume_semi:
-            self.expect(";")
-        return self.node(
-            "VariableDeclarationStatement", type_tok, type=self.texts[type_tok],
-            fragments=fragments,
-        )
 
     def parse_if(self) -> int:
         start = self.expect("if")
@@ -372,24 +353,15 @@ class Parser:
     def parse_for(self) -> int:
         start = self.expect("for")
         self.expect("(")
-        initializers: list[int] = []
-        if not self.at(";"):
-            if self.kinds[self.pos] == "ident" and self.kinds[self.pos + 1] == "ident":
-                initializers.append(self.parse_local_declaration(consume_semi=False))
-            else:
-                initializers.append(self.parse_expression())
-                while self.at(","):
-                    self.advance()
-                    initializers.append(self.parse_expression())
+        if self.kinds[self.pos] == "ident" and self.kinds[self.pos + 1] == "ident":
+            initializers = [
+                self.parse_declaration("VariableDeclarationStatement", consume_semi=False)]
+        else:
+            initializers = [] if self.at(";") else self.commas(self.parse_expression)
         self.expect(";")
         cond = None if self.at(";") else self.parse_expression()
         self.expect(";")
-        updaters: list[int] = []
-        if not self.at(")"):
-            updaters.append(self.parse_expression())
-            while self.at(","):
-                self.advance()
-                updaters.append(self.parse_expression())
+        updaters = [] if self.at(")") else self.commas(self.parse_expression)
         self.expect(")")
         body = self.parse_statement()
         return self.node(
@@ -404,13 +376,8 @@ class Parser:
         while self.at("catch"):
             cstart = self.advance()
             self.expect("(")
-            etype = self.expect_ident()
-            ename = self.expect_ident()
+            exc_id = self.parse_parameter()
             self.expect(")")
-            exc_id = self.node(
-                "SingleVariableDeclaration", etype, ename, type=self.texts[etype],
-                name=self.texts[ename],
-            )
             cbody = self.parse_block()
             clauses.append(self.node("CatchClause", cstart, exception=exc_id, body=cbody))
         if not clauses:
@@ -471,12 +438,7 @@ class Parser:
 
     def parse_arguments(self) -> list[int]:
         self.expect("(")
-        args: list[int] = []
-        if not self.at(")"):
-            args.append(self.parse_expression())
-            while self.at(","):
-                self.advance()
-                args.append(self.parse_expression())
+        args = [] if self.at(")") else self.commas(self.parse_expression)
         self.expect(")")
         return args
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from craql import Record
 from craql.astcore import AstFormatError, deserialize_project, ProjectAst
-from craql.engine.evaluator import Evaluator, QueryRuntimeError
+from craql.engine.evaluator import MAX_INT_DIGITS, Evaluator, QueryRuntimeError
 from craql.engine.runtime import Environment, ExecutionStats, OutputSink
 from craql.minilang import load_project
 from craql.query.ast import QueryDocument
@@ -66,7 +66,9 @@ class ProjectRunRecord(Record):
 
 
 def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
-    """Parse <project>.properties; integers and true/false are converted."""
+    """Parse <project>.properties; integers and true/false are converted.
+    An integer of more than `MAX_INT_DIGITS` digits, the bound on query
+    results, raises `RunnerError`: one `++` on it might not render."""
     path = properties_dir / f"{project}.properties"
     seed: dict[str, object] = {}
     if not path.is_file():
@@ -84,9 +86,13 @@ def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
             seed[key] = value == "true"
         else:
             try:
-                seed[key] = int(value)
+                number = int(value)
             except ValueError:
                 seed[key] = value
+                continue
+            if len(value) > MAX_INT_DIGITS and abs(number) >= 10 ** MAX_INT_DIGITS:
+                raise RunnerError(f"{path}:{lineno}: integer longer than {MAX_INT_DIGITS} digits")
+            seed[key] = number
     return seed
 
 

@@ -25,7 +25,7 @@ from conftest import (
     run_document,
 )
 
-CONCRETE_TYPES = sorted(MINILANG_SCHEMA.concrete)
+CONCRETE_TYPES = sorted(MINILANG_SCHEMA.children)
 KNOWN_TYPES = sorted(MINILANG_SCHEMA.types | MINILANG_SCHEMA.virtuals.keys())
 PROPERTIES = sorted({p for plist in MINILANG_SCHEMA.properties.values() for p, _ in plist})
 
@@ -327,9 +327,9 @@ class TestMatchesType:
         # One bare node, plus one carrying each virtual type's token.
         project = ProjectAst("lattice", MINILANG_SCHEMA)
         project.add_file("f")
-        nodes = [project.add_node(t, 0, 0, 0, 1, {}, ())]
+        nodes = [project.add_node(t, 0, 0, 0, 1, {})]
         for v in MINILANG_SCHEMA.virtuals.values():
-            nodes.append(project.add_node(t, 0, 0, 0, 1, {v.prop: v.token}, ()))
+            nodes.append(project.add_node(t, 0, 0, 0, 1, {v.prop: v.token}))
         ancestors = reference_ancestors(t)
         for n in nodes:
             props = project.props[n]
@@ -352,5 +352,41 @@ class TestMatchesType:
         project = ProjectAst("lattice", MINILANG_SCHEMA)
         project.add_file("f")
         with pytest.raises(SchemaError, match=f"{t} is not a concrete node type"):
-            project.add_node(t, 0, 0, 0, 1, {}, ())
+            project.add_node(t, 0, 0, 0, 1, {})
         assert project.type == []
+
+
+class TestAddNode:
+    @staticmethod
+    def arena():
+        project = ProjectAst("kids", MINILANG_SCHEMA)
+        project.add_file("f")
+        return project, [project.add_node("Name", 0, 0, 0, 1, {"identifier": f"n{i}"})
+                         for i in range(3)]
+
+    def test_kids_follow_the_schema_not_the_props_order(self):
+        project, (cond, then, els) = self.arena()
+        n = project.add_node("IfStatement", 0, 0, 0, 1,
+                             {"elseStatement": els, "thenStatement": then, "expression": cond})
+        assert project.kids[n] == [cond, then, els]
+        assert MINILANG_SCHEMA.children["IfStatement"] == (
+            "expression", "thenStatement", "elseStatement")
+
+    def test_lists_and_single_children_interleave_in_declaration_order(self):
+        project, (init, cond, body) = self.arena()
+        n = project.add_node("ForStatement", 0, 0, 0, 1,
+                             {"body": body, "updaters": [], "expression": cond,
+                              "initializers": [init]})
+        assert project.kids[n] == [init, cond, body]
+
+    def test_a_none_child_is_absent(self):
+        project, (cond, then, _) = self.arena()
+        n = project.add_node("IfStatement", 0, 0, 0, 1,
+                             {"expression": cond, "thenStatement": then, "elseStatement": None})
+        assert project.props[n] == {"expression": cond, "thenStatement": then}
+        assert project.kids[n] == [cond, then]
+
+    def test_a_leaf_has_the_shared_empty_kids(self):
+        project, (name, _, _) = self.arena()
+        assert project.kids[name] == ()
+        assert MINILANG_SCHEMA.children["Name"] == ()

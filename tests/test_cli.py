@@ -167,3 +167,34 @@ def test_missing_source_text_is_logged(tmp_path, capsys, caplog):
     assert warnings == [
         "alpha: source text missing: rows and prints show <Type@file:line> placeholders"
     ]
+
+
+def test_genprops_onto_a_directory_exits_two(tmp_path, capsys):
+    root = make_root(tmp_path)
+    (root / "properties" / "projecttags.csv").write_text("project,tag\nalpha,core\n")
+    (root / "properties" / "alpha.properties").mkdir()
+    assert main(["genprops", "--dirs", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alpha.properties" in err
+    assert "Traceback" not in err
+
+
+def test_collate_onto_a_directory_exits_two(tmp_path, capsys):
+    root = make_root(tmp_path)
+    run_main(root)
+    capsys.readouterr()
+    (root / "results" / "craql_output.csv").mkdir()
+    assert main(["collate", "--dirs", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "craql_output.csv" in err
+    assert "Traceback" not in err
+
+
+def test_results_that_is_a_file_exits_two(tmp_path, capsys):
+    root = make_root(tmp_path)
+    (root / "results").rmdir()
+    (root / "results").write_text("")
+    assert run_main(root) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "results" in err
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from craql import ProjectAst, MINILANG_SCHEMA, load_project, source_text
@@ -305,3 +307,44 @@ class TestLoadProject:
             "Sample.mj", "Fact.mj", "AB.mj", "Unreachable.mj",
             "Loops.mj", "Chain.mj", "Trycatch.mj", "Linked.mj",
         )
+
+
+# Sources with the comma-separated list forms, which neither the fixtures
+# nor the generated projects contain, and malformed ones, each loaded as a
+# project of its own.
+LIST_FORMS = {
+    "params": "class A { int m(int a, String b, boolean c) { return a; } void n(int x) { } }",
+    "calls": 'class B { void f(int a, int b) { g(1, "s", true); b.f(a, b + 1); '
+             "x = new B(a, new B(1, 2), g()); } B g() { return new B(); } }",
+    "fields": "class C { int a, b = 1, c; String s; }",
+    "locals": "class D { void f() { int x = 1, y, z = x + 2; String s = \"t\"; } }",
+    "for_lists": "class E { void f() { for (i = 0, j = 1, k = 2; i < n; i = i + 1, j = j * 2) "
+                 "{ log(i, j); } for (;;) { } } }",
+    "for_local": "class F { void f() { for (int i = 0, j = 1; i < j; i = i + 1) x = i; } }",
+    "catch": "class G { void f() { try { f(); } catch (Error e) { log(e); } "
+             "catch (Other o) { } } }",
+    "bad_params": "class H { void m(int a,) { } void ok(int b) { } }",
+    "bad_args": "class I { void f() { f(a,); g(b); } }",
+    "bad_fragments": "class J { int x, ; int y; void f() { int x, ; z = 1; } }",
+    "bad_new": "class K { void f() { x = new B(,); y = 2; } }",
+    "bad_catch": "class L { void f() { try { } catch (Error) { } log(1); } }",
+    "bad_declaration": "class M { int; void f() { int; } }",
+}
+# Recorded before `ProjectAst.add_node` derived the kids from the schema.
+LIST_FORMS_DIGEST = "21621f1a47485b52f582f07228229a5861e70211fcde1e1a3a4ecba327402b4a"
+
+
+def list_forms_digest() -> str:
+    digest = hashlib.sha256()
+    for name, text in LIST_FORMS.items():
+        project, diagnostics = load_project(name, [(f"{name}.mj", text)])
+        digest.update(repr((
+            project.type, project.file, project.start, project.end, project.line,
+            project.props, project.kids, project.parent, project.roots,
+            project.bindings.method, project.bindings.type, [str(d) for d in diagnostics],
+        )).encode())
+    return digest.hexdigest()
+
+
+def test_list_forms_are_unchanged():
+    assert list_forms_digest() == LIST_FORMS_DIGEST

@@ -26,6 +26,7 @@ from craql.runner import (
     collate_csv,
     generate_props,
     load_properties,
+    render_variable,
     run_batch,
 )
 
@@ -639,29 +640,40 @@ def test_runner_keeps_the_names_results_took_over():
 # project without properties exports i=0, m=1 and x=2.
 SQUARINGS = "select ({CompilationUnit} u) { x = 2; i = 0; while (i < n) { x = x * x; i++; } m++; }"
 
-# Stage -> (how the first project fails there, the start of its diagnostic).
+
+def _fails_on_42(value):
+    if value == 42:
+        raise ValueError("42 does not render")
+    return render_variable(value)
+
+
+# Stage -> (how the first project fails there, given the root and pytest's
+# `monkeypatch`, and the start of its diagnostic).
 STAGE_FAILURES = {
-    "directory": (lambda root: shutil.rmtree(root / "projects" / "alpha"),
+    "directory": (lambda root, _: shutil.rmtree(root / "projects" / "alpha"),
                   "project directory missing: {root}/projects/alpha"),
-    "load": (lambda root: (root / "projects" / "alpha" / SERIALIZED_AST).write_bytes(NOT_UTF8),
+    "load": (lambda root, _: (root / "projects" / "alpha" / SERIALIZED_AST).write_bytes(NOT_UTF8),
              SERIALIZED_AST + NOT_UTF8_AT),
-    "properties": (lambda root: (root / "properties" / "alpha.properties").write_bytes(NOT_UTF8),
+    "properties": (lambda root, _: (root / "properties" / "alpha.properties").write_bytes(
+                       NOT_UTF8),
                    "{root}/properties/alpha.properties" + NOT_UTF8_AT),
     # Fourteen squarings make a 4,933-digit integer.
-    "query": (lambda root: (root / "properties" / "alpha.properties").write_text("n=14\n"),
+    "query": (lambda root, _: (root / "properties" / "alpha.properties").write_text("n=14\n"),
               f"query sq failed on alpha: sq.craql:1:{SQUARINGS.index('*') + 1}: "
               "integer longer than 4000 digits"),
-    # A seeded integer of 4,300 nines converts; one step on, it does not render.
-    "export": (lambda root: (root / "properties" / "alpha.properties").write_text(
-                   "m=" + "9" * 4300 + "\n"),
-               "writing alpha's results failed: ValueError: "),
-    "write": (lambda root: (root / "results" / "alpha.sq.rows").mkdir(),
+    # Every integer a project can hold renders, so a renderer that fails on
+    # alpha's `m` (41, one `m++` on) stands in for an export fault.
+    "export": (lambda root, monkeypatch: (
+                   (root / "properties" / "alpha.properties").write_text("m=41\n"),
+                   monkeypatch.setattr("craql.runner.render_variable", _fails_on_42)),
+               "writing alpha's results failed: ValueError: 42 does not render"),
+    "write": (lambda root, _: (root / "results" / "alpha.sq.rows").mkdir(),
               "writing alpha's results failed: IsADirectoryError: "),
 }
 
 
 @pytest.mark.parametrize("stage", STAGE_FAILURES)
-def test_a_failure_at_any_stage_aborts_only_its_project(tmp_path, caplog, stage):
+def test_a_failure_at_any_stage_aborts_only_its_project(tmp_path, caplog, monkeypatch, stage):
     config = make_tree(
         tmp_path,
         projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")},
@@ -669,7 +681,7 @@ def test_a_failure_at_any_stage_aborts_only_its_project(tmp_path, caplog, stage)
         queries={"sq.craql": SQUARINGS},
     )
     fail, expected = STAGE_FAILURES[stage]
-    fail(tmp_path)
+    fail(tmp_path, monkeypatch)
     status, records = run_batch(config)
     assert status == 1
     alpha, beta = records
@@ -679,6 +691,37 @@ def test_a_failure_at_any_stage_aborts_only_its_project(tmp_path, caplog, stage)
     assert not (tmp_path / "results" / "alpha.vars").exists()
     assert (tmp_path / "results" / "beta.vars").read_text() == "i=0\nm=1\nx=2\n"
     assert [r.getMessage().split(":")[0] for r in caplog.records] == ["aborting alpha"]
+
+
+class TestSeededIntegers:
+    """A seeded integer is bounded as a query result is, so every integer a
+    project holds renders."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        return make_tree(
+            tmp_path,
+            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")},
+                      "beta": {"AB.mj": fixture_text("AB.mj")}},
+            queries={"inc.craql": "select ({CompilationUnit} u) { m++; }"},
+        )
+
+    def test_more_than_4000_digits_aborts_only_its_project(self, config, tmp_path, caplog):
+        path = tmp_path / "properties" / "alpha.properties"
+        path.write_text("tag=x\nm=" + "9" * 4001 + "\n")
+        status, records = run_batch(config)
+        assert status == 1
+        alpha, beta = records
+        assert alpha.aborted and not beta.aborted
+        assert alpha.diagnostics == [f"{path}:2: integer longer than 4000 digits"]
+        assert (tmp_path / "results" / "beta.vars").read_text() == "m=1\n"
+        assert not any(r.exc_info for r in caplog.records)
+
+    def test_4000_digits_still_step_and_render(self, config, tmp_path):
+        (tmp_path / "properties" / "alpha.properties").write_text("m=" + "9" * 4000 + "\n")
+        status, _ = run_batch(config)
+        assert status == 0
+        assert (tmp_path / "results" / "alpha.vars").read_text() == f"m=1{'0' * 4000}\n"
 
 
 class TestNumberLiteralTokens:
