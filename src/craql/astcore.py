@@ -1,6 +1,8 @@
 """Language-agnostic AST store: node-type schemas, columnar node arenas with
-a pre-order region index, and a JSON serialization format for ingesting
-externally produced trees.
+a pre-order region index, and JSON documents for ingesting externally
+produced trees. `serialize_project` writes a column document, one array per
+node column; `deserialize_project` reads it and the record format, one
+object per node, through one check of the columns.
 
 A loaded :class:`ProjectAst` keeps its node columns, roots and bindings as
 loaded. Reading it still writes: `type_ranks` and `bound_ranks` build their
@@ -16,6 +18,8 @@ import re
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from importlib import import_module
+from itertools import chain
+from operator import itemgetter, le
 from typing import Any, NamedTuple, Union
 
 from craql import Frozen, Record
@@ -214,6 +218,10 @@ class ProjectAst:
     tokens as text, children as ids), `kids` (its child ids, in the order
     its type declares its properties; leaves share one empty tuple) and
     `parent` (None for a tree's root; filled by `link_parents`).
+
+    A column document holds the first six of these columns as they are, one
+    JSON array each; loading derives `kids` from `props`, and `link_parents`
+    the `parent` column.
 
     `roots` lists the compilation units that form the default query input.
     The arena may contain additional parentless trees (e.g. built-in type
@@ -478,30 +486,19 @@ def source_text(project: ProjectAst, node_id: int) -> str:
 
 
 def serialize_project(project: ProjectAst) -> str:
+    """`project` as a column document: one JSON array per node column."""
     files = []
     for f in project.files:
         entry: dict[str, Any] = {"name": f.name}
         if f.text is not None:
             entry["text"] = f.text
         files.append(entry)
-    columns = zip(project.type, project.file, project.start, project.end, project.line,
-                  project.props)
-    nodes = [
-        {
-            "id": nid,
-            "type": tname,
-            "file": fidx,
-            "span": [start, end, line],
-            "props": {pname: {"token": value} if type(value) is str else value
-                      for pname, value in props.items()},
-        }
-        for nid, (tname, fidx, start, end, line, props) in enumerate(columns)
-    ]
     doc = {
         "schema": project.schema.name,
         "project": project.name,
         "files": files,
-        "nodes": nodes,
+        "columns": {"type": project.type, "file": project.file, "start": project.start,
+                    "end": project.end, "line": project.line, "props": project.props},
         "roots": list(project.roots),
         "bindings": {
             "method": {str(k): v for k, v in sorted(project.bindings.method.items())},
@@ -512,7 +509,10 @@ def serialize_project(project: ProjectAst) -> str:
 
 
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+# A key a node record lacks: JSON decodes to no such value.
 _ABSENT = object()
+# The node columns of a column document, in the order `_fill_columns` takes them.
+_COLUMNS = ("type", "file", "start", "end", "line", "props")
 
 
 def _expect(value: Any, kind: type, what: str, where: str) -> Any:
@@ -525,10 +525,16 @@ def _expect(value: Any, kind: type, what: str, where: str) -> Any:
     return value
 
 
-def _expect_key(obj: dict, key: str, where: str, kind: type) -> Any:
-    if key not in obj:
+def _field(value: Any, kind: type, key: str, where: str) -> Any:
+    """`value`, the entry `key` of an object, if it is of JSON kind `kind`;
+    an entry the object lacks is `_ABSENT`."""
+    if value is _ABSENT:
         raise AstFormatError(f"missing key {key!r}", where)
-    return _expect(obj[key], kind, repr(key), where)
+    return _expect(value, kind, repr(key), where)
+
+
+def _expect_key(obj: dict, key: str, where: str, kind: type) -> Any:
+    return _field(obj.get(key, _ABSENT), kind, key, where)
 
 
 def _node_id(value: Any, count: int, what: str, where: str) -> int:
@@ -561,7 +567,137 @@ def _require_utf8(project: ProjectAst) -> None:
                 where) from None
 
 
+def _column_lists(columns: Any) -> list[list]:
+    """The node columns of a column document: a list each, of one length."""
+    _expect(columns, dict, "'columns'", "top level")
+    lists = [_expect_key(columns, name, "columns", list) for name in _COLUMNS]
+    count = len(lists[0])
+    for name, column in zip(_COLUMNS, lists):
+        if len(column) != count:
+            raise AstFormatError(f"column {name!r} has {len(column)} entries, not {count}",
+                                 "columns")
+    return lists
+
+
+def _record_lists(records: list, schema: NodeTypeSchema) -> list[list]:
+    """The node columns of a record document's `nodes`, in id order.
+
+    Checks only what records alone have: each record an object, the ids
+    dense and unique, each `span` a triple and each token an object, which
+    becomes its text. A field a record lacks is `_ABSENT` in its column.
+    """
+    count = len(records)
+    by_id: list[Any] = [None] * count
+    for i, rec in enumerate(records):
+        nid = rec.get("id") if type(rec) is dict else None
+        if type(nid) is not int or not 0 <= nid < count or by_id[nid] is not None:
+            where = f"nodes[{i}]"
+            nid = _expect_key(_expect(rec, dict, "a node record", where), "id", where, int)
+            if not 0 <= nid < count:
+                raise AstFormatError("node ids must be dense integers from 0", where)
+            raise AstFormatError(f"duplicate node id {nid}", where)
+        by_id[nid] = rec
+    types, files, spans, props = ([rec.get(key, _ABSENT) for rec in by_id]
+                                  for key in ("type", "file", "span", "props"))
+    tokens = {t: [p for p, kind in kinds.items() if kind == TOKEN]
+              for t, kinds in schema.prop_kinds.items()}
+    for nid, (tname, raw_props) in enumerate(zip(types, props)):
+        if type(tname) is str and type(raw_props) is dict:
+            for pname in tokens.get(tname, ()):
+                value = raw_props.get(pname, _ABSENT)
+                if type(value) is dict and type(value.get("token")) is str:
+                    raw_props[pname] = value["token"]
+                elif value is not _ABSENT:
+                    where = f"node {nid}.{pname}"
+                    _expect_key(_expect(value, dict, "a token property", where), "token", where,
+                                str)
+    if not (set(map(type, spans)) <= {list} and set(map(len, spans)) <= {3}):
+        nid = next(n for n, span in enumerate(spans) if type(span) is not list or len(span) != 3)
+        _field(spans[nid], list, "span", f"node {nid}")
+        raise AstFormatError("span must be [start, end, line]", f"node {nid}")
+    return [types, files, *(list(map(itemgetter(i), spans)) for i in range(3)), props]
+
+
+def _fill_columns(project: ProjectAst, types: list, files: list, starts: list, ends: list,
+                  lines: list, props: list) -> None:
+    """Check the node columns of either document format and make them the
+    project's, with the `kids` column they imply.
+
+    Each column is checked whole first, in C; a Python scan runs only to find
+    and word the first fault, at `node N`.
+    """
+    schema = project.schema
+    children, prop_kinds = schema.children, schema.prop_kinds
+    if not (set(map(type, types)) <= {str} and set(types) <= children.keys()):
+        nid, tname = next((n, t) for n, t in enumerate(types)
+                          if type(t) is not str or t not in children)
+        where = f"node {nid}"
+        _field(tname, str, "type", where)
+        if tname in schema.virtuals:
+            raise AstFormatError(f"virtual type {tname} cannot be concrete", where)
+        if tname in schema.types:
+            raise AstFormatError(f"abstract type {tname} cannot be concrete", where)
+        raise AstFormatError(f"unknown node type {tname}", where)
+    nfiles = len(project.files)
+    if not (set(map(type, files)) <= {int}
+            and (not files or 0 <= min(files) and max(files) < nfiles)):
+        nid, fidx = next((n, f) for n, f in enumerate(files)
+                         if type(f) is not int or not 0 <= f < nfiles)
+        _field(fidx, int, "file", f"node {nid}")
+        raise AstFormatError(f"bad file index {fidx}", f"node {nid}")
+    # A file without text bounds no span.
+    limits = [math.inf if f.text is None else len(f.text) for f in project.files]
+    if not (set(map(type, chain(starts, ends, lines))) <= {int}
+            and 0 <= min(starts, default=0) and all(map(le, starts, ends))
+            and all(map(le, ends, map(limits.__getitem__, files)))):
+        for nid, (start, end, line) in enumerate(zip(starts, ends, lines)):
+            if not type(start) is type(end) is type(line) is int:
+                raise AstFormatError("each span value must be an integer", f"node {nid}")
+            if not 0 <= start <= end <= limits[files[nid]]:
+                raise AstFormatError(f"span [{start}, {end}] is not a range in its file",
+                                     f"node {nid}")
+
+    # Kids go in schema declaration order, as `add_node` orders them, so
+    # walks see a node's children in the same order whichever loader made
+    # it: the document's key order carries no meaning.
+    count = len(types)
+    kids_column: list[list[int] | tuple[()]] = []
+    for nid, (tname, raw_props) in enumerate(zip(types, props)):
+        if type(raw_props) is not dict:
+            _field(raw_props, dict, "props", f"node {nid}")
+        kids: list[int] = []
+        found = 0
+        for pname, kind in prop_kinds[tname].items():
+            value = raw_props.get(pname, _ABSENT)
+            if value is _ABSENT:
+                continue
+            found += 1
+            if kind == CHILD_LIST and type(value) is list:
+                for child in value:
+                    if type(child) is not int or not 0 <= child < count:
+                        _node_id(child, count, "node id", f"node {nid}.{pname}")
+                kids += value
+            elif kind == SINGLE and type(value) is int and 0 <= value < count:
+                kids.append(value)
+            elif kind != TOKEN or type(value) is not str:  # a fault
+                where = f"node {nid}.{pname}"
+                if kind == TOKEN:
+                    _expect(value, str, "a token property", where)
+                elif kind == SINGLE:
+                    _node_id(value, count, "node id", where)
+                else:
+                    _expect(value, list, "a child-list property", where)
+        if found != len(raw_props):
+            pname = next(p for p in raw_props if p not in prop_kinds[tname])
+            raise AstFormatError(f"{tname} has no property {pname}", f"node {nid}")
+        kids_column.append(kids or ())
+    project.type, project.file, project.start, project.end = types, files, starts, ends
+    project.line, project.props, project.kids = lines, props, kids_column
+
+
 def deserialize_project(document: str) -> ProjectAst:
+    """Load a column or a record document, whichever key, `columns` or
+    `nodes`, it has; a document with both or neither is an AstFormatError."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -584,95 +720,14 @@ def deserialize_project(document: str) -> ProjectAst:
             _expect(text, str, "'text'", where)
         project.add_file(_expect_key(f, "name", where, str), text)
 
-    # The node loops test each field inline and build a location only to
-    # raise: the helpers above are reached only by a field that fails.
-    raw_nodes = _expect_key(doc, "nodes", "top level", list)
-    count = len(raw_nodes)
-    by_id: list[Any] = [None] * count
-    for i, rec in enumerate(raw_nodes):
-        nid = rec.get("id") if type(rec) is dict else None
-        if type(nid) is not int or not 0 <= nid < count or by_id[nid] is not None:
-            where = f"nodes[{i}]"
-            nid = _expect_key(_expect(rec, dict, "a node record", where), "id", where, int)
-            if not 0 <= nid < count:
-                raise AstFormatError("node ids must be dense integers from 0", where)
-            raise AstFormatError(f"duplicate node id {nid}", where)
-        by_id[nid] = rec
-
-    # A file without text bounds no span.
-    limits = [math.inf if f.text is None else len(f.text) for f in project.files]
-    children, prop_kinds = schema.children, schema.prop_kinds
-    types, files, starts, ends = project.type, project.file, project.start, project.end
-    lines, props_column, kids_column = project.line, project.props, project.kids
-    for nid, rec in enumerate(by_id):
-        tname = rec.get("type")
-        if type(tname) is not str or tname not in children:
-            where = f"node {nid}"
-            _expect_key(rec, "type", where, str)
-            if tname in schema.virtuals:
-                raise AstFormatError(f"virtual type {tname} cannot be concrete", where)
-            if tname in schema.types:
-                raise AstFormatError(f"abstract type {tname} cannot be concrete", where)
-            raise AstFormatError(f"unknown node type {tname}", where)
-        fidx = rec.get("file")
-        if type(fidx) is not int or not 0 <= fidx < len(limits):
-            where = f"node {nid}"
-            _expect_key(rec, "file", where, int)
-            raise AstFormatError(f"bad file index {fidx}", where)
-        span = rec.get("span")
-        if type(span) is not list or len(span) != 3:
-            where = f"node {nid}"
-            _expect_key(rec, "span", where, list)
-            raise AstFormatError("span must be [start, end, line]", where)
-        start, end, line = span
-        if not (type(start) is type(end) is type(line) is int
-                and 0 <= start <= end <= limits[fidx]):
-            where = f"node {nid}"
-            if not type(start) is type(end) is type(line) is int:
-                raise AstFormatError("each span value must be an integer", where)
-            raise AstFormatError(f"span [{start}, {end}] is not a range in its file", where)
-        raw_props = rec.get("props")
-        if type(raw_props) is not dict:
-            _expect_key(rec, "props", f"node {nid}", dict)
-        # Kids go in schema declaration order, as `add_node` orders them, so
-        # walks see a node's children in the same order whichever loader
-        # made it: the document's key order carries no meaning. The props
-        # are the record's own, with each token object replaced by its text.
-        kids: list[int] = []
-        found = 0
-        for pname, kind in prop_kinds[tname].items():
-            value = raw_props.get(pname, _ABSENT)
-            if value is _ABSENT:
-                continue
-            found += 1
-            if kind == CHILD_LIST and type(value) is list:
-                for child in value:
-                    if type(child) is not int or not 0 <= child < count:
-                        _node_id(child, count, "node id", f"node {nid}.{pname}")
-                kids += value
-            elif kind == SINGLE and type(value) is int and 0 <= value < count:
-                kids.append(value)
-            elif kind == TOKEN and type(value) is dict and type(value.get("token")) is str:
-                raw_props[pname] = value["token"]
-            else:
-                where = f"node {nid}.{pname}"
-                if kind == TOKEN:
-                    token = _expect(value, dict, "a token property", where)
-                    _expect_key(token, "token", where, str)
-                elif kind == SINGLE:
-                    _node_id(value, count, "node id", where)
-                else:
-                    _expect(value, list, "a child-list property", where)
-        if found != len(raw_props):
-            pname = next(p for p in raw_props if p not in prop_kinds[tname])
-            raise AstFormatError(f"{tname} has no property {pname}", f"node {nid}")
-        types.append(tname)
-        files.append(fidx)
-        starts.append(start)
-        ends.append(end)
-        lines.append(line)
-        props_column.append(raw_props)
-        kids_column.append(kids or ())
+    if ("columns" in doc) == ("nodes" in doc):
+        raise AstFormatError("a document needs exactly one of 'columns' and 'nodes'", "top level")
+    if "columns" in doc:
+        columns = _column_lists(doc["columns"])
+    else:
+        columns = _record_lists(_expect(doc["nodes"], list, "'nodes'", "top level"), schema)
+    _fill_columns(project, *columns)
+    count, types = len(project.type), project.type
 
     for rid in _expect_key(doc, "roots", "top level", list):
         project.roots.append(_node_id(rid, count, "root id", "roots"))

@@ -188,7 +188,11 @@ class Parser:
 
     # -- error recovery --
 
-    def recover_to_statement_end(self) -> None:
+    def recover(self, exc: MiniLangParseError, mark: int) -> None:
+        """Record `exc`, drop the nodes the failed statement or member built
+        from id `mark` on, and skip to the end of its text."""
+        self.diagnostics.append(exc.diagnostic)
+        self.project.truncate(mark, len(self.project.files))
         depth = 0
         while True:
             if self.kinds[self.pos] == "eof":
@@ -224,11 +228,11 @@ class Parser:
         self.expect("{")
         members: list[int] = []
         while not self.at("}") and self.kinds[self.pos] != "eof":
+            mark = len(self.project.type)
             try:
                 members.append(self.parse_member())
             except MiniLangParseError as exc:
-                self.diagnostics.append(exc.diagnostic)
-                self.recover_to_statement_end()
+                self.recover(exc, mark)
         self.expect("}")
         return self.node(
             "TypeDeclaration", start, interface="true" if is_interface else "false",
@@ -287,11 +291,11 @@ class Parser:
         start = self.expect("{")
         statements: list[int] = []
         while not self.at("}") and self.kinds[self.pos] != "eof":
+            mark = len(self.project.type)
             try:
                 statements.append(self.parse_statement())
             except MiniLangParseError as exc:
-                self.diagnostics.append(exc.diagnostic)
-                self.recover_to_statement_end()
+                self.recover(exc, mark)
         self.expect("}")
         return self.node("Block", start, statements=statements)
 

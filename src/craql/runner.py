@@ -6,6 +6,7 @@ layout and the file formats.
 from __future__ import annotations
 
 import contextlib
+import re
 import sys
 from pathlib import Path
 
@@ -65,10 +66,15 @@ class ProjectRunRecord(Record):
         self.stats, self.print_lines, self.aborted = ExecutionStats(), [], False
 
 
+# What `int` reads as an integer: a sign, then digits with single underscores.
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
 def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
     """Parse <project>.properties; integers and true/false are converted.
-    An integer of more than `MAX_INT_DIGITS` digits, the bound on query
-    results, raises `RunnerError`: one `++` on it might not render."""
+    An integer of more than `MAX_INT_DIGITS` digits past its leading zeros,
+    the bound on query results, raises `RunnerError`: one `++` on it might
+    not render."""
     path = properties_dir / f"{project}.properties"
     seed: dict[str, object] = {}
     if not path.is_file():
@@ -84,15 +90,15 @@ def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
         key, value = key.strip(), value.strip()
         if value in ("true", "false"):
             seed[key] = value == "true"
-        else:
-            try:
-                number = int(value)
-            except ValueError:
-                seed[key] = value
-                continue
-            if len(value) > MAX_INT_DIGITS and abs(number) >= 10 ** MAX_INT_DIGITS:
+        elif _INTEGER.fullmatch(value):
+            # `int` counts leading zeros against its own, larger bound.
+            digits = value.lstrip("+-").replace("_", "").lstrip("0")
+            if len(digits) > MAX_INT_DIGITS:
                 raise RunnerError(f"{path}:{lineno}: integer longer than {MAX_INT_DIGITS} digits")
-            seed[key] = number
+            number = int(digits or "0")
+            seed[key] = -number if value[0] == "-" else number
+        else:
+            seed[key] = value
     return seed
 
 

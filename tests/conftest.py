@@ -5,7 +5,14 @@ import sys
 
 import pytest
 
-from craql import Environment, Evaluator, OutputSink, load_project, parse_query_document, source_text
+from craql import (
+    Environment,
+    Evaluator,
+    OutputSink,
+    load_project,
+    parse_query_document,
+    source_text,
+)
 from craql.fixtures import fixture_text
 
 
@@ -124,6 +131,101 @@ BAD_AST_DOCS = {
         _one_block_doc(nodes=[{k: v for k, v in _block(0).items() if k != "props"}]),
         "missing key 'props'", "node 0"),
 }
+
+
+# The BAD_AST_DOCS faults that only a record document can hold: in records
+# alone, a node is an object with an id, its span a triple and a token an
+# object.
+RECORD_FAULTS = {
+    "node_record_not_an_object", "node_without_an_id", "node_id_out_of_range",
+    "duplicate_node_id", "span_of_two_values", "span_not_a_list", "node_without_props",
+    "integer_in_a_token", "token_without_a_token",
+}
+
+
+def column_document(doc: dict) -> dict:
+    """The record document `doc` as a column document: its records' fields
+    transposed into one list per column, each token object as its text."""
+    doc = dict(doc)
+    records = sorted(doc.pop("nodes"), key=lambda rec: rec["id"])
+    doc["columns"] = {
+        "type": [rec["type"] for rec in records],
+        "file": [rec["file"] for rec in records],
+        **{name: [rec["span"][i] for rec in records]
+           for i, name in enumerate(("start", "end", "line"))},
+        "props": [{name: value["token"] if type(value) is dict else value
+                   for name, value in rec["props"].items()}
+                  if type(rec["props"]) is dict else rec["props"] for rec in records],
+    }
+    return doc
+
+
+def _one_block_columns(without: str = "", **columns) -> dict:
+    """The one-Block document in columns, less column `without` and with
+    `columns` in place of its own."""
+    doc = column_document(_one_block_doc())
+    doc["columns"].update(columns)
+    doc["columns"].pop(without, None)
+    return doc
+
+
+# Each BAD_AST_DOCS fault a column document can hold, as a column document
+# with the same message and location, under "columns_" and its name; then
+# the faults that only column documents can hold.
+BAD_COLUMN_DOCS = {
+    **{f"columns_{name}": (column_document(doc), message, location)
+       for name, (doc, message, location) in BAD_AST_DOCS.items()
+       if type(doc) is dict and name not in RECORD_FAULTS},
+    "columns_without_a_column": (
+        _one_block_columns(without="props"), "missing key 'props'", "columns"),
+    "columns_null_column": (_one_block_columns(line=None), "'line' must be a list", "columns"),
+    "columns_of_unequal_length": (
+        _one_block_columns(file=[0, 0]), "column 'file' has 2 entries, not 1", "columns"),
+    "columns_not_an_object": (
+        column_document(_one_block_doc()) | {"columns": [["Block"]]},
+        "'columns' must be an object", "top level"),
+    "columns_and_nodes": (
+        column_document(_one_block_doc()) | {"nodes": []},
+        "exactly one of 'columns' and 'nodes'", "top level"),
+    "columns_nor_nodes": (
+        {k: v for k, v in _one_block_doc().items() if k != "nodes"},
+        "exactly one of 'columns' and 'nodes'", "top level"),
+    "columns_true_in_a_file_column": (
+        _one_block_columns(file=[True]), "'file' must be an integer", "node 0"),
+    "columns_true_in_a_span_column": (
+        _one_block_columns(line=[True]), "each span value must be an integer", "node 0"),
+    "columns_unhashable_type": (
+        _one_block_columns(type=[{"name": "Block"}]), "'type' must be a string", "node 0"),
+    "columns_token_object": (
+        _one_block_columns(type=["TypeDeclaration"], props=[{"name": {"token": "A"}}]),
+        "a token property must be a string", "node 0.name"),
+}
+
+
+def record_document(project) -> str:
+    """`project` as a record document, one object per node: the format
+    `serialize_project` wrote before it wrote columns, and that
+    `deserialize_project` still reads."""
+    columns = zip(project.type, project.file, project.start, project.end, project.line,
+                  project.props)
+    doc = {
+        "schema": project.schema.name,
+        "project": project.name,
+        "files": [{"name": f.name} if f.text is None else {"name": f.name, "text": f.text}
+                  for f in project.files],
+        "nodes": [
+            {"id": nid, "type": tname, "file": fidx, "span": [start, end, line],
+             "props": {name: {"token": value} if type(value) is str else value
+                       for name, value in props.items()}}
+            for nid, (tname, fidx, start, end, line, props) in enumerate(columns)
+        ],
+        "roots": list(project.roots),
+        "bindings": {
+            "method": {str(k): v for k, v in sorted(project.bindings.method.items())},
+            "type": {str(k): v for k, v in sorted(project.bindings.type.items())},
+        },
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def ast_document(doc: dict | str) -> str:

@@ -18,10 +18,12 @@ from craql import (
 from craql.astcore import CHILD_LIST, SINGLE, NodeTypeSchema, SchemaError
 from conftest import (
     BAD_AST_DOCS,
+    BAD_COLUMN_DOCS,
     ast_document,
     descendants_preorder,
     find_node,
     load_fixture_project,
+    record_document,
     run_document,
 )
 
@@ -229,11 +231,35 @@ class TestSerialization:
 
     def test_binding_target_type_mismatch(self, sample_project):
         doc = json.loads(serialize_project(sample_project))
+        types = doc["columns"]["type"]
+        block, invocation = types.index("Block"), types.index("MethodInvocation")
+        doc["bindings"]["method"] = {str(invocation): block}
+        with pytest.raises(AstFormatError, match="binding target type mismatch") as info:
+            deserialize_project(json.dumps(doc))
+        assert info.value.location == f"method binding {invocation} -> {block}"
+
+    def test_binding_target_type_mismatch_in_records(self, sample_project):
+        doc = json.loads(record_document(sample_project))
         block = next(n for n in doc["nodes"] if n["type"] == "Block")
         invocation = next(n for n in doc["nodes"] if n["type"] == "MethodInvocation")
         doc["bindings"]["method"] = {str(invocation["id"]): block["id"]}
         with pytest.raises(AstFormatError, match="binding target type mismatch"):
             deserialize_project(json.dumps(doc))
+
+    def test_writes_one_list_per_column(self, sample_project):
+        doc = json.loads(serialize_project(sample_project))
+        assert "nodes" not in doc
+        assert doc["columns"] == {
+            "type": sample_project.type, "file": sample_project.file,
+            "start": sample_project.start, "end": sample_project.end,
+            "line": sample_project.line, "props": sample_project.props,
+        }
+
+    def test_both_formats_load_to_one_project(self, sample_project):
+        columns = deserialize_project(serialize_project(sample_project))
+        records = deserialize_project(record_document(sample_project))
+        assert list(records.nodes) == list(columns.nodes) == list(sample_project.nodes)
+        assert records.kids == columns.kids == sample_project.kids
 
     def test_empty_project_is_valid(self):
         doc = {"schema": "minilang", "project": "empty", "files": [], "nodes": [], "roots": []}
@@ -294,9 +320,9 @@ class TestSerialization:
         with pytest.raises(AstFormatError, match="malformed JSON"):
             deserialize_project("{not json")
 
-    @pytest.mark.parametrize("name", sorted(BAD_AST_DOCS))
+    @pytest.mark.parametrize("name", sorted(BAD_AST_DOCS | BAD_COLUMN_DOCS))
     def test_bad_document_reports_location(self, name):
-        doc, message, location = BAD_AST_DOCS[name]
+        doc, message, location = (BAD_AST_DOCS | BAD_COLUMN_DOCS)[name]
         with pytest.raises(AstFormatError, match=re.escape(message)) as info:
             deserialize_project(ast_document(doc))
         assert info.value.location == location

@@ -3,9 +3,10 @@ import hashlib
 import pytest
 
 from craql import ProjectAst, MINILANG_SCHEMA, load_project, source_text
+from craql.minilang.binder import BUILTINS_FILE
 from craql.minilang.parser import MiniLangParseError, parse_minilang
 
-from conftest import find_node, frames_per_level, load_fixture_project
+from conftest import descendants_preorder, find_node, frames_per_level, load_fixture_project
 
 
 def parse_one(text: str, name: str = "T.mj"):
@@ -330,8 +331,10 @@ LIST_FORMS = {
     "bad_catch": "class L { void f() { try { } catch (Error) { } log(1); } }",
     "bad_declaration": "class M { int; void f() { int; } }",
 }
-# Recorded before `ProjectAst.add_node` derived the kids from the schema.
-LIST_FORMS_DIGEST = "21621f1a47485b52f582f07228229a5861e70211fcde1e1a3a4ecba327402b4a"
+# Recorded before `ProjectAst.add_node` derived the kids from the schema,
+# then again once recovery dropped the nodes of a failed statement or member,
+# which changed the malformed sources alone.
+LIST_FORMS_DIGEST = "bdcbe71c1b0e293cbd31f335144eea1f038ed1c3ce52bd5b20018f0b707faa57"
 
 
 def list_forms_digest() -> str:
@@ -348,3 +351,32 @@ def list_forms_digest() -> str:
 
 def test_list_forms_are_unchanged():
     assert list_forms_digest() == LIST_FORMS_DIGEST
+
+
+ORPHAN_SOURCES = {
+    **{name: text for name, text in LIST_FORMS.items() if name.startswith("bad_")},
+    "bad_operand": "class A { void f() { new A().f() + ; } void g() { f(); } }",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORPHAN_SOURCES))
+def test_recovery_leaves_no_orphan_nodes(name):
+    # A failed statement or member leaves none of its nodes behind: every
+    # parentless node is a file's root or a built-in surrogate, and so no
+    # binding starts at a node that no root reaches.
+    project, diagnostics = load_project(name, [(f"{name}.mj", ORPHAN_SOURCES[name])])
+    assert diagnostics
+    builtins = {i for i, f in enumerate(project.files) if f.name == BUILTINS_FILE}
+    orphans = {n for n, up in enumerate(project.parent)
+               if up is None and n not in project.roots and project.file[n] not in builtins}
+    assert not orphans
+    reached = {n for root in project.roots for n in descendants_preorder(project, root)}
+    for table in (project.bindings.method, project.bindings.type):
+        assert set(table) <= reached
+
+
+def test_recovery_binds_only_the_kept_call():
+    project, _ = load_project("bad_operand", [("A.mj", ORPHAN_SOURCES["bad_operand"])])
+    (call, target), = project.bindings.method.items()
+    assert project.type[call] == "MethodInvocation" and project.props[call]["name"] == "f"
+    assert project.props[target]["name"] == "f"

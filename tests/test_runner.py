@@ -30,7 +30,7 @@ from craql.runner import (
     run_batch,
 )
 
-from conftest import BAD_AST_DOCS, ast_document
+from conftest import BAD_AST_DOCS, BAD_COLUMN_DOCS, ast_document
 
 
 def make_tree(tmp_path, projects: dict[str, dict[str, str]], queries: dict[str, str]):
@@ -509,22 +509,23 @@ class TestRunBatch:
         assert (tmp_path / "results" / "ingested.vars").read_text() == "num_blocks=3\n"
 
     def test_bad_serialized_asts_skip_only_their_project(self, tmp_path):
+        bad_docs = BAD_AST_DOCS | BAD_COLUMN_DOCS
         config = make_tree(
             tmp_path,
             projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")},
-                      **{name: {} for name in BAD_AST_DOCS}},
+                      **{name: {} for name in bad_docs}},
             queries={"blocks.craql": COUNT_BLOCKS},
         )
-        for name, (doc, message, location) in BAD_AST_DOCS.items():
+        for name, (doc, message, location) in bad_docs.items():
             (tmp_path / "projects" / name / SERIALIZED_AST).write_text(ast_document(doc))
         status, records = run_batch(config)
         assert status == 1
         assert (tmp_path / "results" / "alpha.vars").read_text() == "num_blocks=3\n"
         for record in records:
-            assert record.aborted == (record.project in BAD_AST_DOCS)
+            assert record.aborted == (record.project in bad_docs)
             assert (tmp_path / "results" / f"{record.project}.vars").exists() != record.aborted
             if record.aborted:
-                _, message, location = BAD_AST_DOCS[record.project]
+                _, message, location = bad_docs[record.project]
                 assert message in record.diagnostics[0]
                 assert f"({location})" in record.diagnostics[0]
 
@@ -716,6 +717,24 @@ class TestSeededIntegers:
         assert alpha.diagnostics == [f"{path}:2: integer longer than 4000 digits"]
         assert (tmp_path / "results" / "beta.vars").read_text() == "m=1\n"
         assert not any(r.exc_info for r in caplog.records)
+
+    @pytest.mark.parametrize("value", ["9" * 5000, "-" + "9_9" * 2001, "0" * 5000 + "9" * 4001],
+                             ids=["5000_nines", "negative_with_underscores", "zero_padded"])
+    def test_past_what_int_reads_aborts_too(self, config, tmp_path, value):
+        # `int` refuses more than 4,300 digits; such a value is still an
+        # integer, not a string.
+        path = tmp_path / "properties" / "alpha.properties"
+        path.write_text(f"m={value}\n")
+        status, records = run_batch(config)
+        assert status == 1
+        assert records[0].diagnostics == [f"{path}:1: integer longer than 4000 digits"]
+
+    def test_leading_zeros_do_not_count(self, config, tmp_path):
+        (tmp_path / "properties" / "alpha.properties").write_text(
+            "m=" + "0" * 5000 + "9" * 4000 + "\n")
+        status, _ = run_batch(config)
+        assert status == 0
+        assert (tmp_path / "results" / "alpha.vars").read_text() == f"m=1{'0' * 4000}\n"
 
     def test_4000_digits_still_step_and_render(self, config, tmp_path):
         (tmp_path / "properties" / "alpha.properties").write_text("m=" + "9" * 4000 + "\n")
