@@ -63,9 +63,11 @@ class NodeTypeSchema:
     Single-inheritance supertype edges; each type declares an ordered list of
     (property, kind) pairs and inherits its supertypes' properties. `validate`
     compiles the lattice into the lookup tables `ancestry` (type name, virtual
-    ones included, to itself and all its supertypes), `prop_kinds` and
+    ones included, to itself and all its supertypes), `prop_kinds`,
     `children`: each type a node may have to its child-valued properties, in
-    declaration order, the order of the node's kids.
+    declaration order, the order of the node's kids, and `matching`: each
+    matchable type name to the set of node types under it and, for a virtual
+    type, the (property, token) pair a node must also have, else None.
     """
 
     def __init__(self, name: str):
@@ -78,6 +80,7 @@ class NodeTypeSchema:
         self.ancestry: dict[str, frozenset[str]] = {}
         self.prop_kinds: dict[str, dict[str, str]] = {}
         self.children: dict[str, tuple[str, ...]] = {}
+        self.matching: dict[str, tuple[frozenset[str], tuple[str, str] | None]] = {}
 
     def add_type(
         self,
@@ -134,6 +137,10 @@ class NodeTypeSchema:
             self.prop_kinds[name] = self.prop_kinds[v.base]
         self.children = {t: tuple(p for p, kind in self.prop_kinds[t].items() if kind != TOKEN)
                          for t in self.types if not self.abstract[t]}
+        self.matching = {name: (frozenset(t for t in self.children if name in self.ancestry[t]),
+                                None) for name in self.types}
+        for name, v in self.virtuals.items():
+            self.matching[name] = (self.matching[v.base][0], (v.prop, v.token))
 
     def knows(self, name: str) -> bool:
         return name in self.types or name in self.virtuals
@@ -338,15 +345,12 @@ class ProjectAst:
 
     def matches_type(self, node_id: int, type_name: str) -> bool:
         """Subtype-aware type test, including virtual types."""
-        ancestry = self.schema.ancestry[self.type[node_id]]
-        v = self.schema.virtuals.get(type_name)
-        if v is not None:
-            return v.base in ancestry and self.props[node_id].get(v.prop) == v.token
-        if type_name in ancestry:
-            return True
-        if type_name not in self.schema.ancestry:  # it holds every known name
+        match = self.schema.matching.get(type_name)
+        if match is None:
             raise SchemaError(f"unknown node type {type_name}")
-        return False
+        types, token = match
+        return self.type[node_id] in types and (
+            token is None or self.props[node_id].get(token[0]) == token[1])
 
     def type_ranks(self, type_name: str) -> list[int]:
         """Sorted pre-order ranks of the nodes that match `type_name`.
@@ -354,21 +358,20 @@ class ProjectAst:
         Built on first use from the index's concrete-type buckets, then kept
         in the index for the life of the project. Whether a node matches
         depends only on its concrete type, except for a virtual type's
-        token, so one `matches_type` test decides a whole bucket and only a
-        virtual type tests each node.
+        token, so the schema's `matching` set takes whole buckets and only
+        a virtual type tests each node.
         """
         index = self.index
         ranks = index.ranks.get(type_name)
         if ranks is None:
             self.schema.require(type_name)
-            match, order = self.matches_type, index.order
-            virtual = type_name in self.schema.virtuals
+            types, token = self.schema.matching[type_name]
+            order = index.order
             ranks = []
-            for bucket in index.by_type.values():
-                if virtual:
-                    ranks += [r for r in bucket if match(order[r], type_name)]
-                elif match(order[bucket[0]], type_name):
-                    ranks += bucket
+            for tname, bucket in index.by_type.items():
+                if tname in types:
+                    ranks += bucket if token is None else [
+                        r for r in bucket if self.matches_type(order[r], type_name)]
             ranks.sort()
             index.ranks[type_name] = ranks
         return ranks

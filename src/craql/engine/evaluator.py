@@ -53,7 +53,10 @@ Compiling decides nothing that depends on a value, so evaluation order and
 errors stay those of the query text: the receiver runs before the
 arguments and both operands before either is coerced, `&&` and `||`
 short-circuit, and an unknown `{Type}` or function, a wrong arity or a
-`count(*)` outside a select raises only when evaluation reaches it.
+`count(*)` outside a select raises only when evaluation reaches it. A
+literal argument still folds: `n.isnodetype({T})`, `T` a type the schema
+knows, tests n's type against the schema's `matching` set for `T`.
+An emitted row is its node id in the sink until the runner writes it.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from bisect import bisect_left, bisect_right
 from typing import Callable
 
 from craql import Record
-from craql.astcore import ProjectAst, node_depth, source_text
+from craql.astcore import ProjectAst, node_depth
 from craql.query.ast import (
     Assign,
     BoolLit,
@@ -102,7 +105,6 @@ from craql.engine.runtime import (
     NodeList,
     NodeRef,
     OutputSink,
-    RowRecord,
     TypeName,
     UNDEFINED,
     Undefined,
@@ -313,7 +315,7 @@ class Evaluator:
         region, and loses each pruned region once. Under `_reject`, a single
         pattern that is not `inmost` only binds its last candidate."""
         pat, stats, variables, project = q.pattern, self.stats, self.env.variables, self.project
-        var1, var2, emit_row = pat.var1, pat.var2, self._emit_row
+        var1, var2, emit_row = pat.var1, pat.var2, self.sink.result_row
         outmost, inmost = q.modifier == MOD_OUTMOST, q.modifier == MOD_INMOST
         single, ellipsis = pat.kind == SINGLE, pat.kind == ELLIPSIS
         index, types, offset = project.index, project.type, 0 if include_root else 1
@@ -324,7 +326,7 @@ class Evaluator:
             rows.append(row)
             stats.rows_yielded += 1
             if emit:
-                emit_row(n1)
+                emit_row(project, n1)
             body()
 
         def loop(roots, where, ranks, rows) -> None:
@@ -398,13 +400,6 @@ class Evaluator:
                         add(n1, {var1: n1, var2: n2}, rows)
 
         return loop
-
-    def _emit_row(self, n: int) -> None:
-        project = self.project
-        self.sink.result_row(RowRecord(
-            project.files[project.file[n]].name, project.line[n], project.type[n],
-            source_text(project, n),
-        ))
 
     def _link_ranks(self, link: str, fixed: int, ranks: list[int]) -> list[int]:
         """The ranks in `ranks` of the nodes that `link` ties to node
@@ -757,6 +752,19 @@ class Evaluator:
 
             return wrong_arity
 
+        if name == "isnodetype" and type(e.args[0]) is TypeLit and (
+                match := self.schema.matching.get(e.args[0].name)) is not None:
+            # A known literal type folds into one set test of the node's type.
+            (matching, token), types, props = match, self.project.type, self.project.props
+
+            def probe() -> Value:
+                recv = receiver()
+                if type(recv) is NodeRef:
+                    return types[recv.id] in matching and (
+                        token is None or props[recv.id].get(token[0]) == token[1])
+                return not_a_node(recv)
+
+            return probe
         apply = self._node_function(name, pos)
         if not args:
             def call() -> Value:

@@ -128,6 +128,19 @@ class ExecutionStats(Record):
     files_parsed: int = 0
 
 
+def row_fields(project: ProjectAst, node_id: int) -> tuple[str, int, str, str]:
+    """The file name, line, node type and source text of the row at
+    `node_id`."""
+    return (project.files[project.file[node_id]].name, project.line[node_id],
+            project.type[node_id], source_text(project, node_id))
+
+
+def format_row(file: str, line: int, node_type: str, text: str) -> str:
+    """One `.rows` line, without its newline: tab-separated fields, the
+    source text escaped."""
+    return f"{file}\t{line}\t{node_type}\t{escape_text(text)}"
+
+
 class RowRecord(Frozen):
     """One emitted result-subtree record."""
 
@@ -143,7 +156,7 @@ class RowRecord(Frozen):
         _set_text(self, text)
 
     def to_line(self) -> str:
-        return f"{self.file}\t{self.line}\t{self.node_type}\t{escape_text(self.text)}"
+        return format_row(self.file, self.line, self.node_type, self.text)
 
 
 _set_file, _set_line = RowRecord.file.__set__, RowRecord.line.__set__
@@ -151,14 +164,45 @@ _set_node_type, _set_text = RowRecord.node_type.__set__, RowRecord.text.__set__
 
 
 class OutputSink:
-    """Collects print lines and result-row records for one query document."""
+    """Collects print lines and result rows for one query document.
+
+    A row stays its project and node id until it is read: `rows` builds its
+    records and `render` its `.rows` text, so emitting renders nothing.
+    """
 
     def __init__(self) -> None:
         self.prints: list[str] = []
-        self.rows: list[RowRecord] = []
+        # The rows in emit order, as runs of node ids of one project each.
+        self.runs: list[tuple[ProjectAst, list[int]]] = []
 
     def print_line(self, text: str) -> None:
         self.prints.append(text)
 
-    def result_row(self, record: RowRecord) -> None:
-        self.rows.append(record)
+    def result_row(self, project: ProjectAst, node_id: int) -> None:
+        runs = self.runs
+        if not runs or runs[-1][0] is not project:
+            runs.append((project, []))
+        runs[-1][1].append(node_id)
+
+    @property
+    def row_count(self) -> int:
+        return sum(len(ids) for _, ids in self.runs)
+
+    @property
+    def rows(self) -> list[RowRecord]:
+        """The rows as records, built on each read."""
+        return [RowRecord(*row_fields(project, n)) for project, ids in self.runs for n in ids]
+
+    def render(self, lines: dict[ProjectAst, dict[int, str]]) -> str:
+        """The rows as the text of a `.rows` file. `lines` holds, per
+        project, the lines of the nodes rendered so far and gains the rest:
+        sinks that share it render each node once."""
+        out = []
+        for project, ids in self.runs:
+            known = lines.setdefault(project, {})
+            for n in ids:
+                line = known.get(n)
+                if line is None:
+                    line = known[n] = format_row(*row_fields(project, n)) + "\n"
+                out.append(line)
+        return "".join(out)

@@ -5,7 +5,6 @@ layout and the file formats.
 
 from __future__ import annotations
 
-import contextlib
 import re
 import sys
 from pathlib import Path
@@ -157,7 +156,7 @@ def run_project(
             sinks.append((doc_name, sink))
             evaluator = Evaluator(project, env, sink, source=doc.source)
             evaluator.execute_document(doc)
-            record.row_counts[doc_name] = len(sink.rows)
+            record.row_counts[doc_name] = sink.row_count
             record.print_lines.extend(sink.prints)
             record.stats.nodes_visited += evaluator.stats.nodes_visited
             record.stats.rows_yielded += evaluator.stats.rows_yielded
@@ -166,11 +165,14 @@ def run_project(
         record.variables = {
             key: render_variable(value) for key, value in env.exported().items()
         }
+        # Rendering the rows reads their source text, which may be missing.
+        outputs = _render_outputs(record, config, sinks)
         if project.degraded_output:
             message = "source text missing: rows and prints show <Type@file:line> placeholders"
             record.diagnostics.append(message)
             _log("warning", "%s: %s", name, message)
-        _write_outputs(record, config, sinks)
+        for path, data in outputs.items():
+            path.write_bytes(data)
     except Exception as exc:
         record.aborted = True
         if isinstance(exc, (AstFormatError, RunnerError, QueryRuntimeError)):
@@ -183,29 +185,37 @@ def run_project(
             # The project's results go whole: its prints too, which the
             # batch's stdout might not be able to encode either.
             record.print_lines.clear()
+        if is_project_name(name):
+            _remove_results(name, config, docs)
     return record
 
 
-def _write_outputs(
+def _render_outputs(
     record: ProjectRunRecord, config: RunConfig, sinks: list[tuple[str, OutputSink]]
-) -> None:
-    """Write the project's `.vars` and `.rows` files: all of them, or, when
-    one cannot be encoded or written, none."""
+) -> dict[Path, bytes]:
+    """The bytes of the project's `.vars` and `.rows` files, by path. The
+    documents share one rendering of each row node."""
     lines = [f"{key}={escape_text(record.variables[key])}" for key in sorted(record.variables)]
     texts = {config.results_dir / f"{record.project}.vars":
              "\n".join(lines) + ("\n" if lines else "")}
+    rendered: dict[ProjectAst, dict[int, str]] = {}
     for doc_name, sink in sinks:
-        texts[config.results_dir / f"{record.project}.{doc_name}.rows"] = "".join(
-            rec.to_line() + "\n" for rec in sink.rows)
-    encoded = {path: text.encode("utf-8") for path, text in texts.items()}
-    try:
-        for path, data in encoded.items():
-            path.write_bytes(data)
-    except OSError:
-        for path in encoded:
-            with contextlib.suppress(OSError):
-                path.unlink()
-        raise
+        texts[config.results_dir / f"{record.project}.{doc_name}.rows"] = sink.render(rendered)
+    return {path: text.encode("utf-8") for path, text in texts.items()}
+
+
+def _remove_results(name: str, config: RunConfig, docs: list[tuple[str, QueryDocument]]) -> None:
+    """Remove, by exact name, each result file of project `name` that this
+    batch writes: an aborted project keeps none, from this batch or an
+    earlier one, for `collate` to read as its results."""
+    paths = [config.results_dir / f"{name}.vars"]
+    paths += [config.results_dir / f"{name}.{doc_name}.rows" for doc_name, _ in docs]
+    for path in paths:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            if not path.is_dir():  # a directory is no result file
+                _log("warning", "%s: cannot remove %s: %s", name, path, exc)
 
 
 def run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:

@@ -11,7 +11,7 @@ from craql import (
     parse_query_document,
 )
 from craql.engine.evaluator import MAX_INT_DIGITS
-from craql.engine.runtime import NodeList, NodeRef, UNDEFINED
+from craql.engine.runtime import NodeList, NodeRef, TypeName, UNDEFINED
 from craql.query.parser import _Parser
 from craql.query.tokens import tokenize
 
@@ -263,6 +263,31 @@ class TestBuiltins:
         env = Environment({"r": NodeRef(sample_project.roots[0])})
         with pytest.raises(QueryRuntimeError, match="unknown node type Blok"):
             eval_expr(sample_project, "r.isnodetype({Blok})", env)
+
+    @pytest.mark.parametrize("text, seed, result", [
+        # A type that is not a literal, or a literal the schema does not
+        # know, takes the general path: receiver first, then the argument.
+        ("r.isnodetype(t)", {"t": "Block"}, True),
+        ("r.isnodetype(t)", {"t": "ClassDeclaration"}, False),
+        ("r.isnodetype(s)", {}, "isnodetype() expects a node type like {Block}"),
+        ("r.isnodetype({Blok})", {}, "unknown node type Blok"),
+        ('print("x").isnodetype({Blok})', {}, "unknown node type Blok"),
+        ("nothing.isnodetype({Block})", {}, False),
+        ("nothing.isnodetype({ClassDeclaration})", {}, False),
+        ("(1 + 2).isnodetype({Statement})", {}, "isnodetype() receiver is a number, not a node"),
+        ('print("x").isnodetype({ClassDeclaration})', {}, False),
+    ])
+    def test_isnodetype_edges(self, sample_project, text, seed, result):
+        block = find_node(sample_project, "Block")
+        variables = {"r": NodeRef(block.id), "s": "Block"}
+        variables.update({name: TypeName(value) for name, value in seed.items()})
+        sink = OutputSink()
+        if isinstance(result, bool):
+            assert eval_expr(sample_project, text, Environment(variables), sink) is result
+        else:
+            with pytest.raises(QueryRuntimeError, match=re.escape(result)):
+                eval_expr(sample_project, text, Environment(variables), sink)
+        assert sink.prints == (["x"] if "print" in text else [])
 
     def test_count_star_outside_select_raises(self, sample_project):
         with pytest.raises(QueryRuntimeError, match="count\\(\\*\\) outside"):

@@ -21,12 +21,22 @@ import re
 import pytest
 
 import craql.engine.evaluator as evaluator_module
-from craql import Environment, Evaluator, OutputSink, load_project, parse_query_document
+from craql import (
+    MINILANG_SCHEMA,
+    Environment,
+    Evaluator,
+    OutputSink,
+    ProjectAst,
+    load_project,
+    parse_query_document,
+)
 from craql.engine.evaluator import QueryRuntimeError
 from craql.engine.runtime import NodeList, NodeRef
-from craql.fixtures import fixture_text, generate_random_source
+from craql.fixtures import STATIC_FIXTURES, fixture_text, generate_random_source
 from craql.oracle import compare, replay_capture
 from craql.query.ast import SINGLE
+from craql.query.parser import _Parser
+from craql.query.tokens import tokenize
 
 from test_engine_select import walk_visits
 
@@ -195,3 +205,32 @@ def test_generated_documents_agree(generated_projects, monkeypatch):
     print(splits)
     assert splits["link"] >= 20 and splits["invariant"] >= 50, splits
     assert 0 < errors < DOCUMENTS_PER_PROJECT and selects > 1000, (errors, selects)
+
+
+def test_literal_type_probes_agree_with_matches_type(generated_projects, monkeypatch):
+    """`n.isnodetype({T})` of a type the schema knows compiles to one set
+    test, which gives `ProjectAst.matches_type(n, T)` for every type name,
+    concrete, abstract and virtual, on every node."""
+    names = sorted(MINILANG_SCHEMA.types | MINILANG_SCHEMA.virtuals.keys())
+    assert {"Statement", "ClassDeclaration", "Block"} <= set(names)
+    projects = [project for project, _ in generated_projects]
+    projects += [load_project(name, [(name, fixture_text(name))])[0] for name in STATIC_FIXTURES]
+    matches_type = ProjectAst.matches_type
+    matched = 0
+    for project in projects:
+        ids = range(len(project.type))
+        expected = {name: [matches_type(project, n, name) for n in ids] for name in names}
+        env = Environment()
+        evaluator = Evaluator(project, env)
+        with monkeypatch.context() as patch:
+            # The folded probe never calls matches_type.
+            patch.setattr(ProjectAst, "matches_type", None)
+            for name in names:
+                probe = _Parser(tokenize(f"n.isnodetype({{{name}}})"), "<probe>").parse_expr()
+                got = []
+                for n in ids:
+                    env.variables["n"] = NodeRef(n)
+                    got.append(evaluator.eval(probe))
+                assert got == expected[name], (project.name, name)
+                matched += sum(got)
+    assert 0 < matched < len(names) * sum(len(p.type) for p in projects)

@@ -156,6 +156,22 @@ class TestEnvironmentSharing:
         assert sink.rows == []
 
 
+class TestSharedSink:
+    def test_each_row_renders_from_its_own_project(self, sample_project, ab_project):
+        """Evaluators of two projects that share a sink each leave their
+        rows in it, read and rendered from their own project."""
+        doc = parse_query_document("select ({MethodDeclaration} m) { }")
+        shared, alone = OutputSink(), []
+        for project in (sample_project, ab_project, sample_project):
+            Evaluator(project, Environment(), shared).execute_document(doc)
+            _, sink, _ = run_document(project, "select ({MethodDeclaration} m) { }")
+            alone.append(sink)
+        assert {r.file for r in alone[0].rows} != {r.file for r in alone[1].rows}
+        assert shared.rows == [r for sink in alone for r in sink.rows]
+        assert shared.row_count == sum(sink.row_count for sink in alone)
+        assert shared.render({}) == "".join(r.to_line() + "\n" for sink in alone for r in sink.rows)
+
+
 class TestDeterminism:
     def test_two_runs_identical_output(self, sample_project):
         outputs = []

@@ -3,6 +3,8 @@ import re
 
 import pytest
 
+import craql.engine.evaluator as evaluator_module
+
 from craql import (
     BUNDLED_QUERIES,
     MINILANG_SCHEMA,
@@ -1064,20 +1066,29 @@ class TestHoistFallbacks:
         outer = "{Block} b" if source == "b" else "{MethodDeclaration} m"
         text = f"select ({outer}) {{ {select} {{ }} print(s.linenumber()); }}"
         assert self.run(escapes, text) == prints
-        tests = 0
-        matches_type = ProjectAst.matches_type
+        # The probe's receiver `r` is the only read of `r` the query makes,
+        # so evaluations of its compiled reference count the probe's runs.
+        probes = 0
+        var_ref = evaluator_module._EXPRESSIONS[VarRef]
 
-        def counted(project, node_id, type_name):
-            nonlocal tests
-            tests += 1
-            return matches_type(project, node_id, type_name)
+        def counted(evaluator, e):
+            read = var_ref(evaluator, e)
+            if e.name != "r":
+                return read
 
-        monkeypatch.setattr(ProjectAst, "matches_type", counted)
+            def counted_read():
+                nonlocal probes
+                probes += 1
+                return read()
+
+            return counted_read
+
+        monkeypatch.setitem(evaluator_module._EXPRESSIONS, VarRef, counted)
         for version in (text, unsplit(text)):
-            tests = 0
+            probes = 0
             run_document(escapes, version, seed=self.seed(escapes))
             # Hoisted, the probe runs once per inner select.
-            assert (tests == len(prints)) == (version == text)
+            assert (probes == len(prints)) == (version == text)
 
     @pytest.mark.parametrize("body, prints", [
         ("while (s.linenumber() > 9) { r += 1; }", ["2", "3", "4"]),

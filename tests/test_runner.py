@@ -2,8 +2,10 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ import craql.engine.evaluator
 from craql import (
     BUNDLED_QUERIES,
     Evaluator,
+    OutputSink,
     bundled_query_path,
     load_project,
     serialize_project,
@@ -30,7 +33,7 @@ from craql.runner import (
     run_batch,
 )
 
-from conftest import BAD_AST_DOCS, BAD_COLUMN_DOCS, ast_document
+from conftest import BAD_AST_DOCS, BAD_COLUMN_DOCS, ast_document, run_document
 
 
 def make_tree(tmp_path, projects: dict[str, dict[str, str]], queries: dict[str, str]):
@@ -603,17 +606,7 @@ class TestRunBatch:
     }
 
     def test_bundle_outputs_match_recorded_digests(self, tmp_path):
-        bundle = {
-            name: fixture_text(name)
-            for name in ("Sample.mj", "Fact.mj", "AB.mj", "Unreachable.mj", "Loops.mj", "Chain.mj")
-        }
-        bundle["Deep.mj"] = generate_nested_blocks(10)
-        bundle["Sea.mj"] = generate_block_sea(250)
-        config = make_tree(
-            tmp_path,
-            projects={"bundle": bundle},
-            queries={name: bundled_query_path(name).read_text() for name in BUNDLED_QUERIES},
-        )
+        config = make_bundle_tree(tmp_path)
         status, records = run_batch(config)
         collate_csv(config.results_dir)
         assert status == 0
@@ -623,6 +616,152 @@ class TestRunBatch:
             for p in sorted(config.results_dir.iterdir())
         }
         assert digests == self.BUNDLE_DIGESTS
+
+
+def make_bundle_tree(tmp_path):
+    """The acceptance-7 `bundle` project under every bundled query."""
+    bundle = {
+        name: fixture_text(name)
+        for name in ("Sample.mj", "Fact.mj", "AB.mj", "Unreachable.mj", "Loops.mj", "Chain.mj")
+    }
+    bundle["Deep.mj"] = generate_nested_blocks(10)
+    bundle["Sea.mj"] = generate_block_sea(250)
+    return make_tree(
+        tmp_path,
+        projects={"bundle": bundle},
+        queries={name: bundled_query_path(name).read_text() for name in BUNDLED_QUERIES},
+    )
+
+
+def test_rows_files_are_the_records_rendered(tmp_path, monkeypatch):
+    """A `.rows` file is its sink's records, each through `to_line`, and
+    neither emitting nor writing a row builds a record."""
+    sinks = []
+
+    class RecordedSink(OutputSink):
+        def __init__(self):
+            super().__init__()
+            sinks.append(self)
+
+    def no_records(*args):
+        raise AssertionError("a row was built as a record")
+
+    config = make_bundle_tree(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr("craql.runner.OutputSink", RecordedSink)
+        patch.setattr("craql.engine.runtime.RowRecord", no_records)
+        assert run_batch(config)[0] == 0
+    assert len(sinks) == len(BUNDLED_QUERIES)
+    for name, sink in zip(BUNDLED_QUERIES, sinks):
+        written = (config.results_dir / f"bundle.{name.removesuffix('.craql')}.rows").read_bytes()
+        assert written == "".join(r.to_line() + "\n" for r in sink.rows).encode(), name
+    assert sum(sink.row_count for sink in sinks) > 1000
+
+
+class TestAbortRemovesEarlierResults:
+    """An aborted project keeps no result file of this batch's queries,
+    whichever batch wrote it, so `collate` does not read an earlier run's
+    results as this one's. Files are removed by exact name."""
+
+    QUERY = "top_statements.craql"
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        config = make_tree(
+            tmp_path,
+            # q.x runs before q, so a removal of q's files by pattern would
+            # show.
+            projects={name: {"Sample.mj": fixture_text("Sample.mj")} for name in ("p", "q.x", "q")},
+            queries={self.QUERY: bundled_query_path(self.QUERY).read_text()},
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_batch(config)[0] == 0
+        assert self.collated(config) == ["p", "q", "q.x"]
+        (tmp_path / "projects" / "q" / SERIALIZED_AST).write_text('{"schema": 1}')
+        return config
+
+    @staticmethod
+    def collated(config):
+        with collate_csv(config.results_dir).open(newline="", encoding="utf-8") as handle:
+            return [row[0] for row in csv.reader(handle)][1:]
+
+    def rerun(self, config):
+        with contextlib.redirect_stdout(io.StringIO()):
+            status, records = run_batch(config)
+        assert status == 1
+        assert [(r.project, r.aborted) for r in records] == [
+            ("p", False), ("q.x", False), ("q", True)]
+        assert records[2].diagnostics == ["'schema' must be a string (top level)"]
+
+    def test_an_aborted_project_loses_its_earlier_results(self, config):
+        results = config.results_dir
+        kept = {path.name: path.read_bytes() for path in results.glob("q.x.*")}
+        assert sorted(kept) == ["q.x.top_statements.rows", "q.x.vars"]
+        self.rerun(config)
+        assert sorted(p.name for p in results.iterdir()) == [
+            OUTPUT_CSV, "p.top_statements.rows", "p.vars", "q.x.top_statements.rows", "q.x.vars"]
+        assert {name: (results / name).read_bytes() for name in kept} == kept
+        assert self.collated(config) == ["p", "q.x"]
+
+    def test_a_file_that_cannot_be_removed_is_logged(self, config, caplog, monkeypatch):
+        unlink = Path.unlink
+
+        def refuse_vars(path, missing_ok=False):
+            if path.name == "q.vars":
+                raise PermissionError(13, "Permission denied", str(path))
+            unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", refuse_vars)
+        self.rerun(config)
+        assert (config.results_dir / "q.vars").exists()
+        assert not (config.results_dir / "q.top_statements.rows").exists()
+        messages = [(r.levelname, r.getMessage()) for r in caplog.records]
+        assert messages == [
+            ("ERROR", "aborting q: 'schema' must be a string (top level)"),
+            ("WARNING", f"q: cannot remove {config.results_dir / 'q.vars'}: "
+                        f"[Errno 13] Permission denied: '{config.results_dir / 'q.vars'}'")]
+
+    def test_names_with_paths_remove_nothing(self, tmp_path):
+        config = make_tree(
+            tmp_path,
+            projects={"real": {"Sample.mj": fixture_text("Sample.mj")}},
+            queries={"blocks.craql": COUNT_BLOCKS},
+        )
+        (tmp_path / "results" / "sub").mkdir()
+        planted = [tmp_path / "results" / "sub" / "proj.vars", tmp_path / "escape.vars",
+                   tmp_path / "escape.blocks.rows"]
+        for path in planted:
+            path.write_text("x=1\n")
+        (tmp_path / "projects.txt").write_text("sub/proj\nreal\n../escape\n")
+        status, records = run_batch(config)
+        assert status == 1
+        assert [r.aborted for r in records] == [True, False, True]
+        assert [path.read_text() for path in planted] == ["x=1\n"] * 3
+
+
+def test_rows_without_source_text_show_placeholders(tmp_path, caplog):
+    """A query that prints nothing still marks its output degraded: the
+    rows render the source text, at write time."""
+    project, _ = load_project("alpha", [("Sample.mj", fixture_text("Sample.mj"))])
+    document = json.loads(serialize_project(project))
+    for entry in document["files"]:
+        del entry["text"]
+    query = "select ({Block} b) { }"
+    config = make_tree(
+        tmp_path,
+        projects={"alpha": {SERIALIZED_AST: json.dumps(document)}},
+        queries={"blocks.craql": query},
+    )
+    status, (record,) = run_batch(config)
+    assert status == 0
+    blocks = [(r.file, r.line) for r in run_document(project, query)[1].rows]
+    assert len(blocks) == 3
+    assert (config.results_dir / "alpha.blocks.rows").read_text() == "".join(
+        f"{file}\t{line}\tBlock\t<Block@{file}:{line}>\n" for file, line in blocks)
+    message = "source text missing: rows and prints show <Type@file:line> placeholders"
+    assert record.diagnostics == [message]
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        f"alpha: {message}"]
 
 
 def test_runner_keeps_the_names_results_took_over():
