@@ -28,7 +28,6 @@ _EXPORTS = {
     "Evaluator": "craql.engine",
     "OutputSink": "craql.engine",
     "QueryRuntimeError": "craql.engine",
-    "execute_document": "craql.engine",
     "MINILANG_SCHEMA": "craql.minilang",
     "load_project": "craql.minilang",
     "parse_query_document": "craql.query",

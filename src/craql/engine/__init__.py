@@ -1,18 +1,12 @@
 """Query evaluation: runtime values, environments, and the evaluator."""
 
-from craql.engine.evaluator import (
-    Evaluator,
-    QueryRuntimeError,
-    SelectionCapture,
-    execute_document,
-)
+from craql.engine.evaluator import Evaluator, QueryRuntimeError, SelectionCapture
 from craql.engine.runtime import (
     Environment,
     ExecutionStats,
     NodeList,
     NodeRef,
     OutputSink,
-    RowRecord,
     TypeName,
     UNDEFINED,
     render_value,
@@ -27,11 +21,9 @@ __all__ = [
     "NodeRef",
     "OutputSink",
     "QueryRuntimeError",
-    "RowRecord",
     "SelectionCapture",
     "TypeName",
     "UNDEFINED",
-    "execute_document",
     "render_value",
     "truthy",
 ]

@@ -315,7 +315,7 @@ class Evaluator:
         region, and loses each pruned region once. Under `_reject`, a single
         pattern that is not `inmost` only binds its last candidate."""
         pat, stats, variables, project = q.pattern, self.stats, self.env.variables, self.project
-        var1, var2, emit_row = pat.var1, pat.var2, self.sink.result_row
+        var1, var2, emit_row = pat.var1, pat.var2, self.sink.rows.append
         outmost, inmost = q.modifier == MOD_OUTMOST, q.modifier == MOD_INMOST
         single, ellipsis = pat.kind == SINGLE, pat.kind == ELLIPSIS
         index, types, offset = project.index, project.type, 0 if include_root else 1
@@ -326,7 +326,7 @@ class Evaluator:
             rows.append(row)
             stats.rows_yielded += 1
             if emit:
-                emit_row(project, n1)
+                emit_row(n1)
             body()
 
         def loop(roots, where, ranks, rows) -> None:
@@ -948,14 +948,3 @@ _KIND_NAMES = {
 def _kind_name(v: Value) -> str:
     return _KIND_NAMES.get(type(v), type(v).__name__)
 
-
-def execute_document(
-    doc: QueryDocument,
-    project: ProjectAst,
-    env: Environment,
-    sink: OutputSink | None = None,
-) -> Evaluator:
-    """Convenience wrapper: run a document and return the evaluator used."""
-    ev = Evaluator(project, env, sink, source=doc.source)
-    ev.execute_document(doc)
-    return ev

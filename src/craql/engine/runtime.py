@@ -1,4 +1,5 @@
-"""Runtime values, environments, and output sinks."""
+"""Runtime values, environments, and the output sink, whose rows are node
+ids that `row_line` renders."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from collections.abc import Sized
 
 from craql import Frozen, Record
 from craql.astcore import ProjectAst, source_text
-from craql.results import escape_text, unescape_text  # unescape_text: re-exported
+from craql.results import escape_text
 
 
 class Undefined:
@@ -128,81 +129,33 @@ class ExecutionStats(Record):
     files_parsed: int = 0
 
 
-def row_fields(project: ProjectAst, node_id: int) -> tuple[str, int, str, str]:
-    """The file name, line, node type and source text of the row at
-    `node_id`."""
-    return (project.files[project.file[node_id]].name, project.line[node_id],
-            project.type[node_id], source_text(project, node_id))
-
-
-def format_row(file: str, line: int, node_type: str, text: str) -> str:
-    """One `.rows` line, without its newline: tab-separated fields, the
-    source text escaped."""
-    return f"{file}\t{line}\t{node_type}\t{escape_text(text)}"
-
-
-class RowRecord(Frozen):
-    """One emitted result-subtree record."""
-
-    file: str
-    line: int
-    node_type: str
-    text: str
-
-    def __init__(self, file: str, line: int, node_type: str, text: str):
-        _set_file(self, file)
-        _set_line(self, line)
-        _set_node_type(self, node_type)
-        _set_text(self, text)
-
-    def to_line(self) -> str:
-        return format_row(self.file, self.line, self.node_type, self.text)
-
-
-_set_file, _set_line = RowRecord.file.__set__, RowRecord.line.__set__
-_set_node_type, _set_text = RowRecord.node_type.__set__, RowRecord.text.__set__
+def row_line(project: ProjectAst, n: int) -> str:
+    """The `.rows` line of node `n`, newline included: its file name, line,
+    type and escaped source text, tab-separated."""
+    return (f"{project.files[project.file[n]].name}\t{project.line[n]}\t{project.type[n]}\t"
+            f"{escape_text(source_text(project, n))}\n")
 
 
 class OutputSink:
-    """Collects print lines and result rows for one query document.
-
-    A row stays its project and node id until it is read: `rows` builds its
-    records and `render` its `.rows` text, so emitting renders nothing.
-    """
+    """Collects the print lines and the emitted rows of one query document
+    run on one project. A row is its node id until `render` writes it, so
+    emitting renders nothing."""
 
     def __init__(self) -> None:
         self.prints: list[str] = []
-        # The rows in emit order, as runs of node ids of one project each.
-        self.runs: list[tuple[ProjectAst, list[int]]] = []
+        self.rows: list[int] = []  # the emitted node ids, in emit order
 
     def print_line(self, text: str) -> None:
         self.prints.append(text)
 
-    def result_row(self, project: ProjectAst, node_id: int) -> None:
-        runs = self.runs
-        if not runs or runs[-1][0] is not project:
-            runs.append((project, []))
-        runs[-1][1].append(node_id)
-
-    @property
-    def row_count(self) -> int:
-        return sum(len(ids) for _, ids in self.runs)
-
-    @property
-    def rows(self) -> list[RowRecord]:
-        """The rows as records, built on each read."""
-        return [RowRecord(*row_fields(project, n)) for project, ids in self.runs for n in ids]
-
-    def render(self, lines: dict[ProjectAst, dict[int, str]]) -> str:
-        """The rows as the text of a `.rows` file. `lines` holds, per
-        project, the lines of the nodes rendered so far and gains the rest:
-        sinks that share it render each node once."""
+    def render(self, project: ProjectAst, lines: dict[int, str]) -> str:
+        """The rows as the text of a `.rows` file. `lines` holds the lines
+        of the nodes rendered so far and gains the rest: sinks of one
+        project that share it render each node once."""
         out = []
-        for project, ids in self.runs:
-            known = lines.setdefault(project, {})
-            for n in ids:
-                line = known.get(n)
-                if line is None:
-                    line = known[n] = format_row(*row_fields(project, n)) + "\n"
-                out.append(line)
+        for n in self.rows:
+            line = lines.get(n)
+            if line is None:
+                line = lines[n] = row_line(project, n)
+            out.append(line)
         return "".join(out)

@@ -139,7 +139,8 @@ def collate_csv(results_dir: Path) -> Path:
 
 
 def generate_props(properties_dir: Path) -> list[Path]:
-    """Expand properties/projecttags.csv into per-project properties files."""
+    """Expand properties/projecttags.csv into per-project properties files.
+    A value under a header cell that is empty raises `RunnerError`."""
     tags_path = properties_dir / PROJECT_TAGS
     if not tags_path.is_file():
         raise RunnerError(f"missing {tags_path}")
@@ -158,11 +159,14 @@ def generate_props(properties_dir: Path) -> list[Path]:
             raise RunnerError(f"bad project name in {tags_path}: {project!r}")
         if project in contents:
             raise RunnerError(f"duplicate project row: {project}")
-        contents[project] = [
-            f"{key}={value.strip()}"
-            for key, value in zip(props, row[1:])
-            if value.strip() != ""
-        ]
+        lines = contents[project] = []
+        for column, (key, value) in enumerate(zip(props, row[1:]), start=2):
+            if value.strip() == "":
+                continue
+            if not key.strip():
+                raise RunnerError(f"{tags_path}: column {column} has no name, "
+                                  f"but project {project} has a value in it")
+            lines.append(f"{key}={value.strip()}")
     written: list[Path] = []
     for project, lines in contents.items():
         path = properties_dir / f"{project}.properties"

@@ -17,20 +17,7 @@ from craql.minilang import load_project
 from craql.query.ast import QueryDocument
 from craql.query.parser import parse_query_document
 from craql.query.tokens import QuerySyntaxError
-# Also re-exports the names that lived here before `craql.results` took them.
-from craql.results import (
-    OUTPUT_CSV,
-    PROJECT_TAGS,
-    RunConfig,
-    RunnerError,
-    collate_csv,
-    escape_text,
-    generate_props,
-    is_project_name,
-    read_list,
-    read_text,
-    unescape_text,
-)
+from craql.results import RunConfig, RunnerError, escape_text, is_project_name, read_list, read_text
 
 SERIALIZED_AST = "project.ast.json"
 
@@ -71,6 +58,7 @@ _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
     """Parse <project>.properties; integers and true/false are converted.
+    A line without `=`, or with nothing before it, is skipped with a warning.
     An integer of more than `MAX_INT_DIGITS` digits past its leading zeros,
     the bound on query results, raises `RunnerError`: one `++` on it might
     not render."""
@@ -82,11 +70,11 @@ def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
         line = raw.strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not eq or not key:
             _log("warning", "%s:%d: skipping malformed line %r", path, lineno, line)
             continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
         if value in ("true", "false"):
             seed[key] = value == "true"
         elif _INTEGER.fullmatch(value):
@@ -156,7 +144,7 @@ def run_project(
             sinks.append((doc_name, sink))
             evaluator = Evaluator(project, env, sink, source=doc.source)
             evaluator.execute_document(doc)
-            record.row_counts[doc_name] = sink.row_count
+            record.row_counts[doc_name] = len(sink.rows)
             record.print_lines.extend(sink.prints)
             record.stats.nodes_visited += evaluator.stats.nodes_visited
             record.stats.rows_yielded += evaluator.stats.rows_yielded
@@ -166,7 +154,7 @@ def run_project(
             key: render_variable(value) for key, value in env.exported().items()
         }
         # Rendering the rows reads their source text, which may be missing.
-        outputs = _render_outputs(record, config, sinks)
+        outputs = _render_outputs(record, config, project, sinks)
         if project.degraded_output:
             message = "source text missing: rows and prints show <Type@file:line> placeholders"
             record.diagnostics.append(message)
@@ -191,16 +179,18 @@ def run_project(
 
 
 def _render_outputs(
-    record: ProjectRunRecord, config: RunConfig, sinks: list[tuple[str, OutputSink]]
+    record: ProjectRunRecord, config: RunConfig, project: ProjectAst,
+    sinks: list[tuple[str, OutputSink]],
 ) -> dict[Path, bytes]:
     """The bytes of the project's `.vars` and `.rows` files, by path. The
     documents share one rendering of each row node."""
     lines = [f"{key}={escape_text(record.variables[key])}" for key in sorted(record.variables)]
     texts = {config.results_dir / f"{record.project}.vars":
              "\n".join(lines) + ("\n" if lines else "")}
-    rendered: dict[ProjectAst, dict[int, str]] = {}
+    rendered: dict[int, str] = {}
     for doc_name, sink in sinks:
-        texts[config.results_dir / f"{record.project}.{doc_name}.rows"] = sink.render(rendered)
+        path = config.results_dir / f"{record.project}.{doc_name}.rows"
+        texts[path] = sink.render(project, rendered)
     return {path: text.encode("utf-8") for path, text in texts.items()}
 
 

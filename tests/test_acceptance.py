@@ -43,7 +43,8 @@ from craql.query.ast import (
     SelectQuery,
     VarRef,
 )
-from craql.runner import RunConfig, collate_csv, generate_props, run_batch
+from craql.results import RunConfig, collate_csv, generate_props
+from craql.runner import run_batch
 
 GETTER_LINE_F1 = "int getCount() { return count; } is a getter"
 GETTER_LINE_F3 = "int step() {\n    return total;\n  } is a getter"

@@ -76,6 +76,14 @@ def test_genprops_with_a_path_name_exits_two(tmp_path, capsys):
     assert sorted(p.name for p in (root / "properties").iterdir()) == ["projecttags.csv"]
 
 
+def test_genprops_with_a_value_under_an_empty_header_exits_two(tmp_path, capsys):
+    root = make_root(tmp_path)
+    (root / "properties" / "projecttags.csv").write_text("project,,lang\nalpha,1,java\n")
+    assert main(["genprops", "--dirs", str(root)]) == 2
+    assert "column 2 has no name" in capsys.readouterr().err
+    assert sorted(p.name for p in (root / "properties").iterdir()) == ["projecttags.csv"]
+
+
 def test_recursion_limit_exits_one(tmp_path, caplog):
     root = make_root(tmp_path)
     (root / "queries" / "loop.craql").write_text(

@@ -22,7 +22,7 @@ from craql import (
     bundled_query_path,
     parse_query_document,
 )
-from craql.engine.runtime import NodeList, NodeRef
+from craql.engine.runtime import NodeList, NodeRef, row_line
 from craql.fixtures import generate_random_source
 from craql.minilang import load_project
 from craql.query.ast import (
@@ -239,7 +239,7 @@ def body_outcomes(project) -> list[str]:
             return sorted(env.variables.items()), ev.stats.nodes_visited
 
         result = outcome(run)
-        rows = [r.to_line() for r in sink.rows]
+        rows = [row_line(project, n).removesuffix("\n") for n in sink.rows]
         lines.append(f"{result} {sink.prints} {rows}")
     return lines
 

@@ -111,7 +111,7 @@ class TestCallQuery:
             "helper : select ({MethodDeclaration} m) { }"
         )
         _, sink, _ = run_document(sample_project, text)
-        types = [r.node_type for r in sink.rows]
+        types = [sample_project.type[n] for n in sink.rows]
         assert types == ["CompilationUnit", "MethodDeclaration", "MethodDeclaration"]
 
 
@@ -156,20 +156,19 @@ class TestEnvironmentSharing:
         assert sink.rows == []
 
 
-class TestSharedSink:
-    def test_each_row_renders_from_its_own_project(self, sample_project, ab_project):
-        """Evaluators of two projects that share a sink each leave their
-        rows in it, read and rendered from their own project."""
-        doc = parse_query_document("select ({MethodDeclaration} m) { }")
-        shared, alone = OutputSink(), []
-        for project in (sample_project, ab_project, sample_project):
-            Evaluator(project, Environment(), shared).execute_document(doc)
-            _, sink, _ = run_document(project, "select ({MethodDeclaration} m) { }")
-            alone.append(sink)
-        assert {r.file for r in alone[0].rows} != {r.file for r in alone[1].rows}
-        assert shared.rows == [r for sink in alone for r in sink.rows]
-        assert shared.row_count == sum(sink.row_count for sink in alone)
-        assert shared.render({}) == "".join(r.to_line() + "\n" for sink in alone for r in sink.rows)
+class TestOutputSink:
+    def test_sinks_that_share_lines_render_each_node_once(self, sample_project):
+        """A sink's rows are its emitted node ids; `render` reuses the lines
+        it is given and adds the rest."""
+        text = "select ({MethodDeclaration} m) { }"
+        (_, first, _), (_, second, _) = (run_document(sample_project, text) for _ in range(2))
+        assert first.rows == second.rows and len(first.rows) == 2
+        assert [sample_project.type[n] for n in first.rows] == ["MethodDeclaration"] * 2
+        lines = {first.rows[0]: "known\n"}
+        assert first.render(sample_project, lines).startswith("known\n")
+        assert set(lines) == set(first.rows)
+        assert second.render(sample_project, lines) == "".join(lines[n] for n in first.rows)
+        assert first.render(sample_project, {}).startswith("Sample.mj\t")
 
 
 class TestDeterminism:
@@ -179,5 +178,6 @@ class TestDeterminism:
             env, sink, _ = run_document(
                 sample_project, bundled_text("blocktop_declarations.craql")
             )
-            outputs.append((dict(env.exported()), list(sink.prints), [r.to_line() for r in sink.rows]))
+            outputs.append((dict(env.exported()), list(sink.prints),
+                            sink.render(sample_project, {})))
         assert outputs[0] == outputs[1]

@@ -672,7 +672,8 @@ class TestRegionScan:
             for name, text in texts.items():
                 _, sink, _ = run_document(project, text, source=name)
                 _, clone_sink, _ = run_document(clone, text, source=name)
-                assert (clone_sink.prints, clone_sink.rows) == (sink.prints, sink.rows), name
+                assert (clone_sink.prints, clone_sink.render(clone, {})) == (
+                    sink.prints, sink.render(project, {})), name
 
 
 class TestWalkGuard:

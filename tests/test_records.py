@@ -12,7 +12,7 @@ import pytest
 from craql.astcore import BindingTable, FileInfo, VirtualType
 from craql.diagnostics import Diagnostic
 from craql.engine.evaluator import SelectionCapture
-from craql.engine.runtime import ExecutionStats, NodeList, NodeRef, RowRecord, TypeName
+from craql.engine.runtime import ExecutionStats, NodeList, NodeRef, TypeName
 from craql.query import ast
 from craql.query.ast import (
     Assign, BoolLit, Call, CallQuery, CountStar, ExprStmt, If, IncrDecr, Infix,
@@ -52,7 +52,6 @@ FROZEN_FIELDS = {
     NodeRef: ("id",),
     NodeList: ("ids",),
     TypeName: ("name",),
-    RowRecord: ("file", "line", "node_type", "text"),
     Token: ("kind", "value", "line", "col"),
     VirtualType: ("base", "prop", "token"),
 }
@@ -145,7 +144,6 @@ def test_equality_reads_every_other_field():
     assert Diagnostic("f", 1, 2, "m") != Diagnostic("f", 1, 3, "m")
     assert NodeRef(1) == NodeRef(1) and NodeRef(1) != NodeRef(2) and NodeRef(1) != 1
     assert NodeList((1, 2)) == NodeList((1, 2)) != NodeList((2, 1))
-    assert RowRecord("A.mj", 1, "Block", "{}") == RowRecord("A.mj", 1, "Block", "{}")
 
 
 def test_equality_compares_nested_fields_without_a_frame_per_level():
@@ -206,8 +204,6 @@ def test_repr():
         "Diagnostic(file='A.mj', line=1, column=2, message='bad', severity='error')")
     assert repr(Infix("+", IntLit(1, (1, 2)), VarRef("x"))) == (
         "Infix(op='+', lhs=IntLit(value=1, pos=(1, 2)), rhs=VarRef(name='x', pos=(0, 0)), pos=(0, 0))")
-    assert repr(RowRecord("A.mj", 1, "Block", "{}")) == (
-        "RowRecord(file='A.mj', line=1, node_type='Block', text='{}')")
 
 
 def test_walk_field_table():

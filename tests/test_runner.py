@@ -21,17 +21,9 @@ from craql import (
     serialize_project,
 )
 from craql.fixtures import fixture_text, generate_block_sea, generate_nested_blocks
-from craql.runner import (
-    OUTPUT_CSV,
-    RunConfig,
-    RunnerError,
-    SERIALIZED_AST,
-    collate_csv,
-    generate_props,
-    load_properties,
-    render_variable,
-    run_batch,
-)
+from craql.engine.runtime import row_line
+from craql.results import OUTPUT_CSV, RunConfig, RunnerError, collate_csv, generate_props
+from craql.runner import SERIALIZED_AST, load_properties, render_variable, run_batch
 
 from conftest import BAD_AST_DOCS, BAD_COLUMN_DOCS, ast_document, run_document
 
@@ -75,6 +67,15 @@ class TestLoadProperties:
         assert seed == {"ok": 1}
         assert any("malformed" in r.message for r in caplog.records)
 
+    def test_empty_key_skipped_with_warning(self, tmp_path, caplog):
+        path = tmp_path / "p.properties"
+        path.write_text("ok=1\n = 5\n")
+        with caplog.at_level("WARNING", logger="craql"):
+            seed = load_properties(tmp_path, "p")
+        assert seed == {"ok": 1}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:2: skipping malformed line '= 5'"]
+
 
 class TestGenerateProps:
     def test_expansion(self, tmp_path):
@@ -101,6 +102,17 @@ class TestGenerateProps:
             generate_props(properties)
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
             "properties", "properties/projecttags.csv"]
+
+    def test_a_value_under_an_empty_header_is_rejected_before_any_write(self, tmp_path):
+        (tmp_path / "projecttags.csv").write_text("project,,lang,\nalpha,,java,\nbeta,1,java,\n")
+        with pytest.raises(RunnerError, match=re.escape(
+                "projecttags.csv: column 2 has no name, but project beta has a value in it")):
+            generate_props(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["projecttags.csv"]
+        # A nameless column without values, such as a trailing comma's, is harmless.
+        (tmp_path / "projecttags.csv").write_text("project,,lang,\nalpha,,java,\n")
+        generate_props(tmp_path)
+        assert (tmp_path / "alpha.properties").read_text() == "lang=java\n"
 
     def test_round_trip_with_load_properties(self, tmp_path):
         (tmp_path / "projecttags.csv").write_text(
@@ -633,29 +645,47 @@ def make_bundle_tree(tmp_path):
     )
 
 
-def test_rows_files_are_the_records_rendered(tmp_path, monkeypatch):
-    """A `.rows` file is its sink's records, each through `to_line`, and
-    neither emitting nor writing a row builds a record."""
-    sinks = []
+# The README's escapes of a `.rows` line's source text.
+ROW_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+
+
+def test_rows_files_are_each_row_node_in_columns(tmp_path, monkeypatch):
+    """Each `.rows` line is its node's file name, line, type and escaped
+    source slice, and the writer renders each node once per project, for
+    all of its documents."""
+    sinks, rendered = [], []
 
     class RecordedSink(OutputSink):
         def __init__(self):
             super().__init__()
             sinks.append(self)
 
-    def no_records(*args):
-        raise AssertionError("a row was built as a record")
+    def counted_row_line(project, n):
+        rendered.append((project, n))
+        return row_line(project, n)
 
     config = make_bundle_tree(tmp_path)
     with monkeypatch.context() as patch:
         patch.setattr("craql.runner.OutputSink", RecordedSink)
-        patch.setattr("craql.engine.runtime.RowRecord", no_records)
+        patch.setattr("craql.engine.runtime.row_line", counted_row_line)
         assert run_batch(config)[0] == 0
+    project = rendered[0][0]
+    assert all(p is project for p, _ in rendered)
     assert len(sinks) == len(BUNDLED_QUERIES)
+    escaped = 0
     for name, sink in zip(BUNDLED_QUERIES, sinks):
+        expected = []
+        for n in sink.rows:
+            info = project.files[project.file[n]]
+            source = info.text[project.start[n]:project.end[n]]
+            text = "".join(ROW_ESCAPES.get(c, c) for c in source)
+            escaped += text != source
+            expected.append(f"{info.name}\t{project.line[n]}\t{project.type[n]}\t{text}\n")
         written = (config.results_dir / f"bundle.{name.removesuffix('.craql')}.rows").read_bytes()
-        assert written == "".join(r.to_line() + "\n" for r in sink.rows).encode(), name
-    assert sum(sink.row_count for sink in sinks) > 1000
+        assert written == "".join(expected).encode(), name
+    emitted = [n for sink in sinks for n in sink.rows]
+    assert sorted(n for _, n in rendered) == sorted(set(emitted))
+    assert len(emitted) > 1000 and len(emitted) > 2 * len(rendered) and escaped > 100
 
 
 class TestAbortRemovesEarlierResults:
@@ -754,7 +784,8 @@ def test_rows_without_source_text_show_placeholders(tmp_path, caplog):
     )
     status, (record,) = run_batch(config)
     assert status == 0
-    blocks = [(r.file, r.line) for r in run_document(project, query)[1].rows]
+    blocks = [(project.files[project.file[n]].name, project.line[n])
+              for n in run_document(project, query)[1].rows]
     assert len(blocks) == 3
     assert (config.results_dir / "alpha.blocks.rows").read_text() == "".join(
         f"{file}\t{line}\tBlock\t<Block@{file}:{line}>\n" for file, line in blocks)
@@ -762,18 +793,6 @@ def test_rows_without_source_text_show_placeholders(tmp_path, caplog):
     assert record.diagnostics == [message]
     assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
         f"alpha: {message}"]
-
-
-def test_runner_keeps_the_names_results_took_over():
-    import craql.engine.runtime
-    import craql.results
-    import craql.runner
-
-    for name in ("OUTPUT_CSV", "PROJECT_TAGS", "RunConfig", "RunnerError", "collate_csv",
-                 "escape_text", "generate_props", "is_project_name", "read_list",
-                 "read_text", "unescape_text"):
-        assert getattr(craql.runner, name) is getattr(craql.results, name), name
-    assert craql.engine.runtime.unescape_text is craql.results.unescape_text
 
 
 # One query for the failure matrix: `n` squarings of 2, then one `m++`. A

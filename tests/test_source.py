@@ -42,6 +42,41 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def unread_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) for each name that a module-level import other than
+    `from __future__` binds and the module never reads. `import a.b` binds
+    `a`."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            unread += [(node.lineno, name) for name in names if name not in read]
+    return unread
+
+
+def test_every_import_is_read():
+    """An `__init__.py` is exempt: its imports are its package's exports."""
+    unread = [f"{path.relative_to(SOURCE_ROOT)}:{line}: {name}"
+              for path in sorted(SOURCE_ROOT.rglob("*.py")) if path.name != "__init__.py"
+              for line, name in unread_imports(ast.parse(path.read_text()))]
+    assert unread == []
+
+
+def test_the_import_check_sees_each_bound_name():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path, sys\n"
+        "from a import b, c as d, e\n"
+        "def f(x: d) -> None:\n"
+        "    import json\n"
+        "    return os.sep + x\n"
+    )
+    assert unread_imports(tree) == [(2, "sys"), (3, "b"), (3, "e")]
+
+
 def test_the_check_sees_functions_methods_and_lambdas():
     tree = ast.parse(
         "def f(a, b, *c, d, _e, **g): return a + d\n"
