@@ -24,15 +24,15 @@ _EXPORTS = {
     "register_schema": "craql.astcore",
     "serialize_project": "craql.astcore",
     "source_text": "craql.astcore",
-    "Environment": "craql.engine",
-    "Evaluator": "craql.engine",
-    "OutputSink": "craql.engine",
-    "QueryRuntimeError": "craql.engine",
-    "MINILANG_SCHEMA": "craql.minilang",
+    "Environment": "craql.engine.runtime",
+    "Evaluator": "craql.engine.evaluator",
+    "OutputSink": "craql.engine.runtime",
+    "QueryRuntimeError": "craql.engine.evaluator",
+    "MINILANG_SCHEMA": "craql.minilang.schema",
     "load_project": "craql.minilang",
-    "parse_query_document": "craql.query",
-    "unparse_document": "craql.query",
-    "validate_against_schema": "craql.query",
+    "parse_query_document": "craql.query.parser",
+    "unparse_document": "craql.query.ast",
+    "validate_against_schema": "craql.query.validate",
 }
 
 

@@ -1,4 +1,5 @@
-"""MiniLang frontend: parser and static binder for the bundled Java subset."""
+"""MiniLang frontend for the bundled Java subset: `load_project` parses
+(`craql.minilang.parser`) and binds (`craql.minilang.binder`) a project."""
 
 from __future__ import annotations
 
@@ -7,15 +8,6 @@ from craql.diagnostics import Diagnostic
 from craql.minilang.binder import bind_project, ensure_builtins
 from craql.minilang.parser import MiniLangParseError, parse_minilang
 from craql.minilang.schema import MINILANG_SCHEMA
-
-__all__ = [
-    "MINILANG_SCHEMA",
-    "MiniLangParseError",
-    "bind_project",
-    "ensure_builtins",
-    "load_project",
-    "parse_minilang",
-]
 
 
 def load_project(name: str, sources: list[tuple[str, str]]) -> tuple[ProjectAst, list[Diagnostic]]:

@@ -1,26 +1,3 @@
-"""Query-language frontend: tokenizer, parser, IR, unparser, and schema lint."""
-
-from craql.query.ast import (
-    QueryDocument,
-    SelectQuery,
-    Pattern,
-    InputSpec,
-    unparse_document,
-    unparse_select,
-)
-from craql.query.parser import parse_query_document
-from craql.query.tokens import QuerySyntaxError, tokenize
-from craql.query.validate import validate_against_schema
-
-__all__ = [
-    "InputSpec",
-    "Pattern",
-    "QueryDocument",
-    "QuerySyntaxError",
-    "SelectQuery",
-    "parse_query_document",
-    "tokenize",
-    "unparse_document",
-    "unparse_select",
-    "validate_against_schema",
-]
+"""Query-language frontend: tokenizer (`craql.query.tokens`), parser
+(`craql.query.parser`), IR and unparser (`craql.query.ast`), and schema lint
+(`craql.query.validate`)."""

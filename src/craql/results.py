@@ -91,8 +91,9 @@ def read_list(path: Path) -> list[str]:
 def is_project_name(name: str) -> bool:
     """Whether `name` can name a project: a name with a separator (an
     absolute one too), `.` or `..` would reach outside the directories
-    that project files are read from and written to."""
-    return not ("/" in name or "\\" in name or name in (".", ".."))
+    that project files are read from and written to, and one with a NUL
+    byte names no file at all."""
+    return not ("/" in name or "\\" in name or "\0" in name or name in (".", ".."))
 
 
 def escape_text(text: str) -> str:
@@ -140,16 +141,27 @@ def collate_csv(results_dir: Path) -> Path:
 
 def generate_props(properties_dir: Path) -> list[Path]:
     """Expand properties/projecttags.csv into per-project properties files.
-    A value under a header cell that is empty raises `RunnerError`."""
+    A header name that repeats or holds `=` raises `RunnerError`, and so does
+    a value that is under an empty header cell, or whose line would span
+    lines."""
     tags_path = properties_dir / PROJECT_TAGS
     if not tags_path.is_file():
         raise RunnerError(f"missing {tags_path}")
     rows = list(csv.reader(io.StringIO(read_text(tags_path, str(tags_path)))))
     if not rows:
         raise RunnerError(f"{tags_path} is empty")
-    header = rows[0]
-    props = header[1:]
-    # Every row is checked before the first file is written.
+    props = rows[0][1:]
+    # The header and every row are checked before the first file is written,
+    # so that each `key=value` line reads back as that key and value.
+    seen: set[str] = set()
+    for column, key in enumerate(props, start=2):
+        name = key.strip()
+        if "=" in key:
+            raise RunnerError(f"{tags_path}: column {column}'s name {key!r} holds '='")
+        if name in seen:
+            raise RunnerError(f"{tags_path}: column {column} repeats the name {name!r}")
+        if name:
+            seen.add(name)
     contents: dict[str, list[str]] = {}
     for row in rows[1:]:
         if not row or not row[0].strip():
@@ -166,7 +178,11 @@ def generate_props(properties_dir: Path) -> list[Path]:
             if not key.strip():
                 raise RunnerError(f"{tags_path}: column {column} has no name, "
                                   f"but project {project} has a value in it")
-            lines.append(f"{key}={value.strip()}")
+            line = f"{key}={value.strip()}"
+            if len(line.splitlines()) > 1:  # the line breaks `load_properties` splits at
+                raise RunnerError(f"{tags_path}: column {column}'s name or project "
+                                  f"{project}'s value in it spans lines")
+            lines.append(line)
     written: list[Path] = []
     for project, lines in contents.items():
         path = properties_dir / f"{project}.properties"

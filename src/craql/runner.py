@@ -237,6 +237,20 @@ def run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
         except QuerySyntaxError as exc:
             raise RunnerError(f"unparseable query file {qname}: {exc}") from exc
         docs.append((qpath.stem, doc))
+    # So do two (project, query) pairs that would write one `.rows` file:
+    # the second would overwrite the first, and an abort of either project
+    # would remove the other's results.
+    writers: dict[str, tuple[str, str]] = {}  # .rows file -> (project, query file)
+    for name in filter(is_project_name, project_names):
+        for doc_name, _ in docs:
+            rows_name, qname = f"{name}.{doc_name}.rows", query_files[doc_name]
+            # One project's result names all differ, so a project finds
+            # itself here only when the list names it twice.
+            first, first_query = writers.setdefault(rows_name, (name, qname))
+            if first != name:
+                raise RunnerError(f"project {first} with query file {first_query} and project "
+                                  f"{name} with query file {qname} both write "
+                                  f"{config.results_dir / rows_name}")
 
     records = [run_project(name, config, docs) for name in project_names]
 

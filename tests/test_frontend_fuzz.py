@@ -17,11 +17,12 @@ from craql import (
     ProjectAst,
     deserialize_project,
     load_project,
+    parse_query_document,
     serialize_project,
 )
 from craql.fixtures import fixture_text
 from craql.minilang.parser import MiniLangParseError, parse_minilang
-from craql.query import QuerySyntaxError, parse_query_document
+from craql.query.tokens import QuerySyntaxError
 
 from conftest import record_document
 

@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from craql import MINILANG_SCHEMA, BUNDLED_QUERIES, bundled_query_path
-from craql.query import ast as query_ast, parser as query_parser
-from craql.query import (
+from craql import (
+    MINILANG_SCHEMA,
+    BUNDLED_QUERIES,
+    bundled_query_path,
     parse_query_document,
-    QuerySyntaxError,
-    tokenize,
     unparse_document,
     validate_against_schema,
 )
+from craql.query import ast as query_ast, parser as query_parser
+from craql.query.tokens import QuerySyntaxError, tokenize
 from craql.query.ast import (
     BoolLit,
     Call,

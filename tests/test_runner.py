@@ -93,7 +93,7 @@ class TestGenerateProps:
         with pytest.raises(RunnerError, match="duplicate project row: a"):
             generate_props(tmp_path)
 
-    @pytest.mark.parametrize("name", ["../evil", "sub/p", "sub\\p", ".", ".."])
+    @pytest.mark.parametrize("name", ["../evil", "sub/p", "sub\\p", ".", "..", "a\0b"])
     def test_path_names_are_rejected_before_any_write(self, tmp_path, name):
         properties = tmp_path / "properties"
         properties.mkdir()
@@ -114,12 +114,35 @@ class TestGenerateProps:
         generate_props(tmp_path)
         assert (tmp_path / "alpha.properties").read_text() == "lang=java\n"
 
-    def test_round_trip_with_load_properties(self, tmp_path):
+    @pytest.mark.parametrize("tags, message", [
+        ("project,x,x\np,1,2\n", "column 3 repeats the name 'x'"),
+        ("project,x, x \np,1,2\n", "column 3 repeats the name 'x'"),
+        ("project,x,a=b\np,1,3\n", "column 3's name 'a=b' holds '='"),
+        ('project,x,"c\nd"\np,1,4\n', "column 3's name or project p's value in it spans lines"),
+        ('project,x\np,"1\n2"\n', "column 2's name or project p's value in it spans lines"),
+        ("project,x\np,1\u20282\n", "column 2's name or project p's value in it spans lines"),
+    ], ids=["repeat", "repeat-once-stripped", "equals-in-name", "break-in-name",
+            "break-in-value", "line-separator-in-value"])
+    def test_names_and_values_that_read_back_wrong_are_rejected_before_any_write(
+            self, tmp_path, tags, message):
+        (tmp_path / "projecttags.csv").write_text(f"{tags}q,5\n")
+        with pytest.raises(RunnerError, match=re.escape(f"projecttags.csv: {message}")):
+            generate_props(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["projecttags.csv"]
+
+    def test_round_trip_with_load_properties(self, tmp_path, caplog):
+        """Each header name of a well-formed CSV reads back, stripped, under
+        that name, with no warning."""
         (tmp_path / "projecttags.csv").write_text(
-            "project,platform,stars\nalpha,android,1200\n"
+            'project,platform,stars, lang ,a b,ünï,x.y-z_1,"k,v",#c\n'
+            'alpha,android,1200, java ,"1,2",é,x=y,-7, #\n'
         )
         generate_props(tmp_path)
-        assert load_properties(tmp_path, "alpha") == {"platform": "android", "stars": 1200}
+        with caplog.at_level("WARNING", logger="craql"):
+            seed = load_properties(tmp_path, "alpha")
+        assert seed == {"platform": "android", "stars": 1200, "lang": "java", "a b": "1,2",
+                        "ünï": "é", "x.y-z_1": "x=y", "k,v": -7, "#c": "#"}
+        assert caplog.records == []
 
 
 # 0xff is never UTF-8; here it follows "ab" and a two-byte "é" on line 2,
@@ -343,12 +366,12 @@ class TestRunBatch:
         for where in ("projects/sub/proj", "escape"):
             (tmp_path / where).mkdir(parents=True)
             (tmp_path / where / "Sample.mj").write_text(fixture_text("Sample.mj"))
-        (tmp_path / "projects.txt").write_text("sub/proj\nreal\n../escape\n")
+        (tmp_path / "projects.txt").write_text("sub/proj\na\0b\nreal\n../escape\n")
         status, records = run_batch(config)
         assert status == 1
         assert [(r.project, r.aborted) for r in records] == [
-            ("sub/proj", True), ("real", False), ("../escape", True)]
-        for record in records[0], records[2]:
+            ("sub/proj", True), ("a\0b", True), ("real", False), ("../escape", True)]
+        for record in records[0], records[1], records[3]:
             assert record.diagnostics[0].startswith("project directory missing: ")
             assert record.stats.files_parsed == 0
         assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
@@ -950,6 +973,26 @@ def test_query_files_with_one_result_name_are_a_config_error(tmp_path):
             "query files x/q.craql and y/q.craql both write results named q")):
         run_batch(config)
     assert list((tmp_path / "results").iterdir()) == []
+
+
+def test_pairs_that_write_one_rows_file_are_a_config_error(tmp_path):
+    config = make_tree(
+        tmp_path,
+        projects={"a": {"Sample.mj": fixture_text("Sample.mj")},
+                  "a.b": {"Sample.mj": fixture_text("Sample.mj")}},
+        queries={"b.c.craql": COUNT_BLOCKS, "c.craql": COUNT_METHODS},
+    )
+    with pytest.raises(RunnerError, match=re.escape(
+            "project a with query file b.c.craql and project a.b with query file c.craql "
+            f"both write {tmp_path / 'results' / 'a.b.c.rows'}")):
+        run_batch(config)
+    assert list((tmp_path / "results").iterdir()) == []
+    # One project listed twice rewrites its own files: no clash.
+    (tmp_path / "projects.txt").write_text("a\na\n")
+    status, _ = run_batch(config)
+    assert status == 0
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
+        "a.b.c.rows", "a.c.rows", "a.vars"]
 
 
 def test_validate_creates_nothing_when_a_check_fails(tmp_path):
