@@ -50,15 +50,15 @@ def main(argv: list[str] | None = None) -> int:
         if argv and argv[0] in ("collate", "genprops"):
             sub = argparse.ArgumentParser(prog=f"craql {argv[0]}")
             _add_dirs(sub)
-            args = sub.parse_args(argv[1:])
+            config = RunConfig(sub.parse_args(argv[1:]).dirs, None, None)
             if argv[0] == "collate":
-                print(f"wrote {collate_csv(args.dirs / 'results')}")
+                print(f"wrote {collate_csv(config.results_dir)}")
             else:
-                written = generate_props(args.dirs / "properties")
+                written = generate_props(config.properties_dir)
                 print(f"wrote {len(written)} properties files")
             return 0
         args = build_run_parser().parse_args(argv)
-        config = RunConfig.from_root(args.dirs, project_list=args.projects, query_list=args.queries)
+        config = RunConfig(args.dirs, args.projects, args.queries)
         status, records = run_batch(config)
     except (RunnerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -97,6 +97,10 @@ class _Parser:
                 if label in labels:
                     self.error(f"duplicate query label {label}", label_tok)
                 labels.add(label)
+            elif queries and self.at("select"):
+                # Only the first select runs unasked, and `callquery` needs a label.
+                self.error("an unlabeled select after the first never runs: "
+                           "label it and run it with callquery")
             queries.append((label, self.parse_select()))
         if not queries:
             self.error("empty query document")

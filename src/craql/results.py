@@ -1,7 +1,7 @@
 """The batch root's on-disk format: directory layout, list and text files,
 the escaping of result values, CSV collation and the properties generator.
 
-Directory conventions (under one root):
+Directory conventions (under one root), which no other module spells:
 
     projects/<name>/**.mj     source files, or projects/<name>/project.ast.json
     queries/<file>.craql      query documents
@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from itertools import zip_longest
 from pathlib import Path
 
 from craql import Record
@@ -26,6 +27,7 @@ from craql.diagnostics import Diagnostic
 
 OUTPUT_CSV = "craql_output.csv"
 PROJECT_TAGS = "projecttags.csv"
+SERIALIZED_AST = "project.ast.json"
 
 
 class RunnerError(Exception):
@@ -33,23 +35,16 @@ class RunnerError(Exception):
 
 
 class RunConfig(Record):
-    projects_dir: Path
-    queries_dir: Path
-    properties_dir: Path
-    results_dir: Path
-    project_list: Path
-    query_list: Path
+    """A batch's root and the files listing its projects and query files;
+    `craql collate` and `craql genprops` read no list and pass `None`."""
+    root: Path
+    project_list: Path | None
+    query_list: Path | None
 
-    @classmethod
-    def from_root(cls, root: Path, project_list: Path, query_list: Path) -> "RunConfig":
-        return cls(
-            projects_dir=root / "projects",
-            queries_dir=root / "queries",
-            properties_dir=root / "properties",
-            results_dir=root / "results",
-            project_list=project_list,
-            query_list=query_list,
-        )
+    projects_dir = property(lambda self: self.root / "projects")
+    queries_dir = property(lambda self: self.root / "queries")
+    properties_dir = property(lambda self: self.root / "properties")
+    results_dir = property(lambda self: self.root / "results")
 
     def validate(self) -> None:
         """Check the directories and list files, then make `results/`."""
@@ -62,12 +57,28 @@ class RunConfig(Record):
         self.results_dir.mkdir(parents=True, exist_ok=True)
 
 
+def result_files(results_dir: Path, project: str, doc_names: list[str]) -> list[Path]:
+    """Project `project`'s result files: `<project>.vars`, then
+    `<project>.<doc>.rows` for each query document name, in order."""
+    return [results_dir / f"{project}.vars",
+            *(results_dir / f"{project}.{doc_name}.rows" for doc_name in doc_names)]
+
+
+def properties_file(properties_dir: Path, project: str) -> Path:
+    return properties_dir / f"{project}.properties"
+
+
 def read_text(path: Path, name: str) -> str:
     """The file's UTF-8 text, with `\\r\\n` and `\\r` read as `\\n` as
     `Path.read_text` reads them. A file that is not UTF-8 raises
     `RunnerError` with the diagnostic `name:line:column` at the first byte
-    that does not decode, giving its value and offset."""
-    data = path.read_bytes()
+    that does not decode, giving its value and offset. A file that cannot
+    be read (a directory, a dangling link) raises `RunnerError` naming it
+    and the reason."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise RunnerError(f"{name}: cannot read: {exc.strerror or exc}") from None
     try:
         return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
@@ -115,6 +126,11 @@ def unescape_text(text: str) -> str:
     return _ESCAPE.sub(lambda m: _UNESCAPES.get(m.group(1), m.group(0)), text)
 
 
+def vars_text(variables: dict[str, str]) -> str:
+    """A `.vars` file's text, which `collate_csv` reads: sorted `key=value` lines."""
+    return "".join(f"{key}={escape_text(variables[key])}\n" for key in sorted(variables))
+
+
 def collate_csv(results_dir: Path) -> Path:
     """Collate all `.vars` files into one RFC-4180 CSV."""
     vars_files = sorted(results_dir.glob("*.vars"))
@@ -142,8 +158,8 @@ def collate_csv(results_dir: Path) -> Path:
 def generate_props(properties_dir: Path) -> list[Path]:
     """Expand properties/projecttags.csv into per-project properties files.
     A header name that repeats or holds `=` raises `RunnerError`, and so does
-    a value that is under an empty header cell, or whose line would span
-    lines."""
+    a value that is under an empty header cell or past the header's last
+    one, or whose line would span lines."""
     tags_path = properties_dir / PROJECT_TAGS
     if not tags_path.is_file():
         raise RunnerError(f"missing {tags_path}")
@@ -172,7 +188,8 @@ def generate_props(properties_dir: Path) -> list[Path]:
         if project in contents:
             raise RunnerError(f"duplicate project row: {project}")
         lines = contents[project] = []
-        for column, (key, value) in enumerate(zip(props, row[1:]), start=2):
+        for column, (key, value) in enumerate(zip_longest(props, row[1:], fillvalue=""),
+                                              start=2):
             if value.strip() == "":
                 continue
             if not key.strip():
@@ -185,7 +202,7 @@ def generate_props(properties_dir: Path) -> list[Path]:
             lines.append(line)
     written: list[Path] = []
     for project, lines in contents.items():
-        path = properties_dir / f"{project}.properties"
+        path = properties_file(properties_dir, project)
         path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
         written.append(path)
     return written

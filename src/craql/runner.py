@@ -12,14 +12,13 @@ from pathlib import Path
 from craql import Record
 from craql.astcore import AstFormatError, deserialize_project, ProjectAst
 from craql.engine.evaluator import MAX_INT_DIGITS, Evaluator, QueryRuntimeError
-from craql.engine.runtime import Environment, ExecutionStats, OutputSink
+from craql.engine.runtime import Environment, ExecutionStats, OutputSink, render_value
 from craql.minilang import load_project
 from craql.query.ast import QueryDocument
 from craql.query.parser import parse_query_document
 from craql.query.tokens import QuerySyntaxError
-from craql.results import RunConfig, RunnerError, escape_text, is_project_name, read_list, read_text
-
-SERIALIZED_AST = "project.ast.json"
+from craql.results import (SERIALIZED_AST, RunConfig, RunnerError, is_project_name,
+                           properties_file, read_list, read_text, result_files, vars_text)
 
 # The format of the stderr handler that the first log record sets up
 # (`logging.basicConfig`); None leaves logging's set-up to the caller. The
@@ -62,7 +61,7 @@ def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
     An integer of more than `MAX_INT_DIGITS` digits past its leading zeros,
     the bound on query results, raises `RunnerError`: one `++` on it might
     not render."""
-    path = properties_dir / f"{project}.properties"
+    path = properties_file(properties_dir, project)
     seed: dict[str, object] = {}
     if not path.is_file():
         return seed
@@ -89,16 +88,10 @@ def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
     return seed
 
 
-def render_variable(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def load_project_sources(project_dir: Path, name: str) -> tuple[ProjectAst, list[str]]:
     """Parse the project once: `.mj` sources, or a serialized-AST document.
-    A `.mj` source that is not UTF-8 is skipped with a diagnostic; a
-    serialized document that is not UTF-8 raises `RunnerError`."""
+    A `.mj` source that is not UTF-8, or cannot be read, is skipped with a
+    diagnostic; such a serialized document raises `RunnerError`."""
     serialized = project_dir / SERIALIZED_AST
     if serialized.is_file():
         project = deserialize_project(read_text(serialized, SERIALIZED_AST))
@@ -122,13 +115,17 @@ def run_project(
 ) -> ProjectRunRecord:
     record = ProjectRunRecord(project=name)
     project_dir = config.projects_dir / name
+    # A name that names no project is shown quoted, so that a control
+    # character in it reaches no log or diagnostic raw.
+    valid = is_project_name(name)
+    shown = name if valid else repr(name)
     # Any failure confined to one project aborts only that project, with one
     # diagnostic that `doing` prefixes with the stage it interrupted; the
     # traceback of an unexpected one goes to the log.
     doing = ""
     try:
-        if not is_project_name(name) or not project_dir.is_dir():
-            raise RunnerError(f"project directory missing: {project_dir}")
+        if not valid or not project_dir.is_dir():
+            raise RunnerError(f"project directory missing: {config.projects_dir / shown}")
         project, diagnostics = load_project_sources(project_dir, name)
         seed = load_properties(config.properties_dir, name)
         record.diagnostics.extend(diagnostics)
@@ -151,7 +148,7 @@ def run_project(
 
         doing = f"writing {name}'s results failed: "
         record.variables = {
-            key: render_variable(value) for key, value in env.exported().items()
+            key: render_value(value, project) for key, value in env.exported().items()
         }
         # Rendering the rows reads their source text, which may be missing.
         outputs = _render_outputs(record, config, project, sinks)
@@ -165,15 +162,15 @@ def run_project(
         record.aborted = True
         if isinstance(exc, (AstFormatError, RunnerError, QueryRuntimeError)):
             record.diagnostics.append(f"{doing}{exc}")
-            _log("error", "aborting %s: %s", name, exc)
+            _log("error", "aborting %s: %s", shown, exc)
         else:
             record.diagnostics.append(f"{doing}{type(exc).__name__}: {exc}")
-            _log("error", "aborting %s", name, exc_info=True)
+            _log("error", "aborting %s", shown, exc_info=True)
         if doing.startswith("writing"):
             # The project's results go whole: its prints too, which the
             # batch's stdout might not be able to encode either.
             record.print_lines.clear()
-        if is_project_name(name):
+        if valid:
             _remove_results(name, config, docs)
     return record
 
@@ -184,23 +181,17 @@ def _render_outputs(
 ) -> dict[Path, bytes]:
     """The bytes of the project's `.vars` and `.rows` files, by path. The
     documents share one rendering of each row node."""
-    lines = [f"{key}={escape_text(record.variables[key])}" for key in sorted(record.variables)]
-    texts = {config.results_dir / f"{record.project}.vars":
-             "\n".join(lines) + ("\n" if lines else "")}
     rendered: dict[int, str] = {}
-    for doc_name, sink in sinks:
-        path = config.results_dir / f"{record.project}.{doc_name}.rows"
-        texts[path] = sink.render(project, rendered)
-    return {path: text.encode("utf-8") for path, text in texts.items()}
+    texts = [vars_text(record.variables)] + [sink.render(project, rendered) for _, sink in sinks]
+    paths = result_files(config.results_dir, record.project, [doc_name for doc_name, _ in sinks])
+    return {path: text.encode("utf-8") for path, text in zip(paths, texts)}
 
 
 def _remove_results(name: str, config: RunConfig, docs: list[tuple[str, QueryDocument]]) -> None:
     """Remove, by exact name, each result file of project `name` that this
     batch writes: an aborted project keeps none, from this batch or an
     earlier one, for `collate` to read as its results."""
-    paths = [config.results_dir / f"{name}.vars"]
-    paths += [config.results_dir / f"{name}.{doc_name}.rows" for doc_name, _ in docs]
-    for path in paths:
+    for path in result_files(config.results_dir, name, [doc_name for doc_name, _ in docs]):
         try:
             path.unlink(missing_ok=True)
         except OSError as exc:
@@ -240,17 +231,16 @@ def run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
     # So do two (project, query) pairs that would write one `.rows` file:
     # the second would overwrite the first, and an abort of either project
     # would remove the other's results.
-    writers: dict[str, tuple[str, str]] = {}  # .rows file -> (project, query file)
+    writers: dict[Path, tuple[str, str]] = {}  # .rows file -> (project, query file)
     for name in filter(is_project_name, project_names):
-        for doc_name, _ in docs:
-            rows_name, qname = f"{name}.{doc_name}.rows", query_files[doc_name]
+        _, *rows_paths = result_files(config.results_dir, name, list(query_files))
+        for rows_path, qname in zip(rows_paths, query_files.values()):
             # One project's result names all differ, so a project finds
             # itself here only when the list names it twice.
-            first, first_query = writers.setdefault(rows_name, (name, qname))
+            first, first_query = writers.setdefault(rows_path, (name, qname))
             if first != name:
                 raise RunnerError(f"project {first} with query file {first_query} and project "
-                                  f"{name} with query file {qname} both write "
-                                  f"{config.results_dir / rows_name}")
+                                  f"{name} with query file {qname} both write {rows_path}")
 
     records = [run_project(name, config, docs) for name in project_names]
 

@@ -302,7 +302,7 @@ def _batch_tree(root, projects, queries):
         (root / "queries" / fname).write_text(text)
     (root / "projects.txt").write_text("\n".join(projects) + "\n")
     (root / "queries.txt").write_text("\n".join(queries) + "\n")
-    return RunConfig.from_root(root, root / "projects.txt", root / "queries.txt")
+    return RunConfig(root, root / "projects.txt", root / "queries.txt")
 
 
 def test_criterion_6_parse_once(tmp_path):

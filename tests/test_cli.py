@@ -84,6 +84,25 @@ def test_genprops_with_a_value_under_an_empty_header_exits_two(tmp_path, capsys)
     assert sorted(p.name for p in (root / "properties").iterdir()) == ["projecttags.csv"]
 
 
+def test_genprops_with_a_value_past_the_header_exits_two(tmp_path, capsys):
+    root = make_root(tmp_path)
+    (root / "properties" / "projecttags.csv").write_text("project,x\np,1,2\n")
+    assert main(["genprops", "--dirs", str(root)]) == 2
+    assert "column 3 has no name, but project p has a value in it" in capsys.readouterr().err
+    assert sorted(p.name for p in (root / "properties").iterdir()) == ["projecttags.csv"]
+
+
+def test_an_unlabeled_later_select_exits_two(tmp_path, capsys):
+    root = make_root(tmp_path)
+    (root / "queries" / "two.craql").write_text(
+        "select ({Block} b) { a++; }\nselect ({Block} c) { z++; }\n")
+    (root / "queries.txt").write_text("two.craql\n")
+    assert run_main(root) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: unparseable query file two.craql: two.craql:2:1: an unlabeled select")
+    assert list((root / "results").iterdir()) == []
+
+
 def test_recursion_limit_exits_one(tmp_path, caplog):
     root = make_root(tmp_path)
     (root / "queries" / "loop.craql").write_text(

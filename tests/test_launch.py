@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from craql.fixtures import fixture_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -151,6 +153,36 @@ def test_skipped_file_is_logged_in_the_cli_format(tmp_path):
         f"1/1 projects completed; results in {root / 'results'}",
     ]
     assert (root / "results" / "p.vars").read_text() == "n=1\n"
+
+
+@pytest.mark.parametrize("entry, reason", [("sub.mj", "Is a directory"),
+                                           ("dangling.mj", "No such file or directory")])
+def test_an_unreadable_source_is_skipped_with_a_warning(tmp_path, entry, reason):
+    root = make_root(tmp_path, {"p": {"Sample.mj": fixture_text("Sample.mj")}},
+                     "select ({Block} b) { n += 1; }\n")
+    if entry == "sub.mj":
+        (root / "projects" / "p" / entry).mkdir()
+    else:
+        (root / "projects" / "p" / entry).symlink_to(root / "nowhere")
+    batch = python(["-m", "craql.cli"] + run_args(root))
+    assert batch.returncode == 0, batch.stderr.decode()
+    assert batch.stderr.decode().splitlines() == [
+        f"WARNING p: {entry}: cannot read: {reason}",
+        f"1/1 projects completed; results in {root / 'results'}",
+    ]
+    assert (root / "results" / "p.vars").read_text() == "n=3\n"
+
+
+def test_a_control_character_in_a_project_name_reaches_stderr_quoted(tmp_path):
+    root = make_root(tmp_path, {"p": {"A.mj": "class A { void m() { x = 1; } }\n"}},
+                     "select ({Block} b) { n += 1; }\n")
+    (root / "projects.txt").write_text("a\0b\np\n")
+    batch = python(["-m", "craql.cli"] + run_args(root))
+    assert batch.returncode == 1
+    assert batch.stderr.decode().splitlines() == [
+        f"ERROR aborting 'a\\x00b': project directory missing: {root / 'projects'}/'a\\x00b'",
+        f"1/2 projects completed; results in {root / 'results'}",
+    ]
 
 
 def test_import_craql_loads_no_submodule():

@@ -137,6 +137,16 @@ class TestParse:
         with pytest.raises(QuerySyntaxError, match="duplicate query label"):
             parse_query_document(text)
 
+    def test_unlabeled_select_after_the_first_is_rejected(self):
+        text = "select ({Block} b) { a++; }\nselect ({Block} c) { z++; }"
+        with pytest.raises(QuerySyntaxError, match=r"^q\.craql:2:1: an unlabeled select after "
+                           r"the first never runs: label it and run it with callquery$"):
+            parse_query_document(text, "q.craql")
+        # A labeled one may follow, and the first may be labeled or not.
+        for first in ("", "q0 : "):
+            doc = parse_query_document(f"{first}select ({{Block}} b) {{ }}\nq1 : select ({{Block}} c) {{ }}")
+            assert [label for label, _ in doc.queries] == [first[:2] or None, "q1"]
+
     def test_star_and_ellipsis_patterns(self):
         star = parse_query_document("select ({A} x * {B} y) { }").entry
         assert star.pattern.kind == STAR and star.pattern.variables() == ["x", "y"]

@@ -61,8 +61,7 @@ MUTABLE_FIELDS = {
     FileInfo: ("name", "text"),
     BindingTable: ("method", "type"),
     SelectionCapture: ("query", "input_nodes", "include_root", "directly", "env_snapshot", "rows"),
-    RunConfig: ("projects_dir", "queries_dir", "properties_dir", "results_dir",
-                "project_list", "query_list"),
+    RunConfig: ("root", "project_list", "query_list"),
 }
 ALL_FIELDS = {**IR_FIELDS, **FROZEN_FIELDS, **MUTABLE_FIELDS}
 

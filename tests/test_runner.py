@@ -21,9 +21,9 @@ from craql import (
     serialize_project,
 )
 from craql.fixtures import fixture_text, generate_block_sea, generate_nested_blocks
-from craql.engine.runtime import row_line
+from craql.engine.runtime import render_value, row_line
 from craql.results import OUTPUT_CSV, RunConfig, RunnerError, collate_csv, generate_props
-from craql.runner import SERIALIZED_AST, load_properties, render_variable, run_batch
+from craql.runner import SERIALIZED_AST, load_properties, run_batch
 
 from conftest import BAD_AST_DOCS, BAD_COLUMN_DOCS, ast_document, run_document
 
@@ -41,9 +41,7 @@ def make_tree(tmp_path, projects: dict[str, dict[str, str]], queries: dict[str, 
         (tmp_path / "queries" / name).write_text(text)
     (tmp_path / "projects.txt").write_text("\n".join(projects) + "\n")
     (tmp_path / "queries.txt").write_text("\n".join(queries) + "\n")
-    return RunConfig.from_root(
-        tmp_path, tmp_path / "projects.txt", tmp_path / "queries.txt"
-    )
+    return RunConfig(tmp_path, tmp_path / "projects.txt", tmp_path / "queries.txt")
 
 
 COUNT_BLOCKS = "select ({Block} b) { num_blocks += 1; }"
@@ -113,6 +111,10 @@ class TestGenerateProps:
         (tmp_path / "projecttags.csv").write_text("project,,lang,\nalpha,,java,\n")
         generate_props(tmp_path)
         assert (tmp_path / "alpha.properties").read_text() == "lang=java\n"
+        # So is a blank cell past the header's last one.
+        (tmp_path / "projecttags.csv").write_text("project,x\np,1,\n")
+        generate_props(tmp_path)
+        assert (tmp_path / "p.properties").read_text() == "x=1\n"
 
     @pytest.mark.parametrize("tags, message", [
         ("project,x,x\np,1,2\n", "column 3 repeats the name 'x'"),
@@ -121,8 +123,9 @@ class TestGenerateProps:
         ('project,x,"c\nd"\np,1,4\n', "column 3's name or project p's value in it spans lines"),
         ('project,x\np,"1\n2"\n', "column 2's name or project p's value in it spans lines"),
         ("project,x\np,1\u20282\n", "column 2's name or project p's value in it spans lines"),
+        ("project,x\np,1,2\n", "column 3 has no name, but project p has a value in it"),
     ], ids=["repeat", "repeat-once-stripped", "equals-in-name", "break-in-name",
-            "break-in-value", "line-separator-in-value"])
+            "break-in-value", "line-separator-in-value", "value-past-the-header"])
     def test_names_and_values_that_read_back_wrong_are_rejected_before_any_write(
             self, tmp_path, tags, message):
         (tmp_path / "projecttags.csv").write_text(f"{tags}q,5\n")
@@ -372,7 +375,8 @@ class TestRunBatch:
         assert [(r.project, r.aborted) for r in records] == [
             ("sub/proj", True), ("a\0b", True), ("real", False), ("../escape", True)]
         for record in records[0], records[1], records[3]:
-            assert record.diagnostics[0].startswith("project directory missing: ")
+            assert record.diagnostics == [
+                f"project directory missing: {config.projects_dir / repr(record.project)}"]
             assert record.stats.files_parsed == 0
         assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
             "real.blocks.rows", "real.vars"]
@@ -502,18 +506,46 @@ class TestRunBatch:
         assert not alpha.aborted and beta.aborted
         assert "RuntimeError: evaluator fault" in beta.diagnostics[0]
 
-    def test_unreadable_source_skips_only_its_project(self, tmp_path):
+    def test_an_unreadable_source_is_skipped_like_an_undecodable_one(self, tmp_path, caplog):
         config = make_tree(
             tmp_path,
-            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")}, "odd": {}},
+            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")}},
             queries={"blocks.craql": COUNT_BLOCKS},
         )
-        (tmp_path / "projects" / "odd" / "Dir.mj").mkdir()
+        (tmp_path / "projects" / "alpha" / "Dir.mj").mkdir()
+        status, records = run_batch(config)
+        assert status == 0
+        assert (tmp_path / "results" / "alpha.vars").read_text() == "num_blocks=3\n"
+        assert records[0].diagnostics == ["Dir.mj: cannot read: Is a directory"]
+        assert not any(r.exc_info for r in caplog.records)
+
+    @pytest.mark.parametrize("unreadable", ["alpha.properties", SERIALIZED_AST])
+    def test_an_input_that_cannot_be_read_aborts_only_its_project(
+            self, tmp_path, caplog, monkeypatch, unreadable):
+        project, _ = load_project("alpha", [("Sample.mj", fixture_text("Sample.mj"))])
+        config = make_tree(
+            tmp_path,
+            projects={"alpha": {SERIALIZED_AST: serialize_project(project)},
+                      "beta": {"AB.mj": fixture_text("AB.mj")}},
+            queries={"blocks.craql": COUNT_BLOCKS},
+        )
+        (config.properties_dir / "alpha.properties").write_text("n=1\n")
+        read_bytes = Path.read_bytes
+
+        def denied(path):
+            if path.name == unreadable:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
         status, records = run_batch(config)
         assert status == 1
-        assert (tmp_path / "results" / "alpha.vars").read_text() == "num_blocks=3\n"
-        assert records[1].aborted
-        assert "IsADirectoryError" in records[1].diagnostics[0]
+        assert [r.aborted for r in records] == [True, False]
+        shown = SERIALIZED_AST if unreadable == SERIALIZED_AST else config.properties_dir / unreadable
+        assert records[0].diagnostics == [f"{shown}: cannot read: Permission denied"]
+        assert not any(r.exc_info for r in caplog.records)
+        assert sorted(p.name for p in config.results_dir.iterdir()) == [
+            "beta.blocks.rows", "beta.vars"]
 
     def test_parse_once_across_query_counts(self, tmp_path):
         one = make_tree(
@@ -823,10 +855,10 @@ def test_rows_without_source_text_show_placeholders(tmp_path, caplog):
 SQUARINGS = "select ({CompilationUnit} u) { x = 2; i = 0; while (i < n) { x = x * x; i++; } m++; }"
 
 
-def _fails_on_42(value):
+def _fails_on_42(value, project):
     if value == 42:
         raise ValueError("42 does not render")
-    return render_variable(value)
+    return render_value(value, project)
 
 
 # Stage -> (how the first project fails there, given the root and pytest's
@@ -847,7 +879,7 @@ STAGE_FAILURES = {
     # alpha's `m` (41, one `m++` on) stands in for an export fault.
     "export": (lambda root, monkeypatch: (
                    (root / "properties" / "alpha.properties").write_text("m=41\n"),
-                   monkeypatch.setattr("craql.runner.render_variable", _fails_on_42)),
+                   monkeypatch.setattr("craql.runner.render_value", _fails_on_42)),
                "writing alpha's results failed: ValueError: 42 does not render"),
     "write": (lambda root, _: (root / "results" / "alpha.sq.rows").mkdir(),
               "writing alpha's results failed: IsADirectoryError: "),
@@ -998,7 +1030,7 @@ def test_pairs_that_write_one_rows_file_are_a_config_error(tmp_path):
 def test_validate_creates_nothing_when_a_check_fails(tmp_path):
     (tmp_path / "projects.txt").write_text("alpha\n")
     (tmp_path / "queries.txt").write_text("q.craql\n")
-    config = RunConfig.from_root(
+    config = RunConfig(
         tmp_path / "nope" / "deeper", tmp_path / "projects.txt", tmp_path / "queries.txt")
     with pytest.raises(RunnerError, match="missing directory: "):
         run_batch(config)

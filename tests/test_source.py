@@ -88,3 +88,37 @@ def test_the_check_sees_functions_methods_and_lambdas():
     assert unread_parameters(tree) == [
         (1, "f", "b"), (1, "f", "c"), (1, "f", "g"), (3, "m", "y"), (3, "<lambda>", "w"),
     ]
+
+
+# The batch root's file names, which `craql.results` alone spells.
+ROOT_FILE_NAMES = (".vars", ".rows", ".properties", "project.ast.json")
+
+
+def root_file_literals(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, text) for each string constant in `tree`, an f-string's
+    literal pieces included, that holds one of `ROOT_FILE_NAMES`.
+    Docstrings are exempt."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings and any(n in node.value for n in ROOT_FILE_NAMES)]
+
+
+def test_only_the_results_module_names_the_root_files():
+    named = [f"{path.relative_to(SOURCE_ROOT)}:{line}: {text!r}"
+             for path in sorted(SOURCE_ROOT.rglob("*.py")) if path != SOURCE_ROOT / "results.py"
+             for line, text in root_file_literals(ast.parse(path.read_text()))]
+    assert named == []
+
+
+def test_the_name_check_sees_f_string_pieces_and_skips_docstrings():
+    tree = ast.parse(
+        '"""Writes <p>.vars."""\n'
+        "def f(p, q):\n"
+        '    """Reads <p>.properties."""\n'
+        '    return [f"{p}.vars", f"{p}.{q}.rows", "project.ast.json", "x.mj"]\n'
+    )
+    assert sorted(root_file_literals(tree)) == [(4, ".rows"), (4, ".vars"), (4, "project.ast.json")]
