@@ -20,7 +20,7 @@ from collections.abc import Iterator, Sequence
 from importlib import import_module
 from itertools import chain
 from operator import itemgetter, le
-from typing import Any, NamedTuple, Union
+from typing import Any, NamedTuple, NoReturn, Union
 
 from craql import Frozen, Record
 
@@ -262,25 +262,16 @@ class ProjectAst:
         return len(self.files) - 1
 
     def add_node(self, type_name: str, file: int, start: int, end: int, line: int,
-                 props: dict[str, PropValue]) -> int:
+                 props: dict[str, PropValue], kids: list[int] | tuple[()]) -> int:
         """Append a node of concrete type `type_name` and return its id.
 
-        The node keeps `props`, less any child given as None, which is
-        absent. Its kids are the child ids in `props`, in the order the
-        schema declares the type's properties.
+        The node keeps `props`, which leave an absent child out, and `kids`,
+        the child ids in `props` in the order the schema declares the type's
+        properties (`schema.children`). The caller builds both, so they
+        agree; an empty `kids` becomes the shared empty tuple.
         """
-        children = self.schema.children.get(type_name)
-        if children is None:
+        if type_name not in self.schema.children:
             raise SchemaError(f"{type_name} is not a concrete node type")
-        kids: list[int] = []
-        for name in children:
-            value = props.get(name)
-            if type(value) is int:
-                kids.append(value)
-            elif value is not None:
-                kids += value
-            elif name in props:
-                del props[name]
         self.type.append(type_name)
         self.file.append(file)
         self.start.append(start)
@@ -660,9 +651,10 @@ def _fill_columns(project: ProjectAst, types: list, files: list, starts: list, e
                 raise AstFormatError(f"span [{start}, {end}] is not a range in its file",
                                      f"node {nid}")
 
-    # Kids go in schema declaration order, as `add_node` orders them, so
-    # walks see a node's children in the same order whichever loader made
-    # it: the document's key order carries no meaning.
+    # Kids go in schema declaration order, the order the MiniLang parser
+    # hands them to `add_node`, so walks see a node's children in the same
+    # order whichever loader made it: the document's key order carries no
+    # meaning.
     count = len(types)
     kids_column: list[list[int] | tuple[()]] = []
     for nid, (tname, raw_props) in enumerate(zip(types, props)):
@@ -696,6 +688,20 @@ def _fill_columns(project: ProjectAst, types: list, files: list, starts: list, e
         kids_column.append(kids or ())
     project.type, project.file, project.start, project.end = types, files, starts, ends
     project.line, project.props, project.kids = lines, props, kids_column
+
+
+def _binding_fault(kind: str, entries: dict, types: list[str], decl_type: str) -> NoReturn:
+    """Raise the AstFormatError for the first faulty entry of a `kind`
+    binding table, whose targets must be `decl_type` nodes."""
+    count = len(types)
+    for key, target in entries.items():
+        where = f"{key} -> {target}"
+        if not key.isdecimal():
+            raise AstFormatError(f"non-integer key in {kind} bindings", where)
+        src = _node_id(int(key), count, f"{kind} binding source", where)
+        if types[_node_id(target, count, f"{kind} binding target", where)] != decl_type:
+            raise AstFormatError("binding target type mismatch", f"{kind} binding {src} -> {target}")
+    raise AssertionError(f"{kind} bindings have no fault")
 
 
 def deserialize_project(document: str) -> ProjectAst:
@@ -741,20 +747,16 @@ def deserialize_project(document: str) -> ProjectAst:
         ("type", project.bindings.type, "TypeDeclaration"),
     ):
         entries = _expect(bindings.get(kind, {}), dict, f"{kind} bindings", "bindings")
-        for key, target in entries.items():
-            if not key.isdecimal():
-                raise AstFormatError(f"non-integer key in {kind} bindings", f"{key} -> {target}")
-            src = int(key)
-            if type(target) is not int or not (0 <= src < count and 0 <= target < count):
-                # One of these raises; the check above keeps the common case cheap.
-                where = f"{key} -> {target}"
-                _node_id(src, count, f"{kind} binding source", where)
-                _node_id(target, count, f"{kind} binding target", where)
-            if types[target] != decl_type:
-                raise AstFormatError(
-                    "binding target type mismatch", f"{kind} binding {src} -> {target}"
-                )
-            table[src] = target
+        # The table is checked whole first, in C, as `_fill_columns` checks
+        # columns; a scan runs only to word the first fault.
+        keys, targets = list(entries), list(entries.values())
+        sources = list(map(int, keys)) if all(map(str.isdecimal, keys)) else None
+        if (sources is None or not set(map(type, targets)) <= {int}
+                or not (0 <= min(targets, default=0)
+                        and max(chain(sources, targets), default=-1) < count)
+                or not set(map(types.__getitem__, targets)) <= {decl_type}):
+            _binding_fault(kind, entries, types, decl_type)
+        table.update(zip(sources, targets))
 
     if _SURROGATE_ESCAPE.search(document):
         _require_utf8(project)

@@ -31,9 +31,9 @@ def ensure_builtins(project: ProjectAst) -> None:
         start = text.index(name, offset)
         props = {"interface": "false", "name": name, "bodyDeclarations": []}
         types.append(project.add_node(
-            "TypeDeclaration", file_id, start, start + len(name), 1, props))
+            "TypeDeclaration", file_id, start, start + len(name), 1, props, ()))
         offset = start + len(name)
-    project.add_node("CompilationUnit", file_id, 0, len(text), 1, {"types": types})
+    project.add_node("CompilationUnit", file_id, 0, len(text), 1, {"types": types}, types)
 
 
 class _Binder:

@@ -18,7 +18,7 @@ from collections.abc import Callable
 from itertools import accumulate, chain
 from operator import itemgetter
 
-from craql.astcore import ProjectAst
+from craql.astcore import PropValue, ProjectAst
 from craql.diagnostics import Diagnostic
 
 KEYWORDS = {
@@ -32,9 +32,10 @@ PUNCTUATORS = {"==", "!=", "<=", ">=", "&&", "||", *"{}()[];,.=<>!+-*/"}
 # unterminated string, and `.` takes any other character but a newline as a
 # stray one. `\Z` matches the empty `eof` token; after trailing whitespace
 # `findall` also returns a second, empty match there, which `lex` drops.
-# After the greedy group 1 the token always matches, so nothing backtracks.
+# Group 1 is atomic, so the engine keeps no backtracking state while it
+# skips space: after it the token always matches, and nothing backtracks.
 _TOKEN = re.compile(r"""
-    ((?:\s+|//[^\n]*)*)
+    ((?>\s*)(?>//[^\n]*\s*)*)
     ( [^\W\d]\w*
     | [0-9]+
     | "(?:[^"\\\n]|\\.)*"
@@ -144,7 +145,9 @@ class Parser:
 
     def at(self, text: str) -> bool:
         # No ident, number, string or stray token spells a keyword or
-        # punctuator, so the text alone tells.
+        # punctuator, so the text alone tells. Only `eof` spells "", so a
+        # token that is at a keyword or punctuator can be consumed with
+        # `self.pos += 1`, as the expression rules do.
         return self.texts[self.pos] == text
 
     def error(self, message: str) -> MiniLangParseError:
@@ -158,25 +161,33 @@ class Parser:
         line, col = line_and_column(self.newlines, self.starts[tok])
         return MiniLangParseError(Diagnostic(self.file_name, line, col, message))
 
-    def expect(self, text: str) -> int:
-        if self.at(text):
-            return self.advance()
+    def expected(self, text: str) -> MiniLangParseError:
+        """The error `expect(text)` raises at the next token."""
         found = self.texts[self.pos]
-        raise self.error(
+        return self.error(
             f"expected {text!r}, found {found!r}" if found else f"expected {text!r}, found end of file"
         )
+
+    def expect(self, text: str) -> int:
+        tok = self.pos
+        if self.texts[tok] != text:
+            raise self.expected(text)
+        self.pos = tok + 1
+        return tok
 
     def expect_ident(self) -> int:
         if self.kinds[self.pos] != "ident":
             raise self.error(f"expected identifier, found {self.texts[self.pos]!r}")
         return self.advance()
 
-    def node(self, type_name: str, start: int, **props) -> int:
-        """Add a node spanning token `start` to the last token consumed.
-        `add_node` takes the props as given: a child given as None is absent."""
+    def node(self, type_name: str, start: int, props: dict[str, PropValue],
+             kids: list[int] | tuple[()] = ()) -> int:
+        """Add a node spanning token `start` to the last token consumed, with
+        `props` (no absent child among them) and `kids`, its child ids in
+        the order the schema declares its properties."""
         offset = self.starts[start]
         return self.project.add_node(type_name, self.file_id, offset, self.ends[self.pos - 1],
-                                     bisect_left(self.newlines, offset) + 1, props)
+                                     bisect_left(self.newlines, offset) + 1, props, kids)
 
     def commas(self, item: Callable[[], int]) -> list[int]:
         """One or more nodes parsed by `item`, separated by commas."""
@@ -219,7 +230,7 @@ class Parser:
             else:
                 raise self.error(f"expected type declaration, found {self.texts[self.pos]!r}")
         return self.project.add_node("CompilationUnit", self.file_id, 0, self.ends[-1], 1,
-                                     {"types": types})
+                                     {"types": types}, types)
 
     def parse_type_declaration(self) -> int:
         start = self.advance()  # class | interface
@@ -234,10 +245,9 @@ class Parser:
             except MiniLangParseError as exc:
                 self.recover(exc, mark)
         self.expect("}")
-        return self.node(
-            "TypeDeclaration", start, interface="true" if is_interface else "false",
-            name=self.texts[name], bodyDeclarations=members,
-        )
+        return self.node("TypeDeclaration", start, {
+            "interface": "true" if is_interface else "false", "name": self.texts[name],
+            "bodyDeclarations": members}, members)
 
     def parse_member(self) -> int:
         type_tok = self.expect_ident()
@@ -251,23 +261,19 @@ class Parser:
         self.expect("(")
         params = [] if self.at(")") else self.commas(self.parse_parameter)
         self.expect(")")
-        body: int | None = None
+        props = {"returnType": self.texts[type_tok], "name": self.texts[name],
+                 "parameters": params}
         if self.at(";"):
             self.advance()
-        else:
-            body = self.parse_block()
-        return self.node(
-            "MethodDeclaration", type_tok, returnType=self.texts[type_tok],
-            name=self.texts[name], parameters=params, body=body,
-        )
+            return self.node("MethodDeclaration", type_tok, props, params)
+        body = props["body"] = self.parse_block()
+        return self.node("MethodDeclaration", type_tok, props, [*params, body])
 
     def parse_parameter(self) -> int:
         type_tok = self.expect_ident()
         name = self.expect_ident()
-        return self.node(
-            "SingleVariableDeclaration", type_tok, type=self.texts[type_tok],
-            name=self.texts[name],
-        )
+        return self.node("SingleVariableDeclaration", type_tok,
+                         {"type": self.texts[type_tok], "name": self.texts[name]})
 
     def parse_declaration(self, type_name: str, *, consume_semi: bool = True) -> int:
         """A field or local declaration: a type and one or more fragments."""
@@ -275,15 +281,17 @@ class Parser:
         fragments = self.commas(self.parse_fragment)
         if consume_semi:
             self.expect(";")
-        return self.node(type_name, type_tok, type=self.texts[type_tok], fragments=fragments)
+        return self.node(type_name, type_tok, {"type": self.texts[type_tok],
+                                               "fragments": fragments}, fragments)
 
     def parse_fragment(self) -> int:
         name = self.expect_ident()
-        init: int | None = None
-        if self.at("="):
-            self.advance()
-            init = self.parse_expression()
-        return self.node("VariableDeclaration", name, name=self.texts[name], initializer=init)
+        props: dict[str, PropValue] = {"name": self.texts[name]}
+        if not self.at("="):
+            return self.node("VariableDeclaration", name, props)
+        self.advance()
+        init = props["initializer"] = self.parse_expression()
+        return self.node("VariableDeclaration", name, props, [init])
 
     # -- statements --
 
@@ -297,7 +305,7 @@ class Parser:
             except MiniLangParseError as exc:
                 self.recover(exc, mark)
         self.expect("}")
-        return self.node("Block", start, statements=statements)
+        return self.node("Block", start, {"statements": statements}, statements)
 
     def parse_statement(self) -> int:
         tok = self.pos
@@ -312,25 +320,28 @@ class Parser:
             return self.parse_for()
         if text == "return":
             self.advance()
-            expr = None if self.at(";") else self.parse_expression()
+            if self.at(";"):
+                self.advance()
+                return self.node("ReturnStatement", tok, {})
+            expr = self.parse_expression()
             self.expect(";")
-            return self.node("ReturnStatement", tok, expression=expr)
+            return self.node("ReturnStatement", tok, {"expression": expr}, [expr])
         if text in ("break", "continue"):
             self.advance()
             self.expect(";")
-            return self.node("BreakStatement" if text == "break" else "ContinueStatement", tok)
+            return self.node("BreakStatement" if text == "break" else "ContinueStatement", tok, {})
         if text == "throw":
             self.advance()
             expr = self.parse_expression()
             self.expect(";")
-            return self.node("ThrowStatement", tok, expression=expr)
+            return self.node("ThrowStatement", tok, {"expression": expr}, [expr])
         if text == "try":
             return self.parse_try()
         if self.kinds[tok] == "ident" and self.kinds[tok + 1] == "ident":
             return self.parse_declaration("VariableDeclarationStatement")
         expr = self.parse_expression()
         self.expect(";")
-        return self.node("ExpressionStatement", tok, expression=expr)
+        return self.node("ExpressionStatement", tok, {"expression": expr}, [expr])
 
     def parse_if(self) -> int:
         start = self.expect("if")
@@ -338,13 +349,12 @@ class Parser:
         cond = self.parse_expression()
         self.expect(")")
         then = self.parse_statement()
-        els: int | None = None
-        if self.at("else"):
-            self.advance()
-            els = self.parse_statement()
-        return self.node(
-            "IfStatement", start, expression=cond, thenStatement=then, elseStatement=els
-        )
+        props = {"expression": cond, "thenStatement": then}
+        if not self.at("else"):
+            return self.node("IfStatement", start, props, [cond, then])
+        self.advance()
+        els = props["elseStatement"] = self.parse_statement()
+        return self.node("IfStatement", start, props, [cond, then, els])
 
     def parse_while(self) -> int:
         start = self.expect("while")
@@ -352,7 +362,8 @@ class Parser:
         cond = self.parse_expression()
         self.expect(")")
         body = self.parse_statement()
-        return self.node("WhileStatement", start, expression=cond, body=body)
+        return self.node("WhileStatement", start, {"expression": cond, "body": body},
+                         [cond, body])
 
     def parse_for(self) -> int:
         start = self.expect("for")
@@ -363,15 +374,18 @@ class Parser:
         else:
             initializers = [] if self.at(";") else self.commas(self.parse_expression)
         self.expect(";")
-        cond = None if self.at(";") else self.parse_expression()
+        props: dict[str, PropValue] = {"initializers": initializers}
+        kids = initializers[:]
+        if not self.at(";"):
+            cond = props["expression"] = self.parse_expression()
+            kids.append(cond)
         self.expect(";")
-        updaters = [] if self.at(")") else self.commas(self.parse_expression)
+        updaters = props["updaters"] = [] if self.at(")") else self.commas(self.parse_expression)
         self.expect(")")
-        body = self.parse_statement()
-        return self.node(
-            "ForStatement", start, initializers=initializers, expression=cond,
-            updaters=updaters, body=body,
-        )
+        body = props["body"] = self.parse_statement()
+        kids += updaters
+        kids.append(body)
+        return self.node("ForStatement", start, props, kids)
 
     def parse_try(self) -> int:
         start = self.expect("try")
@@ -383,23 +397,27 @@ class Parser:
             exc_id = self.parse_parameter()
             self.expect(")")
             cbody = self.parse_block()
-            clauses.append(self.node("CatchClause", cstart, exception=exc_id, body=cbody))
+            clauses.append(self.node("CatchClause", cstart, {"exception": exc_id, "body": cbody},
+                                     [exc_id, cbody]))
         if not clauses:
             raise self.error("try requires at least one catch")
-        return self.node("TryStatement", start, body=body, catchClauses=clauses)
+        return self.node("TryStatement", start, {"body": body, "catchClauses": clauses},
+                         [body, *clauses])
 
-    # -- expressions --
+    # -- expressions: `at`, `advance` and `expect` written out, as these
+    # rules run once or more per token --
 
     def parse_expression(self, min_prec: int = 0) -> int:
         """Precedence climbing: an expression whose binary operators all bind
         at least as tightly as `min_prec`."""
+        texts = self.texts
         start = self.pos
-        if self.texts[start] in ("!", "-"):
+        if texts[start] in ("!", "-"):
             left = self.parse_prefix()
         else:
             left = self.parse_postfix()
         while True:
-            op = self.texts[self.pos]
+            op = texts[self.pos]
             prec = BINARY_PRECEDENCE.get(op, -1)
             if prec < min_prec:
                 return left
@@ -409,66 +427,79 @@ class Parser:
             # `=` is right-associative: its right side starts at its own level.
             right = self.parse_expression(prec + 1 if prec else 0)
             if prec:
-                left = self.node(
-                    "InfixExpression", start, leftOperand=left, operator=op, rightOperand=right,
-                )
+                left = self.node("InfixExpression", start, {
+                    "leftOperand": left, "operator": op, "rightOperand": right}, [left, right])
             else:
-                left = self.node(
-                    "Assignment", start, leftHandSide=left, operator="=", rightHandSide=right
-                )
+                left = self.node("Assignment", start, {
+                    "leftHandSide": left, "operator": "=", "rightHandSide": right}, [left, right])
 
     def parse_prefix(self) -> int:
-        op = self.advance()
-        if self.texts[op] == "-" and self.kinds[self.pos] == "number":
-            num = self.advance()
-            return self.node("NumberLiteral", op, token="-" + self.texts[num])
+        op = self.pos
+        self.pos += 1
+        if self.texts[op] == "-" and self.kinds[op + 1] == "number":
+            self.pos += 1
+            return self.node("NumberLiteral", op, {"token": "-" + self.texts[op + 1]})
         operand = self.parse_expression(PREFIX_PRECEDENCE)
-        return self.node("PrefixExpression", op, operator=self.texts[op], operand=operand)
+        return self.node("PrefixExpression", op, {"operator": self.texts[op], "operand": operand},
+                         [operand])
 
     def parse_postfix(self) -> int:
         start = self.pos
         expr = self.parse_primary()
-        while self.at("."):
-            self.advance()
-            name = self.texts[self.expect_ident()]
-            if self.at("("):
+        texts = self.texts
+        while texts[self.pos] == ".":
+            self.pos += 1
+            tok = self.expect_ident()
+            if texts[tok + 1] == "(":
                 args = self.parse_arguments()
-                expr = self.node(
-                    "MethodInvocation", start, expression=expr, name=name, arguments=args
-                )
+                expr = self.node("MethodInvocation", start, {
+                    "expression": expr, "name": texts[tok], "arguments": args}, [expr, *args])
             else:
-                expr = self.node("FieldAccess", start, expression=expr, name=name)
+                expr = self.node("FieldAccess", start, {"expression": expr, "name": texts[tok]},
+                                 [expr])
         return expr
 
     def parse_arguments(self) -> list[int]:
-        self.expect("(")
-        args = [] if self.at(")") else self.commas(self.parse_expression)
-        self.expect(")")
+        texts = self.texts
+        if texts[self.pos] != "(":
+            raise self.expected("(")
+        self.pos += 1
+        if texts[self.pos] == ")":
+            self.pos += 1
+            return []
+        args = [self.parse_expression()]
+        while texts[self.pos] == ",":
+            self.pos += 1
+            args.append(self.parse_expression())
+        if texts[self.pos] != ")":
+            raise self.expected(")")
+        self.pos += 1
         return args
 
     def parse_primary(self) -> int:
         tok = self.pos
         kind, text = self.kinds[tok], self.texts[tok]
+        if kind == "ident":
+            self.pos = tok + 1
+            if self.texts[tok + 1] == "(":
+                args = self.parse_arguments()
+                return self.node("MethodInvocation", tok, {"name": text, "arguments": args}, args)
+            return self.node("Name", tok, {"identifier": text})
+        literal = _LITERALS.get(kind if kind != "keyword" else text)
+        if literal is not None:
+            self.pos = tok + 1
+            return self.node(literal, tok, {"token": text})
         if text == "(":
-            self.advance()
+            self.pos = tok + 1
             inner = self.parse_expression()
             self.expect(")")
             return inner
         if text == "new":
-            self.advance()
+            self.pos = tok + 1
             cls = self.expect_ident()
             args = self.parse_arguments()
-            return self.node("ClassInstanceCreation", tok, type=self.texts[cls], arguments=args)
-        literal = _LITERALS.get(kind if kind != "keyword" else text)
-        if literal is not None:
-            self.advance()
-            return self.node(literal, tok, token=text)
-        if kind == "ident":
-            self.advance()
-            if self.at("("):
-                args = self.parse_arguments()
-                return self.node("MethodInvocation", tok, name=text, arguments=args)
-            return self.node("Name", tok, identifier=text)
+            return self.node("ClassInstanceCreation", tok, {"type": self.texts[cls],
+                                                             "arguments": args}, args)
         raise self.error(
             f"expected expression, found {text!r}" if text else "expected expression, found end of file"
         )

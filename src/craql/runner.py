@@ -5,6 +5,8 @@ layout and the file formats.
 
 from __future__ import annotations
 
+import gc
+import os
 import re
 import sys
 from pathlib import Path
@@ -57,13 +59,15 @@ _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
     """Parse <project>.properties; integers and true/false are converted.
+    A project without the entry has no properties; an entry that cannot be
+    read, such as a directory or a dangling link, raises `RunnerError`.
     A line without `=`, or with nothing before it, is skipped with a warning.
     An integer of more than `MAX_INT_DIGITS` digits past its leading zeros,
     the bound on query results, raises `RunnerError`: one `++` on it might
     not render."""
     path = properties_file(properties_dir, project)
     seed: dict[str, object] = {}
-    if not path.is_file():
+    if not os.path.lexists(path):
         return seed
     for lineno, raw in enumerate(read_text(path, str(path)).splitlines(), start=1):
         line = raw.strip()
@@ -89,11 +93,13 @@ def load_properties(properties_dir: Path, project: str) -> dict[str, object]:
 
 
 def load_project_sources(project_dir: Path, name: str) -> tuple[ProjectAst, list[str]]:
-    """Parse the project once: `.mj` sources, or a serialized-AST document.
-    A `.mj` source that is not UTF-8, or cannot be read, is skipped with a
-    diagnostic; such a serialized document raises `RunnerError`."""
+    """Parse the project once: its `.mj` sources, or the serialized-AST
+    document when an entry of that name exists, whatever its kind. A `.mj`
+    source that is not UTF-8, or cannot be read, is skipped with a
+    diagnostic; such a document (a directory or a dangling link, say)
+    raises `RunnerError`."""
     serialized = project_dir / SERIALIZED_AST
-    if serialized.is_file():
+    if os.path.lexists(serialized):
         project = deserialize_project(read_text(serialized, SERIALIZED_AST))
         project.name = name
         return project, []
@@ -204,7 +210,23 @@ def run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
 
     Returns the exit status and per-project records. The status is nonzero
     when any project was skipped or aborted.
+
+    The batch runs with the cyclic garbage collector off, and the caller's
+    setting is back when it returns. A batch makes no reference cycles, so
+    reference counting alone frees what it drops, and the hundreds of
+    collections its allocations would set off, mostly while loading, would
+    each find nothing.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_batch(config)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
     config.validate()
     project_names = read_list(config.project_list)
     query_names = read_list(config.query_list)

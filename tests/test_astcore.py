@@ -353,9 +353,9 @@ class TestMatchesType:
         # One bare node, plus one carrying each virtual type's token.
         project = ProjectAst("lattice", MINILANG_SCHEMA)
         project.add_file("f")
-        nodes = [project.add_node(t, 0, 0, 0, 1, {})]
+        nodes = [project.add_node(t, 0, 0, 0, 1, {}, ())]
         for v in MINILANG_SCHEMA.virtuals.values():
-            nodes.append(project.add_node(t, 0, 0, 0, 1, {v.prop: v.token}))
+            nodes.append(project.add_node(t, 0, 0, 0, 1, {v.prop: v.token}, ()))
         ancestors = reference_ancestors(t)
         for n in nodes:
             props = project.props[n]
@@ -378,41 +378,37 @@ class TestMatchesType:
         project = ProjectAst("lattice", MINILANG_SCHEMA)
         project.add_file("f")
         with pytest.raises(SchemaError, match=f"{t} is not a concrete node type"):
-            project.add_node(t, 0, 0, 0, 1, {})
+            project.add_node(t, 0, 0, 0, 1, {}, ())
         assert project.type == []
 
 
 class TestAddNode:
+    # The caller orders the kids; `test_minilang.py` checks that the parser
+    # hands them over in the order the schema declares the properties.
     @staticmethod
     def arena():
         project = ProjectAst("kids", MINILANG_SCHEMA)
         project.add_file("f")
-        return project, [project.add_node("Name", 0, 0, 0, 1, {"identifier": f"n{i}"})
+        return project, [project.add_node("Name", 0, 0, 0, 1, {"identifier": f"n{i}"}, ())
                          for i in range(3)]
 
-    def test_kids_follow_the_schema_not_the_props_order(self):
-        project, (cond, then, els) = self.arena()
-        n = project.add_node("IfStatement", 0, 0, 0, 1,
-                             {"elseStatement": els, "thenStatement": then, "expression": cond})
-        assert project.kids[n] == [cond, then, els]
-        assert MINILANG_SCHEMA.children["IfStatement"] == (
-            "expression", "thenStatement", "elseStatement")
-
-    def test_lists_and_single_children_interleave_in_declaration_order(self):
+    def test_keeps_the_props_and_kids_it_is_given(self):
         project, (init, cond, body) = self.arena()
-        n = project.add_node("ForStatement", 0, 0, 0, 1,
-                             {"body": body, "updaters": [], "expression": cond,
-                              "initializers": [init]})
+        props = {"initializers": [init], "expression": cond, "updaters": [], "body": body}
+        n = project.add_node("ForStatement", 0, 0, 0, 1, props, [init, cond, body])
+        assert project.props[n] is props
         assert project.kids[n] == [init, cond, body]
 
-    def test_a_none_child_is_absent(self):
+    def test_an_absent_child_is_left_out_of_props_and_kids(self):
         project, (cond, then, _) = self.arena()
         n = project.add_node("IfStatement", 0, 0, 0, 1,
-                             {"expression": cond, "thenStatement": then, "elseStatement": None})
-        assert project.props[n] == {"expression": cond, "thenStatement": then}
+                             {"expression": cond, "thenStatement": then}, [cond, then])
+        project.link_parents()
         assert project.kids[n] == [cond, then]
+        assert project.parent[cond] == project.parent[then] == n
 
-    def test_a_leaf_has_the_shared_empty_kids(self):
+    def test_no_kids_are_the_shared_empty_tuple(self):
         project, (name, _, _) = self.arena()
-        assert project.kids[name] == ()
-        assert MINILANG_SCHEMA.children["Name"] == ()
+        block = project.add_node("Block", 0, 0, 0, 1, {"statements": []}, [])
+        assert project.kids[name] == project.kids[block] == ()
+        assert type(project.kids[block]) is tuple

@@ -1,6 +1,9 @@
 """Seeded token soup through both front ends, and seeded mutations of both
 serialized AST formats.
 
+The MiniLang soup also goes through the lexer, which must give the tokens
+the per-match reference lexer of `test_lexer.py` gives.
+
 Whatever the input, the MiniLang parser may only raise MiniLangParseError,
 the query parser only QuerySyntaxError and the AST loader only
 AstFormatError, each with a location.
@@ -25,6 +28,7 @@ from craql.minilang.parser import MiniLangParseError, parse_minilang
 from craql.query.tokens import QuerySyntaxError
 
 from conftest import record_document
+from test_lexer import columnar_lex, reference_lex
 
 # Letters, digits that `int()` cannot read, other numerals, spaces and a
 # line separator that is not a newline.
@@ -51,18 +55,26 @@ def soup(rng: random.Random, pieces: list[str]) -> str:
     return "".join(rng.choice(pieces) + rng.choice(("", " ", "\n")) for _ in range(count))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_minilang_soup_fails_only_with_located_diagnostics(seed):
+def minilang_soup(seed: int) -> list[str]:
+    """200 seeded soups of MiniLang pieces, each bare and wrapped in a method."""
     rng = random.Random(seed)
+    texts = []
     for _ in range(200):
         body = soup(rng, MINILANG_PIECES + NON_ASCII)
-        for text in (body, f"class A {{ void m() {{ {body} }} }}"):
-            try:
-                _, diagnostics = parse_minilang(ProjectAst("fuzz", MINILANG_SCHEMA), "F.mj", text)
-            except MiniLangParseError as exc:
-                diagnostics = [exc.diagnostic]
-            for d in diagnostics:
-                assert d.file == "F.mj" and d.line >= 1 and d.column >= 1, (text, d)
+        texts += [body, f"class A {{ void m() {{ {body} }} }}"]
+    return texts
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_minilang_soup_fails_only_with_located_diagnostics(seed):
+    for text in minilang_soup(seed):
+        assert columnar_lex(text) == reference_lex(text), text
+        try:
+            _, diagnostics = parse_minilang(ProjectAst("fuzz", MINILANG_SCHEMA), "F.mj", text)
+        except MiniLangParseError as exc:
+            diagnostics = [exc.diagnostic]
+        for d in diagnostics:
+            assert d.file == "F.mj" and d.line >= 1 and d.column >= 1, (text, d)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,12 +1,17 @@
 import hashlib
+import random
 
 import pytest
 
 from craql import ProjectAst, MINILANG_SCHEMA, load_project, source_text
+from craql.fixtures import STATIC_FIXTURES, fixture_text, generate_random_source
 from craql.minilang.binder import BUILTINS_FILE
 from craql.minilang.parser import MiniLangParseError, parse_minilang
+from craql.minilang.schema import BUILTIN_TYPE_NAMES
 
 from conftest import descendants_preorder, find_node, frames_per_level, load_fixture_project
+from test_frontend_fuzz import minilang_soup
+from test_lexer import EDGE_CASES
 
 
 def parse_one(text: str, name: str = "T.mj"):
@@ -380,3 +385,47 @@ def test_recovery_binds_only_the_kept_call():
     (call, target), = project.bindings.method.items()
     assert project.type[call] == "MethodInvocation" and project.props[call]["name"] == "f"
     assert project.props[target]["name"] == "f"
+
+
+def schema_kids(project: ProjectAst, n: int) -> list[int]:
+    """Node `n`'s child ids read from its props in `schema.children` order:
+    the order the column-document reader derives."""
+    kids: list[int] = []
+    for name in MINILANG_SCHEMA.children[project.type[n]]:
+        value = project.props[n].get(name)
+        if type(value) is int:
+            kids.append(value)
+        elif value is not None:
+            kids += value
+    return kids
+
+
+def _one_project_each(texts: dict[str, str]):
+    return [load_project(name, [(f"{name}.mj", text)]) for name, text in texts.items()]
+
+
+# Every source the front end's tests load, as (project, diagnostics) pairs:
+# the parser builds each node's kids itself, beside its props.
+KID_SOURCES = {
+    "fixtures": lambda: [load_project(
+        "fixtures", [(name, fixture_text(name)) for name in STATIC_FIXTURES])],
+    "generated": lambda: _one_project_each(
+        {f"gen{seed}": generate_random_source(random.Random(seed)) for seed in range(20)}),
+    "list_forms": lambda: _one_project_each(LIST_FORMS),
+    "orphans": lambda: _one_project_each(ORPHAN_SOURCES),
+    "edge_cases": lambda: _one_project_each(EDGE_CASES),
+    "soup": lambda: _one_project_each(
+        {f"soup{seed}_{i}": text for seed in range(3) for i, text in enumerate(minilang_soup(seed))}),
+}
+
+
+@pytest.mark.parametrize("group", KID_SOURCES)
+def test_parser_kids_follow_the_schema(group):
+    parsed = 0
+    for project, _ in KID_SOURCES[group]():
+        for n, props in enumerate(project.props):
+            assert None not in props.values(), (project.name, n, props)
+            assert project.kids[n] == (schema_kids(project, n) or ()), (project.name, n, props)
+        # Each project also holds a compilation unit of built-in types.
+        parsed += len(project.type) - len(BUILTIN_TYPE_NAMES) - 1
+    assert parsed

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -547,6 +548,35 @@ class TestRunBatch:
         assert sorted(p.name for p in config.results_dir.iterdir()) == [
             "beta.blocks.rows", "beta.vars"]
 
+    @pytest.mark.parametrize("entry", ["directory", "dangling link"])
+    @pytest.mark.parametrize("unreadable", ["alpha.properties", SERIALIZED_AST])
+    def test_an_input_that_is_no_regular_file_aborts_only_its_project(
+            self, tmp_path, caplog, entry, unreadable):
+        # Not absent: a properties entry would leave the project unseeded,
+        # and a document entry would load the `.mj` files beside it.
+        config = make_tree(
+            tmp_path,
+            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")},
+                      "beta": {"AB.mj": fixture_text("AB.mj")}},
+            queries={"blocks.craql": COUNT_BLOCKS},
+        )
+        parent = config.properties_dir if unreadable.endswith(".properties") else (
+            config.projects_dir / "alpha")
+        path = parent / unreadable
+        if entry == "directory":
+            path.mkdir()
+        else:
+            path.symlink_to(tmp_path / "nowhere")
+        status, records = run_batch(config)
+        assert status == 1
+        assert [r.aborted for r in records] == [True, False]
+        shown = SERIALIZED_AST if unreadable == SERIALIZED_AST else path
+        reason = "Is a directory" if entry == "directory" else "No such file or directory"
+        assert records[0].diagnostics == [f"{shown}: cannot read: {reason}"]
+        assert not any(r.exc_info for r in caplog.records)
+        assert sorted(p.name for p in config.results_dir.iterdir()) == [
+            "beta.blocks.rows", "beta.vars"]
+
     def test_parse_once_across_query_counts(self, tmp_path):
         one = make_tree(
             tmp_path / "one",
@@ -698,6 +728,50 @@ def make_bundle_tree(tmp_path):
         projects={"bundle": bundle},
         queries={name: bundled_query_path(name).read_text() for name in BUNDLED_QUERIES},
     )
+
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_batch_leaves_no_cyclic_garbage(tmp_path, enabled):
+    # The batch runs with the cyclic collector off, so a cycle it made would
+    # stay in memory until the caller's next collection.
+    config = make_tree(
+        tmp_path,
+        projects={
+            "bundle": {name: fixture_text(name)
+                       for name in ("Sample.mj", "Fact.mj", "AB.mj", "Loops.mj", "Chain.mj")},
+            "faulty": {"F.mj": "class F { void f() { while (true) { continue; } } }"},
+        },
+        queries={**{name: bundled_query_path(name).read_text() for name in BUNDLED_QUERIES},
+                 "wrong_arity.craql": "select ({ContinueStatement} c) { n = c.parent(1); }"},
+    )
+    (config.projects_dir / "bundle" / "Latin1.mj").write_bytes(b"class L { } // \xe9\n")
+    # Every collection from the batch's start on counts: once the collector
+    # is back on, the next allocation may run one before `gc.collect` does.
+    collected = []
+
+    def tally(phase, info):
+        if phase == "stop":
+            collected.append(info["collected"])
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    gc.collect()
+    gc.callbacks.append(tally)
+    try:
+        status, records = run_batch(config)
+        assert gc.isenabled() == enabled
+        gc.collect()
+    finally:
+        gc.callbacks.remove(tally)
+        (gc.enable if was else gc.disable)()
+    assert collected and sum(collected) == 0
+    assert status == 1
+    assert [r.aborted for r in records] == [False, True]
+    assert records[0].diagnostics == ["Latin1.mj:1:16: error: not UTF-8: byte 0xe9 at offset 15"]
+    assert records[1].diagnostics == [
+        "query wrong_arity failed on faulty: wrong_arity.craql:1:40: "
+        "parent() takes 0 arguments, got 1"]
 
 
 # The README's escapes of a `.rows` line's source text.
