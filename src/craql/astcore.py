@@ -20,7 +20,7 @@ from collections.abc import Iterator, Sequence
 from importlib import import_module
 from itertools import chain
 from operator import itemgetter, le
-from typing import Any, NamedTuple, NoReturn, Union
+from typing import Any, NamedTuple, Union
 
 from craql import Frozen, Record
 
@@ -690,20 +690,6 @@ def _fill_columns(project: ProjectAst, types: list, files: list, starts: list, e
     project.line, project.props, project.kids = lines, props, kids_column
 
 
-def _binding_fault(kind: str, entries: dict, types: list[str], decl_type: str) -> NoReturn:
-    """Raise the AstFormatError for the first faulty entry of a `kind`
-    binding table, whose targets must be `decl_type` nodes."""
-    count = len(types)
-    for key, target in entries.items():
-        where = f"{key} -> {target}"
-        if not key.isdecimal():
-            raise AstFormatError(f"non-integer key in {kind} bindings", where)
-        src = _node_id(int(key), count, f"{kind} binding source", where)
-        if types[_node_id(target, count, f"{kind} binding target", where)] != decl_type:
-            raise AstFormatError("binding target type mismatch", f"{kind} binding {src} -> {target}")
-    raise AssertionError(f"{kind} bindings have no fault")
-
-
 def deserialize_project(document: str) -> ProjectAst:
     """Load a column or a record document, whichever key, `columns` or
     `nodes`, it has; a document with both or neither is an AstFormatError."""
@@ -747,16 +733,20 @@ def deserialize_project(document: str) -> ProjectAst:
         ("type", project.bindings.type, "TypeDeclaration"),
     ):
         entries = _expect(bindings.get(kind, {}), dict, f"{kind} bindings", "bindings")
-        # The table is checked whole first, in C, as `_fill_columns` checks
-        # columns; a scan runs only to word the first fault.
-        keys, targets = list(entries), list(entries.values())
-        sources = list(map(int, keys)) if all(map(str.isdecimal, keys)) else None
-        if (sources is None or not set(map(type, targets)) <= {int}
-                or not (0 <= min(targets, default=0)
-                        and max(chain(sources, targets), default=-1) < count)
-                or not set(map(types.__getitem__, targets)) <= {decl_type}):
-            _binding_fault(kind, entries, types, decl_type)
-        table.update(zip(sources, targets))
+        for key, target in entries.items():
+            if not key.isdecimal():
+                raise AstFormatError(f"non-integer key in {kind} bindings", f"{key} -> {target}")
+            src = int(key)
+            if type(target) is not int or not (0 <= src < count and 0 <= target < count):
+                # One of these raises; the check above keeps the common case cheap.
+                where = f"{key} -> {target}"
+                _node_id(src, count, f"{kind} binding source", where)
+                _node_id(target, count, f"{kind} binding target", where)
+            if types[target] != decl_type:
+                raise AstFormatError(
+                    "binding target type mismatch", f"{kind} binding {src} -> {target}"
+                )
+            table[src] = target
 
     if _SURROGATE_ESCAPE.search(document):
         _require_utf8(project)

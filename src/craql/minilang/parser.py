@@ -32,10 +32,11 @@ PUNCTUATORS = {"==", "!=", "<=", ">=", "&&", "||", *"{}()[];,.=<>!+-*/"}
 # unterminated string, and `.` takes any other character but a newline as a
 # stray one. `\Z` matches the empty `eof` token; after trailing whitespace
 # `findall` also returns a second, empty match there, which `lex` drops.
-# Group 1 is atomic, so the engine keeps no backtracking state while it
-# skips space: after it the token always matches, and nothing backtracks.
+# After the greedy group 1 the token always matches, so nothing backtracks;
+# group 1 has no alternation inside its star, so the engine keeps little
+# state while it skips space.
 _TOKEN = re.compile(r"""
-    ((?>\s*)(?>//[^\n]*\s*)*)
+    (\s*(?://[^\n]*\s*)*)
     ( [^\W\d]\w*
     | [0-9]+
     | "(?:[^"\\\n]|\\.)*"
@@ -145,9 +146,7 @@ class Parser:
 
     def at(self, text: str) -> bool:
         # No ident, number, string or stray token spells a keyword or
-        # punctuator, so the text alone tells. Only `eof` spells "", so a
-        # token that is at a keyword or punctuator can be consumed with
-        # `self.pos += 1`, as the expression rules do.
+        # punctuator, so the text alone tells.
         return self.texts[self.pos] == text
 
     def error(self, message: str) -> MiniLangParseError:
@@ -161,19 +160,13 @@ class Parser:
         line, col = line_and_column(self.newlines, self.starts[tok])
         return MiniLangParseError(Diagnostic(self.file_name, line, col, message))
 
-    def expected(self, text: str) -> MiniLangParseError:
-        """The error `expect(text)` raises at the next token."""
+    def expect(self, text: str) -> int:
+        if self.at(text):
+            return self.advance()
         found = self.texts[self.pos]
-        return self.error(
+        raise self.error(
             f"expected {text!r}, found {found!r}" if found else f"expected {text!r}, found end of file"
         )
-
-    def expect(self, text: str) -> int:
-        tok = self.pos
-        if self.texts[tok] != text:
-            raise self.expected(text)
-        self.pos = tok + 1
-        return tok
 
     def expect_ident(self) -> int:
         if self.kinds[self.pos] != "ident":
@@ -404,20 +397,18 @@ class Parser:
         return self.node("TryStatement", start, {"body": body, "catchClauses": clauses},
                          [body, *clauses])
 
-    # -- expressions: `at`, `advance` and `expect` written out, as these
-    # rules run once or more per token --
+    # -- expressions --
 
     def parse_expression(self, min_prec: int = 0) -> int:
         """Precedence climbing: an expression whose binary operators all bind
         at least as tightly as `min_prec`."""
-        texts = self.texts
         start = self.pos
-        if texts[start] in ("!", "-"):
+        if self.texts[start] in ("!", "-"):
             left = self.parse_prefix()
         else:
             left = self.parse_postfix()
         while True:
-            op = texts[self.pos]
+            op = self.texts[self.pos]
             prec = BINARY_PRECEDENCE.get(op, -1)
             if prec < min_prec:
                 return left
@@ -434,11 +425,10 @@ class Parser:
                     "leftHandSide": left, "operator": "=", "rightHandSide": right}, [left, right])
 
     def parse_prefix(self) -> int:
-        op = self.pos
-        self.pos += 1
-        if self.texts[op] == "-" and self.kinds[op + 1] == "number":
-            self.pos += 1
-            return self.node("NumberLiteral", op, {"token": "-" + self.texts[op + 1]})
+        op = self.advance()
+        if self.texts[op] == "-" and self.kinds[self.pos] == "number":
+            num = self.advance()
+            return self.node("NumberLiteral", op, {"token": "-" + self.texts[num]})
         operand = self.parse_expression(PREFIX_PRECEDENCE)
         return self.node("PrefixExpression", op, {"operator": self.texts[op], "operand": operand},
                          [operand])
@@ -446,60 +436,47 @@ class Parser:
     def parse_postfix(self) -> int:
         start = self.pos
         expr = self.parse_primary()
-        texts = self.texts
-        while texts[self.pos] == ".":
-            self.pos += 1
-            tok = self.expect_ident()
-            if texts[tok + 1] == "(":
+        while self.at("."):
+            self.advance()
+            name = self.texts[self.expect_ident()]
+            if self.at("("):
                 args = self.parse_arguments()
                 expr = self.node("MethodInvocation", start, {
-                    "expression": expr, "name": texts[tok], "arguments": args}, [expr, *args])
+                    "expression": expr, "name": name, "arguments": args}, [expr, *args])
             else:
-                expr = self.node("FieldAccess", start, {"expression": expr, "name": texts[tok]},
-                                 [expr])
+                expr = self.node("FieldAccess", start, {"expression": expr, "name": name}, [expr])
         return expr
 
     def parse_arguments(self) -> list[int]:
-        texts = self.texts
-        if texts[self.pos] != "(":
-            raise self.expected("(")
-        self.pos += 1
-        if texts[self.pos] == ")":
-            self.pos += 1
-            return []
-        args = [self.parse_expression()]
-        while texts[self.pos] == ",":
-            self.pos += 1
-            args.append(self.parse_expression())
-        if texts[self.pos] != ")":
-            raise self.expected(")")
-        self.pos += 1
+        self.expect("(")
+        args = [] if self.at(")") else self.commas(self.parse_expression)
+        self.expect(")")
         return args
 
     def parse_primary(self) -> int:
         tok = self.pos
         kind, text = self.kinds[tok], self.texts[tok]
-        if kind == "ident":
-            self.pos = tok + 1
-            if self.texts[tok + 1] == "(":
-                args = self.parse_arguments()
-                return self.node("MethodInvocation", tok, {"name": text, "arguments": args}, args)
-            return self.node("Name", tok, {"identifier": text})
-        literal = _LITERALS.get(kind if kind != "keyword" else text)
-        if literal is not None:
-            self.pos = tok + 1
-            return self.node(literal, tok, {"token": text})
         if text == "(":
-            self.pos = tok + 1
+            self.advance()
             inner = self.parse_expression()
             self.expect(")")
             return inner
         if text == "new":
-            self.pos = tok + 1
+            self.advance()
             cls = self.expect_ident()
             args = self.parse_arguments()
             return self.node("ClassInstanceCreation", tok, {"type": self.texts[cls],
                                                              "arguments": args}, args)
+        literal = _LITERALS.get(kind if kind != "keyword" else text)
+        if literal is not None:
+            self.advance()
+            return self.node(literal, tok, {"token": text})
+        if kind == "ident":
+            self.advance()
+            if self.at("("):
+                args = self.parse_arguments()
+                return self.node("MethodInvocation", tok, {"name": text, "arguments": args}, args)
+            return self.node("Name", tok, {"identifier": text})
         raise self.error(
             f"expected expression, found {text!r}" if text else "expected expression, found end of file"
         )
