@@ -146,7 +146,9 @@ class Parser:
 
     def at(self, text: str) -> bool:
         # No ident, number, string or stray token spells a keyword or
-        # punctuator, so the text alone tells.
+        # punctuator, so the text alone tells. Only `eof` spells "", so a
+        # token found at a keyword or punctuator is consumed with
+        # `self.pos += 1`, as `expect`, `commas` and the expression rules do.
         return self.texts[self.pos] == text
 
     def error(self, message: str) -> MiniLangParseError:
@@ -161,9 +163,11 @@ class Parser:
         return MiniLangParseError(Diagnostic(self.file_name, line, col, message))
 
     def expect(self, text: str) -> int:
-        if self.at(text):
-            return self.advance()
-        found = self.texts[self.pos]
+        tok = self.pos
+        found = self.texts[tok]
+        if found == text:
+            self.pos = tok + 1
+            return tok
         raise self.error(
             f"expected {text!r}, found {found!r}" if found else f"expected {text!r}, found end of file"
         )
@@ -185,8 +189,8 @@ class Parser:
     def commas(self, item: Callable[[], int]) -> list[int]:
         """One or more nodes parsed by `item`, separated by commas."""
         items = [item()]
-        while self.at(","):
-            self.advance()
+        while self.texts[self.pos] == ",":
+            self.pos += 1
             items.append(item())
         return items
 
@@ -397,18 +401,20 @@ class Parser:
         return self.node("TryStatement", start, {"body": body, "catchClauses": clauses},
                          [body, *clauses])
 
-    # -- expressions --
+    # -- expressions: `at` and `advance` written out, as these rules run
+    # once or more per token --
 
     def parse_expression(self, min_prec: int = 0) -> int:
         """Precedence climbing: an expression whose binary operators all bind
         at least as tightly as `min_prec`."""
+        texts = self.texts
         start = self.pos
-        if self.texts[start] in ("!", "-"):
+        if texts[start] in ("!", "-"):
             left = self.parse_prefix()
         else:
             left = self.parse_postfix()
         while True:
-            op = self.texts[self.pos]
+            op = texts[self.pos]
             prec = BINARY_PRECEDENCE.get(op, -1)
             if prec < min_prec:
                 return left
@@ -425,10 +431,11 @@ class Parser:
                     "leftHandSide": left, "operator": "=", "rightHandSide": right}, [left, right])
 
     def parse_prefix(self) -> int:
-        op = self.advance()
-        if self.texts[op] == "-" and self.kinds[self.pos] == "number":
-            num = self.advance()
-            return self.node("NumberLiteral", op, {"token": "-" + self.texts[num]})
+        op = self.pos
+        self.pos += 1
+        if self.texts[op] == "-" and self.kinds[op + 1] == "number":
+            self.pos += 1
+            return self.node("NumberLiteral", op, {"token": "-" + self.texts[op + 1]})
         operand = self.parse_expression(PREFIX_PRECEDENCE)
         return self.node("PrefixExpression", op, {"operator": self.texts[op], "operand": operand},
                          [operand])
@@ -436,15 +443,17 @@ class Parser:
     def parse_postfix(self) -> int:
         start = self.pos
         expr = self.parse_primary()
-        while self.at("."):
-            self.advance()
-            name = self.texts[self.expect_ident()]
-            if self.at("("):
+        texts = self.texts
+        while texts[self.pos] == ".":
+            self.pos += 1
+            tok = self.expect_ident()
+            if texts[tok + 1] == "(":
                 args = self.parse_arguments()
                 expr = self.node("MethodInvocation", start, {
-                    "expression": expr, "name": name, "arguments": args}, [expr, *args])
+                    "expression": expr, "name": texts[tok], "arguments": args}, [expr, *args])
             else:
-                expr = self.node("FieldAccess", start, {"expression": expr, "name": name}, [expr])
+                expr = self.node("FieldAccess", start, {"expression": expr, "name": texts[tok]},
+                                 [expr])
         return expr
 
     def parse_arguments(self) -> list[int]:
@@ -456,27 +465,27 @@ class Parser:
     def parse_primary(self) -> int:
         tok = self.pos
         kind, text = self.kinds[tok], self.texts[tok]
+        if kind == "ident":
+            self.pos = tok + 1
+            if self.texts[tok + 1] == "(":
+                args = self.parse_arguments()
+                return self.node("MethodInvocation", tok, {"name": text, "arguments": args}, args)
+            return self.node("Name", tok, {"identifier": text})
+        literal = _LITERALS.get(kind if kind != "keyword" else text)
+        if literal is not None:
+            self.pos = tok + 1
+            return self.node(literal, tok, {"token": text})
         if text == "(":
-            self.advance()
+            self.pos = tok + 1
             inner = self.parse_expression()
             self.expect(")")
             return inner
         if text == "new":
-            self.advance()
+            self.pos = tok + 1
             cls = self.expect_ident()
             args = self.parse_arguments()
             return self.node("ClassInstanceCreation", tok, {"type": self.texts[cls],
                                                              "arguments": args}, args)
-        literal = _LITERALS.get(kind if kind != "keyword" else text)
-        if literal is not None:
-            self.advance()
-            return self.node(literal, tok, {"token": text})
-        if kind == "ident":
-            self.advance()
-            if self.at("("):
-                args = self.parse_arguments()
-                return self.node("MethodInvocation", tok, {"name": text, "arguments": args}, args)
-            return self.node("Name", tok, {"identifier": text})
         raise self.error(
             f"expected expression, found {text!r}" if text else "expected expression, found end of file"
         )
