@@ -19,7 +19,6 @@ _EXPORTS = {
     "ProjectAst": "craql.astcore",
     "SchemaError": "craql.astcore",
     "deserialize_project": "craql.astcore",
-    "is_subtype": "craql.astcore",
     "node_depth": "craql.astcore",
     "register_schema": "craql.astcore",
     "serialize_project": "craql.astcore",

@@ -1,8 +1,7 @@
 """Language-agnostic AST store: node-type schemas, columnar node arenas with
 a pre-order region index, and JSON documents for ingesting externally
 produced trees. `serialize_project` writes a column document, one array per
-node column; `deserialize_project` reads it and the record format, one
-object per node, through one check of the columns.
+node column; `deserialize_project` reads it back, checking each column whole.
 
 A loaded :class:`ProjectAst` keeps its node columns, roots and bindings as
 loaded. Reading it still writes: `type_ranks` and `bound_ranks` build their
@@ -19,7 +18,7 @@ from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from importlib import import_module
 from itertools import chain
-from operator import itemgetter, le
+from operator import le
 from typing import Any, NamedTuple, Union
 
 from craql import Frozen, Record
@@ -173,13 +172,6 @@ def lookup_schema(name: str) -> NodeTypeSchema:
     if name not in _REGISTRY:
         raise SchemaError(f"no registered schema named {name}")
     return _REGISTRY[name]
-
-
-def is_subtype(schema: NodeTypeSchema, t: str, ancestor: str) -> bool:
-    """True iff t equals ancestor or reaches it via supertype edges."""
-    schema.require(t)
-    schema.require(ancestor)
-    return ancestor in schema.ancestry[t]
 
 
 class NodeView(NamedTuple):
@@ -503,7 +495,7 @@ def serialize_project(project: ProjectAst) -> str:
 
 
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
-# A key a node record lacks: JSON decodes to no such value.
+# A key an object lacks: JSON decodes to no such value.
 _ABSENT = object()
 # The node columns of a column document, in the order `_fill_columns` takes them.
 _COLUMNS = ("type", "file", "start", "end", "line", "props")
@@ -519,16 +511,10 @@ def _expect(value: Any, kind: type, what: str, where: str) -> Any:
     return value
 
 
-def _field(value: Any, kind: type, key: str, where: str) -> Any:
-    """`value`, the entry `key` of an object, if it is of JSON kind `kind`;
-    an entry the object lacks is `_ABSENT`."""
-    if value is _ABSENT:
-        raise AstFormatError(f"missing key {key!r}", where)
-    return _expect(value, kind, repr(key), where)
-
-
 def _expect_key(obj: dict, key: str, where: str, kind: type) -> Any:
-    return _field(obj.get(key, _ABSENT), kind, key, where)
+    if key not in obj:
+        raise AstFormatError(f"missing key {key!r}", where)
+    return _expect(obj[key], kind, repr(key), where)
 
 
 def _node_id(value: Any, count: int, what: str, where: str) -> int:
@@ -561,9 +547,8 @@ def _require_utf8(project: ProjectAst) -> None:
                 where) from None
 
 
-def _column_lists(columns: Any) -> list[list]:
+def _column_lists(columns: dict) -> list[list]:
     """The node columns of a column document: a list each, of one length."""
-    _expect(columns, dict, "'columns'", "top level")
     lists = [_expect_key(columns, name, "columns", list) for name in _COLUMNS]
     count = len(lists[0])
     for name, column in zip(_COLUMNS, lists):
@@ -573,48 +558,9 @@ def _column_lists(columns: Any) -> list[list]:
     return lists
 
 
-def _record_lists(records: list, schema: NodeTypeSchema) -> list[list]:
-    """The node columns of a record document's `nodes`, in id order.
-
-    Checks only what records alone have: each record an object, the ids
-    dense and unique, each `span` a triple and each token an object, which
-    becomes its text. A field a record lacks is `_ABSENT` in its column.
-    """
-    count = len(records)
-    by_id: list[Any] = [None] * count
-    for i, rec in enumerate(records):
-        nid = rec.get("id") if type(rec) is dict else None
-        if type(nid) is not int or not 0 <= nid < count or by_id[nid] is not None:
-            where = f"nodes[{i}]"
-            nid = _expect_key(_expect(rec, dict, "a node record", where), "id", where, int)
-            if not 0 <= nid < count:
-                raise AstFormatError("node ids must be dense integers from 0", where)
-            raise AstFormatError(f"duplicate node id {nid}", where)
-        by_id[nid] = rec
-    types, files, spans, props = ([rec.get(key, _ABSENT) for rec in by_id]
-                                  for key in ("type", "file", "span", "props"))
-    tokens = {t: [p for p, kind in kinds.items() if kind == TOKEN]
-              for t, kinds in schema.prop_kinds.items()}
-    for nid, (tname, raw_props) in enumerate(zip(types, props)):
-        if type(tname) is str and type(raw_props) is dict:
-            for pname in tokens.get(tname, ()):
-                value = raw_props.get(pname, _ABSENT)
-                if type(value) is dict and type(value.get("token")) is str:
-                    raw_props[pname] = value["token"]
-                elif value is not _ABSENT:
-                    where = f"node {nid}.{pname}"
-                    _expect_key(_expect(value, dict, "a token property", where), "token", where,
-                                str)
-    if not (set(map(type, spans)) <= {list} and set(map(len, spans)) <= {3}):
-        nid = next(n for n, span in enumerate(spans) if type(span) is not list or len(span) != 3)
-        _field(spans[nid], list, "span", f"node {nid}")
-        raise AstFormatError("span must be [start, end, line]", f"node {nid}")
-    return [types, files, *(list(map(itemgetter(i), spans)) for i in range(3)), props]
-
-
 def _fill_columns(project: ProjectAst, types: list, files: list, starts: list, ends: list,
                   lines: list, props: list) -> None:
-    """Check the node columns of either document format and make them the
+    """Check the node columns of a column document and make them the
     project's, with the `kids` column they imply.
 
     Each column is checked whole first, in C; a Python scan runs only to find
@@ -626,7 +572,7 @@ def _fill_columns(project: ProjectAst, types: list, files: list, starts: list, e
         nid, tname = next((n, t) for n, t in enumerate(types)
                           if type(t) is not str or t not in children)
         where = f"node {nid}"
-        _field(tname, str, "type", where)
+        _expect(tname, str, "'type'", where)
         if tname in schema.virtuals:
             raise AstFormatError(f"virtual type {tname} cannot be concrete", where)
         if tname in schema.types:
@@ -637,7 +583,7 @@ def _fill_columns(project: ProjectAst, types: list, files: list, starts: list, e
             and (not files or 0 <= min(files) and max(files) < nfiles)):
         nid, fidx = next((n, f) for n, f in enumerate(files)
                          if type(f) is not int or not 0 <= f < nfiles)
-        _field(fidx, int, "file", f"node {nid}")
+        _expect(fidx, int, "'file'", f"node {nid}")
         raise AstFormatError(f"bad file index {fidx}", f"node {nid}")
     # A file without text bounds no span.
     limits = [math.inf if f.text is None else len(f.text) for f in project.files]
@@ -659,7 +605,7 @@ def _fill_columns(project: ProjectAst, types: list, files: list, starts: list, e
     kids_column: list[list[int] | tuple[()]] = []
     for nid, (tname, raw_props) in enumerate(zip(types, props)):
         if type(raw_props) is not dict:
-            _field(raw_props, dict, "props", f"node {nid}")
+            _expect(raw_props, dict, "'props'", f"node {nid}")
         kids: list[int] = []
         found = 0
         for pname, kind in prop_kinds[tname].items():
@@ -691,14 +637,15 @@ def _fill_columns(project: ProjectAst, types: list, files: list, starts: list, e
 
 
 def deserialize_project(document: str) -> ProjectAst:
-    """Load a column or a record document, whichever key, `columns` or
-    `nodes`, it has; a document with both or neither is an AstFormatError."""
+    """Load a column document; any fault in it is an AstFormatError."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise AstFormatError(f"malformed JSON: {exc.msg}", f"line {exc.lineno}") from exc
     except RecursionError:
         raise AstFormatError("malformed JSON: nested too deeply", "top level") from None
+    except ValueError:  # an integer of more digits than `int` reads
+        raise AstFormatError("an integer has too many digits", "top level") from None
     _expect(doc, dict, "the top level", "top level")
 
     try:
@@ -715,13 +662,7 @@ def deserialize_project(document: str) -> ProjectAst:
             _expect(text, str, "'text'", where)
         project.add_file(_expect_key(f, "name", where, str), text)
 
-    if ("columns" in doc) == ("nodes" in doc):
-        raise AstFormatError("a document needs exactly one of 'columns' and 'nodes'", "top level")
-    if "columns" in doc:
-        columns = _column_lists(doc["columns"])
-    else:
-        columns = _record_lists(_expect(doc["nodes"], list, "'nodes'", "top level"), schema)
-    _fill_columns(project, *columns)
+    _fill_columns(project, *_column_lists(_expect_key(doc, "columns", "top level", dict)))
     count, types = len(project.type), project.type
 
     for rid in _expect_key(doc, "roots", "top level", list):
@@ -736,7 +677,11 @@ def deserialize_project(document: str) -> ProjectAst:
         for key, target in entries.items():
             if not key.isdecimal():
                 raise AstFormatError(f"non-integer key in {kind} bindings", f"{key} -> {target}")
-            src = int(key)
+            try:
+                src = int(key)
+            except ValueError:  # more digits than `int` reads: past every node id
+                raise AstFormatError(f"dangling {kind} binding source of {len(key)} digits",
+                                     f"{key} -> {target}") from None
             if type(target) is not int or not (0 <= src < count and 0 <= target < count):
                 # One of these raises; the check above keeps the common case cheap.
                 where = f"{key} -> {target}"

@@ -16,9 +16,11 @@ from craql.astcore import AstFormatError, deserialize_project, ProjectAst
 from craql.engine.evaluator import MAX_INT_DIGITS, Evaluator, QueryRuntimeError
 from craql.engine.runtime import Environment, ExecutionStats, OutputSink, render_value
 from craql.minilang import load_project
+from craql.minilang.schema import MINILANG_SCHEMA
 from craql.query.ast import QueryDocument
 from craql.query.parser import parse_query_document
 from craql.query.tokens import QuerySyntaxError
+from craql.query.validate import validate_against_schema
 from craql.results import (SERIALIZED_AST, RunConfig, RunnerError, is_project_name,
                            properties_file, read_list, read_text, result_files, vars_text)
 
@@ -233,8 +235,11 @@ def _run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
     if not project_names or not query_names:
         raise RunnerError("project and query lists must be non-empty")
 
-    # An unparseable query, or two whose results would share a name, aborts
-    # the batch before any project runs.
+    # An unparseable query, one that names a node type the schema lacks, or
+    # two whose results would share a name, aborts the batch before any
+    # project runs. The schema is MiniLang's, the only one a batch loads
+    # unless a library caller registers another; an accessor that no type
+    # declares gets one warning.
     docs: list[tuple[str, QueryDocument]] = []
     query_files: dict[str, str] = {}  # result name -> query file
     for qname in query_names:
@@ -249,6 +254,11 @@ def _run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
             doc = parse_query_document(read_text(qpath, str(qpath)), source=qname)
         except QuerySyntaxError as exc:
             raise RunnerError(f"unparseable query file {qname}: {exc}") from exc
+        for fault in validate_against_schema(doc, MINILANG_SCHEMA):
+            located = f"{fault.file}:{fault.line}:{fault.column}: {fault.message}"
+            if fault.severity == "error":
+                raise RunnerError(f"invalid query file {qname}: {located}")
+            _log("warning", "%s", located)
         docs.append((qpath.stem, doc))
     # So do two (project, query) pairs that would write one `.rows` file:
     # the second would overwrite the first, and an abort of either project

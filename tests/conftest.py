@@ -17,6 +17,9 @@ from craql.fixtures import fixture_text
 
 
 def _one_block_doc(**changes) -> dict:
+    """A one-Block document with its nodes written as records, one object
+    per node, as the fault tables below spell them; `column_document` makes
+    it the column document that `deserialize_project` reads."""
     doc = {
         "schema": "minilang",
         "project": "bad",
@@ -33,9 +36,10 @@ def _block(nid: int, *statements: int) -> dict:
             "props": {"statements": list(statements)}}
 
 
-# Serialized ASTs that must be rejected with an AstFormatError: name ->
-# (document, part of the message, location).
-BAD_AST_DOCS = {
+# Faults of a serialized AST, each spelled with its nodes as records: name ->
+# (document, part of the message, location). `BAD_COLUMN_DOCS` holds each
+# as the column document it stands for.
+_FAULTS = {
     "unknown_schema": (_one_block_doc(schema="javalang"), "no registered schema", "schema"),
     "non_integer_binding_key": (
         _one_block_doc(bindings={"method": {"x": 0}}), "non-integer key", "x -> 0"),
@@ -79,7 +83,7 @@ BAD_AST_DOCS = {
         "a child-list property must be a list", "node 0.statements"),
     "integer_in_a_token": (
         _one_block_doc(nodes=[dict(_block(0), type="TypeDeclaration", props={"name": 0})]),
-        "a token property must be an object", "node 0.name"),
+        "a token property must be a string", "node 0.name"),
     "child_list_in_a_single_child": (
         _one_block_doc(nodes=[dict(_block(0), type="ReturnStatement",
                                    props={"expression": [0]})]),
@@ -87,36 +91,17 @@ BAD_AST_DOCS = {
     "undeclared_property": (
         _one_block_doc(nodes=[dict(_block(0), props={"body": 0})]),
         "Block has no property body", "node 0"),
-    "json_nested_too_deeply": ("[" * 100000, "nested too deeply", "top level"),
-    "node_record_not_an_object": (
-        _one_block_doc(nodes=[1]), "a node record must be an object", "nodes[0]"),
-    "node_without_an_id": (
-        _one_block_doc(nodes=[{k: v for k, v in _block(0).items() if k != "id"}]),
-        "missing key 'id'", "nodes[0]"),
-    "node_id_out_of_range": (
-        _one_block_doc(nodes=[_block(1)]), "node ids must be dense integers from 0", "nodes[0]"),
-    "duplicate_node_id": (
-        _one_block_doc(nodes=[_block(0), _block(0)]), "duplicate node id 0", "nodes[1]"),
     "type_not_a_string": (
         _one_block_doc(nodes=[dict(_block(0), type=["Block"])]),
         "'type' must be a string", "node 0"),
     "file_index_out_of_range": (
         _one_block_doc(nodes=[dict(_block(0), file=3)]), "bad file index 3", "node 0"),
-    "span_of_two_values": (
-        _one_block_doc(nodes=[dict(_block(0), span=[0, 0])]),
-        "span must be [start, end, line]", "node 0"),
-    "span_not_a_list": (
-        _one_block_doc(nodes=[dict(_block(0), span={"start": 0})]),
-        "'span' must be a list", "node 0"),
     "span_starting_below_zero": (
         _one_block_doc(nodes=[dict(_block(0), span=[-1, 0, 1])]),
         "is not a range", "node 0"),
     "boolean_in_a_child_list": (
         _one_block_doc(nodes=[_block(0, 1), dict(_block(1), props={"statements": [True]})]),
         "node id must be an integer", "node 1.statements"),
-    "token_without_a_token": (
-        _one_block_doc(nodes=[dict(_block(0), type="TypeDeclaration", props={"name": {}})]),
-        "missing key 'token'", "node 0.name"),
     "lone_surrogate_in_the_project_name": (
         _one_block_doc(project="p\ud800"), "the project name holds a lone surrogate at 1",
         "top level"),
@@ -127,25 +112,13 @@ BAD_AST_DOCS = {
         _one_block_doc(nodes=[dict(_block(0), type="TypeDeclaration",
                                    props={"name": {"token": "A\udc80"}})]),
         "the token holds a lone surrogate at 1", "node 0.name"),
-    "node_without_props": (
-        _one_block_doc(nodes=[{k: v for k, v in _block(0).items() if k != "props"}]),
-        "missing key 'props'", "node 0"),
-}
-
-
-# The BAD_AST_DOCS faults that only a record document can hold: in records
-# alone, a node is an object with an id, its span a triple and a token an
-# object.
-RECORD_FAULTS = {
-    "node_record_not_an_object", "node_without_an_id", "node_id_out_of_range",
-    "duplicate_node_id", "span_of_two_values", "span_not_a_list", "node_without_props",
-    "integer_in_a_token", "token_without_a_token",
 }
 
 
 def column_document(doc: dict) -> dict:
-    """The record document `doc` as a column document: its records' fields
-    transposed into one list per column, each token object as its text."""
+    """`doc`, with its nodes written as records, as a column document: the
+    records' fields transposed into one list per column, each token object
+    as its text."""
     doc = dict(doc)
     records = sorted(doc.pop("nodes"), key=lambda rec: rec["id"])
     doc["columns"] = {
@@ -169,13 +142,12 @@ def _one_block_columns(without: str = "", **columns) -> dict:
     return doc
 
 
-# Each BAD_AST_DOCS fault a column document can hold, as a column document
-# with the same message and location, under "columns_" and its name; then
-# the faults that only column documents can hold.
+# Column documents that must be rejected with an AstFormatError: each of
+# `_FAULTS` under "columns_" and its name, then the faults that need the
+# columns spelled out.
 BAD_COLUMN_DOCS = {
     **{f"columns_{name}": (column_document(doc), message, location)
-       for name, (doc, message, location) in BAD_AST_DOCS.items()
-       if type(doc) is dict and name not in RECORD_FAULTS},
+       for name, (doc, message, location) in _FAULTS.items()},
     "columns_without_a_column": (
         _one_block_columns(without="props"), "missing key 'props'", "columns"),
     "columns_null_column": (_one_block_columns(line=None), "'line' must be a list", "columns"),
@@ -184,12 +156,9 @@ BAD_COLUMN_DOCS = {
     "columns_not_an_object": (
         column_document(_one_block_doc()) | {"columns": [["Block"]]},
         "'columns' must be an object", "top level"),
-    "columns_and_nodes": (
-        column_document(_one_block_doc()) | {"nodes": []},
-        "exactly one of 'columns' and 'nodes'", "top level"),
     "columns_nor_nodes": (
         {k: v for k, v in _one_block_doc().items() if k != "nodes"},
-        "exactly one of 'columns' and 'nodes'", "top level"),
+        "missing key 'columns'", "top level"),
     "columns_true_in_a_file_column": (
         _one_block_columns(file=[True]), "'file' must be an integer", "node 0"),
     "columns_true_in_a_span_column": (
@@ -199,37 +168,27 @@ BAD_COLUMN_DOCS = {
     "columns_token_object": (
         _one_block_columns(type=["TypeDeclaration"], props=[{"name": {"token": "A"}}]),
         "a token property must be a string", "node 0.name"),
+    "columns_binding_key_of_5000_digits": (
+        column_document(_one_block_doc(bindings={"method": {"9" * 5000: 0}})),
+        "dangling method binding source of 5000 digits", f"{'9' * 5000} -> 0"),
 }
 
 
-def record_document(project) -> str:
-    """`project` as a record document, one object per node: the format
-    `serialize_project` wrote before it wrote columns, and that
-    `deserialize_project` still reads."""
-    columns = zip(project.type, project.file, project.start, project.end, project.line,
-                  project.props)
-    doc = {
-        "schema": project.schema.name,
-        "project": project.name,
-        "files": [{"name": f.name} if f.text is None else {"name": f.name, "text": f.text}
-                  for f in project.files],
-        "nodes": [
-            {"id": nid, "type": tname, "file": fidx, "span": [start, end, line],
-             "props": {name: {"token": value} if type(value) is str else value
-                       for name, value in props.items()}}
-            for nid, (tname, fidx, start, end, line, props) in enumerate(columns)
-        ],
-        "roots": list(project.roots),
-        "bindings": {
-            "method": {str(k): v for k, v in sorted(project.bindings.method.items())},
-            "type": {str(k): v for k, v in sorted(project.bindings.type.items())},
-        },
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+# Serialized ASTs rejected before any column is read: as JSON text, or as a
+# record document, one object per node under "nodes", which has no columns.
+BAD_AST_DOCS = {
+    "json_nested_too_deeply": ("[" * 100000, "nested too deeply", "top level"),
+    "record_document": (_one_block_doc(), "missing key 'columns'", "top level"),
+    "root_id_of_5000_digits": (
+        json.dumps(column_document(_one_block_doc())).replace('"roots": [0]',
+                                                             f'"roots": [{"9" * 5000}]'),
+        "an integer has too many digits", "top level"),
+}
 
 
 def ast_document(doc: dict | str) -> str:
-    """A `BAD_AST_DOCS` document as JSON text; a string is the text itself."""
+    """A bad document of `BAD_AST_DOCS` or `BAD_COLUMN_DOCS` as JSON text; a
+    string is the text itself."""
     return doc if isinstance(doc, str) else json.dumps(doc)
 
 

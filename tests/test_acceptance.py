@@ -320,7 +320,7 @@ def test_criterion_6_parse_once(tmp_path):
     print("\nACCEPTANCE 6 PASS: files-parsed identical for 1-query and 50-query runs")
 
 
-def test_criterion_7_throughput_sanity(tmp_path):
+def test_criterion_7_throughput_sanity(tmp_path, monkeypatch):
     rng = random.Random(99)
     corpus: dict[str, dict[str, str]] = {}
     total_lines = 0
@@ -349,11 +349,26 @@ def test_criterion_7_throughput_sanity(tmp_path):
         name: bundled_query_path(name).read_text() for name in BUNDLED_QUERIES
     }
     config = _batch_tree(tmp_path, corpus, queries)
+    selects = 0
+    run_select = Evaluator.run_select
+
+    def counted_run_select(self, *args, **kwargs):
+        nonlocal selects
+        selects += 1
+        return run_select(self, *args, **kwargs)
+
+    monkeypatch.setattr(Evaluator, "run_select", counted_run_select)
     started = time.monotonic()
     status, records = run_batch(config)
     elapsed = time.monotonic() - started
     assert status == 0, [r.diagnostics for r in records if r.aborted]
     assert elapsed < 60.0, f"corpus run took {elapsed:.1f}s"
+    # The engine's work on this corpus, the benchmark's corpus workload: any
+    # change to what it visits, yields, emits or runs shows here.
+    assert sum(r.stats.nodes_visited for r in records) == 2_209_635
+    assert sum(r.stats.rows_yielded for r in records) == 36_985
+    assert sum(n for r in records for n in r.row_counts.values()) == 17_430
+    assert selects == 20_936
     print(
         f"\nACCEPTANCE 7 PASS: {total_lines} LOC x {len(queries)} queries in {elapsed:.1f}s"
     )

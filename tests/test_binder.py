@@ -126,8 +126,8 @@ class TestBinderHousekeeping:
         # A project without surrogates keeps its literals unbound rather
         # than gaining nodes that linking never saw.
         doc = {"schema": "minilang", "project": "bare", "files": [{"name": "f", "text": "1"}],
-               "nodes": [{"id": 0, "type": "NumberLiteral", "file": 0, "span": [0, 1, 1],
-                          "props": {"token": {"token": "1"}}}],
+               "columns": {"type": ["NumberLiteral"], "file": [0], "start": [0], "end": [1],
+                           "line": [1], "props": [{"token": "1"}]},
                "roots": [0]}
         project = deserialize_project(json.dumps(doc))
         table = bind_project(project)

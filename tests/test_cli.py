@@ -103,6 +103,56 @@ def test_an_unlabeled_later_select_exits_two(tmp_path, capsys):
     assert list((root / "results").iterdir()) == []
 
 
+def test_an_unknown_node_type_exits_two_before_any_project_runs(tmp_path, capsys):
+    # Even inside a labeled select that nothing calls: the batch checks
+    # each document whole against the schema once, before any project.
+    root = make_root(tmp_path)
+    (root / "queries" / "typo.craql").write_text(
+        "select ({Block} b) { n += 1; }\nidle : select ({Blok} b) { m = {Stmt}; }\n")
+    (root / "queries.txt").write_text("typo.craql\n")
+    assert run_main(root) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid query file typo.craql: typo.craql:2:15: unknown node type Blok\n")
+    assert list((root / "results").iterdir()) == []
+
+
+def test_an_undeclared_accessor_warns_once_per_batch(tmp_path, capsys, caplog):
+    root = make_root(tmp_path)
+    (root / "projects" / "beta").mkdir()
+    (root / "projects" / "beta" / "AB.mj").write_text(fixture_text("AB.mj"))
+    (root / "projects.txt").write_text("alpha\nbeta\n")
+    (root / "queries" / "typo.craql").write_text(
+        "select ({Block} b) where b.nme == 1 || b.nme == 2 { n += 1; }")
+    (root / "queries.txt").write_text("typo.craql\n")
+    assert run_main(root) == 0
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "typo.craql:1:28: no type declares property nme"),
+        ("WARNING", "typo.craql:1:42: no type declares property nme"),
+    ]
+    assert "2/2 projects completed" in capsys.readouterr().err
+    assert (root / "results" / "alpha.vars").read_text() == ""
+
+
+def test_a_record_document_aborts_only_its_project(tmp_path, capsys, caplog):
+    # One object per node under "nodes", the format of earlier versions:
+    # without columns, it is a document like any other that lacks a key.
+    root = make_root(tmp_path)
+    (root / "projects" / "old").mkdir()
+    (root / "projects" / "old" / "project.ast.json").write_text(json.dumps({
+        "schema": "minilang", "project": "old", "files": [{"name": "f"}],
+        "nodes": [{"id": 0, "type": "Block", "file": 0, "span": [0, 0, 1], "props": {}}],
+        "roots": [0]}))
+    (root / "projects.txt").write_text("alpha\nold\n")
+    assert run_main(root) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "aborting old: missing key 'columns' (top level)"]
+    err = capsys.readouterr().err
+    assert "1/2 projects completed" in err
+    assert "Traceback" not in err + caplog.text
+    assert (root / "results" / "alpha.vars").read_text() == "num_blocks=3\n"
+    assert not (root / "results" / "old.vars").exists()
+
+
 def test_recursion_limit_exits_one(tmp_path, caplog):
     root = make_root(tmp_path)
     (root / "queries" / "loop.craql").write_text(

@@ -49,7 +49,7 @@ from craql.fixtures import (
     generate_random_source,
 )
 
-from conftest import child_ids, descendants_preorder, find_node, record_document, run_document
+from conftest import child_ids, descendants_preorder, find_node, run_document
 
 
 def select_with_stats(project, pattern, modifier=MOD_NONE, input_spec=None, where=None,
@@ -727,20 +727,17 @@ class TestColumns:
             yield load_project(f"random{i}", sources)[0]
 
     def test_both_loaders_fill_equal_columns(self):
-        # The MiniLang load, its column document and its record document,
-        # written by the tests' own record writer, load to one project.
+        # The MiniLang load and its column document load to one project.
         for project in self.projects():
-            for document in (serialize_project(project), record_document(project)):
-                clone = deserialize_project(document)
-                for column in self.COLUMNS:
-                    assert getattr(clone, column) == getattr(project, column), \
-                        (project.name, column)
-                for table in ("order", "pre", "end", "depth", "by_type"):
-                    assert getattr(clone.index, table) == getattr(project.index, table), table
-                assert clone.roots == project.roots
-                assert clone.bindings.method == project.bindings.method
-                assert clone.bindings.type == project.bindings.type
-                assert clone.files == project.files
+            clone = deserialize_project(serialize_project(project))
+            for column in self.COLUMNS:
+                assert getattr(clone, column) == getattr(project, column), (project.name, column)
+            for table in ("order", "pre", "end", "depth", "by_type"):
+                assert getattr(clone.index, table) == getattr(project.index, table), table
+            assert clone.roots == project.roots
+            assert clone.bindings.method == project.bindings.method
+            assert clone.bindings.type == project.bindings.type
+            assert clone.files == project.files
 
     def test_kids_flatten_the_props_in_schema_order(self):
         for project in self.projects():

@@ -127,12 +127,12 @@ def test_quiet_launches_import_no_logging_or_dataclasses(tmp_path):
     assert imported(collate) & HEAVY_MODULES == set()
 
 
-# What no batch launch imports: the schema lint, the oracle and the fixture
-# generators serve library callers and the tests, never a batch.
-LIBRARY_ONLY_MODULES = {"craql.query.validate", "craql.oracle", "craql.fixtures"}
+# What no batch launch imports: the oracle and the fixture generators serve
+# library callers and the tests, never a batch.
+LIBRARY_ONLY_MODULES = {"craql.oracle", "craql.fixtures"}
 
 
-def test_a_batch_loads_no_lint_oracle_or_fixtures(tmp_path):
+def test_a_batch_loads_no_oracle_or_fixtures(tmp_path):
     root = make_root(tmp_path, {"p": {"A.mj": "class A { void m() { x = 1; } }\n"}},
                      "select ({Block} b) { n += 1; }\n")
     batch = python(["-X", "importtime", "-m", "craql.cli"] + run_args(root))

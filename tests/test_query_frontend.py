@@ -276,10 +276,10 @@ class TestNesting:
 
 
 class TestValidate:
-    def test_unknown_node_type_warns(self):
+    def test_unknown_node_type_is_an_error(self):
         doc = parse_query_document("select ({Blok} b) { }")
-        warnings = validate_against_schema(doc, MINILANG_SCHEMA)
-        assert any("unknown node type Blok" in d.message for d in warnings)
+        faults = validate_against_schema(doc, MINILANG_SCHEMA)
+        assert [(d.severity, d.message) for d in faults] == [("error", "unknown node type Blok")]
 
     def test_registered_abstract_type_is_clean(self):
         doc = parse_query_document("select ({Statement} s) { }")
@@ -301,25 +301,25 @@ class TestValidate:
         doc = parse_query_document(bundled_query_path(name).read_text(), name)
         assert validate_against_schema(doc, MINILANG_SCHEMA) == []
 
-    def test_warnings_come_in_source_order(self):
+    def test_faults_come_in_source_order(self):
         text = ("select ({Blok} b) where b.bodyy.isnodetype({Stmt}) {\n"
                 "  select ({Statement} s * {Expresion} e) in b.{Nope} {\n"
                 "    if (s.linenumber() > 1) { print(e.{Bar}); } else { x = {Blk}; }\n"
                 "  }\n"
                 "}\n")
-        warnings = validate_against_schema(parse_query_document(text, "q.craql"), MINILANG_SCHEMA)
-        assert [str(d) for d in warnings] == [
-            "q.craql:1:8: warning: unknown node type Blok",
+        faults = validate_against_schema(parse_query_document(text, "q.craql"), MINILANG_SCHEMA)
+        assert [str(d) for d in faults] == [
+            "q.craql:1:8: error: unknown node type Blok",
             "q.craql:1:27: warning: no type declares property bodyy",
-            "q.craql:1:44: warning: unknown node type Stmt",
-            "q.craql:2:10: warning: unknown node type Expresion",
+            "q.craql:1:44: error: unknown node type Stmt",
+            "q.craql:2:10: error: unknown node type Expresion",
             "q.craql:2:47: warning: no type declares property Nope",
             "q.craql:3:39: warning: no type declares property Bar",
-            "q.craql:3:60: warning: unknown node type Blk",
+            "q.craql:3:60: error: unknown node type Blk",
         ]
 
     def test_3000_link_accessor_chain(self):
-        # The parser reads a postfix chain in a loop; the lint must not
+        # The parser reads a postfix chain in a loop; the schema check must not
         # recurse once per link either.
         doc = parse_query_document("select ({Block} b) where b" + ".a" * 3000 + " == 1 { }")
         warnings = validate_against_schema(doc, MINILANG_SCHEMA)
@@ -343,7 +343,7 @@ class TestWalk:
 
     def test_every_node_kind_is_known(self):
         """A node kind that `walk` does not know would escape the label
-        check, the schema lint and the hoist's write check; one that the
+        check, the schema check and the hoist's write check; one that the
         evaluator cannot compile would fail only when a query uses it."""
         from craql.engine import evaluator
 

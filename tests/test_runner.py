@@ -608,7 +608,7 @@ class TestRunBatch:
         assert status == 0
         assert (tmp_path / "results" / "ingested.vars").read_text() == "num_blocks=3\n"
 
-    def test_bad_serialized_asts_skip_only_their_project(self, tmp_path):
+    def test_bad_serialized_asts_skip_only_their_project(self, tmp_path, capsys, caplog):
         bad_docs = BAD_AST_DOCS | BAD_COLUMN_DOCS
         config = make_tree(
             tmp_path,
@@ -628,6 +628,7 @@ class TestRunBatch:
                 _, message, location = bad_docs[record.project]
                 assert message in record.diagnostics[0]
                 assert f"({location})" in record.diagnostics[0]
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
 
     def test_rows_records_are_tab_separated(self, tmp_path):
         config = make_tree(
