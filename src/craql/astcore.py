@@ -405,9 +405,11 @@ class RegionIndex:
     subtree of node `n` is exactly the ranks `[pre[n], end[n])`. `depth[n]`
     counts the edges up to n's tree root. `by_type` maps each concrete type
     to the sorted ranks of its nodes; `ranks` caches, per matched type name,
-    the sorted ranks of the nodes that match it (`ProjectAst.type_ranks`), and
+    the sorted ranks of the nodes that match it (`ProjectAst.type_ranks`),
     `bound`, per binding table, the sorted ranks of the nodes bound to each
-    target (`ProjectAst.bound_ranks`).
+    target (`ProjectAst.bound_ranks`), and `refs`, per node id, the handle
+    that the evaluator binds a select's pattern variable to, so that every
+    query run on the project shares it (None until the evaluator makes it).
 
     `ProjectAst.link_parents` builds it from the `kids` column it has just
     linked, and leaves that column as it was. A node on or under an
@@ -451,6 +453,7 @@ class RegionIndex:
         self.by_type = dict(by_type)
         self.ranks: dict[str, list[int]] = {}
         self.bound: dict[str, dict[int, list[int]]] = {}
+        self.refs: list | None = None
 
 
 def node_depth(project: ProjectAst, node_id: int) -> int:

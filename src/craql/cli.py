@@ -8,6 +8,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -69,5 +70,21 @@ def main(argv: list[str] | None = None) -> int:
     return status
 
 
+def launch() -> None:
+    """The `craql` console script and `python -m craql.cli`: run `main`
+    on the command line, then exit with its status.
+
+    The collector is frozen first, so the interpreter's shutdown
+    collections skip every object still alive rather than walk them just
+    before the process ends. Python runs no finalizer of such an object
+    anyway, `main` has closed every file it wrote, and the interpreter
+    still flushes stdout and stderr and runs the `atexit` handlers.
+    `main` itself does not freeze, since tests call it in their own
+    process."""
+    status = main()
+    gc.freeze()
+    raise SystemExit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    launch()

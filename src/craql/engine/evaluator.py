@@ -30,14 +30,16 @@ and Lapalme, "Using Closures for Code Generation", 1987) and builds a `run`
 closure that resolves the input, tests the hoisted conjuncts and calls the
 select's loop (`_loop`). The loop is one pruned pre-order walk, whatever
 the pattern and modifier. It bisects a sorted pre-order rank list, the
-pattern type's (see `craql.astcore.RegionIndex`), to each input node's
-region, reads the candidates up to the next prune point (a `directly in`
-cut or an `outmost` row) as one slice, and jumps past the pruned node's
-region, the region skip of Grust's XPath accelerator (SIGMOD 2002). So it
-reaches exactly the candidates of the walk, in order, without the walk. It
-binds each candidate, or each pair a candidate heads, tests the where
-clause and appends, emits and runs the body on each row in place, and adds
-the walk's `nodes_visited` and its own `rows_yielded` to `Evaluator.stats`.
+pattern type's (see `craql.astcore.RegionIndex`), to each input region (an
+input node's, or for the default input a run of adjacent root regions),
+reads the candidates up to the next prune point (a `directly in` cut or an
+`outmost` row) as one slice, and jumps past the pruned node's region, the
+region skip of Grust's XPath accelerator (SIGMOD 2002). So it reaches
+exactly the candidates of the walk, in order, without the walk. It binds
+each candidate, or each pair a candidate heads, to the node's one handle
+in the project, tests the where clause and appends, emits and runs the
+body on each row in place, and adds the walk's `nodes_visited` and its own
+`rows_yielded` to `Evaluator.stats`.
 count(*) is the length of the list the innermost open select appends to
 (the top of `Environment.count_stack`): its rows, or an ellipsis select's
 passing pairs until the depth test.
@@ -48,7 +50,9 @@ tested once. If they fail, no clause runs, and for a single pattern that
 is not `inmost` the loop only adds the walk's `nodes_visited` and binds its
 last candidate. If they hold, each candidate runs the rest of the clause,
 and a link key such as `m == i.methodbinding()` (`m` holding a node)
-narrows the rank list to the nodes linked to `m` (`_link_ranks`).
+narrows the rank list to the nodes linked to `m` (`_link_ranks`); a
+bisection of the full list then binds the pattern variable where the
+unkeyed walk would leave it.
 Compiling decides nothing that depends on a value, so evaluation order and
 errors stay those of the query text: the receiver runs before the
 arguments and both operands before either is coerced, `&&` and `||`
@@ -66,7 +70,7 @@ from bisect import bisect_left, bisect_right
 from typing import Callable
 
 from craql import Record
-from craql.astcore import ProjectAst, node_depth
+from craql.astcore import ProjectAst, RegionIndex, node_depth
 from craql.query.ast import (
     Assign,
     BoolLit,
@@ -271,7 +275,21 @@ class Evaluator:
                 residual = None if split.residual is None else self._test(split.residual)
         body = self._block(q.body)
         loop = self._loop(q, directly, default, body, emit)
-        type_ranks, stats = project.type_ranks(pat.type1), self.stats
+        type_ranks, var, index = project.type_ranks(pat.type1), pat.var1, project.index
+        pre, end, order, refs = index.pre, index.end, index.order, _node_refs(index)
+        # The roots do not change while a document runs.
+        regions = _root_regions(project) if default else None
+
+        def bind_last(inputs) -> None:
+            # Where the scan of all type_ranks leaves the pattern variable:
+            # at the last candidate of the last input region holding one.
+            for item in reversed(inputs):
+                start, stop = item if default else (pre[item] + 1, end[item])
+                k = bisect_left(type_ranks, stop)
+                if k and type_ranks[k - 1] >= start:
+                    n = order[type_ranks[k - 1]]
+                    variables[var] = refs[n] or _node_ref(refs, n)
+                    return
 
         def run() -> list:
             roots, trace = resolve(), self.trace
@@ -284,16 +302,13 @@ class Evaluator:
                 if (clause is not _reject and link is not None
                         and type(fixed := variables.get(link[0])) is NodeRef):
                     ranks = self._link_ranks(link[1], fixed.id, ranks)
+            inputs = roots if regions is None else regions
             rows: list = []
             count_stack.append(rows)
             try:
-                loop(roots, clause, ranks, rows)
+                loop(inputs, clause, ranks, rows)
                 if ranks is not type_ranks:
-                    # Bind the pattern variable as the scan of all type_ranks
-                    # leaves it, and count that scan's visits only once.
-                    visited = stats.nodes_visited
-                    loop(roots, _reject, type_ranks, rows)
-                    stats.nodes_visited = visited
+                    bind_last(inputs)
             finally:
                 count_stack.pop()
             if trace is not None:
@@ -303,24 +318,29 @@ class Evaluator:
 
         return run
 
-    def _loop(self, q: SelectQuery, directly: bool, include_root: bool, body: Thunk,
+    def _loop(self, q: SelectQuery, directly: bool, default: bool, body: Thunk,
               emit: bool) -> Callable[..., None]:
-        """`loop(roots, where, ranks, rows)`: the pruned pre-order walk of
-        each root's region. It reads the nodes of `ranks` it reaches a run
-        at a time, up to and with the next prune point: the next `directly`
-        cut (a node of the root's type) or the `outmost` row just taken.
-        Each candidate, or each pair it heads, that `where` (None for none)
+        """`loop(inputs, where, ranks, rows)`: the pruned pre-order walk of
+        each input region. For the default input, `inputs` holds the
+        regions of `_root_regions`, each root a candidate; otherwise it
+        holds the input nodes, whose regions exclude the node itself. The
+        loop reads the nodes of `ranks` it reaches a run at a time, up to
+        and with the next prune point: the next `directly` cut (a node of
+        the input node's type) or the `outmost` row just taken. Each
+        candidate, or each pair it heads, that `where` (None for none)
         accepts is appended, emitted and has the body run, once.
-        `nodes_visited` gains each root's region and each pair's outer
-        region, and loses each pruned region once. Under `_reject`, a single
-        pattern that is not `inmost` only binds its last candidate."""
+        `nodes_visited` gains each input region (an input node's own
+        included) and each pair's outer region, and loses each pruned
+        region once. Under `_reject`, a single pattern that is not `inmost`
+        only binds its last candidate. A bound node's handle is the one in
+        `_node_refs`."""
         pat, stats, variables, project = q.pattern, self.stats, self.env.variables, self.project
         var1, var2, emit_row = pat.var1, pat.var2, self.sink.rows.append
         outmost, inmost = q.modifier == MOD_OUTMOST, q.modifier == MOD_INMOST
         single, ellipsis = pat.kind == SINGLE, pat.kind == ELLIPSIS
-        index, types, offset = project.index, project.type, 0 if include_root else 1
+        index, types, offset = project.index, project.type, 0 if default else 1
         order, pre, end, by_type = index.order, index.pre, index.end, index.by_type
-        own = project.type_ranks(pat.type1)
+        own, refs = project.type_ranks(pat.type1), _node_refs(index)
 
         def add(n1: int, row: dict[str, int], rows: list) -> None:
             rows.append(row)
@@ -329,17 +349,20 @@ class Evaluator:
                 emit_row(n1)
             body()
 
-        def loop(roots, where, ranks, rows) -> None:
+        def loop(inputs, where, ranks, rows) -> None:
             # Every candidate fails: a single pattern that is not `inmost`
             # only binds the last.
             last_only = where is _reject and single and not inmost
-            seen = set() if len(roots) > 1 else None
-            inner = None if single or not roots else project.type_ranks(pat.type2)
+            seen = set() if len(inputs) > 1 else None
+            inner = None if single or not inputs else project.type_ranks(pat.type2)
             last = None
-            for root in roots:
-                start, stop = pre[root], end[root]
+            for item in inputs:
+                if default:
+                    start, stop = item
+                else:
+                    start, stop = pre[item], end[item]
                 stats.nodes_visited += stop - start
-                cuts = by_type[types[root]] if directly else ()
+                cuts = by_type[types[item]] if directly else ()
                 # Both cursors stay past the last pruned region.
                 i, j = bisect_left(ranks, start + offset), bisect_right(cuts, start)
                 while True:
@@ -357,7 +380,8 @@ class Evaluator:
                             stats.nodes_visited += below - r - 1
                             for r2 in inner[bisect_right(inner, r):bisect_left(inner, below)]:
                                 n2 = order[r2]
-                                variables[var1], variables[var2] = NodeRef(n), NodeRef(n2)
+                                variables[var1] = refs[n] or _node_ref(refs, n)
+                                variables[var2] = refs[n2] or _node_ref(refs, n2)
                                 if where is not None and not where():
                                     continue
                                 if seen is not None and ((n, n2) in seen or seen.add((n, n2))):
@@ -369,7 +393,7 @@ class Evaluator:
                             continue
                         if inmost and (b := bisect_right(own, r)) < len(own) and own[b] < end[n]:
                             continue  # a node of the type lies below n
-                        variables[var1] = NodeRef(n)
+                        variables[var1] = refs[n] or _node_ref(refs, n)
                         fresh = seen is None or n not in seen
                         if where is None or where():
                             if fresh:
@@ -389,14 +413,16 @@ class Evaluator:
                     stats.nodes_visited -= skip - cut - 1
                     i, j = bisect_left(ranks, skip, i), bisect_left(cuts, skip, j)
             if last is not None:
-                variables[var1] = NodeRef(order[last])
+                n = order[last]
+                variables[var1] = refs[n] or _node_ref(refs, n)
             if ellipsis and rows:
                 found, depth = rows[:], index.depth
                 rows.clear()
                 best = max(depth[n2] - depth[n1] for n1, n2 in found)
                 for n1, n2 in found:
                     if depth[n2] - depth[n1] == best:
-                        variables[var1], variables[var2] = NodeRef(n1), NodeRef(n2)
+                        variables[var1] = refs[n1] or _node_ref(refs, n1)
+                        variables[var2] = refs[n2] or _node_ref(refs, n2)
                         add(n1, {var1: n1, var2: n2}, rows)
 
         return loop
@@ -933,6 +959,36 @@ def _values_equal(a: Value, b: Value) -> bool:
 
 def _reject() -> bool:
     return False
+
+
+def _root_regions(project: ProjectAst) -> list[tuple[int, int]]:
+    """The default input's regions as (first rank, end rank) pairs, in
+    root order: each maximal run of roots whose regions follow one another
+    in rank order is one region. Roots out of rank order, listed twice or
+    in another root's tree each keep their own region."""
+    pre, end = project.index.pre, project.index.end
+    regions: list[tuple[int, int]] = []
+    for root in project.roots:
+        if regions and regions[-1][1] == pre[root]:
+            regions[-1] = (regions[-1][0], end[root])
+        else:
+            regions.append((pre[root], end[root]))
+    return regions
+
+
+def _node_refs(index: RegionIndex) -> list:
+    """The project's shared node handles by node id, None for a node no
+    select has bound yet; kept in its index, made on first use."""
+    refs = index.refs
+    if refs is None:
+        refs = index.refs = [None] * len(index.pre)
+    return refs
+
+
+def _node_ref(refs: list, n: int) -> NodeRef:
+    """Node n's handle, made and kept in `refs` on its first binding."""
+    ref = refs[n] = NodeRef(n)
+    return ref
 
 
 def _arity_message(name: str, n: int, got: int) -> str:

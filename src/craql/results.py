@@ -28,6 +28,7 @@ from craql.diagnostics import Diagnostic
 OUTPUT_CSV = "craql_output.csv"
 PROJECT_TAGS = "projecttags.csv"
 SERIALIZED_AST = "project.ast.json"
+_BOM = "\ufeff".encode()  # the UTF-8 byte-order mark
 
 
 class RunnerError(Exception):
@@ -70,20 +71,23 @@ def properties_file(properties_dir: Path, project: str) -> Path:
 
 def read_text(path: Path, name: str) -> str:
     """The file's UTF-8 text, with `\\r\\n` and `\\r` read as `\\n` as
-    `Path.read_text` reads them. A file that is not UTF-8 raises
+    `Path.read_text` reads them, and without one leading byte-order mark,
+    as Python's own source reader drops it. A file that is not UTF-8 raises
     `RunnerError` with the diagnostic `name:line:column` at the first byte
-    that does not decode, giving its value and offset. A file that cannot
-    be read (a directory, a dangling link) raises `RunnerError` naming it
-    and the reason."""
+    that does not decode, giving its value and offset in the file; line 1's
+    columns count from after the mark. A file that cannot be read (a
+    directory, a dangling link) raises `RunnerError` naming it and the
+    reason."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise RunnerError(f"{name}: cannot read: {exc.strerror or exc}") from None
+    mark = len(_BOM) if data.startswith(_BOM) else 0
     try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return data[mark:].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
-        start = exc.start
-        line_start = data.rfind(b"\n", 0, start) + 1
+        start = mark + exc.start
+        line_start = max(data.rfind(b"\n", 0, start) + 1, mark)
         raise RunnerError(str(Diagnostic(
             name, data.count(b"\n", 0, start) + 1, len(data[line_start:start].decode()) + 1,
             f"not UTF-8: byte 0x{data[start]:02x} at offset {start}",

@@ -235,11 +235,11 @@ def _run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
     if not project_names or not query_names:
         raise RunnerError("project and query lists must be non-empty")
 
-    # An unparseable query, one that names a node type the schema lacks, or
-    # two whose results would share a name, aborts the batch before any
-    # project runs. The schema is MiniLang's, the only one a batch loads
-    # unless a library caller registers another; an accessor that no type
-    # declares gets one warning.
+    # An unparseable query, one that names a node type the schema lacks, one
+    # listed twice, or two whose results would share a name, aborts the
+    # batch before any project runs. The schema is MiniLang's, the only one
+    # a batch loads unless a library caller registers another; an accessor
+    # that no type declares gets one warning.
     docs: list[tuple[str, QueryDocument]] = []
     query_files: dict[str, str] = {}  # result name -> query file
     for qname in query_names:
@@ -247,6 +247,8 @@ def _run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
         if not qpath.is_file():
             raise RunnerError(f"missing query file: {qpath}")
         if qpath.stem in query_files:
+            if query_files[qpath.stem] == qname:
+                raise RunnerError(f"query file {qname} is listed twice")
             raise RunnerError(f"query files {query_files[qpath.stem]} and {qname} both write "
                               f"results named {qpath.stem}")
         query_files[qpath.stem] = qname

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from craql import load_project, serialize_project
 from craql.cli import main
 from craql.fixtures import fixture_text
@@ -100,6 +102,21 @@ def test_an_unlabeled_later_select_exits_two(tmp_path, capsys):
     assert run_main(root) == 2
     assert capsys.readouterr().err.startswith(
         "error: unparseable query file two.craql: two.craql:2:1: an unlabeled select")
+    assert list((root / "results").iterdir()) == []
+
+
+@pytest.mark.parametrize("listed, message", [
+    ("blocks.craql\nblocks.craql\n", "query file blocks.craql is listed twice"),
+    ("blocks.craql\nsub/blocks.craql\n",
+     "query files blocks.craql and sub/blocks.craql both write results named blocks"),
+], ids=["listed twice", "shared stem"])
+def test_query_files_that_share_a_result_name_exit_two(tmp_path, capsys, listed, message):
+    root = make_root(tmp_path)
+    (root / "queries" / "sub").mkdir()
+    (root / "queries" / "sub" / "blocks.craql").write_text("select ({Block} b) { m++; }")
+    (root / "queries.txt").write_text(listed)
+    assert run_main(root) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list((root / "results").iterdir()) == []
 
 

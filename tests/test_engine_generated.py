@@ -13,8 +13,13 @@ selects and callquery. Each document runs
   agree too, errors included;
 * select by select against the oracle: each traced capture replays to the
   same rows, and the captures' reference walks add up to `nodes_visited`.
+
+The same checks run on projects whose default input falls back from one
+region to a walk per root, and every run of the default input as merged
+regions must agree with a walk of each root's region on its own.
 """
 
+import json
 import random
 import re
 
@@ -27,8 +32,10 @@ from craql import (
     Evaluator,
     OutputSink,
     ProjectAst,
+    deserialize_project,
     load_project,
     parse_query_document,
+    serialize_project,
 )
 from craql.engine.evaluator import QueryRuntimeError
 from craql.engine.runtime import NodeList, NodeRef
@@ -147,6 +154,28 @@ def run(project, text, seed, traced=False):
             stats.rows_yielded), captures
 
 
+def check_document(project, text, seed, hazard):
+    """Run the document the three ways; return its outcome and how many
+    selects it ran."""
+    outcome, _ = run(project, render(text, False), seed)
+    traced, captures = run(project, render(text, False), seed, traced=True)
+    assert traced == outcome, text
+    assert run(project, render(text, True), seed)[0] == outcome, text
+    if outcome[0] is not None or hazard:
+        return outcome, len(captures)
+    visits = 0
+    for capture in captures:
+        label = (text, capture.query.pattern)
+        assert compare(project, capture.rows, replay_capture(project, capture)).empty, label
+        pat = capture.query.pattern
+        accepted = {row[pat.var1] for row in capture.rows} if pat.kind == SINGLE else set()
+        visits += walk_visits(project, capture.query, capture.input_nodes,
+                              capture.include_root, capture.directly, accepted.__contains__)
+    assert visits == outcome[4], text
+    assert sum(len(c.rows) for c in captures) == outcome[5], text
+    return outcome, len(captures)
+
+
 @pytest.fixture(scope="module")
 def generated_projects():
     rng = random.Random(1109)
@@ -183,28 +212,87 @@ def test_generated_documents_agree(generated_projects, monkeypatch):
     for project, seed in generated_projects:
         for _ in range(DOCUMENTS_PER_PROJECT):
             text = generator.document()
-            outcome, _ = run(project, render(text, False), seed)
-            traced, captures = run(project, render(text, False), seed, traced=True)
-            assert traced == outcome, text
-            assert run(project, render(text, True), seed)[0] == outcome, text
+            outcome, ran = check_document(project, text, seed, generator.hazard)
             errors += outcome[0] is not None
-            selects += len(captures)
-            if outcome[0] is not None or generator.hazard:
-                continue
-            visits = 0
-            for capture in captures:
-                label = (text, capture.query.pattern)
-                assert compare(project, capture.rows, replay_capture(project, capture)).empty, label
-                pat = capture.query.pattern
-                accepted = {row[pat.var1] for row in capture.rows} if pat.kind == SINGLE else set()
-                visits += walk_visits(project, capture.query, capture.input_nodes,
-                                      capture.include_root, capture.directly, accepted.__contains__)
-            assert visits == outcome[4], text
-            assert sum(len(c.rows) for c in captures) == outcome[5], text
+            selects += ran
     # The documents reach every plan: link keys, hoists, errors, many selects.
     print(splits)
     assert splits["link"] >= 20 and splits["invariant"] >= 50, splits
     assert 0 < errors < DOCUMENTS_PER_PROJECT and selects > 1000, (errors, selects)
+
+
+def rerooted(project, roots):
+    """`project` loaded again from its column document, with `roots` as
+    its default input."""
+    doc = json.loads(serialize_project(project))
+    doc["roots"] = roots
+    return deserialize_project(json.dumps(doc))
+
+
+def root_orders(project):
+    """Default inputs that a run of adjacent regions cannot merge whole:
+    the roots out of rank order, a root listed twice, each way, and a
+    node of another root's tree, after that root and later."""
+    roots = project.roots
+    own = next(n for n in range(len(project.type))
+               if project.type[n] == "MethodDeclaration"
+               and project.index.pre[roots[0]] < project.index.pre[n] < project.index.end[roots[0]])
+    return {"reversed": roots[::-1], "twice after the rest": roots + roots[:1],
+            "twice in a row": roots[:1] + roots, "nested": roots[:1] + [own] + roots[1:],
+            "nested later": roots + [own]}
+
+
+# Every modifier and both pair patterns over the default input; the body
+# prints each row and count(*), so the order of the rows shows.
+BODY = 'hits++; print(a.linenumber() + " " + count(*));'
+DEFAULT_FORMS = [
+    *(f"select {modifier}({{{t}}} a){where} {{ {BODY} }}"
+      for modifier in ("", "outmost ", "inmost ")
+      for t in ("Statement", "CompilationUnit")
+      for where in ("", " where <<a.depth() != 3>>")),
+    *(f"select ({{{t1}}} a {mark} {{{t2}}} b){where} {{ {BODY} }}"
+      for mark in ("*", "...")
+      for t1, t2 in (("Block", "Statement"), ("CompilationUnit", "Block"))
+      for where in ("", " where <<b.depth() > 4>>")),
+]
+
+
+def test_default_input_regions_agree_with_per_root_walks(generated_projects, monkeypatch):
+    """A MiniLang project's roots are one region, and roots out of rank
+    order, listed twice or nested fall back to more. Either way each
+    document passes the three checks, and runs as it runs when the
+    default input walks each root's region on its own: prints, rows,
+    variables and counters."""
+    root_regions = evaluator_module._root_regions
+
+    def per_root(project):
+        pre, end = project.index.pre, project.index.end
+        return [(pre[root], end[root]) for root in project.roots]
+
+    rng = random.Random(12)
+    generator = QueryGenerator(rng)
+    fallbacks = 0
+    for base, seed in generated_projects:
+        assert len(root_regions(base)) == 1 and len(base.roots) >= 3
+        for roots in [base.roots, *root_orders(base).values()]:
+            project = rerooted(base, roots)
+            assert project.roots == roots
+            fallbacks += len(root_regions(project)) > 1
+            documents = [(text, False) for text in DEFAULT_FORMS]
+            for _ in range(8):
+                documents.append((generator.document(), generator.hazard))
+            for text, hazard in documents:
+                outcome, _ = check_document(project, text, seed, hazard)
+                with monkeypatch.context() as patch:
+                    patch.setattr(evaluator_module, "_root_regions", per_root)
+                    walked = run(project, render(text, False), seed)[0]
+                if outcome[0] is not None:
+                    # A region counts its visits as the walk enters it, so an
+                    # error's count depends on the regions; a batch counts no
+                    # document that fails.
+                    walked, outcome = walked[:4] + walked[5:], outcome[:4] + outcome[5:]
+                assert walked == outcome, (roots, text)
+    assert fallbacks == 5 * len(generated_projects)
 
 
 def test_literal_type_probes_agree_with_matches_type(generated_projects, monkeypatch):

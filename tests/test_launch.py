@@ -71,6 +71,52 @@ def test_outputs_are_utf8_in_an_ascii_locale(tmp_path):
     assert (results / "craql_output.csv").read_bytes() == "project,label,tag\r\np,café,thé\r\n".encode()
 
 
+def test_python_m_runs_a_batch_and_exits_with_its_status(tmp_path):
+    root = make_root(tmp_path, {"a": {"A.mj": "class A { void m() { x = 1; } }\n"},
+                                "b": {"B.mj": "class B { }\n"}},
+                     "select ({TypeDeclaration} t) { n += 1; print(t.name); }\n")
+    batch = python(["-m", "craql.cli"] + run_args(root))
+    assert (batch.returncode, batch.stdout) == (0, b"A\nB\n")
+    assert batch.stderr.decode() == f"2/2 projects completed; results in {root / 'results'}\n"
+    results = root / "results"
+    assert {p.name: p.read_bytes() for p in results.iterdir()} == {
+        "a.vars": b"n=1\n", "b.vars": b"n=1\n",
+        "a.q.rows": b"A.mj\t1\tTypeDeclaration\tclass A { void m() { x = 1; } }\n",
+        "b.q.rows": b"B.mj\t1\tTypeDeclaration\tclass B { }\n"}
+    (root / "projects.txt").write_text("a\nmissing\n")
+    batch = python(["-m", "craql.cli"] + run_args(root))
+    assert (batch.returncode, batch.stdout) == (1, b"A\n")
+    assert batch.stderr.decode().splitlines()[-1] == (
+        f"1/2 projects completed; results in {root / 'results'}")
+    collate = python(["-m", "craql.cli", "collate", "--dirs", str(root)])
+    assert (collate.returncode, collate.stderr) == (0, b"")
+    assert collate.stdout.decode() == f"wrote {results / 'craql_output.csv'}\n"
+    assert (results / "craql_output.csv").read_bytes() == b"project,n\r\na,1\r\nb,1\r\n"
+
+
+# The console script's entry, with an exit handler that reports whether the
+# collector is frozen when the interpreter shuts down.
+ENTRY_WITH_EXIT_HANDLER = """
+import atexit, gc, sys
+import craql.cli
+
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+sys.argv[1:] = ["collate", "--dirs", sys.argv[1]]
+craql.cli.launch()
+"""
+
+
+def test_the_entry_freezes_the_collector_and_still_runs_exit_handlers(tmp_path):
+    (tmp_path / "results").mkdir()
+    (tmp_path / "results" / "p.vars").write_text("n=1\n")
+    proc = python(["-c", ENTRY_WITH_EXIT_HANDLER, str(tmp_path)])
+    assert (proc.returncode, proc.stderr) == (0, b"frozen True\n")
+    assert proc.stdout.decode() == f"wrote {tmp_path / 'results' / 'craql_output.csv'}\n"
+    proc = python(["-c", ENTRY_WITH_EXIT_HANDLER, str(tmp_path / "nowhere")])
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines()[-1] == "frozen True"
+
+
 # What a launch that only reads and writes result files must not import.
 ENGINE_MODULES = ("craql.engine", "craql.minilang", "craql.query", "craql.astcore", "craql.runner")
 

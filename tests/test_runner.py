@@ -23,7 +23,8 @@ from craql import (
 )
 from craql.fixtures import fixture_text, generate_block_sea, generate_nested_blocks
 from craql.engine.runtime import render_value, row_line
-from craql.results import OUTPUT_CSV, RunConfig, RunnerError, collate_csv, generate_props
+from craql.results import (OUTPUT_CSV, RunConfig, RunnerError, collate_csv, generate_props,
+                           properties_file, read_text)
 from craql.runner import SERIALIZED_AST, load_properties, run_batch
 
 from conftest import BAD_AST_DOCS, BAD_COLUMN_DOCS, ast_document, run_document
@@ -218,6 +219,73 @@ class TestUndecodableFiles:
         assert alpha.aborted and not beta.aborted
         assert alpha.diagnostics == [SERIALIZED_AST + NOT_UTF8_AT]
         assert not any(r.exc_info for r in caplog.records)
+
+
+BOM = "\ufeff".encode()
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark, which Windows editors write, is
+    no part of any input: each input kind reads the same with it."""
+
+    INPUTS = ("source", "query", "project list", "query list", "serialized ast", "properties")
+
+    @staticmethod
+    def tree(root, marked):
+        config = make_tree(
+            root,
+            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")}, "beta": {}},
+            queries={"show.craql": 'select ({Block} b) { n += 1; print(b.linenumber() + " " + n); }'},
+        )
+        donor, _ = load_project("donor", [("AB.mj", fixture_text("AB.mj"))])
+        (config.projects_dir / "beta" / SERIALIZED_AST).write_text(serialize_project(donor))
+        properties_file(config.properties_dir, "alpha").write_text("n=2\ntag=core\n")
+        path = {"source": config.projects_dir / "alpha" / "Sample.mj",
+                "query": config.queries_dir / "show.craql",
+                "project list": config.project_list, "query list": config.query_list,
+                "serialized ast": config.projects_dir / "beta" / SERIALIZED_AST,
+                "properties": properties_file(config.properties_dir, "alpha")}.get(marked)
+        if path is not None:
+            path.write_bytes(BOM + path.read_bytes())
+        return config
+
+    @pytest.mark.parametrize("marked", INPUTS)
+    def test_a_marked_input_reads_as_it_reads_unmarked(self, tmp_path, marked):
+        outputs = []
+        for case in (None, marked):
+            config = self.tree(tmp_path / str(case), case)
+            status, records = run_batch(config)
+            outputs.append((status, [(r.print_lines, r.diagnostics) for r in records],
+                            {p.name: p.read_bytes() for p in config.results_dir.iterdir()}))
+        assert outputs[0] == outputs[1]
+        status, _, results = outputs[0]
+        assert status == 0 and results["alpha.vars"] == b"n=5\ntag=core\n"
+
+    def test_marked_tags_and_vars_read_as_unmarked(self, tmp_path):
+        for marked in (False, True):
+            root = tmp_path / str(marked)
+            root.mkdir()
+            mark = BOM if marked else b""
+            (root / "projecttags.csv").write_bytes(mark + b"project,tag\np,core\n")
+            (root / "p.vars").write_bytes(mark + b"n=1\n")
+            generate_props(root)
+            collate_csv(root)
+            assert (root / "p.properties").read_bytes() == b"tag=core\n"
+            assert (root / OUTPUT_CSV).read_bytes() == b"project,n\r\np,1\r\n"
+
+    @pytest.mark.parametrize("mark", [b"", BOM])
+    def test_an_undecodable_first_line_counts_columns_after_the_mark(self, tmp_path, mark):
+        # The offset is the byte's offset in the file, the mark included.
+        path = tmp_path / "f.txt"
+        path.write_bytes(mark + b"ab\xff\n")
+        with pytest.raises(RunnerError, match=re.escape(
+                f"f.txt:1:3: error: not UTF-8: byte 0xff at offset {len(mark) + 2}")):
+            read_text(path, "f.txt")
+
+    def test_only_one_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(BOM + BOM + b"x\n")
+        assert read_text(path, "f.txt") == "\ufeffx\n"
 
 
 class TestUnencodableText:
@@ -1078,6 +1146,18 @@ def test_query_files_with_one_result_name_are_a_config_error(tmp_path):
     (tmp_path / "queries.txt").write_text("x/q.craql\ny/q.craql\n")
     with pytest.raises(RunnerError, match=re.escape(
             "query files x/q.craql and y/q.craql both write results named q")):
+        run_batch(config)
+    assert list((tmp_path / "results").iterdir()) == []
+
+
+def test_a_query_file_listed_twice_is_a_config_error(tmp_path):
+    config = make_tree(
+        tmp_path,
+        projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")}},
+        queries={"q.craql": COUNT_BLOCKS},
+    )
+    (tmp_path / "queries.txt").write_text("q.craql\nq.craql\n")
+    with pytest.raises(RunnerError, match=re.escape("query file q.craql is listed twice")):
         run_batch(config)
     assert list((tmp_path / "results").iterdir()) == []
 

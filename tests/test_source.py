@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import craql
 
 SOURCE_ROOT = Path(craql.__file__).parent
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def unread_parameters(tree: ast.AST) -> list[tuple[int, str, str]]:
@@ -122,3 +124,27 @@ def test_the_name_check_sees_f_string_pieces_and_skips_docstrings():
         '    return [f"{p}.vars", f"{p}.{q}.rows", "project.ast.json", "x.mj"]\n'
     )
     assert sorted(root_file_literals(tree)) == [(4, ".rows"), (4, ".vars"), (4, "project.ast.json")]
+
+
+def main_block_calls(tree: ast.Module) -> list[str]:
+    """The names of the functions that the module's `if __name__ ==
+    "__main__":` block calls."""
+    return [call.func.id for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)]
+
+
+def test_the_console_script_and_python_m_share_one_entry():
+    """`craql` and `python -m craql.cli` run one function, the one that
+    freezes the collector before the process exits."""
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", PYPROJECT.read_text(),
+                        re.M | re.S).group(1)
+    module, function = re.fullmatch(r'craql = "([\w.]+):(\w+)"', scripts.strip()).groups()
+    assert module == "craql.cli"
+    tree = ast.parse((SOURCE_ROOT / "cli.py").read_text())
+    assert main_block_calls(tree) == [function]
+    entry = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == function)
+    calls = [ast.unparse(call.func) for call in ast.walk(entry) if isinstance(call, ast.Call)]
+    assert calls == ["main", "gc.freeze", "SystemExit"]
