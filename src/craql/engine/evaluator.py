@@ -90,12 +90,10 @@ from craql.query.ast import (
     MOD_INMOST,
     MOD_OUTMOST,
     Prefix,
-    PrintStmt,
     PropAccess,
     QueryDocument,
     SINGLE,
     SelectQuery,
-    SelectStmt,
     Stmt,
     StrLit,
     TypeLit,
@@ -558,8 +556,7 @@ class Evaluator:
 
         return while_
 
-    def _select(self, s: SelectStmt) -> Thunk:
-        q = s.query
+    def _select(self, q: SelectQuery) -> Thunk:
         return lambda: self.run_select(q)
 
     def _callquery(self, s: CallQuery) -> Thunk:
@@ -581,9 +578,6 @@ class Evaluator:
                 env.call_depth -= 1
 
         return callquery
-
-    def _print(self, s: PrintStmt) -> Thunk:
-        return self._library_call("print", s.pos, None, [self._compile(s.value)])
 
     def _expr_stmt(self, s: ExprStmt) -> Thunk:
         return self._compile(s.value)
@@ -929,8 +923,8 @@ _EXPRESSIONS = {
 }
 _STATEMENTS = {
     Assign: Evaluator._assign, IncrDecr: Evaluator._incr_decr, If: Evaluator._if,
-    While: Evaluator._while, SelectStmt: Evaluator._select, CallQuery: Evaluator._callquery,
-    PrintStmt: Evaluator._print, ExprStmt: Evaluator._expr_stmt,
+    While: Evaluator._while, SelectQuery: Evaluator._select, CallQuery: Evaluator._callquery,
+    ExprStmt: Evaluator._expr_stmt,
 }
 
 

@@ -138,7 +138,7 @@ class Pattern(Record):
         return [self.var1] if self.kind == SINGLE else [self.var1, self.var2]
 
 
-class SelectQuery(Record):
+class SelectQuery(Stmt):
     pattern: Pattern
     modifier: str
     input: InputSpec
@@ -147,19 +147,9 @@ class SelectQuery(Record):
     pos: Pos = (0, 0)
 
 
-class SelectStmt(Stmt):
-    query: SelectQuery
-    pos: Pos = (0, 0)
-
-
 class CallQuery(Stmt):
     label: str
     input: InputSpec | None
-    pos: Pos = (0, 0)
-
-
-class PrintStmt(Stmt):
-    value: Expr
     pos: Pos = (0, 0)
 
 
@@ -180,7 +170,7 @@ class QueryDocument(Record):
         return self.queries[0][1]
 
 
-Node = Expr | Stmt | InputSpec | Pattern | SelectQuery | QueryDocument
+Node = Expr | Stmt | InputSpec | Pattern | QueryDocument
 
 # The fields of each node class that can hold nodes or lists of them: all
 # but `pos` and those annotated as plain values. Reversed, so that `walk`
@@ -190,7 +180,7 @@ _FIELDS = {
     cls: tuple(name for name, kind in reversed(cls.__annotations__.items())
                if name != "pos" and kind not in _SCALARS)
     for cls in (*Expr.__subclasses__(), *Stmt.__subclasses__(),
-                InputSpec, Pattern, SelectQuery, QueryDocument)
+                InputSpec, Pattern, QueryDocument)
 }
 
 
@@ -309,12 +299,10 @@ def unparse_stmt(s: Stmt, indent: int) -> str:
         out = f"{pad}while ({unparse_expr(s.cond)}) {{\n"
         out += "".join(unparse_stmt(t, indent + 1) + "\n" for t in s.body)
         return out + pad + "}"
-    if isinstance(s, SelectStmt):
-        return unparse_select(s.query, indent)
+    if isinstance(s, SelectQuery):
+        return unparse_select(s, indent)
     if isinstance(s, CallQuery):
         return f"{pad}callquery({s.label}){_unparse_input(s.input)};"
-    if isinstance(s, PrintStmt):
-        return f"{pad}print({unparse_expr(s.value)});"
     if isinstance(s, ExprStmt):
         return f"{pad}{unparse_expr(s.value)};"
     raise TypeError(f"unknown statement {s!r}")

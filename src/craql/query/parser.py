@@ -26,13 +26,11 @@ from craql.query.ast import (
     MOD_OUTMOST,
     Pattern,
     Prefix,
-    PrintStmt,
     PropAccess,
     QueryDocument,
     SINGLE,
     STAR,
     SelectQuery,
-    SelectStmt,
     Stmt,
     StrLit,
     TypeLit,
@@ -187,8 +185,7 @@ class _Parser:
     def parse_stmt(self) -> Stmt:
         tok = self.peek()
         if self.at("select"):
-            q = self.parse_select()
-            return SelectStmt(q, pos=q.pos)
+            return self.parse_select()
         if self.at("callquery"):
             self.advance()
             self.expect("(")
@@ -215,12 +212,14 @@ class _Parser:
             self.expect(")")
             return While(cond, self.parse_stmt_or_block(), pos=(tok.line, tok.col))
         if self.at("print"):
+            # The statement form takes one argument: `print(a, b);` stops at `,`.
             self.advance()
             self.expect("(")
             value = self.parse_expr()
             self.expect(")")
             self.expect(";")
-            return PrintStmt(value, pos=(tok.line, tok.col))
+            pos = (tok.line, tok.col)
+            return ExprStmt(Call("print", None, [value], pos=pos), pos=pos)
         if tok.kind == "ident":
             nxt = self.peek(1)
             if nxt.kind == "op" and nxt.value in ("=", "+=", "-="):

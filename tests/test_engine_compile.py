@@ -45,13 +45,11 @@ from craql.query.ast import (
     MOD_OUTMOST,
     Pattern,
     Prefix,
-    PrintStmt,
     PropAccess,
     QueryDocument,
     SINGLE,
     STAR,
     SelectQuery,
-    SelectStmt,
     StrLit,
     TypeLit,
     VarRef,
@@ -178,7 +176,7 @@ def random_body(rng: random.Random, depth: int, bound: tuple = (), loops: int = 
         elif kind == 1:
             body.append(IncrDecr(target, rng.choice(["++", "--"])))
         elif kind == 2:
-            body.append(PrintStmt(rich_expr(rng, 2)))
+            body.append(ExprStmt(Call("print", None, [rich_expr(rng, 2)])))
         elif kind == 3:
             value = rich_expr(rng, 2)
             while unparse_expr(value).startswith("print"):  # would parse as a print statement
@@ -200,7 +198,7 @@ def random_body(rng: random.Random, depth: int, bound: tuple = (), loops: int = 
         else:
             free = [v for v in VARIABLES if v not in bound]
             if free:
-                body.append(SelectStmt(random_select(rng, depth - 1, bound, free, loops)))
+                body.append(random_select(rng, depth - 1, bound, free, loops))
     return body
 
 

@@ -26,7 +26,7 @@ from craql.query.ast import (
     Prefix,
     PropAccess,
     STAR,
-    SelectStmt,
+    SelectQuery,
     StrLit,
     TypeLit,
     VarRef,
@@ -100,12 +100,12 @@ class TestParse:
         doc = parse_query_document(text)
         assert len(doc.queries) == 1
         outer = doc.entry
-        inner = [s for s in outer.body if isinstance(s, SelectStmt)]
+        inner = [s for s in outer.body if isinstance(s, SelectQuery)]
         assert len(inner) == 1
-        second = inner[0].query
+        second = inner[0]
         conditional = [s for s in second.body if isinstance(s, If)]
         assert len(conditional) == 1
-        innermost = [s for s in conditional[0].then_body if isinstance(s, SelectStmt)]
+        innermost = [s for s in conditional[0].then_body if isinstance(s, SelectQuery)]
         assert len(innermost) == 1
 
     def test_modifier_and_directly_in(self):
@@ -209,7 +209,7 @@ class TestUnparse:
 
     def test_string_escapes_round_trip(self):
         doc = parse_query_document('select ({Block} b) { print("a\\nb\\tc\\"d\\\\"); }')
-        assert doc.entry.body[0].value == StrLit('a\nb\tc"d\\')
+        assert doc.entry.body[0].value.args == [StrLit('a\nb\tc"d\\')]
         text = unparse_document(doc)
         assert 'print("a\\nb\\tc\\"d\\\\");' in text
         assert parse_query_document(text) == doc
@@ -352,8 +352,7 @@ class TestWalk:
                     if isinstance(cls, type) and issubclass(cls, base) and cls is not base}
 
         expressions, statements = kinds(query_ast.Expr), kinds(query_ast.Stmt)
-        others = {query_ast.SelectQuery, query_ast.Pattern, query_ast.InputSpec,
-                  query_ast.QueryDocument}
+        others = {query_ast.Pattern, query_ast.InputSpec, query_ast.QueryDocument}
         assert expressions | statements | others <= set(query_ast._FIELDS)
         assert expressions == set(evaluator._EXPRESSIONS)
         assert statements == set(evaluator._STATEMENTS)

@@ -16,8 +16,8 @@ from craql.engine.runtime import ExecutionStats, NodeList, NodeRef, TypeName
 from craql.query import ast
 from craql.query.ast import (
     Assign, BoolLit, Call, CallQuery, CountStar, ExprStmt, If, IncrDecr, Infix,
-    InputSpec, IntLit, Pattern, Prefix, PrintStmt, PropAccess, QueryDocument,
-    SelectQuery, SelectStmt, StrLit, TypeLit, VarRef, While,
+    InputSpec, IntLit, Pattern, Prefix, PropAccess, QueryDocument,
+    SelectQuery, StrLit, TypeLit, VarRef, While,
 )
 from craql.query.parser import parse_query_document
 from craql.query.tokens import Token
@@ -42,9 +42,7 @@ IR_FIELDS = {
     InputSpec: ("kind", "expr", "pos"),
     Pattern: ("kind", "type1", "var1", "type2", "var2", "pos"),
     SelectQuery: ("pattern", "modifier", "input", "where", "body", "pos"),
-    SelectStmt: ("query", "pos"),
     CallQuery: ("label", "input", "pos"),
-    PrintStmt: ("value", "pos"),
     ExprStmt: ("value", "pos"),
     QueryDocument: ("queries", "source"),
 }
@@ -79,9 +77,7 @@ WALK_FIELDS = {
     InputSpec: ("expr",),
     Pattern: (),
     SelectQuery: ("body", "where", "input", "pattern"),
-    SelectStmt: ("query",),
     CallQuery: ("input",),
-    PrintStmt: ("value",),
     ExprStmt: ("value",),
     QueryDocument: ("queries",),
 }
