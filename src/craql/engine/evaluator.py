@@ -23,7 +23,8 @@ Selection semantics, in one place:
   input node's concrete type; such a node is still processed as a candidate
   before the cut.
 
-Every select enters through `run_select` and runs as one push loop
+Every select, top-level, called or nested in a body (where it is the same
+`SelectQuery` node), enters through `run_select` and runs as one push loop
 (produce/consume, after Neumann, VLDB 2011). On its first run, `_plan`
 compiles the select's input, where clause and body into closures (Feeley
 and Lapalme, "Using Closures for Code Generation", 1987) and builds a `run`
@@ -61,6 +62,15 @@ short-circuit, and an unknown `{Type}` or function, a wrong arity or a
 literal argument still folds: `n.isnodetype({T})`, `T` a type the schema
 knows, tests n's type against the schema's `matching` set for `T`.
 An emitted row is its node id in the sink until the runner writes it.
+A `print(v);` statement is the call `print(v)` and compiles like it.
+
+A project's queries share one budget of `MAX_PROJECT_STEPS` steps, counted
+in `Environment.steps`. The loop charges each candidate it reads from a
+rank list once, a slice at a time before it tests them (a candidate below
+an `outmost` row is read, not tested), and each pair a candidate heads;
+each `while` step and `callquery` entry takes one step. The select, loop
+or call that passes the budget raises `QueryRuntimeError`, which aborts
+only that project.
 """
 
 from __future__ import annotations
@@ -155,6 +165,12 @@ MAX_STRING_CHARS = 10_000_000
 # past a bounded value still renders.
 MAX_INT_DIGITS = 4000
 _INT_BOUND = 10 ** MAX_INT_DIGITS
+
+# A project's queries abort when, across its documents, they take more than
+# this many steps (see the module docstring), so nested loops or recursive
+# calls cannot hang the batch. No project of the benchmark corpora takes
+# more than 10,230 steps or visits more than 654,627 nodes.
+MAX_PROJECT_STEPS = 10_000_000
 
 # A callquery aborts its query when this many calls are already open. Each
 # level costs the interpreter at least 3 frames, so a much deeper bound
@@ -339,6 +355,7 @@ class Evaluator:
         index, types, offset = project.index, project.type, 0 if default else 1
         order, pre, end, by_type = index.order, index.pre, index.end, index.by_type
         own, refs = project.type_ranks(pat.type1), _node_refs(index)
+        env, over_budget, pos = self.env, self._over_budget, q.pos
 
         def add(n1: int, row: dict[str, int], rows: list) -> None:
             rows.append(row)
@@ -371,12 +388,20 @@ class Evaluator:
                         if i < k:
                             last = ranks[k - 1]
                         i = k
+                    if i < k:
+                        env.steps += k - i
+                        if env.steps > MAX_PROJECT_STEPS:
+                            raise over_budget(pos)
                     for r in ranks[i:k]:
                         n = order[r]
                         if not single:
                             below = end[n]
                             stats.nodes_visited += below - r - 1
-                            for r2 in inner[bisect_right(inner, r):bisect_left(inner, below)]:
+                            pairs = inner[bisect_right(inner, r):bisect_left(inner, below)]
+                            env.steps += len(pairs)
+                            if env.steps > MAX_PROJECT_STEPS:
+                                raise over_budget(pos)
+                            for r2 in pairs:
                                 n2 = order[r2]
                                 variables[var1] = refs[n] or _node_ref(refs, n)
                                 variables[var2] = refs[n2] or _node_ref(refs, n2)
@@ -410,6 +435,10 @@ class Evaluator:
                     skip = end[order[cut]]
                     stats.nodes_visited -= skip - cut - 1
                     i, j = bisect_left(ranks, skip, i), bisect_left(cuts, skip, j)
+                    if i < k:
+                        # Past an `outmost` row the slice's rest is read
+                        # again: charge it then.
+                        env.steps -= k - i
             if last is not None:
                 n = order[last]
                 variables[var1] = refs[n] or _node_ref(refs, n)
@@ -482,6 +511,12 @@ class Evaluator:
 
         return block
 
+    def _over_budget(self, pos: tuple[int, int]) -> QueryRuntimeError:
+        """The error of a step at `pos` that takes `Environment.steps` past
+        `MAX_PROJECT_STEPS`."""
+        return QueryRuntimeError(
+            f"project exceeded {MAX_PROJECT_STEPS} evaluation steps", self.source, pos)
+
     def _raiser(self, message: str, pos: tuple[int, int], operands: list[Thunk] = ()) -> Thunk:
         """A closure that evaluates `operands`, then raises `message`."""
 
@@ -542,7 +577,7 @@ class Evaluator:
         return if_
 
     def _while(self, s: While) -> Thunk:
-        cond, body, pos = self._test(s.cond), self._block(s.body), s.pos
+        cond, body, pos, env = self._test(s.cond), self._block(s.body), s.pos, self.env
 
         def while_() -> None:
             steps = 0
@@ -552,6 +587,9 @@ class Evaluator:
                         f"while loop exceeded {MAX_WHILE_STEPS} steps", self.source, pos
                     )
                 steps += 1
+                env.steps += 1
+                if env.steps > MAX_PROJECT_STEPS:
+                    raise self._over_budget(pos)
                 body()
 
         return while_
@@ -570,6 +608,9 @@ class Evaluator:
                 raise QueryRuntimeError(f"unresolved query label {s.label}", self.source, pos)
             if env.call_depth >= MAX_CALL_DEPTH:
                 raise QueryRuntimeError("query recursion limit", self.source, pos)
+            env.steps += 1
+            if env.steps > MAX_PROJECT_STEPS:
+                raise self._over_budget(pos)
             env.call_depth += 1
             try:
                 # A called query is a top-level query of the document: its rows emit.

@@ -105,6 +105,8 @@ class Environment:
         # Per open select, the list whose length count(*) reads.
         self.count_stack: list[Sized] = []
         self.call_depth = 0
+        # The steps charged to the project's evaluation budget so far.
+        self.steps = 0
 
     def set(self, name: str, value: Value) -> None:
         self.variables[name] = value

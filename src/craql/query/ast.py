@@ -1,6 +1,10 @@
 """Query IR: patterns, expressions, statements, documents, their one walk,
 and the unparser.
 
+Each construct has one node class. A nested select is a `SelectQuery`, the
+class a document holds, and a `print(v);` statement is an `ExprStmt` of the
+call `print(v)`.
+
 Position fields never participate in equality, so a document compares equal
 to the reparse of its own unparse.
 """

@@ -9,6 +9,7 @@ from craql import (
     parse_query_document,
 )
 
+import craql.engine.evaluator
 from craql.engine.evaluator import MAX_CALL_DEPTH
 
 from conftest import load_fixture_project, run_document
@@ -114,6 +115,66 @@ class TestCallQuery:
         types = [sample_project.type[n] for n in sink.rows]
         assert types == ["CompilationUnit", "MethodDeclaration", "MethodDeclaration"]
 
+
+class TestPrint:
+    @pytest.mark.parametrize("value, prints, error", [
+        ('"line " + b.linenumber()', ["line 3", "line 4", "line 8"], None),
+        ("nope", ["undefined"] * 3, None),
+        ("b + 1", [], "q.craql:2:13: arithmetic on a node"),
+        ("b.isnodetype(1)", [], "q.craql:2:13: isnodetype() expects a node type like {Block}"),
+    ])
+    def test_statement_and_expression_forms_agree(self, sample_project, value, prints, error):
+        # The value sits at the same column in both forms.
+        for stmt in (f"    print({value});", f"y = print({value});"):
+            doc = parse_query_document(f"select ({{Block}} b) {{\n{stmt}\n}}", "q.craql")
+            sink = OutputSink()
+            evaluator = Evaluator(sample_project, Environment(), sink, source="q.craql")
+            if error is None:
+                evaluator.execute_document(doc)
+            else:
+                with pytest.raises(QueryRuntimeError) as raised:
+                    evaluator.execute_document(doc)
+                assert str(raised.value) == error
+            assert sink.prints == prints
+
+
+class TestProjectBudget:
+    """`Environment.steps` counts the candidates a select reads, each pair a
+    candidate heads, `while` steps and callquery entries; Sample.mj has
+    three blocks, two method declarations and nine statements."""
+
+    @pytest.mark.parametrize("text, steps", [
+        ("select ({Block} b) { i = 0; while (i < 2) { i++; } }", 3 + 3 * 2),
+        ("main : select ({CompilationUnit} u) { callquery(helper); }\n"
+         "helper : select ({TypeDeclaration} t) { }", 1 + 1 + 1),
+        ("select ({MethodDeclaration} m * {Statement} s) { }", 2 + 9),
+        # The third block, below the second row, is read but not tested.
+        ("select outmost ({Block} b) { }", 3),
+    ])
+    def test_steps_counted(self, sample_project, text, steps):
+        env, _, _ = run_document(sample_project, text)
+        assert env.steps == steps
+
+    @pytest.mark.parametrize("text, where", [
+        ("select ({Block} b) { i = 0; while (i < 2) { i++; } }", "1:29"),
+        ("select ({Statement} s) { }", "1:1"),
+        ("main : select ({CompilationUnit} u) { i = 0; while (i < 7) { i++; } callquery(m); }\n"
+         "m : select ({Block} b) { }", "1:69"),
+    ])
+    def test_exceeding_aborts_at_the_statement(self, sample_project, monkeypatch, text, where):
+        monkeypatch.setattr(craql.engine.evaluator, "MAX_PROJECT_STEPS", 8)
+        with pytest.raises(QueryRuntimeError) as raised:
+            run_document(sample_project, text, source="q.craql")
+        assert str(raised.value) == f"q.craql:{where}: project exceeded 8 evaluation steps"
+
+    def test_budget_spans_the_projects_documents(self, sample_project, monkeypatch):
+        monkeypatch.setattr(craql.engine.evaluator, "MAX_PROJECT_STEPS", 5)
+        env = Environment()
+        doc = parse_query_document("select ({Block} b) { n++; }", "q.craql")
+        Evaluator(sample_project, env, OutputSink(), source="q.craql").execute_document(doc)
+        with pytest.raises(QueryRuntimeError, match="q.craql:1:1: project exceeded 5"):
+            Evaluator(sample_project, env, OutputSink(), source="q.craql").execute_document(doc)
+        assert env.steps == 6 and env.variables["n"] == 3
 
 
 class TestEnvironmentSharing:

@@ -18,6 +18,7 @@ from craql.query.ast import (
     CallQuery,
     CountStar,
     ELLIPSIS,
+    ExprStmt,
     If,
     Infix,
     INPUT_DIRECTLY_IN,
@@ -189,6 +190,22 @@ class TestParse:
         with pytest.raises(QuerySyntaxError, match=r"^q\.craql:1:30: stray character '²'$"):
             parse_query_document("select ({Block} b) where 1 < ² { }", "q.craql")
 
+    @pytest.mark.parametrize("stmt, error", [
+        ("print(a, b);", "1:29: unexpected ',' (expected ')')"),
+        ("print(a }", "1:30: unexpected '}' (expected ')')"),
+        ("print();", "1:28: unexpected ')' (expected an expression)"),
+        ("print a;", "1:28: unexpected 'a' (expected '(')"),
+    ])
+    def test_print_statement_takes_one_parenthesized_value(self, stmt, error):
+        with pytest.raises(QuerySyntaxError) as raised:
+            parse_query_document(f"select ({{Block}} b) {{ {stmt} }}", "q.craql")
+        assert str(raised.value) == f"q.craql:{error}"
+
+    def test_print_statement_is_its_call(self):
+        doc = parse_query_document("select ({Block} b) {\n  print(b);\n}")
+        assert doc.entry.body == [ExprStmt(Call("print", None, [VarRef("b")]))]
+        assert doc.entry.body[0].pos == doc.entry.body[0].value.pos == (2, 3)
+
     def test_empty_document_rejected(self):
         with pytest.raises(QuerySyntaxError, match="empty"):
             parse_query_document("// only a comment\n")
@@ -329,6 +346,12 @@ class TestValidate:
         assert [d.column for d in warnings[:2]] == [6026, 6024]
 
 
+def ir_kinds(base: type) -> set[type]:
+    """The classes of `craql.query.ast` that derive from `base`."""
+    return {cls for cls in vars(query_ast).values()
+            if isinstance(cls, type) and issubclass(cls, base) and cls is not base}
+
+
 class TestWalk:
     def test_pre_order_in_source_order(self):
         doc = parse_query_document(
@@ -343,16 +366,40 @@ class TestWalk:
 
     def test_every_node_kind_is_known(self):
         """A node kind that `walk` does not know would escape the label
-        check, the schema check and the hoist's write check; one that the
-        evaluator cannot compile would fail only when a query uses it."""
-        from craql.engine import evaluator
-
-        def kinds(base):
-            return {cls for cls in vars(query_ast).values()
-                    if isinstance(cls, type) and issubclass(cls, base) and cls is not base}
-
-        expressions, statements = kinds(query_ast.Expr), kinds(query_ast.Stmt)
+        check, the schema check and the hoist's write check."""
+        expressions, statements = ir_kinds(query_ast.Expr), ir_kinds(query_ast.Stmt)
         others = {query_ast.Pattern, query_ast.InputSpec, query_ast.QueryDocument}
         assert expressions | statements | others <= set(query_ast._FIELDS)
-        assert expressions == set(evaluator._EXPRESSIONS)
-        assert statements == set(evaluator._STATEMENTS)
+
+    def test_one_node_kind_per_construct(self):
+        """The evaluator compiles exactly the IR's expression and statement
+        kinds; a document using every construct reaches each kind, and each
+        node's text reparses to the node. So a construct has one kind: a
+        second one for it would have no text that parses to it."""
+        from craql.engine import evaluator
+
+        expressions, statements = ir_kinds(query_ast.Expr), ir_kinds(query_ast.Stmt)
+        assert set(evaluator._EXPRESSIONS) == expressions
+        assert set(evaluator._STATEMENTS) == statements
+        assert {cls.__name__ for cls in statements} == {
+            "Assign", "IncrDecr", "If", "While", "SelectQuery", "CallQuery", "ExprStmt"}
+        doc = parse_query_document(
+            "q : select ({Block} b) in x where !b.g.{Block}.f({Block}) && count(*) < 2 || true {\n"
+            '  n = 1; s += "t"; n++;\n'
+            "  if (n == -1) { print(n); } else { m = max(n, 2); }\n"
+            "  while (false) { b.depth(); }\n"
+            "  select ({Statement} s2) directly in b { callquery(q); }\n"
+            "}\n")
+        reached = set()
+        for node in query_ast.walk(doc):
+            if isinstance(node, query_ast.Expr):
+                text, expected = f"y = {query_ast.unparse_expr(node)};", query_ast.Assign(
+                    "y", "=", node)
+            elif isinstance(node, query_ast.Stmt):
+                text, expected = query_ast.unparse_stmt(node, 0), node
+            else:
+                continue
+            again = parse_query_document(f"q : select ({{Block}} z) {{ {text} }}")
+            assert again.entry.body[0] == expected
+            reached.add(type(node))
+        assert reached == expressions | statements

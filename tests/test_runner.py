@@ -537,6 +537,36 @@ class TestRunBatch:
         assert not (tmp_path / "results" / "alpha.vars").exists()
         assert (tmp_path / "results" / "beta.vars").read_text() == ""
 
+    @pytest.mark.parametrize("text, where, beta_vars", [
+        # Each call runs the select again, so the work grows like blocks^40
+        # while the call depth stays under MAX_CALL_DEPTH.
+        ("select ({CompilationUnit} u) { d = 0; callquery(q1); }\n"
+         "q1 : select ({Block} b2) where d < 40 { d += 1; n += 1; callquery(q1); d -= 1; }",
+         "2:6", "d=0\n"),
+        # Each loop stays under MAX_WHILE_STEPS; their product does not.
+        ("select ({Block} b) {\n  i = 0;\n  while (i < 1500) {\n    i++;\n"
+         "    j = 0;\n    while (j < 1500) { j++; }\n  }\n}",
+         "6:5", ""),
+    ], ids=["recursive-callquery", "nested-whiles"])
+    def test_project_budget_aborts_only_its_project(self, tmp_path, monkeypatch, text, where,
+                                                    beta_vars):
+        monkeypatch.setattr(craql.engine.evaluator, "MAX_PROJECT_STEPS", 10_000)
+        config = make_tree(
+            tmp_path,
+            projects={"alpha": {"Sample.mj": fixture_text("Sample.mj")},
+                      "beta": {"I.mj": "interface I { int ping(); }"}},
+            queries={"deep.craql": text},
+        )
+        status, records = run_batch(config)
+        assert status == 1
+        alpha, beta = records
+        assert alpha.aborted and not beta.aborted
+        assert alpha.diagnostics == [
+            f"query deep failed on alpha: deep.craql:{where}: project exceeded 10000 evaluation steps"]
+        assert not (tmp_path / "results" / "alpha.vars").exists()
+        # Each project has its own budget.
+        assert (tmp_path / "results" / "beta.vars").read_text() == beta_vars
+
     def test_deeply_nested_source_skips_only_its_file(self, tmp_path):
         nested = "(" * 3000 + "1" + ")" * 3000
         config = make_tree(
