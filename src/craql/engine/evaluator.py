@@ -33,9 +33,10 @@ select's loop (`_loop`). The loop is one pruned pre-order walk, whatever
 the pattern and modifier. It bisects a sorted pre-order rank list, the
 pattern type's (see `craql.astcore.RegionIndex`), to each input region (an
 input node's, or for the default input a run of adjacent root regions),
-reads the candidates up to the next prune point (a `directly in` cut or an
-`outmost` row) as one slice, and jumps past the pruned node's region, the
-region skip of Grust's XPath accelerator (SIGMOD 2002). So it reaches
+reads the candidates up to the next `directly in` cut as one run, and
+jumps past a pruned node's region (a cut's, or an `outmost` row's, inside
+the run as well), the region skip of Grust's XPath accelerator (SIGMOD
+2002). So it reaches
 exactly the candidates of the walk, in order, without the walk. It binds
 each candidate, or each pair a candidate heads, to the node's one handle
 in the project, tests the where clause and appends, emits and runs the
@@ -54,19 +55,22 @@ and a link key such as `m == i.methodbinding()` (`m` holding a node)
 narrows the rank list to the nodes linked to `m` (`_link_ranks`); a
 bisection of the full list then binds the pattern variable where the
 unkeyed walk would leave it.
-Compiling decides nothing that depends on a value, so evaluation order and
-errors stay those of the query text: the receiver runs before the
-arguments and both operands before either is coerced, `&&` and `||`
-short-circuit, and an unknown `{Type}` or function, a wrong arity or a
-`count(*)` outside a select raises only when evaluation reaches it. A
-literal argument still folds: `n.isnodetype({T})`, `T` a type the schema
-knows, tests n's type against the schema's `matching` set for `T`.
+Compiling checks each pattern, `{T}` literal and call against the rule
+table of `craql.query.validate` and raises the first fault it finds, so
+the select fails as it compiles, whether evaluation would reach the fault
+or not. It decides nothing that depends on a value: the receiver runs
+before the arguments and both operands before either is coerced, `&&` and
+`||` short-circuit, and a receiver that holds no node, a `count(*)`
+outside a select, an `isnodetype` argument that holds no type or
+arithmetic on a node raises only when evaluation reaches it. A literal
+argument folds: `n.isnodetype({T})` tests n's type against the schema's
+`matching` set for `T`.
 An emitted row is its node id in the sink until the runner writes it.
 A `print(v);` statement is the call `print(v)` and compiles like it.
 
 A project's queries share one budget of `MAX_PROJECT_STEPS` steps, counted
 in `Environment.steps`. The loop charges each candidate it reads from a
-rank list once, a slice at a time before it tests them (a candidate below
+rank list once, a run at a time before it tests them (a candidate below
 an `outmost` row is read, not tested), and each pair a candidate heads;
 each `while` step and `callquery` entry takes one step. The select, loop
 or call that passes the budget raises `QueryRuntimeError`, which aborts
@@ -77,6 +81,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
+from itertools import islice
 from typing import Callable
 
 from craql import Record
@@ -99,6 +104,7 @@ from craql.query.ast import (
     IntLit,
     MOD_INMOST,
     MOD_OUTMOST,
+    Pattern,
     Prefix,
     PropAccess,
     QueryDocument,
@@ -111,6 +117,7 @@ from craql.query.ast import (
     While,
 )
 from craql.engine.links import LINK_CHILD, LINK_METHOD_CHILD, PROBES, split_where
+from craql.query.validate import FREE_FORMS, LIBRARY_FUNCTIONS, NOT_A_TYPE, rule_errors
 from craql.engine.runtime import (
     Environment,
     ExecutionStats,
@@ -177,17 +184,6 @@ MAX_PROJECT_STEPS = 10_000_000
 # would run out of stack before it was reached.
 MAX_CALL_DEPTH = 100
 
-# Node function -> (its arity, its value on an undefined receiver or None
-# when that is an error).
-_NODE_FUNCTIONS = {
-    "parent": (0, UNDEFINED), "methodbinding": (0, UNDEFINED), "typebinding": (0, UNDEFINED),
-    "isnodetype": (1, False), "contains": (1, False), "directly_contains": (1, False),
-    "isparent": (1, False),
-    "position": (0, None), "linenumber": (0, None), "filename": (0, None), "depth": (0, None),
-    "nodetype": (0, None),
-}
-# The node functions that take their node as the sole argument too.
-_FREE_FORMS = frozenset({"depth", "nodetype", "position", "linenumber", "filename"})
 _BOOLEAN_OPS = frozenset({"==", "!=", "<", "<=", ">", ">=", "&&", "||"})
 _ARITHMETIC = {
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
@@ -261,6 +257,7 @@ class Evaluator:
         returns the rows."""
         pat, project, variables = q.pattern, self.project, self.env.variables
         count_stack = self.env.count_stack
+        self._check(pat)
         default, directly = spec.kind == INPUT_DEFAULT, spec.kind == INPUT_DIRECTLY_IN
         input_of = None if default else self._compile(spec.expr)
 
@@ -277,9 +274,6 @@ class Evaluator:
             raise QueryRuntimeError(f"query input must be a node or node list, not "
                                     f"{_kind_name(value)}", self.source, spec.pos)
 
-        for name in (pat.type1,) if pat.kind == SINGLE else (pat.type1, pat.type2):
-            if not self.schema.knows(name):
-                return self._raiser(f"unknown node type {name}", pat.pos, [resolve])
         where = None if q.where is None else self._test(q.where)
         split = split_where(q, self.schema, directly)
         if split is not None:
@@ -339,8 +333,9 @@ class Evaluator:
         regions of `_root_regions`, each root a candidate; otherwise it
         holds the input nodes, whose regions exclude the node itself. The
         loop reads the nodes of `ranks` it reaches a run at a time, up to
-        and with the next prune point: the next `directly` cut (a node of
-        the input node's type) or the `outmost` row just taken. Each
+        and with the next `directly` cut (a node of the input node's type),
+        and passes over the candidates below an `outmost` row in the run
+        or, when the row's region holds the cut, past the run. Each
         candidate, or each pair it heads, that `where` (None for none)
         accepts is appended, emitted and has the body run, once.
         `nodes_visited` gains each input region (an input node's own
@@ -392,7 +387,8 @@ class Evaluator:
                         env.steps += k - i
                         if env.steps > MAX_PROJECT_STEPS:
                             raise over_budget(pos)
-                    for r in ranks[i:k]:
+                    run = iter(ranks[i:k])
+                    for r in run:
                         n = order[r]
                         if not single:
                             below = end[n]
@@ -428,17 +424,21 @@ class Evaluator:
                         if outmost:
                             # A row prunes below it, an earlier root's
                             # whatever the clause says now.
-                            cut = r
-                            break
+                            below = end[n]
+                            if below > cut:
+                                # Its region holds the rest of the run.
+                                cut = r
+                                break
+                            stats.nodes_visited -= below - r - 1
+                            # The run's candidates below it are read, not tested.
+                            after = bisect_left(ranks, r, i) + 1
+                            if (skipped := bisect_left(ranks, below, after) - after):
+                                next(islice(run, skipped, skipped), None)
                     if cut == stop:
                         break
                     skip = end[order[cut]]
                     stats.nodes_visited -= skip - cut - 1
                     i, j = bisect_left(ranks, skip, i), bisect_left(cuts, skip, j)
-                    if i < k:
-                        # Past an `outmost` row the slice's rest is read
-                        # again: charge it then.
-                        env.steps -= k - i
             if last is not None:
                 n = order[last]
                 variables[var1] = refs[n] or _node_ref(refs, n)
@@ -482,11 +482,7 @@ class Evaluator:
         return entry[1]()
 
     def _compile(self, e: Expr) -> Thunk:
-        compile_ = _EXPRESSIONS.get(type(e))
-        if compile_ is None:
-            return self._raiser(f"unknown expression {type(e).__name__}",
-                                getattr(e, "pos", (0, 0)))
-        return compile_(self, e)
+        return _EXPRESSIONS[type(e)](self, e)
 
     def _test(self, e: Expr) -> Callable[[], bool]:
         """A closure that gives the truth value of `e`."""
@@ -497,11 +493,7 @@ class Evaluator:
         return lambda: truthy(value())
 
     def _block(self, body: list[Stmt]) -> Thunk:
-        steps = []
-        for s in body:
-            compile_ = _STATEMENTS.get(type(s))
-            steps.append(compile_(self, s) if compile_ is not None else
-                         self._raiser(f"unknown statement {type(s).__name__}", s.pos))
+        steps = [_STATEMENTS[type(s)](self, s) for s in body]
         if len(steps) == 1:
             return steps[0]
 
@@ -517,15 +509,10 @@ class Evaluator:
         return QueryRuntimeError(
             f"project exceeded {MAX_PROJECT_STEPS} evaluation steps", self.source, pos)
 
-    def _raiser(self, message: str, pos: tuple[int, int], operands: list[Thunk] = ()) -> Thunk:
-        """A closure that evaluates `operands`, then raises `message`."""
-
-        def fail() -> Value:
-            for operand in operands:
-                operand()
-            raise QueryRuntimeError(message, self.source, pos)
-
-        return fail
+    def _check(self, node: Pattern | TypeLit | Call) -> None:
+        """Raise the first rule of `craql.query.validate` that `node` breaks."""
+        for message in rule_errors(node, self.schema):
+            raise QueryRuntimeError(message, self.source, node.pos)
 
     # ------------------------------------------------------------------
     # Statements
@@ -599,13 +586,11 @@ class Evaluator:
 
     def _callquery(self, s: CallQuery) -> Thunk:
         env, pos = self.env, s.pos
+        target = None if self._doc is None else self._doc.labels().get(s.label)
+        if target is None:
+            raise QueryRuntimeError(f"unresolved query label {s.label}", self.source, pos)
 
         def callquery() -> None:
-            if self._doc is None:
-                raise QueryRuntimeError("callquery outside a document", self.source, pos)
-            target = self._doc.labels().get(s.label)
-            if target is None:
-                raise QueryRuntimeError(f"unresolved query label {s.label}", self.source, pos)
             if env.call_depth >= MAX_CALL_DEPTH:
                 raise QueryRuntimeError("query recursion limit", self.source, pos)
             env.steps += 1
@@ -636,8 +621,7 @@ class Evaluator:
         return lambda: get(name, UNDEFINED)
 
     def _type_lit(self, e: TypeLit) -> Thunk:
-        if not self.schema.knows(e.name):
-            return self._raiser(f"unknown node type {e.name}", e.pos)
+        self._check(e)
         value = TypeName(e.name)
         return lambda: value
 
@@ -715,9 +699,7 @@ class Evaluator:
                 return plus(a, b, pos)
 
             return add
-        apply = _ARITHMETIC.get(op)
-        if apply is None:
-            return self._raiser(f"unknown operator {op}", pos, [left, right])
+        apply = _ARITHMETIC[op]
 
         def arithmetic() -> Value:
             a, b = left(), right()
@@ -767,56 +749,31 @@ class Evaluator:
     # -- builtin functions --
 
     def _call(self, e: Call) -> Thunk:
-        """Calls evaluate the receiver, then the arguments, then check them."""
+        """A call evaluates its receiver, then its arguments."""
+        self._check(e)
         name, pos = e.name, e.pos
         receiver = None if e.receiver is None else self._compile(e.receiver)
         args = [self._compile(a) for a in e.args]
-        operands = args if receiver is None else [receiver] + args
-        if name == "print" or name == "max" or name == "min":
-            arity = 1 if name == "print" else 2
-            if len(args) != arity:
-                return self._raiser(_arity_message(name, arity, len(args)), pos, operands)
+        if name in LIBRARY_FUNCTIONS:
             return self._library_call(name, pos, receiver, args)
-        if name not in _NODE_FUNCTIONS:
-            return self._raiser(f"unknown function {name}", pos, operands)
-
-        # Node functions accept the node as receiver or as the sole argument
-        # (the free forms depth(n) and nodetype(n)).
         if receiver is None:
-            if name not in _FREE_FORMS or len(args) != 1:
-                return self._raiser(f"{name}() needs a node receiver", pos, operands)
+            # A free form, depth(n): its node is its sole argument.
             receiver, args = args[0], []
-        arity, on_undefined = _NODE_FUNCTIONS[name]
-        # Probes on an absent node degrade instead of aborting, so where
-        # clauses can test optional children and unresolved bindings.
-        degrades = on_undefined is not None
+        # Probes and links on an absent node degrade instead of aborting, so
+        # where clauses can test optional children and unresolved bindings.
+        on_undefined = None if name in FREE_FORMS else False if name in PROBES else UNDEFINED
 
         def not_a_node(recv: Value) -> Value:
-            if recv is UNDEFINED and degrades:
+            if recv is UNDEFINED and on_undefined is not None:
                 return on_undefined
             raise QueryRuntimeError(
                 f"{name}() receiver is {_kind_name(recv)}, not a node", self.source, pos
             )
 
-        if len(args) != arity:
-            message = (f"{name}() takes no arguments beyond the node" if not degrades
-                       else _arity_message(name, arity, len(e.args)))
-            arity_error = self._raiser(message, pos)
-
-            def wrong_arity() -> Value:
-                recv = receiver()
-                for arg in args:
-                    arg()
-                if type(recv) is not NodeRef:
-                    not_a_node(recv)
-                return arity_error()
-
-            return wrong_arity
-
-        if name == "isnodetype" and type(e.args[0]) is TypeLit and (
-                match := self.schema.matching.get(e.args[0].name)) is not None:
-            # A known literal type folds into one set test of the node's type.
-            (matching, token), types, props = match, self.project.type, self.project.props
+        if name == "isnodetype" and type(e.args[0]) is TypeLit:
+            # A literal type folds into one set test of the node's type.
+            matching, token = self.schema.matching[e.args[0].name]
+            types, props = self.project.type, self.project.props
 
             def probe() -> Value:
                 recv = receiver()
@@ -892,9 +849,7 @@ class Evaluator:
 
         def isnodetype(n: int, arg: Value) -> bool:
             if type(arg) is not TypeName:
-                raise QueryRuntimeError(
-                    f"{name}() expects a node type like {{Block}}", self.source, pos
-                )
+                raise QueryRuntimeError(NOT_A_TYPE, self.source, pos)
             return project.matches_type(n, arg.name)
 
         def isparent(n: int, arg: Value) -> bool:
@@ -1024,10 +979,6 @@ def _node_ref(refs: list, n: int) -> NodeRef:
     """Node n's handle, made and kept in `refs` on its first binding."""
     ref = refs[n] = NodeRef(n)
     return ref
-
-
-def _arity_message(name: str, n: int, got: int) -> str:
-    return f"{name}() takes {n} argument{'s' if n != 1 else ''}, got {got}"
 
 
 _KIND_NAMES = {

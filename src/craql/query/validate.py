@@ -1,7 +1,11 @@
-"""Schema check for parsed query documents.
+"""Schema check for parsed query documents, and the rule table of the
+faults a document alone decides, which the evaluator reads too.
 
-A type name in a pattern or a `{T}` literal that the schema does not know
-is an error: the evaluator cannot run a select or expression that names one.
+A call's name must be `print`, `max`, `min` or a node function, its
+argument count must fit, a node function needs a receiver unless it is a
+free form such as `depth(n)`, and `isnodetype`'s argument may not be a
+number, string or boolean literal. A type name in a pattern or a `{T}`
+literal must be one the schema knows. Each broken rule is an error.
 Accessors stay late-bound at evaluation time, so an unknown one is only a
 warning. A dotted or braced accessor name passes if any schema type declares
 it as a property or if it names a registered type (the evaluator's
@@ -10,9 +14,27 @@ documented fallback).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from craql.astcore import NodeTypeSchema
 from craql.diagnostics import Diagnostic
-from craql.query.ast import Pattern, PropAccess, QueryDocument, TypeLit, walk
+from craql.query.ast import (
+    BoolLit, Call, IntLit, Node, Pattern, PropAccess, QueryDocument, StrLit, TypeLit, walk,
+)
+
+# Each function and its argument count. A node function's count leaves out
+# its node: the receiver, or for a free form the sole argument.
+LIBRARY_FUNCTIONS = {"print": 1, "max": 2, "min": 2}
+NODE_FUNCTIONS = {
+    "parent": 0, "methodbinding": 0, "typebinding": 0,
+    "isnodetype": 1, "contains": 1, "directly_contains": 1, "isparent": 1,
+    "position": 0, "linenumber": 0, "filename": 0, "depth": 0, "nodetype": 0,
+}
+# The node functions that read a fact of the node itself. They also take
+# the node as their sole argument, and raise on an undefined node where the
+# others give undefined or false.
+FREE_FORMS = frozenset({"position", "linenumber", "filename", "depth", "nodetype"})
+NOT_A_TYPE = "isnodetype() expects a node type like {Block}"
 
 
 def validate_against_schema(doc: QueryDocument, schema: NodeTypeSchema) -> list[Diagnostic]:
@@ -22,14 +44,34 @@ def validate_against_schema(doc: QueryDocument, schema: NodeTypeSchema) -> list[
         out.append(Diagnostic(doc.source, pos[0], pos[1], message, severity))
 
     for node in walk(doc):
-        if isinstance(node, Pattern):
-            for name in (node.type1, node.type2):
-                if name is not None and not schema.knows(name):
-                    report(node.pos, f"unknown node type {name}", "error")
-        elif isinstance(node, TypeLit):
-            if not schema.knows(node.name):
-                report(node.pos, f"unknown node type {node.name}", "error")
-        elif isinstance(node, PropAccess):
+        for message in rule_errors(node, schema):
+            report(node.pos, message, "error")
+        if isinstance(node, PropAccess):
             if not schema.declares_property(node.name) and not schema.knows(node.name):
                 report(node.pos, f"no type declares property {node.name}", "warning")
     return out
+
+
+def rule_errors(node: Node, schema: NodeTypeSchema) -> Iterator[str]:
+    """The messages of the rules that `node` itself breaks: each unknown
+    type of a pattern or `{T}` literal, or a call's first broken rule."""
+    if isinstance(node, Pattern):
+        for name in (node.type1, node.type2):
+            if name is not None and not schema.knows(name):
+                yield f"unknown node type {name}"
+    elif isinstance(node, TypeLit):
+        if not schema.knows(node.name):
+            yield f"unknown node type {node.name}"
+    elif isinstance(node, Call):
+        name, got = node.name, len(node.args)
+        arity = LIBRARY_FUNCTIONS.get(name, NODE_FUNCTIONS.get(name))
+        if arity is None:
+            yield f"unknown function {name}"
+        elif node.receiver is None and name in NODE_FUNCTIONS:
+            if name not in FREE_FORMS or got != 1:
+                yield f"{name}() needs a node receiver"
+        elif got != arity:
+            yield (f"{name}() takes no arguments beyond the node" if name in FREE_FORMS else
+                   f"{name}() takes {arity} argument{'s' if arity != 1 else ''}, got {got}")
+        elif name == "isnodetype" and type(node.args[0]) in (IntLit, StrLit, BoolLit):
+            yield NOT_A_TYPE

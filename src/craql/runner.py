@@ -235,11 +235,13 @@ def _run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
     if not project_names or not query_names:
         raise RunnerError("project and query lists must be non-empty")
 
-    # An unparseable query, one that names a node type the schema lacks, one
-    # listed twice, or two whose results would share a name, aborts the
-    # batch before any project runs. The schema is MiniLang's, the only one
-    # a batch loads unless a library caller registers another; an accessor
-    # that no type declares gets one warning.
+    # An unparseable query, one that breaks a rule of `craql.query.validate`
+    # (a node type the schema lacks, a faulty call), one listed twice, or
+    # two whose results would share a name, aborts the batch before any
+    # project runs. The schema is MiniLang's, the only one a batch loads
+    # unless a library caller registers another; a project on another
+    # schema meets a type that schema lacks as its select compiles, and
+    # aborts alone. An accessor that no type declares gets one warning.
     docs: list[tuple[str, QueryDocument]] = []
     query_files: dict[str, str] = {}  # result name -> query file
     for qname in query_names:

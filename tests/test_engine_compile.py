@@ -5,6 +5,11 @@ their variables bound to every kind of value. Each outcome, the value's repr
 or the error with its position plus whatever was printed, goes into one
 digest, recorded when expressions were still interpreted node by node; any
 change of value, error text, error position or evaluation order changes it.
+Both digests were recorded again when a call or type fault that the query
+text alone decides (`craql.query.validate`) became an error as its select
+or expression compiles: every line that changed then came from an input
+with such a fault and read `error <pos>: <rule message>`, and no line of a
+fault-free input changed.
 """
 
 import hashlib
@@ -15,12 +20,14 @@ from collections import Counter
 import pytest
 
 from craql import (
+    MINILANG_SCHEMA,
     Environment,
     Evaluator,
     OutputSink,
     QueryRuntimeError,
     bundled_query_path,
     parse_query_document,
+    validate_against_schema,
 )
 from craql.engine.runtime import NodeList, NodeRef, row_line
 from craql.fixtures import generate_random_source
@@ -63,8 +70,8 @@ from conftest import find_node, load_fixture_project, run_document
 from test_engine_expr import eval_expr
 from test_query_frontend import random_expr
 
-EXPRESSION_DIGEST = "df61cb699d723d2bf86cabb19117982ff995af74fb6df504c965138589ec0857"
-BODY_DIGEST = "def792ba3712c4ab409676712277a015d57121ac295c056f0be74c8d29d4df89"
+EXPRESSION_DIGEST = "a0122dbbaa47cffe3d4f9fad256631589cb40767d14dfd1ec537e55094e85f1e"
+BODY_DIGEST = "9fe826bc06cc8b3b2ef5b58786cdd9512e3d913a727cfc1fa96bad729fb76120"
 
 VARIABLES = ("a", "count", "x1")
 FUNCTIONS = (
@@ -261,24 +268,44 @@ class TestPinnedOutcomes:
 
 class TestEvaluationOrder:
     @pytest.mark.parametrize("text, seed, expected", [
-        ("false && {Nope}", {}, False),
-        ("true || {Nope}.name", {}, True),
         ("1 < 2 || x.position()", {"x": "s"}, True),
         ("false && count(*) > 0", {}, False),
-        ("false && nope(1)", {}, False),
-        ("false && x.parent(1)", {"x": "s"}, False),
-        ("false && depth()", {}, False),
-        ("!(true || max(1))", {}, False),
     ])
     def test_errors_wait_until_evaluation_reaches_them(self, project, text, seed, expected):
         assert eval_expr(project, text, Environment(seed)) is expected
+
+    @pytest.mark.parametrize("text, error", [
+        ("false && {Nope}", "1:10: unknown node type Nope"),
+        ("true || {Nope}.name", "1:9: unknown node type Nope"),
+        ("false && nope(1)", "1:10: unknown function nope"),
+        ("false && x.parent(1)", "1:12: parent() takes 0 arguments, got 1"),
+        ("false && depth()", "1:10: depth() needs a node receiver"),
+        ("!(true || max(1))", "1:11: max() takes 2 arguments, got 1"),
+        ('print("r").nope()', "1:12: unknown function nope"),
+        ('print("r").position(print("a"))', "1:12: position() takes no arguments beyond the node"),
+        ('print(1, print("a"))', "1:1: print() takes 1 argument, got 2"),
+        ('print("r").isnodetype("Block")', "1:12: isnodetype() expects a node type like {Block}"),
+    ])
+    def test_faults_of_the_text_fail_as_it_compiles(self, project, text, error):
+        # Whether evaluation would reach the fault, and whatever the operands
+        # hold, the expression fails before any operand runs, with the error
+        # the schema check reports for it.
+        sink = OutputSink()
+        with pytest.raises(QueryRuntimeError, match=f"^<query>:{re.escape(error)}$"):
+            eval_expr(project, text, Environment({"x": "s"}), sink)
+        assert sink.prints == []
+        doc = parse_query_document(f"select ({{Block}} b) where {text} {{ }}", "q.craql")
+        shift = len("select ({Block} b) where ")
+        line, column, message = error.split(":", 2)
+        assert [str(d) for d in validate_against_schema(doc, MINILANG_SCHEMA)] == [
+            f"q.craql:{line}:{int(column) + shift}: error:{message}"]
 
     @pytest.mark.parametrize("text, error", [
         ("true && {Nope}", "<query>:1:9: unknown node type Nope"),
         ("1 > 2 || x.position()", "<query>:1:12: position() receiver is a string, not a node"),
         ("true && count(*) > 0", "<query>:1:9: count(*) outside a select"),
         ("x.nope(1)", "<query>:1:3: unknown function nope"),
-        ("x.parent(1)", "<query>:1:3: parent() receiver is a string, not a node"),
+        ("x.parent()", "<query>:1:3: parent() receiver is a string, not a node"),
         ("u.parent(1)", "<query>:1:3: parent() takes 0 arguments, got 1"),
     ])
     def test_reached_errors_keep_their_text_and_position(self, project, text, error):

@@ -1271,3 +1271,56 @@ class TestJoinGuard:
             Evaluator(project, env, OutputSink(), source=name).execute_document(doc)
         assert 0 < len(made) <= len(project.nodes)
         assert max(made.values()) == 1, (sum(made.values()), made.most_common(1))
+
+
+class CopyCountingRanks(list):
+    """A rank list that counts the ranks its slices copy."""
+
+    copied = 0
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.copied += len(item)
+        return item
+
+
+class TestOutmostReadsEachCandidateOnce:
+    def test_2000_sibling_rows_copy_a_linear_number_of_ranks(self):
+        n = 2000
+        source = "class A { void m() { " + " ".join(f"x{i} = {i};" for i in range(n)) + " } }"
+        project, _ = load_project("siblings", [("A.mj", source)])
+        ranks = CopyCountingRanks(project.type_ranks("ExpressionStatement"))
+        project.index.ranks["ExpressionStatement"] = ranks
+        env, sink, evaluator = run_document(
+            project, "select outmost ({ExpressionStatement} s) { c++; }")
+        assert env.variables["c"] == len(sink.rows) == n
+        assert (env.steps, evaluator.stats.nodes_visited) == (n, n + 4)
+        # Slicing the rest of the list again after each row would copy n * n / 2.
+        assert ranks.copied <= 2 * n
+
+    @pytest.mark.parametrize("text, expected", [
+        ("select ({Block} b) { select outmost ({Statement} s) directly in b "
+         "where !s.isnodetype({ExpressionStatement}) { c++; } }", (126, 380, 1189, 255, 811)),
+        ("select ({Block} b) { select outmost ({Statement} s) directly in b "
+         "where s.depth() > 6 { c++; } }", (106, 397, 1411, 235, 811)),
+        ("select ({MethodDeclaration} m) { select outmost ({Statement} s) in m "
+         "where s.depth() > 5 { c++; } }", (40, 309, 1162, 58, 817)),
+        ("select outmost ({Statement} s) where !s.isnodetype({Block}) { c++; }",
+         (48, 291, 148, 48, 819)),
+    ])
+    def test_rows_counters_and_bindings_hold(self, text, expected):
+        # Rows whose regions hold `directly in` cuts, rows whose regions
+        # end inside the run with candidates below them, and rows with
+        # none below.
+        rng = random.Random(5)
+        sources = [(f"G{i}.mj", generate_random_source(rng, classes=3, max_depth=5))
+                   for i in range(3)]
+        sources.append(("If.mj", "class I { void f() { while (x) { if (a) y = 1; "
+                                 "else { z = 2; if (b) w = 3; } v = 4; } } }"))
+        project, diagnostics = load_project("nested", sources)
+        assert not diagnostics
+        env, _, evaluator = run_document(project, text)
+        stats = evaluator.stats
+        assert (env.variables["c"], env.steps, stats.nodes_visited, stats.rows_yielded,
+                env.variables["s"].id) == expected

@@ -21,6 +21,7 @@ from craql import (
     load_project,
     serialize_project,
 )
+from craql.astcore import SINGLE, TOKEN, FileInfo, NodeTypeSchema, ProjectAst
 from craql.fixtures import fixture_text, generate_block_sea, generate_nested_blocks
 from craql.engine.runtime import render_value, row_line
 from craql.results import (OUTPUT_CSV, RunConfig, RunnerError, collate_csv, generate_props,
@@ -842,7 +843,7 @@ def test_a_batch_leaves_no_cyclic_garbage(tmp_path, enabled):
             "faulty": {"F.mj": "class F { void f() { while (true) { continue; } } }"},
         },
         queries={**{name: bundled_query_path(name).read_text() for name in BUNDLED_QUERIES},
-                 "wrong_arity.craql": "select ({ContinueStatement} c) { n = c.parent(1); }"},
+                 "node_sum.craql": "select ({ContinueStatement} c) { n = c + 1; }"},
     )
     (config.projects_dir / "bundle" / "Latin1.mj").write_bytes(b"class L { } // \xe9\n")
     # Every collection from the batch's start on counts: once the collector
@@ -869,8 +870,7 @@ def test_a_batch_leaves_no_cyclic_garbage(tmp_path, enabled):
     assert [r.aborted for r in records] == [False, True]
     assert records[0].diagnostics == ["Latin1.mj:1:16: error: not UTF-8: byte 0xe9 at offset 15"]
     assert records[1].diagnostics == [
-        "query wrong_arity failed on faulty: wrong_arity.craql:1:40: "
-        "parent() takes 0 arguments, got 1"]
+        "query node_sum failed on faulty: node_sum.craql:1:40: arithmetic on a node"]
 
 
 # The README's escapes of a `.rows` line's source text.
@@ -1220,3 +1220,30 @@ def test_validate_creates_nothing_when_a_check_fails(tmp_path):
     with pytest.raises(RunnerError, match="missing directory: "):
         run_batch(config)
     assert not (tmp_path / "nope").exists()
+
+
+def test_a_type_unknown_to_another_schema_aborts_only_its_project(tmp_path, caplog, monkeypatch):
+    """A batch checks each query file against MiniLang's schema. A project
+    on another schema meets a type that schema lacks as its select
+    compiles: that project aborts with a located diagnostic, and the
+    others complete."""
+    toy = NodeTypeSchema("toy")
+    toy.add_type("Leaf", props=[("name", TOKEN)])
+    toy.add_type("Pair", props=[("left", SINGLE), ("right", SINGLE)])
+    toy.validate()
+    monkeypatch.setitem(craql.astcore._REGISTRY, "toy", toy)
+    pair = ProjectAst("t", toy)
+    pair.files.append(FileInfo("t.toy", None))
+    left, right = (pair.add_node("Leaf", 0, 0, 0, 1, {"name": name}, ()) for name in "ab")
+    pair.roots.append(pair.add_node("Pair", 0, 0, 0, 1, {"left": left, "right": right},
+                                    [left, right]))
+    pair.link_parents()
+    config = make_tree(tmp_path, projects={"t": {SERIALIZED_AST: serialize_project(pair)},
+                                           "m": {"Sample.mj": fixture_text("Sample.mj")}},
+                       queries={"q.craql": "select ({Block} b) { k++; }"})
+    status, records = run_batch(config)
+    assert status == 1
+    assert [(r.project, r.aborted) for r in records] == [("t", True), ("m", False)]
+    assert records[0].diagnostics == ["query q failed on t: q.craql:1:8: unknown node type Block"]
+    assert (config.results_dir / "m.vars").read_text() == "k=3\n"
+    assert "Traceback" not in caplog.text and "SchemaError" not in caplog.text

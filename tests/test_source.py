@@ -96,17 +96,21 @@ def test_the_check_sees_functions_methods_and_lambdas():
 ROOT_FILE_NAMES = (".vars", ".rows", ".properties", "project.ast.json")
 
 
+def docstrings(tree: ast.AST) -> set[int]:
+    """The ids of the docstring nodes in `tree`."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+
+
 def root_file_literals(tree: ast.AST) -> list[tuple[int, str]]:
     """(line, text) for each string constant in `tree`, an f-string's
     literal pieces included, that holds one of `ROOT_FILE_NAMES`.
     Docstrings are exempt."""
-    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
-                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                       ast.AsyncFunctionDef))
-                  and node.body and isinstance(node.body[0], ast.Expr)}
+    skip = docstrings(tree)
     return [(node.lineno, node.value) for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and id(node) not in docstrings and any(n in node.value for n in ROOT_FILE_NAMES)]
+            and id(node) not in skip and any(n in node.value for n in ROOT_FILE_NAMES)]
 
 
 def test_only_the_results_module_names_the_root_files():
@@ -124,6 +128,45 @@ def test_the_name_check_sees_f_string_pieces_and_skips_docstrings():
         '    return [f"{p}.vars", f"{p}.{q}.rows", "project.ast.json", "x.mj"]\n'
     )
     assert sorted(root_file_literals(tree)) == [(4, ".rows"), (4, ".vars"), (4, "project.ast.json")]
+
+
+# The messages of a faulty call, which `craql.query.validate` alone spells:
+# the rule table decides them all before a call runs.
+CALL_FAULTS = re.compile(r"unknown function|takes .*argument|needs a node receiver")
+
+
+def call_fault_texts(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, text) for each string in `tree` that matches `CALL_FAULTS`:
+    each string constant outside an f-string, and each f-string with `{}`
+    for every value it formats. Docstrings are exempt."""
+    skip, pieces, texts = docstrings(tree), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            pieces.update(id(part) for part in node.values)
+            texts.append((node.lineno, "".join(
+                part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip and id(node) not in pieces):
+            texts.append((node.lineno, node.value))
+    return sorted(text for text in texts if CALL_FAULTS.search(text[1]))
+
+
+def test_only_the_rule_table_spells_the_call_faults():
+    spelled = {path.relative_to(SOURCE_ROOT).as_posix(): call_fault_texts(ast.parse(path.read_text()))
+               for path in sorted(SOURCE_ROOT.rglob("*.py"))}
+    assert [path for path, texts in spelled.items() if texts] == ["query/validate.py"]
+    assert [text for _, text in spelled["query/validate.py"]] == [
+        "unknown function {}", "{}() needs a node receiver",
+        "{}() takes no arguments beyond the node", "{}() takes {} argument{}, got {}"]
+
+
+def test_the_fault_check_reads_whole_f_strings_and_skips_docstrings():
+    tree = ast.parse(
+        '"""Raises unknown function f."""\n'
+        "def f(n, k):\n"
+        '    return [f"{n}() takes {k} argument", "no receiver", "needs a node receiver"]\n'
+    )
+    assert call_fault_texts(tree) == [(3, "needs a node receiver"), (3, "{}() takes {} argument")]
 
 
 def main_block_calls(tree: ast.Module) -> list[str]:
