@@ -27,32 +27,31 @@ Every select, top-level, called or nested in a body (where it is the same
 `SelectQuery` node), enters through `run_select` and runs as one push loop
 (produce/consume, after Neumann, VLDB 2011). On its first run, `_plan`
 compiles the select's input, where clause and body into closures (Feeley
-and Lapalme, "Using Closures for Code Generation", 1987) and builds a `run`
-closure that resolves the input, tests the hoisted conjuncts and calls the
-select's loop (`_loop`). The loop is one pruned pre-order walk, whatever
-the pattern and modifier. It bisects a sorted pre-order rank list, the
-pattern type's (see `craql.astcore.RegionIndex`), to each input region (an
-input node's, or for the default input a run of adjacent root regions),
-reads the candidates up to the next `directly in` cut as one run, and
-jumps past a pruned node's region (a cut's, or an `outmost` row's, inside
-the run as well), the region skip of Grust's XPath accelerator (SIGMOD
-2002). So it reaches
-exactly the candidates of the walk, in order, without the walk. It binds
-each candidate, or each pair a candidate heads, to the node's one handle
-in the project, tests the where clause and appends, emits and runs the
-body on each row in place, and adds the walk's `nodes_visited` and its own
-`rows_yielded` to `Evaluator.stats`.
+and Lapalme, "Using Closures for Code Generation", 1987) and builds the
+select's one `run` closure. It resolves the input, tests the hoisted
+conjuncts and walks: one pruned pre-order walk, whatever the pattern and
+modifier. It bisects a sorted pre-order rank list, the pattern type's (see
+`craql.astcore.RegionIndex`), to each input region (an input node's, or
+for the default input a run of adjacent root regions), reads the
+candidates up to the next `directly in` cut as one run, and jumps past a
+pruned node's region (a cut's, or an `outmost` row's, inside the run as
+well), the region skip of Grust's XPath accelerator (SIGMOD 2002). So it
+reaches exactly the candidates of the walk, in order, without the walk.
+It binds each candidate, or each pair a candidate heads, to the node's one
+handle in the project, tests the where clause and appends, emits and runs
+the body on each row in place, and adds the walk's `nodes_visited` and its
+own `rows_yielded` to `Evaluator.stats`.
 count(*) is the length of the list the innermost open select appends to
 (the top of `Environment.count_stack`): its rows, or an ellipsis select's
 passing pairs until the depth test.
 
 The plan reads the where clause once (`craql.engine.links.split_where`).
 When the split is ready as the select starts, its invariant conjuncts are
-tested once. If they fail, no clause runs, and for a single pattern that
-is not `inmost` the loop only adds the walk's `nodes_visited` and binds its
-last candidate. If they hold, each candidate runs the rest of the clause,
-and a link key such as `m == i.methodbinding()` (`m` holding a node)
-narrows the rank list to the nodes linked to `m` (`_link_ranks`); a
+tested once. If they fail, the walk tests each candidate with `_reject`,
+so nothing is accepted and the pattern variable ends where the unsplit
+select leaves it. If they hold, each candidate runs the rest of the
+clause, and a link key such as `m == i.methodbinding()` (`m` holding a
+node) narrows the rank list to the nodes linked to `m` (`_link_ranks`); a
 bisection of the full list then binds the pattern variable where the
 unkeyed walk would leave it.
 Compiling checks each pattern, `{T}` literal and call against the rule
@@ -69,9 +68,10 @@ An emitted row is its node id in the sink until the runner writes it.
 A `print(v);` statement is the call `print(v)` and compiles like it.
 
 A project's queries share one budget of `MAX_PROJECT_STEPS` steps, counted
-in `Environment.steps`. The loop charges each candidate it reads from a
+in `Environment.steps`. The walk charges each candidate it reads from a
 rank list once, a run at a time before it tests them (a candidate below
-an `outmost` row is read, not tested), and each pair a candidate heads;
+an `outmost` row is read, not tested), whether or not the hoisted
+conjuncts hold, and each pair a candidate heads;
 each `while` step and `callquery` entry takes one step. The select, loop
 or call that passes the budget raises `QueryRuntimeError`, which aborts
 only that project.
@@ -117,7 +117,9 @@ from craql.query.ast import (
     While,
 )
 from craql.engine.links import LINK_CHILD, LINK_METHOD_CHILD, PROBES, split_where
-from craql.query.validate import FREE_FORMS, LIBRARY_FUNCTIONS, NOT_A_TYPE, rule_errors
+from craql.query.validate import (
+    FREE_FORMS, LIBRARY_FUNCTIONS, NOT_A_TYPE, NOT_A_TYPE_OR_NODE, rule_errors,
+)
 from craql.engine.runtime import (
     Environment,
     ExecutionStats,
@@ -176,7 +178,7 @@ _INT_BOUND = 10 ** MAX_INT_DIGITS
 # A project's queries abort when, across its documents, they take more than
 # this many steps (see the module docstring), so nested loops or recursive
 # calls cannot hang the batch. No project of the benchmark corpora takes
-# more than 10,230 steps or visits more than 654,627 nodes.
+# more than 12,072 steps or visits more than 654,627 nodes.
 MAX_PROJECT_STEPS = 10_000_000
 
 # A callquery aborts its query when this many calls are already open. Each
@@ -253,27 +255,29 @@ class Evaluator:
 
     def _plan(self, q: SelectQuery, spec: InputSpec, emit: bool) -> Callable[[], list]:
         """The select's run from input `spec`: a closure that resolves the
-        input, tests the hoisted conjuncts, runs the select's loop and
-        returns the rows."""
-        pat, project, variables = q.pattern, self.project, self.env.variables
-        count_stack = self.env.count_stack
+        input, tests the hoisted conjuncts, narrows the rank list by the
+        link key, walks each input region and returns the rows.
+
+        For the default input the walk reads the regions of
+        `_root_regions`, each root a candidate; otherwise it reads each
+        input node's region, the node itself excluded. It reads the
+        candidates of the rank list it reaches a run at a time, up to and
+        with the next `directly` cut (a node of the input node's type),
+        and passes over the candidates below an `outmost` row in the run
+        or, when the row's region holds the cut, past the run. Each
+        candidate, or each pair it heads, is bound to its one handle in
+        `_node_refs`; each that the clause (None for none, `_reject` when
+        the hoisted conjuncts fail) accepts is appended, emitted and has
+        the body run, once. `nodes_visited` gains each input region (an
+        input node's own included) and each pair's outer region, and loses
+        each pruned region once. Under a link key, a bisection of the full
+        rank list then binds the pattern variable where the unkeyed walk
+        would leave it."""
+        pat, project, env, stats = q.pattern, self.project, self.env, self.stats
+        variables, count_stack, pos = env.variables, env.count_stack, q.pos
         self._check(pat)
         default, directly = spec.kind == INPUT_DEFAULT, spec.kind == INPUT_DIRECTLY_IN
         input_of = None if default else self._compile(spec.expr)
-
-        def resolve() -> list[int] | tuple[int, ...]:
-            if input_of is None:
-                return project.roots
-            value = input_of()
-            if type(value) is NodeRef:
-                return (value.id,)
-            if value is UNDEFINED:
-                return ()
-            if type(value) is NodeList:
-                return value.ids
-            raise QueryRuntimeError(f"query input must be a node or node list, not "
-                                    f"{_kind_name(value)}", self.source, spec.pos)
-
         where = None if q.where is None else self._test(q.where)
         split = split_where(q, self.schema, directly)
         if split is not None:
@@ -282,75 +286,15 @@ class Evaluator:
                 invariant = self._test(split.invariant)
                 residual = None if split.residual is None else self._test(split.residual)
         body = self._block(q.body)
-        loop = self._loop(q, directly, default, body, emit)
-        type_ranks, var, index = project.type_ranks(pat.type1), pat.var1, project.index
-        pre, end, order, refs = index.pre, index.end, index.order, _node_refs(index)
-        # The roots do not change while a document runs.
-        regions = _root_regions(project) if default else None
-
-        def bind_last(inputs) -> None:
-            # Where the scan of all type_ranks leaves the pattern variable:
-            # at the last candidate of the last input region holding one.
-            for item in reversed(inputs):
-                start, stop = item if default else (pre[item] + 1, end[item])
-                k = bisect_left(type_ranks, stop)
-                if k and type_ranks[k - 1] >= start:
-                    n = order[type_ranks[k - 1]]
-                    variables[var] = refs[n] or _node_ref(refs, n)
-                    return
-
-        def run() -> list:
-            roots, trace = resolve(), self.trace
-            if trace is not None:
-                capture = SelectionCapture(q, list(roots), default, directly, dict(variables))
-            clause, ranks = where, type_ranks
-            if split is not None and split.ready(variables):
-                # Every candidate fails when the invariant part does.
-                clause = residual if invariant is None or invariant() else _reject
-                if (clause is not _reject and link is not None
-                        and type(fixed := variables.get(link[0])) is NodeRef):
-                    ranks = self._link_ranks(link[1], fixed.id, ranks)
-            inputs = roots if regions is None else regions
-            rows: list = []
-            count_stack.append(rows)
-            try:
-                loop(inputs, clause, ranks, rows)
-                if ranks is not type_ranks:
-                    bind_last(inputs)
-            finally:
-                count_stack.pop()
-            if trace is not None:
-                capture.rows = rows
-                trace(capture)
-            return rows
-
-        return run
-
-    def _loop(self, q: SelectQuery, directly: bool, default: bool, body: Thunk,
-              emit: bool) -> Callable[..., None]:
-        """`loop(inputs, where, ranks, rows)`: the pruned pre-order walk of
-        each input region. For the default input, `inputs` holds the
-        regions of `_root_regions`, each root a candidate; otherwise it
-        holds the input nodes, whose regions exclude the node itself. The
-        loop reads the nodes of `ranks` it reaches a run at a time, up to
-        and with the next `directly` cut (a node of the input node's type),
-        and passes over the candidates below an `outmost` row in the run
-        or, when the row's region holds the cut, past the run. Each
-        candidate, or each pair it heads, that `where` (None for none)
-        accepts is appended, emitted and has the body run, once.
-        `nodes_visited` gains each input region (an input node's own
-        included) and each pair's outer region, and loses each pruned
-        region once. Under `_reject`, a single pattern that is not `inmost`
-        only binds its last candidate. A bound node's handle is the one in
-        `_node_refs`."""
-        pat, stats, variables, project = q.pattern, self.stats, self.env.variables, self.project
         var1, var2, emit_row = pat.var1, pat.var2, self.sink.rows.append
         outmost, inmost = q.modifier == MOD_OUTMOST, q.modifier == MOD_INMOST
         single, ellipsis = pat.kind == SINGLE, pat.kind == ELLIPSIS
         index, types, offset = project.index, project.type, 0 if default else 1
         order, pre, end, by_type = index.order, index.pre, index.end, index.by_type
-        own, refs = project.type_ranks(pat.type1), _node_refs(index)
-        env, over_budget, pos = self.env, self._over_budget, q.pos
+        own, refs, over_budget = project.type_ranks(pat.type1), _node_refs(index), self._over_budget
+        inner = None if single else project.type_ranks(pat.type2)
+        # The roots do not change while a document runs.
+        regions = _root_regions(project) if default else None
 
         def add(n1: int, row: dict[str, int], rows: list) -> None:
             rows.append(row)
@@ -359,100 +303,131 @@ class Evaluator:
                 emit_row(n1)
             body()
 
-        def loop(inputs, where, ranks, rows) -> None:
-            # Every candidate fails: a single pattern that is not `inmost`
-            # only binds the last.
-            last_only = where is _reject and single and not inmost
-            seen = set() if len(inputs) > 1 else None
-            inner = None if single or not inputs else project.type_ranks(pat.type2)
-            last = None
-            for item in inputs:
-                if default:
-                    start, stop = item
+        def run() -> list:
+            if input_of is None:
+                inputs = regions
+            else:
+                value = input_of()
+                if type(value) is NodeRef:
+                    inputs = (value.id,)
+                elif value is UNDEFINED:
+                    inputs = ()
+                elif type(value) is NodeList:
+                    inputs = value.ids
                 else:
-                    start, stop = pre[item], end[item]
-                stats.nodes_visited += stop - start
-                cuts = by_type[types[item]] if directly else ()
-                # Both cursors stay past the last pruned region.
-                i, j = bisect_left(ranks, start + offset), bisect_right(cuts, start)
-                while True:
-                    cut = cuts[j] if j < len(cuts) and cuts[j] < stop else stop
-                    # The candidate at a cut's own rank comes before the cut.
-                    k = bisect_left(ranks, cut + (cut < stop), i)
-                    if last_only:
+                    raise QueryRuntimeError(f"query input must be a node or node list, not "
+                                            f"{_kind_name(value)}", self.source, spec.pos)
+            trace = self.trace
+            if trace is not None:
+                capture = SelectionCapture(q, list(project.roots if default else inputs),
+                                           default, directly, dict(variables))
+            clause, ranks = where, own
+            if split is not None and split.ready(variables):
+                # Every candidate fails when the invariant part does.
+                clause = residual if invariant is None or invariant() else _reject
+                if (clause is not _reject and link is not None
+                        and type(fixed := variables.get(link[0])) is NodeRef):
+                    ranks = self._link_ranks(link[1], fixed.id, own)
+            seen = set() if len(inputs) > 1 else None
+            rows: list = []
+            count_stack.append(rows)
+            try:
+                for item in inputs:
+                    if default:
+                        start, stop = item
+                    else:
+                        start, stop = pre[item], end[item]
+                    stats.nodes_visited += stop - start
+                    cuts = by_type[types[item]] if directly else ()
+                    # Both cursors stay past the last pruned region.
+                    i, j = bisect_left(ranks, start + offset), bisect_right(cuts, start)
+                    while True:
+                        cut = cuts[j] if j < len(cuts) and cuts[j] < stop else stop
+                        # The candidate at a cut's own rank comes before the cut.
+                        k = bisect_left(ranks, cut + (cut < stop), i)
                         if i < k:
-                            last = ranks[k - 1]
-                        i = k
-                    if i < k:
-                        env.steps += k - i
-                        if env.steps > MAX_PROJECT_STEPS:
-                            raise over_budget(pos)
-                    run = iter(ranks[i:k])
-                    for r in run:
-                        n = order[r]
-                        if not single:
-                            below = end[n]
-                            stats.nodes_visited += below - r - 1
-                            pairs = inner[bisect_right(inner, r):bisect_left(inner, below)]
-                            env.steps += len(pairs)
+                            env.steps += k - i
                             if env.steps > MAX_PROJECT_STEPS:
                                 raise over_budget(pos)
-                            for r2 in pairs:
-                                n2 = order[r2]
-                                variables[var1] = refs[n] or _node_ref(refs, n)
-                                variables[var2] = refs[n2] or _node_ref(refs, n2)
-                                if where is not None and not where():
-                                    continue
-                                if seen is not None and ((n, n2) in seen or seen.add((n, n2))):
-                                    continue
-                                if ellipsis:
-                                    rows.append((n, n2))
-                                else:
-                                    add(n, {var1: n, var2: n2}, rows)
-                            continue
-                        if inmost and (b := bisect_right(own, r)) < len(own) and own[b] < end[n]:
-                            continue  # a node of the type lies below n
-                        variables[var1] = refs[n] or _node_ref(refs, n)
-                        fresh = seen is None or n not in seen
-                        if where is None or where():
-                            if fresh:
-                                if seen is not None:
-                                    seen.add(n)
-                                add(n, {var1: n}, rows)
-                        elif fresh:
-                            continue
-                        if outmost:
-                            # A row prunes below it, an earlier root's
-                            # whatever the clause says now.
-                            below = end[n]
-                            if below > cut:
-                                # Its region holds the rest of the run.
-                                cut = r
-                                break
-                            stats.nodes_visited -= below - r - 1
-                            # The run's candidates below it are read, not tested.
-                            after = bisect_left(ranks, r, i) + 1
-                            if (skipped := bisect_left(ranks, below, after) - after):
-                                next(islice(run, skipped, skipped), None)
-                    if cut == stop:
-                        break
-                    skip = end[order[cut]]
-                    stats.nodes_visited -= skip - cut - 1
-                    i, j = bisect_left(ranks, skip, i), bisect_left(cuts, skip, j)
-            if last is not None:
-                n = order[last]
-                variables[var1] = refs[n] or _node_ref(refs, n)
-            if ellipsis and rows:
-                found, depth = rows[:], index.depth
-                rows.clear()
-                best = max(depth[n2] - depth[n1] for n1, n2 in found)
-                for n1, n2 in found:
-                    if depth[n2] - depth[n1] == best:
-                        variables[var1] = refs[n1] or _node_ref(refs, n1)
-                        variables[var2] = refs[n2] or _node_ref(refs, n2)
-                        add(n1, {var1: n1, var2: n2}, rows)
+                        candidates = iter(ranks[i:k])
+                        for r in candidates:
+                            n = order[r]
+                            if not single:
+                                below = end[n]
+                                stats.nodes_visited += below - r - 1
+                                pairs = inner[bisect_right(inner, r):bisect_left(inner, below)]
+                                env.steps += len(pairs)
+                                if env.steps > MAX_PROJECT_STEPS:
+                                    raise over_budget(pos)
+                                for r2 in pairs:
+                                    n2 = order[r2]
+                                    variables[var1] = refs[n] or _node_ref(refs, n)
+                                    variables[var2] = refs[n2] or _node_ref(refs, n2)
+                                    if clause is not None and not clause():
+                                        continue
+                                    if seen is not None and ((n, n2) in seen or seen.add((n, n2))):
+                                        continue
+                                    if ellipsis:
+                                        rows.append((n, n2))
+                                    else:
+                                        add(n, {var1: n, var2: n2}, rows)
+                                continue
+                            if inmost and (b := bisect_right(own, r)) < len(own) and own[b] < end[n]:
+                                continue  # a node of the type lies below n
+                            variables[var1] = refs[n] or _node_ref(refs, n)
+                            fresh = seen is None or n not in seen
+                            if clause is None or clause():
+                                if fresh:
+                                    if seen is not None:
+                                        seen.add(n)
+                                    add(n, {var1: n}, rows)
+                            elif fresh:
+                                continue
+                            if outmost:
+                                # A row prunes below it, an earlier root's
+                                # whatever the clause says now.
+                                below = end[n]
+                                if below > cut:
+                                    # Its region holds the rest of the run.
+                                    cut = r
+                                    break
+                                stats.nodes_visited -= below - r - 1
+                                # The run's candidates below it are read, not tested.
+                                after = bisect_left(ranks, r, i) + 1
+                                if (skipped := bisect_left(ranks, below, after) - after):
+                                    next(islice(candidates, skipped, skipped), None)
+                        if cut == stop:
+                            break
+                        skip = end[order[cut]]
+                        stats.nodes_visited -= skip - cut - 1
+                        i, j = bisect_left(ranks, skip, i), bisect_left(cuts, skip, j)
+                if ellipsis and rows:
+                    found, depth = rows[:], index.depth
+                    rows.clear()
+                    best = max(depth[n2] - depth[n1] for n1, n2 in found)
+                    for n1, n2 in found:
+                        if depth[n2] - depth[n1] == best:
+                            variables[var1] = refs[n1] or _node_ref(refs, n1)
+                            variables[var2] = refs[n2] or _node_ref(refs, n2)
+                            add(n1, {var1: n1, var2: n2}, rows)
+                if ranks is not own:
+                    # The walk of the full list leaves the pattern variable at
+                    # the last candidate of the last input region holding one.
+                    for item in reversed(inputs):
+                        start, stop = item if default else (pre[item] + 1, end[item])
+                        k = bisect_left(own, stop)
+                        if k and own[k - 1] >= start:
+                            n = order[own[k - 1]]
+                            variables[var1] = refs[n] or _node_ref(refs, n)
+                            break
+            finally:
+                count_stack.pop()
+            if trace is not None:
+                capture.rows = rows
+                trace(capture)
+            return rows
 
-        return loop
+        return run
 
     def _link_ranks(self, link: str, fixed: int, ranks: list[int]) -> list[int]:
         """The ranks in `ranks` of the nodes that `link` ties to node
@@ -859,9 +834,7 @@ class Evaluator:
                 return any(project.matches_type(c, arg.name) for c in project.kids[n])
             if arg is UNDEFINED:
                 return False
-            raise QueryRuntimeError(
-                "isparent() expects a node type or a node", self.source, pos
-            )
+            raise QueryRuntimeError(NOT_A_TYPE_OR_NODE.format(name), self.source, pos)
 
         direct = name == "directly_contains"
 
@@ -881,9 +854,7 @@ class Evaluator:
                     i, j = bisect_left(ranks, skip, i), bisect_left(cuts, skip, j)
                 return False
             if type(arg) is not NodeRef:
-                raise QueryRuntimeError(
-                    f"{name}() expects a node type or a node", self.source, pos
-                )
+                raise QueryRuntimeError(NOT_A_TYPE_OR_NODE.format(name), self.source, pos)
             if not pre[n] < pre[arg.id] < end[n]:
                 return False
             # directly_contains: no node of n's type may interpose.

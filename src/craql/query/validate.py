@@ -3,9 +3,10 @@ faults a document alone decides, which the evaluator reads too.
 
 A call's name must be `print`, `max`, `min` or a node function, its
 argument count must fit, a node function needs a receiver unless it is a
-free form such as `depth(n)`, and `isnodetype`'s argument may not be a
-number, string or boolean literal. A type name in a pattern or a `{T}`
-literal must be one the schema knows. Each broken rule is an error.
+free form such as `depth(n)`, and the argument of `isnodetype`,
+`contains`, `directly_contains` or `isparent` may not be a number, string
+or boolean literal. A type name in a pattern or a `{T}` literal must be
+one the schema knows. Each broken rule is an error.
 Accessors stay late-bound at evaluation time, so an unknown one is only a
 warning. A dotted or braced accessor name passes if any schema type declares
 it as a property or if it names a registered type (the evaluator's
@@ -35,6 +36,9 @@ NODE_FUNCTIONS = {
 # others give undefined or false.
 FREE_FORMS = frozenset({"position", "linenumber", "filename", "depth", "nodetype"})
 NOT_A_TYPE = "isnodetype() expects a node type like {Block}"
+# The fault of `contains`, `directly_contains` or `isparent` (the `{}`) on
+# an argument that holds neither a type nor a node.
+NOT_A_TYPE_OR_NODE = "{}() expects a node type or a node"
 
 
 def validate_against_schema(doc: QueryDocument, schema: NodeTypeSchema) -> list[Diagnostic]:
@@ -73,5 +77,6 @@ def rule_errors(node: Node, schema: NodeTypeSchema) -> Iterator[str]:
         elif got != arity:
             yield (f"{name}() takes no arguments beyond the node" if name in FREE_FORMS else
                    f"{name}() takes {arity} argument{'s' if arity != 1 else ''}, got {got}")
-        elif name == "isnodetype" and type(node.args[0]) in (IntLit, StrLit, BoolLit):
-            yield NOT_A_TYPE
+        elif name in NODE_FUNCTIONS and got and type(node.args[0]) in (IntLit, StrLit, BoolLit):
+            # A node function's argument is a type or a node.
+            yield NOT_A_TYPE if name == "isnodetype" else NOT_A_TYPE_OR_NODE.format(name)

@@ -1024,8 +1024,9 @@ class TestHoistFallbacks:
     candidate, and selects whose hoisted conjunct fails.
 
     Each case gives what the unsplit clause gives: prints, errors (but for
-    their column), `nodes_visited` and the variables left behind, the
-    pattern variable's last binding included. In `ret()` of Unreachable.mj,
+    their column), `nodes_visited`, the steps charged to the project's
+    budget and the variables left behind, the pattern variable's last
+    binding included. In `ret()` of Unreachable.mj,
     `in m` reaches its body block (line 2), `return 1;` (3) and the `log`
     call (4); r starts as that return statement.
     """
@@ -1046,7 +1047,8 @@ class TestHoistFallbacks:
         for version in (text, unsplit(text)):
             try:
                 env, sink, evaluator = run_document(project, version, seed=seed)
-                outcomes.append((sink.prints, evaluator.stats.nodes_visited, env.variables))
+                outcomes.append((sink.prints, evaluator.stats.nodes_visited, env.steps,
+                                 env.variables))
             except QueryRuntimeError as exc:
                 outcomes.append(re.sub(r":\d+:\d+:", ":", str(exc)))
         assert outcomes[0] == outcomes[1]

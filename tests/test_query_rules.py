@@ -33,6 +33,12 @@ SEEDED_FAULTS = {
                                     "isnodetype() expects a node type like {Block}"),
     "unknown type literal": ("n = b.isparent({Blok});", 16, "unknown node type Blok"),
     "unknown pattern type": ("select ({Stmt} s) { }", 8, "unknown node type Stmt"),
+    "literal contains argument": ("n = b.contains(3);", 7,
+                                  "contains() expects a node type or a node"),
+    "literal directly_contains argument": ("n = b.directly_contains(true);", 7,
+                                           "directly_contains() expects a node type or a node"),
+    "literal isparent argument": ('n = b.isparent("x");', 7,
+                                  "isparent() expects a node type or a node"),
 }
 
 
@@ -91,6 +97,8 @@ def test_generated_documents_check_clean():
     ("select ({Block} b) { if (k > 5) { n = b.fooo(); } k++; }", "1:41: unknown function fooo"),
     ("select ({Block} b) where false && b.parent(1) { k++; }",
      "1:37: parent() takes 0 arguments, got 1"),
+    ("select ({Block} b) where false && b.contains(3) { k++; }",
+     "1:37: contains() expects a node type or a node"),
 ])
 def test_a_fault_in_code_that_never_runs_fails_the_batch(tmp_path, capsys, text, fault):
     root = make_root(tmp_path)
@@ -98,3 +106,15 @@ def test_a_fault_in_code_that_never_runs_fails_the_batch(tmp_path, capsys, text,
     (root / "queries.txt").write_text("idle.craql\n")
     assert run_main(root) == 2
     assert capsys.readouterr().err == f"error: invalid query file idle.craql: idle.craql:{fault}\n"
+
+
+def test_a_literal_argument_that_would_abort_each_project_fails_the_batch(tmp_path, capsys):
+    # Evaluation reaches the literal on every Block; before the rule table
+    # held it, each project with a Block aborted one by one.
+    root = make_root(tmp_path)
+    (root / "queries" / "lit.craql").write_text('select ({Block} b) where b.isparent("x") { k++; }')
+    (root / "queries.txt").write_text("lit.craql\n")
+    assert run_main(root) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid query file lit.craql: lit.craql:1:28: isparent() expects a node type or a node\n")
+    assert list((root / "results").iterdir()) == []
