@@ -47,13 +47,14 @@ passing pairs until the depth test.
 
 The plan reads the where clause once (`craql.engine.links.split_where`).
 When the split is ready as the select starts, its invariant conjuncts are
-tested once. If they fail, the walk tests each candidate with `_reject`,
-so nothing is accepted and the pattern variable ends where the unsplit
-select leaves it. If they hold, each candidate runs the rest of the
-clause, and a link key such as `m == i.methodbinding()` (`m` holding a
-node) narrows the rank list to the nodes linked to `m` (`_link_ranks`); a
-bisection of the full list then binds the pattern variable where the
-unkeyed walk would leave it.
+tested once. If they fail, nothing is accepted: a single pattern that is
+not `inmost` reads no candidate and binds the last of each run it reaches,
+and any other walks its candidates with `_reject` as its clause, so the
+pattern variable ends where the unsplit select leaves it. If they hold,
+each candidate runs the rest of the clause, and a link key such as
+`m == i.methodbinding()` (`m` holding a node) narrows the rank list to
+the nodes linked to `m` (`_link_ranks`); a bisection of the full list
+then binds the pattern variable where the unkeyed walk would leave it.
 Compiling checks each pattern, `{T}` literal and call against the rule
 table of `craql.query.validate` and raises the first fault it finds, so
 the select fails as it compiles, whether evaluation would reach the fault
@@ -70,11 +71,11 @@ A `print(v);` statement is the call `print(v)` and compiles like it.
 A project's queries share one budget of `MAX_PROJECT_STEPS` steps, counted
 in `Environment.steps`. The walk charges each candidate it reads from a
 rank list once, a run at a time before it tests them (a candidate below
-an `outmost` row is read, not tested), whether or not the hoisted
-conjuncts hold, and each pair a candidate heads;
-each `while` step and `callquery` entry takes one step. The select, loop
-or call that passes the budget raises `QueryRuntimeError`, which aborts
-only that project.
+an `outmost` row is read, not tested), and each pair a candidate heads,
+so a select that reads no candidate because its hoisted conjuncts fail
+charges none; each `while` step and `callquery` entry takes one step.
+The select, loop or call that passes the budget raises
+`QueryRuntimeError`, which aborts only that project.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ _INT_BOUND = 10 ** MAX_INT_DIGITS
 # A project's queries abort when, across its documents, they take more than
 # this many steps (see the module docstring), so nested loops or recursive
 # calls cannot hang the batch. No project of the benchmark corpora takes
-# more than 12,072 steps or visits more than 654,627 nodes.
+# more than 10,230 steps or visits more than 654,627 nodes.
 MAX_PROJECT_STEPS = 10_000_000
 
 # A callquery aborts its query when this many calls are already open. Each
@@ -268,9 +269,11 @@ class Evaluator:
         candidate, or each pair it heads, is bound to its one handle in
         `_node_refs`; each that the clause (None for none, `_reject` when
         the hoisted conjuncts fail) accepts is appended, emitted and has
-        the body run, once. `nodes_visited` gains each input region (an
-        input node's own included) and each pair's outer region, and loses
-        each pruned region once. Under a link key, a bisection of the full
+        the body run, once; under `_reject` a single pattern that is not
+        `inmost` binds each run's last candidate and reads none.
+        `nodes_visited` gains each input region (an input node's own
+        included) and each pair's outer region, and loses each pruned
+        region once. Under a link key, a bisection of the full
         rank list then binds the pattern variable where the unkeyed walk
         would leave it."""
         pat, project, env, stats = q.pattern, self.project, self.env, self.stats
@@ -328,6 +331,9 @@ class Evaluator:
                 if (clause is not _reject and link is not None
                         and type(fixed := variables.get(link[0])) is NodeRef):
                     ranks = self._link_ranks(link[1], fixed.id, own)
+            # Nothing can pass: a single pattern that is not `inmost` reads no
+            # candidate and binds the last of each run, as the walk would.
+            unread = clause is _reject and single and not inmost
             seen = set() if len(inputs) > 1 else None
             rows: list = []
             count_stack.append(rows)
@@ -345,6 +351,10 @@ class Evaluator:
                         cut = cuts[j] if j < len(cuts) and cuts[j] < stop else stop
                         # The candidate at a cut's own rank comes before the cut.
                         k = bisect_left(ranks, cut + (cut < stop), i)
+                        if unread and i < k:
+                            n = order[ranks[k - 1]]
+                            variables[var1] = refs[n] or _node_ref(refs, n)
+                            i = k
                         if i < k:
                             env.steps += k - i
                             if env.steps > MAX_PROJECT_STEPS:

@@ -136,11 +136,11 @@ def test_an_unknown_node_type_exits_two_before_any_project_runs(tmp_path, capsys
 def test_a_literal_node_function_argument_exits_two_before_any_project_runs(tmp_path, capsys):
     root = make_root(tmp_path)
     (root / "queries" / "lit.craql").write_text(
-        "select ({Block} b) where false && b.contains(3) { k++; }\n")
+        "select ({Block} b) where false && b.directly_contains(true) { k++; }\n")
     (root / "queries.txt").write_text("lit.craql\n")
     assert run_main(root) == 2
     assert capsys.readouterr().err == (
-        "error: invalid query file lit.craql: lit.craql:1:37: contains() expects a node type or a node\n")
+        "error: invalid query file lit.craql: lit.craql:1:37: directly_contains() expects a node type or a node\n")
     assert list((root / "results").iterdir()) == []
 
 

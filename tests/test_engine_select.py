@@ -1024,9 +1024,8 @@ class TestHoistFallbacks:
     candidate, and selects whose hoisted conjunct fails.
 
     Each case gives what the unsplit clause gives: prints, errors (but for
-    their column), `nodes_visited`, the steps charged to the project's
-    budget and the variables left behind, the pattern variable's last
-    binding included. In `ret()` of Unreachable.mj,
+    their column), `nodes_visited` and the variables left behind, the
+    pattern variable's last binding included. In `ret()` of Unreachable.mj,
     `in m` reaches its body block (line 2), `return 1;` (3) and the `log`
     call (4); r starts as that return statement.
     """
@@ -1047,8 +1046,7 @@ class TestHoistFallbacks:
         for version in (text, unsplit(text)):
             try:
                 env, sink, evaluator = run_document(project, version, seed=seed)
-                outcomes.append((sink.prints, evaluator.stats.nodes_visited, env.steps,
-                                 env.variables))
+                outcomes.append((sink.prints, evaluator.stats.nodes_visited, env.variables))
             except QueryRuntimeError as exc:
                 outcomes.append(re.sub(r":\d+:\d+:", ":", str(exc)))
         assert outcomes[0] == outcomes[1]
@@ -1236,6 +1234,24 @@ class TestJoinGuard:
         statements = len(project.type_ranks("Statement"))
         assert 0 < outer <= statements
         assert 0 < probes <= 4 * outer, (probes, outer)
+
+    def test_a_failed_hoist_reads_no_candidate_of_a_long_block(self):
+        """unreachable.craql on one block of 4,000 statements, the last a
+        `return`. The select over s2 of each s1 that is no jump fails its
+        hoisted conjuncts, reads no s2 and charges no step, so the document
+        takes a step for the Block, each s1 and each s2 after `return`'s
+        s1. Reading every s2 of each would take 16,000,000 steps, past the
+        project's budget; a count, not a timing.
+        """
+        n = 4000
+        source = ("class A { int m() { " + " ".join(f"x{i} = {i};" for i in range(n - 1))
+                  + " return 1; } }")
+        project, diagnostics = load_project("long", [("A.mj", source)])
+        assert not diagnostics
+        doc = parse_query_document(bundled_query_path("unreachable.craql").read_text())
+        env, sink = Environment(), OutputSink()
+        Evaluator(project, env, sink).execute_document(doc)
+        assert (sink.prints, env.steps) == ([], 1 + 2 * n)
 
     def test_the_select_loop_makes_one_node_ref_per_node(self, monkeypatch):
         """The 15 bundled queries bind each node's one shared `NodeRef`.

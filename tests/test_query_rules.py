@@ -99,6 +99,9 @@ def test_generated_documents_check_clean():
      "1:37: parent() takes 0 arguments, got 1"),
     ("select ({Block} b) where false && b.contains(3) { k++; }",
      "1:37: contains() expects a node type or a node"),
+    # Evaluation would reach this one on every Block.
+    ('select ({Block} b) where b.isparent("x") { k++; }',
+     "1:28: isparent() expects a node type or a node"),
 ])
 def test_a_fault_in_code_that_never_runs_fails_the_batch(tmp_path, capsys, text, fault):
     root = make_root(tmp_path)
@@ -106,15 +109,5 @@ def test_a_fault_in_code_that_never_runs_fails_the_batch(tmp_path, capsys, text,
     (root / "queries.txt").write_text("idle.craql\n")
     assert run_main(root) == 2
     assert capsys.readouterr().err == f"error: invalid query file idle.craql: idle.craql:{fault}\n"
-
-
-def test_a_literal_argument_that_would_abort_each_project_fails_the_batch(tmp_path, capsys):
-    # Evaluation reaches the literal on every Block; before the rule table
-    # held it, each project with a Block aborted one by one.
-    root = make_root(tmp_path)
-    (root / "queries" / "lit.craql").write_text('select ({Block} b) where b.isparent("x") { k++; }')
-    (root / "queries.txt").write_text("lit.craql\n")
-    assert run_main(root) == 2
-    assert capsys.readouterr().err == (
-        "error: invalid query file lit.craql: lit.craql:1:28: isparent() expects a node type or a node\n")
     assert list((root / "results").iterdir()) == []
+
