@@ -119,7 +119,7 @@ from craql.query.ast import (
 )
 from craql.engine.links import LINK_CHILD, LINK_METHOD_CHILD, PROBES, split_where
 from craql.query.validate import (
-    FREE_FORMS, LIBRARY_FUNCTIONS, NOT_A_TYPE, NOT_A_TYPE_OR_NODE, rule_errors,
+    FREE_FORMS, LIBRARY_FUNCTIONS, NOT_A_NODE, NOT_A_TYPE, NOT_A_TYPE_OR_NODE, rule_errors,
 )
 from craql.engine.runtime import (
     Environment,
@@ -132,7 +132,6 @@ from craql.engine.runtime import (
     Undefined,
     Value,
     render_value,
-    truthy,
 )
 
 
@@ -475,7 +474,7 @@ class Evaluator:
         if type(e) is BoolLit or (type(e) is Infix and e.op in _BOOLEAN_OPS) or (
                 type(e) is Prefix and e.op == "!") or (type(e) is Call and e.name in PROBES):
             return value
-        return lambda: truthy(value())
+        return lambda: bool(value())
 
     def _block(self, body: list[Stmt]) -> Thunk:
         steps = [_STATEMENTS[type(s)](self, s) for s in body]
@@ -751,9 +750,7 @@ class Evaluator:
         def not_a_node(recv: Value) -> Value:
             if recv is UNDEFINED and on_undefined is not None:
                 return on_undefined
-            raise QueryRuntimeError(
-                f"{name}() receiver is {_kind_name(recv)}, not a node", self.source, pos
-            )
+            raise QueryRuntimeError(NOT_A_NODE.format(name, _kind_name(recv)), self.source, pos)
 
         if name == "isnodetype" and type(e.args[0]) is TypeLit:
             # A literal type folds into one set test of the node's type.
@@ -906,26 +903,18 @@ _STATEMENTS = {
 
 
 def _values_equal(a: Value, b: Value) -> bool:
-    if isinstance(a, NodeRef) or isinstance(b, NodeRef):
-        return isinstance(a, NodeRef) and isinstance(b, NodeRef) and a.id == b.id
-    if isinstance(a, NodeList) and isinstance(b, NodeList):
-        return a.ids == b.ids
-    # A node list compared with a number compares the list's length.
-    if isinstance(a, NodeList) and isinstance(b, int) and not isinstance(b, bool):
+    """The language's `==`: a node equals only itself, a node list against
+    a number compares its length, a `{T}` value compares as its type name,
+    and values of different kinds are never equal."""
+    if type(a) is NodeRef:
+        return type(b) is NodeRef and a.id == b.id
+    if type(a) is NodeList and type(b) is int:
         return len(a) == b
-    if isinstance(b, NodeList) and isinstance(a, int) and not isinstance(a, bool):
+    if type(b) is NodeList and type(a) is int:
         return len(b) == a
-    if a is UNDEFINED or b is UNDEFINED:
-        return a is b
-    if isinstance(a, TypeName) or isinstance(b, TypeName):
-        aname = a.name if isinstance(a, TypeName) else a
-        bname = b.name if isinstance(b, TypeName) else b
-        return isinstance(aname, str) and isinstance(bname, str) and aname == bname
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    if isinstance(a, (int, str, bool)) and isinstance(b, (int, str, bool)):
-        return type(a) is type(b) and a == b
-    return False
+    a = a.name if type(a) is TypeName else a
+    b = b.name if type(b) is TypeName else b
+    return type(a) is type(b) and a == b
 
 
 def _reject() -> bool:

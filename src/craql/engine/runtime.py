@@ -11,7 +11,7 @@ from craql.results import escape_text
 
 
 class Undefined:
-    """The undefined value; a single instance exists."""
+    """The undefined value, which is falsy; a single instance exists."""
 
     _instance: "Undefined | None" = None
 
@@ -22,6 +22,9 @@ class Undefined:
 
     def __repr__(self) -> str:
         return "undefined"
+
+    def __bool__(self) -> bool:
+        return False
 
 
 UNDEFINED = Undefined()
@@ -62,22 +65,6 @@ _set_id, _set_ids, _set_name = NodeRef.id.__set__, NodeList.ids.__set__, TypeNam
 
 
 Value = object  # int | str | bool | NodeRef | NodeList | TypeName | Undefined
-
-
-def truthy(v: Value) -> bool:
-    if v is UNDEFINED:
-        return False
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, int):
-        return v != 0
-    if isinstance(v, str):
-        return v != ""
-    if isinstance(v, NodeRef):
-        return True
-    if isinstance(v, NodeList):
-        return len(v) > 0
-    return True
 
 
 def render_value(v: Value, project: ProjectAst) -> str:

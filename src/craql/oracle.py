@@ -15,7 +15,7 @@ from typing import Callable
 
 from craql.astcore import ProjectAst
 from craql.engine.evaluator import Evaluator, SelectionCapture
-from craql.engine.runtime import Environment, NodeRef, OutputSink, truthy
+from craql.engine.runtime import Environment, NodeRef, OutputSink
 from craql.query.ast import (
     ELLIPSIS,
     Expr,
@@ -173,7 +173,7 @@ def where_from_expr(
         env.count_stack[:] = [range(count)]
         for var, node_id in bindings.items():
             env.set(var, NodeRef(node_id))
-        return truthy(evaluator.eval(where))
+        return bool(evaluator.eval(where))
 
     return fn
 

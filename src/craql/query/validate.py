@@ -3,7 +3,8 @@ faults a document alone decides, which the evaluator reads too.
 
 A call's name must be `print`, `max`, `min` or a node function, its
 argument count must fit, a node function needs a receiver unless it is a
-free form such as `depth(n)`, and the argument of `isnodetype`,
+free form such as `depth(n)`, its node (the receiver, or a free form's
+sole argument) may not be a literal, and the argument of `isnodetype`,
 `contains`, `directly_contains` or `isparent` may not be a number, string
 or boolean literal. A type name in a pattern or a `{T}` literal must be
 one the schema knows. Each broken rule is an error.
@@ -39,6 +40,11 @@ NOT_A_TYPE = "isnodetype() expects a node type like {Block}"
 # The fault of `contains`, `directly_contains` or `isparent` (the `{}`) on
 # an argument that holds neither a type nor a node.
 NOT_A_TYPE_OR_NODE = "{}() expects a node type or a node"
+# The fault of a node function (the first `{}`) whose node holds a value
+# of another kind (the second), and that kind's name for each literal.
+NOT_A_NODE = "{}() receiver is {}, not a node"
+LITERAL_KINDS = {IntLit: "a number", StrLit: "a string", BoolLit: "a boolean",
+                 TypeLit: "a node type"}
 
 
 def validate_against_schema(doc: QueryDocument, schema: NodeTypeSchema) -> list[Diagnostic]:
@@ -67,16 +73,19 @@ def rule_errors(node: Node, schema: NodeTypeSchema) -> Iterator[str]:
         if not schema.knows(node.name):
             yield f"unknown node type {node.name}"
     elif isinstance(node, Call):
-        name, got = node.name, len(node.args)
+        name, receiver, got = node.name, node.receiver, len(node.args)
         arity = LIBRARY_FUNCTIONS.get(name, NODE_FUNCTIONS.get(name))
+        if receiver is None and name in FREE_FORMS and got == 1:
+            receiver, got = node.args[0], 0  # a free form's node is its sole argument
         if arity is None:
             yield f"unknown function {name}"
-        elif node.receiver is None and name in NODE_FUNCTIONS:
-            if name not in FREE_FORMS or got != 1:
-                yield f"{name}() needs a node receiver"
+        elif receiver is None and name in NODE_FUNCTIONS:
+            yield f"{name}() needs a node receiver"
         elif got != arity:
             yield (f"{name}() takes no arguments beyond the node" if name in FREE_FORMS else
                    f"{name}() takes {arity} argument{'s' if arity != 1 else ''}, got {got}")
+        elif name in NODE_FUNCTIONS and type(receiver) in LITERAL_KINDS:
+            yield NOT_A_NODE.format(name, LITERAL_KINDS[type(receiver)])
         elif name in NODE_FUNCTIONS and got and type(node.args[0]) in (IntLit, StrLit, BoolLit):
             # A node function's argument is a type or a node.
             yield NOT_A_TYPE if name == "isnodetype" else NOT_A_TYPE_OR_NODE.format(name)

@@ -13,7 +13,10 @@ fault-free input changed. They were recorded once more when a literal
 argument of `contains`, `directly_contains` or `isparent` joined those
 faults: 12 of the 4,800 expression lines and 4 of the 300 body lines
 changed, each from an input with such a literal and each now reading
-`error <pos>: <name>() expects a node type or a node`.
+`error <pos>: <name>() expects a node type or a node`. And once more when
+a literal as a node function's node (its receiver, or a free form's sole
+argument) joined them: 28 expression lines and 13 body lines changed, each
+now reading `error <pos>: <name>() receiver is <kind>, not a node`.
 """
 
 import hashlib
@@ -74,8 +77,8 @@ from conftest import find_node, load_fixture_project, run_document
 from test_engine_expr import eval_expr
 from test_query_frontend import random_expr
 
-EXPRESSION_DIGEST = "2edffd6841d08c80ad8698eabf77850529470e96db40b41da989e1e03bf5dd4f"
-BODY_DIGEST = "91fe4629e150658aa51135bcb9bf51a717132d13743fcc0f53b6223ffebc3931"
+EXPRESSION_DIGEST = "81b6234966e4e291a8aa12b9169d8f7eef066ae6fac4afb0d2cf8e3b77540425"
+BODY_DIGEST = "9ebd5a0f5f07f0cacb742ad17593dce19aafdaa45c0b4df09583a0c8c07c81c6"
 
 VARIABLES = ("a", "count", "x1")
 FUNCTIONS = (

@@ -87,6 +87,45 @@ class TestLiteralsAndOperators:
         ]:
             assert eval_expr(sample_project, text, env) is expected, text
 
+    def test_equality_and_truth_table(self, sample_project):
+        # Each sample value as (its text, its kind, its key): a node's key
+        # names which node it is, a node list's is its length.
+        samples = [
+            ("nothing", "undefined", None), ("true", "boolean", True),
+            ("false", "boolean", False), ("0", "number", 0), ("1", "number", 1),
+            ("2", "number", 2), ('""', "string", ""), ('"a"', "string", "a"),
+            ('"Block"', "string", "Block"), ("n1", "node", 1), ("n2", "node", 2),
+            ("l0", "list", 0), ("l1", "list", 1), ("l2", "list", 2),
+            ("{Block}", "type", "Block"),
+        ]
+        falsy = [("undefined", None), ("boolean", False), ("number", 0), ("string", ""),
+                 ("list", 0)]
+
+        def equal(a, b) -> bool:
+            # README's `==`: a node list against a number compares its
+            # length, a `{T}` value compares as its name, and otherwise
+            # values are equal when they are of one kind and one key.
+            if {a[1], b[1]} in ({"list", "number"}, {"type", "string"}):
+                return a[2] == b[2]
+            return a[1:] == b[1:]
+
+        blocks = [n.id for n in sample_project.nodes if n.type == "Block"][:2]
+        seed = {"n1": NodeRef(blocks[0]), "n2": NodeRef(blocks[1]), "l0": NodeList(()),
+                "l1": NodeList(tuple(blocks[:1])), "l2": NodeList(tuple(blocks))}
+        wrong = []
+        for a in samples:
+            env, _, _ = run_document(
+                sample_project, f"select ({{CompilationUnit}} c) {{ if ({a[0]}) {{ t = 1; }} }}",
+                seed)
+            if ("t" in env.variables) == (a[1:] in falsy):
+                wrong.append(f"if ({a[0]})")
+            for b in samples:
+                for op, expected in (("==", equal(a, b)), ("!=", not equal(a, b))):
+                    text = f"{a[0]} {op} {b[0]}"
+                    if eval_expr(sample_project, text, Environment(seed)) is not expected:
+                        wrong.append(text)
+        assert wrong == []
+
 
 class TestAccessors:
     def test_braced_property_name_branch(self, sample_project):

@@ -39,6 +39,9 @@ SEEDED_FAULTS = {
                                            "directly_contains() expects a node type or a node"),
     "literal isparent argument": ('n = b.isparent("x");', 7,
                                   "isparent() expects a node type or a node"),
+    "literal receiver": ("n = 3.parent();", 7, "parent() receiver is a number, not a node"),
+    "literal free form": ('n = linenumber("x");', 5,
+                          "linenumber() receiver is a string, not a node"),
 }
 
 
@@ -99,9 +102,13 @@ def test_generated_documents_check_clean():
      "1:37: parent() takes 0 arguments, got 1"),
     ("select ({Block} b) where false && b.contains(3) { k++; }",
      "1:37: contains() expects a node type or a node"),
-    # Evaluation would reach this one on every Block.
+    ("select ({Block} b) where false && depth(3) > 1 { k++; }",
+     "1:35: depth() receiver is a number, not a node"),
+    # Evaluation would reach these on every Block.
     ('select ({Block} b) where b.isparent("x") { k++; }',
      "1:28: isparent() expects a node type or a node"),
+    ("select ({Block} b) where depth(3) > 1 { k++; }",
+     "1:26: depth() receiver is a number, not a node"),
 ])
 def test_a_fault_in_code_that_never_runs_fails_the_batch(tmp_path, capsys, text, fault):
     root = make_root(tmp_path)

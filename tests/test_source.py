@@ -133,7 +133,8 @@ def test_the_name_check_sees_f_string_pieces_and_skips_docstrings():
 # The messages of a faulty call, which `craql.query.validate` alone spells:
 # the rule table decides them all before a call runs.
 CALL_FAULTS = re.compile(
-    r"unknown function|takes .*argument|needs a node receiver|expects a node type or a node")
+    r"unknown function|takes .*argument|needs a node receiver|expects a node type or a node"
+    r"|not a node")
 
 
 def call_fault_texts(tree: ast.AST) -> list[tuple[int, str]]:
@@ -157,7 +158,8 @@ def test_only_the_rule_table_spells_the_call_faults():
                for path in sorted(SOURCE_ROOT.rglob("*.py"))}
     assert [path for path, texts in spelled.items() if texts] == ["query/validate.py"]
     assert [text for _, text in spelled["query/validate.py"]] == [
-        "{}() expects a node type or a node", "unknown function {}", "{}() needs a node receiver",
+        "{}() expects a node type or a node", "{}() receiver is {}, not a node",
+        "unknown function {}", "{}() needs a node receiver",
         "{}() takes no arguments beyond the node", "{}() takes {} argument{}, got {}"]
 
 
