@@ -65,6 +65,8 @@ outside a select, an `isnodetype` argument that holds no type or
 arithmetic on a node raises only when evaluation reaches it. A literal
 argument folds: `n.isnodetype({T})` tests n's type against the schema's
 `matching` set for `T`.
+A test, such as a where clause or an `if` condition, compiles like any
+expression and reads its value's truth; `!`, `&&` and `||` yield a bool.
 An emitted row is its node id in the sink until the runner writes it.
 A `print(v);` statement is the call `print(v)` and compiles like it.
 
@@ -186,7 +188,6 @@ MAX_PROJECT_STEPS = 10_000_000
 # would run out of stack before it was reached.
 MAX_CALL_DEPTH = 100
 
-_BOOLEAN_OPS = frozenset({"==", "!=", "<", "<=", ">", ">=", "&&", "||"})
 _ARITHMETIC = {
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
     "-": operator.sub, "*": operator.mul,
@@ -280,13 +281,13 @@ class Evaluator:
         self._check(pat)
         default, directly = spec.kind == INPUT_DEFAULT, spec.kind == INPUT_DIRECTLY_IN
         input_of = None if default else self._compile(spec.expr)
-        where = None if q.where is None else self._test(q.where)
+        where = None if q.where is None else self._compile(q.where)
         split = split_where(q, self.schema, directly)
         if split is not None:
             link, invariant, residual = split.link, None, where
             if split.invariant is not None:
-                invariant = self._test(split.invariant)
-                residual = None if split.residual is None else self._test(split.residual)
+                invariant = self._compile(split.invariant)
+                residual = None if split.residual is None else self._compile(split.residual)
         body = self._block(q.body)
         var1, var2, emit_row = pat.var1, pat.var2, self.sink.rows.append
         outmost, inmost = q.modifier == MOD_OUTMOST, q.modifier == MOD_INMOST
@@ -468,14 +469,6 @@ class Evaluator:
     def _compile(self, e: Expr) -> Thunk:
         return _EXPRESSIONS[type(e)](self, e)
 
-    def _test(self, e: Expr) -> Callable[[], bool]:
-        """A closure that gives the truth value of `e`."""
-        value = self._compile(e)
-        if type(e) is BoolLit or (type(e) is Infix and e.op in _BOOLEAN_OPS) or (
-                type(e) is Prefix and e.op == "!") or (type(e) is Call and e.name in PROBES):
-            return value
-        return lambda: bool(value())
-
     def _block(self, body: list[Stmt]) -> Thunk:
         steps = [_STATEMENTS[type(s)](self, s) for s in body]
         if len(steps) == 1:
@@ -536,7 +529,7 @@ class Evaluator:
         return incr_decr
 
     def _if(self, s: If) -> Thunk:
-        cond, then = self._test(s.cond), self._block(s.then_body)
+        cond, then = self._compile(s.cond), self._block(s.then_body)
         orelse = None if s.else_body is None else self._block(s.else_body)
 
         def if_() -> None:
@@ -548,7 +541,7 @@ class Evaluator:
         return if_
 
     def _while(self, s: While) -> Thunk:
-        cond, body, pos, env = self._test(s.cond), self._block(s.body), s.pos, self.env
+        cond, body, pos, env = self._compile(s.cond), self._block(s.body), s.pos, self.env
 
         def while_() -> None:
             steps = 0
@@ -654,22 +647,20 @@ class Evaluator:
         return UNDEFINED
 
     def _prefix(self, e: Prefix) -> Thunk:
-        if e.op == "!":
-            test = self._test(e.operand)
-            return lambda: not test()
         operand, pos = self._compile(e.operand), e.pos
+        if e.op == "!":
+            return lambda: not operand()
         number, bounded = self._as_number, self._bounded
         return lambda: bounded(-number(operand(), pos), pos)
 
     def _infix(self, e: Infix) -> Thunk:
         op, pos = e.op, e.pos
-        if op == "&&" or op == "||":
-            left, right = self._test(e.lhs), self._test(e.rhs)
-            if op == "&&":
-                return lambda: left() and right()
-            return lambda: left() or right()
-        # Both operands are evaluated before either is coerced.
         left, right = self._compile(e.lhs), self._compile(e.rhs)
+        if op == "&&":
+            return lambda: bool(left() and right())
+        if op == "||":
+            return lambda: bool(left() or right())
+        # Both operands are evaluated before either is coerced.
         if op == "==":
             return lambda: _values_equal(left(), right())
         if op == "!=":
@@ -739,7 +730,7 @@ class Evaluator:
         receiver = None if e.receiver is None else self._compile(e.receiver)
         args = [self._compile(a) for a in e.args]
         if name in LIBRARY_FUNCTIONS:
-            return self._library_call(name, pos, receiver, args)
+            return self._library_call(name, pos, args)
         if receiver is None:
             # A free form, depth(n): its node is its sole argument.
             receiver, args = args[0], []
@@ -785,16 +776,12 @@ class Evaluator:
 
         return call_with_arg
 
-    def _library_call(self, name: str, pos: tuple[int, int], receiver: Thunk | None,
-                      args: list[Thunk]) -> Thunk:
-        """`print(v)`, `max(a, b)` and `min(a, b)`; a receiver is evaluated
-        and ignored."""
+    def _library_call(self, name: str, pos: tuple[int, int], args: list[Thunk]) -> Thunk:
+        """`print(v)`, `max(a, b)` and `min(a, b)`."""
         if name == "print":
             (value_of,) = args
 
             def print_() -> Value:
-                if receiver is not None:
-                    receiver()
                 self.sink.print_line(render_value(value_of(), self.project))
                 return UNDEFINED
 
@@ -803,8 +790,6 @@ class Evaluator:
         pick = max if name == "max" else min
 
         def extreme() -> int:
-            if receiver is not None:
-                receiver()
             a, b = first(), second()
             return pick(number(a, pos, True), number(b, pos, True))
 

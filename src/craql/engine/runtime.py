@@ -53,7 +53,7 @@ class NodeList(Frozen):
 
 
 class TypeName(Frozen):
-    """Internal value of a braced type literal; never stored in variables."""
+    """The value of a braced type literal `{T}`; a variable can hold one."""
 
     name: str
 

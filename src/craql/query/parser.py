@@ -211,15 +211,6 @@ class _Parser:
             cond = self.parse_expr()
             self.expect(")")
             return While(cond, self.parse_stmt_or_block(), pos=(tok.line, tok.col))
-        if self.at("print"):
-            # The statement form takes one argument: `print(a, b);` stops at `,`.
-            self.advance()
-            self.expect("(")
-            value = self.parse_expr()
-            self.expect(")")
-            self.expect(";")
-            pos = (tok.line, tok.col)
-            return ExprStmt(Call("print", None, [value], pos=pos), pos=pos)
         if tok.kind == "ident":
             nxt = self.peek(1)
             if nxt.kind == "op" and nxt.value in ("=", "+=", "-="):
@@ -303,7 +294,7 @@ class _Parser:
         if tok.kind == "keyword" and tok.value in ("true", "false"):
             self.advance()
             return BoolLit(tok.value == "true", pos=(tok.line, tok.col))
-        if tok.kind == "keyword" and tok.value == "print" and self.peek(1).value == "(":
+        if tok.kind == "keyword" and tok.value == "print":
             self.advance()
             args = self.parse_args()
             return Call("print", None, args, pos=(tok.line, tok.col))

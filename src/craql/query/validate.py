@@ -2,12 +2,12 @@
 faults a document alone decides, which the evaluator reads too.
 
 A call's name must be `print`, `max`, `min` or a node function, its
-argument count must fit, a node function needs a receiver unless it is a
-free form such as `depth(n)`, its node (the receiver, or a free form's
-sole argument) may not be a literal, and the argument of `isnodetype`,
-`contains`, `directly_contains` or `isparent` may not be a number, string
-or boolean literal. A type name in a pattern or a `{T}` literal must be
-one the schema knows. Each broken rule is an error.
+argument count must fit, only a node function takes a receiver and it
+needs one unless it is a free form such as `depth(n)`, its node (the
+receiver, or a free form's sole argument) may not be a literal, and the
+argument of `isnodetype`, `contains`, `directly_contains` or `isparent`
+may not be a number, string or boolean literal. A type name in a pattern
+or a `{T}` literal must be one the schema knows. Each broken rule is an error.
 Accessors stay late-bound at evaluation time, so an unknown one is only a
 warning. A dotted or braced accessor name passes if any schema type declares
 it as a property or if it names a registered type (the evaluator's
@@ -84,6 +84,8 @@ def rule_errors(node: Node, schema: NodeTypeSchema) -> Iterator[str]:
         elif got != arity:
             yield (f"{name}() takes no arguments beyond the node" if name in FREE_FORMS else
                    f"{name}() takes {arity} argument{'s' if arity != 1 else ''}, got {got}")
+        elif name in LIBRARY_FUNCTIONS and receiver is not None:
+            yield f"{name}() takes no receiver"
         elif name in NODE_FUNCTIONS and type(receiver) in LITERAL_KINDS:
             yield NOT_A_NODE.format(name, LITERAL_KINDS[type(receiver)])
         elif name in NODE_FUNCTIONS and got and type(node.args[0]) in (IntLit, StrLit, BoolLit):

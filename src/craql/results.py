@@ -136,7 +136,8 @@ def vars_text(variables: dict[str, str]) -> str:
 
 
 def collate_csv(results_dir: Path) -> Path:
-    """Collate all `.vars` files into one RFC-4180 CSV."""
+    """Collate all `.vars` files into one RFC-4180 CSV. A variable named
+    `project`, which would repeat the first column, raises `RunnerError`."""
     vars_files = sorted(results_dir.glob("*.vars"))
     if not vars_files:
         raise RunnerError(f"no .vars files under {results_dir}")
@@ -148,6 +149,8 @@ def collate_csv(results_dir: Path) -> Path:
             if "=" in line:
                 key, _, value = line.partition("=")
                 values[key] = unescape_text(value)
+        if "project" in values:
+            raise RunnerError(f"{path}: variable 'project' collides with the project column")
         projects[path.stem] = values
     columns = sorted({key for values in projects.values() for key in values})
     out_path = results_dir / OUTPUT_CSV

@@ -191,9 +191,7 @@ class TestParse:
             parse_query_document("select ({Block} b) where 1 < ² { }", "q.craql")
 
     @pytest.mark.parametrize("stmt, error", [
-        ("print(a, b);", "1:29: unexpected ',' (expected ')')"),
         ("print(a }", "1:30: unexpected '}' (expected ')')"),
-        ("print();", "1:28: unexpected ')' (expected an expression)"),
         ("print a;", "1:28: unexpected 'a' (expected '(')"),
     ])
     def test_print_statement_takes_one_parenthesized_value(self, stmt, error):
@@ -219,9 +217,14 @@ class TestUnparse:
         again = parse_query_document(unparse_document(doc), name)
         assert doc == again
 
-    def test_expression_nesting_preserved(self):
-        text = "select ({Block} b) { x = (1 + 2) * 3 - -4; y = !(a && b) || c; }"
-        doc = parse_query_document(text)
+    @pytest.mark.parametrize("stmt", [
+        "x = (1 + 2) * 3 - -4; y = !(a && b) || c;",
+        # The unparser drops these parentheses: a statement may start with a call of print.
+        "(print(b)) + 1;",
+        "(print(b)).parent();",
+    ])
+    def test_expression_nesting_preserved(self, stmt):
+        doc = parse_query_document(f"select ({{Block}} b) {{ {stmt} }}")
         assert parse_query_document(unparse_document(doc)) == doc
 
     def test_string_escapes_round_trip(self):
@@ -312,6 +315,14 @@ class TestValidate:
             "select ({ReturnStatement} s) where s.Expression.isnodetype({Name}) { }"
         )
         assert validate_against_schema(doc, MINILANG_SCHEMA) == []
+
+    @pytest.mark.parametrize("stmt, fault", [
+        ("print(a, b);", "q.craql:1:22: error: print() takes 1 argument, got 2"),
+        ("print();", "q.craql:1:22: error: print() takes 1 argument, got 0"),
+    ])
+    def test_a_print_statement_takes_one_argument(self, stmt, fault):
+        doc = parse_query_document(f"select ({{Block}} b) {{ {stmt} }}", "q.craql")
+        assert [str(d) for d in validate_against_schema(doc, MINILANG_SCHEMA)] == [fault]
 
     @pytest.mark.parametrize("name", BUNDLED_QUERIES)
     def test_bundled_queries_validate_clean(self, name):

@@ -42,6 +42,7 @@ SEEDED_FAULTS = {
     "literal receiver": ("n = 3.parent();", 7, "parent() receiver is a number, not a node"),
     "literal free form": ('n = linenumber("x");', 5,
                           "linenumber() receiver is a string, not a node"),
+    "library receiver": ("n = 3.max(1, 2);", 7, "max() takes no receiver"),
 }
 
 

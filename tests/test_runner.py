@@ -364,6 +364,15 @@ class TestCollate:
         with pytest.raises(RunnerError, match="no .vars files"):
             collate_csv(tmp_path)
 
+    def test_a_variable_named_project_is_an_error(self, tmp_path):
+        # As from a properties key `project` or a query's `project = 5;`.
+        (tmp_path / "A.vars").write_text("n=1\n")
+        (tmp_path / "B.vars").write_text("n=2\nproject=5\n")
+        with pytest.raises(RunnerError,
+                           match=re.escape(f"{tmp_path / 'B.vars'}: variable 'project'")):
+            collate_csv(tmp_path)
+        assert not (tmp_path / OUTPUT_CSV).exists()
+
 
 class TestRunBatch:
     def test_two_projects_three_queries(self, tmp_path):

@@ -134,7 +134,7 @@ def test_the_name_check_sees_f_string_pieces_and_skips_docstrings():
 # the rule table decides them all before a call runs.
 CALL_FAULTS = re.compile(
     r"unknown function|takes .*argument|needs a node receiver|expects a node type or a node"
-    r"|not a node")
+    r"|not a node|takes no receiver")
 
 
 def call_fault_texts(tree: ast.AST) -> list[tuple[int, str]]:
@@ -160,7 +160,8 @@ def test_only_the_rule_table_spells_the_call_faults():
     assert [text for _, text in spelled["query/validate.py"]] == [
         "{}() expects a node type or a node", "{}() receiver is {}, not a node",
         "unknown function {}", "{}() needs a node receiver",
-        "{}() takes no arguments beyond the node", "{}() takes {} argument{}, got {}"]
+        "{}() takes no arguments beyond the node", "{}() takes {} argument{}, got {}",
+        "{}() takes no receiver"]
 
 
 def test_the_fault_check_reads_whole_f_strings_and_skips_docstrings():
