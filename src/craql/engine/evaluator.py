@@ -65,8 +65,10 @@ outside a select, an `isnodetype` argument that holds no type or
 arithmetic on a node raises only when evaluation reaches it. A literal
 argument folds: `n.isnodetype({T})` tests n's type against the schema's
 `matching` set for `T`.
-A test, such as a where clause or an `if` condition, compiles like any
-expression and reads its value's truth; `!`, `&&` and `||` yield a bool.
+Values are Python values (`undefined` is None, a node list a tuple of
+node ids). A test, such as a where clause or an `if` condition, compiles
+like any expression and reads its value's truth; `!`, `&&` and `||`
+yield a bool.
 An emitted row is its node id in the sink until the runner writes it.
 A `print(v);` statement is the call `print(v)` and compiles like it.
 
@@ -126,12 +128,9 @@ from craql.query.validate import (
 from craql.engine.runtime import (
     Environment,
     ExecutionStats,
-    NodeList,
     NodeRef,
     OutputSink,
     TypeName,
-    UNDEFINED,
-    Undefined,
     Value,
     render_value,
 )
@@ -313,10 +312,10 @@ class Evaluator:
                 value = input_of()
                 if type(value) is NodeRef:
                     inputs = (value.id,)
-                elif value is UNDEFINED:
+                elif value is None:
                     inputs = ()
-                elif type(value) is NodeList:
-                    inputs = value.ids
+                elif type(value) is tuple:
+                    inputs = value
                 else:
                     raise QueryRuntimeError(f"query input must be a node or node list, not "
                                             f"{_kind_name(value)}", self.source, spec.pos)
@@ -505,15 +504,15 @@ class Evaluator:
 
         def add() -> None:
             value = value_of()
-            old = variables.get(target, UNDEFINED)
-            if old is UNDEFINED:
+            old = variables.get(target)
+            if old is None:
                 old = "" if isinstance(value, str) else 0
             variables[target] = plus(old, value, pos)
 
         def subtract() -> None:
             value = value_of()
             # An undefined variable reads as 0.
-            old = number(variables.get(target, UNDEFINED), pos)
+            old = number(variables.get(target), pos)
             variables[target] = bounded(old - number(value, pos), pos)
 
         return assign if s.op == "=" else add if s.op == "+=" else subtract
@@ -523,7 +522,7 @@ class Evaluator:
         step = 1 if s.op == "++" else -1
 
         def incr_decr() -> None:
-            old = variables.get(target, UNDEFINED)
+            old = variables.get(target)
             variables[target] = (old if type(old) is int else number(old, pos)) + step
 
         return incr_decr
@@ -595,7 +594,7 @@ class Evaluator:
 
     def _var_ref(self, e: VarRef) -> Thunk:
         get, name = self.env.variables.get, e.name
-        return lambda: get(name, UNDEFINED)
+        return lambda: get(name)
 
     def _type_lit(self, e: TypeLit) -> Thunk:
         self._check(e)
@@ -630,12 +629,12 @@ class Evaluator:
         project = self.project
         tname = project.type[node_id]
         if name in self.schema.prop_kinds[tname]:
-            value = project.props[node_id].get(name, UNDEFINED)
+            value = project.props[node_id].get(name)
             if type(value) is int:
                 return NodeRef(value)
             if type(value) is list:
-                return NodeList(tuple(value))
-            return value  # a token, or UNDEFINED for an absent property
+                return tuple(value)
+            return value  # a token, or None for an absent property
         if self.schema.knows(name):
             matches = [c for c in project.kids[node_id] if project.matches_type(c, name)]
             if len(matches) == 1:
@@ -644,7 +643,7 @@ class Evaluator:
                 raise QueryRuntimeError(
                     f"ambiguous child access {{{name}}} on {tname}", self.source, pos
                 )
-        return UNDEFINED
+        return None
 
     def _prefix(self, e: Prefix) -> Thunk:
         operand, pos = self._compile(e.operand), e.pos
@@ -705,9 +704,9 @@ class Evaluator:
             raise QueryRuntimeError("arithmetic on a boolean", self.source, pos)
         if isinstance(v, int):
             return v
-        if isinstance(v, NodeList):
+        if isinstance(v, tuple):
             return len(v)
-        if v is UNDEFINED:
+        if v is None:
             return 0
         if allow_literal_node and isinstance(v, NodeRef):
             if self.project.type[v.id] == "NumberLiteral":
@@ -736,10 +735,10 @@ class Evaluator:
             receiver, args = args[0], []
         # Probes and links on an absent node degrade instead of aborting, so
         # where clauses can test optional children and unresolved bindings.
-        on_undefined = None if name in FREE_FORMS else False if name in PROBES else UNDEFINED
+        raises, on_undefined = name in FREE_FORMS, False if name in PROBES else None
 
         def not_a_node(recv: Value) -> Value:
-            if recv is UNDEFINED and on_undefined is not None:
+            if recv is None and not raises:
                 return on_undefined
             raise QueryRuntimeError(NOT_A_NODE.format(name, _kind_name(recv)), self.source, pos)
 
@@ -779,11 +778,10 @@ class Evaluator:
     def _library_call(self, name: str, pos: tuple[int, int], args: list[Thunk]) -> Thunk:
         """`print(v)`, `max(a, b)` and `min(a, b)`."""
         if name == "print":
-            (value_of,) = args
+            (value_of,), prints = args, self.sink.prints
 
-            def print_() -> Value:
-                self.sink.print_line(render_value(value_of(), self.project))
-                return UNDEFINED
+            def print_() -> None:
+                prints.append(render_value(value_of(), self.project))
 
             return print_
         (first, second), number = args, self._as_number
@@ -805,12 +803,12 @@ class Evaluator:
 
         def parent(n: int) -> Value:
             p = parents[n]
-            return UNDEFINED if p is None else NodeRef(p)
+            return None if p is None else NodeRef(p)
 
         def binding(table: dict[int, int]) -> Callable[[int], Value]:
             def bound(n: int) -> Value:
                 target = table.get(n)
-                return UNDEFINED if target is None else NodeRef(target)
+                return None if target is None else NodeRef(target)
 
             return bound
 
@@ -824,14 +822,14 @@ class Evaluator:
                 return parents[arg.id] == n
             if type(arg) is TypeName:
                 return any(project.matches_type(c, arg.name) for c in project.kids[n])
-            if arg is UNDEFINED:
+            if arg is None:
                 return False
             raise QueryRuntimeError(NOT_A_TYPE_OR_NODE.format(name), self.source, pos)
 
         direct = name == "directly_contains"
 
         def contains(n: int, arg: Value) -> bool:
-            if arg is UNDEFINED:
+            if arg is None:
                 return False
             if type(arg) is TypeName:
                 # Whether the walk of n's region, for directly_contains pruned
@@ -893,9 +891,9 @@ def _values_equal(a: Value, b: Value) -> bool:
     and values of different kinds are never equal."""
     if type(a) is NodeRef:
         return type(b) is NodeRef and a.id == b.id
-    if type(a) is NodeList and type(b) is int:
+    if type(a) is tuple and type(b) is int:
         return len(a) == b
-    if type(b) is NodeList and type(a) is int:
+    if type(b) is tuple and type(a) is int:
         return len(b) == a
     a = a.name if type(a) is TypeName else a
     b = b.name if type(b) is TypeName else b
@@ -937,8 +935,8 @@ def _node_ref(refs: list, n: int) -> NodeRef:
 
 
 _KIND_NAMES = {
-    Undefined: "undefined", bool: "a boolean", int: "a number", str: "a string",
-    NodeRef: "a node", NodeList: "a node list", TypeName: "a node type",
+    type(None): "undefined", bool: "a boolean", int: "a number", str: "a string",
+    NodeRef: "a node", tuple: "a node list", TypeName: "a node type",
 }
 
 

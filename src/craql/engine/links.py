@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import reduce
 
 from craql.astcore import NodeTypeSchema
-from craql.engine.runtime import NodeRef, UNDEFINED, Value
+from craql.engine.runtime import NodeRef, Value
 from craql.query.ast import (
     Assign,
     Call,
@@ -86,8 +86,8 @@ class Split:
             if not isinstance(variables.get(name), NodeRef):
                 return False
         for name in self.reads:
-            value = variables.get(name, UNDEFINED)
-            if value is not UNDEFINED and not isinstance(value, NodeRef):
+            value = variables.get(name)
+            if value is not None and not isinstance(value, NodeRef):
                 return False
         return True
 

@@ -10,26 +10,6 @@ from craql.astcore import ProjectAst, source_text
 from craql.results import escape_text
 
 
-class Undefined:
-    """The undefined value, which is falsy; a single instance exists."""
-
-    _instance: "Undefined | None" = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "undefined"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNDEFINED = Undefined()
-
-
 # The hot values below fill their slots through the slot descriptors, since
 # a frozen record's own `__setattr__` refuses every assignment.
 
@@ -42,16 +22,6 @@ class NodeRef(Frozen):
         _set_id(self, id)
 
 
-class NodeList(Frozen):
-    ids: tuple[int, ...]
-
-    def __init__(self, ids: tuple[int, ...]):
-        _set_ids(self, ids)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 class TypeName(Frozen):
     """The value of a braced type literal `{T}`; a variable can hold one."""
 
@@ -61,10 +31,12 @@ class TypeName(Frozen):
         _set_name(self, name)
 
 
-_set_id, _set_ids, _set_name = NodeRef.id.__set__, NodeList.ids.__set__, TypeName.name.__set__
+_set_id, _set_name = NodeRef.id.__set__, TypeName.name.__set__
 
 
-Value = object  # int | str | bool | NodeRef | NodeList | TypeName | Undefined
+# A value is a Python value: `undefined` is None and a node list is a tuple
+# of node ids.
+Value = object  # int | str | bool | NodeRef | tuple[int, ...] | TypeName | None
 
 
 def render_value(v: Value, project: ProjectAst) -> str:
@@ -77,8 +49,8 @@ def render_value(v: Value, project: ProjectAst) -> str:
         return v
     if isinstance(v, NodeRef):
         return source_text(project, v.id)
-    if isinstance(v, NodeList):
-        return "[" + ", ".join(source_text(project, i) for i in v.ids) + "]"
+    if isinstance(v, tuple):
+        return "[" + ", ".join(source_text(project, i) for i in v) + "]"
     if isinstance(v, TypeName):
         return v.name
     return "undefined"
@@ -95,14 +67,11 @@ class Environment:
         # The steps charged to the project's evaluation budget so far.
         self.steps = 0
 
-    def set(self, name: str, value: Value) -> None:
-        self.variables[name] = value
-
     def exported(self) -> dict[str, Value]:
         """Variables that land in the project's output file.
 
-        `temp_`-prefixed names are scratch space; node handles and undefined
-        values have no text rendering and are omitted.
+        `temp_`-prefixed names are scratch space; nodes, node lists, types
+        and undefined values are omitted.
         """
         return {
             name: value
@@ -133,9 +102,6 @@ class OutputSink:
     def __init__(self) -> None:
         self.prints: list[str] = []
         self.rows: list[int] = []  # the emitted node ids, in emit order
-
-    def print_line(self, text: str) -> None:
-        self.prints.append(text)
 
     def render(self, project: ProjectAst, lines: dict[int, str]) -> str:
         """The rows as the text of a `.rows` file. `lines` holds the lines

@@ -172,7 +172,7 @@ def where_from_expr(
         env.variables.update(env_snapshot)
         env.count_stack[:] = [range(count)]
         for var, node_id in bindings.items():
-            env.set(var, NodeRef(node_id))
+            env.variables[var] = NodeRef(node_id)
         return bool(evaluator.eval(where))
 
     return fn

@@ -164,9 +164,9 @@ def collate_csv(results_dir: Path) -> Path:
 
 def generate_props(properties_dir: Path) -> list[Path]:
     """Expand properties/projecttags.csv into per-project properties files.
-    A header name that repeats or holds `=` raises `RunnerError`, and so does
-    a value that is under an empty header cell or past the header's last
-    one, or whose line would span lines."""
+    A header name that repeats, holds `=` or is `project` raises
+    `RunnerError`, and so does a value that is under an empty header cell
+    or past the header's last one, or whose line would span lines."""
     tags_path = properties_dir / PROJECT_TAGS
     if not tags_path.is_file():
         raise RunnerError(f"missing {tags_path}")
@@ -183,6 +183,9 @@ def generate_props(properties_dir: Path) -> list[Path]:
             raise RunnerError(f"{tags_path}: column {column}'s name {key!r} holds '='")
         if name in seen:
             raise RunnerError(f"{tags_path}: column {column} repeats the name {name!r}")
+        if name == "project":
+            raise RunnerError(f"{tags_path}: column {column}'s name 'project' collides "
+                              f"with the project column")
         if name:
             seen.add(name)
     contents: dict[str, list[str]] = {}

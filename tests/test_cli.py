@@ -94,6 +94,14 @@ def test_genprops_with_a_value_past_the_header_exits_two(tmp_path, capsys):
     assert sorted(p.name for p in (root / "properties").iterdir()) == ["projecttags.csv"]
 
 
+def test_genprops_with_a_project_column_exits_two(tmp_path, capsys):
+    root = make_root(tmp_path)
+    (root / "properties" / "projecttags.csv").write_text("project,project,x\nalpha,beta,1\n")
+    assert main(["genprops", "--dirs", str(root)]) == 2
+    assert "column 2's name 'project' collides" in capsys.readouterr().err
+    assert sorted(p.name for p in (root / "properties").iterdir()) == ["projecttags.csv"]
+
+
 def test_an_unlabeled_later_select_exits_two(tmp_path, capsys):
     root = make_root(tmp_path)
     (root / "queries" / "two.craql").write_text(

@@ -11,7 +11,7 @@ from craql import (
     parse_query_document,
 )
 from craql.engine.evaluator import MAX_INT_DIGITS
-from craql.engine.runtime import NodeList, NodeRef, TypeName, UNDEFINED
+from craql.engine.runtime import NodeRef, TypeName
 from craql.query.parser import _Parser
 from craql.query.tokens import tokenize
 
@@ -79,7 +79,7 @@ class TestLiteralsAndOperators:
 
     def test_truthiness_table(self, sample_project):
         body = find_node(sample_project, "Block", "return count")
-        env = Environment({"n": NodeRef(body.id), "empty": NodeList(()), "full": NodeList((body.id,))})
+        env = Environment({"n": NodeRef(body.id), "empty": (), "full": (body.id,)})
         for text, expected in [
             ("!0", True), ("!1", False), ('!""', True), ('!"x"', False),
             ("!false", True), ("!true", False), ("!nothing", True),
@@ -110,8 +110,8 @@ class TestLiteralsAndOperators:
             return a[1:] == b[1:]
 
         blocks = [n.id for n in sample_project.nodes if n.type == "Block"][:2]
-        seed = {"n1": NodeRef(blocks[0]), "n2": NodeRef(blocks[1]), "l0": NodeList(()),
-                "l1": NodeList(tuple(blocks[:1])), "l2": NodeList(tuple(blocks))}
+        seed = {"n1": NodeRef(blocks[0]), "n2": NodeRef(blocks[1]), "l0": (),
+                "l1": tuple(blocks[:1]), "l2": tuple(blocks)}
         wrong = []
         for a in samples:
             env, _, _ = run_document(
@@ -132,7 +132,7 @@ class TestAccessors:
         # {expression} on an invocation resolves the property, not the type.
         call = find_node(sample_project, "MethodInvocation", "log")
         env = Environment({"m": NodeRef(call.id)})
-        assert eval_expr(sample_project, "m.{expression}", env) is UNDEFINED  # no receiver
+        assert eval_expr(sample_project, "m.{expression}", env) is None  # no receiver
         chain_project = load_fixture_project("chain", "Chain.mj")
         top = find_node(chain_project, "MethodInvocation", ".m3()")
         env = Environment({"m": NodeRef(top.id)})
@@ -168,7 +168,7 @@ class TestAccessors:
     def test_absent_resolution_yields_undefined(self, sample_project):
         body = find_node(sample_project, "Block", "return count")
         env = Environment({"b": NodeRef(body.id)})
-        assert eval_expr(sample_project, "b.nosuchthing", env) is UNDEFINED
+        assert eval_expr(sample_project, "b.nosuchthing", env) is None
 
     def test_access_on_undefined_raises(self, sample_project):
         with pytest.raises(QueryRuntimeError, match="on undefined"):
@@ -225,7 +225,7 @@ class TestBuiltins:
 
     def test_parent_of_root_is_undefined(self, sample_project):
         env = Environment({"r": NodeRef(sample_project.roots[0])})
-        assert eval_expr(sample_project, "r.parent()", env) is UNDEFINED
+        assert eval_expr(sample_project, "r.parent()", env) is None
 
     def test_parent_ascends_above_subtree_root(self, sample_project):
         fragment = find_node(sample_project, "VariableDeclaration", "i = 0")
@@ -258,7 +258,7 @@ class TestBuiltins:
         call = find_node(sample_project, "MethodInvocation", "log")
         decl = find_node(sample_project, "TypeDeclaration", "Greeter")
         env = Environment({"i": NodeRef(call.id), "t": NodeRef(decl.id)})
-        assert eval_expr(sample_project, "i.methodbinding()", env) is UNDEFINED
+        assert eval_expr(sample_project, "i.methodbinding()", env) is None
         assert eval_expr(sample_project, "t.isparent(i.methodbinding())", env) is False
         assert eval_expr(sample_project, "i.methodbinding().isnodetype({Block})", env) is False
 
@@ -278,7 +278,7 @@ class TestBuiltins:
 
     def test_print_returns_undefined_and_emits(self, sample_project):
         sink = OutputSink()
-        assert eval_expr(sample_project, 'print("hello")', sink=sink) is UNDEFINED
+        assert eval_expr(sample_project, 'print("hello")', sink=sink) is None
         assert sink.prints == ["hello"]
 
     def test_unknown_function(self, sample_project):
@@ -332,6 +332,46 @@ class TestBuiltins:
     def test_count_star_outside_select_raises(self, sample_project):
         with pytest.raises(QueryRuntimeError, match="count\\(\\*\\) outside"):
             eval_expr(sample_project, "count(*)")
+
+
+class TestRepresentation:
+    """A library caller reads and seeds values as Python values: `undefined`
+    is None and a node list is a tuple of node ids."""
+
+    @pytest.fixture
+    def env(self, fact_project):
+        method = find_node(fact_project, "MethodDeclaration", "int fact")
+        call = find_node(fact_project, "MethodInvocation", "fact(n - 1)")
+        return Environment({
+            "m": NodeRef(method.id), "i": NodeRef(call.id), "r": NodeRef(fact_project.roots[0]),
+            "xs": (method.id,),
+        })
+
+    @pytest.mark.parametrize("text, expected, printed", [
+        ("m.parameters", "parameters", []),
+        ("i.{expression}", None, []),  # an absent property
+        ("r.parent()", None, []),
+        ("nothing", None, []),
+        ("print(m.parameters)", None, ["[int n]"]),
+        ("xs", "xs", []),
+        ("xs == 1", True, []),
+        ("xs == 2", False, []),
+    ])
+    def test_values(self, fact_project, env, text, expected, printed):
+        method = env.variables["m"].id
+        expected = {"parameters": tuple(fact_project.props[method]["parameters"]),
+                    "xs": (method,)}.get(expected, expected)
+        sink = OutputSink()
+        value = eval_expr(fact_project, text, env, sink)
+        assert type(value) is type(expected) and value == expected
+        assert sink.prints == printed
+
+    def test_a_seeded_tuple_is_a_select_input_and_never_exported(self, fact_project, env):
+        seed = {**env.variables, "u": None, "s": "a", "b": True}
+        out, _, _ = run_document(
+            fact_project, "select ({ReturnStatement} s) in xs { k = xs + 1; }", seed)
+        assert out.variables["s"] == NodeRef(find_node(fact_project, "ReturnStatement").id)
+        assert out.exported() == {"b": True, "k": 2}
 
 
 class TestRuntimeErrorReporting:

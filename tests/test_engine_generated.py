@@ -38,7 +38,7 @@ from craql import (
     serialize_project,
 )
 from craql.engine.evaluator import QueryRuntimeError
-from craql.engine.runtime import NodeList, NodeRef
+from craql.engine.runtime import NodeRef
 from craql.fixtures import STATIC_FIXTURES, fixture_text, generate_random_source
 from craql.oracle import compare, replay_capture
 from craql.query.ast import SINGLE
@@ -189,7 +189,7 @@ def generated_projects():
         containers = [n.id for n in project.nodes if n.type in CONTAINERS]
         picked = rng.sample(containers, 5)
         # One node twice.
-        seed = {"x": NodeList(tuple(picked + picked[:1])), "y": NodeRef(picked[1])}
+        seed = {"x": tuple(picked + picked[:1]), "y": NodeRef(picked[1])}
         projects.append((project, seed))
     return projects
 

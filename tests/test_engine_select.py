@@ -23,7 +23,7 @@ from craql import (
 )
 from craql.engine.evaluator import QueryRuntimeError
 from craql.engine.links import split_where
-from craql.engine.runtime import NodeList, NodeRef
+from craql.engine.runtime import NodeRef
 from craql.oracle import compare, oracle_select, replay_capture, where_from_expr
 from craql.query.ast import (
     Call,
@@ -135,7 +135,7 @@ class TestSelectSingle:
 
     def test_node_list_input_deduplicates_rows(self, sample_project):
         greet_body = find_node(sample_project, "Block", "int i = 0")
-        env = Environment({"pair": NodeList((greet_body.id, greet_body.id))})
+        env = Environment({"pair": (greet_body.id, greet_body.id)})
         rows = select(
             sample_project, single("Statement", "s"),
             input_spec=InputSpec(INPUT_IN, VarRef("pair")), env=env,
@@ -151,7 +151,7 @@ class TestSelectSingle:
         _, sink, evaluator = run_document(
             sample_project,
             'select ({Statement} s) in xs { print(s.nodetype() + " " + s.linenumber()); }',
-            seed={"xs": NodeList((greet.id, greet_body.id))},
+            seed={"xs": (greet.id, greet_body.id)},
         )
         assert sink.prints == [
             "Block 4", "VariableDeclarationStatement 5", "ExpressionStatement 6",
@@ -213,7 +213,7 @@ class TestWhereGatedOutmost:
         _, sink, evaluator = run_document(
             sample_project,
             'select outmost ({Statement} s) in xs { print(s.nodetype() + " " + s.linenumber()); }',
-            seed={"xs": NodeList((greet_body.id, greet_body.id))},
+            seed={"xs": (greet_body.id, greet_body.id)},
         )
         assert sink.prints == [
             "VariableDeclarationStatement 5", "ExpressionStatement 6",
@@ -231,7 +231,7 @@ class TestWhereGatedOutmost:
             "select outmost ({Statement} s) in x "
             "where count(*) < 1 || s.linenumber() > 7 { print(s.linenumber()); }")
         sink, captures = OutputSink(), []
-        evaluator = Evaluator(project, Environment({"x": NodeList((brk, brk))}), sink)
+        evaluator = Evaluator(project, Environment({"x": (brk, brk)}), sink)
         evaluator.trace = captures.append
         evaluator.execute_document(doc)
         assert sink.prints == ["6"]
@@ -408,7 +408,7 @@ class TestStatsAndPruning:
             sample_project,
             'select ({Statement} s) in xs where print("where " + count(*)) || true '
             '{ print("body " + count(*)); }',
-            seed={"xs": NodeList((greet.id, greet_body.id))},
+            seed={"xs": (greet.id, greet_body.id)},
         )
         assert sink.prints == [
             line for i in range(7) for line in (f"where {i}", f"body {i + 1}")
@@ -420,7 +420,7 @@ class TestStatsAndPruning:
             sample_project,
             "select ({MethodDeclaration} m ... {Statement} s) in xs "
             'where print("where " + count(*)) || true { print("body " + count(*)); }',
-            seed={"xs": NodeList((root, root))},
+            seed={"xs": (root, root)},
         )
         assert sink.prints == [f"where {i}" for i in range(9)] + ["where 9"] * 9 + ["body 1"]
 
@@ -516,7 +516,7 @@ def input_cases(project):
     containers = [n.id for n in project.nodes if n.type in INPUT_CONTAINERS]
     picked = rng.sample(containers, min(8, len(containers)))
     picked.append(picked[0])  # a repeated input node must not repeat rows
-    env = {"x": NodeList(tuple(picked))}
+    env = {"x": tuple(picked)}
     return [
         (InputSpec(INPUT_DEFAULT), {}, list(project.roots), True, False),
         (InputSpec(INPUT_IN, VarRef("x")), env, picked, False, False),
@@ -616,12 +616,12 @@ class TestRegionScan:
                 return all(project.node(k).type != project.node(a).type for k in between)
 
             for a in rng.sample(range(len(project.nodes)), 30):
-                evaluator.env.set("a", NodeRef(a))
+                evaluator.env.variables["a"] = NodeRef(a)
                 assert call("depth") == len(chains[a])
                 below = [n for n in chains if a in chains[n]]
                 others = rng.sample(range(len(project.nodes)), 20)
                 for n in below[:40] + others:
-                    evaluator.env.set("n", NodeRef(n))
+                    evaluator.env.variables["n"] = NodeRef(n)
                     assert call("contains", VarRef("n")) == (n in below), (a, n)
                     assert call("directly_contains", VarRef("n")) == directly_below(a, n), (a, n)
                     assert call("isparent", VarRef("n")) == (n in child_ids(project, a))
@@ -881,7 +881,7 @@ class TestLinkKeys:
         monkeypatch.setattr(Evaluator, "_link_ranks",
                             lambda *args: lookups.append(args) or link_ranks(*args))
         source = " in x" if in_x else ""
-        seed = {"n": "unbound", "x": NodeList(tuple(inputs))}
+        seed = {"n": "unbound", "x": tuple(inputs)}
         fixed = [n for n in range(len(project.type))
                  if project.type[n] in ("MethodDeclaration", "TypeDeclaration", "Block")]
         for type_name, text, _ in LINK_FORMS:
@@ -1084,7 +1084,7 @@ class TestHoistFallbacks:
         ("v.position() < s.position()", {"v": "a"}, r"position\(\) receiver is a string"),
         ("v.position() < s.position()", {}, r"position\(\) receiver is undefined"),
         ("!v.contains(s)", {"v": "a"}, r"contains\(\) receiver is a string"),
-        ("!v.contains(s)", {"v": NodeList((1,))}, r"contains\(\) receiver is a node list"),
+        ("!v.contains(s)", {"v": (1,)}, r"contains\(\) receiver is a node list"),
     ])
     def test_earlier_conjunct_that_can_raise(self, escapes, prefix, seed, error):
         text = f"select ({{Statement}} s) in m where {prefix} && r.isnodetype({{IfStatement}}) {{ }}"

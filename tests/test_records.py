@@ -12,7 +12,7 @@ import pytest
 from craql.astcore import BindingTable, FileInfo, VirtualType
 from craql.diagnostics import Diagnostic
 from craql.engine.evaluator import SelectionCapture
-from craql.engine.runtime import ExecutionStats, NodeList, NodeRef, TypeName
+from craql.engine.runtime import ExecutionStats, NodeRef, TypeName
 from craql.query import ast
 from craql.query.ast import (
     Assign, BoolLit, Call, CallQuery, CountStar, ExprStmt, If, IncrDecr, Infix,
@@ -48,7 +48,6 @@ IR_FIELDS = {
 }
 FROZEN_FIELDS = {
     NodeRef: ("id",),
-    NodeList: ("ids",),
     TypeName: ("name",),
     Token: ("kind", "value", "line", "col"),
     VirtualType: ("base", "prop", "token"),
@@ -138,7 +137,6 @@ def test_equality_reads_every_other_field():
     assert Diagnostic("f", 1, 2, "m") == Diagnostic("f", 1, 2, "m")
     assert Diagnostic("f", 1, 2, "m") != Diagnostic("f", 1, 3, "m")
     assert NodeRef(1) == NodeRef(1) and NodeRef(1) != NodeRef(2) and NodeRef(1) != 1
-    assert NodeList((1, 2)) == NodeList((1, 2)) != NodeList((2, 1))
 
 
 def test_equality_compares_nested_fields_without_a_frame_per_level():
@@ -192,8 +190,6 @@ def test_copy_and_pickle(cls):
 
 def test_repr():
     assert repr(NodeRef(3)) == "NodeRef(id=3)"
-    assert repr(NodeList((1, 2))) == "NodeList(ids=(1, 2))"
-    assert repr(NodeList(())) == "NodeList(ids=())"
     assert repr(TypeName("Block")) == "TypeName(name='Block')"
     assert repr(Diagnostic("A.mj", 1, 2, "bad")) == (
         "Diagnostic(file='A.mj', line=1, column=2, message='bad', severity='error')")
