@@ -396,6 +396,30 @@ class _NodeSequence(Sequence):
         return map(self._project.node, range(len(self)))
 
 
+class NodeRef(Frozen):
+    """The query value of a node: a handle to it in its project's arena."""
+
+    id: int
+
+    def __init__(self, id: int):
+        # A frozen record's own `__setattr__` refuses every assignment.
+        _set_id(self, id)
+
+
+_set_id = NodeRef.id.__set__
+
+
+class NodeRefs(dict):
+    """A project's node handles by node id: node n's handle is made on its
+    first read and kept, so every query run on the project shares it."""
+
+    __slots__ = ()
+
+    def __missing__(self, n: int) -> NodeRef:
+        ref = self[n] = NodeRef(n)
+        return ref
+
+
 class RegionIndex:
     """Pre-order region encoding of a project's arena.
 
@@ -407,15 +431,15 @@ class RegionIndex:
     to the sorted ranks of its nodes; `ranks` caches, per matched type name,
     the sorted ranks of the nodes that match it (`ProjectAst.type_ranks`),
     `bound`, per binding table, the sorted ranks of the nodes bound to each
-    target (`ProjectAst.bound_ranks`), and `refs`, per node id, the handle
-    that the evaluator binds a select's pattern variable to, so that every
-    query run on the project shares it (None until the evaluator makes it).
+    target (`ProjectAst.bound_ranks`), and `refs`, the `NodeRefs` table of
+    the nodes' handles, which every node value the evaluator produces reads.
 
     `ProjectAst.link_parents` builds it from the `kids` column it has just
     linked, and leaves that column as it was. A node on or under an
     ownership cycle is reached by no walk from a parentless node, so it gets
-    no rank: its `pre` stays -1. The index holds no reference to its
-    project, so a finished project is freed by reference counting alone.
+    no rank: its `pre` stays -1. The index, handles included, holds no
+    reference to its project, so a finished project is freed by reference
+    counting alone.
     """
 
     def __init__(self, types: list[str], parent: list[int | None],
@@ -453,7 +477,7 @@ class RegionIndex:
         self.by_type = dict(by_type)
         self.ranks: dict[str, list[int]] = {}
         self.bound: dict[str, dict[int, list[int]]] = {}
-        self.refs: list | None = None
+        self.refs = NodeRefs()
 
 
 def node_depth(project: ProjectAst, node_id: int) -> int:

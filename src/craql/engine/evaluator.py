@@ -66,9 +66,11 @@ arithmetic on a node raises only when evaluation reaches it. A literal
 argument folds: `n.isnodetype({T})` tests n's type against the schema's
 `matching` set for `T`.
 Values are Python values (`undefined` is None, a node list a tuple of
-node ids). A test, such as a where clause or an `if` condition, compiles
-like any expression and reads its value's truth; `!`, `&&` and `||`
-yield a bool.
+node ids), and a node is its one handle in the project's
+`RegionIndex.refs`, whether a select, an accessor or a node function
+produced it. A test, such as a where clause or an `if` condition,
+compiles like any expression and reads its value's truth; `!`, `&&` and
+`||` yield a bool.
 An emitted row is its node id in the sink until the runner writes it.
 A `print(v);` statement is the call `print(v)` and compiles like it.
 
@@ -90,7 +92,7 @@ from itertools import islice
 from typing import Callable
 
 from craql import Record
-from craql.astcore import ProjectAst, RegionIndex, node_depth
+from craql.astcore import ProjectAst, node_depth
 from craql.query.ast import (
     Assign,
     BoolLit,
@@ -153,13 +155,6 @@ class SelectionCapture(Record):
     env_snapshot: dict[str, Value]
     rows: list[dict[str, int]]
 
-    def __init__(self, query: SelectQuery, input_nodes: list[int], include_root: bool,
-                 directly: bool, env_snapshot: dict[str, Value],
-                 rows: list[dict[str, int]] | None = None):
-        self.query, self.input_nodes, self.include_root = query, input_nodes, include_root
-        self.directly, self.env_snapshot = directly, env_snapshot
-        self.rows = [] if rows is None else rows
-
 
 # A while statement aborts its query when its condition holds once more
 # after this many runs of its body.
@@ -212,9 +207,9 @@ class Evaluator:
         self.stats = ExecutionStats()
         self.trace: Callable[[SelectionCapture], None] | None = None
         self._doc: QueryDocument | None = None
-        # id(node) -> (node, its closure), or for a select run with emit or
-        # an input override (id, emit, id(override)) -> ((select, its
-        # input), its plan): each query node is compiled once, on first use.
+        # id(select), or for a run with emit or an input override (id, emit,
+        # id(override)) -> ((select, its input), its run): each select run
+        # is planned once, on first use.
         self._plans: dict[object, tuple[object, object]] = {}
 
     # ------------------------------------------------------------------
@@ -223,7 +218,6 @@ class Evaluator:
 
     def execute_document(self, doc: QueryDocument) -> None:
         """Run the document's entry query; labeled queries run via callquery."""
-        prev = self._doc
         self._doc = doc
         self.source = doc.source
         entry = doc.queries[0][1]
@@ -233,7 +227,7 @@ class Evaluator:
             # A deep where clause or body exhausts the interpreter's stack.
             raise QueryRuntimeError("query nested too deeply", self.source, entry.pos) from None
         finally:
-            self._doc = prev
+            self._doc = None
             # The closures refer to this evaluator; dropping them once the
             # document has run lets reference counting free the evaluator
             # and its project.
@@ -266,7 +260,7 @@ class Evaluator:
         and passes over the candidates below an `outmost` row in the run
         or, when the row's region holds the cut, past the run. Each
         candidate, or each pair it heads, is bound to its one handle in
-        `_node_refs`; each that the clause (None for none, `_reject` when
+        `index.refs`; each that the clause (None for none, `_reject` when
         the hoisted conjuncts fail) accepts is appended, emitted and has
         the body run, once; under `_reject` a single pattern that is not
         `inmost` binds each run's last candidate and reads none.
@@ -281,7 +275,7 @@ class Evaluator:
         default, directly = spec.kind == INPUT_DEFAULT, spec.kind == INPUT_DIRECTLY_IN
         input_of = None if default else self._compile(spec.expr)
         where = None if q.where is None else self._compile(q.where)
-        split = split_where(q, self.schema, directly)
+        split = split_where(q, directly)
         if split is not None:
             link, invariant, residual = split.link, None, where
             if split.invariant is not None:
@@ -293,7 +287,7 @@ class Evaluator:
         single, ellipsis = pat.kind == SINGLE, pat.kind == ELLIPSIS
         index, types, offset = project.index, project.type, 0 if default else 1
         order, pre, end, by_type = index.order, index.pre, index.end, index.by_type
-        own, refs, over_budget = project.type_ranks(pat.type1), _node_refs(index), self._over_budget
+        own, refs, over_budget = project.type_ranks(pat.type1), index.refs, self._over_budget
         inner = None if single else project.type_ranks(pat.type2)
         # The roots do not change while a document runs.
         regions = _root_regions(project) if default else None
@@ -319,10 +313,10 @@ class Evaluator:
                 else:
                     raise QueryRuntimeError(f"query input must be a node or node list, not "
                                             f"{_kind_name(value)}", self.source, spec.pos)
-            trace = self.trace
+            trace, rows = self.trace, []
             if trace is not None:
                 capture = SelectionCapture(q, list(project.roots if default else inputs),
-                                           default, directly, dict(variables))
+                                           default, directly, dict(variables), rows)
             clause, ranks = where, own
             if split is not None and split.ready(variables):
                 # Every candidate fails when the invariant part does.
@@ -334,7 +328,6 @@ class Evaluator:
             # candidate and binds the last of each run, as the walk would.
             unread = clause is _reject and single and not inmost
             seen = set() if len(inputs) > 1 else None
-            rows: list = []
             count_stack.append(rows)
             try:
                 for item in inputs:
@@ -352,7 +345,7 @@ class Evaluator:
                         k = bisect_left(ranks, cut + (cut < stop), i)
                         if unread and i < k:
                             n = order[ranks[k - 1]]
-                            variables[var1] = refs[n] or _node_ref(refs, n)
+                            variables[var1] = refs[n]
                             i = k
                         if i < k:
                             env.steps += k - i
@@ -370,8 +363,8 @@ class Evaluator:
                                     raise over_budget(pos)
                                 for r2 in pairs:
                                     n2 = order[r2]
-                                    variables[var1] = refs[n] or _node_ref(refs, n)
-                                    variables[var2] = refs[n2] or _node_ref(refs, n2)
+                                    variables[var1] = refs[n]
+                                    variables[var2] = refs[n2]
                                     if clause is not None and not clause():
                                         continue
                                     if seen is not None and ((n, n2) in seen or seen.add((n, n2))):
@@ -383,7 +376,7 @@ class Evaluator:
                                 continue
                             if inmost and (b := bisect_right(own, r)) < len(own) and own[b] < end[n]:
                                 continue  # a node of the type lies below n
-                            variables[var1] = refs[n] or _node_ref(refs, n)
+                            variables[var1] = refs[n]
                             fresh = seen is None or n not in seen
                             if clause is None or clause():
                                 if fresh:
@@ -416,8 +409,8 @@ class Evaluator:
                     best = max(depth[n2] - depth[n1] for n1, n2 in found)
                     for n1, n2 in found:
                         if depth[n2] - depth[n1] == best:
-                            variables[var1] = refs[n1] or _node_ref(refs, n1)
-                            variables[var2] = refs[n2] or _node_ref(refs, n2)
+                            variables[var1] = refs[n1]
+                            variables[var2] = refs[n2]
                             add(n1, {var1: n1, var2: n2}, rows)
                 if ranks is not own:
                     # The walk of the full list leaves the pattern variable at
@@ -427,12 +420,11 @@ class Evaluator:
                         k = bisect_left(own, stop)
                         if k and own[k - 1] >= start:
                             n = order[own[k - 1]]
-                            variables[var1] = refs[n] or _node_ref(refs, n)
+                            variables[var1] = refs[n]
                             break
             finally:
                 count_stack.pop()
             if trace is not None:
-                capture.rows = rows
                 trace(capture)
             return rows
 
@@ -456,14 +448,6 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-
-    def eval(self, e: Expr) -> Value:
-        """The value of `e` now: `e` is compiled on first use, then its
-        closure is called."""
-        entry = self._plans.get(id(e))
-        if entry is None:
-            entry = self._plans[id(e)] = (e, self._compile(e))
-        return entry[1]()
 
     def _compile(self, e: Expr) -> Thunk:
         return _EXPRESSIONS[type(e)](self, e)
@@ -631,14 +615,14 @@ class Evaluator:
         if name in self.schema.prop_kinds[tname]:
             value = project.props[node_id].get(name)
             if type(value) is int:
-                return NodeRef(value)
+                return project.index.refs[value]
             if type(value) is list:
                 return tuple(value)
             return value  # a token, or None for an absent property
         if self.schema.knows(name):
             matches = [c for c in project.kids[node_id] if project.matches_type(c, name)]
             if len(matches) == 1:
-                return NodeRef(matches[0])
+                return project.index.refs[matches[0]]
             if len(matches) > 1:
                 raise QueryRuntimeError(
                     f"ambiguous child access {{{name}}} on {tname}", self.source, pos
@@ -799,16 +783,16 @@ class Evaluator:
         project = self.project
         types, parents = project.type, project.parent
         bindings, index = project.bindings, project.index
-        pre, end = index.pre, index.end
+        pre, end, refs = index.pre, index.end, index.refs
 
         def parent(n: int) -> Value:
             p = parents[n]
-            return None if p is None else NodeRef(p)
+            return None if p is None else refs[p]
 
         def binding(table: dict[int, int]) -> Callable[[int], Value]:
             def bound(n: int) -> Value:
                 target = table.get(n)
-                return None if target is None else NodeRef(target)
+                return None if target is None else refs[target]
 
             return bound
 
@@ -917,21 +901,6 @@ def _root_regions(project: ProjectAst) -> list[tuple[int, int]]:
         else:
             regions.append((pre[root], end[root]))
     return regions
-
-
-def _node_refs(index: RegionIndex) -> list:
-    """The project's shared node handles by node id, None for a node no
-    select has bound yet; kept in its index, made on first use."""
-    refs = index.refs
-    if refs is None:
-        refs = index.refs = [None] * len(index.pre)
-    return refs
-
-
-def _node_ref(refs: list, n: int) -> NodeRef:
-    """Node n's handle, made and kept in `refs` on its first binding."""
-    ref = refs[n] = NodeRef(n)
-    return ref
 
 
 _KIND_NAMES = {

@@ -23,13 +23,15 @@ the variables they read hold nodes. From that one pass it takes two plans:
 prefix reads up to the last conjunct either plan uses hold nodes; the key
 also needs V to hold a node, which the evaluator tests apart, so a key
 that cannot be used leaves the hoist in place.
+
+The split reads the query IR alone: the evaluator compiles the clause,
+which checks each `{T}` literal against the schema, before it splits it.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
-from craql.astcore import NodeTypeSchema
 from craql.engine.runtime import NodeRef, Value
 from craql.query.ast import (
     Assign,
@@ -92,7 +94,7 @@ class Split:
         return True
 
 
-def split_where(q: SelectQuery, schema: NodeTypeSchema, directly: bool) -> Split | None:
+def split_where(q: SelectQuery, directly: bool) -> Split | None:
     """The select's split, or None when it has neither invariant conjuncts
     nor a link key.
 
@@ -124,7 +126,7 @@ def split_where(q: SelectQuery, schema: NodeTypeSchema, directly: bool) -> Split
             else:
                 used = frozenset(reads - pattern), frozenset(nodes - pattern)
         probed: set[str] = set()
-        if not (_is_probe(conjunct, schema, probed) or _is_comparison(conjunct, nodes)):
+        if not (_is_probe(conjunct, probed) or _is_comparison(conjunct, nodes)):
             residual += conjuncts[i:]
             break
         reads |= probed
@@ -173,20 +175,20 @@ def _accessor_of(e: Expr, var: str) -> str | None:
     return None
 
 
-def _is_probe(e: Expr, schema: NodeTypeSchema, reads: set[str]) -> bool:
+def _is_probe(e: Expr, reads: set[str]) -> bool:
     """Whether `e` is `x.f(y)`, or a negation or `||` of such calls, with
-    `f` one of `PROBES`, `x` a variable and `y` a variable or a known type;
-    adds the variables to `reads`. Such a probe returns a boolean when they
-    hold nodes or nothing."""
+    `f` one of `PROBES`, `x` a variable and `y` a variable or a `{T}`
+    literal; adds the variables to `reads`. Such a probe returns a boolean
+    when they hold nodes or nothing."""
     if isinstance(e, Prefix) and e.op == "!":
-        return _is_probe(e.operand, schema, reads)
+        return _is_probe(e.operand, reads)
     if isinstance(e, Infix) and e.op == "||":
-        return _is_probe(e.lhs, schema, reads) and _is_probe(e.rhs, schema, reads)
+        return _is_probe(e.lhs, reads) and _is_probe(e.rhs, reads)
     if not (isinstance(e, Call) and e.name in PROBES and isinstance(e.receiver, VarRef)
             and len(e.args) == 1):
         return False
     arg = e.args[0]
-    if isinstance(arg, TypeLit) and schema.knows(arg.name):
+    if isinstance(arg, TypeLit):
         reads.add(e.receiver.name)
         return True
     if isinstance(arg, VarRef) and e.name != "isnodetype":

@@ -6,20 +6,8 @@ from __future__ import annotations
 from collections.abc import Sized
 
 from craql import Frozen, Record
-from craql.astcore import ProjectAst, source_text
+from craql.astcore import NodeRef, ProjectAst, source_text
 from craql.results import escape_text
-
-
-# The hot values below fill their slots through the slot descriptors, since
-# a frozen record's own `__setattr__` refuses every assignment.
-
-class NodeRef(Frozen):
-    """Handle to a node in the current project's arena."""
-
-    id: int
-
-    def __init__(self, id: int):
-        _set_id(self, id)
 
 
 class TypeName(Frozen):
@@ -28,10 +16,11 @@ class TypeName(Frozen):
     name: str
 
     def __init__(self, name: str):
+        # A frozen record's own `__setattr__` refuses every assignment.
         _set_name(self, name)
 
 
-_set_id, _set_name = NodeRef.id.__set__, TypeName.name.__set__
+_set_name = TypeName.name.__set__
 
 
 # A value is a Python value: `undefined` is None and a node list is a tuple

@@ -15,7 +15,7 @@ from typing import Callable
 
 from craql.astcore import ProjectAst
 from craql.engine.evaluator import Evaluator, SelectionCapture
-from craql.engine.runtime import Environment, NodeRef, OutputSink
+from craql.engine.runtime import Environment, OutputSink
 from craql.query.ast import (
     ELLIPSIS,
     Expr,
@@ -156,24 +156,25 @@ def where_from_expr(
     where: Expr | None,
     env_snapshot: dict,
 ) -> WhereFn | None:
-    """Evaluate a query's where clause via the engine's expression evaluator.
+    """A query's where clause as a test of one candidate: the engine's
+    expression compiler compiles it once, and each call runs the closure.
 
     Each call sees the environment as it was when the select started, the
     candidate bindings, and a count(*) equal to rows accepted so far.
     """
     if where is None:
         return None
-    # One evaluator, so the where clause is compiled once for all calls.
     evaluator = Evaluator(project, Environment(), OutputSink())
-    env = evaluator.env
+    env, refs = evaluator.env, project.index.refs
+    test = evaluator._compile(where)
 
     def fn(bindings: dict[str, int], count: int) -> bool:
         env.variables.clear()
         env.variables.update(env_snapshot)
         env.count_stack[:] = [range(count)]
         for var, node_id in bindings.items():
-            env.variables[var] = NodeRef(node_id)
-        return bool(evaluator.eval(where))
+            env.variables[var] = refs[node_id]
+        return bool(test())
 
     return fn
 

@@ -245,6 +245,9 @@ def _run_batch(config: RunConfig) -> tuple[int, list[ProjectRunRecord]]:
     docs: list[tuple[str, QueryDocument]] = []
     query_files: dict[str, str] = {}  # result name -> query file
     for qname in query_names:
+        # Nothing outside the query directory is read; a NUL byte names no file.
+        if Path(qname).is_absolute() or ".." in Path(qname).parts or "\0" in qname:
+            raise RunnerError(f"query file name {qname!r} is not a path under {config.queries_dir}")
         qpath = config.queries_dir / qname
         if not qpath.is_file():
             raise RunnerError(f"missing query file: {qpath}")

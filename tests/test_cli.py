@@ -128,6 +128,21 @@ def test_query_files_that_share_a_result_name_exit_two(tmp_path, capsys, listed,
     assert list((root / "results").iterdir()) == []
 
 
+@pytest.mark.parametrize("listed", [
+    "../elsewhere/outside.craql", "{root}/elsewhere/outside.craql", "a\0b.craql",
+], ids=["parent part", "absolute", "NUL byte"])
+def test_a_query_name_outside_the_query_directory_exits_two(tmp_path, capsys, listed):
+    root = make_root(tmp_path)
+    (root / "elsewhere").mkdir()
+    (root / "elsewhere" / "outside.craql").write_text("select ({Block} b) { n++; }")
+    qname = listed.format(root=root)
+    (root / "queries.txt").write_text(qname + "\n")
+    assert run_main(root) == 2
+    assert capsys.readouterr().err == (
+        f"error: query file name {qname!r} is not a path under {root / 'queries'}\n")
+    assert list((root / "results").iterdir()) == []
+
+
 def test_an_unknown_node_type_exits_two_before_any_project_runs(tmp_path, capsys):
     # Even inside a labeled select that nothing calls: the batch checks
     # each document whole against the schema once, before any project.

@@ -181,7 +181,7 @@ def expression_outcomes(project) -> list[str]:
             env, sink = Environment(seed), OutputSink()
             if i % 2:
                 env.count_stack.append(range(3))
-            result = outcome(lambda: Evaluator(project, env, sink, "<pin>").eval(expr))
+            result = outcome(lambda: Evaluator(project, env, sink, "<pin>")._compile(expr)())
             lines.append(f"{result} {sink.prints}")
     return lines
 

@@ -20,7 +20,7 @@ from conftest import find_node, load_fixture_project, run_document
 
 def eval_expr(project, text, env=None, sink=None):
     expr = _Parser(tokenize(text), "<expr>").parse_expr()
-    return Evaluator(project, env or Environment(), sink or OutputSink()).eval(expr)
+    return Evaluator(project, env or Environment(), sink or OutputSink())._compile(expr)()
 
 
 class TestLiteralsAndOperators:
@@ -365,6 +365,17 @@ class TestRepresentation:
         value = eval_expr(fact_project, text, env, sink)
         assert type(value) is type(expected) and value == expected
         assert sink.prints == printed
+
+    def test_a_node_has_one_handle(self, sample_project):
+        fragment = find_node(sample_project, "VariableDeclaration", "i = 0")
+        env = Environment({"a": NodeRef(fragment.id)})
+        expr = _Parser(tokenize("a.parent()"), "<expr>").parse_expr()
+        parent_of = Evaluator(sample_project, env, OutputSink())._compile(expr)
+        handle = parent_of()
+        assert parent_of() is handle and sample_project.index.refs[handle.id] is handle
+        out, _, _ = run_document(sample_project, "select ({VariableDeclarationStatement} s) "
+                                 "where s == a.parent() { p = s; }", env.variables)
+        assert out.variables["p"] is handle
 
     def test_a_seeded_tuple_is_a_select_input_and_never_exported(self, fact_project, env):
         seed = {**env.variables, "u": None, "s": "a", "b": True}

@@ -198,8 +198,8 @@ def test_generated_documents_agree(generated_projects, monkeypatch):
     splits = {"invariant": 0, "link": 0}
     split_where = evaluator_module.split_where
 
-    def counted(q, schema, directly):
-        split = split_where(q, schema, directly)
+    def counted(q, directly):
+        split = split_where(q, directly)
         if split is not None:
             splits["invariant"] += split.invariant is not None
             splits["link"] += split.link is not None
@@ -315,10 +315,10 @@ def test_literal_type_probes_agree_with_matches_type(generated_projects, monkeyp
             patch.setattr(ProjectAst, "matches_type", None)
             for name in names:
                 probe = _Parser(tokenize(f"n.isnodetype({{{name}}})"), "<probe>").parse_expr()
-                got = []
+                test, got = evaluator._compile(probe), []
                 for n in ids:
                     env.variables["n"] = NodeRef(n)
-                    got.append(evaluator.eval(probe))
+                    got.append(test())
                 assert got == expected[name], (project.name, name)
                 matched += sum(got)
     assert 0 < matched < len(names) * sum(len(p.type) for p in projects)

@@ -10,7 +10,6 @@ import craql.engine.evaluator as evaluator_module
 
 from craql import (
     BUNDLED_QUERIES,
-    MINILANG_SCHEMA,
     Environment,
     Evaluator,
     OutputSink,
@@ -606,7 +605,7 @@ class TestRegionScan:
             evaluator = Evaluator(project, Environment(), OutputSink())
 
             def call(name, *args):
-                return evaluator.eval(Call(name, VarRef("a"), list(args)))
+                return evaluator._compile(Call(name, VarRef("a"), list(args)))()
 
             def directly_below(a, n):
                 chain = chains[n]
@@ -1147,16 +1146,16 @@ class TestHoistFallbacks:
         text = "select ({Statement} s) in m where r.isnodetype({ReturnStatement}) " \
                f"{{ print(s.linenumber()); {body} }}"
         assert self.run(escapes, text) == prints
-        assert split_where(parse_query_document(text).entry, MINILANG_SCHEMA, False) is None
+        assert split_where(parse_query_document(text).entry, False) is None
         free = parse_query_document(text.replace("r +=", "n +=").replace("{Statement} r", "{Statement} u"))
-        assert split_where(free.entry, MINILANG_SCHEMA, False).invariant is not None
+        assert split_where(free.entry, False).invariant is not None
 
     def test_callquery_inside_an_if(self, escapes):
         text = "select ({Statement} s) in m where r.isnodetype({ReturnStatement}) " \
                "{ print(s.linenumber()); if (s.linenumber() == 2) { callquery(last) in s; } }\n" \
                "last : select ({Statement} r) { }"
         assert self.run(escapes, text) == ["2"]
-        assert split_where(parse_query_document(text).entry, MINILANG_SCHEMA, False) is None
+        assert split_where(parse_query_document(text).entry, False) is None
 
 
 class TestJoinGuard:

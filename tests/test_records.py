@@ -105,8 +105,6 @@ def test_defaults():
     assert FileInfo("A.mj").text is None
     first, second = BindingTable(), BindingTable()
     assert first.method == first.type == {} and first.method is not second.method
-    capture = SelectionCapture(None, [], True, False, {})
-    assert capture.rows == [] and capture.rows is not SelectionCapture(None, [], True, False, {}).rows
 
 
 def test_keyword_arguments():

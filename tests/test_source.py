@@ -173,6 +173,30 @@ def test_the_fault_check_reads_whole_f_strings_and_skips_docstrings():
     assert call_fault_texts(tree) == [(3, "needs a node receiver"), (3, "{}() takes {} argument")]
 
 
+def node_ref_calls(tree: ast.AST) -> list[int]:
+    """The line of each call of `NodeRef` in `tree`, by its name or as an
+    attribute (`runtime.NodeRef(n)`)."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "NodeRef")
+
+
+def test_only_the_handle_table_makes_node_handles():
+    """A node has one handle per project: `craql.astcore.NodeRefs` makes it,
+    and every other module reads the project's table."""
+    made = {path.relative_to(SOURCE_ROOT).as_posix(): node_ref_calls(ast.parse(path.read_text()))
+            for path in sorted(SOURCE_ROOT.rglob("*.py"))}
+    assert {path: lines for path, lines in made.items() if lines}.keys() == {"astcore.py"}
+    assert len(made["astcore.py"]) == 1
+
+
+def test_the_handle_check_sees_names_and_attributes():
+    tree = ast.parse(
+        "def f(n, runtime):\n"
+        "    return NodeRef(n), runtime.NodeRef(n), NodeRefs(), NodeRef, refs[n]\n"
+    )
+    assert node_ref_calls(tree) == [2, 2]
+
+
 def main_block_calls(tree: ast.Module) -> list[str]:
     """The names of the functions that the module's `if __name__ ==
     "__main__":` block calls."""
